@@ -8,7 +8,6 @@ and rescaling traces.
 """
 
 from . import config
-from ._kernels import BACKEND, warmup
 from .config import DEFAULT_MARTY, MartyThresholds
 from .derived import derived_map
 from .errors import (AllZero, BadParams, DimensionMismatch,
@@ -35,7 +34,7 @@ from .sharing import (CheckConfig, ConditionReport, FamilyMember,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllZero", "BACKEND", "BadParams", "CheckConfig", "ComplexPoly",
+    "AllZero", "BadParams", "CheckConfig", "ComplexPoly",
     "ConditionReport", "DEFAULT_MARTY", "DimensionMismatch", "FamilyMember",
     "FirstComponentZero", "GreenReport", "IdenticallyZero", "MartyStats",
     "MartyThresholds", "MovingHyperplane", "NotBlowingUp", "NotFixed",
@@ -50,6 +49,6 @@ __all__ = [
     "marty_sup", "match_point_sets", "normalize_hyperplanes", "pair",
     "pairing_zeros", "preimage_zeros", "reduce_tuple", "refinement_check",
     "run_pipeline", "save_scene", "scene_from_json", "scene_to_json",
-    "shares", "sup_norm", "uniform_delta", "warmup", "wronskian",
+    "shares", "sup_norm", "uniform_delta", "wronskian",
     "zalcman_search", "__version__",
 ]

@@ -1,31 +1,11 @@
 """Hot numeric kernels: batched Horner evaluation and grid sweeps.
 
-Each kernel exists twice: a numba ``@njit`` version and a pure-numpy twin
-with identical semantics.  The active backend is chosen at import time from
-the ``PROJCURVE_BACKEND`` environment variable:
-
-    PROJCURVE_BACKEND=numba   force the jitted kernels (error if numba missing)
-    PROJCURVE_BACKEND=numpy   force the numpy fallbacks
-    unset / auto              numba when importable, numpy otherwise
-
-``benchmarks/bench_kernels.py`` compares the two paths.
+The kernels are plain numpy.  They keep their historical ``*_numpy`` names,
+which the benchmark's trace wraps; the plain names are aliases.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
 
 def polyval_grid_numpy(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Evaluate K padded polynomials at M points: (K, L) x (M,) -> (K, M).
@@ -62,25 +42,6 @@ def fs_derivative_grid_numpy(comp: np.ndarray, dcomp: np.ndarray,
     return np.sqrt(num) / s2
 
 
-def detprod_grid_numpy(coeffs: np.ndarray, pts: np.ndarray,
-                       subsets: np.ndarray) -> np.ndarray:
-    """Product over row subsets of |det| of evaluated coefficient matrices.
-
-    ``coeffs`` has shape (q, n+1, L): q hyperplanes, n+1 coefficient
-    polynomials each.  ``subsets`` has shape (S, n+1) and indexes rows of the
-    evaluated (q, n+1) matrix.  Returns the product over all S subsets of the
-    absolute determinant, at each of the M points.
-    """
-    q, P, L = coeffs.shape
-    vals = polyval_grid_numpy(coeffs.reshape(q * P, L), pts)
-    vals = vals.reshape(q, P, -1).transpose(2, 0, 1)  # (M, q, P)
-    out = np.ones(pts.shape[0], dtype=np.float64)
-    for s in range(subsets.shape[0]):
-        sub = vals[:, subsets[s], :]
-        out *= np.abs(np.linalg.det(sub))
-    return out
-
-
 def pairwise_fs_grid_numpy(vals_a: np.ndarray, vals_b: np.ndarray) -> np.ndarray:
     """Fubini-Study distance between two sampled curves, pointwise.
 
@@ -97,173 +58,6 @@ def pairwise_fs_grid_numpy(vals_a: np.ndarray, vals_b: np.ndarray) -> np.ndarray
     return np.sqrt(num) / (na * nb)
 
 
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def polyval_grid_numba(coeffs, pts):
-        K, L = coeffs.shape
-        M = pts.shape[0]
-        out = np.empty((K, M), dtype=np.complex128)
-        for k in range(K):
-            for m in range(M):
-                z = pts[m]
-                acc = 0.0 + 0.0j
-                for l in range(L - 1, -1, -1):
-                    acc = acc * z + coeffs[k, l]
-                out[k, m] = acc
-        return out
-
-    @njit(cache=True)
-    def fs_derivative_grid_numba(comp, dcomp, pts):
-        P, L = comp.shape
-        Ld = dcomp.shape[1]
-        M = pts.shape[0]
-        out = np.empty(M, dtype=np.float64)
-        v = np.empty(P, dtype=np.complex128)
-        dv = np.empty(P, dtype=np.complex128)
-        for m in range(M):
-            z = pts[m]
-            for i in range(P):
-                acc = 0.0 + 0.0j
-                for l in range(L - 1, -1, -1):
-                    acc = acc * z + comp[i, l]
-                v[i] = acc
-                acc = 0.0 + 0.0j
-                for l in range(Ld - 1, -1, -1):
-                    acc = acc * z + dcomp[i, l]
-                dv[i] = acc
-            num = 0.0
-            s2 = 0.0
-            for i in range(P):
-                s2 += v[i].real * v[i].real + v[i].imag * v[i].imag
-                for j in range(i + 1, P):
-                    cross = v[i] * dv[j] - v[j] * dv[i]
-                    num += cross.real * cross.real + cross.imag * cross.imag
-            out[m] = np.sqrt(num) / s2
-        return out
-
-    @njit(cache=True)
-    def _abs_det(B):
-        # In-place LU with partial pivoting; |det| is the pivot magnitude product.
-        p = B.shape[0]
-        mag = 1.0
-        for col in range(p):
-            piv = col
-            best = abs(B[col, col])
-            for r in range(col + 1, p):
-                m = abs(B[r, col])
-                if m > best:
-                    best = m
-                    piv = r
-            if best == 0.0:
-                return 0.0
-            if piv != col:
-                for c2 in range(p):
-                    tmp = B[col, c2]
-                    B[col, c2] = B[piv, c2]
-                    B[piv, c2] = tmp
-            pivval = B[col, col]
-            mag *= abs(pivval)
-            for r in range(col + 1, p):
-                factor = B[r, col] / pivval
-                for c2 in range(col + 1, p):
-                    B[r, c2] -= factor * B[col, c2]
-        return mag
-
-    @njit(cache=True)
-    def detprod_grid_numba(coeffs, pts, subsets):
-        q, P, L = coeffs.shape
-        M = pts.shape[0]
-        S = subsets.shape[0]
-        out = np.empty(M, dtype=np.float64)
-        A = np.empty((q, P), dtype=np.complex128)
-        B = np.empty((P, P), dtype=np.complex128)
-        for m in range(M):
-            z = pts[m]
-            for qi in range(q):
-                for pi in range(P):
-                    acc = 0.0 + 0.0j
-                    for l in range(L - 1, -1, -1):
-                        acc = acc * z + coeffs[qi, pi, l]
-                    A[qi, pi] = acc
-            prod = 1.0
-            for s in range(S):
-                for i in range(P):
-                    row = subsets[s, i]
-                    for jcol in range(P):
-                        B[i, jcol] = A[row, jcol]
-                prod *= _abs_det(B)
-            out[m] = prod
-        return out
-
-    @njit(cache=True)
-    def pairwise_fs_grid_numba(vals_a, vals_b):
-        P, M = vals_a.shape
-        out = np.empty(M, dtype=np.float64)
-        for m in range(M):
-            num = 0.0
-            na = 0.0
-            nb = 0.0
-            for i in range(P):
-                a = vals_a[i, m]
-                b = vals_b[i, m]
-                na += a.real * a.real + a.imag * a.imag
-                nb += b.real * b.real + b.imag * b.imag
-                for j in range(i + 1, P):
-                    cross = a * vals_b[j, m] - vals_a[j, m] * b
-                    num += cross.real * cross.real + cross.imag * cross.imag
-            out[m] = np.sqrt(num) / np.sqrt(na * nb)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def _select_backend() -> str:
-    env = os.environ.get("PROJCURVE_BACKEND", "auto").strip().lower()
-    if env in ("numpy", "python"):
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(
-                "PROJCURVE_BACKEND=numba but numba is not importable")
-        return "numba"
-    if env not in ("", "auto"):
-        raise RuntimeError(f"unknown PROJCURVE_BACKEND value: {env!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    polyval_grid = polyval_grid_numba
-    fs_derivative_grid = fs_derivative_grid_numba
-    detprod_grid = detprod_grid_numba
-    pairwise_fs_grid = pairwise_fs_grid_numba
-else:
-    polyval_grid = polyval_grid_numpy
-    fs_derivative_grid = fs_derivative_grid_numpy
-    detprod_grid = detprod_grid_numpy
-    pairwise_fs_grid = pairwise_fs_grid_numpy
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of every kernel on tiny inputs (no-op on numpy)."""
-    if BACKEND != "numba":
-        return
-    coeffs = np.array([[1.0 + 0j, 2.0 + 0j]])
-    pts = np.array([0.5 + 0.5j])
-    polyval_grid(coeffs, pts)
-    fs_derivative_grid(coeffs, np.array([[2.0 + 0j, 0j]]), pts)
-    detprod_grid(
-        np.array([[[1.0 + 0j, 0j], [0j, 0j]], [[0j, 0j], [1.0 + 0j, 0j]]]),
-        pts,
-        np.array([[0, 1]], dtype=np.int64),
-    )
-    pairwise_fs_grid(np.array([[1.0 + 0j], [0.5j]]),
-                     np.array([[1.0 + 0j], [0.5j]]))
+polyval_grid = polyval_grid_numpy
+fs_derivative_grid = fs_derivative_grid_numpy
+pairwise_fs_grid = pairwise_fs_grid_numpy

@@ -27,8 +27,7 @@ from .errors import (AllZero, BadParams, DimensionMismatch, FirstComponentZero,
                      WrongCount, ZeroPolynomial)
 from .normality import marty_sup, zalcman_search
 from .polynomial import ComplexPoly
-from .position import (Region, gen_pos_product_grid, refinement_check,
-                       uniform_delta)
+from .position import Region, position_sweep, uniform_delta
 from .projective import MovingHyperplane, ProjCurve
 from .sharing import CheckConfig, FamilyMember, hypotheses_check
 
@@ -471,13 +470,11 @@ def _stage_position(scene: Scene, csv_dir: str | None) -> tuple[dict, int]:
     rows = []
     pts = scene.region.grid_points()
     for m in scene.members:
-        ud = uniform_delta(m.hyperplanes, scene.region)
-        ref = refinement_check(m.hyperplanes, scene.region,
-                               scene.config.delta)
+        ud, ref, vals = position_sweep(m.hyperplanes, scene.region,
+                                       scene.config.delta)
         per.append({"label": m.label, "min": ud.value,
                     "argmin": _c(ud.argmin), "refinement": ref})
         if csv_dir is not None:
-            vals = gen_pos_product_grid(m.hyperplanes, scene.region)
             rows.extend((m.label, float(z.real), float(z.imag), float(v))
                         for z, v in zip(pts, vals))
     worst = min(per, key=lambda e: e["min"])

@@ -6,6 +6,16 @@ the product measure multiplies D over every (n+1)-subset; the family is in
 general position at z when that product is positive.  The uniform variant
 takes the minimum over a rectangular grid.
 
+Grid sweeps never take a determinant per grid point.  Each subset
+determinant det_s(z) is a polynomial whose degree is at most the sum of its
+rows' degrees, so it is built once, as a polynomial in u = (z - c) / r with
+c the region's centre and r half its diameter: det_s is sampled at K roots
+of unity on |u| = 1 (K one more than the largest subset's row-degree sum)
+with a single stacked determinant call, and an inverse FFT gives its
+coefficients.  The grid then only needs polynomial evaluation.  A fixed
+family has K = 1: one determinant per subset, a constant on the grid, and
+the product bit-identical to a per-point sweep.
+
 All measures are computed on normalized hyperplane representatives (unit sup
 coefficient norm); unnormalized inputs are normalized on the fly, fixed ones
 against their constant norm and moving ones against the given region's grid.
@@ -21,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import config
-from ._kernels import detprod_grid
+from ._kernels import polyval_grid
 from .errors import DimensionMismatch, NotFixed, WrongCount
 from .projective import MovingHyperplane
 
@@ -165,19 +175,65 @@ def gen_pos_product(hypers: Sequence[MovingHyperplane], z: complex,
     return prod
 
 
+# Complex values one polyval_grid call may produce while multiplying the
+# subset determinants over a grid; bounds memory for large families.
+_EVAL_BLOCK = 1 << 20
+
+
+@dataclass(frozen=True)
+class SubsetDeterminants:
+    """Every (n+1)-subset determinant of a family, as polynomials in u.
+
+    Row s of ``coeffs`` holds det_s ascending in u = (z - centre) / radius,
+    subsets in ``itertools.combinations`` order.
+    """
+
+    coeffs: np.ndarray
+    centre: complex
+    radius: float
+
+    @classmethod
+    def of(cls, hypers: Sequence[MovingHyperplane],
+           region: Region) -> "SubsetDeterminants":
+        """Interpolate each det_s of the hyperplanes, used as given."""
+        n = hypers[0].n
+        _check_family(hypers, n)
+        subsets = list(itertools.combinations(range(len(hypers)), n + 1))
+        row_degrees = sorted(max(p.coeffs.size for p in h.coeffs) - 1
+                             for h in hypers)
+        K = sum(row_degrees[-(n + 1):]) + 1
+        centre = complex(0.5 * (region.x_min + region.x_max),
+                         0.5 * (region.y_min + region.y_max))
+        radius = 0.5 * region.diameter
+        nodes = centre + radius * np.exp(2j * np.pi * np.arange(K) / K)
+        coeffs = _pack_coeffs(hypers)
+        q, P, L = coeffs.shape
+        rows = polyval_grid(coeffs.reshape(q * P, L), nodes)
+        rows = rows.reshape(q, P, K).transpose(2, 0, 1)  # (K, q, P)
+        samples = np.linalg.det(rows[:, subsets, :])     # (K, S)
+        poly = np.fft.fft(samples, axis=0) / K
+        return cls(coeffs=np.ascontiguousarray(poly.T), centre=centre,
+                   radius=radius)
+
+    def product(self, pts: np.ndarray) -> np.ndarray:
+        """Product of |det_s| over all subsets at each point, in subset
+        order."""
+        u = (pts - self.centre) / self.radius
+        out = np.ones(pts.shape[0], dtype=np.float64)
+        step = max(1, _EVAL_BLOCK // pts.shape[0])
+        for i in range(0, self.coeffs.shape[0], step):
+            for vals in polyval_grid(self.coeffs[i:i + step], u):
+                out *= np.abs(vals)
+        return out
+
+
 def gen_pos_product_grid(hypers: Sequence[MovingHyperplane],
                          region: Region) -> np.ndarray:
     """The subset-determinant product at every grid point, shape (ny*nx,).
 
     Hyperplanes are used as given; normalize first for meaningful values.
     """
-    n = hypers[0].n
-    _check_family(hypers, n)
-    subsets = np.array(
-        list(itertools.combinations(range(len(hypers)), n + 1)),
-        dtype=np.int64)
-    coeffs = _pack_coeffs(hypers)
-    return detprod_grid(coeffs, region.grid_points(), subsets)
+    return SubsetDeterminants.of(hypers, region).product(region.grid_points())
 
 
 @dataclass(frozen=True)
@@ -186,6 +242,12 @@ class UniformDelta:
 
     value: float
     argmin: complex
+
+    @classmethod
+    def from_grid(cls, vals: np.ndarray, pts: np.ndarray) -> "UniformDelta":
+        """The smallest of ``vals`` and the first point reaching it."""
+        idx = int(np.argmin(vals))
+        return cls(value=float(vals[idx]), argmin=complex(pts[idx]))
 
 
 def uniform_delta(hypers: Sequence[MovingHyperplane],
@@ -196,27 +258,34 @@ def uniform_delta(hypers: Sequence[MovingHyperplane],
     region first.  Grid minimization estimates the true infimum from above;
     see refinement_check for an undersampling guard.
     """
-    n = hypers[0].n
-    _check_family(hypers, n)
-    normed = _canonical(hypers, region)
-    vals = gen_pos_product_grid(normed, region)
-    idx = int(np.argmin(vals))
     pts = region.grid_points()
-    return UniformDelta(value=float(vals[idx]), argmin=complex(pts[idx]))
+    dets = SubsetDeterminants.of(_canonical(hypers, region), region)
+    return UniformDelta.from_grid(dets.product(pts), pts)
+
+
+def position_sweep(hypers: Sequence[MovingHyperplane], region: Region,
+                   delta: float) -> tuple[UniformDelta, dict, np.ndarray]:
+    """uniform_delta, refinement_check and the product on the region's grid,
+    from one build of the determinant polynomials and one coarse sweep."""
+    dets = SubsetDeterminants.of(_canonical(hypers, region), region)
+    pts = region.grid_points()
+    vals = dets.product(pts)
+    ud = UniformDelta.from_grid(vals, pts)
+    fine_min = float(dets.product(region.refine().grid_points()).min())
+    flipped = ud.value > delta and fine_min <= delta / 2.0
+    refinement = {"coarse_min": ud.value, "fine_min": fine_min,
+                  "consistent": not flipped}
+    return ud, refinement, vals
 
 
 def refinement_check(hypers: Sequence[MovingHyperplane], region: Region,
                      delta: float) -> dict:
     """Guard against gross grid undersampling of the minimum.
 
-    Recomputes uniform_delta on the doubled grid; flags inconsistency when
+    Evaluates the product on the doubled grid too; flags inconsistency when
     the coarse grid clears delta but the fine grid falls to delta/2 or below.
     """
-    coarse = uniform_delta(hypers, region)
-    fine = uniform_delta(hypers, region.refine())
-    flipped = coarse.value > delta and fine.value <= delta / 2.0
-    return {"coarse_min": coarse.value, "fine_min": fine.value,
-            "consistent": not flipped}
+    return position_sweep(hypers, region, delta)[1]
 
 
 def is_general_position(hypers: Sequence[MovingHyperplane],

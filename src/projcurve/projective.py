@@ -212,10 +212,14 @@ class MovingHyperplane:
         """Rescale so the sup of ``norm`` over the region's grid equals 1.
 
         ``region`` is anything with a ``grid_points()`` method returning the
-        sample points.  The applied factor is recorded.
+        sample points.  The applied factor is recorded.  A fixed hyperplane's
+        norm is the same everywhere, so it is read at one point.
         """
-        pts = region.grid_points()
-        sup = max(float(np.max(np.abs(p(pts)))) for p in self._coeffs)
+        if self.is_fixed:
+            sup = self.norm(0.0)
+        else:
+            pts = region.grid_points()
+            sup = max(float(np.max(np.abs(p(pts)))) for p in self._coeffs)
         if abs(sup - 1.0) <= 1e-12:
             # Snap to the identity so normalizing twice is bitwise stable.
             return MovingHyperplane(

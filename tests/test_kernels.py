@@ -1,11 +1,11 @@
 import itertools
 
 import numpy as np
-import pytest
 
 from projcurve import _kernels
 from projcurve.polynomial import ComplexPoly
-from projcurve.projective import fs_distance
+from projcurve.position import Region, gen_pos_product_grid
+from projcurve.projective import MovingHyperplane, fs_distance
 
 
 def random_coeffs(rng, rows, width):
@@ -44,19 +44,22 @@ class TestFsDerivativeGrid:
 
 class TestDetprodGrid:
     def test_matches_numpy_det(self):
+        # The product sweep against per-point np.linalg.det, on the grid.
         rng = np.random.default_rng(1)
         q, P, L = 5, 3, 4
         coeffs = random_coeffs(rng, q * P, L).reshape(q, P, L)
-        pts = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-        subsets = np.array(list(itertools.combinations(range(q), P)),
-                           dtype=np.int64)
-        got = _kernels.detprod_grid_numpy(coeffs, pts, subsets)
-        vals = _kernels.polyval_grid_numpy(coeffs.reshape(q * P, L), pts)
-        vals = vals.reshape(q, P, pts.size)
-        for m, z in enumerate(pts):
+        hypers = [MovingHyperplane([ComplexPoly(c) for c in rows])
+                  for rows in coeffs]
+        region = Region(-0.4, 1.1, -0.7, 0.2, 4, 3)
+        got = gen_pos_product_grid(hypers, region)
+        vals = _kernels.polyval_grid_numpy(coeffs.reshape(q * P, L),
+                                           region.grid_points())
+        vals = vals.reshape(q, P, -1)
+        subsets = list(itertools.combinations(range(q), P))
+        for m in range(got.size):
             prod = 1.0
             for idx in subsets:
-                prod *= abs(np.linalg.det(vals[idx, :, m]))
+                prod *= abs(np.linalg.det(vals[list(idx), :, m]))
             assert abs(got[m] - prod) <= 1e-10 * max(1.0, prod)
 
 
@@ -68,52 +71,3 @@ class TestPairwiseFsGrid:
         got = _kernels.pairwise_fs_grid_numpy(a, b)
         for k in range(20):
             assert abs(got[k] - fs_distance(a[:, k], b[:, k])) <= 1e-12
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-class TestBackendAgreement:
-    def test_polyval(self):
-        rng = np.random.default_rng(3)
-        coeffs = random_coeffs(rng, 4, 7)
-        pts = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        a = _kernels.polyval_grid_numpy(coeffs, pts)
-        b = _kernels.polyval_grid_numba(coeffs, pts)
-        assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(a).max())
-
-    def test_fs_derivative(self):
-        rng = np.random.default_rng(4)
-        comp = random_coeffs(rng, 3, 5)
-        dcomp = random_coeffs(rng, 3, 5)
-        pts = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        a = _kernels.fs_derivative_grid_numpy(comp, dcomp, pts)
-        b = _kernels.fs_derivative_grid_numba(comp, dcomp, pts)
-        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
-
-    def test_detprod(self):
-        rng = np.random.default_rng(5)
-        q, P, L = 5, 3, 3
-        coeffs = random_coeffs(rng, q * P, L).reshape(q, P, L)
-        pts = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-        subsets = np.array(list(itertools.combinations(range(q), P)),
-                           dtype=np.int64)
-        a = _kernels.detprod_grid_numpy(coeffs, pts, subsets)
-        b = _kernels.detprod_grid_numba(coeffs, pts, subsets)
-        assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
-
-    def test_pairwise_fs(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30))
-        b = rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30))
-        x = _kernels.pairwise_fs_grid_numpy(a, b)
-        y = _kernels.pairwise_fs_grid_numba(a, b)
-        assert np.abs(x - y).max() <= 1e-12
-
-
-class TestBackendSelection:
-    def test_current_backend_valid(self):
-        assert _kernels.BACKEND in ("numpy", "numba")
-
-    def test_dispatch_table(self):
-        suffix = "_" + _kernels.BACKEND
-        assert _kernels.polyval_grid is getattr(
-            _kernels, "polyval_grid" + suffix)

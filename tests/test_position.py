@@ -199,3 +199,95 @@ class TestIsGeneralPosition:
             2j * np.pi * rng.uniform(0, 1, 3))
         scaled = [fixed(*(s * row)) for s, row in zip(scales, rows)]
         assert is_general_position(hypers) == is_general_position(scaled)
+
+
+def per_point_product(hypers, pts):
+    """Product of |det| over (n+1)-subsets, one np.linalg.det per point."""
+    rows = np.stack([np.stack([p(pts) for p in h.coeffs]) for h in hypers])
+    subsets = list(itertools.combinations(range(len(hypers)),
+                                          hypers[0].n + 1))
+    out = np.ones(pts.size)
+    for m in range(pts.size):
+        for idx in subsets:
+            out[m] *= abs(np.linalg.det(rows[list(idx), :, m]))
+    return out
+
+
+class TestDeterminantPolynomials:
+    @given(st.integers(1, 6), st.integers(0, 2),
+           st.integers(0, 2 ** 31 - 1),
+           st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+           st.floats(0.1, 3.0), st.floats(0.1, 3.0),
+           st.integers(2, 6), st.integers(2, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_point_det(self, n, extra, seed, cx, cy, w, h,
+                                   nx, ny):
+        rng = np.random.default_rng(seed)
+        hypers = []
+        for _ in range(n + 1 + extra):
+            degree = int(rng.integers(0, 4))
+            hypers.append(MovingHyperplane([
+                ComplexPoly(rng.standard_normal(degree + 1)
+                            + 1j * rng.standard_normal(degree + 1))
+                for _ in range(n + 1)]))
+        region = Region(cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2,
+                        nx, ny)
+        normed = normalize_hyperplanes(hypers, region)
+        got = gen_pos_product_grid(normed, region)
+        ref = per_point_product(normed, region.grid_points())
+        assert np.abs(got - ref).max() <= 1e-9 * max(1.0, ref.max())
+
+
+def vandermonde(n):
+    nodes = np.exp(2j * np.pi * np.arange(2 * n + 1) / (2 * n + 1))
+    return [fixed(*(b ** np.arange(n + 1))) for b in nodes]
+
+
+def random_fixed(n, seed):
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(n + 1, 2 * n + 2))
+    rows = rng.standard_normal((q, n + 1)) + 1j * rng.standard_normal(
+        (q, n + 1))
+    return [fixed(*row) for row in rows]
+
+
+# At n = 5 the Vandermonde product overflows to inf, on both sides.
+FIXED_FAMILIES = ([vandermonde(n) for n in range(2, 6)]
+                  + [random_fixed(n, seed) for n in range(1, 6)
+                     for seed in range(3)])
+
+
+class TestFixedFamiliesExact:
+    @pytest.mark.parametrize("hypers", FIXED_FAMILIES)
+    def test_one_determinant_per_subset(self, hypers):
+        region = Region(-0.5, 1.5, -1.0, 0.25, 9, 6)
+        A = np.stack([h.at(0.0)
+                      for h in normalize_hyperplanes(hypers, region)])
+        dets = [np.linalg.det(A[list(idx)]) for idx in
+                itertools.combinations(range(len(hypers)), hypers[0].n + 1)]
+        # np.abs, as in the sweeps: the scalar abs() of a complex can
+        # differ from the array kernel in the last bit.
+        prod = 1.0
+        for mag in np.abs(dets):
+            prod *= mag
+        ud = uniform_delta(hypers, region)
+        assert ud.value == prod
+        assert ud.argmin == region.grid_points()[0]
+        chk = refinement_check(hypers, region, delta=0.5 * prod)
+        assert chk["fine_min"] == chk["coarse_min"] == prod
+        assert chk["consistent"]
+
+    @pytest.mark.parametrize("values", [(1.0, 0.0), (0.0, 1.0, 0.5j),
+                                        (3.0, -4.0j, 0.25, 1e-7),
+                                        (0.6 + 0.8j, 0.3)])
+    def test_normalized_matches_grid_sup(self, values):
+        h = fixed(*values)
+        region = Region(-1.0, 2.0, -0.5, 0.5, 7, 4)
+        pts = region.grid_points()
+        sup = max(float(np.max(np.abs(p(pts)))) for p in h.coeffs)
+        factor = 1.0 if abs(sup - 1.0) <= 1e-12 else 1.0 / sup
+        got = h.normalized(region)
+        assert got.normalization == {"factor": factor, "sup_before": sup}
+        for p, q in zip(got.coeffs, h.coeffs):
+            expect = q.coeffs if factor == 1.0 else (factor * q).coeffs
+            assert p.coeffs.tobytes() == expect.tobytes()
