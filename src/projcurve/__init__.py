@@ -25,11 +25,11 @@ from .position import (Region, UniformDelta, gen_pos_det, gen_pos_product,
                        gen_pos_product_grid, is_general_position,
                        normalize_hyperplanes, refinement_check, uniform_delta)
 from .projective import (MovingHyperplane, ProjCurve, ProjPoint, chordal,
-                         fs_distance, hyperplane_norm, induced_curve, pair,
+                         fs_distance, induced_curve, pair,
                          pairing_zeros, reduce_tuple, sup_norm)
 from .sharing import (CheckConfig, ConditionReport, FamilyMember,
-                      condition1_check, condition2_check, hypotheses_check,
-                      match_point_sets, preimage_zeros, shares)
+                      conditions_check, hypotheses_check, match_point_sets,
+                      preimage_zeros, shares)
 
 __version__ = "0.1.0"
 
@@ -41,10 +41,10 @@ __all__ = [
     "NotGeneralPosition", "ParseError", "ProjCurve", "ProjPoint",
     "ProjcurveError", "Region", "Scene", "UniformDelta", "UnknownTemplate",
     "ValidationError", "WrongCount", "ZalcmanTrace", "ZeroPolynomial",
-    "chordal", "condition1_check", "condition2_check", "config",
+    "chordal", "conditions_check", "config",
     "derived_map", "fs_derivative", "fs_derivative_on_grid", "fs_distance",
     "gcd_approx", "gen_pos_det", "gen_pos_product", "gen_pos_product_grid",
-    "generate_scene", "green_omission_check", "hyperplane_norm",
+    "generate_scene", "green_omission_check",
     "hypotheses_check", "induced_curve", "is_general_position", "load_scene",
     "marty_sup", "match_point_sets", "normalize_hyperplanes", "pair",
     "pairing_zeros", "preimage_zeros", "reduce_tuple", "refinement_check",

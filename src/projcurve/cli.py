@@ -38,10 +38,8 @@ def _add_run_parser(sub, name: str, help_text: str) -> None:
     p.add_argument("--delta", type=float, default=None,
                    help="override the general-position threshold")
     p.add_argument("--tol-root", type=float, default=None, dest="tol_root",
-                   help="override the root-finding tolerance")
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for interface symmetry; checks are "
-                        "deterministic")
+                   help="override the root-matching tolerance of the "
+                        "derived-map gcd")
 
 
 def build_parser() -> argparse.ArgumentParser:

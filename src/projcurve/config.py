@@ -1,14 +1,18 @@
 """Default numerical tolerances and detector thresholds.
 
-Every knob here is overridable: the polynomial and geometry operations accept
-explicit tolerance arguments, and the CLI exposes the common ones as flags.
+Most of these are parameter defaults a caller can override: ``tau_coeff`` of
+``ComplexPoly``, ``tau_root`` of the derived-map gcd (also a scene setting and
+the CLI's ``--tol-root``), ``tau_proj`` of ``shares``, ``tau_gp`` of
+``is_general_position``, and a scene's ``tau_match`` in place of
+TAU_MATCH_REL.  ``ComplexPoly.roots`` reads TAU_CLUSTER directly, and no code
+reads TAU_RES yet.
 """
 
 from dataclasses import dataclass
 
 # Polynomial arithmetic.
 TAU_COEFF = 1e-12   # trailing-coefficient trim, relative to max coefficient modulus
-TAU_ROOT = 1e-6     # root matching across polynomials (GCD, deflation)
+TAU_ROOT = 1e-6     # root matching across polynomials (GCD)
 TAU_CLUSTER = 1e-6  # root clustering into multiplicities
 TAU_RES = 1e-8      # relative residual bound for accepted roots
 

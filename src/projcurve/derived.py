@@ -19,8 +19,7 @@ from .projective import ProjCurve, reduce_tuple
 
 
 def derived_map(curve: ProjCurve,
-                tau_root: float = config.TAU_ROOT,
-                tau_cluster: float = config.TAU_CLUSTER) -> ProjCurve:
+                tau_root: float = config.TAU_ROOT) -> ProjCurve:
     """Reduced derived curve; requires a nonzero first component."""
     f0 = curve.components[0]
     if f0.is_zero:
@@ -29,5 +28,5 @@ def derived_map(curve: ProjCurve,
     parts = [f0 * f0]
     for fl in curve.components[1:]:
         parts.append(wronskian(f0, fl))
-    reduced = reduce_tuple(parts, tau_root=tau_root, tau_cluster=tau_cluster)
+    reduced = reduce_tuple(parts, tau_root=tau_root)
     return ProjCurve(reduced, check_reduced=False)

@@ -29,7 +29,7 @@ from .normality import marty_sup, zalcman_search
 from .polynomial import ComplexPoly
 from .position import Region, position_sweep, uniform_delta
 from .projective import MovingHyperplane, ProjCurve
-from .sharing import CheckConfig, FamilyMember, hypotheses_check
+from .sharing import CheckConfig, FamilyMember, _c, hypotheses_check
 
 SCHEMA_VERSION = 1
 
@@ -241,7 +241,6 @@ def rebuild_scene(scene: Scene, region: Region | None = None,
         delta=delta if delta is not None else scene.config.delta,
         tau_match=scene.config.tau_match,
         tau_root=tau_root if tau_root is not None else scene.config.tau_root,
-        tau_proj=scene.config.tau_proj,
         marty=scene.config.marty,
     )
     members = scene.members
@@ -449,10 +448,6 @@ def generate_scene(template: str, params: dict | None = None) -> Scene:
 # pipeline
 # ---------------------------------------------------------------------------
 
-def _c(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _write_csv(csv_dir: str, name: str, header: Sequence[str],
                rows: Sequence[Sequence]) -> None:
     os.makedirs(csv_dir, exist_ok=True)
@@ -465,7 +460,14 @@ def _write_csv(csv_dir: str, name: str, header: Sequence[str],
                              for v in row])
 
 
-def _stage_position(scene: Scene, csv_dir: str | None) -> tuple[dict, int]:
+# Each stage runner takes the scene, the CSV directory and `done`, which maps
+# every stage already run to what it computed (or the error it raised), and
+# returns (report section, exit code).
+
+def _stage_position(scene: Scene, csv_dir: str | None,
+                    done: dict) -> tuple[dict, int]:
+    if not scene.members:
+        raise WrongCount("need at least one member")
     per = []
     rows = []
     pts = scene.region.grid_points()
@@ -487,14 +489,17 @@ def _stage_position(scene: Scene, csv_dir: str | None) -> tuple[dict, int]:
     return result, 0 if verdict else 2
 
 
-def _stage_check(scene: Scene, csv_dir: str | None) -> tuple[dict, int]:
+def _stage_check(scene: Scene, csv_dir: str | None,
+                 done: dict) -> tuple[dict, int]:
     report = hypotheses_check(scene.members, scene.config)
     return report.to_json(), 0 if report.overall else 2
 
 
-def _stage_normality(scene: Scene, csv_dir: str | None) -> tuple[dict, int]:
+def _stage_normality(scene: Scene, csv_dir: str | None,
+                     done: dict) -> tuple[dict, int]:
     stats = marty_sup([m.curve for m in scene.members], scene.region,
                       thresholds=scene.config.marty)
+    done["normality"] = stats
     if csv_dir is not None:
         _write_csv(csv_dir, "normality.csv", ("member_index", "sup"),
                    [(i, s) for i, s in enumerate(stats.sups)])
@@ -503,9 +508,13 @@ def _stage_normality(scene: Scene, csv_dir: str | None) -> tuple[dict, int]:
     return result, 0 if stats.verdict == "bounded" else 2
 
 
-def _stage_zalcman(scene: Scene, csv_dir: str | None) -> tuple[dict, int]:
-    trace = zalcman_search([m.curve for m in scene.members], scene.region,
-                           thresholds=scene.config.marty)
+def _stage_zalcman(scene: Scene, csv_dir: str | None,
+                   done: dict) -> tuple[dict, int]:
+    # run_pipeline runs normality before zalcman; its error is zalcman's too.
+    stats = done["normality"]
+    if isinstance(stats, ProjcurveError):
+        raise stats
+    trace = zalcman_search([m.curve for m in scene.members], stats)
     if csv_dir is not None:
         prev = trace.rescaled[-2].at_many(trace.zeta_points)
         dists = pairwise_fs_grid(prev, trace.limit_candidate)
@@ -543,13 +552,15 @@ def run_pipeline(scene: Scene, which: Sequence[str] = STAGES,
         # stages the caller asked for decide the exit code.
         to_run.add("normality")
     stages: dict = {}
+    done: dict = {}
     codes = [0]
     for stage in STAGES:
         if stage not in to_run:
             continue
         try:
-            result, code = _STAGE_RUNNERS[stage](scene, csv_dir)
+            result, code = _STAGE_RUNNERS[stage](scene, csv_dir, done)
         except ProjcurveError as exc:
+            done[stage] = exc
             stages[stage] = {"error": {"type": type(exc).__name__,
                                        "message": str(exc)}}
             if stage in requested:

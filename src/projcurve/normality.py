@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import config
 from .config import MartyThresholds, DEFAULT_MARTY
 from ._kernels import fs_derivative_grid, pairwise_fs_grid
 from .errors import (IdenticallyZero, NotBlowingUp, NotGeneralPosition,
@@ -152,7 +151,6 @@ class ZalcmanTrace:
     residuals: tuple[float, ...]
     convergence_residual: float
     rho_decreasing: bool
-    zeta_radius: float
 
     def to_json(self) -> dict:
         return {
@@ -163,11 +161,17 @@ class ZalcmanTrace:
             "residuals": list(self.residuals),
             "convergence_residual": self.convergence_residual,
             "rho_decreasing": self.rho_decreasing,
-            "zeta_radius": self.zeta_radius,
+            "zeta_radius": ZETA_RADIUS,
             "num_zeta_points": int(self.zeta_points.size),
             "unit_derivative_at_zero": [
                 fs_derivative(g, 0.0) for g in self.rescaled],
         }
+
+
+# The rescaled curves are compared on a disc of this radius, sampled on a
+# square grid with this many points per axis.
+ZETA_RADIUS = 1.0
+ZETA_PER_AXIS = 41
 
 
 def _zeta_disc(radius: float, per_axis: int) -> np.ndarray:
@@ -177,22 +181,23 @@ def _zeta_disc(radius: float, per_axis: int) -> np.ndarray:
     return zs[np.abs(zs) <= radius]
 
 
-def zalcman_search(members: Sequence[ProjCurve], region: Region,
-                   zeta_radius: float = 1.0, zeta_per_axis: int = 41,
-                   thresholds: MartyThresholds = DEFAULT_MARTY
-                   ) -> ZalcmanTrace:
+def zalcman_search(members: Sequence[ProjCurve],
+                   stats: MartyStats) -> ZalcmanTrace:
     """Rescale a blowing-up family around its derivative maxima.
 
-    For each member: center = grid argmax of the FS derivative, scale
-    rho = 1 / sup, rescaled curve g(zeta) = f(center + rho * zeta) built by
-    exact coefficient recomposition (Taylor shift plus power scaling), so
-    the unit derivative at zeta = 0 and all residuals are free of sampling
+    ``stats`` is ``marty_sup`` of the same members.  For each member:
+    center = grid argmax of the FS derivative, scale rho = 1 / sup,
+    rescaled curve g(zeta) = f(center + rho * zeta) built by exact
+    coefficient recomposition (Taylor shift plus power scaling), so the
+    unit derivative at zeta = 0 and all residuals are free of sampling
     error.  Residuals are sups over the zeta disc of the Fubini-Study
     distance between successive rescaled members; the limit candidate is
     the last member's samples.
     """
     members = list(members)
-    stats = marty_sup(members, region, thresholds=thresholds)
+    if len(members) != len(stats.members):
+        raise WrongCount(
+            f"{len(members)} members but {len(stats.members)} Marty sups")
     if stats.verdict != "blow-up":
         raise NotBlowingUp(
             f"family verdict is {stats.verdict!r}; rescaling needs blow-up")
@@ -205,7 +210,7 @@ def zalcman_search(members: Sequence[ProjCurve], region: Region,
         centers.append(mm.argmax)
         rhos.append(rho)
         rescaled.append(ProjCurve(comps, check_reduced=False))
-    zeta = _zeta_disc(zeta_radius, zeta_per_axis)
+    zeta = _zeta_disc(ZETA_RADIUS, ZETA_PER_AXIS)
     samples = [g.at_many(zeta) for g in rescaled]
     residuals = tuple(
         float(np.max(pairwise_fs_grid(samples[i], samples[i + 1])))
@@ -220,7 +225,6 @@ def zalcman_search(members: Sequence[ProjCurve], region: Region,
         residuals=residuals,
         convergence_residual=residuals[-1] if residuals else 0.0,
         rho_decreasing=bool(np.all(np.diff(rho_arr) < 0)),
-        zeta_radius=zeta_radius,
     )
 
 
@@ -247,8 +251,7 @@ class GreenReport:
 
 
 def green_omission_check(curve: ProjCurve,
-                         hypers: Sequence[MovingHyperplane],
-                         tau_gp: float = config.TAU_GP) -> GreenReport:
+                         hypers: Sequence[MovingHyperplane]) -> GreenReport:
     """Count hyperplanes omitted by the curve, at polynomial scale.
 
     A pairing that is a nonzero constant has no zeros anywhere, so the

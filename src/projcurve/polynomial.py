@@ -198,14 +198,12 @@ class ComplexPoly:
 
     # -- root finding ----------------------------------------------------
 
-    def roots(self, tau_root: float = config.TAU_ROOT,
-              tau_cluster: float = config.TAU_CLUSTER
-              ) -> list[tuple[complex, int]]:
+    def roots(self) -> list[tuple[complex, int]]:
         """Roots with multiplicities, sorted by (real, imag).
 
         Companion-matrix eigenvalues, each polished with one guarded Newton
-        step, then clustered: eigenvalues within ``tau_cluster`` of a cluster
-        representative merge and their count is the multiplicity.
+        step, then clustered: eigenvalues within ``config.TAU_CLUSTER`` of a
+        cluster representative merge and their count is the multiplicity.
         """
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has every point as a root")
@@ -213,7 +211,7 @@ class ComplexPoly:
             return []
         raw = _companion_roots(self._coeffs)
         polished = [_newton_polish(self, r) for r in raw]
-        clusters = _cluster_points(polished, tau_cluster)
+        clusters = _cluster_points(polished, config.TAU_CLUSTER)
         clusters.sort(key=lambda rm: (rm[0].real, rm[0].imag))
         return clusters
 
@@ -272,8 +270,7 @@ def wronskian(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
 
 
 def gcd_approx(polys: Sequence[ComplexPoly],
-               tau_root: float = config.TAU_ROOT,
-               tau_cluster: float = config.TAU_CLUSTER) -> ComplexPoly:
+               tau_root: float = config.TAU_ROOT) -> ComplexPoly:
     """Monic approximate gcd via shared root clusters.
 
     The zero polynomial divides nothing here: zero entries are skipped.  A
@@ -288,9 +285,8 @@ def gcd_approx(polys: Sequence[ComplexPoly],
     if any(p.degree == 0 for p in live):
         return ComplexPoly.one()
     live.sort(key=lambda p: p.degree)
-    base = live[0].roots(tau_root=tau_root, tau_cluster=tau_cluster)
-    others = [p.roots(tau_root=tau_root, tau_cluster=tau_cluster)
-              for p in live[1:]]
+    base = live[0].roots()
+    others = [p.roots() for p in live[1:]]
     shared: list[tuple[complex, int]] = []
     for root, mult in base:
         mmin = mult
@@ -315,8 +311,7 @@ def gcd_approx(polys: Sequence[ComplexPoly],
     return ComplexPoly.from_roots(roots_flat)
 
 
-def divide_out(p: ComplexPoly, root: complex, mult: int,
-               tau_root: float = config.TAU_ROOT) -> ComplexPoly:
+def divide_out(p: ComplexPoly, root: complex, mult: int) -> ComplexPoly:
     """Deflate ``p`` by its own root nearest ``root``, ``mult`` times.
 
     Deflating by the exact shared-cluster representative can leave a large

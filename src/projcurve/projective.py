@@ -30,18 +30,16 @@ from .polynomial import ComplexPoly, divide_out, gcd_approx
 # ---------------------------------------------------------------------------
 
 def reduce_tuple(polys: Sequence[ComplexPoly],
-                 tau_root: float = config.TAU_ROOT,
-                 tau_cluster: float = config.TAU_CLUSTER
+                 tau_root: float = config.TAU_ROOT
                  ) -> tuple[ComplexPoly, ...]:
     """Divide out the approximate common factor of a polynomial tuple."""
     polys = tuple(polys)
     if all(p.is_zero for p in polys):
         raise AllZero("every component is the zero polynomial")
-    g = gcd_approx([p for p in polys if not p.is_zero],
-                   tau_root=tau_root, tau_cluster=tau_cluster)
+    g = gcd_approx([p for p in polys if not p.is_zero], tau_root=tau_root)
     if g.degree <= 0:
         return polys
-    roots = g.roots(tau_root=tau_root, tau_cluster=tau_cluster)
+    roots = g.roots()
     out = []
     for p in polys:
         if p.is_zero:
@@ -49,7 +47,7 @@ def reduce_tuple(polys: Sequence[ComplexPoly],
             continue
         q = p
         for root, mult in roots:
-            q = divide_out(q, root, mult, tau_root=tau_root)
+            q = divide_out(q, root, mult)
         out.append(q)
     return tuple(out)
 
@@ -262,8 +260,7 @@ def pair(curve: ProjCurve, hyper: MovingHyperplane) -> ComplexPoly:
     return acc
 
 
-def pairing_zeros(curve: ProjCurve, hyper: MovingHyperplane,
-                  tau_root: float = config.TAU_ROOT
+def pairing_zeros(curve: ProjCurve, hyper: MovingHyperplane
                   ) -> list[tuple[complex, int]]:
     """Zeros of the pairing polynomial; raises when it vanishes identically."""
     p = pair(curve, hyper)
@@ -271,17 +268,12 @@ def pairing_zeros(curve: ProjCurve, hyper: MovingHyperplane,
         raise IdenticallyZero("curve lies inside the hyperplane")
     if p.degree == 0:
         return []
-    return p.roots(tau_root=tau_root)
+    return p.roots()
 
 
 def sup_norm(curve: ProjCurve, z: complex) -> float:
     """Max modulus over curve components at z."""
     return float(np.max(np.abs(curve.at(z))))
-
-
-def hyperplane_norm(hyper: MovingHyperplane, z: complex) -> float:
-    """Max modulus over hyperplane coefficients at z."""
-    return hyper.norm(z)
 
 
 def induced_curve(hyper: MovingHyperplane) -> ProjCurve:

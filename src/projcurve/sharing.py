@@ -65,7 +65,6 @@ class CheckConfig:
     delta: float
     tau_match: float | None = None
     tau_root: float = config.TAU_ROOT
-    tau_proj: float = config.TAU_PROJ
     marty: MartyThresholds = DEFAULT_MARTY
 
     def __post_init__(self) -> None:
@@ -79,18 +78,22 @@ class CheckConfig:
 
     @property
     def match_tolerance(self) -> float:
-        if self.tau_match is not None:
-            return self.tau_match
-        return config.TAU_MATCH_REL * self.region.diameter
+        return _match_tolerance(self.tau_match, self.region)
 
 
 # ---------------------------------------------------------------------------
 # zero sets and matching
 # ---------------------------------------------------------------------------
 
+def _match_tolerance(tau_match: float | None, region: Region) -> float:
+    """``tau_match``, or by default TAU_MATCH_REL times the region diameter."""
+    if tau_match is not None:
+        return tau_match
+    return config.TAU_MATCH_REL * region.diameter
+
+
 def preimage_zeros(curve: ProjCurve, hyper: MovingHyperplane, region: Region,
-                   tau_match: float | None = None,
-                   tau_root: float = config.TAU_ROOT
+                   tau_match: float | None = None
                    ) -> list[tuple[complex, int]]:
     """Zeros of the pairing inside the region (boundary-inclusive).
 
@@ -102,10 +105,8 @@ def preimage_zeros(curve: ProjCurve, hyper: MovingHyperplane, region: Region,
         raise IdenticallyZero("curve lies inside the hyperplane")
     if p.degree == 0:
         return []
-    slack = tau_match if tau_match is not None else (
-        config.TAU_MATCH_REL * region.diameter)
-    return [(z, m) for z, m in p.roots(tau_root=tau_root)
-            if region.contains(z, slack=slack)]
+    slack = _match_tolerance(tau_match, region)
+    return [(z, m) for z, m in p.roots() if region.contains(z, slack=slack)]
 
 
 def match_point_sets(a: Sequence[complex], b: Sequence[complex],
@@ -139,17 +140,15 @@ def match_point_sets(a: Sequence[complex], b: Sequence[complex],
 
 def shares(f: ProjCurve, g: ProjCurve, hyper: MovingHyperplane,
            region: Region, tau_match: float | None = None,
-           tau_proj: float = config.TAU_PROJ,
-           tau_root: float = config.TAU_ROOT) -> bool:
+           tau_proj: float = config.TAU_PROJ) -> bool:
     """Whether f and g share the hyperplane over the region.
 
     True iff the two preimage zero sets coincide as sets (multiplicities
     ignored) and the curves agree projectively at every matched zero.
     """
-    if tau_match is None:
-        tau_match = config.TAU_MATCH_REL * region.diameter
-    za = [z for z, _ in preimage_zeros(f, hyper, region, tau_match, tau_root)]
-    zb = [z for z, _ in preimage_zeros(g, hyper, region, tau_match, tau_root)]
+    tau_match = _match_tolerance(tau_match, region)
+    za = [z for z, _ in preimage_zeros(f, hyper, region, tau_match)]
+    zb = [z for z, _ in preimage_zeros(g, hyper, region, tau_match)]
     pairs, free_a, free_b = match_point_sets(za, zb, tau_match)
     if free_a or free_b:
         return False
@@ -163,60 +162,47 @@ def shares(f: ProjCurve, g: ProjCurve, hyper: MovingHyperplane,
 # sharing-hypothesis conditions
 # ---------------------------------------------------------------------------
 
-def condition1_check(member: FamilyMember, cfg: CheckConfig) -> list[dict]:
-    """Per-hyperplane SET equality of curve and derived-map preimages.
+def conditions_check(member: FamilyMember,
+                     cfg: CheckConfig) -> tuple[list[dict], dict]:
+    """Conditions 1 and 2 from one root solve per pairing.
 
-    Only set equality is tested; the value agreement demanded by `shares`
-    is deliberately not required here.
+    Condition 1, per hyperplane: the curve's and the derived map's preimage
+    zero SETS are equal.  Only set equality is tested; the value agreement
+    demanded by `shares` is deliberately not required here.
+
+    Condition 2, across all hyperplanes: every preimage zero z of the curve
+    has |f_0(z)| >= epsilon * sup_norm(f, z); failures carry full witnesses.
     """
-    nabla = derived_map(member.curve, tau_root=cfg.tau_root)
+    curve = member.curve
+    nabla = derived_map(curve, tau_root=cfg.tau_root)
+    f0 = curve.components[0]
     tau = cfg.match_tolerance
-    out = []
+    cond1 = []
+    witnesses = []
+    checked = 0
     for j, h in enumerate(member.hyperplanes):
         try:
-            zf = [z for z, _ in preimage_zeros(
-                member.curve, h, cfg.region, tau, cfg.tau_root)]
-            zd = [z for z, _ in preimage_zeros(
-                nabla, h, cfg.region, tau, cfg.tau_root)]
+            zf = [z for z, _ in preimage_zeros(curve, h, cfg.region, tau)]
+            zd = [z for z, _ in preimage_zeros(nabla, h, cfg.region, tau)]
         except IdenticallyZero as exc:
             raise IdenticallyZero(
                 f"hyperplane {j}: {exc}", hyperplane_index=j) from exc
         _, free_f, free_d = match_point_sets(zf, zd, tau)
-        out.append({
+        cond1.append({
             "hyperplane": j,
             "passed": not free_f and not free_d,
             "curve_only": [zf[i] for i in free_f],
             "derived_only": [zd[i] for i in free_d],
         })
-    return out
-
-
-def condition2_check(member: FamilyMember, cfg: CheckConfig) -> dict:
-    """First-coordinate bound at every preimage zero across all hyperplanes.
-
-    At each zero z of each pairing, requires
-    |f_0(z)| >= epsilon * sup_norm(f, z); failures carry full witnesses.
-    """
-    f0 = member.curve.components[0]
-    tau = cfg.match_tolerance
-    witnesses = []
-    checked = 0
-    for j, h in enumerate(member.hyperplanes):
-        try:
-            zeros = preimage_zeros(member.curve, h, cfg.region, tau,
-                                   cfg.tau_root)
-        except IdenticallyZero as exc:
-            raise IdenticallyZero(
-                f"hyperplane {j}: {exc}", hyperplane_index=j) from exc
-        for z, _ in zeros:
-            checked += 1
+        checked += len(zf)
+        for z in zf:
             lhs = abs(f0(z))
-            rhs = cfg.epsilon * sup_norm(member.curve, z)
+            rhs = cfg.epsilon * sup_norm(curve, z)
             if lhs < rhs:
                 witnesses.append({
                     "z": z, "hyperplane": j, "lhs": lhs, "rhs": rhs})
-    return {"passed": not witnesses, "witnesses": witnesses,
-            "zeros_checked": checked}
+    return cond1, {"passed": not witnesses, "witnesses": witnesses,
+                   "zeros_checked": checked}
 
 
 @dataclass
@@ -304,8 +290,7 @@ def hypotheses_check(members: Sequence[FamilyMember],
     for m in members:
         try:
             ud = uniform_delta(m.hyperplanes, cfg.region)
-            c1 = condition1_check(m, cfg)
-            c2 = condition2_check(m, cfg)
+            c1, c2 = conditions_check(m, cfg)
         except IdenticallyZero as exc:
             raise IdenticallyZero(
                 f"member {m.label}: {exc}",

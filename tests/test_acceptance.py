@@ -146,7 +146,7 @@ def test_acceptance_3_blowup_rescaling(announce):
     curves = [m.curve for m in scene.members]
     stats = marty_sup(curves, scene.region)
     sup_err = max(abs(s - nu) for s, nu in zip(stats.sups, range(1, 9)))
-    trace = zalcman_search(curves, scene.region)
+    trace = zalcman_search(curves, stats)
     rho_err = max(abs(r - 1.0 / nu)
                   for r, nu in zip(trace.rhos, range(1, 9)))
     # limit candidate vs [1 : zeta], with an inline metric

@@ -3,12 +3,13 @@ import os
 
 import pytest
 
+from projcurve import normality
 from projcurve.cli import main as cli_main
 from projcurve.errors import (BadParams, ParseError, UnknownTemplate,
                               ValidationError)
-from projcurve.harness import (generate_scene, load_scene, rebuild_scene,
-                               run_pipeline, save_scene, scene_from_json,
-                               scene_to_json)
+from projcurve.harness import (STAGES, generate_scene, load_scene,
+                               rebuild_scene, run_pipeline, save_scene,
+                               scene_from_json, scene_to_json)
 from projcurve.position import Region
 
 
@@ -156,6 +157,33 @@ class TestPipeline:
         assert "normality" in report["stages"]
         assert report["stages"]["normality"]["verdict"] == "blow-up"
 
+    def test_zalcman_reuses_normality_sups(self, monkeypatch):
+        scene = generate_scene("blowup_linear")
+        calls = []
+
+        def counting(curve, region):
+            calls.append(curve)
+            return fs_derivative_on_grid(curve, region)
+
+        fs_derivative_on_grid = normality.fs_derivative_on_grid
+        monkeypatch.setattr(normality, "fs_derivative_on_grid", counting)
+        _, code = run_pipeline(scene, which=("zalcman",))
+        assert code == 0
+        assert len(calls) == len(scene.members)
+
+    def test_empty_family_every_stage(self):
+        data = minimal_scene_dict()
+        data["members"] = []
+        scene = scene_from_json(data)
+        expected = {"position": 3, "check": 0, "normality": 3, "zalcman": 3}
+        for stage, code in expected.items():
+            report, got = run_pipeline(scene, which=(stage,))
+            assert got == report["exit_code"] == code
+        report, got = run_pipeline(scene, which=STAGES)
+        assert got == 3
+        assert report["stages"]["position"]["error"]["type"] == "WrongCount"
+        assert report["stages"]["check"]["overall"] is True
+
     def test_zalcman_on_bounded_family_fails(self):
         scene = generate_scene("montel_omitting")
         report, code = run_pipeline(scene, which=("zalcman",))
@@ -277,6 +305,25 @@ class TestCli:
         code = self.run("position", scene_path, "--delta", "1e-6",
                         "-o", report_path)
         assert code == 0
+
+    def test_empty_family_every_stage(self, tmp_path, capsys):
+        data = minimal_scene_dict()
+        data["members"] = []
+        scene_path = tmp_path / "empty.json"
+        scene_path.write_text(json.dumps(data))
+        expected = {"position": 3, "check": 0, "normality": 3, "zalcman": 3}
+        for stage, code in expected.items():
+            report_path = tmp_path / f"{stage}.json"
+            assert self.run(stage, str(scene_path),
+                            "-o", str(report_path)) == code
+            report = json.loads(report_path.read_text())
+            assert report["exit_code"] == code
+
+    def test_run_subcommands_take_no_seed(self, tmp_path, capsys):
+        scene_path = str(tmp_path / "scene.json")
+        self.run("gen", "wandering_shared", "--seed", "3", "-o", scene_path)
+        with pytest.raises(SystemExit):
+            self.run("check", scene_path, "--seed", "3")
 
     def test_reports_identical_across_runs(self, tmp_path, capsys):
         scene_path = str(tmp_path / "scene.json")

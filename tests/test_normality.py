@@ -25,6 +25,10 @@ def linear_family(N):
             for nu in range(1, N + 1)]
 
 
+def zalcman(curves):
+    return zalcman_search(curves, marty_sup(curves, REGION))
+
+
 class TestFsDerivative:
     def test_identity_chart(self):
         f = ProjCurve([ONE, Z])
@@ -114,7 +118,7 @@ class TestMartySup:
 
 class TestZalcman:
     def test_linear_blowup_exact(self):
-        trace = zalcman_search(linear_family(8), REGION)
+        trace = zalcman(linear_family(8))
         assert trace.rhos == tuple(1.0 / nu for nu in range(1, 9))
         assert trace.centers == tuple([0.0] * 8)
         assert trace.rho_decreasing
@@ -133,7 +137,7 @@ class TestZalcman:
         curves = [ProjCurve([ONE,
                              ComplexPoly([0.0, 0.0, float(nu) ** 2])])
                   for nu in range(1, 7)]
-        trace = zalcman_search(curves, REGION)
+        trace = zalcman(curves)
         pts = REGION.grid_points()
         for k, nu in enumerate(range(1, 7)):
             # closed form of the spherical derivative on the grid
@@ -151,10 +155,15 @@ class TestZalcman:
         curves = [ProjCurve([ONE, ComplexPoly([-0.1 * k, 1.0])])
                   for k in range(5)]
         with pytest.raises(NotBlowingUp):
-            zalcman_search(curves, REGION)
+            zalcman(curves)
+
+    def test_stats_must_match_members(self):
+        curves = linear_family(4)
+        with pytest.raises(WrongCount):
+            zalcman_search(curves[:3], marty_sup(curves, REGION))
 
     def test_json_shape(self):
-        trace = zalcman_search(linear_family(4), REGION)
+        trace = zalcman(linear_family(4))
         data = trace.to_json()
         assert data["rho_decreasing"] is True
         assert data["limit_candidate"] == data["rescaled"][-1]

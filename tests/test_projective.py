@@ -10,7 +10,7 @@ from projcurve.errors import (AllZero, DimensionMismatch, IdenticallyZero,
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
 from projcurve.projective import (MovingHyperplane, ProjCurve, ProjPoint,
-                                  chordal, fs_distance, hyperplane_norm,
+                                  chordal, fs_distance,
                                   induced_curve, pair, pairing_zeros,
                                   reduce_tuple, sup_norm)
 
@@ -106,7 +106,7 @@ class TestMovingHyperplane:
         h = MovingHyperplane([ONE, Z])
         assert h.norm(0.5) == 1.0
         assert h.norm(2.0) == 2.0
-        assert hyperplane_norm(h, 3.0) == 3.0
+        assert h.norm(3.0) == 3.0
 
     def test_normalized_unit_sup(self):
         region = Region(-1, 1, -1, 1, 11, 11)

@@ -6,9 +6,10 @@ from projcurve.errors import IdenticallyZero, WrongCount
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
 from projcurve.projective import MovingHyperplane, ProjCurve
-from projcurve.sharing import (CheckConfig, FamilyMember, condition1_check,
-                               condition2_check, hypotheses_check,
-                               match_point_sets, preimage_zeros, shares)
+from projcurve import sharing
+from projcurve.sharing import (CheckConfig, FamilyMember, conditions_check,
+                               hypotheses_check, match_point_sets,
+                               preimage_zeros, shares)
 
 ONE = ComplexPoly.one()
 Z = ComplexPoly([0, 1])
@@ -94,13 +95,13 @@ class TestConditions:
         good = self.member(
             ProjCurve([ONE, ComplexPoly([0.04, -0.4, 1.0])]),
             [fixed(0.0, 1.0), fixed(1.0, 0.1), fixed(1.0, -0.1)])
-        rep = condition1_check(good, cfg)
+        rep, _ = conditions_check(good, cfg)
         assert all(e["passed"] for e in rep)
 
         bad = self.member(
             ProjCurve([ONE, ComplexPoly([1.0, 0, 1.0])]),
             [fixed(0.0, 1.0), fixed(1.0, 0.1), fixed(1.0, -0.1)])
-        rep = condition1_check(bad, cfg)
+        rep, _ = conditions_check(bad, cfg)
         failing = [e for e in rep if not e["passed"]]
         assert len(failing) == 1
         witnesses = ([w for w in failing[0]["curve_only"]]
@@ -116,7 +117,7 @@ class TestConditions:
         m = self.member(
             ProjCurve([ONE, ComplexPoly([0.04, -0.4, 1.0])]),
             [fixed(0.0, 1.0), fixed(1.0, 0.1), fixed(1.0, -0.1)])
-        rep = condition2_check(m, cfg)
+        _, rep = conditions_check(m, cfg)
         assert rep["passed"]
         assert rep["zeros_checked"] >= 1
 
@@ -127,7 +128,7 @@ class TestConditions:
         m = self.member(
             ProjCurve([ONE, q]),
             [fixed(20.0, -1.0), fixed(7.0, -1.0), fixed(-20.0, -1.0)])
-        rep = condition2_check(m, cfg)
+        _, rep = conditions_check(m, cfg)
         assert not rep["passed"]
         assert any(abs(w["z"] - 0.2) <= 1e-6 for w in rep["witnesses"])
 
@@ -150,6 +151,24 @@ class TestHypothesesCheck:
         data = rep.to_json()
         assert data["overall"] is True
         assert len(data["members"]) == 3
+
+    def test_one_root_solve_per_pairing(self, monkeypatch):
+        # per member: the curve and its derived map against each of the
+        # 2n+1 hyperplanes, once
+        calls = []
+
+        def counting(curve, hyper, *args, **kwargs):
+            calls.append(hyper)
+            return preimage_zeros(curve, hyper, *args, **kwargs)
+
+        monkeypatch.setattr(sharing, "preimage_zeros", counting)
+        hypers = [fixed(0.0, 1.0), fixed(1.0, 0.1), fixed(1.0, -0.1)]
+        members = [
+            FamilyMember(ProjCurve([ONE, ComplexPoly([a * a, -2 * a, 1.0])]),
+                         hypers, f"m{k}")
+            for k, a in enumerate((-0.3, 0.0, 0.3))]
+        hypotheses_check(members, make_config())
+        assert len(calls) == len(members) * 2 * len(hypers)
 
     def test_degenerate_pairing_is_labeled(self):
         h_bad = MovingHyperplane([Z, ComplexPoly([-1.0])])
