@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import pairwise_fs_grid
 from .errors import (AllZero, BadParams, DimensionMismatch, FirstComponentZero,
                      IdenticallyZero, NotGeneralPosition, ParseError,
                      ProjcurveError, UnknownTemplate, ValidationError,
@@ -516,12 +515,11 @@ def _stage_zalcman(scene: Scene, csv_dir: str | None,
         raise stats
     trace = zalcman_search([m.curve for m in scene.members], stats)
     if csv_dir is not None:
-        prev = trace.rescaled[-2].at_many(trace.zeta_points)
-        dists = pairwise_fs_grid(prev, trace.limit_candidate)
         _write_csv(csv_dir, "zalcman.csv",
                    ("zeta_x", "zeta_y", "fs_distance_to_limit"),
                    [(float(z.real), float(z.imag), float(d))
-                    for z, d in zip(trace.zeta_points, dists)])
+                    for z, d in zip(trace.zeta_points,
+                                    trace.limit_distances)])
     return trace.to_json(), 0
 
 

@@ -121,13 +121,20 @@ def _classify(sups: Sequence[float], th: MartyThresholds) -> str:
 
 def marty_sup(members: Sequence[ProjCurve], region: Region,
               thresholds: MartyThresholds = DEFAULT_MARTY) -> MartyStats:
-    """Grid sup of the Fubini-Study derivative per member, with a verdict."""
+    """Grid sup of the Fubini-Study derivative per member, with a verdict.
+
+    A constant curve has derivative 0 at every grid point, so it gets sup 0.0
+    at the first grid point, as the grid sweep would give, without one.
+    """
     members = list(members)
     if not members:
         raise WrongCount("need at least one member curve")
     pts = region.grid_points()
     per = []
     for f in members:
+        if f.is_constant:
+            per.append(MemberMarty(sup=0.0, argmax=complex(pts[0])))
+            continue
         vals = fs_derivative_on_grid(f, region)
         idx = int(np.argmax(vals))
         per.append(MemberMarty(sup=float(vals[idx]), argmax=complex(pts[idx])))
@@ -148,6 +155,9 @@ class ZalcmanTrace:
     rescaled: tuple[ProjCurve, ...]
     zeta_points: np.ndarray
     limit_candidate: np.ndarray
+    # Fubini-Study distance from the second-to-last rescaled member to the
+    # limit candidate at each zeta point; its max is the last residual.
+    limit_distances: np.ndarray
     residuals: tuple[float, ...]
     convergence_residual: float
     rho_decreasing: bool
@@ -212,9 +222,12 @@ def zalcman_search(members: Sequence[ProjCurve],
         rescaled.append(ProjCurve(comps, check_reduced=False))
     zeta = _zeta_disc(ZETA_RADIUS, ZETA_PER_AXIS)
     samples = [g.at_many(zeta) for g in rescaled]
-    residuals = tuple(
-        float(np.max(pairwise_fs_grid(samples[i], samples[i + 1])))
-        for i in range(len(samples) - 1))
+    # Only the last pair's distances are kept, for ``limit_distances``.
+    last = np.zeros(zeta.size)
+    residuals = []
+    for a, b in zip(samples, samples[1:]):
+        last = pairwise_fs_grid(a, b)
+        residuals.append(float(np.max(last)))
     rho_arr = np.array(rhos)
     return ZalcmanTrace(
         centers=tuple(centers),
@@ -222,7 +235,8 @@ def zalcman_search(members: Sequence[ProjCurve],
         rescaled=tuple(rescaled),
         zeta_points=zeta,
         limit_candidate=samples[-1],
-        residuals=residuals,
+        limit_distances=last,
+        residuals=tuple(residuals),
         convergence_residual=residuals[-1] if residuals else 0.0,
         rho_decreasing=bool(np.all(np.diff(rho_arr) < 0)),
     )

@@ -5,7 +5,10 @@ Construction trims trailing coefficients that are negligible relative to the
 largest magnitude, so arithmetic keeps degrees honest.  Root finding goes
 through the companion matrix, with one guarded Newton polish per root and a
 clustering pass that merges eigenvalue splatter from multiple roots back
-into (root, multiplicity) pairs.
+into (root, multiplicity) pairs.  Each solve builds the derivative once and
+polishes every eigenvalue against it in Python complex arithmetic: numpy's
+array Horner and ``np.abs`` can differ from the scalar ones in the last bit,
+which would move roots and report bytes.
 """
 
 from __future__ import annotations
@@ -110,11 +113,7 @@ class ComplexPoly:
             for c in self._coeffs[-2::-1]:
                 acc = acc * z + c
             return acc
-        acc = complex(self._coeffs[-1])
-        zz = complex(z)
-        for c in self._coeffs[-2::-1]:
-            acc = acc * zz + complex(c)
-        return acc
+        return _horner(self._coeffs.tolist(), complex(z))
 
     # -- arithmetic --------------------------------------------------
 
@@ -209,8 +208,10 @@ class ComplexPoly:
             raise ZeroPolynomial("zero polynomial has every point as a root")
         if self.degree == 0:
             return []
-        raw = _companion_roots(self._coeffs)
-        polished = [_newton_polish(self, r) for r in raw]
+        cs = self._coeffs.tolist()
+        ds = self.derivative().coeffs.tolist()
+        polished = [_polish(cs, ds, complex(r))
+                    for r in _companion_roots(self._coeffs)]
         clusters = _cluster_points(polished, config.TAU_CLUSTER)
         clusters.sort(key=lambda rm: (rm[0].real, rm[0].imag))
         return clusters
@@ -227,37 +228,49 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(C)
 
 
-def _newton_polish(p: ComplexPoly, r: complex) -> complex:
-    dp = p.derivative()
-    fr = p(r)
-    dfr = dp(r)
+def _horner(cs: list[complex], z: complex) -> complex:
+    """Value at z of the ascending coefficient list cs (0j when empty)."""
+    if not cs:
+        return 0j
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
+def _polish(cs: list[complex], ds: list[complex], r: complex) -> complex:
+    """One guarded Newton step for the polynomial cs with derivative ds."""
+    fr = _horner(cs, r)
+    dfr = _horner(ds, r)
     if dfr == 0:
-        return complex(r)
+        return r
     cand = r - fr / dfr
     # Accept the step only if it actually reduced the residual.
-    if abs(p(cand)) < abs(fr):
-        return complex(cand)
-    return complex(r)
+    if abs(_horner(cs, cand)) < abs(fr):
+        return cand
+    return r
 
 
 def _cluster_points(points: Sequence[complex],
                     tau: float) -> list[tuple[complex, int]]:
     reps: list[complex] = []
-    members: list[list[complex]] = []
+    sums: list[complex] = []
+    counts: list[int] = []
     for pt in sorted(points, key=lambda c: (c.real, c.imag)):
-        placed = False
         for i, rep in enumerate(reps):
             if abs(pt - rep) <= tau:
-                members[i].append(pt)
+                sums[i] += pt
+                counts[i] += 1
                 # Keep the representative at the running centroid so the
                 # cluster does not drift past tau from its own members.
-                reps[i] = sum(members[i]) / len(members[i])
-                placed = True
+                reps[i] = sums[i] / counts[i]
                 break
-        if not placed:
+        else:
             reps.append(pt)
-            members.append([pt])
-    return [(reps[i], len(members[i])) for i in range(len(reps))]
+            # Start from 0 as sum() does: 0 + (-0.0) is 0.0.
+            sums.append(0 + pt)
+            counts.append(1)
+    return list(zip(reps, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +334,7 @@ def divide_out(p: ComplexPoly, root: complex, mult: int) -> ComplexPoly:
     out = p
     target = complex(root)
     for _ in range(mult):
-        target = _newton_polish(out, target)
+        target = _polish(out.coeffs.tolist(), out.derivative().coeffs.tolist(),
+                         target)
         out = out.deflate(target)
     return out

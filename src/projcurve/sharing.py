@@ -221,7 +221,7 @@ class ConditionReport:
     """Aggregated verdicts for a whole family."""
 
     members: list[MemberVerdict]
-    delta_estimate: float
+    delta_estimate: float | None  # None for an empty family
     delta_ok: bool
     condition1_ok: bool
     condition2_ok: bool
@@ -281,7 +281,7 @@ def hypotheses_check(members: Sequence[FamilyMember],
     warnings: list[str] = []
     if not members:
         return ConditionReport(
-            members=[], delta_estimate=float("inf"), delta_ok=True,
+            members=[], delta_estimate=None, delta_ok=True,
             condition1_ok=True, condition2_ok=True, induced_normality=[],
             normality_ok=True, overall=True,
             warnings=["empty family: all hypotheses hold vacuously"])

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from projcurve import normality
+from projcurve import harness, normality
 from projcurve.cli import main as cli_main
 from projcurve.errors import (BadParams, ParseError, UnknownTemplate,
                               ValidationError)
@@ -171,6 +171,40 @@ class TestPipeline:
         assert code == 0
         assert len(calls) == len(scene.members)
 
+    def test_fixed_hyperplanes_check_sweeps_no_grid(self, monkeypatch):
+        # Fixed hyperplanes induce constant curves; montel members are
+        # constant too, so neither check nor normality sweeps a grid.
+        scene = generate_scene("montel_omitting", {"n": 2, "N": 4})
+        calls = []
+        monkeypatch.setattr(normality, "fs_derivative_on_grid",
+                            lambda curve, region: calls.append(curve))
+        report, _ = run_pipeline(scene, which=("check", "normality"))
+        assert len(report["stages"]["check"]["induced_normality"]) == 5
+        assert report["stages"]["normality"]["sups"] == [0.0] * 4
+        assert calls == []
+
+    def test_zalcman_csv_reuses_last_residual(self, tmp_path, monkeypatch):
+        scene = generate_scene("blowup_linear", {"N": 8})
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return pairwise_fs_grid(a, b)
+
+        pairwise_fs_grid = normality.pairwise_fs_grid
+        # Count the kernel wherever the pipeline binds it.
+        for mod in (normality, harness):
+            if hasattr(mod, "pairwise_fs_grid"):
+                monkeypatch.setattr(mod, "pairwise_fs_grid", counting)
+        report, code = run_pipeline(scene, which=("zalcman",),
+                                    csv_dir=str(tmp_path))
+        assert code == 0
+        assert len(calls) == 7
+        rows = (tmp_path / "zalcman.csv").read_text().splitlines()[1:]
+        dists = [float(r.split(",")[2]) for r in rows]
+        assert len(dists) == report["stages"]["zalcman"]["num_zeta_points"]
+        assert max(dists) == report["stages"]["zalcman"]["residuals"][-1]
+
     def test_empty_family_every_stage(self):
         data = minimal_scene_dict()
         data["members"] = []
@@ -318,6 +352,21 @@ class TestCli:
                             "-o", str(report_path)) == code
             report = json.loads(report_path.read_text())
             assert report["exit_code"] == code
+
+    def test_empty_family_check_is_strict_json(self, tmp_path, capsys):
+        data = minimal_scene_dict()
+        data["members"] = []
+        scene_path = tmp_path / "empty.json"
+        scene_path.write_text(json.dumps(data))
+        report_path = tmp_path / "check.json"
+        assert self.run("check", str(scene_path),
+                        "-o", str(report_path)) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(report_path.read_text(), parse_constant=reject)
+        assert report["stages"]["check"]["delta_estimate"] is None
 
     def test_run_subcommands_take_no_seed(self, tmp_path, capsys):
         scene_path = str(tmp_path / "scene.json")

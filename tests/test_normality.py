@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from projcurve import normality
 from projcurve.config import MartyThresholds
 from projcurve.errors import (NotBlowingUp, NotGeneralPosition, WrongCount)
 from projcurve.normality import (fs_derivative, fs_derivative_on_grid,
@@ -107,6 +108,27 @@ class TestMartySup:
         th = MartyThresholds(cap=10.0, growth_factor=1.5, window=2)
         stats = marty_sup(linear_family(3), REGION, thresholds=th)
         assert stats.verdict == "blow-up"
+
+    def test_constant_curves_skip_the_grid(self, monkeypatch):
+        curves = [ProjCurve([ComplexPoly([c ** l]) for l in range(n + 1)])
+                  for n, c in ((1, 0.3 + 0.1j), (3, -0.2j), (6, 0.45))]
+        curves += [ProjCurve([ComplexPoly.zero(), ONE]),
+                   ProjCurve([ONE, ComplexPoly([0.0, 2.0])])]
+        # The grid path, as taken by curves that are not constant.
+        monkeypatch.setattr(ProjCurve, "is_constant",
+                            property(lambda self: False))
+        grid = marty_sup(curves, REGION)
+        monkeypatch.undo()
+        calls = []
+        sweep = normality.fs_derivative_on_grid
+
+        def counting(curve, region):
+            calls.append(curve)
+            return sweep(curve, region)
+
+        monkeypatch.setattr(normality, "fs_derivative_on_grid", counting)
+        assert marty_sup(curves, REGION) == grid
+        assert calls == curves[-1:]
 
     def test_grid_refinement_monotone(self):
         # a finer grid contains the coarse one, so sups cannot decrease

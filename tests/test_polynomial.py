@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projcurve import config
 from projcurve.errors import AllZero, ZeroPolynomial
-from projcurve.polynomial import ComplexPoly, gcd_approx, wronskian
+from projcurve.polynomial import (ComplexPoly, _cluster_points, gcd_approx,
+                                  wronskian)
 
 
 def close(a, b, tol=1e-9):
@@ -155,6 +157,132 @@ class TestRoots:
         scale = max(1.0, float(np.abs(p.coeffs).max()))
         for r, _ in p.roots():
             assert abs(p(r)) <= 1e-6 * scale
+
+
+# Reference root finder: the algorithm before the shared-derivative polish,
+# kept verbatim (per-root derivative, scalar evaluation through complex(),
+# list-centroid clustering) so the fast path can be held to it bit for bit.
+
+def _ref_eval(p, z):
+    c = p.coeffs
+    if c.size == 0:
+        return 0j
+    acc = complex(c[-1])
+    zz = complex(z)
+    for a in c[-2::-1]:
+        acc = acc * zz + complex(a)
+    return acc
+
+
+def _ref_companion_roots(coeffs):
+    monic = coeffs / coeffs[-1]
+    d = monic.size - 1
+    if d == 1:
+        return np.array([-monic[0]])
+    C = np.zeros((d, d), dtype=np.complex128)
+    C[1:, :-1] = np.eye(d - 1)
+    C[:, -1] = -monic[:-1]
+    return np.linalg.eigvals(C)
+
+
+def _ref_newton_polish(p, r):
+    dp = p.derivative()
+    fr = _ref_eval(p, r)
+    dfr = _ref_eval(dp, r)
+    if dfr == 0:
+        return complex(r)
+    cand = r - fr / dfr
+    if abs(_ref_eval(p, cand)) < abs(fr):
+        return complex(cand)
+    return complex(r)
+
+
+def _ref_cluster_points(points, tau):
+    reps = []
+    members = []
+    for pt in sorted(points, key=lambda c: (c.real, c.imag)):
+        placed = False
+        for i, rep in enumerate(reps):
+            if abs(pt - rep) <= tau:
+                members[i].append(pt)
+                reps[i] = sum(members[i]) / len(members[i])
+                placed = True
+                break
+        if not placed:
+            reps.append(pt)
+            members.append([pt])
+    return [(reps[i], len(members[i])) for i in range(len(reps))]
+
+
+def _ref_roots(p):
+    raw = _ref_companion_roots(p.coeffs)
+    polished = [_ref_newton_polish(p, r) for r in raw]
+    clusters = _ref_cluster_points(polished, config.TAU_CLUSTER)
+    clusters.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    return clusters
+
+
+# Roots on a coarse lattice (0 included) give exact and signed-zero
+# eigenvalues; free roots give the usual scatter around multiple roots.
+lattice_complex = st.builds(
+    complex,
+    st.integers(-4, 4).map(lambda k: k / 4),
+    st.integers(-4, 4).map(lambda k: k / 4),
+)
+
+
+@st.composite
+def planted_polys(draw):
+    """Degree 1..20: planted roots of multiplicity 1..5, or free coefficients."""
+    if draw(st.booleans()):
+        return draw(polys(max_degree=20).filter(lambda p: p.degree >= 1))
+    deg = draw(st.integers(min_value=1, max_value=20))
+    flat = []
+    while len(flat) < deg:
+        root = draw(st.one_of(finite_complex, lattice_complex))
+        mult = draw(st.integers(min_value=1, max_value=5))
+        flat.extend([root] * mult)
+    return ComplexPoly.from_roots(flat[:deg], leading=draw(lead_complex))
+
+
+def _bits(pairs):
+    return [(r.real.hex(), r.imag.hex(), m) for r, m in pairs]
+
+
+class TestRootsReference:
+    @given(planted_polys())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_bit_for_bit(self, p):
+        got = p.roots()
+        assert _bits(got) == _bits(_ref_roots(p))
+        for r, _ in got:
+            assert _bits([(p(r), 0)]) == _bits([(_ref_eval(p, r), 0)])
+
+    # Parts within TAU_CLUSTER of each other, signed zeros included, so
+    # clusters merge and a -0.0 centroid would show.
+    @given(st.lists(st.builds(complex, *[st.sampled_from(
+        [0.0, -0.0, 4e-7, -4e-7, 0.25, 0.25 + 4e-7])] * 2), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_cluster_centroids_match_reference(self, points):
+        assert _bits(_cluster_points(points, config.TAU_CLUSTER)) == _bits(
+            _ref_cluster_points(points, config.TAU_CLUSTER))
+
+    @pytest.mark.parametrize("p", [
+        ComplexPoly([2.0, 1.0]),
+        ComplexPoly([1, 0, 0, 1]),
+        ComplexPoly.from_roots([0.5] * 5 + [-1j] * 3 + [0.0] * 2),
+    ])
+    def test_one_derivative_per_solve(self, p, monkeypatch):
+        calls = []
+        derivative = ComplexPoly.derivative
+
+        def counting(self):
+            calls.append(self)
+            return derivative(self)
+
+        monkeypatch.setattr(ComplexPoly, "derivative", counting)
+        p.roots()
+        assert calls == [p]
 
 
 class TestWronskian:
