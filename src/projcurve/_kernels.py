@@ -4,7 +4,25 @@ The kernels are plain numpy.  They keep their historical ``*_numpy`` names,
 which the benchmark's trace wraps; the plain names are aliases.
 """
 
+import math
+
 import numpy as np
+
+
+def pow2_scaled(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays times one power of two that brings their largest modulus
+    into [0.5, 1), or a subnormal one into [2**-53, 0.5).
+
+    Scaling by a power of two is exact, and the Fubini-Study ratios do not
+    depend on scale, so the kernels keep every bit while tiny or huge
+    coordinates no longer underflow or overflow in the squared norms.
+    """
+    top = max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
+    if not 0.0 < top < math.inf:
+        return arrays
+    # Clamped so that 2.0 ** -e stays finite.
+    e = max(math.frexp(top)[1], -1021)
+    return tuple(a * 2.0 ** -e for a in arrays)
 
 
 def polyval_grid_numpy(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -45,8 +63,11 @@ def fs_derivative_grid_numpy(comp: np.ndarray, dcomp: np.ndarray,
 def pairwise_fs_grid_numpy(vals_a: np.ndarray, vals_b: np.ndarray) -> np.ndarray:
     """Fubini-Study distance between two sampled curves, pointwise.
 
-    Inputs are (n+1, M) arrays of homogeneous coordinates.
+    Inputs are (n+1, M) arrays of homogeneous coordinates; each is scaled
+    by its own power of two first.
     """
+    vals_a, = pow2_scaled(vals_a)
+    vals_b, = pow2_scaled(vals_b)
     P = vals_a.shape[0]
     num = np.zeros(vals_a.shape[1], dtype=np.float64)
     for i in range(P):

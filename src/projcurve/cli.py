@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .errors import ProjcurveError
+from .errors import ProjcurveError, ValidationError
 from .harness import (DEGENERATE_ERRORS, TEMPLATES, generate_scene,
                       load_scene, rebuild_scene, run_pipeline, save_scene,
                       scene_to_json)
@@ -108,8 +108,11 @@ def _cmd_run(args) -> int:
     scene = load_scene(args.scene)
     if args.grid is not None:
         r = scene.region
-        region = Region(r.x_min, r.x_max, r.y_min, r.y_max,
-                        args.grid[0], args.grid[1])
+        try:
+            region = Region(r.x_min, r.x_max, r.y_min, r.y_max,
+                            args.grid[0], args.grid[1])
+        except ValueError as exc:
+            raise ValidationError(str(exc), path="--grid") from exc
         scene = rebuild_scene(scene, region=region)
     if args.epsilon is not None or args.delta is not None \
             or args.tol_root is not None:

@@ -128,6 +128,10 @@ def scene_from_json(data: dict) -> Scene:
     expected = 2 * n + 1
     members = []
     labels = set()
+    # Normalized hyperplane per distinct JSON object, keyed by repr, which
+    # (unlike ==) tells -0.0 from 0.0.  Members that list the same
+    # hyperplane share one object, so stages can do its work once.
+    loaded: dict[str, MovingHyperplane] = {}
     for i, mdata in enumerate(members_data):
         mpath = f"$.members[{i}]"
         _expect(isinstance(mdata, dict), "member must be an object", mpath)
@@ -163,6 +167,10 @@ def scene_from_json(data: dict) -> Scene:
                 f"{mpath}.hyperplanes")
         hypers = []
         for k, hd in enumerate(hdata):
+            key = repr(hd)
+            if key in loaded:
+                hypers.append(loaded[key])
+                continue
             hpath = f"{mpath}.hyperplanes[{k}]"
             _expect(isinstance(hd, dict), "hyperplane must be an object",
                     hpath)
@@ -177,9 +185,11 @@ def scene_from_json(data: dict) -> Scene:
             coeffs = [_poly_from_json(c, f"{hpath}.coeffs[{j}]")
                       for j, c in enumerate(coeffs_data)]
             try:
-                hypers.append(MovingHyperplane(coeffs).normalized(region))
+                h = MovingHyperplane(coeffs).normalized(region)
             except ProjcurveError as exc:
                 raise ValidationError(str(exc), path=hpath) from exc
+            loaded[key] = h
+            hypers.append(h)
         members.append(FamilyMember(curve, hypers, label))
 
     metadata = data.get("metadata", {})
@@ -244,11 +254,9 @@ def rebuild_scene(scene: Scene, region: Region | None = None,
     )
     members = scene.members
     if region is not None:
-        members = tuple(
-            FamilyMember(m.curve,
-                         [h.normalized(new_region) for h in m.hyperplanes],
-                         m.label)
-            for m in scene.members)
+        members = _normalize_members(
+            [(m.label, m.curve, m.hyperplanes) for m in scene.members],
+            new_region)
     return Scene(n=scene.n, region=new_region, members=members, config=cfg,
                  metadata=scene.metadata)
 
@@ -273,14 +281,32 @@ def _check_params(params: dict, allowed: dict, template: str) -> dict:
 
 
 def _template_region(p: dict) -> Region:
-    return Region(-1.0, 1.0, -1.0, 1.0, int(p["grid_nx"]), int(p["grid_ny"]))
+    try:
+        return Region(-1.0, 1.0, -1.0, 1.0, int(p["grid_nx"]),
+                      int(p["grid_ny"]))
+    except ValueError as exc:
+        raise BadParams(str(exc)) from exc
+
+
+def _normalize_members(raw_members, region: Region
+                       ) -> tuple[FamilyMember, ...]:
+    """Members from (label, curve, hyperplanes) triples, with hyperplanes
+    normalized against the region.  Each distinct hyperplane object is
+    normalized once, so members that shared it share the result."""
+    normalized: dict[MovingHyperplane, MovingHyperplane] = {}
+    members = []
+    for label, curve, hypers in raw_members:
+        for h in hypers:
+            if h not in normalized:
+                normalized[h] = h.normalized(region)
+        members.append(FamilyMember(curve, [normalized[h] for h in hypers],
+                                    label))
+    return tuple(members)
 
 
 def _assemble(n: int, region: Region, raw_members, epsilon: float,
               delta: float, metadata: dict) -> Scene:
-    members = tuple(
-        FamilyMember(curve, [h.normalized(region) for h in hypers], label)
-        for label, curve, hypers in raw_members)
+    members = _normalize_members(raw_members, region)
     cfg = CheckConfig(region=region, epsilon=epsilon, delta=delta)
     return Scene(n=n, region=region, members=members, config=cfg,
                  metadata=metadata)
@@ -316,7 +342,7 @@ def _gen_montel_omitting(params: dict) -> Scene:
         # sum_l (b c)^l has modulus >= (1 - |c|^2) / (1 + |c|) > 0.
         curve = ProjCurve([ComplexPoly([c ** l]) for l in range(n + 1)])
         raw.append((f"m{k}", curve, list(hypers)))
-    ud = uniform_delta([h.normalized(region) for h in hypers], region)
+    ud = uniform_delta(hypers, region)
     return _assemble(n, region, raw, epsilon=0.5, delta=ud.value / 2.0,
                      metadata={"template": "montel_omitting",
                                "params": {"n": n, "N": N, "seed": seed}})
@@ -336,7 +362,7 @@ def _gen_blowup_linear(params: dict) -> Scene:
         comps = [ComplexPoly([0.0] * l + [float(nu) ** l])
                  for l in range(n + 1)]
         raw.append((f"m{nu}", ProjCurve(comps), list(hypers)))
-    ud = uniform_delta([h.normalized(region) for h in hypers], region)
+    ud = uniform_delta(hypers, region)
     return _assemble(n, region, raw, epsilon=0.5, delta=ud.value / 2.0,
                      metadata={"template": "blowup_linear",
                                "params": {"n": n, "N": N, "seed": int(p["seed"])}})
@@ -470,11 +496,15 @@ def _stage_position(scene: Scene, csv_dir: str | None,
     per = []
     rows = []
     pts = scene.region.grid_points()
+    # Members holding the same hyperplane objects share one sweep.
+    sweeps: dict = {}
     for m in scene.members:
-        ud, ref, vals = position_sweep(m.hyperplanes, scene.region,
-                                       scene.config.delta)
+        if m.hyperplanes not in sweeps:
+            sweeps[m.hyperplanes] = position_sweep(
+                m.hyperplanes, scene.region, scene.config.delta)
+        ud, ref, vals = sweeps[m.hyperplanes]
         per.append({"label": m.label, "min": ud.value,
-                    "argmin": _c(ud.argmin), "refinement": ref})
+                    "argmin": _c(ud.argmin), "refinement": dict(ref)})
         if csv_dir is not None:
             rows.extend((m.label, float(z.real), float(z.imag), float(v))
                         for z, v in zip(pts, vals))

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import MartyThresholds, DEFAULT_MARTY
-from ._kernels import fs_derivative_grid, pairwise_fs_grid
+from ._kernels import fs_derivative_grid, pairwise_fs_grid, pow2_scaled
 from .errors import (IdenticallyZero, NotBlowingUp, NotGeneralPosition,
                      WrongCount)
 from .position import Region, is_general_position
@@ -35,10 +35,12 @@ def fs_derivative(curve: ProjCurve, z: complex) -> float:
     Equals sqrt(|f|^2 |f'|^2 - |<f,f'>|^2) / |f|^2 with Euclidean norms,
     evaluated in the cancellation-free cross-term form.  At n = 1 this is
     the classical spherical derivative |g'| / (1 + |g|^2) of g = f1/f0.
+    Coordinates and derivative are scaled by one power of two first.
     """
-    v = curve.at(z)
-    dv = np.array([p(z) for p in curve.derivative_components()],
-                  dtype=np.complex128)
+    v, dv = pow2_scaled(
+        curve.at(z),
+        np.array([p(z) for p in curve.derivative_components()],
+                 dtype=np.complex128))
     num = 0.0
     P = v.shape[0]
     for i in range(P):
@@ -50,6 +52,8 @@ def fs_derivative(curve: ProjCurve, z: complex) -> float:
 
 
 def _pack_curve(curve: ProjCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded component and derivative coefficients, scaled together
+    by one power of two."""
     comps = curve.components
     ders = curve.derivative_components()
     L = max(max(p.coeffs.size for p in comps), 1)
@@ -60,7 +64,7 @@ def _pack_curve(curve: ProjCurve) -> tuple[np.ndarray, np.ndarray]:
         comp[i, : p.coeffs.size] = p.coeffs
     for i, p in enumerate(ders):
         dcomp[i, : p.coeffs.size] = p.coeffs
-    return comp, dcomp
+    return pow2_scaled(comp, dcomp)
 
 
 def fs_derivative_on_grid(curve: ProjCurve, region: Region) -> np.ndarray:

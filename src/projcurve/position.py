@@ -23,6 +23,7 @@ against their constant norm and moving ones against the given region's grid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,11 +55,20 @@ class Region:
             raise ValueError("need at least 2 grid samples per axis")
 
     def grid_points(self) -> np.ndarray:
-        """Flattened complex grid, y varying slowest (row-major)."""
+        """Flattened complex grid, y varying slowest (row-major).
+
+        Built once per region; every call returns the same read-only array.
+        """
+        return self._grid
+
+    @functools.cached_property
+    def _grid(self) -> np.ndarray:
         xs = np.linspace(self.x_min, self.x_max, self.grid_nx)
         ys = np.linspace(self.y_min, self.y_max, self.grid_ny)
         X, Y = np.meshgrid(xs, ys)
-        return (X + 1j * Y).ravel()
+        pts = (X + 1j * Y).ravel()
+        pts.setflags(write=False)
+        return pts
 
     def refine(self) -> "Region":
         """Same rectangle at doubled resolution (2n-1 points per axis).

@@ -287,9 +287,14 @@ def hypotheses_check(members: Sequence[FamilyMember],
             warnings=["empty family: all hypotheses hold vacuously"])
 
     verdicts: list[MemberVerdict] = []
+    # Members holding the same hyperplane objects share one uniform_delta.
+    deltas: dict = {}
     for m in members:
         try:
-            ud = uniform_delta(m.hyperplanes, cfg.region)
+            if m.hyperplanes not in deltas:
+                deltas[m.hyperplanes] = uniform_delta(m.hyperplanes,
+                                                      cfg.region)
+            ud = deltas[m.hyperplanes]
             c1, c2 = conditions_check(m, cfg)
         except IdenticallyZero as exc:
             raise IdenticallyZero(

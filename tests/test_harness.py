@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 import json
+import math
 import os
 
 import pytest
 
-from projcurve import harness, normality
+from projcurve import harness, normality, position
 from projcurve.cli import main as cli_main
 from projcurve.errors import (BadParams, ParseError, UnknownTemplate,
                               ValidationError)
@@ -11,6 +14,8 @@ from projcurve.harness import (STAGES, generate_scene, load_scene,
                                rebuild_scene, run_pipeline, save_scene,
                                scene_from_json, scene_to_json)
 from projcurve.position import Region
+from projcurve.projective import MovingHyperplane
+from projcurve.sharing import FamilyMember
 
 
 def minimal_scene_dict():
@@ -251,6 +256,133 @@ class TestPipeline:
         assert report["schema_version"] == 1
 
 
+def count_calls(monkeypatch, owner, name):
+    """Record each call of owner.name, a function or an instance method."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def hyperplane_ids(scene):
+    return {id(h) for m in scene.members for h in m.hyperplanes}
+
+
+class TestSharedHyperplanes:
+    """Identical hyperplanes are one object per scene, and stages do their
+    work once per distinct hyperplane tuple."""
+
+    def test_load_normalizes_each_distinct_hyperplane_once(self,
+                                                           monkeypatch):
+        data = scene_to_json(generate_scene(
+            "blowup_linear", {"n": 3, "N": 50, "grid_nx": 11,
+                              "grid_ny": 11}))
+        calls = count_calls(monkeypatch, MovingHyperplane, "normalized")
+        scene = scene_from_json(data)
+        assert len(calls) == 7
+        assert len(hyperplane_ids(scene)) == 7
+        first = scene.members[0].hyperplanes
+        assert all(m.hyperplanes == first for m in scene.members)
+        assert scene_to_json(scene) == data
+
+    def test_signed_zeros_stay_distinct(self):
+        data = minimal_scene_dict()
+        twin = copy.deepcopy(data["members"][0])
+        twin["label"] = "m1"
+        twin["hyperplanes"][1]["coeffs"][0] = [[1.0, -0.0]]
+        data["members"].append(twin)
+        scene = scene_from_json(data)
+        m0, m1 = scene.members
+        assert m1.hyperplanes[0] is m0.hyperplanes[0]
+        assert m1.hyperplanes[1] is not m0.hyperplanes[1]
+        assert m1.hyperplanes[2] is m0.hyperplanes[2]
+        signs = [math.copysign(1.0, m["hyperplanes"][1]["coeffs"][0][0][1])
+                 for m in scene_to_json(scene)["members"]]
+        assert signs == [1.0, -1.0]
+
+    def test_malformed_hyperplane_raises_at_its_own_path(self):
+        data = minimal_scene_dict()
+        for k in range(1, 4):
+            member = copy.deepcopy(data["members"][0])
+            member["label"] = f"m{k}"
+            data["members"].append(member)
+        bad = copy.deepcopy(data)
+        bad["members"][3]["hyperplanes"][1]["coeffs"][0] = [[1.0, "x"]]
+        with pytest.raises(ValidationError) as err:
+            scene_from_json(bad)
+        assert err.value.path == "$.members[3].hyperplanes[1].coeffs[0][0]"
+        bad = copy.deepcopy(data)
+        bad["members"][3]["hyperplanes"][1]["coeffs"] = [
+            [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+        with pytest.raises(ValidationError) as err:
+            scene_from_json(bad)
+        assert err.value.path == "$.members[3].hyperplanes[1]"
+
+    def test_generated_and_rebuilt_scenes_share(self, monkeypatch):
+        scene = generate_scene("blowup_linear",
+                               {"n": 2, "N": 10, "grid_nx": 11,
+                                "grid_ny": 11})
+        assert len(hyperplane_ids(scene)) == 5
+        calls = count_calls(monkeypatch, MovingHyperplane, "normalized")
+        rebuilt = rebuild_scene(scene, region=Region(-1, 1, -1, 1, 9, 7))
+        assert len(calls) == 5
+        assert len(hyperplane_ids(rebuilt)) == 5
+
+    def test_check_builds_subset_determinants_once(self, monkeypatch,
+                                                   tmp_path):
+        # 30 nonconstant curves carrying the same fixed Vandermonde
+        # hyperplanes, loaded from a scene file.
+        path = str(tmp_path / "scene.json")
+        save_scene(generate_scene("blowup_linear",
+                                  {"n": 2, "N": 30, "grid_nx": 11,
+                                   "grid_ny": 11}), path)
+        scene = load_scene(path)
+        calls = []
+        of = position.SubsetDeterminants.of
+        monkeypatch.setattr(position.SubsetDeterminants, "of", staticmethod(
+            lambda hypers, region: calls.append(hypers) or of(hypers, region)))
+        report, _ = run_pipeline(scene, which=("check",))
+        assert len(calls) == 1
+        assert len(report["stages"]["check"]["members"]) == 30
+        calls.clear()
+        sweeps = count_calls(monkeypatch, harness, "position_sweep")
+        report, _ = run_pipeline(scene, which=("position",),
+                                 csv_dir=str(tmp_path / "csv"))
+        assert len(calls) == len(sweeps) == 1
+        assert len(report["stages"]["position"]["per_member"]) == 30
+        rows = (tmp_path / "csv" / "position.csv").read_text().splitlines()
+        assert len(rows) == 1 + 30 * 11 * 11
+
+    @pytest.mark.parametrize("template, params", [
+        ("blowup_linear", {"n": 2, "N": 6, "grid_nx": 15, "grid_ny": 15}),
+        ("wandering_shared", {"N": 5, "grid_nx": 15, "grid_ny": 15}),
+    ])
+    def test_reports_equal_for_distinct_copies(self, template, params,
+                                               tmp_path):
+        path = str(tmp_path / "scene.json")
+        save_scene(generate_scene(template, params), path)
+        shared = load_scene(path)
+        copies = dataclasses.replace(shared, members=tuple(
+            FamilyMember(m.curve, [copy.deepcopy(h) for h in m.hyperplanes],
+                         m.label)
+            for m in shared.members))
+        assert len(hyperplane_ids(copies)) == \
+            sum(len(m.hyperplanes) for m in shared.members)
+        reports = []
+        for label, scene in (("a", shared), ("b", copies)):
+            report, code = run_pipeline(scene, csv_dir=str(tmp_path / label))
+            reports.append((json.dumps(report, sort_keys=True), code))
+        assert reports[0] == reports[1]
+        for name in os.listdir(tmp_path / "a"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
+
 class TestCli:
     def run(self, *argv):
         return cli_main(list(argv))
@@ -330,6 +462,17 @@ class TestCli:
         assert code == 2  # blow-up family: normality check fails
         report = json.loads(open(report_path).read())
         assert report["scene"]["region"]["grid_nx"] == 21
+
+    def test_grid_below_two_points_exit_3(self, tmp_path, capsys):
+        scene_path = str(tmp_path / "scene.json")
+        self.run("gen", "wandering_shared", "-o", scene_path)
+        capsys.readouterr()
+        assert self.run("position", scene_path, "--grid", "1", "1") == 3
+        assert self.run("gen", "blowup_linear", "--grid", "1", "1") == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --grid: need at least 2 grid samples per axis\n"
+                       "error: need at least 2 grid samples per axis\n")
 
     def test_delta_override_flips_verdict(self, tmp_path, capsys):
         scene_path = str(tmp_path / "scene.json")

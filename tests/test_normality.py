@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from projcurve import normality
+from projcurve import normality, position
+from projcurve._kernels import fs_derivative_grid, pairwise_fs_grid
 from projcurve.config import MartyThresholds
 from projcurve.errors import (NotBlowingUp, NotGeneralPosition, WrongCount)
 from projcurve.normality import (fs_derivative, fs_derivative_on_grid,
@@ -130,12 +135,94 @@ class TestMartySup:
         assert marty_sup(curves, REGION) == grid
         assert calls == curves[-1:]
 
+    def test_tiny_and_huge_coordinates(self):
+        # [c : c z] is [1 : z] projectively; |f|^2 underflows or overflows
+        # unless the coordinates are rescaled first.
+        ref = marty_sup([ProjCurve([ONE, Z])], REGION)
+        for c in (1e-170, 1e170):
+            f = ProjCurve([ComplexPoly([c]), ComplexPoly([0.0, c])])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert marty_sup([f], REGION) == ref
+                assert abs(fs_derivative(f, 0.3) - 1.0 / 1.09) <= 1e-15
+
+    def test_grid_built_once(self, monkeypatch):
+        calls = []
+        meshgrid = np.meshgrid
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return meshgrid(*args, **kwargs)
+
+        monkeypatch.setattr(position.np, "meshgrid", counting)
+        region = Region(-1, 1, -1, 1, 21, 21)
+        marty_sup(linear_family(50), region)
+        assert len(calls) == 1
+
     def test_grid_refinement_monotone(self):
         # a finer grid contains the coarse one, so sups cannot decrease
         f = ProjCurve([ONE, ComplexPoly([0.3, -1.0, 2.0])])
         coarse = marty_sup([f] * 3, REGION)
         fine = marty_sup([f] * 3, REGION.refine())
         assert fine.sups[0] >= coarse.sups[0]
+
+
+def _random_curve(rng, n, degree, scale):
+    return [ComplexPoly(scale * (rng.standard_normal(degree + 1)
+                                 + 1j * rng.standard_normal(degree + 1)))
+            for _ in range(n + 1)]
+
+
+def _unscaled_pack(curve):
+    comps, ders = curve.components, curve.derivative_components()
+    L = max(p.coeffs.size for p in comps)
+    Ld = max(max(p.coeffs.size for p in ders), 1)
+    comp = np.zeros((len(comps), L), dtype=np.complex128)
+    dcomp = np.zeros((len(comps), Ld), dtype=np.complex128)
+    for i, (p, d) in enumerate(zip(comps, ders)):
+        comp[i, : p.coeffs.size] = p.coeffs
+        dcomp[i, : d.coeffs.size] = d.coeffs
+    return comp, dcomp
+
+
+class TestPowerOfTwoScaling:
+    """The Fubini-Study kernels scale their inputs by a power of two."""
+
+    grid = Region(-1, 1, -1, 1, 7, 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), degree=st.integers(1, 4),
+           k=st.integers(-400, 400), j=st.integers(-400, 400),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_invariant(self, n, degree, k, j, seed):
+        rng = np.random.default_rng(seed)
+        comps = _random_curve(rng, n, degree, 1.0)
+        f = ProjCurve(comps, check_reduced=False)
+        g = ProjCurve([2.0 ** k * p for p in comps], check_reduced=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (fs_derivative_on_grid(f, self.grid).tobytes()
+                    == fs_derivative_on_grid(g, self.grid).tobytes())
+            z = complex(*rng.uniform(-1, 1, 2))
+            assert fs_derivative(f, z).hex() == fs_derivative(g, z).hex()
+            pts = self.grid.grid_points()
+            a = f.at_many(pts)
+            b = ProjCurve(_random_curve(rng, n, degree, 1.0),
+                          check_reduced=False).at_many(pts)
+            assert (pairwise_fs_grid(a, b).tobytes()
+                    == pairwise_fs_grid(2.0 ** k * a, 2.0 ** j * b).tobytes())
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), degree=st.integers(1, 4),
+           exponent=st.floats(-5, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_unscaled_kernel(self, n, degree, exponent, seed):
+        # Where nothing underflows or overflows, scaling changes no bit.
+        rng = np.random.default_rng(seed)
+        f = ProjCurve(_random_curve(rng, n, degree, 10.0 ** exponent),
+                      check_reduced=False)
+        pts = self.grid.grid_points()
+        raw = fs_derivative_grid(*_unscaled_pack(f), pts)
+        assert fs_derivative_on_grid(f, self.grid).tobytes() == raw.tobytes()
 
 
 class TestZalcman:

@@ -62,6 +62,26 @@ class TestRegion:
         r = Region(-1.5, 2.0, -1.0, 1.0, 9, 17)
         assert Region.from_json(r.to_json()) == r
 
+    def test_grid_built_once_and_read_only(self):
+        r = Region(-1, 1, -1, 1, 5, 4)
+        twin = Region(-1, 1, -1, 1, 5, 4)
+        before = hash(r)
+        pts = r.grid_points()
+        assert r.grid_points() is pts
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0] = 0.0
+        # Caching the grid leaves equality and hashing to the fields.
+        assert hash(r) == before == hash(twin)
+        assert r == twin
+        assert twin.grid_points() is not pts
+        assert np.array_equal(twin.grid_points(), pts)
+        fine = r.refine()
+        assert fine.grid_points() is not pts
+        assert fine.grid_points().size == 9 * 7
+        # The benchmark's trace wraps the method on the class.
+        assert callable(vars(Region)["grid_points"])
+
 
 class TestGenPosDet:
     def test_identity_exact(self):
