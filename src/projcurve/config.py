@@ -1,11 +1,9 @@
 """Default numerical tolerances and detector thresholds.
 
-Most of these are parameter defaults a caller can override: ``tau_coeff`` of
-``ComplexPoly``, ``tau_root`` of the derived-map gcd (also a scene setting and
-the CLI's ``--tol-root``), ``tau_proj`` of ``shares``, ``tau_gp`` of
-``is_general_position``, and a scene's ``tau_match`` in place of
-TAU_MATCH_REL.  ``ComplexPoly.roots`` reads TAU_CLUSTER directly, and no code
-reads TAU_RES yet.
+``tau_coeff`` of ``ComplexPoly`` and ``tau_root`` of the derived-map gcd
+(also a scene setting and the CLI's ``--tol-root``) default to TAU_COEFF and
+TAU_ROOT, and a scene's ``tau_match`` takes the place of TAU_MATCH_REL.
+``ComplexPoly.roots`` reads TAU_CLUSTER directly.
 """
 
 from dataclasses import dataclass
@@ -14,13 +12,6 @@ from dataclasses import dataclass
 TAU_COEFF = 1e-12   # trailing-coefficient trim, relative to max coefficient modulus
 TAU_ROOT = 1e-6     # root matching across polynomials (GCD)
 TAU_CLUSTER = 1e-6  # root clustering into multiplicities
-TAU_RES = 1e-8      # relative residual bound for accepted roots
-
-# Projective geometry.
-TAU_PROJ = 1e-8     # projective equality threshold on the Fubini-Study distance
-
-# General position.
-TAU_GP = 1e-10      # positivity threshold for determinant products
 
 # Zero-set matching: the default is this factor times the region diameter.
 TAU_MATCH_REL = 1e-6

@@ -21,10 +21,6 @@ class WrongCount(ProjcurveError):
     """A hyperplane collection has the wrong number of elements."""
 
 
-class NotFixed(ProjcurveError):
-    """A fixed-hyperplane operation received a genuinely moving hyperplane."""
-
-
 class IdenticallyZero(ProjcurveError):
     """A curve/hyperplane pairing vanishes identically (the curve lies in the
     hyperplane); the scene is degenerate."""
@@ -41,10 +37,6 @@ class FirstComponentZero(ProjcurveError):
 
 class NotBlowingUp(ProjcurveError):
     """Rescaling exploration requires a family whose derivative sups blow up."""
-
-
-class NotGeneralPosition(ProjcurveError):
-    """A hyperplane system that must be in general position is not."""
 
 
 class UnknownTemplate(ProjcurveError):

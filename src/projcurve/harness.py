@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (AllZero, BadParams, DimensionMismatch, FirstComponentZero,
-                     IdenticallyZero, NotGeneralPosition, ParseError,
-                     ProjcurveError, UnknownTemplate, ValidationError,
-                     WrongCount, ZeroPolynomial)
+                     IdenticallyZero, ParseError, ProjcurveError,
+                     UnknownTemplate, ValidationError, WrongCount,
+                     ZeroPolynomial)
 from .normality import marty_sup, zalcman_search
 from .polynomial import ComplexPoly
 from .position import Region, position_sweep, uniform_delta
@@ -40,9 +40,9 @@ TEMPLATES = ("montel_omitting", "blowup_linear", "wandering_shared",
 # Scene defects: malformed input or configurations outside the theory's
 # setting.  They exit 3; failed checks exit 2.
 DEGENERATE_ERRORS = (IdenticallyZero, FirstComponentZero, AllZero,
-                     ZeroPolynomial, NotGeneralPosition, ParseError,
-                     ValidationError, DimensionMismatch, WrongCount,
-                     UnknownTemplate, BadParams)
+                     ZeroPolynomial, ParseError, ValidationError,
+                     DimensionMismatch, WrongCount, UnknownTemplate,
+                     BadParams)
 
 
 @dataclass

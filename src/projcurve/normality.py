@@ -19,10 +19,9 @@ import numpy as np
 
 from .config import MartyThresholds, DEFAULT_MARTY
 from ._kernels import fs_derivative_grid, pairwise_fs_grid, pow2_scaled
-from .errors import (IdenticallyZero, NotBlowingUp, NotGeneralPosition,
-                     WrongCount)
-from .position import Region, is_general_position
-from .projective import MovingHyperplane, ProjCurve, pair
+from .errors import NotBlowingUp, WrongCount
+from .position import Region
+from .projective import ProjCurve
 
 
 # ---------------------------------------------------------------------------
@@ -128,20 +127,24 @@ def marty_sup(members: Sequence[ProjCurve], region: Region,
     """Grid sup of the Fubini-Study derivative per member, with a verdict.
 
     A constant curve has derivative 0 at every grid point, so it gets sup 0.0
-    at the first grid point, as the grid sweep would give, without one.
+    at the first grid point, as the grid sweep would give, without one.  A
+    curve object listed more than once is swept once.
     """
     members = list(members)
     if not members:
         raise WrongCount("need at least one member curve")
     pts = region.grid_points()
-    per = []
+    swept: dict[ProjCurve, MemberMarty] = {}
     for f in members:
+        if f in swept:
+            continue
         if f.is_constant:
-            per.append(MemberMarty(sup=0.0, argmax=complex(pts[0])))
+            swept[f] = MemberMarty(sup=0.0, argmax=complex(pts[0]))
             continue
         vals = fs_derivative_on_grid(f, region)
         idx = int(np.argmax(vals))
-        per.append(MemberMarty(sup=float(vals[idx]), argmax=complex(pts[idx])))
+        swept[f] = MemberMarty(sup=float(vals[idx]), argmax=complex(pts[idx]))
+    per = [swept[f] for f in members]
     sups = tuple(m.sup for m in per)
     return MartyStats(members=tuple(per), sups=sups,
                       verdict=_classify(sups, thresholds),
@@ -244,61 +247,3 @@ def zalcman_search(members: Sequence[ProjCurve],
         convergence_residual=residuals[-1] if residuals else 0.0,
         rho_decreasing=bool(np.all(np.diff(rho_arr) < 0)),
     )
-
-
-# ---------------------------------------------------------------------------
-# omission counting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GreenReport:
-    omitted_count: int
-    omitted: tuple[int, ...]
-    witness_roots: dict
-    consistent: bool
-
-    def to_json(self) -> dict:
-        return {
-            "omitted_count": self.omitted_count,
-            "omitted": list(self.omitted),
-            "witness_roots": {
-                str(j): [[z.real, z.imag] for z in roots]
-                for j, roots in self.witness_roots.items()},
-            "consistent": self.consistent,
-        }
-
-
-def green_omission_check(curve: ProjCurve,
-                         hypers: Sequence[MovingHyperplane]) -> GreenReport:
-    """Count hyperplanes omitted by the curve, at polynomial scale.
-
-    A pairing that is a nonzero constant has no zeros anywhere, so the
-    hyperplane is omitted on all of C; a nonconstant pairing always has
-    roots (returned as witnesses).  A nonconstant curve into P^n cannot
-    omit 2n+1 hyperplanes in general position, so `consistent` asserts
-    NOT(omitted_count = 2n+1 and curve nonconstant); for polynomial curves
-    this must always hold.
-    """
-    n = curve.n
-    expected = 2 * n + 1
-    if len(hypers) != expected:
-        raise WrongCount(
-            f"expected 2n+1 = {expected} hyperplanes, got {len(hypers)}")
-    if not is_general_position(hypers):
-        raise NotGeneralPosition(
-            "hyperplanes are not in general position")
-    omitted = []
-    witness_roots: dict[int, list[complex]] = {}
-    for j, h in enumerate(hypers):
-        p = pair(curve, h)
-        if p.is_zero:
-            raise IdenticallyZero(
-                f"curve lies inside hyperplane {j}", hyperplane_index=j)
-        if p.degree == 0:
-            omitted.append(j)
-        else:
-            witness_roots[j] = [z for z, _ in p.roots()]
-    count = len(omitted)
-    consistent = not (count == expected and not curve.is_constant)
-    return GreenReport(omitted_count=count, omitted=tuple(omitted),
-                       witness_roots=witness_roots, consistent=consistent)

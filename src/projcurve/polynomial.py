@@ -56,12 +56,6 @@ class ComplexPoly:
         return cls([c])
 
     @classmethod
-    def monomial(cls, degree: int, coeff: complex = 1.0) -> "ComplexPoly":
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        return cls([0.0] * degree + [coeff])
-
-    @classmethod
     def from_roots(cls, roots: Sequence[complex],
                    leading: complex = 1.0) -> "ComplexPoly":
         acc = np.array([leading], dtype=np.complex128)

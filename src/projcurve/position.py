@@ -31,9 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import config
 from ._kernels import polyval_grid
-from .errors import DimensionMismatch, NotFixed, WrongCount
+from .errors import DimensionMismatch, WrongCount
 from .projective import MovingHyperplane
 
 
@@ -74,8 +73,13 @@ class Region:
         """Same rectangle at doubled resolution (2n-1 points per axis).
 
         The refined grid contains every point of the original bitwise, so
-        grid minima can only decrease and grid maxima only increase.
+        grid minima can only decrease and grid maxima only increase.  Every
+        call returns the same refined region, so its grid is built once.
         """
+        return self._fine
+
+    @functools.cached_property
+    def _fine(self) -> "Region":
         return Region(self.x_min, self.x_max, self.y_min, self.y_max,
                       2 * self.grid_nx - 1, 2 * self.grid_ny - 1)
 
@@ -109,27 +113,11 @@ class Region:
 # normalization
 # ---------------------------------------------------------------------------
 
-def normalize_hyperplanes(hypers: Sequence[MovingHyperplane],
-                          region: Region) -> list[MovingHyperplane]:
-    """Scale each hyperplane to unit sup coefficient norm over the grid."""
-    return [h.normalized(region) for h in hypers]
-
-
 def _canonical(hypers: Sequence[MovingHyperplane],
-               region: Region | None) -> list[MovingHyperplane]:
+               region: Region) -> list[MovingHyperplane]:
     """Hyperplanes with a normalization in force, normalizing if needed."""
-    out = []
-    for h in hypers:
-        if h.normalization is not None:
-            out.append(h)
-        elif region is not None:
-            out.append(h.normalized(region))
-        elif h.is_fixed:
-            out.append(h.scaled(1.0 / h.norm(0.0)))
-        else:
-            raise NotFixed(
-                "moving hyperplane needs a region to normalize against")
-    return out
+    return [h if h.normalization is not None else h.normalized(region)
+            for h in hypers]
 
 
 # ---------------------------------------------------------------------------
@@ -157,32 +145,6 @@ def _pack_coeffs(hypers: Sequence[MovingHyperplane]) -> np.ndarray:
         for j, p in enumerate(h.coeffs):
             out[i, j, : p.coeffs.size] = p.coeffs
     return out
-
-
-def gen_pos_det(hypers: Sequence[MovingHyperplane], z: complex,
-                region: Region | None = None) -> float:
-    """|det| of the coefficient matrix of exactly n+1 hyperplanes at z."""
-    n = hypers[0].n
-    if len(hypers) != n + 1:
-        raise WrongCount(
-            f"determinant needs exactly {n + 1} hyperplanes, got {len(hypers)}")
-    _check_family(hypers, n)
-    normed = _canonical(hypers, region)
-    M = np.stack([h.at(z) for h in normed])
-    return float(abs(np.linalg.det(M)))
-
-
-def gen_pos_product(hypers: Sequence[MovingHyperplane], z: complex,
-                    region: Region | None = None) -> float:
-    """Product of |det| over all (n+1)-subsets of the family, at z."""
-    n = hypers[0].n
-    _check_family(hypers, n)
-    normed = _canonical(hypers, region)
-    A = np.stack([h.at(z) for h in normed])
-    prod = 1.0
-    for sub in itertools.combinations(range(len(normed)), n + 1):
-        prod *= float(abs(np.linalg.det(A[list(sub)])))
-    return prod
 
 
 # Complex values one polyval_grid call may produce while multiplying the
@@ -237,15 +199,6 @@ class SubsetDeterminants:
         return out
 
 
-def gen_pos_product_grid(hypers: Sequence[MovingHyperplane],
-                         region: Region) -> np.ndarray:
-    """The subset-determinant product at every grid point, shape (ny*nx,).
-
-    Hyperplanes are used as given; normalize first for meaningful values.
-    """
-    return SubsetDeterminants.of(hypers, region).product(region.grid_points())
-
-
 @dataclass(frozen=True)
 class UniformDelta:
     """Grid minimum of the general-position product, with its location."""
@@ -266,7 +219,7 @@ def uniform_delta(hypers: Sequence[MovingHyperplane],
 
     Hyperplanes without a normalization record are normalized against the
     region first.  Grid minimization estimates the true infimum from above;
-    see refinement_check for an undersampling guard.
+    position_sweep adds a doubled-grid guard against undersampling.
     """
     pts = region.grid_points()
     dets = SubsetDeterminants.of(_canonical(hypers, region), region)
@@ -275,8 +228,14 @@ def uniform_delta(hypers: Sequence[MovingHyperplane],
 
 def position_sweep(hypers: Sequence[MovingHyperplane], region: Region,
                    delta: float) -> tuple[UniformDelta, dict, np.ndarray]:
-    """uniform_delta, refinement_check and the product on the region's grid,
-    from one build of the determinant polynomials and one coarse sweep."""
+    """uniform_delta, a refinement cross-check and the product on the
+    region's grid, from one build of the determinant polynomials and one
+    coarse sweep.
+
+    The cross-check evaluates the product on the refined grid too and flags
+    inconsistency when the coarse grid clears delta but the fine grid falls
+    to delta/2 or below: a guard against gross undersampling of the minimum.
+    """
     dets = SubsetDeterminants.of(_canonical(hypers, region), region)
     pts = region.grid_points()
     vals = dets.product(pts)
@@ -286,25 +245,3 @@ def position_sweep(hypers: Sequence[MovingHyperplane], region: Region,
     refinement = {"coarse_min": ud.value, "fine_min": fine_min,
                   "consistent": not flipped}
     return ud, refinement, vals
-
-
-def refinement_check(hypers: Sequence[MovingHyperplane], region: Region,
-                     delta: float) -> dict:
-    """Guard against gross grid undersampling of the minimum.
-
-    Evaluates the product on the doubled grid too; flags inconsistency when
-    the coarse grid clears delta but the fine grid falls to delta/2 or below.
-    """
-    return position_sweep(hypers, region, delta)[1]
-
-
-def is_general_position(hypers: Sequence[MovingHyperplane],
-                        z: complex = 0.0,
-                        tau_gp: float = config.TAU_GP,
-                        region: Region | None = None) -> bool:
-    """Whether the family is in general position at z.
-
-    For fixed hyperplanes the verdict is z-independent and no region is
-    needed; moving hyperplanes require a region to normalize against.
-    """
-    return gen_pos_product(hypers, z, region=region) > tau_gp

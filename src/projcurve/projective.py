@@ -1,4 +1,4 @@
-"""Projective points, curves into P^n, and moving hyperplanes.
+"""Curves into P^n, moving hyperplanes, and the Fubini-Study distance.
 
 A curve is a tuple of n+1 polynomials with no common zero (a reduced
 representation).  A moving hyperplane is likewise a tuple of n+1 coefficient
@@ -14,14 +14,13 @@ factor used.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Sequence
 
 import numpy as np
 
 from . import config
-from .errors import AllZero, DimensionMismatch, IdenticallyZero, ZeroPolynomial
+from .errors import AllZero, DimensionMismatch, ZeroPolynomial
 from .polynomial import ComplexPoly, divide_out, gcd_approx
 
 
@@ -66,36 +65,6 @@ def _check_no_common_zero(polys: tuple[ComplexPoly, ...]) -> None:
 # core objects
 # ---------------------------------------------------------------------------
 
-class ProjPoint:
-    """A point of P^n as a nonzero homogeneous coordinate vector."""
-
-    __slots__ = ("_coords",)
-
-    def __init__(self, coords: Sequence[complex]) -> None:
-        arr = np.asarray(list(coords), dtype=np.complex128)
-        if arr.ndim != 1 or arr.size < 2:
-            raise DimensionMismatch("need at least two coordinates")
-        if float(np.max(np.abs(arr))) == 0.0:
-            raise AllZero("zero vector is not a projective point")
-        arr.setflags(write=False)
-        self._coords = arr
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self._coords
-
-    @property
-    def n(self) -> int:
-        return self._coords.size - 1
-
-    def approx_eq(self, other: "ProjPoint",
-                  tau_proj: float = config.TAU_PROJ) -> bool:
-        return fs_distance(self, other) <= tau_proj
-
-    def __repr__(self) -> str:
-        return f"ProjPoint({list(self._coords)!r})"
-
-
 class ProjCurve:
     """A holomorphic map into P^n given by n+1 polynomials with no common zero."""
 
@@ -135,9 +104,6 @@ class ProjCurve:
     def at_many(self, pts: np.ndarray) -> np.ndarray:
         """Coordinates at many points, shape (n+1, M)."""
         return np.stack([p(pts) for p in self._components])
-
-    def point_at(self, z: complex) -> ProjPoint:
-        return ProjPoint(self.at(z))
 
     def derivative_components(self) -> tuple[ComplexPoly, ...]:
         return tuple(p.derivative() for p in self._components)
@@ -203,9 +169,6 @@ class MovingHyperplane:
         """Max modulus over coefficient values at z."""
         return float(np.max(np.abs(self.at(z))))
 
-    def scaled(self, factor: complex) -> "MovingHyperplane":
-        return MovingHyperplane([factor * p for p in self._coeffs])
-
     def normalized(self, region) -> "MovingHyperplane":
         """Rescale so the sup of ``norm`` over the region's grid equals 1.
 
@@ -260,17 +223,6 @@ def pair(curve: ProjCurve, hyper: MovingHyperplane) -> ComplexPoly:
     return acc
 
 
-def pairing_zeros(curve: ProjCurve, hyper: MovingHyperplane
-                  ) -> list[tuple[complex, int]]:
-    """Zeros of the pairing polynomial; raises when it vanishes identically."""
-    p = pair(curve, hyper)
-    if p.is_zero:
-        raise IdenticallyZero("curve lies inside the hyperplane")
-    if p.degree == 0:
-        return []
-    return p.roots()
-
-
 def sup_norm(curve: ProjCurve, z: complex) -> float:
     """Max modulus over curve components at z."""
     return float(np.max(np.abs(curve.at(z))))
@@ -288,22 +240,17 @@ def induced_curve(hyper: MovingHyperplane) -> ProjCurve:
 # projective metrics
 # ---------------------------------------------------------------------------
 
-def _coords_of(x) -> np.ndarray:
-    if isinstance(x, ProjPoint):
-        return x.coords
-    return np.asarray(x, dtype=np.complex128)
-
-
 def fs_distance(a, b) -> float:
-    """Fubini-Study (sine of angle) distance between projective points.
+    """Fubini-Study (sine of angle) distance between projective points
+    given as coordinate arrays.
 
-    Accepts ProjPoints or plain coordinate arrays.  Computed in the
-    cross-product form sqrt(sum |a_i b_j - a_j b_i|^2) / (|a| |b|), which is
-    algebraically sqrt(1 - |<a,b>|^2/(|a|^2 |b|^2)) but returns exact zero
-    for parallel inputs instead of losing half the digits to cancellation.
+    Computed in the cross-product form
+    sqrt(sum |a_i b_j - a_j b_i|^2) / (|a| |b|), which is algebraically
+    sqrt(1 - |<a,b>|^2/(|a|^2 |b|^2)) but returns exact zero for parallel
+    inputs instead of losing half the digits to cancellation.
     """
-    av = _coords_of(a)
-    bv = _coords_of(b)
+    av = np.asarray(a, dtype=np.complex128)
+    bv = np.asarray(b, dtype=np.complex128)
     if av.shape != bv.shape:
         raise DimensionMismatch("point dimension mismatch")
     num = 0.0
@@ -317,30 +264,3 @@ def fs_distance(a, b) -> float:
     if na == 0.0 or nb == 0.0:
         raise AllZero("zero vector is not a projective point")
     return math.sqrt(num) / (na * nb)
-
-
-def chordal(a, b) -> float:
-    """Chordal distance on the Riemann sphere, with infinity allowed.
-
-    Equals fs_distance([1:a], [1:b]) for finite arguments.
-    """
-    a_inf = _is_inf(a)
-    b_inf = _is_inf(b)
-    if a_inf and b_inf:
-        return 0.0
-    if a_inf:
-        return 1.0 / math.sqrt(1.0 + abs(complex(b)) ** 2)
-    if b_inf:
-        return 1.0 / math.sqrt(1.0 + abs(complex(a)) ** 2)
-    a = complex(a)
-    b = complex(b)
-    return abs(a - b) / math.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
-
-
-def _is_inf(x) -> bool:
-    if isinstance(x, complex):
-        return cmath.isinf(x)
-    try:
-        return math.isinf(x)
-    except TypeError:
-        return cmath.isinf(complex(x))

@@ -23,8 +23,8 @@ from .derived import derived_map
 from .errors import IdenticallyZero, WrongCount, ValidationError
 from .normality import MartyThresholds, DEFAULT_MARTY, marty_sup
 from .position import Region, UniformDelta, uniform_delta
-from .projective import (MovingHyperplane, ProjCurve, fs_distance,
-                         induced_curve, pair, sup_norm)
+from .projective import (MovingHyperplane, ProjCurve, induced_curve, pair,
+                         sup_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -138,26 +138,6 @@ def match_point_sets(a: Sequence[complex], b: Sequence[complex],
     return pairs, free_a, free_b
 
 
-def shares(f: ProjCurve, g: ProjCurve, hyper: MovingHyperplane,
-           region: Region, tau_match: float | None = None,
-           tau_proj: float = config.TAU_PROJ) -> bool:
-    """Whether f and g share the hyperplane over the region.
-
-    True iff the two preimage zero sets coincide as sets (multiplicities
-    ignored) and the curves agree projectively at every matched zero.
-    """
-    tau_match = _match_tolerance(tau_match, region)
-    za = [z for z, _ in preimage_zeros(f, hyper, region, tau_match)]
-    zb = [z for z, _ in preimage_zeros(g, hyper, region, tau_match)]
-    pairs, free_a, free_b = match_point_sets(za, zb, tau_match)
-    if free_a or free_b:
-        return False
-    for i, j in pairs:
-        if fs_distance(f.at(za[i]), g.at(zb[j])) > tau_proj:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # sharing-hypothesis conditions
 # ---------------------------------------------------------------------------
@@ -167,8 +147,8 @@ def conditions_check(member: FamilyMember,
     """Conditions 1 and 2 from one root solve per pairing.
 
     Condition 1, per hyperplane: the curve's and the derived map's preimage
-    zero SETS are equal.  Only set equality is tested; the value agreement
-    demanded by `shares` is deliberately not required here.
+    zero SETS are equal.  Only set equality is tested; the curves are
+    deliberately not required to agree in value at the shared zeros.
 
     Condition 2, across all hyperplanes: every preimage zero z of the curve
     has |f_0(z)| >= epsilon * sup_norm(f, z); failures carry full witnesses.
@@ -310,10 +290,13 @@ def hypotheses_check(members: Sequence[FamilyMember],
             condition2_ok=c2["passed"],
         ))
 
+    # One induced curve per distinct hyperplane object, so marty_sup sweeps
+    # a hyperplane that several members hold once.
+    curves = {h: induced_curve(h) for m in members for h in m.hyperplanes}
     count = len(members[0].hyperplanes)
     induced = []
     for j in range(count):
-        fam = [induced_curve(m.hyperplanes[j]) for m in members]
+        fam = [curves[m.hyperplanes[j]] for m in members]
         stats = marty_sup(fam, cfg.region, thresholds=cfg.marty)
         induced.append({
             "hyperplane": j,

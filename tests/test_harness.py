@@ -358,6 +358,37 @@ class TestSharedHyperplanes:
         rows = (tmp_path / "csv" / "position.csv").read_text().splitlines()
         assert len(rows) == 1 + 30 * 11 * 11
 
+    def test_position_builds_fine_grid_once(self, monkeypatch):
+        # 12 members with 12 distinct hyperplane tuples: 12 sweeps share
+        # one refined region, so one 41x41 grid.
+        scene = generate_scene("wandering_shared",
+                               {"N": 12, "grid_nx": 21, "grid_ny": 21})
+        calls = count_calls(monkeypatch, position.np, "meshgrid")
+        sweeps = count_calls(monkeypatch, harness, "position_sweep")
+        run_pipeline(scene, which=("position",))
+        assert len(sweeps) == 12
+        assert [len(xs) for xs, _ in calls] == [41]
+
+    def test_check_sweeps_each_induced_curve_once(self, monkeypatch):
+        # Every member lists member 0's hyperplanes: one fixed, whose
+        # induced curve is constant, and two moving ones.
+        scene = generate_scene("wandering_shared",
+                               {"N": 12, "grid_nx": 21, "grid_ny": 21})
+        first = scene.members[0].hyperplanes
+        shared = dataclasses.replace(scene, members=tuple(
+            FamilyMember(m.curve, first, m.label) for m in scene.members))
+        copies = dataclasses.replace(scene, members=tuple(
+            FamilyMember(m.curve, [copy.deepcopy(h) for h in first], m.label)
+            for m in scene.members))
+        calls = count_calls(monkeypatch, normality, "fs_derivative_on_grid")
+        reports = []
+        for sc, sweeps in ((shared, 2), (copies, 24)):
+            calls.clear()
+            report, code = run_pipeline(sc, which=("check",))
+            reports.append((json.dumps(report, sort_keys=True), code))
+            assert len(calls) == sweeps
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("template, params", [
         ("blowup_linear", {"n": 2, "N": 6, "grid_nx": 15, "grid_ny": 15}),
         ("wandering_shared", {"N": 5, "grid_nx": 15, "grid_ny": 15}),

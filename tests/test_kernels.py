@@ -4,7 +4,7 @@ import numpy as np
 
 from projcurve import _kernels
 from projcurve.polynomial import ComplexPoly
-from projcurve.position import Region, gen_pos_product_grid
+from projcurve.position import Region, SubsetDeterminants
 from projcurve.projective import MovingHyperplane, fs_distance
 
 
@@ -51,7 +51,8 @@ class TestDetprodGrid:
         hypers = [MovingHyperplane([ComplexPoly(c) for c in rows])
                   for rows in coeffs]
         region = Region(-0.4, 1.1, -0.7, 0.2, 4, 3)
-        got = gen_pos_product_grid(hypers, region)
+        got = SubsetDeterminants.of(hypers, region).product(
+            region.grid_points())
         vals = _kernels.polyval_grid_numpy(coeffs.reshape(q * P, L),
                                            region.grid_points())
         vals = vals.reshape(q, P, -1)

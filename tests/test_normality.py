@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from projcurve import normality, position
 from projcurve._kernels import fs_derivative_grid, pairwise_fs_grid
 from projcurve.config import MartyThresholds
-from projcurve.errors import (NotBlowingUp, NotGeneralPosition, WrongCount)
+from projcurve.errors import NotBlowingUp, WrongCount
 from projcurve.normality import (fs_derivative, fs_derivative_on_grid,
-                                 green_omission_check, marty_sup,
-                                 zalcman_search)
+                                 marty_sup, zalcman_search)
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
-from projcurve.projective import ProjCurve, fs_distance
+from projcurve.projective import ProjCurve, fs_distance, pair
+from projcurve.sharing import FamilyMember
 
 ONE = ComplexPoly.one()
 Z = ComplexPoly([0, 1])
@@ -279,7 +279,16 @@ class TestZalcman:
         assert len(data["unit_derivative_at_zero"]) == 4
 
 
+def omitted(curve, hypers):
+    """Indices of the hyperplanes the curve omits on all of C: a pairing
+    that is a nonzero constant has no zeros anywhere."""
+    return [j for j, h in enumerate(hypers) if pair(curve, h).degree == 0]
+
+
 class TestGreenOmission:
+    """A nonconstant curve into P^n cannot omit 2n+1 hyperplanes in general
+    position (Fujimoto-Green); polynomial curves omit at most 2n."""
+
     def unity_hypers(self, n):
         q = 2 * n + 1
         out = []
@@ -290,38 +299,25 @@ class TestGreenOmission:
 
     def test_nonconstant_curve_omits_nothing(self):
         f = ProjCurve([ONE, Z])
-        rep = green_omission_check(f, self.unity_hypers(1))
-        assert rep.omitted_count == 0
-        assert rep.consistent
-        assert all(roots for roots in rep.witness_roots.values())
+        hypers = self.unity_hypers(1)
+        assert omitted(f, hypers) == []
+        assert all(pair(f, h).roots() for h in hypers)
 
     def test_constant_curve_omits_all(self):
         f = ProjCurve([ONE, ComplexPoly([0.3 + 0.1j])])
-        rep = green_omission_check(f, self.unity_hypers(1))
-        assert rep.omitted_count == 3
-        assert rep.consistent  # constant curves are exempt
+        assert len(omitted(f, self.unity_hypers(1))) == 3
 
     def test_mixed_omission(self):
         # (1, z): pairing with (1, 0) is the constant 1, with (0, 1) it is z
         f = ProjCurve([ONE, Z])
         hypers = [fixed_hyper(1.0, 0.0), fixed_hyper(0.0, 1.0),
                   fixed_hyper(1.0, 1.0)]
-        rep = green_omission_check(f, hypers)
-        assert rep.omitted == (0,)
-        assert rep.omitted_count == 1
-        assert rep.consistent
+        assert omitted(f, hypers) == [0]
 
     def test_wrong_count(self):
         f = ProjCurve([ONE, Z])
         with pytest.raises(WrongCount):
-            green_omission_check(f, self.unity_hypers(1)[:2])
-
-    def test_degenerate_family_rejected(self):
-        f = ProjCurve([ONE, Z])
-        hypers = [fixed_hyper(1.0, 0.0), fixed_hyper(2.0, 0.0),
-                  fixed_hyper(0.0, 1.0)]
-        with pytest.raises(NotGeneralPosition):
-            green_omission_check(f, hypers)
+            FamilyMember(f, self.unity_hypers(1)[:2], "m")
 
     def test_n2_sweep(self):
         rng = np.random.default_rng(31)
@@ -330,7 +326,5 @@ class TestGreenOmission:
             coeffs = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             f = ProjCurve([ComplexPoly(c) for c in coeffs],
                           check_reduced=False)
-            rep = green_omission_check(f, hypers)
-            assert rep.consistent
             if not f.is_constant:
-                assert rep.omitted_count <= 4
+                assert len(omitted(f, hypers)) <= 4

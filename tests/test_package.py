@@ -1,0 +1,24 @@
+import projcurve
+
+PUBLIC = {
+    "AllZero", "BadParams", "CheckConfig", "ComplexPoly", "ConditionReport",
+    "DEFAULT_MARTY", "DimensionMismatch", "FamilyMember",
+    "FirstComponentZero", "IdenticallyZero", "MartyStats", "MartyThresholds",
+    "MovingHyperplane", "NotBlowingUp", "ParseError", "ProjCurve",
+    "ProjcurveError", "Region", "Scene", "UniformDelta", "UnknownTemplate",
+    "ValidationError", "WrongCount", "ZalcmanTrace", "ZeroPolynomial",
+    "conditions_check", "config", "derived_map", "fs_derivative",
+    "fs_derivative_on_grid", "fs_distance", "gcd_approx", "generate_scene",
+    "hypotheses_check", "induced_curve", "load_scene", "marty_sup",
+    "match_point_sets", "pair", "preimage_zeros", "reduce_tuple",
+    "run_pipeline", "save_scene", "scene_from_json", "scene_to_json",
+    "sup_norm", "uniform_delta", "wronskian", "zalcman_search",
+    "__version__",
+}
+
+
+def test_public_surface_is_pinned():
+    assert len(projcurve.__all__) == len(PUBLIC)
+    assert set(projcurve.__all__) == PUBLIC
+    for name in projcurve.__all__:
+        assert getattr(projcurve, name) is not None

@@ -63,11 +63,6 @@ class TestConstruction:
         assert z.degree == -1
         assert z(3.7 + 1j) == 0
 
-    def test_monomial(self):
-        p = ComplexPoly.monomial(3, 2.0)
-        assert p.degree == 3
-        assert p(2.0) == 16.0
-
     def test_eq_hash(self):
         assert ComplexPoly([1, 2]) == ComplexPoly([1.0, 2.0, 0.0])
         assert hash(ComplexPoly([1, 2])) == hash(ComplexPoly([1.0, 2.0]))

@@ -7,18 +7,28 @@ from hypothesis import strategies as st
 
 from projcurve.errors import WrongCount
 from projcurve.polynomial import ComplexPoly
-from projcurve.position import (Region, gen_pos_det, gen_pos_product,
-                                gen_pos_product_grid, is_general_position,
-                                normalize_hyperplanes, refinement_check,
+from projcurve.position import (Region, SubsetDeterminants, position_sweep,
                                 uniform_delta)
 from projcurve.projective import MovingHyperplane
 
 ONE = ComplexPoly.one()
 Z = ComplexPoly([0, 1])
+# A fixed family's product is the same at every grid point, so a 2x2 grid
+# reads it; test-local positivity threshold for the general-position verdict.
+SMALL = Region(-1, 1, -1, 1, 2, 2)
+TAU_GP = 1e-10
 
 
 def fixed(*values):
     return MovingHyperplane([ComplexPoly([v]) for v in values])
+
+
+def in_general_position(hypers):
+    return uniform_delta(hypers, SMALL).value > TAU_GP
+
+
+def normalized(hypers, region):
+    return [h.normalized(region) for h in hypers]
 
 
 def coordinate_hyperplanes(n):
@@ -79,19 +89,26 @@ class TestRegion:
         fine = r.refine()
         assert fine.grid_points() is not pts
         assert fine.grid_points().size == 9 * 7
+        # One refined region per region, so one refined grid.
+        assert r.refine() is fine
+        assert fine.grid_points() is fine.grid_points()
+        assert twin.refine() is not fine and twin.refine() == fine
         # The benchmark's trace wraps the method on the class.
         assert callable(vars(Region)["grid_points"])
 
 
 class TestGenPosDet:
+    """The determinant D of exactly n+1 hyperplanes, read through
+    uniform_delta on a small region."""
+
     def test_identity_exact(self):
         for n in (1, 2, 3):
-            d = gen_pos_det(coordinate_hyperplanes(n), 0.0)
+            d = uniform_delta(coordinate_hyperplanes(n), SMALL).value
             assert d == 1.0
 
     def test_wrong_count(self):
         with pytest.raises(WrongCount):
-            gen_pos_det(coordinate_hyperplanes(1) + [fixed(1.0, 1.0)], 0.0)
+            uniform_delta(coordinate_hyperplanes(1)[:1], SMALL)
 
     def test_moving_example(self):
         # rows (1, z) and (0, 1): determinant is the normalization factor
@@ -100,28 +117,23 @@ class TestGenPosDet:
         h2 = fixed(0.0, 1.0)
         pts = region.grid_points()
         sup = max(1.0, float(np.abs(pts).max()))
-        got = gen_pos_det([h1, h2], 0.7 + 0.2j, region=region)
+        got = uniform_delta([h1, h2], region).value
         assert abs(got - 1.0 / sup) <= 1e-12
-
-    def test_moving_needs_region(self):
-        from projcurve.errors import NotFixed
-        h1 = MovingHyperplane([ONE, Z])
-        h2 = fixed(0.0, 1.0)
-        with pytest.raises(NotFixed):
-            gen_pos_det([h1, h2], 0.0)
 
     def test_dependent_rows_zero(self):
         h = fixed(1.0, 2.0)
         g = fixed(2.0, 4.0)
         # scalar multiples normalize to the same row
-        assert gen_pos_det([h, g], 0.0) <= 1e-15
+        assert uniform_delta([h, g], SMALL).value <= 1e-15
 
 
 class TestGenPosProduct:
+    """The product of D over all (n+1)-subsets."""
+
     def test_three_coordinate_like(self):
         hypers = [fixed(1.0, 0.0), fixed(0.0, 1.0), fixed(1.0, 1.0)]
         # subsets: dets 1, 1, -1; all coefficients already unit-normalized
-        assert abs(gen_pos_product(hypers, 0.0) - 1.0) <= 1e-12
+        assert abs(uniform_delta(hypers, SMALL).value - 1.0) <= 1e-12
 
     def test_vanishes_at_collision(self):
         # (z - t, 1) collides with (0, 1) as z -> t
@@ -129,8 +141,8 @@ class TestGenPosProduct:
         hypers = [fixed(1.0, 0.0), fixed(0.0, 1.0),
                   MovingHyperplane([ComplexPoly([-t, 1.0]), ONE])]
         region = Region(-1, 1, -1, 1, 5, 5)
-        vals = [abs(gen_pos_product(hypers, z, region=region))
-                for z in (t, t + 0.5)]
+        dets = SubsetDeterminants.of(normalized(hypers, region), region)
+        vals = dets.product(np.array([t, t + 0.5], dtype=complex))
         assert vals[0] <= 1e-12
         assert vals[1] > 1e-4
 
@@ -139,9 +151,9 @@ class TestGenPosProduct:
         hypers = [fixed(*(rng.standard_normal(3)
                           + 1j * rng.standard_normal(3)))
                   for _ in range(5)]
-        base = gen_pos_product(hypers, 0.3)
+        base = uniform_delta(hypers, SMALL).value
         for perm in itertools.permutations(range(5)):
-            v = gen_pos_product([hypers[i] for i in perm], 0.3)
+            v = uniform_delta([hypers[i] for i in perm], SMALL).value
             assert abs(v - base) <= 1e-12 * max(1.0, base)
 
 
@@ -172,7 +184,7 @@ class TestUniformDelta:
         hypers = [fixed(1.0, 0.0), fixed(0.0, 1.0),
                   MovingHyperplane([ComplexPoly([-0.01, 1.0]), ONE])]
         region = Region(-1, 1, -1, 1, 41, 41)
-        chk = refinement_check(hypers, region, delta=0.05)
+        chk = position_sweep(hypers, region, delta=0.05)[1]
         assert set(chk) == {"coarse_min", "fine_min", "consistent"}
         # refined grid only adds points, so the min cannot increase
         assert chk["fine_min"] <= chk["coarse_min"] + 1e-15
@@ -184,20 +196,22 @@ class TestUniformDelta:
             ComplexPoly(rng.standard_normal(2) + 1j * rng.standard_normal(2)),
         ]) for _ in range(3)]
         region = Region(-1, 1, -1, 1, 7, 7)
-        normed = normalize_hyperplanes(hypers, region)
-        vals = gen_pos_product_grid(normed, region)
+        dets = SubsetDeterminants.of(normalized(hypers, region), region)
+        vals = dets.product(region.grid_points())
         ud = uniform_delta(hypers, region)
         assert abs(ud.value - float(vals.min())) <= 1e-12
 
 
 class TestIsGeneralPosition:
+    """The verdict: the product clears a test-local threshold."""
+
     def test_coordinate_plus_diagonal(self):
         hypers = [fixed(1.0, 0.0), fixed(0.0, 1.0), fixed(1.0, 1.0)]
-        assert is_general_position(hypers)
+        assert in_general_position(hypers)
 
     def test_duplicate_fails(self):
         hypers = [fixed(1.0, 0.0), fixed(0.0, 1.0), fixed(2.0, 0.0)]
-        assert not is_general_position(hypers)
+        assert not in_general_position(hypers)
 
     def test_rank_oracle_n2(self):
         rng = np.random.default_rng(5)
@@ -207,7 +221,7 @@ class TestIsGeneralPosition:
             expect = all(
                 np.linalg.matrix_rank(rows[list(idx)]) == 3
                 for idx in itertools.combinations(range(5), 3))
-            assert is_general_position(hypers) == expect
+            assert in_general_position(hypers) == expect
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -218,7 +232,7 @@ class TestIsGeneralPosition:
         scales = rng.uniform(0.1, 10.0, 3) * np.exp(
             2j * np.pi * rng.uniform(0, 1, 3))
         scaled = [fixed(*(s * row)) for s, row in zip(scales, rows)]
-        assert is_general_position(hypers) == is_general_position(scaled)
+        assert in_general_position(hypers) == in_general_position(scaled)
 
 
 def per_point_product(hypers, pts):
@@ -252,8 +266,9 @@ class TestDeterminantPolynomials:
                 for _ in range(n + 1)]))
         region = Region(cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2,
                         nx, ny)
-        normed = normalize_hyperplanes(hypers, region)
-        got = gen_pos_product_grid(normed, region)
+        normed = normalized(hypers, region)
+        got = SubsetDeterminants.of(normed, region).product(
+            region.grid_points())
         ref = per_point_product(normed, region.grid_points())
         assert np.abs(got - ref).max() <= 1e-9 * max(1.0, ref.max())
 
@@ -282,7 +297,7 @@ class TestFixedFamiliesExact:
     def test_one_determinant_per_subset(self, hypers):
         region = Region(-0.5, 1.5, -1.0, 0.25, 9, 6)
         A = np.stack([h.at(0.0)
-                      for h in normalize_hyperplanes(hypers, region)])
+                      for h in normalized(hypers, region)])
         dets = [np.linalg.det(A[list(idx)]) for idx in
                 itertools.combinations(range(len(hypers)), hypers[0].n + 1)]
         # np.abs, as in the sweeps: the scalar abs() of a complex can
@@ -293,7 +308,7 @@ class TestFixedFamiliesExact:
         ud = uniform_delta(hypers, region)
         assert ud.value == prod
         assert ud.argmin == region.grid_points()[0]
-        chk = refinement_check(hypers, region, delta=0.5 * prod)
+        chk = position_sweep(hypers, region, delta=0.5 * prod)[1]
         assert chk["fine_min"] == chk["coarse_min"] == prod
         assert chk["consistent"]
 

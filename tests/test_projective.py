@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,14 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projcurve.errors import (AllZero, DimensionMismatch, IdenticallyZero,
-                              ZeroPolynomial)
+from projcurve.errors import AllZero, DimensionMismatch, ZeroPolynomial
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
-from projcurve.projective import (MovingHyperplane, ProjCurve, ProjPoint,
-                                  chordal, fs_distance,
-                                  induced_curve, pair, pairing_zeros,
-                                  reduce_tuple, sup_norm)
+from projcurve.projective import (MovingHyperplane, ProjCurve, fs_distance,
+                                  induced_curve, pair, reduce_tuple, sup_norm)
 
 ONE = ComplexPoly.one()
 Z = ComplexPoly([0, 1])
@@ -22,6 +20,19 @@ unit_complex = st.builds(
     st.floats(min_value=-3.0, max_value=3.0),
     st.floats(min_value=-3.0, max_value=3.0),
 ).filter(lambda c: 0.05 <= abs(c) <= 5.0)
+
+
+def chordal(a, b):
+    """Chordal distance on the Riemann sphere, with infinity allowed; an
+    independent oracle for fs_distance([1:a], [1:b])."""
+    a, b = complex(a), complex(b)
+    if cmath.isinf(a) and cmath.isinf(b):
+        return 0.0
+    if cmath.isinf(a):
+        return 1.0 / math.sqrt(1.0 + abs(b) ** 2)
+    if cmath.isinf(b):
+        return 1.0 / math.sqrt(1.0 + abs(a) ** 2)
+    return abs(a - b) / math.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
 
 
 class TestReduceTuple:
@@ -48,20 +59,6 @@ class TestReduceTuple:
         assert red[1].degree == 0
 
 
-class TestProjPoint:
-    def test_zero_vector_rejected(self):
-        with pytest.raises(AllZero):
-            ProjPoint([0.0, 0.0])
-
-    def test_approx_eq_scale_invariant(self):
-        a = ProjPoint([1.0, 2.0 + 1j])
-        b = ProjPoint([3j, (2.0 + 1j) * 3j])
-        assert a.approx_eq(b)
-
-    def test_distinct(self):
-        assert not ProjPoint([1.0, 0.0]).approx_eq(ProjPoint([1.0, 1.0]))
-
-
 class TestProjCurve:
     def test_common_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
@@ -74,7 +71,7 @@ class TestProjCurve:
     def test_at_and_point(self):
         f = ProjCurve([ONE, Z])
         assert np.allclose(f.at(2.0), [1.0, 2.0])
-        assert f.point_at(2.0).approx_eq(ProjPoint([0.5, 1.0]))
+        assert fs_distance(f.at(2.0), [0.5, 1.0]) <= 1e-15
 
     def test_at_many_shape(self):
         f = ProjCurve([ONE, Z, Z * Z])
@@ -124,12 +121,6 @@ class TestMovingHyperplane:
         for a, b in zip(h.coeffs, again.coeffs):
             assert a == b
 
-    def test_scaled_drops_record(self):
-        region = Region(-1, 1, -1, 1, 5, 5)
-        h = MovingHyperplane([ONE, Z]).normalized(region)
-        assert h.scaled(2.0).normalization is None
-
-
 class TestPairing:
     def test_pair_is_linear_combination(self):
         f = ProjCurve([ONE, Z])
@@ -141,19 +132,6 @@ class TestPairing:
         h = MovingHyperplane([ONE, Z])
         with pytest.raises(DimensionMismatch):
             pair(f, h)
-
-    def test_pairing_zeros(self):
-        f = ProjCurve([ONE, Z])
-        h = MovingHyperplane([ComplexPoly([-2.0]), ONE])  # pairing z - 2
-        zeros = pairing_zeros(f, h)
-        assert len(zeros) == 1
-        assert abs(zeros[0][0] - 2.0) <= 1e-8
-
-    def test_identically_zero(self):
-        f = ProjCurve([ONE, Z])
-        h = MovingHyperplane([Z, ComplexPoly([-1.0])])  # z*1 - z = 0
-        with pytest.raises(IdenticallyZero):
-            pairing_zeros(f, h)
 
     def test_induced_curve(self):
         h = MovingHyperplane([ONE, Z])
@@ -170,25 +148,25 @@ class TestPairing:
 
 class TestFsDistance:
     def test_same_point_exact_zero(self):
-        a = ProjPoint([1.0, 0.3 + 0.4j])
+        a = np.array([1.0, 0.3 + 0.4j])
         assert fs_distance(a, a) == 0.0
 
     def test_symmetry(self):
-        a = ProjPoint([1.0, 2.0])
-        b = ProjPoint([1.0, -1.0 + 1j])
+        a = np.array([1.0, 2.0])
+        b = np.array([1.0, -1.0 + 1j])
         assert fs_distance(a, b) == fs_distance(b, a)
 
     def test_orthogonal_points(self):
-        a = ProjPoint([1.0, 0.0])
-        b = ProjPoint([0.0, 1.0])
+        a = np.array([1.0, 0.0])
+        b = np.array([0.0, 1.0])
         assert abs(fs_distance(a, b) - 1.0) <= 1e-15
 
     @given(unit_complex, unit_complex, unit_complex)
     @settings(max_examples=50, deadline=None)
     def test_scale_invariance(self, a, b, s):
-        p = ProjPoint([1.0, a])
-        q = ProjPoint([s, s * b])
-        base = fs_distance(ProjPoint([1.0, a]), ProjPoint([1.0, b]))
+        p = np.array([1.0, a])
+        q = np.array([s, s * b])
+        base = fs_distance(np.array([1.0, a]), np.array([1.0, b]))
         assert abs(fs_distance(p, q) - base) <= 1e-12
 
     def test_matches_chordal_on_affine_chart(self):
@@ -197,7 +175,7 @@ class TestFsDistance:
         ws = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
         for z, w in zip(zs, ws):
             d1 = chordal(z, w)
-            d2 = fs_distance(ProjPoint([1.0, z]), ProjPoint([1.0, w]))
+            d2 = fs_distance(np.array([1.0, z]), np.array([1.0, w]))
             assert abs(d1 - d2) <= 1e-12
 
     def test_array_input(self):

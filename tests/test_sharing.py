@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from projcurve.derived import derived_map
 from projcurve.errors import IdenticallyZero, WrongCount
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
@@ -9,7 +8,7 @@ from projcurve.projective import MovingHyperplane, ProjCurve
 from projcurve import sharing
 from projcurve.sharing import (CheckConfig, FamilyMember, conditions_check,
                                hypotheses_check, match_point_sets,
-                               preimage_zeros, shares)
+                               preimage_zeros)
 
 ONE = ComplexPoly.one()
 Z = ComplexPoly([0, 1])
@@ -61,25 +60,6 @@ class TestMatchPointSets:
         pairs, fa, fb = match_point_sets([0.0, 0.1], [0.02], 0.5)
         assert pairs == [(0, 0)]
         assert fa == [1] and fb == []
-
-
-class TestShares:
-    def test_shared_zero_sets(self):
-        # f = (1, (z - 0.2)^2) and its derived map share (0, 1) at z = 0.2
-        f = ProjCurve([ONE, ComplexPoly([0.04, -0.4, 1.0])])
-        g = derived_map(f)
-        assert shares(f, g, fixed(0.0, 1.0), REGION)
-
-    def test_not_shared(self):
-        f = ProjCurve([ONE, ComplexPoly([1.0, 0, 1.0])])  # zeros +-i
-        g = derived_map(f)                                # zero 0
-        assert not shares(f, g, fixed(0.0, 1.0), REGION)
-
-    def test_symmetric(self):
-        f = ProjCurve([ONE, ComplexPoly([1.0, 0, 1.0])])
-        g = derived_map(f)
-        h = fixed(0.0, 1.0)
-        assert shares(f, g, h, REGION) == shares(g, f, h, REGION)
 
 
 class TestConditions:
