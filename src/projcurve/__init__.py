@@ -8,7 +8,6 @@ and rescaling traces.
 """
 
 from . import config
-from .config import DEFAULT_MARTY, MartyThresholds
 from .derived import derived_map
 from .errors import (AllZero, BadParams, DimensionMismatch,
                      FirstComponentZero, IdenticallyZero, NotBlowingUp,
@@ -30,9 +29,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllZero", "BadParams", "CheckConfig", "ComplexPoly",
-    "ConditionReport", "DEFAULT_MARTY", "DimensionMismatch", "FamilyMember",
+    "ConditionReport", "DimensionMismatch", "FamilyMember",
     "FirstComponentZero", "IdenticallyZero", "MartyStats",
-    "MartyThresholds", "MovingHyperplane", "NotBlowingUp", "ParseError",
+    "MovingHyperplane", "NotBlowingUp", "ParseError",
     "ProjCurve", "ProjcurveError", "Region", "Scene", "UniformDelta",
     "UnknownTemplate", "ValidationError", "WrongCount", "ZalcmanTrace",
     "ZeroPolynomial", "conditions_check", "config", "derived_map",

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import ProjcurveError, ValidationError
 from .harness import (DEGENERATE_ERRORS, TEMPLATES, generate_scene,
                       load_scene, rebuild_scene, run_pipeline, save_scene,
                       scene_to_json)
-from .position import Region
 
 
 def _add_run_parser(sub, name: str, help_text: str) -> None:
@@ -37,9 +37,6 @@ def _add_run_parser(sub, name: str, help_text: str) -> None:
                    help="override the lower-bound constant")
     p.add_argument("--delta", type=float, default=None,
                    help="override the general-position threshold")
-    p.add_argument("--tol-root", type=float, default=None, dest="tol_root",
-                   help="override the root-matching tolerance of the "
-                        "derived-map gcd")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,19 +102,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    scene = load_scene(args.scene)
-    if args.grid is not None:
-        r = scene.region
-        try:
-            region = Region(r.x_min, r.x_max, r.y_min, r.y_max,
-                            args.grid[0], args.grid[1])
-        except ValueError as exc:
-            raise ValidationError(str(exc), path="--grid") from exc
-        scene = rebuild_scene(scene, region=region)
-    if args.epsilon is not None or args.delta is not None \
-            or args.tol_root is not None:
-        scene = rebuild_scene(scene, epsilon=args.epsilon, delta=args.delta,
-                              tau_root=args.tol_root)
+    if args.delta is not None and not math.isfinite(args.delta):
+        raise ValidationError(f"must be finite, got {args.delta}",
+                              path="--delta")
+    scene = rebuild_scene(load_scene(args.scene, grid=args.grid),
+                          epsilon=args.epsilon, delta=args.delta)
     report, code = run_pipeline(scene, which=(args.command,),
                                 csv_dir=args.csv)
     _emit(report, args.output)

@@ -12,14 +12,12 @@ derivative of the rational function the curve represents.
 
 from __future__ import annotations
 
-from . import config
 from .errors import FirstComponentZero
 from .polynomial import wronskian
 from .projective import ProjCurve, reduce_tuple
 
 
-def derived_map(curve: ProjCurve,
-                tau_root: float = config.TAU_ROOT) -> ProjCurve:
+def derived_map(curve: ProjCurve) -> ProjCurve:
     """Reduced derived curve; requires a nonzero first component."""
     f0 = curve.components[0]
     if f0.is_zero:
@@ -28,5 +26,5 @@ def derived_map(curve: ProjCurve,
     parts = [f0 * f0]
     for fl in curve.components[1:]:
         parts.append(wronskian(f0, fl))
-    reduced = reduce_tuple(parts, tau_root=tau_root)
+    reduced = reduce_tuple(parts)
     return ProjCurve(reduced, check_reduced=False)

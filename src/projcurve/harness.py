@@ -13,6 +13,7 @@ timestamps, sorted keys, and every number derived from scene data alone.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import config
 from .errors import (AllZero, BadParams, DimensionMismatch, FirstComponentZero,
                      IdenticallyZero, ParseError, ProjcurveError,
                      UnknownTemplate, ValidationError, WrongCount,
@@ -89,7 +91,12 @@ def _region_from_json(data, path: str) -> Region:
         raise ValidationError(str(exc), path=path) from exc
 
 
-def scene_from_json(data: dict) -> Scene:
+def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
+    """Validated scene from its JSON document.
+
+    ``grid`` (NX, NY), the CLI's ``--grid``, replaces the document's grid
+    resolution before any hyperplane is normalized against it.
+    """
     _expect(isinstance(data, dict), "scene must be a JSON object", "$")
     version = data.get("schema_version", SCHEMA_VERSION)
     _expect(version == SCHEMA_VERSION,
@@ -98,27 +105,28 @@ def scene_from_json(data: dict) -> Scene:
             "n must be an integer >= 1", "$.n")
     n = data["n"]
     region = _region_from_json(data.get("region"), "$.region")
+    if grid is not None:
+        try:
+            region = Region(region.x_min, region.x_max, region.y_min,
+                            region.y_max, grid[0], grid[1])
+        except ValueError as exc:
+            raise ValidationError(str(exc), path="--grid") from exc
 
     cfg_data = data.get("config")
     _expect(isinstance(cfg_data, dict), "config must be an object", "$.config")
     for key in ("epsilon", "delta"):
         _expect(key in cfg_data and isinstance(cfg_data[key], (int, float)),
                 f"config needs numeric {key}", f"$.config.{key}")
-    tau_match = cfg_data.get("tau_match")
-    _expect(tau_match is None or isinstance(tau_match, (int, float)),
-            "tau_match must be numeric or null", "$.config.tau_match")
-    tau_root = cfg_data.get("tau_root", None)
-    _expect(tau_root is None or isinstance(tau_root, (int, float)),
-            "tau_root must be numeric", "$.config.tau_root")
+    # Older scene files carry the match and root tolerances, which are now
+    # constants.  Only the values those files always held load, so no file
+    # silently changes meaning.
+    for key, fixed in (("tau_match", None), ("tau_root", config.TAU_ROOT)):
+        _expect(cfg_data.get(key, fixed) == fixed,
+                f"{key} is not a setting; a scene may only give "
+                f"{json.dumps(fixed)}", f"$.config.{key}")
     try:
-        cfg_kwargs = {"region": region,
-                      "epsilon": float(cfg_data["epsilon"]),
-                      "delta": float(cfg_data["delta"]),
-                      "tau_match": None if tau_match is None
-                      else float(tau_match)}
-        if tau_root is not None:
-            cfg_kwargs["tau_root"] = float(tau_root)
-        cfg = CheckConfig(**cfg_kwargs)
+        cfg = CheckConfig(region=region, epsilon=float(cfg_data["epsilon"]),
+                          delta=float(cfg_data["delta"]))
     except ValidationError as exc:
         raise ValidationError(str(exc), path="$.config") from exc
 
@@ -199,7 +207,8 @@ def scene_from_json(data: dict) -> Scene:
                  metadata=metadata)
 
 
-def load_scene(path: str) -> Scene:
+def load_scene(path: str, grid: tuple[int, int] | None = None) -> Scene:
+    """``scene_from_json`` of the file at ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -209,7 +218,7 @@ def load_scene(path: str) -> Scene:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"scene file {path} is not valid JSON: {exc}") from exc
-    return scene_from_json(data)
+    return scene_from_json(data, grid)
 
 
 def scene_to_json(scene: Scene) -> dict:
@@ -220,8 +229,6 @@ def scene_to_json(scene: Scene) -> dict:
         "config": {
             "epsilon": scene.config.epsilon,
             "delta": scene.config.delta,
-            "tau_match": scene.config.tau_match,
-            "tau_root": scene.config.tau_root,
         },
         "members": [{
             "label": m.label,
@@ -238,27 +245,15 @@ def save_scene(scene: Scene, path: str) -> None:
         fh.write("\n")
 
 
-def rebuild_scene(scene: Scene, region: Region | None = None,
-                  epsilon: float | None = None, delta: float | None = None,
-                  tau_root: float | None = None) -> Scene:
-    """Scene with overridden settings; hyperplanes renormalized if the
-    region changed."""
-    new_region = region if region is not None else scene.region
+def rebuild_scene(scene: Scene, epsilon: float | None = None,
+                  delta: float | None = None) -> Scene:
+    """Scene with ``epsilon`` and ``delta`` overridden where given."""
     cfg = CheckConfig(
-        region=new_region,
+        region=scene.region,
         epsilon=epsilon if epsilon is not None else scene.config.epsilon,
         delta=delta if delta is not None else scene.config.delta,
-        tau_match=scene.config.tau_match,
-        tau_root=tau_root if tau_root is not None else scene.config.tau_root,
-        marty=scene.config.marty,
     )
-    members = scene.members
-    if region is not None:
-        members = _normalize_members(
-            [(m.label, m.curve, m.hyperplanes) for m in scene.members],
-            new_region)
-    return Scene(n=scene.n, region=new_region, members=members, config=cfg,
-                 metadata=scene.metadata)
+    return dataclasses.replace(scene, config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +503,8 @@ def _stage_position(scene: Scene, csv_dir: str | None,
         if csv_dir is not None:
             rows.extend((m.label, float(z.real), float(z.imag), float(v))
                         for z, v in zip(pts, vals))
+    # check reuses each tuple's uniform_delta.
+    done["position"] = {h: sweep[0] for h, sweep in sweeps.items()}
     worst = min(per, key=lambda e: e["min"])
     verdict = worst["min"] > scene.config.delta
     if csv_dir is not None:
@@ -520,14 +517,16 @@ def _stage_position(scene: Scene, csv_dir: str | None,
 
 def _stage_check(scene: Scene, csv_dir: str | None,
                  done: dict) -> tuple[dict, int]:
-    report = hypotheses_check(scene.members, scene.config)
+    # A failed position stage left its error in `done`, not a delta map.
+    deltas = done.get("position")
+    report = hypotheses_check(scene.members, scene.config,
+                              deltas if isinstance(deltas, dict) else None)
     return report.to_json(), 0 if report.overall else 2
 
 
 def _stage_normality(scene: Scene, csv_dir: str | None,
                      done: dict) -> tuple[dict, int]:
-    stats = marty_sup([m.curve for m in scene.members], scene.region,
-                      thresholds=scene.config.marty)
+    stats = marty_sup([m.curve for m in scene.members], scene.region)
     done["normality"] = stats
     if csv_dir is not None:
         _write_csv(csv_dir, "normality.csv", ("member_index", "sup"),
@@ -606,7 +605,7 @@ def run_pipeline(scene: Scene, which: Sequence[str] = STAGES,
             "config": {"epsilon": scene.config.epsilon,
                        "delta": scene.config.delta,
                        "tau_match": scene.config.match_tolerance,
-                       "tau_root": scene.config.tau_root},
+                       "tau_root": config.TAU_ROOT},
             "member_labels": [m.label for m in scene.members],
             "metadata": scene.metadata,
         },

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import MartyThresholds, DEFAULT_MARTY
+from . import config
 from ._kernels import fs_derivative_grid, pairwise_fs_grid, pow2_scaled
 from .errors import NotBlowingUp, WrongCount
 from .position import Region
@@ -87,7 +87,6 @@ class MartyStats:
     members: tuple[MemberMarty, ...]
     sups: tuple[float, ...]
     verdict: str
-    thresholds: MartyThresholds
 
     def to_json(self) -> dict:
         return {
@@ -95,35 +94,36 @@ class MartyStats:
             "argmax": [[m.argmax.real, m.argmax.imag] for m in self.members],
             "verdict": self.verdict,
             "thresholds": {
-                "cap": self.thresholds.cap,
-                "growth_factor": self.thresholds.growth_factor,
-                "window": self.thresholds.window,
+                "cap": config.MARTY_CAP,
+                "growth_factor": config.MARTY_GROWTH_FACTOR,
+                "window": config.MARTY_WINDOW,
             },
         }
 
 
-def _classify(sups: Sequence[float], th: MartyThresholds) -> str:
+def _classify(sups: Sequence[float]) -> str:
     """Empirical verdict over the per-member sup sequence.
 
-    blow-up: the last `window` sups are strictly increasing and the final
-    sup has grown by factor >= growth_factor over the sequence minimum.
-    bounded: no blow-up and every sup is at most `cap`.
+    blow-up: the last MARTY_WINDOW sups are strictly increasing and the
+    final sup has grown by a factor >= MARTY_GROWTH_FACTOR over the sequence
+    minimum.
+    bounded: no blow-up and every sup is at most MARTY_CAP.
     inconclusive: too few members for a trend, or sups beyond the cap
     without a clean growth signature.
     """
-    if len(sups) < th.window:
+    window = config.MARTY_WINDOW
+    if len(sups) < window:
         return "inconclusive"
-    tail = sups[-th.window:]
+    tail = sups[-window:]
     increasing = all(tail[i] < tail[i + 1] for i in range(len(tail) - 1))
-    if increasing and sups[-1] >= th.growth_factor * min(sups):
+    if increasing and sups[-1] >= config.MARTY_GROWTH_FACTOR * min(sups):
         return "blow-up"
-    if max(sups) <= th.cap:
+    if max(sups) <= config.MARTY_CAP:
         return "bounded"
     return "inconclusive"
 
 
-def marty_sup(members: Sequence[ProjCurve], region: Region,
-              thresholds: MartyThresholds = DEFAULT_MARTY) -> MartyStats:
+def marty_sup(members: Sequence[ProjCurve], region: Region) -> MartyStats:
     """Grid sup of the Fubini-Study derivative per member, with a verdict.
 
     A constant curve has derivative 0 at every grid point, so it gets sup 0.0
@@ -147,8 +147,7 @@ def marty_sup(members: Sequence[ProjCurve], region: Region,
     per = [swept[f] for f in members]
     sups = tuple(m.sup for m in per)
     return MartyStats(members=tuple(per), sups=sups,
-                      verdict=_classify(sups, thresholds),
-                      thresholds=thresholds)
+                      verdict=_classify(sups))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +208,9 @@ def zalcman_search(members: Sequence[ProjCurve],
     unit derivative at zeta = 0 and all residuals are free of sampling
     error.  Residuals are sups over the zeta disc of the Fubini-Study
     distance between successive rescaled members; the limit candidate is
-    the last member's samples.
+    the last member's samples.  A blow-up verdict can still include a
+    member with sup 0, such as a constant curve before the growing tail; it
+    has no scale, so it raises NotBlowingUp naming its index.
     """
     members = list(members)
     if len(members) != len(stats.members):
@@ -221,7 +222,10 @@ def zalcman_search(members: Sequence[ProjCurve],
     centers = []
     rhos = []
     rescaled = []
-    for f, mm in zip(members, stats.members):
+    for i, (f, mm) in enumerate(zip(members, stats.members)):
+        if mm.sup == 0.0:
+            raise NotBlowingUp(
+                f"member {i} has Marty sup 0; rescaling needs a positive sup")
         rho = 1.0 / mm.sup
         comps = [p.shift_scale(mm.argmax, rho) for p in f.components]
         centers.append(mm.argmax)

@@ -26,14 +26,13 @@ class ComplexPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[complex],
-                 tau_coeff: float = config.TAU_COEFF) -> None:
+    def __init__(self, coeffs: Iterable[complex]) -> None:
         arr = np.asarray(list(coeffs), dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError("coefficients must be a flat sequence")
         if arr.size:
             top = float(np.max(np.abs(arr)))
-            cut = top * tau_coeff
+            cut = top * config.TAU_COEFF
             keep = arr.size
             while keep > 0 and abs(arr[keep - 1]) <= cut:
                 keep -= 1
@@ -185,10 +184,6 @@ class ComplexPoly:
     def to_json(self) -> list:
         return [[float(c.real), float(c.imag)] for c in self._coeffs]
 
-    @classmethod
-    def from_json(cls, data: Sequence[Sequence[float]]) -> "ComplexPoly":
-        return cls([complex(re, im) for re, im in data])
-
     # -- root finding ----------------------------------------------------
 
     def roots(self) -> list[tuple[complex, int]]:
@@ -276,14 +271,13 @@ def wronskian(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
     return p * q.derivative() - p.derivative() * q
 
 
-def gcd_approx(polys: Sequence[ComplexPoly],
-               tau_root: float = config.TAU_ROOT) -> ComplexPoly:
+def gcd_approx(polys: Sequence[ComplexPoly]) -> ComplexPoly:
     """Monic approximate gcd via shared root clusters.
 
     The zero polynomial divides nothing here: zero entries are skipped.  A
     nonzero constant anywhere forces gcd 1.  Otherwise the root clusters of
     the lowest-degree polynomial are matched against every other polynomial's
-    clusters within ``tau_root``; matched roots enter the gcd with the
+    clusters within ``config.TAU_ROOT``; matched roots enter the gcd with the
     minimum multiplicity seen.
     """
     live = [p for p in polys if not p.is_zero]
@@ -302,7 +296,7 @@ def gcd_approx(polys: Sequence[ComplexPoly],
             best = None
             for r2, m2 in rl:
                 d = abs(r2 - root)
-                if d <= tau_root and (best is None or d < best[0]):
+                if d <= config.TAU_ROOT and (best is None or d < best[0]):
                     best = (d, m2)
             if best is None:
                 ok = False

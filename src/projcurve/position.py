@@ -48,6 +48,9 @@ class Region:
     grid_ny: int
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite,
+                       (self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise ValueError("region bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("region must have positive width and height")
         if self.grid_nx < 2 or self.grid_ny < 2:

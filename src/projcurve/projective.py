@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import config
 from .errors import AllZero, DimensionMismatch, ZeroPolynomial
 from .polynomial import ComplexPoly, divide_out, gcd_approx
 
@@ -28,14 +27,12 @@ from .polynomial import ComplexPoly, divide_out, gcd_approx
 # reduction
 # ---------------------------------------------------------------------------
 
-def reduce_tuple(polys: Sequence[ComplexPoly],
-                 tau_root: float = config.TAU_ROOT
-                 ) -> tuple[ComplexPoly, ...]:
+def reduce_tuple(polys: Sequence[ComplexPoly]) -> tuple[ComplexPoly, ...]:
     """Divide out the approximate common factor of a polynomial tuple."""
     polys = tuple(polys)
     if all(p.is_zero for p in polys):
         raise AllZero("every component is the zero polynomial")
-    g = gcd_approx([p for p in polys if not p.is_zero], tau_root=tau_root)
+    g = gcd_approx([p for p in polys if not p.is_zero])
     if g.degree <= 0:
         return polys
     roots = g.roots()
@@ -112,15 +109,6 @@ class ProjCurve:
         return {"n": self.n,
                 "components": [p.to_json() for p in self._components]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ProjCurve":
-        comps = [ComplexPoly.from_json(c) for c in data["components"]]
-        curve = cls(comps)
-        if curve.n != data["n"]:
-            raise DimensionMismatch(
-                f"declared n={data['n']} but {len(comps)} components given")
-        return curve
-
     def __repr__(self) -> str:
         return f"ProjCurve(n={self.n}, degree={self.degree})"
 
@@ -193,15 +181,6 @@ class MovingHyperplane:
 
     def to_json(self) -> dict:
         return {"n": self.n, "coeffs": [p.to_json() for p in self._coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MovingHyperplane":
-        cf = [ComplexPoly.from_json(c) for c in data["coeffs"]]
-        h = cls(cf)
-        if h.n != data["n"]:
-            raise DimensionMismatch(
-                f"declared n={data['n']} but {len(cf)} coefficients given")
-        return h
 
     def __repr__(self) -> str:
         fixed = "fixed" if self.is_fixed else "moving"

@@ -10,7 +10,8 @@ moving hyperplanes:
   - an empirical normality verdict for each induced coefficient-curve family.
 
 Set comparisons ignore multiplicities throughout; matching is bipartite
-nearest-neighbor with mutual-nearest acceptance within tau_match.
+nearest-neighbor with mutual-nearest acceptance within
+``CheckConfig.match_tolerance``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 from . import config
 from .derived import derived_map
 from .errors import IdenticallyZero, WrongCount, ValidationError
-from .normality import MartyThresholds, DEFAULT_MARTY, marty_sup
+from .normality import marty_sup
 from .position import Region, UniformDelta, uniform_delta
 from .projective import (MovingHyperplane, ProjCurve, induced_curve, pair,
                          sup_norm)
@@ -58,44 +59,39 @@ class FamilyMember:
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Parameters of the hypothesis checker."""
+    """The checker's two settings, on a region: the lower-bound constant
+    ``epsilon`` and the general-position threshold ``delta``."""
 
     region: Region
     epsilon: float
     delta: float
-    tau_match: float | None = None
-    tau_root: float = config.TAU_ROOT
-    marty: MartyThresholds = DEFAULT_MARTY
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon < 1.0):
             raise ValidationError(
                 f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.delta <= 0.0:
+        # A NaN delta compares false and is rejected.  +inf is accepted:
+        # montel_omitting at n >= 5 sets delta from a determinant product
+        # that overflows to inf (ROADMAP item 2), and its scenes must still
+        # load and report.
+        if not self.delta > 0.0:
             raise ValidationError(f"delta must be positive, got {self.delta}")
-        if self.tau_match is not None and self.tau_match <= 0.0:
-            raise ValidationError("tau_match must be positive")
 
     @property
     def match_tolerance(self) -> float:
-        return _match_tolerance(self.tau_match, self.region)
+        """TAU_MATCH_REL times the region diameter: the slack of
+        ``preimage_zeros`` and the matching radius of condition 1."""
+        return config.TAU_MATCH_REL * self.region.diameter
 
 
 # ---------------------------------------------------------------------------
 # zero sets and matching
 # ---------------------------------------------------------------------------
 
-def _match_tolerance(tau_match: float | None, region: Region) -> float:
-    """``tau_match``, or by default TAU_MATCH_REL times the region diameter."""
-    if tau_match is not None:
-        return tau_match
-    return config.TAU_MATCH_REL * region.diameter
-
-
-def preimage_zeros(curve: ProjCurve, hyper: MovingHyperplane, region: Region,
-                   tau_match: float | None = None
-                   ) -> list[tuple[complex, int]]:
-    """Zeros of the pairing inside the region (boundary-inclusive).
+def preimage_zeros(curve: ProjCurve, hyper: MovingHyperplane,
+                   region: Region) -> list[tuple[complex, int]]:
+    """Zeros of the pairing inside the region (boundary-inclusive, with a
+    slack of TAU_MATCH_REL times the region diameter).
 
     Raises IdenticallyZero when the curve lies inside the hyperplane; that
     is a degenerate scene, reported upward rather than silently passed.
@@ -105,7 +101,7 @@ def preimage_zeros(curve: ProjCurve, hyper: MovingHyperplane, region: Region,
         raise IdenticallyZero("curve lies inside the hyperplane")
     if p.degree == 0:
         return []
-    slack = _match_tolerance(tau_match, region)
+    slack = config.TAU_MATCH_REL * region.diameter
     return [(z, m) for z, m in p.roots() if region.contains(z, slack=slack)]
 
 
@@ -154,7 +150,7 @@ def conditions_check(member: FamilyMember,
     has |f_0(z)| >= epsilon * sup_norm(f, z); failures carry full witnesses.
     """
     curve = member.curve
-    nabla = derived_map(curve, tau_root=cfg.tau_root)
+    nabla = derived_map(curve)
     f0 = curve.components[0]
     tau = cfg.match_tolerance
     cond1 = []
@@ -162,8 +158,8 @@ def conditions_check(member: FamilyMember,
     checked = 0
     for j, h in enumerate(member.hyperplanes):
         try:
-            zf = [z for z, _ in preimage_zeros(curve, h, cfg.region, tau)]
-            zd = [z for z, _ in preimage_zeros(nabla, h, cfg.region, tau)]
+            zf = [z for z, _ in preimage_zeros(curve, h, cfg.region)]
+            zd = [z for z, _ in preimage_zeros(nabla, h, cfg.region)]
         except IdenticallyZero as exc:
             raise IdenticallyZero(
                 f"hyperplane {j}: {exc}", hyperplane_index=j) from exc
@@ -249,13 +245,14 @@ def _c(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def hypotheses_check(members: Sequence[FamilyMember],
-                     cfg: CheckConfig) -> ConditionReport:
+def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
+                     deltas: dict | None = None) -> ConditionReport:
     """Run every hypothesis check and aggregate the verdicts.
 
-    Degenerate members (curve inside a hyperplane, zero first component)
-    raise, annotated with the member label; they are scene defects, not
-    check failures.
+    ``deltas`` maps hyperplane tuples to a ``uniform_delta`` already taken
+    on ``cfg.region``; tuples it lacks are swept here.  Degenerate members
+    (curve inside a hyperplane, zero first component) raise, annotated with
+    the member label; they are scene defects, not check failures.
     """
     members = list(members)
     warnings: list[str] = []
@@ -268,7 +265,7 @@ def hypotheses_check(members: Sequence[FamilyMember],
 
     verdicts: list[MemberVerdict] = []
     # Members holding the same hyperplane objects share one uniform_delta.
-    deltas: dict = {}
+    deltas = dict(deltas or {})
     for m in members:
         try:
             if m.hyperplanes not in deltas:
@@ -297,16 +294,16 @@ def hypotheses_check(members: Sequence[FamilyMember],
     induced = []
     for j in range(count):
         fam = [curves[m.hyperplanes[j]] for m in members]
-        stats = marty_sup(fam, cfg.region, thresholds=cfg.marty)
+        stats = marty_sup(fam, cfg.region)
         induced.append({
             "hyperplane": j,
             "verdict": stats.verdict,
             "sups": list(stats.sups),
         })
-    if len(members) < cfg.marty.window:
+    if len(members) < config.MARTY_WINDOW:
         warnings.append(
             "induced-family normality is inconclusive below "
-            f"{cfg.marty.window} members")
+            f"{config.MARTY_WINDOW} members")
 
     delta_ok = all(v.delta_ok for v in verdicts)
     c1_ok = all(v.condition1_ok for v in verdicts)

@@ -192,7 +192,7 @@ def test_acceptance_4_montel_bounded(announce):
     drift = max(abs(a - b) / max(1.0, abs(a), abs(b))
                 for a, b in zip(stats.sups, fine.sups))
     elapsed = time.perf_counter() - start
-    below_cap = max(stats.sups) <= config.DEFAULT_MARTY.cap
+    below_cap = max(stats.sups) <= config.MARTY_CAP
     ok = (stats.verdict == "bounded" and below_cap and drift <= 1e-6
           and elapsed <= 5.0)
     announce(4, ok, f"omitting family verdict {stats.verdict}, max sup "

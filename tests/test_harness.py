@@ -11,8 +11,8 @@ from projcurve.cli import main as cli_main
 from projcurve.errors import (BadParams, ParseError, UnknownTemplate,
                               ValidationError)
 from projcurve.harness import (STAGES, generate_scene, load_scene,
-                               rebuild_scene, run_pipeline, save_scene,
-                               scene_from_json, scene_to_json)
+                               run_pipeline, save_scene, scene_from_json,
+                               scene_to_json)
 from projcurve.position import Region
 from projcurve.projective import MovingHyperplane
 from projcurve.sharing import FamilyMember
@@ -24,8 +24,7 @@ def minimal_scene_dict():
         "n": 1,
         "region": {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0,
                    "grid_nx": 11, "grid_ny": 11},
-        "config": {"epsilon": 0.5, "delta": 1e-4, "tau_match": None,
-                   "tau_root": 1e-6},
+        "config": {"epsilon": 0.5, "delta": 1e-4},
         "members": [{
             "label": "m0",
             "curve": {"n": 1, "components": [[[1.0, 0.0]],
@@ -106,6 +105,42 @@ class TestSceneIO:
         scene = scene_from_json(minimal_scene_dict())
         for h in scene.members[0].hyperplanes:
             assert h.normalization is not None
+
+    def test_saved_config_holds_epsilon_and_delta(self):
+        data = scene_to_json(generate_scene("wandering_shared"))
+        assert data["config"] == {"epsilon": 0.5, "delta": 1e-4}
+
+    @pytest.mark.parametrize("key, value", [
+        ("tau_root", 1e-3), ("tau_root", None), ("tau_match", 0.01),
+        ("tau_match", 1e-6)])
+    def test_tau_values_other_than_the_fixed_ones_rejected(self, key,
+                                                            value):
+        data = minimal_scene_dict()
+        data["config"][key] = value
+        with pytest.raises(ValidationError) as err:
+            scene_from_json(data)
+        assert err.value.path == f"$.config.{key}"
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("config", "delta", math.nan),
+        ("region", "x_max", math.inf), ("region", "x_min", -math.inf),
+        ("region", "y_min", math.nan)])
+    def test_non_finite_values_rejected(self, section, key, value):
+        data = minimal_scene_dict()
+        data[section][key] = value
+        with pytest.raises(ValidationError) as err:
+            scene_from_json(data)
+        assert err.value.path == f"$.{section}"
+
+    def test_overflowed_delta_still_loads(self, tmp_path):
+        # At n = 5 the montel_omitting determinant product overflows to inf
+        # (ROADMAP item 2), so the template writes delta = Infinity.
+        scene = generate_scene("montel_omitting",
+                               {"n": 5, "N": 1, "grid_nx": 3, "grid_ny": 3})
+        assert scene.config.delta == math.inf
+        path = str(tmp_path / "scene.json")
+        save_scene(scene, path)
+        assert load_scene(path).config.delta == math.inf
 
 
 class TestTemplates:
@@ -240,13 +275,14 @@ class TestPipeline:
         with pytest.raises(BadParams):
             run_pipeline(scene, which=("nope",))
 
-    def test_rebuild_scene_grid(self):
-        scene = generate_scene("wandering_shared")
+    def test_load_scene_grid(self, tmp_path):
+        path = str(tmp_path / "scene.json")
+        save_scene(generate_scene("wandering_shared"), path)
         region = Region(-1, 1, -1, 1, 21, 21)
-        rebuilt = rebuild_scene(scene, region=region)
-        assert rebuilt.region.grid_nx == 21
-        assert rebuilt.config.region == region
-        for m in rebuilt.members:
+        scene = load_scene(path, grid=(21, 21))
+        assert scene.region == region
+        assert scene.config.region == region
+        for m in scene.members:
             for h in m.hyperplanes:
                 assert h.normalization is not None
 
@@ -323,15 +359,41 @@ class TestSharedHyperplanes:
             scene_from_json(bad)
         assert err.value.path == "$.members[3].hyperplanes[1]"
 
-    def test_generated_and_rebuilt_scenes_share(self, monkeypatch):
+    def test_generated_and_regridded_scenes_share(self, monkeypatch):
         scene = generate_scene("blowup_linear",
                                {"n": 2, "N": 10, "grid_nx": 11,
                                 "grid_ny": 11})
         assert len(hyperplane_ids(scene)) == 5
+        data = scene_to_json(scene)
         calls = count_calls(monkeypatch, MovingHyperplane, "normalized")
-        rebuilt = rebuild_scene(scene, region=Region(-1, 1, -1, 1, 9, 7))
+        regridded = scene_from_json(data, grid=(9, 7))
         assert len(calls) == 5
-        assert len(hyperplane_ids(rebuilt)) == 5
+        assert len(hyperplane_ids(regridded)) == 5
+
+    def test_grid_override_normalizes_once_on_the_final_grid(
+            self, monkeypatch, tmp_path):
+        # 12 members: the shared fixed (0, 1) and 24 moving hyperplanes.
+        path = str(tmp_path / "ws.json")
+        save_scene(generate_scene("wandering_shared",
+                                  {"N": 12, "grid_nx": 21, "grid_ny": 21}),
+                   path)
+        calls = count_calls(monkeypatch, MovingHyperplane, "normalized")
+        report = str(tmp_path / "r.json")
+        assert cli_main(["position", path, "--grid", "11", "11",
+                         "-o", report]) == 0
+        assert [(r.grid_nx, r.grid_ny) for _, r in calls] == [(11, 11)] * 25
+
+    def test_check_reuses_position_deltas(self, monkeypatch):
+        scene = generate_scene("wandering_shared",
+                               {"N": 12, "grid_nx": 21, "grid_ny": 21})
+        alone = {stage: run_pipeline(scene, which=(stage,))[0]["stages"][stage]
+                 for stage in ("position", "check")}
+        calls = count_calls(monkeypatch, position.SubsetDeterminants, "of")
+        report, code = run_pipeline(scene, which=("position", "check"))
+        assert code == 0
+        assert len(calls) == 12
+        assert json.dumps(report["stages"], sort_keys=True) == \
+            json.dumps(alone, sort_keys=True)
 
     def test_check_builds_subset_determinants_once(self, monkeypatch,
                                                    tmp_path):
@@ -504,6 +566,82 @@ class TestCli:
         assert out == ""
         assert err == ("error: --grid: need at least 2 grid samples per axis\n"
                        "error: need at least 2 grid samples per axis\n")
+
+    def test_fixed_tau_keys_give_identical_reports(self, tmp_path, capsys):
+        # Scene files saved before the tolerances became constants carry
+        # both keys with the only values ever written.
+        data = scene_to_json(generate_scene("blowup_linear", {"N": 5}))
+        legacy = copy.deepcopy(data)
+        legacy["config"].update({"tau_match": None, "tau_root": 1e-06})
+        paths = []
+        for name, scene in (("new", data), ("legacy", legacy)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(scene))
+        for stage in STAGES:
+            outs = [tmp_path / f"{p.stem}.{stage}.out" for p in paths]
+            codes = [self.run(stage, str(p), "-o", str(o))
+                     for p, o in zip(paths, outs)]
+            assert codes[0] == codes[1]
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_other_tau_root_exit_3(self, tmp_path, capsys):
+        data = minimal_scene_dict()
+        data["config"]["tau_root"] = 1e-3
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert self.run("check", str(scene_path)) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: $.config.tau_root: ")
+
+    def test_tol_root_flag_is_gone(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(minimal_scene_dict()))
+        with pytest.raises(SystemExit):
+            self.run("check", str(scene_path), "--tol-root", "1e-6")
+
+    def test_non_finite_delta_exit_3(self, tmp_path, capsys):
+        data = minimal_scene_dict()
+        data["config"]["delta"] = math.nan
+        nan_path = tmp_path / "nan.json"
+        nan_path.write_text(json.dumps(data))
+        assert "NaN" in nan_path.read_text()
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(minimal_scene_dict()))
+        capsys.readouterr()
+        assert self.run("position", str(nan_path)) == 3
+        assert self.run("position", str(scene_path), "--delta", "inf") == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: $.config: delta must be positive, got nan\n"
+            "error: --delta: must be finite, got inf\n")
+
+    def test_zalcman_zero_sup_reports_error(self, tmp_path, capsys):
+        # [1 : 0.5], [1 : z], [1 : 2z], [1 : 3z]: sups (0, 1, 2, 3) grow,
+        # so the verdict is blow-up, but the constant member has no scale.
+        data = minimal_scene_dict()
+        data["region"]["grid_nx"] = data["region"]["grid_ny"] = 21
+        template = data["members"][0]
+        data["members"] = []
+        for k, second in enumerate(([[0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]],
+                                    [[0.0, 0.0], [2.0, 0.0]],
+                                    [[0.0, 0.0], [3.0, 0.0]])):
+            member = copy.deepcopy(template)
+            member["label"] = f"m{k}"
+            member["curve"]["components"] = [[[1.0, 0.0]], second]
+            data["members"].append(member)
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(data))
+        report_path = tmp_path / "r.json"
+        assert self.run("zalcman", str(scene_path),
+                        "-o", str(report_path)) == 2
+        report = json.loads(report_path.read_text())
+        assert report["stages"]["normality"]["sups"] == [0.0, 1.0, 2.0, 3.0]
+        assert report["stages"]["normality"]["verdict"] == "blow-up"
+        error = report["stages"]["zalcman"]["error"]
+        assert error["type"] == "NotBlowingUp"
+        assert "member 0" in error["message"]
 
     def test_delta_override_flips_verdict(self, tmp_path, capsys):
         scene_path = str(tmp_path / "scene.json")

@@ -20,7 +20,7 @@ class TestPolyvalGrid:
         pts = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         vals = _kernels.polyval_grid_numpy(coeffs, pts)
         for i in range(3):
-            p = ComplexPoly(coeffs[i], tau_coeff=0.0)
+            p = ComplexPoly(coeffs[i])
             assert np.abs(vals[i] - p(pts)).max() <= 1e-12 * \
                 max(1.0, np.abs(vals[i]).max())
 

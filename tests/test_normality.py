@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from projcurve import normality, position
 from projcurve._kernels import fs_derivative_grid, pairwise_fs_grid
-from projcurve.config import MartyThresholds
 from projcurve.errors import NotBlowingUp, WrongCount
 from projcurve.normality import (fs_derivative, fs_derivative_on_grid,
                                  marty_sup, zalcman_search)
@@ -108,11 +107,6 @@ class TestMartySup:
     def test_empty_family_raises(self):
         with pytest.raises(WrongCount):
             marty_sup([], REGION)
-
-    def test_custom_thresholds(self):
-        th = MartyThresholds(cap=10.0, growth_factor=1.5, window=2)
-        stats = marty_sup(linear_family(3), REGION, thresholds=th)
-        assert stats.verdict == "blow-up"
 
     def test_constant_curves_skip_the_grid(self, monkeypatch):
         curves = [ProjCurve([ComplexPoly([c ** l]) for l in range(n + 1)])

@@ -2,8 +2,8 @@ import projcurve
 
 PUBLIC = {
     "AllZero", "BadParams", "CheckConfig", "ComplexPoly", "ConditionReport",
-    "DEFAULT_MARTY", "DimensionMismatch", "FamilyMember",
-    "FirstComponentZero", "IdenticallyZero", "MartyStats", "MartyThresholds",
+    "DimensionMismatch", "FamilyMember",
+    "FirstComponentZero", "IdenticallyZero", "MartyStats",
     "MovingHyperplane", "NotBlowingUp", "ParseError", "ProjCurve",
     "ProjcurveError", "Region", "Scene", "UniformDelta", "UnknownTemplate",
     "ValidationError", "WrongCount", "ZalcmanTrace", "ZeroPolynomial",

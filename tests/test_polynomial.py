@@ -9,6 +9,8 @@ from projcurve import config
 from projcurve.errors import AllZero, ZeroPolynomial
 from projcurve.polynomial import (ComplexPoly, _cluster_points, gcd_approx,
                                   wronskian)
+from projcurve.projective import ProjCurve
+from test_projective import scene_round_trip
 
 
 def close(a, b, tol=1e-9):
@@ -53,7 +55,7 @@ class TestConstruction:
         assert list(p.coeffs) == [1.0 + 0j, 2.0 + 0j]
 
     def test_relative_trim(self):
-        # trailing coefficients below tau_coeff * max|c| count as zero
+        # trailing coefficients below TAU_COEFF * max|c| count as zero
         p = ComplexPoly([1.0, 1e-20])
         assert p.degree == 0
 
@@ -334,7 +336,8 @@ class TestJson:
     @given(polys())
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, p):
-        assert ComplexPoly.from_json(p.to_json()) == p
+        curve = ProjCurve([ComplexPoly.one(), p])
+        assert scene_round_trip(curve).components[1] == p
 
     def test_shape(self):
         p = ComplexPoly([1 + 2j])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -61,6 +62,12 @@ class TestRegion:
             Region(1, -1, 0, 1, 5, 5)
         with pytest.raises(ValueError):
             Region(-1, 1, -1, 1, 1, 5)
+
+    @pytest.mark.parametrize("bounds", [
+        (-1, math.inf, -1, 1), (-math.inf, 1, -1, 1), (-1, 1, math.nan, 1)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            Region(*bounds, 3, 3)
 
     def test_contains(self):
         r = Region(-1, 1, -1, 1, 5, 5)

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projcurve.errors import AllZero, DimensionMismatch, ZeroPolynomial
+from projcurve.harness import Scene, scene_from_json, scene_to_json
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
 from projcurve.projective import (MovingHyperplane, ProjCurve, fs_distance,
                                   induced_curve, pair, reduce_tuple, sup_norm)
+from projcurve.sharing import CheckConfig, FamilyMember
 
 ONE = ComplexPoly.one()
 Z = ComplexPoly([0, 1])
@@ -20,6 +23,19 @@ unit_complex = st.builds(
     st.floats(min_value=-3.0, max_value=3.0),
     st.floats(min_value=-3.0, max_value=3.0),
 ).filter(lambda c: 0.05 <= abs(c) <= 5.0)
+
+
+def scene_round_trip(curve):
+    """An n = 1 curve written and read back through the scene format, the
+    one reader of curve and polynomial JSON."""
+    region = Region(-1, 1, -1, 1, 3, 3)
+    hypers = [MovingHyperplane([ComplexPoly([a]), ComplexPoly([b])])
+              for a, b in ((1, 0), (0, 1), (1, 1))]
+    scene = Scene(n=1, region=region,
+                  members=(FamilyMember(curve, hypers, "m"),),
+                  config=CheckConfig(region, 0.5, 0.1), metadata={})
+    text = json.dumps(scene_to_json(scene))
+    return scene_from_json(json.loads(text)).members[0].curve
 
 
 def chordal(a, b):
@@ -86,7 +102,7 @@ class TestProjCurve:
 
     def test_json_round_trip(self):
         f = ProjCurve([ONE, ComplexPoly([1j, 2.0])])
-        g = ProjCurve.from_json(f.to_json())
+        g = scene_round_trip(f)
         assert g.components == f.components
 
 
