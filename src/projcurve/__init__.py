@@ -17,10 +17,10 @@ from .harness import (Scene, generate_scene, load_scene, run_pipeline,
                       save_scene, scene_from_json, scene_to_json)
 from .normality import (MartyStats, ZalcmanTrace, fs_derivative,
                         fs_derivative_on_grid, marty_sup, zalcman_search)
-from .polynomial import ComplexPoly, gcd_approx, wronskian
+from .polynomial import ComplexPoly, wronskian
 from .position import Region, UniformDelta, uniform_delta
 from .projective import (MovingHyperplane, ProjCurve, fs_distance,
-                         induced_curve, pair, reduce_tuple, sup_norm)
+                         induced_curve, pair, sup_norm)
 from .sharing import (CheckConfig, ConditionReport, FamilyMember,
                       conditions_check, hypotheses_check, match_point_sets,
                       preimage_zeros)
@@ -35,10 +35,10 @@ __all__ = [
     "ProjCurve", "ProjcurveError", "Region", "Scene", "UniformDelta",
     "UnknownTemplate", "ValidationError", "WrongCount", "ZalcmanTrace",
     "ZeroPolynomial", "conditions_check", "config", "derived_map",
-    "fs_derivative", "fs_derivative_on_grid", "fs_distance", "gcd_approx",
+    "fs_derivative", "fs_derivative_on_grid", "fs_distance",
     "generate_scene", "hypotheses_check", "induced_curve", "load_scene",
     "marty_sup", "match_point_sets", "pair", "preimage_zeros",
-    "reduce_tuple", "run_pipeline", "save_scene", "scene_from_json",
+    "run_pipeline", "save_scene", "scene_from_json",
     "scene_to_json", "sup_norm", "uniform_delta", "wronskian",
     "zalcman_search", "__version__",
 ]

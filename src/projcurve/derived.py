@@ -8,13 +8,20 @@ the reduced representation of
 where W(p, q) = p q' - p' q.  In inhomogeneous terms each W(f_0, f_l)/f_0^2
 is the derivative of f_l/f_0, so for n = 1 the derived map is exactly the
 derivative of the rational function the curve represents.
+
+When f is reduced (its components have no common zero), the common factor
+of that tuple is gcd(f_0, f_0'): at a root a of f_0 of multiplicity m, f_0^2
+vanishes to order 2m and each W(f_0, f_l) to order at least m - 1, with
+equality for some l because some f_l(a) is nonzero.  So the reduction needs
+one root solve of f_0 and divides every part by (z - a)^(m - 1); on a curve
+that is not reduced it leaves the components' shared factor in.
 """
 
 from __future__ import annotations
 
 from .errors import FirstComponentZero
-from .polynomial import wronskian
-from .projective import ProjCurve, reduce_tuple
+from .polynomial import divide_out, wronskian
+from .projective import ProjCurve
 
 
 def derived_map(curve: ProjCurve) -> ProjCurve:
@@ -26,5 +33,8 @@ def derived_map(curve: ProjCurve) -> ProjCurve:
     parts = [f0 * f0]
     for fl in curve.components[1:]:
         parts.append(wronskian(f0, fl))
-    reduced = reduce_tuple(parts)
-    return ProjCurve(reduced, check_reduced=False)
+    for root, mult in f0.roots():
+        if mult > 1:
+            parts = [p if p.is_zero else divide_out(p, root, mult - 1)
+                     for p in parts]
+    return ProjCurve(parts, check_reduced=False)

@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import json
 import os
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,6 +74,9 @@ def _poly_from_json(data, path: str) -> ComplexPoly:
         _expect(isinstance(item, list) and len(item) == 2
                 and all(isinstance(v, (int, float)) for v in item),
                 "coefficient must be a [re, im] pair", f"{path}[{i}]")
+        # Also rules out NaN and integers too large for a double.
+        _expect(all(abs(v) <= sys.float_info.max for v in item),
+                f"coefficient must be finite, got {item}", f"{path}[{i}]")
         coeffs.append(complex(item[0], item[1]))
     return ComplexPoly(coeffs)
 

@@ -18,7 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import config
-from .errors import AllZero, ZeroPolynomial
+from ._kernels import polyval_grid
+from .errors import ZeroPolynomial
 
 
 class ComplexPoly:
@@ -49,10 +50,6 @@ class ComplexPoly:
     @classmethod
     def one(cls) -> "ComplexPoly":
         return cls([1.0])
-
-    @classmethod
-    def constant(cls, c: complex) -> "ComplexPoly":
-        return cls([c])
 
     @classmethod
     def from_roots(cls, roots: Sequence[complex],
@@ -97,15 +94,9 @@ class ComplexPoly:
 
     def __call__(self, z):
         """Horner evaluation; accepts scalars or numpy arrays."""
-        if self._coeffs.size == 0:
-            if isinstance(z, np.ndarray):
-                return np.zeros(z.shape, dtype=np.complex128)
-            return 0j
         if isinstance(z, np.ndarray):
-            acc = np.full(z.shape, self._coeffs[-1], dtype=np.complex128)
-            for c in self._coeffs[-2::-1]:
-                acc = acc * z + c
-            return acc
+            return polyval_grid(self._coeffs[None, :],
+                                z.ravel())[0].reshape(z.shape)
         return _horner(self._coeffs.tolist(), complex(z))
 
     # -- arithmetic --------------------------------------------------
@@ -139,11 +130,6 @@ class ComplexPoly:
             return ComplexPoly.zero()
         k = np.arange(1, self._coeffs.size)
         return ComplexPoly(self._coeffs[1:] * k)
-
-    def monic(self) -> "ComplexPoly":
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no monic form")
-        return ComplexPoly(self._coeffs / self._coeffs[-1])
 
     def shift_scale(self, center: complex, scale: complex) -> "ComplexPoly":
         """Return q with q(w) = p(center + scale * w), exactly in coefficients.
@@ -271,53 +257,12 @@ def wronskian(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
     return p * q.derivative() - p.derivative() * q
 
 
-def gcd_approx(polys: Sequence[ComplexPoly]) -> ComplexPoly:
-    """Monic approximate gcd via shared root clusters.
-
-    The zero polynomial divides nothing here: zero entries are skipped.  A
-    nonzero constant anywhere forces gcd 1.  Otherwise the root clusters of
-    the lowest-degree polynomial are matched against every other polynomial's
-    clusters within ``config.TAU_ROOT``; matched roots enter the gcd with the
-    minimum multiplicity seen.
-    """
-    live = [p for p in polys if not p.is_zero]
-    if not live:
-        raise AllZero("gcd of all-zero inputs is undefined")
-    if any(p.degree == 0 for p in live):
-        return ComplexPoly.one()
-    live.sort(key=lambda p: p.degree)
-    base = live[0].roots()
-    others = [p.roots() for p in live[1:]]
-    shared: list[tuple[complex, int]] = []
-    for root, mult in base:
-        mmin = mult
-        ok = True
-        for rl in others:
-            best = None
-            for r2, m2 in rl:
-                d = abs(r2 - root)
-                if d <= config.TAU_ROOT and (best is None or d < best[0]):
-                    best = (d, m2)
-            if best is None:
-                ok = False
-                break
-            mmin = min(mmin, best[1])
-        if ok:
-            shared.append((root, mmin))
-    if not shared:
-        return ComplexPoly.one()
-    roots_flat: list[complex] = []
-    for root, mult in shared:
-        roots_flat.extend([root] * mult)
-    return ComplexPoly.from_roots(roots_flat)
-
-
 def divide_out(p: ComplexPoly, root: complex, mult: int) -> ComplexPoly:
     """Deflate ``p`` by its own root nearest ``root``, ``mult`` times.
 
-    Deflating by the exact shared-cluster representative can leave a large
-    remainder when p's own root sits a few ulps away, so each pass re-polishes
-    against p's value before dividing.
+    Deflating by ``root`` itself, a root of another polynomial, can leave a
+    large remainder when p's own root sits a few ulps away, so each pass
+    re-polishes against p's value before dividing.
     """
     out = p
     target = complex(root)

@@ -19,43 +19,30 @@ from typing import Sequence
 
 import numpy as np
 
+from . import config
 from .errors import AllZero, DimensionMismatch, ZeroPolynomial
-from .polynomial import ComplexPoly, divide_out, gcd_approx
-
-
-# ---------------------------------------------------------------------------
-# reduction
-# ---------------------------------------------------------------------------
-
-def reduce_tuple(polys: Sequence[ComplexPoly]) -> tuple[ComplexPoly, ...]:
-    """Divide out the approximate common factor of a polynomial tuple."""
-    polys = tuple(polys)
-    if all(p.is_zero for p in polys):
-        raise AllZero("every component is the zero polynomial")
-    g = gcd_approx([p for p in polys if not p.is_zero])
-    if g.degree <= 0:
-        return polys
-    roots = g.roots()
-    out = []
-    for p in polys:
-        if p.is_zero:
-            out.append(p)
-            continue
-        q = p
-        for root, mult in roots:
-            q = divide_out(q, root, mult)
-        out.append(q)
-    return tuple(out)
+from .polynomial import ComplexPoly
 
 
 def _check_no_common_zero(polys: tuple[ComplexPoly, ...]) -> None:
-    live = [p for p in polys if not p.is_zero]
-    if any(p.degree == 0 for p in live):
+    """Reject a tuple whose nonzero entries share a root.
+
+    A nonzero constant entry rules out a common zero.  Otherwise a root of
+    the lowest-degree entry is common when every other entry has a root
+    within ``config.TAU_ROOT`` of it.
+    """
+    live = sorted((p for p in polys if not p.is_zero), key=lambda p: p.degree)
+    if live[0].degree == 0:
         return
-    g = gcd_approx(live)
-    if g.degree > 0:
-        raise ZeroPolynomial(
-            "components share a zero; reduce the representation first")
+    shared = [root for root, _ in live[0].roots()]
+    for p in live[1:]:
+        others = [r for r, _ in p.roots()]
+        shared = [root for root in shared
+                  if any(abs(r - root) <= config.TAU_ROOT for r in others)]
+        if not shared:
+            return
+    raise ZeroPolynomial(
+        "components share a zero; reduce the representation first")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from projcurve.harness import generate_scene, run_pipeline
 from projcurve.normality import fs_derivative, marty_sup, zalcman_search
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region, uniform_delta
-from projcurve.projective import MovingHyperplane, ProjCurve, pair, reduce_tuple
+from projcurve.projective import MovingHyperplane, ProjCurve, pair
 
 
 @pytest.fixture
@@ -340,7 +340,7 @@ def test_acceptance_8_reduction_invariants(announce):
                 pts.append(z)
         return pts
 
-    idempotent_failures = 0
+    degree_failures = 0
     residual_failures = 0
     for _ in range(500):
         g_simple = sample_points(int(rng.integers(1, 3)), [], 0.15)
@@ -352,12 +352,13 @@ def test_acceptance_8_reduction_invariants(announce):
         q_roots = sample_points(2, g_simple, 0.1)
         q0 = ComplexPoly.from_roots([q_roots[0]])
         q1 = ComplexPoly.from_roots([q_roots[1]])
-        p0, p1 = g * q0, g * q1
-
-        red = reduce_tuple([p0, p1])
-        again = reduce_tuple(list(red))
-        if again != red:
-            idempotent_failures += 1
+        # [g q0 : q1] is reduced, and f0 = g q0 carries the planted factor:
+        # the derived tuple [f0^2 : W(f0, f1)] shares gcd(f0, f0'), one
+        # factor (z - r) per double root r of g.
+        red = derived_map(ProjCurve([g * q0, q1])).components
+        doubles = len(g_roots) - len(g_simple)
+        if red[0].degree != 2 * (len(g_roots) + 1) - doubles:
+            degree_failures += 1
 
         scale = max(max(np.abs(p.coeffs).max() for p in red), 1.0)
         for p in red:
@@ -368,9 +369,9 @@ def test_acceptance_8_reduction_invariants(announce):
                 if other <= TAU_RES * scale:
                     residual_failures += 1
     elapsed = time.perf_counter() - start
-    ok = idempotent_failures == 0 and residual_failures == 0
-    announce(8, ok, f"reduction over 500 planted-factor tuples, idempotence "
-                    f"failures {idempotent_failures}, residual failures "
+    ok = degree_failures == 0 and residual_failures == 0
+    announce(8, ok, f"derived-map reduction over 500 planted-factor curves, "
+                    f"degree failures {degree_failures}, residual failures "
                     f"{residual_failures}, {elapsed:.2f}s")
-    assert idempotent_failures == 0
+    assert degree_failures == 0
     assert residual_failures == 0

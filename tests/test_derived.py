@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from projcurve.derived import derived_map
 from projcurve.errors import FirstComponentZero
@@ -90,3 +93,71 @@ class TestDerivativeOfRatio:
         f = ProjCurve([p, q], check_reduced=False)
         d = derived_map(f)
         assert max(c.degree for c in d.components) < 4
+
+
+class TestMultipleRoots:
+    # A root of f0 of multiplicity m leaves the factor (z - a)^(m - 1) in
+    # every part of [f0^2 : W(f0, f1) : ...], and the reduction removes it.
+    A = 0.0123 + 0.0071j
+
+    def degrees(self, mult):
+        f = ProjCurve([ComplexPoly.from_roots([self.A] * mult), ONE])
+        return [c.degree for c in derived_map(f).components]
+
+    def test_double_root(self):
+        assert self.degrees(2) == [3, 0]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: roots() splits a root of multiplicity >= 3 into "
+        "simple roots, so nothing is divided out"))
+    def test_five_fold_root(self):
+        assert self.degrees(5) == [6, 0]
+
+
+Z_SYM = sympy.Symbol("z")
+
+# Roots of f0 on the Gaussian lattice with step 1/4 inside [-1, 1]^2, so
+# every coefficient below is a short dyadic rational, exact in floating
+# point, and the only inexact step is the root solve of f0.
+lattice_roots = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 2)),
+    max_size=3, unique_by=lambda t: t[:2])
+small_int_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+
+
+def sympy_poly(expr):
+    return sympy.Poly(expr, Z_SYM, domain="QQ_I")
+
+
+def to_complex_poly(poly):
+    return ComplexPoly([complex(c) for c in reversed(poly.all_coeffs())])
+
+
+class TestExactOracle:
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        lattice_roots, st.lists(small_int_polys, min_size=n, max_size=n))))
+    @settings(max_examples=80, deadline=None)
+    def test_degrees_match_exact_gcd(self, drawn):
+        roots, others = drawn
+        f0 = sympy_poly(sympy.Mul(*[
+            (Z_SYM - sympy.Rational(k, 4) - sympy.I * sympy.Rational(l, 4))
+            ** m for k, l, m in roots]))
+        fs = [sympy_poly(sum(c * Z_SYM ** j for j, c in enumerate(cs)))
+              for cs in others]
+        common = f0
+        for f in fs:
+            common = common.gcd(f)
+        assume(common.degree() == 0)  # the identity needs a reduced curve
+
+        parts = [f0 * f0] + [f0 * f.diff(Z_SYM) - f0.diff(Z_SYM) * f
+                             for f in fs]
+        g = parts[0]
+        for part in parts[1:]:
+            g = g.gcd(part)
+        want = [part.degree() - g.degree() if not part.is_zero else -1
+                for part in parts]
+
+        curve = ProjCurve([to_complex_poly(f) for f in [f0] + fs],
+                          check_reduced=False)
+        got = [c.degree for c in derived_map(curve).components]
+        assert got == want

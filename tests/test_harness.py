@@ -617,6 +617,35 @@ class TestCli:
             "error: $.config: delta must be positive, got nan\n"
             "error: --delta: must be finite, got inf\n")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       10 ** 400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
+    @pytest.mark.parametrize("where", [
+        ("curve", "components", 1, 0),
+        ("hyperplanes", 1, "coeffs", 1, 0),
+    ], ids=["curve", "hyperplane"])
+    def test_non_finite_coefficient_exit_3(self, tmp_path, capsys, value,
+                                           where):
+        # Python's json reads NaN and +-Infinity; a NaN used to end in a
+        # LinAlgError traceback and an infinity loaded as the zero
+        # polynomial.
+        data = scene_to_json(generate_scene("wandering_shared", {"N": 3}))
+        item = data["members"][1]
+        for key in where:
+            item = item[key]
+        item[0] = value
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(data))
+        path = "$.members[1]" + "".join(
+            f"[{k}]" if isinstance(k, int) else f".{k}" for k in where)
+        capsys.readouterr()
+        for stage in ("position", "check"):
+            assert self.run(stage, str(scene_path)) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(
+                f"error: {path}: coefficient must be finite, got [")
+
     def test_zalcman_zero_sup_reports_error(self, tmp_path, capsys):
         # [1 : 0.5], [1 : z], [1 : 2z], [1 : 3z]: sups (0, 1, 2, 3) grow,
         # so the verdict is blow-up, but the constant member has no scale.

@@ -8,9 +8,9 @@ PUBLIC = {
     "ProjcurveError", "Region", "Scene", "UniformDelta", "UnknownTemplate",
     "ValidationError", "WrongCount", "ZalcmanTrace", "ZeroPolynomial",
     "conditions_check", "config", "derived_map", "fs_derivative",
-    "fs_derivative_on_grid", "fs_distance", "gcd_approx", "generate_scene",
+    "fs_derivative_on_grid", "fs_distance", "generate_scene",
     "hypotheses_check", "induced_curve", "load_scene", "marty_sup",
-    "match_point_sets", "pair", "preimage_zeros", "reduce_tuple",
+    "match_point_sets", "pair", "preimage_zeros",
     "run_pipeline", "save_scene", "scene_from_json", "scene_to_json",
     "sup_norm", "uniform_delta", "wronskian", "zalcman_search",
     "__version__",

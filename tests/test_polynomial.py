@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from projcurve import config
 from projcurve.errors import AllZero, ZeroPolynomial
-from projcurve.polynomial import (ComplexPoly, _cluster_points, gcd_approx,
-                                  wronskian)
-from projcurve.projective import ProjCurve
+from projcurve.polynomial import ComplexPoly, _cluster_points, wronskian
+from projcurve.projective import MovingHyperplane, ProjCurve
 from test_projective import scene_round_trip
 
 
@@ -302,34 +301,46 @@ class TestWronskian:
 
 
 class TestGcd:
+    """The no-common-zero check of ``ProjCurve`` and ``MovingHyperplane``:
+    the gcd of the nonzero entries must be constant."""
+
+    BUILDERS = (ProjCurve, MovingHyperplane)
+
     def test_coprime_gives_constant(self):
-        p = ComplexPoly([1, 1])   # z + 1
-        q = ComplexPoly([-1, 1])  # z - 1
-        assert gcd_approx([p, q]).degree == 0
+        z = ComplexPoly([0, 1])
+        for entries in ([ComplexPoly([1, 1]), ComplexPoly([-1, 1])],
+                        # a nonzero constant rules out a common zero
+                        [z, ComplexPoly.one(), z * z]):
+            for build in self.BUILDERS:
+                build(entries)
 
     def test_planted_common_factor(self):
         g = ComplexPoly.from_roots([0.5, -1.5])
-        p = g * ComplexPoly([1, 1])
-        q = g * ComplexPoly([3, 0, 1])
-        got = gcd_approx([p, q])
-        assert got.degree == 2
-        assert poly_close(got.monic(), g.monic(), tol=1e-6)
-
-    def test_multiplicity_takes_minimum(self):
-        p = ComplexPoly.from_roots([1.0, 1.0, -2.0])  # (z-1)^2 (z+2)
-        q = ComplexPoly.from_roots([1.0, 0.0])        # (z-1) z
-        got = gcd_approx([p, q])
-        assert got.degree == 1
-        assert poly_close(got.monic(), ComplexPoly([-1, 1]), tol=1e-6)
+        pairs = ([g * ComplexPoly([1, 1]), g * ComplexPoly([3, 0, 1])],
+                 # one shared root, double in the first entry
+                 [ComplexPoly.from_roots([1.0, 1.0, -2.0]),
+                  ComplexPoly.from_roots([1.0, 0.0])])
+        for entries in pairs:
+            for build in self.BUILDERS:
+                with pytest.raises(ZeroPolynomial):
+                    build(entries)
 
     def test_all_zero_raises(self):
-        with pytest.raises(AllZero):
-            gcd_approx([ComplexPoly.zero(), ComplexPoly.zero()])
+        for build in self.BUILDERS:
+            with pytest.raises(AllZero):
+                build([ComplexPoly.zero(), ComplexPoly.zero()])
 
     def test_zero_entries_ignored(self):
         g = ComplexPoly([2, 1])
-        got = gcd_approx([ComplexPoly.zero(), g * ComplexPoly([1, 1])])
-        assert got.degree <= 2
+        zero = ComplexPoly.zero()
+        for build in self.BUILDERS:
+            build([zero, ComplexPoly([1, 1]), ComplexPoly([-1, 1])])
+            build([ComplexPoly([1, 1]), zero, ComplexPoly.one()])
+            with pytest.raises(ZeroPolynomial):
+                build([zero, g * ComplexPoly([1, 1]), g])
+            # [0 : z + 2] is zero at z = -2
+            with pytest.raises(ZeroPolynomial):
+                build([zero, g])
 
 
 class TestJson:

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projcurve.errors import AllZero, DimensionMismatch, ZeroPolynomial
+from projcurve.errors import DimensionMismatch, ZeroPolynomial
 from projcurve.harness import Scene, scene_from_json, scene_to_json
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
 from projcurve.projective import (MovingHyperplane, ProjCurve, fs_distance,
-                                  induced_curve, pair, reduce_tuple, sup_norm)
+                                  induced_curve, pair, sup_norm)
 from projcurve.sharing import CheckConfig, FamilyMember
 
 ONE = ComplexPoly.one()
@@ -49,30 +49,6 @@ def chordal(a, b):
     if cmath.isinf(b):
         return 1.0 / math.sqrt(1.0 + abs(a) ** 2)
     return abs(a - b) / math.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
-
-
-class TestReduceTuple:
-    def test_common_linear_factor(self):
-        p = ComplexPoly([-1, 0, 1])  # z^2 - 1
-        q = ComplexPoly([-1, 1])     # z - 1
-        red = reduce_tuple([p, q])
-        # common factor z - 1 cancels projectively
-        assert red[0].degree == 1
-        assert red[1].degree == 0
-        assert abs(red[0](-1.0)) <= 1e-8 * max(np.abs(red[0].coeffs))
-
-    def test_already_reduced_unchanged(self):
-        red = reduce_tuple([ONE, Z])
-        assert red == (ONE, Z)
-
-    def test_all_zero_raises(self):
-        with pytest.raises(AllZero):
-            reduce_tuple([ComplexPoly.zero(), ComplexPoly.zero()])
-
-    def test_zero_component_kept(self):
-        red = reduce_tuple([ComplexPoly.zero(), Z])
-        assert red[0].is_zero
-        assert red[1].degree == 0
 
 
 class TestProjCurve:
