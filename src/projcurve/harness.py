@@ -66,13 +66,19 @@ def _expect(cond: bool, message: str, path: str) -> None:
         raise ValidationError(message, path=path)
 
 
+def _is_number(value, kinds: type | tuple = (int, float)) -> bool:
+    """Whether ``value`` is a number of ``kinds``.  JSON ``true`` and
+    ``false`` load as ``bool``, a subclass of ``int``, and are no number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _poly_from_json(data, path: str) -> ComplexPoly:
     _expect(isinstance(data, list), "polynomial must be a list of [re, im]",
             path)
     coeffs = []
     for i, item in enumerate(data):
         _expect(isinstance(item, list) and len(item) == 2
-                and all(isinstance(v, (int, float)) for v in item),
+                and all(_is_number(v) for v in item),
                 "coefficient must be a [re, im] pair", f"{path}[{i}]")
         # Also rules out NaN and integers too large for a double.
         _expect(all(abs(v) <= sys.float_info.max for v in item),
@@ -84,14 +90,14 @@ def _poly_from_json(data, path: str) -> ComplexPoly:
 def _region_from_json(data, path: str) -> Region:
     _expect(isinstance(data, dict), "region must be an object", path)
     for key in ("x_min", "x_max", "y_min", "y_max"):
-        _expect(key in data and isinstance(data[key], (int, float)),
+        _expect(_is_number(data.get(key)),
                 f"region needs numeric {key}", f"{path}.{key}")
     for key in ("grid_nx", "grid_ny"):
-        _expect(key in data and isinstance(data[key], int),
+        _expect(_is_number(data.get(key), int),
                 f"region needs integer {key}", f"{path}.{key}")
     try:
         return Region.from_json(data)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an int beyond double range
         raise ValidationError(str(exc), path=path) from exc
 
 
@@ -103,9 +109,9 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
     """
     _expect(isinstance(data, dict), "scene must be a JSON object", "$")
     version = data.get("schema_version", SCHEMA_VERSION)
-    _expect(version == SCHEMA_VERSION,
+    _expect(_is_number(version, int) and version == SCHEMA_VERSION,
             f"unsupported schema_version {version}", "$.schema_version")
-    _expect(isinstance(data.get("n"), int) and data["n"] >= 1,
+    _expect(_is_number(data.get("n"), int) and data["n"] >= 1,
             "n must be an integer >= 1", "$.n")
     n = data["n"]
     region = _region_from_json(data.get("region"), "$.region")
@@ -119,7 +125,7 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
     cfg_data = data.get("config")
     _expect(isinstance(cfg_data, dict), "config must be an object", "$.config")
     for key in ("epsilon", "delta"):
-        _expect(key in cfg_data and isinstance(cfg_data[key], (int, float)),
+        _expect(_is_number(cfg_data.get(key)),
                 f"config needs numeric {key}", f"$.config.{key}")
     # Older scene files carry the match and root tolerances, which are now
     # constants.  Only the values those files always held load, so no file
@@ -131,7 +137,7 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
     try:
         cfg = CheckConfig(region=region, epsilon=float(cfg_data["epsilon"]),
                           delta=float(cfg_data["delta"]))
-    except ValidationError as exc:
+    except (ValidationError, OverflowError) as exc:
         raise ValidationError(str(exc), path="$.config") from exc
 
     members_data = data.get("members")
@@ -157,7 +163,7 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
         cdata = mdata.get("curve")
         _expect(isinstance(cdata, dict), "curve must be an object",
                 f"{mpath}.curve")
-        _expect(cdata.get("n") == n,
+        _expect(_is_number(cdata.get("n"), int) and cdata["n"] == n,
                 f"curve dimension {cdata.get('n')} does not match scene n={n}",
                 f"{mpath}.curve.n")
         comps_data = cdata.get("components")
@@ -186,7 +192,7 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
             hpath = f"{mpath}.hyperplanes[{k}]"
             _expect(isinstance(hd, dict), "hyperplane must be an object",
                     hpath)
-            _expect(hd.get("n") == n,
+            _expect(_is_number(hd.get("n"), int) and hd["n"] == n,
                     f"hyperplane dimension {hd.get('n')} does not match n={n}",
                     f"{hpath}.n")
             coeffs_data = hd.get("coeffs")
@@ -268,7 +274,13 @@ def _fixed(*values: complex) -> MovingHyperplane:
     return MovingHyperplane([ComplexPoly([v]) for v in values])
 
 
+# Template parameters that must be integers (JSON true/false are not).
+_INT_PARAMS = ("n", "N", "seed", "grid_nx", "grid_ny")
+
+
 def _check_params(params: dict, allowed: dict, template: str) -> dict:
+    """``allowed`` (the defaults) updated from ``params``, with the integer
+    parameters checked and ``t`` turned into a complex number."""
     out = dict(allowed)
     for key, value in params.items():
         if key not in allowed:
@@ -276,13 +288,31 @@ def _check_params(params: dict, allowed: dict, template: str) -> dict:
                 f"template {template!r} does not accept parameter {key!r}; "
                 f"allowed: {sorted(allowed)}")
         out[key] = value
+    for key in _INT_PARAMS:
+        if key in out and not _is_number(out[key], int):
+            raise BadParams(
+                f"template {template!r} parameter {key!r} must be an "
+                f"integer, got {out[key]!r}")
+    if out["seed"] < 0:
+        raise BadParams(f"template {template!r} parameter 'seed' must be "
+                        f"non-negative, got {out['seed']}")
+    if "t" in out:
+        t = out["t"]
+        if _is_number(t):
+            t = [t, 0.0]
+        if not (isinstance(t, list) and len(t) == 2
+                and all(_is_number(v) and abs(v) <= sys.float_info.max
+                        for v in t)):
+            raise BadParams(
+                f"template {template!r} parameter 't' must be a finite real "
+                f"number or an [re, im] pair, got {out['t']!r}")
+        out["t"] = complex(t[0], t[1])
     return out
 
 
 def _template_region(p: dict) -> Region:
     try:
-        return Region(-1.0, 1.0, -1.0, 1.0, int(p["grid_nx"]),
-                      int(p["grid_ny"]))
+        return Region(-1.0, 1.0, -1.0, 1.0, p["grid_nx"], p["grid_ny"])
     except ValueError as exc:
         raise BadParams(str(exc)) from exc
 
@@ -326,7 +356,7 @@ def _gen_montel_omitting(params: dict) -> Scene:
     p = _check_params(params, {"n": 1, "N": 10, "seed": 0,
                                "grid_nx": 41, "grid_ny": 41},
                       "montel_omitting")
-    n, N, seed = int(p["n"]), int(p["N"]), int(p["seed"])
+    n, N, seed = p["n"], p["N"], p["seed"]
     if n < 1 or N < 1:
         raise BadParams("montel_omitting needs n >= 1 and N >= 1")
     region = _template_region(p)
@@ -351,7 +381,7 @@ def _gen_blowup_linear(params: dict) -> Scene:
     p = _check_params(params, {"n": 1, "N": 8, "seed": 0,
                                "grid_nx": 41, "grid_ny": 41},
                       "blowup_linear")
-    n, N = int(p["n"]), int(p["N"])
+    n, N = p["n"], p["N"]
     if n < 1 or N < 1:
         raise BadParams("blowup_linear needs n >= 1 and N >= 1")
     region = _template_region(p)
@@ -364,14 +394,14 @@ def _gen_blowup_linear(params: dict) -> Scene:
     ud = uniform_delta(hypers, region)
     return _assemble(n, region, raw, epsilon=0.5, delta=ud.value / 2.0,
                      metadata={"template": "blowup_linear",
-                               "params": {"n": n, "N": N, "seed": int(p["seed"])}})
+                               "params": {"n": n, "N": N, "seed": p["seed"]}})
 
 
 def _gen_wandering_shared(params: dict) -> Scene:
     p = _check_params(params, {"N": 6, "seed": 0, "mutate": "none",
                                "grid_nx": 41, "grid_ny": 41},
                       "wandering_shared")
-    N = int(p["N"])
+    N = p["N"]
     mutate = str(p["mutate"])
     if N < 3:
         raise BadParams("wandering_shared needs N >= 3")
@@ -431,7 +461,7 @@ def _gen_wandering_shared(params: dict) -> Scene:
 
     return _assemble(n, region, raw, epsilon=0.5, delta=1e-4,
                      metadata={"template": "wandering_shared",
-                               "params": {"N": N, "seed": int(p["seed"]),
+                               "params": {"N": N, "seed": p["seed"],
                                           "mutate": mutate}})
 
 
@@ -439,7 +469,7 @@ def _gen_degenerate_position(params: dict) -> Scene:
     p = _check_params(params, {"t": 0.01, "seed": 0,
                                "grid_nx": 41, "grid_ny": 41},
                       "degenerate_position")
-    t = complex(p["t"])
+    t = p["t"]
     region = _template_region(p)
     one = ComplexPoly.one()
     curve = ProjCurve([one, ComplexPoly([0.0, 1.0])])
@@ -449,7 +479,7 @@ def _gen_degenerate_position(params: dict) -> Scene:
     return _assemble(1, region, raw, epsilon=0.5, delta=0.05,
                      metadata={"template": "degenerate_position",
                                "params": {"t": [t.real, t.imag],
-                                          "seed": int(p["seed"])}})
+                                          "seed": p["seed"]}})
 
 
 _GENERATORS = {

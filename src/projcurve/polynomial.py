@@ -9,6 +9,12 @@ into (root, multiplicity) pairs.  Each solve builds the derivative once and
 polishes every eigenvalue against it in Python complex arithmetic: numpy's
 array Horner and ``np.abs`` can differ from the scalar ones in the last bit,
 which would move roots and report bytes.
+
+``roots_many`` hands the companion matrices of every polynomial of one
+degree to a single ``np.linalg.eigvals`` call.  Stacking keeps the bits:
+numpy's linalg loop copies each matrix of a ``(B, d, d)`` stack into its own
+buffer and LAPACK factors it alone, so every eigenvalue equals the one a
+call on that matrix by itself returns.
 """
 
 from __future__ import annotations
@@ -28,17 +34,14 @@ class ComplexPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[complex]) -> None:
-        arr = np.asarray(list(coeffs), dtype=np.complex128)
+        if isinstance(coeffs, np.ndarray):
+            # A private copy: the caller's array stays writable and unshared.
+            arr = coeffs.astype(np.complex128, copy=True)
+        else:
+            arr = np.asarray(list(coeffs), dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError("coefficients must be a flat sequence")
-        if arr.size:
-            top = float(np.max(np.abs(arr)))
-            cut = top * config.TAU_COEFF
-            keep = arr.size
-            while keep > 0 and abs(arr[keep - 1]) <= cut:
-                keep -= 1
-            arr = arr[:keep]
-        self._coeffs = arr
+        self._coeffs = _trim(arr)
         self._coeffs.setflags(write=False)
 
     # -- construction -------------------------------------------------
@@ -102,12 +105,7 @@ class ComplexPoly:
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        a, b = self._coeffs, other._coeffs
-        if a.size < b.size:
-            a, b = b, a
-        out = a.copy()
-        out[: b.size] += b
-        return ComplexPoly(out)
+        return ComplexPoly(_add(self._coeffs, other._coeffs))
 
     def __sub__(self, other: "ComplexPoly") -> "ComplexPoly":
         return self + (-other)
@@ -173,34 +171,78 @@ class ComplexPoly:
     # -- root finding ----------------------------------------------------
 
     def roots(self) -> list[tuple[complex, int]]:
-        """Roots with multiplicities, sorted by (real, imag).
+        """Roots with multiplicities, sorted by (real, imag); see
+        ``roots_many``."""
+        return roots_many([self])[0]
 
-        Companion-matrix eigenvalues, each polished with one guarded Newton
-        step, then clustered: eigenvalues within ``config.TAU_CLUSTER`` of a
-        cluster representative merge and their count is the multiplicity.
-        """
-        if self.is_zero:
+
+def _trim(arr: np.ndarray) -> np.ndarray:
+    """``arr`` without its trailing coefficients of modulus at most
+    ``config.TAU_COEFF`` times the largest.
+
+    The largest modulus comes from numpy's array abs and each trailing one
+    from its scalar abs; the two differ in the last bit on some inputs, and
+    both are kept so degrees match bit for bit.
+    """
+    if not arr.size:
+        return arr
+    cut = float(np.max(np.abs(arr))) * config.TAU_COEFF
+    keep = arr.size
+    while keep > 0 and abs(arr[keep - 1]) <= cut:
+        keep -= 1
+    return arr[:keep]
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Trimmed sum of two coefficient arrays: a copy of the longer with the
+    shorter added into it."""
+    if a.size < b.size:
+        a, b = b, a
+    out = a.copy()
+    out[: b.size] += b
+    return _trim(out)
+
+
+def roots_many(polys: Sequence[ComplexPoly]
+               ) -> list[list[tuple[complex, int]]]:
+    """``p.roots()`` for each polynomial, with one eigensolve per degree.
+
+    Each root list is sorted by (real, imag).  Companion-matrix eigenvalues,
+    each polished with one guarded Newton step, are clustered: eigenvalues
+    within ``config.TAU_CLUSTER`` of a cluster representative merge and
+    their count is the multiplicity.  The companion matrices of one degree
+    >= 2 go to a single ``np.linalg.eigvals`` call as a stack; degree 1 is
+    solved in closed form.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, p in enumerate(polys):
+        if p.is_zero:
             raise ZeroPolynomial("zero polynomial has every point as a root")
-        if self.degree == 0:
-            return []
-        cs = self._coeffs.tolist()
-        ds = self.derivative().coeffs.tolist()
-        polished = [_polish(cs, ds, complex(r))
-                    for r in _companion_roots(self._coeffs)]
+        if p.degree >= 1:
+            groups.setdefault(p.degree, []).append(i)
+    eigs: dict[int, np.ndarray] = {}
+    for d, members in groups.items():
+        monics = [polys[i].coeffs / polys[i].coeffs[-1] for i in members]
+        if d == 1:
+            eigs.update((i, -m[:1]) for i, m in zip(members, monics))
+            continue
+        C = np.zeros((len(members), d, d), dtype=np.complex128)
+        C[:, 1:, :-1] = np.eye(d - 1)
+        for k, m in enumerate(monics):
+            C[k, :, -1] = -m[:-1]
+        eigs.update(zip(members, np.linalg.eigvals(C)))
+    out = []
+    for i, p in enumerate(polys):
+        if i not in eigs:
+            out.append([])
+            continue
+        cs = p.coeffs.tolist()
+        ds = p.derivative().coeffs.tolist()
+        polished = [_polish(cs, ds, complex(r)) for r in eigs[i]]
         clusters = _cluster_points(polished, config.TAU_CLUSTER)
         clusters.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-        return clusters
-
-
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    monic = coeffs / coeffs[-1]
-    d = monic.size - 1
-    if d == 1:
-        return np.array([-monic[0]])
-    C = np.zeros((d, d), dtype=np.complex128)
-    C[1:, :-1] = np.eye(d - 1)
-    C[:, -1] = -monic[:-1]
-    return np.linalg.eigvals(C)
+        out.append(clusters)
+    return out
 
 
 def _horner(cs: list[complex], z: complex) -> complex:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import config
 from .errors import AllZero, DimensionMismatch, ZeroPolynomial
-from .polynomial import ComplexPoly
+from .polynomial import ComplexPoly, _add, _trim
 
 
 def _check_no_common_zero(polys: tuple[ComplexPoly, ...]) -> None:
@@ -179,14 +179,20 @@ class MovingHyperplane:
 # ---------------------------------------------------------------------------
 
 def pair(curve: ProjCurve, hyper: MovingHyperplane) -> ComplexPoly:
-    """The contraction sum_l a_l(z) f_l(z) as a polynomial."""
+    """The contraction sum_l a_l(z) f_l(z) as a polynomial.
+
+    Works on coefficient arrays with ``ComplexPoly``'s arithmetic step for
+    step, so the result matches the sum of ``a * f`` products bit for bit.
+    """
     if curve.n != hyper.n:
         raise DimensionMismatch(
             f"curve has n={curve.n}, hyperplane has n={hyper.n}")
-    acc = ComplexPoly.zero()
+    acc = np.zeros(0, dtype=np.complex128)
     for a, f in zip(hyper.coeffs, curve.components):
-        acc = acc + a * f
-    return acc
+        if a.is_zero or f.is_zero:
+            continue  # the empty product adds nothing
+        acc = _add(acc, _trim(np.convolve(a.coeffs, f.coeffs)))
+    return ComplexPoly(acc)
 
 
 def sup_norm(curve: ProjCurve, z: complex) -> float:

@@ -19,13 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from . import config
 from .derived import derived_map
 from .errors import IdenticallyZero, WrongCount, ValidationError
 from .normality import marty_sup
+from .polynomial import _horner, roots_many
 from .position import Region, UniformDelta, uniform_delta
-from .projective import (MovingHyperplane, ProjCurve, induced_curve, pair,
-                         sup_norm)
+from .projective import MovingHyperplane, ProjCurve, induced_curve, pair
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +98,25 @@ def preimage_zeros(curve: ProjCurve, hyper: MovingHyperplane,
     Raises IdenticallyZero when the curve lies inside the hyperplane; that
     is a degenerate scene, reported upward rather than silently passed.
     """
-    p = pair(curve, hyper)
-    if p.is_zero:
-        raise IdenticallyZero("curve lies inside the hyperplane")
-    if p.degree == 0:
-        return []
+    return _pairing_zeros([(curve, hyper)], region)[0]
+
+
+def _pairing_zeros(pairings: Sequence[tuple[ProjCurve, MovingHyperplane]],
+                   region: Region) -> list[list[tuple[complex, int]]]:
+    """``preimage_zeros`` of every (curve, hyperplane) pairing, from one
+    ``roots_many`` call.
+
+    The first pairing that vanishes identically raises IdenticallyZero with
+    its position in ``pairings`` as ``hyperplane_index``.
+    """
+    polys = [pair(curve, hyper) for curve, hyper in pairings]
+    for k, p in enumerate(polys):
+        if p.is_zero:
+            raise IdenticallyZero("curve lies inside the hyperplane",
+                                  hyperplane_index=k)
     slack = config.TAU_MATCH_REL * region.diameter
-    return [(z, m) for z, m in p.roots() if region.contains(z, slack=slack)]
+    return [[(z, m) for z, m in roots if region.contains(z, slack=slack)]
+            for roots in roots_many(polys)]
 
 
 def match_point_sets(a: Sequence[complex], b: Sequence[complex],
@@ -140,29 +154,35 @@ def match_point_sets(a: Sequence[complex], b: Sequence[complex],
 
 def conditions_check(member: FamilyMember,
                      cfg: CheckConfig) -> tuple[list[dict], dict]:
-    """Conditions 1 and 2 from one root solve per pairing.
+    """Conditions 1 and 2 from one root solve per pairing, all of a
+    member's pairings in one ``roots_many`` call.
 
     Condition 1, per hyperplane: the curve's and the derived map's preimage
     zero SETS are equal.  Only set equality is tested; the curves are
     deliberately not required to agree in value at the shared zeros.
 
     Condition 2, across all hyperplanes: every preimage zero z of the curve
-    has |f_0(z)| >= epsilon * sup_norm(f, z); failures carry full witnesses.
+    has |f_0(z)| >= epsilon * max_l |f_l(z)|; failures carry full witnesses.
     """
     curve = member.curve
     nabla = derived_map(curve)
-    f0 = curve.components[0]
     tau = cfg.match_tolerance
+    try:
+        zeros = _pairing_zeros([(f, h) for h in member.hyperplanes
+                                for f in (curve, nabla)], cfg.region)
+    except IdenticallyZero as exc:
+        j = exc.hyperplane_index // 2
+        raise IdenticallyZero(f"hyperplane {j}: {exc}",
+                              hyperplane_index=j) from exc
+    # Component coefficient lists, read once for the scalar Horner at every
+    # zero.
+    comps = [p.coeffs.tolist() for p in curve.components]
     cond1 = []
     witnesses = []
     checked = 0
-    for j, h in enumerate(member.hyperplanes):
-        try:
-            zf = [z for z, _ in preimage_zeros(curve, h, cfg.region)]
-            zd = [z for z, _ in preimage_zeros(nabla, h, cfg.region)]
-        except IdenticallyZero as exc:
-            raise IdenticallyZero(
-                f"hyperplane {j}: {exc}", hyperplane_index=j) from exc
+    for j in range(len(member.hyperplanes)):
+        zf = [z for z, _ in zeros[2 * j]]
+        zd = [z for z, _ in zeros[2 * j + 1]]
         _, free_f, free_d = match_point_sets(zf, zd, tau)
         cond1.append({
             "hyperplane": j,
@@ -172,8 +192,10 @@ def conditions_check(member: FamilyMember,
         })
         checked += len(zf)
         for z in zf:
-            lhs = abs(f0(z))
-            rhs = cfg.epsilon * sup_norm(curve, z)
+            values = [_horner(cs, z) for cs in comps]
+            lhs = abs(values[0])
+            rhs = cfg.epsilon * float(np.max(np.abs(
+                np.array(values, dtype=np.complex128))))
             if lhs < rhs:
                 witnesses.append({
                     "z": z, "hyperplane": j, "lhs": lhs, "rhs": rhs})

@@ -501,6 +501,98 @@ class TestCli:
         assert self.run("gen", "blowup_linear", "--params", "{bad") == 3
         assert self.run("gen", "blowup_linear", "--params", '{"x": 1}') == 3
 
+    @pytest.mark.parametrize("template, params, name", [
+        ("montel_omitting", '{"n": "x"}', "n"),
+        ("montel_omitting", '{"N": [1]}', "N"),
+        ("montel_omitting", '{"n": 2.7}', "n"),
+        ("montel_omitting", '{"N": 4.9}', "N"),
+        ("montel_omitting", '{"n": true}', "n"),
+        ("montel_omitting", '{"seed": -1}', "seed"),
+        ("blowup_linear", '{"seed": 1.5}', "seed"),
+        ("wandering_shared", '{"grid_nx": true}', "grid_nx"),
+        ("degenerate_position", '{"grid_ny": 21.0}', "grid_ny"),
+        ("degenerate_position", '{"t": "x"}', "t"),
+        ("degenerate_position", '{"t": [0.01]}', "t"),
+        ("degenerate_position", '{"t": [0.01, true]}', "t"),
+        ("degenerate_position", '{"t": true}', "t"),
+        ("degenerate_position", '{"t": NaN}', "t"),
+    ])
+    def test_mistyped_params_exit_3(self, capsys, template, params, name):
+        # These used to truncate, coerce, or end in a traceback.
+        assert self.run("gen", template, "--params", params) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            f"error: template {template!r} parameter {name!r} must be ")
+
+    def test_t_as_real_or_pair(self, capsys):
+        scenes = []
+        for params in ('{"t": 0.01}', '{"t": [0.01, 0.0]}', None):
+            argv = ["gen", "degenerate_position"]
+            if params is not None:
+                argv += ["--params", params]
+            assert self.run(*argv) == 0
+            scenes.append(capsys.readouterr().out)
+        assert scenes[0] == scenes[1] == scenes[2]
+        assert self.run("gen", "degenerate_position", "--params",
+                        '{"t": [0.02, -0.01]}') == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["metadata"]["params"]["t"] == [0.02, -0.01]
+
+    @pytest.mark.parametrize("where, path, message", [
+        (("members", 0, "curve", "components", 1, 0, 0),
+         "$.members[0].curve.components[1][0]",
+         "coefficient must be a [re, im] pair"),
+        (("members", 0, "hyperplanes", 1, "coeffs", 1, 0, 1),
+         "$.members[0].hyperplanes[1].coeffs[1][0]",
+         "coefficient must be a [re, im] pair"),
+        (("n",), "$.n", "n must be an integer >= 1"),
+        (("members", 0, "curve", "n"), "$.members[0].curve.n",
+         "curve dimension True"),
+        (("members", 0, "hyperplanes", 2, "n"), "$.members[0].hyperplanes[2].n",
+         "hyperplane dimension True"),
+        (("region", "x_max"), "$.region.x_max", "region needs numeric x_max"),
+        (("region", "grid_nx"), "$.region.grid_nx",
+         "region needs integer grid_nx"),
+        (("config", "epsilon"), "$.config.epsilon",
+         "config needs numeric epsilon"),
+        (("config", "delta"), "$.config.delta", "config needs numeric delta"),
+        (("schema_version",), "$.schema_version",
+         "unsupported schema_version True"),
+    ])
+    def test_boolean_number_exit_3(self, tmp_path, capsys, where, path,
+                                   message):
+        # JSON true is a Python bool, a subclass of int: it used to load as
+        # the number 1 at each of these places.
+        data = minimal_scene_dict()
+        item = data
+        for key in where[:-1]:
+            item = item[key]
+        item[where[-1]] = True
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert self.run("check", str(scene_path)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("section, key", [
+        ("region", "x_max"), ("config", "epsilon"), ("config", "delta")])
+    def test_integer_beyond_double_range_exit_3(self, tmp_path, capsys,
+                                                section, key):
+        # float() of such an integer raised OverflowError: a traceback.
+        data = minimal_scene_dict()
+        data[section][key] = 10 ** 400
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert self.run("check", str(scene_path)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: $.{section}: int too large to convert to "
+                       "float\n")
+
     def test_mutated_scene_fails(self, tmp_path, capsys):
         scene_path = str(tmp_path / "scene.json")
         self.run("gen", "wandering_shared", "--params",

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from projcurve import config
 from projcurve.errors import AllZero, ZeroPolynomial
-from projcurve.polynomial import ComplexPoly, _cluster_points, wronskian
+from projcurve.polynomial import (ComplexPoly, _cluster_points, roots_many,
+                                  wronskian)
 from projcurve.projective import MovingHyperplane, ProjCurve
 from test_projective import scene_round_trip
 
@@ -72,6 +73,33 @@ class TestConstruction:
         p = ComplexPoly([1, 2])
         with pytest.raises(ValueError):
             p.coeffs[0] = 5.0
+
+    # Each pair sits on the trim cut, where numpy's array abs and its scalar
+    # abs of one entry fall on opposite sides: the largest modulus is read
+    # with the array abs, the trailing one with the scalar abs.
+    @pytest.mark.parametrize("top, tail", [
+        (float.fromhex("0x1.25219ef280e51p+39"),
+         -0.5442589828573099 - 0.31630015636915454j),
+        (float.fromhex("0x1.a6fb8f0084e0ap+39"),
+         0.9034701816518086 + 0.09401229776087457j),
+        (-0.07729256326094218 - 0.03637038490501321j,
+         float.fromhex("0x1.80b50b426c2dap-44")),
+        (0.4842398427706556 + 1.614345267136424j,
+         float.fromhex("0x1.da666b247fc0fp-40")),
+    ])
+    def test_trim_abs_forms(self, top, tail):
+        arr = np.array([top, tail], dtype=np.complex128)
+        cut = float(np.max(np.abs(arr))) * config.TAU_COEFF
+        assert ComplexPoly(arr).degree == int(abs(arr[1]) > cut)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_array_input_copied(self, dtype):
+        arr = np.array([1.0, 2.0, 0.0], dtype=dtype)
+        p = ComplexPoly(arr)
+        assert arr.flags.writeable
+        assert not np.shares_memory(arr, p.coeffs)
+        arr[0] = 5.0
+        assert p == ComplexPoly([1.0, 2.0])
 
 
 class TestArithmetic:
@@ -228,11 +256,11 @@ lattice_complex = st.builds(
 
 
 @st.composite
-def planted_polys(draw):
+def planted_polys(draw, degrees=st.integers(min_value=1, max_value=20)):
     """Degree 1..20: planted roots of multiplicity 1..5, or free coefficients."""
     if draw(st.booleans()):
         return draw(polys(max_degree=20).filter(lambda p: p.degree >= 1))
-    deg = draw(st.integers(min_value=1, max_value=20))
+    deg = draw(degrees)
     flat = []
     while len(flat) < deg:
         root = draw(st.one_of(finite_complex, lattice_complex))
@@ -262,6 +290,21 @@ class TestRootsReference:
     def test_cluster_centroids_match_reference(self, points):
         assert _bits(_cluster_points(points, config.TAU_CLUSTER)) == _bits(
             _ref_cluster_points(points, config.TAU_CLUSTER))
+
+    # Few distinct degrees, so most lists stack several companion matrices
+    # of one degree; constants have no roots and take no eigensolve.
+    @given(st.lists(st.one_of(
+        planted_polys(degrees=st.sampled_from([1, 2, 3, 5])),
+        lead_complex.map(lambda c: ComplexPoly([c]))), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_roots_many_matches_reference_bit_for_bit(self, ps):
+        got = roots_many(ps)
+        assert [_bits(r) for r in got] == [
+            _bits(_ref_roots(p) if p.degree else []) for p in ps]
+
+    def test_roots_many_zero_polynomial_raises(self):
+        with pytest.raises(ZeroPolynomial):
+            roots_many([ComplexPoly([1.0, 1.0]), ComplexPoly.zero()])
 
     @pytest.mark.parametrize("p", [
         ComplexPoly([2.0, 1.0]),

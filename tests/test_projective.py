@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from projcurve.errors import DimensionMismatch, ZeroPolynomial
+from projcurve.errors import AllZero, DimensionMismatch, ZeroPolynomial
 from projcurve.harness import Scene, scene_from_json, scene_to_json
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
@@ -23,6 +23,35 @@ unit_complex = st.builds(
     st.floats(min_value=-3.0, max_value=3.0),
     st.floats(min_value=-3.0, max_value=3.0),
 ).filter(lambda c: 0.05 <= abs(c) <= 5.0)
+
+
+# Coefficients that zero out or cancel exactly, generic ones whose products
+# round (drawn through a seeded generator, as hypothesis favours short
+# floats), and small ones that make a product's leading term fall under the
+# trim.
+pair_coeff = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(complex),
+    st.integers(min_value=0, max_value=2 ** 32 - 1).map(
+        lambda seed: complex(*np.random.default_rng(seed).normal(size=2))),
+    st.sampled_from([1e-7, -1e-7j, 3e-11, 1e-13]),
+)
+
+
+def pair_polys(max_degree):
+    return st.lists(pair_coeff, max_size=max_degree + 1).map(ComplexPoly)
+
+
+def coeff_bits(p):
+    return [(c.real.hex(), c.imag.hex()) for c in p.coeffs.tolist()]
+
+
+def _ref_pair(curve, hyper):
+    """``pair`` as a sum of ComplexPoly products, the formulation the array
+    version must reproduce bit for bit."""
+    acc = ComplexPoly.zero()
+    for a, f in zip(hyper.coeffs, curve.components):
+        acc = acc + a * f
+    return acc
 
 
 def scene_round_trip(curve):
@@ -124,6 +153,34 @@ class TestPairing:
         h = MovingHyperplane([ONE, Z])
         with pytest.raises(DimensionMismatch):
             pair(f, h)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_bit_for_bit(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        comps = [data.draw(pair_polys(4)) for _ in range(n + 1)]
+        assume(not all(p.is_zero for p in comps))
+        moving = data.draw(st.booleans())
+        coeffs = [data.draw(pair_polys(3 if moving else 0))
+                  for _ in range(n + 1)]
+        try:
+            hyper = MovingHyperplane(coeffs)
+        except (AllZero, ZeroPolynomial):
+            reject()
+        curve = ProjCurve(comps, check_reduced=False)
+        assert coeff_bits(pair(curve, hyper)) == coeff_bits(
+            _ref_pair(curve, hyper))
+
+    def test_each_product_and_sum_trimmed(self):
+        # (1 + 1e-7 z)^2 trims its 1e-14 z^2.  Adding 1 - (2e-7 - 1e-19) z
+        # leaves a z coefficient under the trim, so the sum is the constant
+        # 2 before z^2 is added: the result has no z term.
+        small = ComplexPoly([1.0, 1e-7])
+        f = ProjCurve([small, ONE, Z * Z], check_reduced=False)
+        h = MovingHyperplane([small, ComplexPoly([1.0, -2e-7 + 1e-19]), ONE])
+        got = pair(f, h)
+        assert coeff_bits(got) == coeff_bits(_ref_pair(f, h))
+        assert coeff_bits(got) == coeff_bits(ComplexPoly([2.0, 0.0, 1.0]))
 
     def test_induced_curve(self):
         h = MovingHyperplane([ONE, Z])

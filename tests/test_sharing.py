@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from projcurve.errors import IdenticallyZero, WrongCount
-from projcurve.polynomial import ComplexPoly
+from projcurve.polynomial import ComplexPoly, roots_many
 from projcurve.position import Region
 from projcurve.projective import MovingHyperplane, ProjCurve
 from projcurve import sharing
@@ -134,21 +134,21 @@ class TestHypothesesCheck:
 
     def test_one_root_solve_per_pairing(self, monkeypatch):
         # per member: the curve and its derived map against each of the
-        # 2n+1 hyperplanes, once
+        # 2n+1 hyperplanes, once, all handed to the solver together
         calls = []
 
-        def counting(curve, hyper, *args, **kwargs):
-            calls.append(hyper)
-            return preimage_zeros(curve, hyper, *args, **kwargs)
+        def counting(polys):
+            calls.append(len(polys))
+            return roots_many(polys)
 
-        monkeypatch.setattr(sharing, "preimage_zeros", counting)
+        monkeypatch.setattr(sharing, "roots_many", counting)
         hypers = [fixed(0.0, 1.0), fixed(1.0, 0.1), fixed(1.0, -0.1)]
         members = [
             FamilyMember(ProjCurve([ONE, ComplexPoly([a * a, -2 * a, 1.0])]),
                          hypers, f"m{k}")
             for k, a in enumerate((-0.3, 0.0, 0.3))]
         hypotheses_check(members, make_config())
-        assert len(calls) == len(members) * 2 * len(hypers)
+        assert calls == [2 * len(hypers)] * len(members)
 
     def test_degenerate_pairing_is_labeled(self):
         h_bad = MovingHyperplane([Z, ComplexPoly([-1.0])])
@@ -158,6 +158,27 @@ class TestHypothesesCheck:
         with pytest.raises(IdenticallyZero) as err:
             hypotheses_check(members, make_config())
         assert "bad" in str(err.value)
+
+    def test_first_zero_pairing_is_reported(self):
+        # The curve [1 : z] lies in hyperplanes 1 and 2, and its derived map
+        # [1 : 1] lies in hyperplane 0 only: the first zero pairing in
+        # hyperplane order, curve before derived map, is the derived map's
+        # in hyperplane 0.
+        h_derived = fixed(1.0, -1.0)
+        h_curve = MovingHyperplane([Z, ComplexPoly([-1.0])])
+        member = FamilyMember(ProjCurve([ONE, Z]),
+                              [h_derived, h_curve, h_curve], "m")
+        with pytest.raises(IdenticallyZero) as err:
+            conditions_check(member, make_config())
+        assert err.value.hyperplane_index == 0
+        assert str(err.value) == (
+            "hyperplane 0: curve lies inside the hyperplane")
+        # Here the curve's pairing in hyperplane 1 comes first.
+        member = FamilyMember(ProjCurve([ONE, Z]),
+                              [fixed(1.0, 0.1), h_curve, h_derived], "m")
+        with pytest.raises(IdenticallyZero) as err:
+            conditions_check(member, make_config())
+        assert err.value.hyperplane_index == 1
 
 
 class TestRootSetOracle:
