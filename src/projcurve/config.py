@@ -2,7 +2,8 @@
 
 The checker has two settings, a scene's ``epsilon`` and ``delta``; every
 other number the stages use is a constant here.  ``ComplexPoly`` trims with
-TAU_COEFF, ``ComplexPoly.roots`` clusters with TAU_CLUSTER, the load-time
+TAU_COEFF, ``ComplexPoly.roots`` clusters with TAU_CLUSTER and
+``multiple_roots`` regroups those clusters with TAU_MULTIPLE, the load-time
 check that a curve's components (or a hyperplane's coefficients) have no
 common zero matches roots within TAU_ROOT, and preimage zero sets are
 matched within TAU_MATCH_REL times the region diameter.  The three MARTY_
@@ -13,6 +14,7 @@ values are the verdict thresholds of ``marty_sup``.
 TAU_COEFF = 1e-12   # trailing-coefficient trim, relative to max coefficient modulus
 TAU_ROOT = 1e-6     # root matching across polynomials (shared-zero check)
 TAU_CLUSTER = 1e-6  # root clustering into multiplicities
+TAU_MULTIPLE = 1e-13  # relative coefficient change that may make a root multiple
 
 # Zero-set matching: this factor times the region diameter.
 TAU_MATCH_REL = 1e-6

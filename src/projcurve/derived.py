@@ -13,14 +13,15 @@ When f is reduced (its components have no common zero), the common factor
 of that tuple is gcd(f_0, f_0'): at a root a of f_0 of multiplicity m, f_0^2
 vanishes to order 2m and each W(f_0, f_l) to order at least m - 1, with
 equality for some l because some f_l(a) is nonzero.  So the reduction needs
-one root solve of f_0 and divides every part by (z - a)^(m - 1); on a curve
+one root solve of f_0, with its multiple roots regrouped by
+``multiple_roots``, and divides every part by (z - a)^(m - 1); on a curve
 that is not reduced it leaves the components' shared factor in.
 """
 
 from __future__ import annotations
 
 from .errors import FirstComponentZero
-from .polynomial import divide_out, wronskian
+from .polynomial import divide_out, multiple_roots, wronskian
 from .projective import ProjCurve
 
 
@@ -33,7 +34,7 @@ def derived_map(curve: ProjCurve) -> ProjCurve:
     parts = [f0 * f0]
     for fl in curve.components[1:]:
         parts.append(wronskian(f0, fl))
-    for root, mult in f0.roots():
+    for root, mult in multiple_roots(f0):
         if mult > 1:
             parts = [p if p.is_zero else divide_out(p, root, mult - 1)
                      for p in parts]

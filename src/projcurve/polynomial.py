@@ -19,6 +19,7 @@ call on that matrix by itself returns.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -288,6 +289,91 @@ def _cluster_points(points: Sequence[complex],
             sums.append(0 + pt)
             counts.append(1)
     return list(zip(reps, counts))
+
+
+def multiple_roots(p: ComplexPoly) -> list[tuple[complex, int]]:
+    """``p.roots()`` with the scatter of multiple roots regrouped, sorted by
+    (real, imag).
+
+    The eigenvalues of an m-fold root scatter by about (eps times its
+    condition)^(1/m), which passes ``config.TAU_CLUSTER`` once m >= 4 or
+    other roots sit nearby.  A group of clusters, starting from all of them,
+    is one m-fold root at c when one Newton step from the group's centroid
+    on p^(m-1) lands within the group's spread at c, and every lower Taylor
+    coefficient p^(j)(c)/j!, j < m - 1, is at most ``config.TAU_MULTIPLE``
+    times sum_i C(i, j) |p_i| |c|^(i-j): a relative change of that size in
+    p's coefficients makes c an m-fold root.  A group that fails splits in
+    two at the longest edge of its minimum spanning tree, down to the
+    clusters ``roots()`` returned.
+    """
+    cs = p.coeffs.tolist()
+    out: list[tuple[complex, int]] = []
+    roots = p.roots()
+    stack = [roots] if roots else []
+    while stack:
+        group = stack.pop()
+        root = _multiple_root(cs, group) if len(group) > 1 else group[0]
+        if root is None:
+            stack.extend(_split_longest_edge(group))
+        else:
+            out.append(root)
+    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    return out
+
+
+def _taylor(cs: list[complex], j: int) -> list[complex]:
+    """Ascending coefficients of p^(j)/j! for p with coefficients cs."""
+    return [math.comb(i, j) * cs[i] for i in range(j, len(cs))]
+
+
+def _multiple_root(cs: list[complex], group: list[tuple[complex, int]]
+                   ) -> tuple[complex, int] | None:
+    m = sum(k for _, k in group)
+    centre = sum(r * k for r, k in group) / m
+    spread = max(abs(r - centre) for r, _ in group)
+    # p^(m-1)/(m-1)! has a simple root at an m-fold root of p.
+    lower = _taylor(cs, m - 1)
+    slope = _horner([i * c for i, c in enumerate(lower)][1:], centre)
+    if slope == 0:
+        return None
+    c = centre - _horner(lower, centre) / slope
+    if abs(c - centre) > spread:
+        return None
+    for j in range(m - 1):
+        t = _taylor(cs, j)
+        bound = _horner([abs(x) for x in t], abs(c))
+        if abs(_horner(t, c)) > config.TAU_MULTIPLE * bound:
+            return None
+    return c, m
+
+
+def _split_longest_edge(group: list[tuple[complex, int]]
+                        ) -> list[list[tuple[complex, int]]]:
+    """The two halves of ``group`` left when the longest edge of its
+    minimum spanning tree (Prim's, from the first cluster) is cut."""
+    pts = [r for r, _ in group]
+    dist = [abs(pts[0] - q) for q in pts]
+    parent = [0] * len(pts)
+    todo = set(range(1, len(pts)))
+    longest = (-1.0, 0)
+    while todo:
+        i = min(todo, key=lambda k: (dist[k], k))
+        todo.discard(i)
+        longest = max(longest, (dist[i], i))
+        for k in todo:
+            if abs(pts[i] - pts[k]) < dist[k]:
+                dist[k], parent[k] = abs(pts[i] - pts[k]), i
+    cut = longest[1]
+
+    def below_cut(k: int) -> bool:
+        while k not in (0, cut):
+            k = parent[k]
+        return k == cut
+
+    halves: list[list[tuple[complex, int]]] = [[], []]
+    for k, rm in enumerate(group):
+        halves[below_cut(k)].append(rm)
+    return halves
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from projcurve import config
 from projcurve.errors import AllZero, ZeroPolynomial
-from projcurve.polynomial import (ComplexPoly, _cluster_points, roots_many,
-                                  wronskian)
+from projcurve.polynomial import (ComplexPoly, _cluster_points,
+                                  multiple_roots, roots_many, wronskian)
 from projcurve.projective import MovingHyperplane, ProjCurve
 from test_projective import scene_round_trip
 
@@ -322,6 +322,38 @@ class TestRootsReference:
         monkeypatch.setattr(ComplexPoly, "derivative", counting)
         p.roots()
         assert calls == [p]
+
+
+class TestMultipleRoots:
+    def test_regroups_scattered_double_roots(self):
+        # roots() leaves the double roots at 0.75i and i as simple pairs.
+        planted = [0.75j, 1j, 0.25 + 0.75j]
+        p = ComplexPoly.from_roots([r for r in planted for _ in range(2)])
+        assert len(p.roots()) > 3
+        got = multiple_roots(p)
+        assert [m for _, m in got] == [2, 2, 2]
+        for (r, _), want in zip(got, sorted(planted, key=lambda c: (
+                c.real, c.imag))):
+            assert abs(r - want) < 1e-7
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_single_root_of_any_multiplicity(self, k):
+        a = 0.0123 + 0.0071j
+        [(r, m)] = multiple_roots(ComplexPoly.from_roots([a] * k))
+        assert m == k and abs(r - a) < 1e-9
+
+    def test_two_quadruple_roots(self):
+        p = ComplexPoly.from_roots([0.5] * 4 + [-0.3j] * 4)
+        assert [m for _, m in multiple_roots(p)] == [4, 4]
+
+    def test_simple_roots_unchanged(self):
+        # Distinct roots, two of them 1e-3 apart, keep roots()' clusters.
+        p = ComplexPoly.from_roots([0.3, 0.301, -0.5j, 0.7 + 0.2j])
+        assert multiple_roots(p) == p.roots()
+        assert len(p.roots()) == 4
+
+    def test_constant_has_no_roots(self):
+        assert multiple_roots(ComplexPoly([2.0])) == []
 
 
 class TestWronskian:
