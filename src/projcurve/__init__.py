@@ -20,7 +20,7 @@ from .normality import (MartyStats, ZalcmanTrace, fs_derivative,
 from .polynomial import ComplexPoly, wronskian
 from .position import Region, UniformDelta, uniform_delta
 from .projective import (MovingHyperplane, ProjCurve, fs_distance,
-                         induced_curve, pair, sup_norm)
+                         induced_curve, pair)
 from .sharing import (CheckConfig, ConditionReport, FamilyMember,
                       conditions_check, hypotheses_check, match_point_sets,
                       preimage_zeros)
@@ -39,6 +39,6 @@ __all__ = [
     "generate_scene", "hypotheses_check", "induced_curve", "load_scene",
     "marty_sup", "match_point_sets", "pair", "preimage_zeros",
     "run_pipeline", "save_scene", "scene_from_json",
-    "scene_to_json", "sup_norm", "uniform_delta", "wronskian",
+    "scene_to_json", "uniform_delta", "wronskian",
     "zalcman_search", "__version__",
 ]

@@ -38,6 +38,17 @@ def polyval_grid_numpy(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cross_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_{i<j} |a_i b_j - a_j b_i|^2 over the rows of two (P, M) arrays."""
+    P = a.shape[0]
+    num = np.zeros(a.shape[1], dtype=np.float64)
+    for i in range(P):
+        for j in range(i + 1, P):
+            cross = a[i] * b[j] - a[j] * b[i]
+            num += np.abs(cross) ** 2
+    return num
+
+
 def fs_derivative_grid_numpy(comp: np.ndarray, dcomp: np.ndarray,
                              pts: np.ndarray) -> np.ndarray:
     """Fubini-Study derivative of a curve at M points.
@@ -50,14 +61,8 @@ def fs_derivative_grid_numpy(comp: np.ndarray, dcomp: np.ndarray,
     """
     v = polyval_grid_numpy(comp, pts)
     dv = polyval_grid_numpy(dcomp, pts)
-    P = v.shape[0]
-    num = np.zeros(pts.shape[0], dtype=np.float64)
-    for i in range(P):
-        for j in range(i + 1, P):
-            cross = v[i] * dv[j] - v[j] * dv[i]
-            num += np.abs(cross) ** 2
     s2 = np.sum(np.abs(v) ** 2, axis=0)
-    return np.sqrt(num) / s2
+    return np.sqrt(_cross_terms(v, dv)) / s2
 
 
 def pairwise_fs_grid_numpy(vals_a: np.ndarray, vals_b: np.ndarray) -> np.ndarray:
@@ -68,15 +73,9 @@ def pairwise_fs_grid_numpy(vals_a: np.ndarray, vals_b: np.ndarray) -> np.ndarray
     """
     vals_a, = pow2_scaled(vals_a)
     vals_b, = pow2_scaled(vals_b)
-    P = vals_a.shape[0]
-    num = np.zeros(vals_a.shape[1], dtype=np.float64)
-    for i in range(P):
-        for j in range(i + 1, P):
-            cross = vals_a[i] * vals_b[j] - vals_a[j] * vals_b[i]
-            num += np.abs(cross) ** 2
     na = np.sqrt(np.sum(np.abs(vals_a) ** 2, axis=0))
     nb = np.sqrt(np.sum(np.abs(vals_b) ** 2, axis=0))
-    return np.sqrt(num) / (na * nb)
+    return np.sqrt(_cross_terms(vals_a, vals_b)) / (na * nb)
 
 
 polyval_grid = polyval_grid_numpy

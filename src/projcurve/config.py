@@ -16,6 +16,9 @@ TAU_ROOT = 1e-6     # root matching across polynomials (shared-zero check)
 TAU_CLUSTER = 1e-6  # root clustering into multiplicities
 TAU_MULTIPLE = 1e-13  # relative coefficient change that may make a root multiple
 
+# Most points a Region's grid may hold, about 2048 x 2048.
+MAX_GRID_POINTS = 2 ** 22
+
 # Zero-set matching: this factor times the region diameter.
 TAU_MATCH_REL = 1e-6
 

@@ -533,7 +533,7 @@ def _stage_position(scene: Scene, csv_dir: str | None,
                 m.hyperplanes, scene.region, scene.config.delta)
         ud, ref, vals = sweeps[m.hyperplanes]
         per.append({"label": m.label, "min": ud.value,
-                    "argmin": _c(ud.argmin), "refinement": dict(ref)})
+                    "argmin": _c(ud.argmin), **ref})
         if csv_dir is not None:
             rows.extend((m.label, float(z.real), float(z.imag), float(v))
                         for z, v in zip(pts, vals))

@@ -4,7 +4,7 @@ For n+1 hyperplanes evaluated at a point, D is the absolute determinant of
 the (n+1) x (n+1) coefficient matrix.  For a family of q >= n+1 hyperplanes,
 the product measure multiplies D over every (n+1)-subset; the family is in
 general position at z when that product is positive.  The uniform variant
-takes the minimum over a rectangular grid.
+takes the minimum over a rectangular grid and a lower bound on the rectangle.
 
 Grid sweeps never take a determinant per grid point.  Each subset
 determinant det_s(z) is a polynomial whose degree is at most the sum of its
@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import config
 from ._kernels import polyval_grid
 from .errors import DimensionMismatch, WrongCount
 from .projective import MovingHyperplane
@@ -55,6 +56,9 @@ class Region:
             raise ValueError("region must have positive width and height")
         if self.grid_nx < 2 or self.grid_ny < 2:
             raise ValueError("need at least 2 grid samples per axis")
+        if self.grid_nx * self.grid_ny > config.MAX_GRID_POINTS:
+            raise ValueError(f"grid has more than {config.MAX_GRID_POINTS} "
+                             "points")
 
     def grid_points(self) -> np.ndarray:
         """Flattened complex grid, y varying slowest (row-major).
@@ -71,20 +75,6 @@ class Region:
         pts = (X + 1j * Y).ravel()
         pts.setflags(write=False)
         return pts
-
-    def refine(self) -> "Region":
-        """Same rectangle at doubled resolution (2n-1 points per axis).
-
-        The refined grid contains every point of the original bitwise, so
-        grid minima can only decrease and grid maxima only increase.  Every
-        call returns the same refined region, so its grid is built once.
-        """
-        return self._fine
-
-    @functools.cached_property
-    def _fine(self) -> "Region":
-        return Region(self.x_min, self.x_max, self.y_min, self.y_max,
-                      2 * self.grid_nx - 1, 2 * self.grid_ny - 1)
 
     @property
     def diameter(self) -> float:
@@ -190,15 +180,19 @@ class SubsetDeterminants:
         return cls(coeffs=np.ascontiguousarray(poly.T), centre=centre,
                    radius=radius)
 
+    def _moduli(self, pts: np.ndarray):
+        """|det_s| at each point, subset by subset in subset order."""
+        u = (pts - self.centre) / self.radius
+        step = max(1, _EVAL_BLOCK // pts.shape[0])
+        for i in range(0, self.coeffs.shape[0], step):
+            yield from np.abs(polyval_grid(self.coeffs[i:i + step], u))
+
     def product(self, pts: np.ndarray) -> np.ndarray:
         """Product of |det_s| over all subsets at each point, in subset
         order."""
-        u = (pts - self.centre) / self.radius
         out = np.ones(pts.shape[0], dtype=np.float64)
-        step = max(1, _EVAL_BLOCK // pts.shape[0])
-        for i in range(0, self.coeffs.shape[0], step):
-            for vals in polyval_grid(self.coeffs[i:i + step], u):
-                out *= np.abs(vals)
+        for mod in self._moduli(pts):
+            out *= mod
         return out
 
 
@@ -222,7 +216,7 @@ def uniform_delta(hypers: Sequence[MovingHyperplane],
 
     Hyperplanes without a normalization record are normalized against the
     region first.  Grid minimization estimates the true infimum from above;
-    position_sweep adds a doubled-grid guard against undersampling.
+    position_sweep adds a lower bound over the whole region.
     """
     pts = region.grid_points()
     dets = SubsetDeterminants.of(_canonical(hypers, region), region)
@@ -231,20 +225,27 @@ def uniform_delta(hypers: Sequence[MovingHyperplane],
 
 def position_sweep(hypers: Sequence[MovingHyperplane], region: Region,
                    delta: float) -> tuple[UniformDelta, dict, np.ndarray]:
-    """uniform_delta, a refinement cross-check and the product on the
-    region's grid, from one build of the determinant polynomials and one
-    coarse sweep.
+    """uniform_delta, a lower bound of the product on the whole region and
+    the product on the grid, from one sweep of the determinant moduli.
 
-    The cross-check evaluates the product on the refined grid too and flags
-    inconsistency when the coarse grid clears delta but the fine grid falls
-    to delta/2 or below: a guard against gross undersampling of the minimum.
+    Each point of the region lies within h (half a cell diagonal, in u) of
+    a grid point, and |det_s'| <= L_s = sum_k k |c_{s,k}| on |u| <= 1, so
+    the grid minimum of prod_s max(0, |det_s| - h L_s) is a bound; a fixed
+    family has L_s = 0 and a bound equal to the grid minimum.
+    ``consistent`` is false when the grid minimum clears delta but the
+    bound is at most delta/2.
     """
     dets = SubsetDeterminants.of(_canonical(hypers, region), region)
     pts = region.grid_points()
-    vals = dets.product(pts)
+    cell = math.hypot((region.x_max - region.x_min) / (region.grid_nx - 1),
+                      (region.y_max - region.y_min) / (region.grid_ny - 1))
+    lip = np.abs(dets.coeffs[:, 1:]) @ np.arange(1, dets.coeffs.shape[1])
+    vals = np.ones(pts.shape[0], dtype=np.float64)
+    low = np.ones(pts.shape[0], dtype=np.float64)
+    for mod, s in zip(dets._moduli(pts), 0.5 * cell / dets.radius * lip):
+        vals *= mod
+        low *= np.maximum(mod - s, 0.0)
     ud = UniformDelta.from_grid(vals, pts)
-    fine_min = float(dets.product(region.refine().grid_points()).min())
-    flipped = ud.value > delta and fine_min <= delta / 2.0
-    refinement = {"coarse_min": ud.value, "fine_min": fine_min,
-                  "consistent": not flipped}
-    return ud, refinement, vals
+    lower_bound = float(low.min())
+    consistent = not (ud.value > delta and lower_bound <= delta / 2.0)
+    return ud, {"lower_bound": lower_bound, "consistent": consistent}, vals

@@ -195,11 +195,6 @@ def pair(curve: ProjCurve, hyper: MovingHyperplane) -> ComplexPoly:
     return ComplexPoly(acc)
 
 
-def sup_norm(curve: ProjCurve, z: complex) -> float:
-    """Max modulus over curve components at z."""
-    return float(np.max(np.abs(curve.at(z))))
-
-
 def induced_curve(hyper: MovingHyperplane) -> ProjCurve:
     """The curve z -> [a_0(z) : ... : a_n(z)] traced by the coefficients.
 

@@ -420,16 +420,21 @@ class TestSharedHyperplanes:
         rows = (tmp_path / "csv" / "position.csv").read_text().splitlines()
         assert len(rows) == 1 + 30 * 11 * 11
 
-    def test_position_builds_fine_grid_once(self, monkeypatch):
-        # 12 members with 12 distinct hyperplane tuples: 12 sweeps share
-        # one refined region, so one 41x41 grid.
+    def test_position_builds_no_second_grid(self, monkeypatch):
+        # 12 members with 12 distinct hyperplane tuples: 12 sweeps read the
+        # scene's grid, built when the hyperplanes were normalized, and
+        # bound the product without a finer grid.
         scene = generate_scene("wandering_shared",
                                {"N": 12, "grid_nx": 21, "grid_ny": 21})
         calls = count_calls(monkeypatch, position.np, "meshgrid")
         sweeps = count_calls(monkeypatch, harness, "position_sweep")
-        run_pipeline(scene, which=("position",))
+        report, _ = run_pipeline(scene, which=("position",))
         assert len(sweeps) == 12
-        assert [len(xs) for xs, _ in calls] == [41]
+        assert calls == []
+        for entry in report["stages"]["position"]["per_member"]:
+            assert set(entry) == {"label", "min", "argmin", "lower_bound",
+                                  "consistent"}
+            assert 0.0 <= entry["lower_bound"] <= entry["min"]
 
     def test_check_sweeps_each_induced_curve_once(self, monkeypatch):
         # Every member lists member 0's hyperplanes: one fixed, whose
@@ -658,6 +663,27 @@ class TestCli:
         assert out == ""
         assert err == ("error: --grid: need at least 2 grid samples per axis\n"
                        "error: need at least 2 grid samples per axis\n")
+
+    @pytest.mark.parametrize("entry, where", [
+        ("scene", "$.region: "), ("--grid", "--grid: "), ("gen", "")])
+    def test_grid_too_large_exit_3(self, tmp_path, capsys, entry, where):
+        # Each size is rejected by Region before any grid is allocated.
+        data = minimal_scene_dict()
+        if entry == "scene":
+            data["region"]["grid_nx"] = 10 ** 400
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(data))
+        if entry == "gen":
+            args = ("gen", "blowup_linear", "--params",
+                    '{"grid_nx": %d}' % 10 ** 400)
+        else:
+            args = ("check", str(scene_path))
+            if entry == "--grid":
+                args += ("--grid", "2049", "2049")
+        assert self.run(*args) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {where}grid has more than 4194304 points\n"
 
     def test_fixed_tau_keys_give_identical_reports(self, tmp_path, capsys):
         # Scene files saved before the tolerances became constants carry

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -157,7 +158,9 @@ class TestMartySup:
         # a finer grid contains the coarse one, so sups cannot decrease
         f = ProjCurve([ONE, ComplexPoly([0.3, -1.0, 2.0])])
         coarse = marty_sup([f] * 3, REGION)
-        fine = marty_sup([f] * 3, REGION.refine())
+        fine = marty_sup([f] * 3, dataclasses.replace(
+            REGION, grid_nx=2 * REGION.grid_nx - 1,
+            grid_ny=2 * REGION.grid_ny - 1))
         assert fine.sups[0] >= coarse.sups[0]
 
 

@@ -12,7 +12,7 @@ PUBLIC = {
     "hypotheses_check", "induced_curve", "load_scene", "marty_sup",
     "match_point_sets", "pair", "preimage_zeros",
     "run_pipeline", "save_scene", "scene_from_json", "scene_to_json",
-    "sup_norm", "uniform_delta", "wronskian", "zalcman_search",
+    "uniform_delta", "wronskian", "zalcman_search",
     "__version__",
 }
 

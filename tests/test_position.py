@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projcurve import config
 from projcurve.errors import WrongCount
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import (Region, SubsetDeterminants, position_sweep,
@@ -49,19 +50,16 @@ class TestRegion:
         assert pts[0] == -1 - 2j
         assert pts[-1] == 1 + 2j
 
-    def test_refine_is_supergrid(self):
-        r = Region(-1, 1, -1, 1, 11, 7)
-        fine = r.refine()
-        assert (fine.grid_nx, fine.grid_ny) == (21, 13)
-        coarse_pts = set(r.grid_points().tolist())
-        fine_pts = set(fine.grid_points().tolist())
-        assert coarse_pts <= fine_pts
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Region(1, -1, 0, 1, 5, 5)
         with pytest.raises(ValueError):
             Region(-1, 1, -1, 1, 1, 5)
+        # The grid is built lazily, so these allocate nothing.
+        for nx, ny in ((2049, 2049), (2, 2 ** 21 + 1), (10 ** 400, 2)):
+            with pytest.raises(ValueError, match="more than 4194304 points"):
+                Region(-1, 1, -1, 1, nx, ny)
+        Region(-1, 1, -1, 1, 2, config.MAX_GRID_POINTS // 2)
 
     @pytest.mark.parametrize("bounds", [
         (-1, math.inf, -1, 1), (-math.inf, 1, -1, 1), (-1, 1, math.nan, 1)])
@@ -93,13 +91,6 @@ class TestRegion:
         assert r == twin
         assert twin.grid_points() is not pts
         assert np.array_equal(twin.grid_points(), pts)
-        fine = r.refine()
-        assert fine.grid_points() is not pts
-        assert fine.grid_points().size == 9 * 7
-        # One refined region per region, so one refined grid.
-        assert r.refine() is fine
-        assert fine.grid_points() is fine.grid_points()
-        assert twin.refine() is not fine and twin.refine() == fine
         # The benchmark's trace wraps the method on the class.
         assert callable(vars(Region)["grid_points"])
 
@@ -188,13 +179,20 @@ class TestUniformDelta:
         assert abs(ud.argmin - pts[k]) <= 1e-15
 
     def test_grid_consistency(self):
+        # The degenerate_position family: the product vanishes at z = t,
+        # between grid points, so the grid min stays positive while the
+        # bound over the region reaches 0.
         hypers = [fixed(1.0, 0.0), fixed(0.0, 1.0),
                   MovingHyperplane([ComplexPoly([-0.01, 1.0]), ONE])]
         region = Region(-1, 1, -1, 1, 41, 41)
-        chk = position_sweep(hypers, region, delta=0.05)[1]
-        assert set(chk) == {"coarse_min", "fine_min", "consistent"}
-        # refined grid only adds points, so the min cannot increase
-        assert chk["fine_min"] <= chk["coarse_min"] + 1e-15
+        ud, chk, _ = position_sweep(hypers, region, delta=0.05)
+        assert set(chk) == {"lower_bound", "consistent"}
+        assert abs(ud.value - 0.00495) <= 1e-5
+        assert chk["lower_bound"] == 0.0
+        assert chk["consistent"]
+        # A delta the grid min clears, with the bound at 0: inconsistent.
+        assert not position_sweep(hypers, region, delta=0.001)[1][
+            "consistent"]
 
     def test_matches_grid_kernel(self):
         rng = np.random.default_rng(11)
@@ -280,6 +278,56 @@ class TestDeterminantPolynomials:
         assert np.abs(got - ref).max() <= 1e-9 * max(1.0, ref.max())
 
 
+class TestLowerBound:
+    """position_sweep's lower bound holds on the whole region, not only at
+    the grid points."""
+
+    @given(st.integers(1, 4), st.integers(0, 2),
+           st.integers(0, 2 ** 31 - 1),
+           st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+           st.floats(0.1, 3.0), st.floats(0.1, 3.0),
+           st.integers(2, 8), st.integers(2, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_product_off_grid(self, n, extra, seed, cx, cy, w, h,
+                                     nx, ny):
+        rng = np.random.default_rng(seed)
+        hypers = []
+        for _ in range(n + 1 + extra):
+            degree = int(rng.integers(0, 4))
+            hypers.append(MovingHyperplane([
+                ComplexPoly(rng.standard_normal(degree + 1)
+                            + 1j * rng.standard_normal(degree + 1))
+                for _ in range(n + 1)]))
+        x0, y0 = cx - w / 2, cy - h / 2
+        region = Region(x0, x0 + w, y0, y0 + h, nx, ny)
+        ud, chk, _ = position_sweep(hypers, region, delta=1e-3)
+        bound = chk["lower_bound"]
+        assert 0.0 <= bound <= ud.value
+        dets = SubsetDeterminants.of(normalized(hypers, region), region)
+        off_grid = (x0 + w * rng.uniform(0, 1, 200)
+                    + 1j * (y0 + h * rng.uniform(0, 1, 200)))
+        denser = Region(x0, x0 + w, y0, y0 + h, 2 * nx - 1, 2 * ny - 1)
+        for pts in (off_grid, denser.grid_points()):
+            assert bound <= dets.product(pts).min() * (1 + 1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("g", [5, 11, 41])
+    def test_zero_at_corner_cell_centre(self, g, k):
+        # det((0, 1), (z^k - t^k, 1)) vanishes at t, the centre of the
+        # corner cell: as far from the grid as a point can be, and where
+        # |det'| comes closest to its bound sum_k k |c_k|.  The infimum of
+        # the product is 0, so the bound must be too.
+        t = complex(1 - 1 / (g - 1), 1 - 1 / (g - 1))
+        p = ComplexPoly(np.r_[-t ** k, np.zeros(k - 1), 1.0])
+        hypers = [fixed(1.0, 0.0), fixed(0.0, 1.0),
+                  MovingHyperplane([p, ONE])]
+        ud, chk, _ = position_sweep(hypers, Region(-1, 1, -1, 1, g, g),
+                                    delta=1e-3)
+        assert ud.value > 1e-3
+        assert chk["lower_bound"] == 0.0
+        assert not chk["consistent"]
+
+
 def vandermonde(n):
     nodes = np.exp(2j * np.pi * np.arange(2 * n + 1) / (2 * n + 1))
     return [fixed(*(b ** np.arange(n + 1))) for b in nodes]
@@ -315,8 +363,8 @@ class TestFixedFamiliesExact:
         ud = uniform_delta(hypers, region)
         assert ud.value == prod
         assert ud.argmin == region.grid_points()[0]
-        chk = position_sweep(hypers, region, delta=0.5 * prod)[1]
-        assert chk["fine_min"] == chk["coarse_min"] == prod
+        ud, chk, _ = position_sweep(hypers, region, delta=0.5 * prod)
+        assert chk["lower_bound"] == ud.value == prod
         assert chk["consistent"]
 
     @pytest.mark.parametrize("values", [(1.0, 0.0), (0.0, 1.0, 0.5j),

@@ -12,7 +12,7 @@ from projcurve.harness import Scene, scene_from_json, scene_to_json
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
 from projcurve.projective import (MovingHyperplane, ProjCurve, fs_distance,
-                                  induced_curve, pair, sup_norm)
+                                  induced_curve, pair)
 from projcurve.sharing import CheckConfig, FamilyMember
 
 ONE = ComplexPoly.one()
@@ -187,12 +187,6 @@ class TestPairing:
         g = induced_curve(h)
         assert isinstance(g, ProjCurve)
         assert g.components == (ONE, Z)
-
-    def test_sup_norm(self):
-        f = ProjCurve([ONE, Z])
-        assert sup_norm(f, 2j) == 2.0
-        # positive even where one component vanishes
-        assert sup_norm(f, 0.0) == 1.0
 
 
 class TestFsDistance:
