@@ -19,11 +19,9 @@ from .normality import (MartyStats, ZalcmanTrace, fs_derivative,
                         fs_derivative_on_grid, marty_sup, zalcman_search)
 from .polynomial import ComplexPoly, wronskian
 from .position import Region, UniformDelta, uniform_delta
-from .projective import (MovingHyperplane, ProjCurve, fs_distance,
-                         induced_curve, pair)
+from .projective import MovingHyperplane, ProjCurve, induced_curve, pair
 from .sharing import (CheckConfig, ConditionReport, FamilyMember,
-                      conditions_check, hypotheses_check, match_point_sets,
-                      preimage_zeros)
+                      conditions_check, hypotheses_check, match_point_sets)
 
 __version__ = "0.1.0"
 
@@ -35,9 +33,9 @@ __all__ = [
     "ProjCurve", "ProjcurveError", "Region", "Scene", "UniformDelta",
     "UnknownTemplate", "ValidationError", "WrongCount", "ZalcmanTrace",
     "ZeroPolynomial", "conditions_check", "config", "derived_map",
-    "fs_derivative", "fs_derivative_on_grid", "fs_distance",
+    "fs_derivative", "fs_derivative_on_grid",
     "generate_scene", "hypotheses_check", "induced_curve", "load_scene",
-    "marty_sup", "match_point_sets", "pair", "preimage_zeros",
+    "marty_sup", "match_point_sets", "pair",
     "run_pipeline", "save_scene", "scene_from_json",
     "scene_to_json", "uniform_delta", "wronskian",
     "zalcman_search", "__version__",

@@ -26,15 +26,17 @@ def pow2_scaled(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def polyval_grid_numpy(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Evaluate K padded polynomials at M points: (K, L) x (M,) -> (K, M).
+    """Evaluate K padded polynomials at M points: (K, L) x (M,) -> (K, M),
+    every row at the same points; or (K, L) x (K, M) -> (K, M), row k at
+    its own points ``pts[k]``.
 
     Coefficients are ascending; rows may be zero-padded on the right.
     """
     K, L = coeffs.shape
-    out = np.zeros((K, pts.shape[0]), dtype=np.complex128)
+    out = np.zeros((K, pts.shape[-1]), dtype=np.complex128)
     for l in range(L - 1, -1, -1):
-        out *= pts[None, :]
-        out += coeffs[:, l][:, None]
+        out *= pts
+        out += coeffs[:, l, None]
     return out
 
 

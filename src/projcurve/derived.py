@@ -36,6 +36,5 @@ def derived_map(curve: ProjCurve) -> ProjCurve:
         parts.append(wronskian(f0, fl))
     for root, mult in multiple_roots(f0):
         if mult > 1:
-            parts = [p if p.is_zero else divide_out(p, root, mult - 1)
-                     for p in parts]
+            parts = divide_out(parts, root, mult - 1)
     return ProjCurve(parts, check_reduced=False)

@@ -20,6 +20,7 @@ import numpy as np
 from . import config
 from ._kernels import fs_derivative_grid, pairwise_fs_grid, pow2_scaled
 from .errors import NotBlowingUp, WrongCount
+from .polynomial import stack_coeffs
 from .position import Region
 from .projective import ProjCurve
 
@@ -29,41 +30,22 @@ from .projective import ProjCurve
 # ---------------------------------------------------------------------------
 
 def fs_derivative(curve: ProjCurve, z: complex) -> float:
-    """Metric derivative of the curve at z.
+    """Metric derivative of the curve at z: ``fs_derivative_on_grid``'s
+    kernel at the one point z.
 
     Equals sqrt(|f|^2 |f'|^2 - |<f,f'>|^2) / |f|^2 with Euclidean norms,
     evaluated in the cancellation-free cross-term form.  At n = 1 this is
     the classical spherical derivative |g'| / (1 + |g|^2) of g = f1/f0.
-    Coordinates and derivative are scaled by one power of two first.
     """
-    v, dv = pow2_scaled(
-        curve.at(z),
-        np.array([p(z) for p in curve.derivative_components()],
-                 dtype=np.complex128))
-    num = 0.0
-    P = v.shape[0]
-    for i in range(P):
-        for j in range(i + 1, P):
-            cross = v[i] * dv[j] - v[j] * dv[i]
-            num += abs(cross) ** 2
-    s2 = float(np.sum(np.abs(v) ** 2))
-    return float(np.sqrt(num) / s2)
+    return float(fs_derivative_grid(*_pack_curve(curve),
+                                    np.array([z], dtype=np.complex128))[0])
 
 
 def _pack_curve(curve: ProjCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded component and derivative coefficients, scaled together
-    by one power of two."""
-    comps = curve.components
-    ders = curve.derivative_components()
-    L = max(max(p.coeffs.size for p in comps), 1)
-    Ld = max(max(p.coeffs.size for p in ders), 1)
-    comp = np.zeros((len(comps), L), dtype=np.complex128)
-    dcomp = np.zeros((len(comps), Ld), dtype=np.complex128)
-    for i, p in enumerate(comps):
-        comp[i, : p.coeffs.size] = p.coeffs
-    for i, p in enumerate(ders):
-        dcomp[i, : p.coeffs.size] = p.coeffs
-    return pow2_scaled(comp, dcomp)
+    """Zero-padded component coefficients and their derivatives' (one
+    column shorter), scaled together by one power of two."""
+    comp = stack_coeffs(curve.components)
+    return pow2_scaled(comp, comp[:, 1:] * np.arange(1, comp.shape[1]))
 
 
 def fs_derivative_on_grid(curve: ProjCurve, region: Region) -> np.ndarray:

@@ -5,16 +5,14 @@ Construction trims trailing coefficients that are negligible relative to the
 largest magnitude, so arithmetic keeps degrees honest.  Root finding goes
 through the companion matrix, with one guarded Newton polish per root and a
 clustering pass that merges eigenvalue splatter from multiple roots back
-into (root, multiplicity) pairs.  Each solve builds the derivative once and
-polishes every eigenvalue against it in Python complex arithmetic: numpy's
-array Horner and ``np.abs`` can differ from the scalar ones in the last bit,
-which would move roots and report bytes.
+into (root, multiplicity) pairs.
 
-``roots_many`` hands the companion matrices of every polynomial of one
-degree to a single ``np.linalg.eigvals`` call.  Stacking keeps the bits:
-numpy's linalg loop copies each matrix of a ``(B, d, d)`` stack into its own
-buffer and LAPACK factors it alone, so every eigenvalue equals the one a
-call on that matrix by itself returns.
+Every evaluation, scalar or array, goes through the batched Horner kernel
+``polyval_grid``.  ``roots_many`` hands the companion matrices of every
+polynomial of one degree to a single ``np.linalg.eigvals`` call and polishes
+the whole stack with one array Newton step.  The results are deterministic
+(the same calls give the same bits), and their accuracy is tested against
+mpmath oracles at stated tolerances.
 """
 
 from __future__ import annotations
@@ -97,16 +95,19 @@ class ComplexPoly:
     # -- evaluation ------------------------------------------------------
 
     def __call__(self, z):
-        """Horner evaluation; accepts scalars or numpy arrays."""
-        if isinstance(z, np.ndarray):
-            return polyval_grid(self._coeffs[None, :],
-                                z.ravel())[0].reshape(z.shape)
-        return _horner(self._coeffs.tolist(), complex(z))
+        """Horner evaluation at a scalar or at every entry of an array."""
+        pts = np.asarray(z, dtype=np.complex128)
+        vals = polyval_grid(self._coeffs[None, :], pts.ravel())[0]
+        return vals.reshape(pts.shape)[()]
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        return ComplexPoly(_add(self._coeffs, other._coeffs))
+        a, b = self._coeffs, other._coeffs
+        out = np.zeros(max(a.size, b.size), dtype=np.complex128)
+        out[: a.size] += a
+        out[: b.size] += b
+        return ComplexPoly(out)
 
     def __sub__(self, other: "ComplexPoly") -> "ComplexPoly":
         return self + (-other)
@@ -179,29 +180,23 @@ class ComplexPoly:
 
 def _trim(arr: np.ndarray) -> np.ndarray:
     """``arr`` without its trailing coefficients of modulus at most
-    ``config.TAU_COEFF`` times the largest.
-
-    The largest modulus comes from numpy's array abs and each trailing one
-    from its scalar abs; the two differ in the last bit on some inputs, and
-    both are kept so degrees match bit for bit.
-    """
-    if not arr.size:
-        return arr
-    cut = float(np.max(np.abs(arr))) * config.TAU_COEFF
+    ``config.TAU_COEFF`` times the largest."""
+    mags = np.abs(arr)
+    cut = mags.max(initial=0.0) * config.TAU_COEFF
     keep = arr.size
-    while keep > 0 and abs(arr[keep - 1]) <= cut:
+    while keep and mags[keep - 1] <= cut:
         keep -= 1
     return arr[:keep]
 
 
-def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Trimmed sum of two coefficient arrays: a copy of the longer with the
-    shorter added into it."""
-    if a.size < b.size:
-        a, b = b, a
-    out = a.copy()
-    out[: b.size] += b
-    return _trim(out)
+def stack_coeffs(polys: Sequence[ComplexPoly]) -> np.ndarray:
+    """The coefficients of ``polys`` as the rows of one array, zero-padded
+    on the right to a common length of at least 1."""
+    out = np.zeros((len(polys), max([1, *(p.coeffs.size for p in polys)])),
+                   dtype=np.complex128)
+    for row, p in zip(out, polys):
+        row[: p.coeffs.size] = p.coeffs
+    return out
 
 
 def roots_many(polys: Sequence[ComplexPoly]
@@ -213,7 +208,7 @@ def roots_many(polys: Sequence[ComplexPoly]
     within ``config.TAU_CLUSTER`` of a cluster representative merge and
     their count is the multiplicity.  The companion matrices of one degree
     >= 2 go to a single ``np.linalg.eigvals`` call as a stack; degree 1 is
-    solved in closed form.
+    solved in closed form.  Each degree's stack is polished at once.
     """
     groups: dict[int, list[int]] = {}
     for i, p in enumerate(polys):
@@ -221,52 +216,43 @@ def roots_many(polys: Sequence[ComplexPoly]
             raise ZeroPolynomial("zero polynomial has every point as a root")
         if p.degree >= 1:
             groups.setdefault(p.degree, []).append(i)
-    eigs: dict[int, np.ndarray] = {}
+    out: list[list[tuple[complex, int]]] = [[] for _ in polys]
     for d, members in groups.items():
-        monics = [polys[i].coeffs / polys[i].coeffs[-1] for i in members]
+        P = np.array([polys[i].coeffs for i in members])
+        monic = P[:, :-1] / P[:, -1:]
         if d == 1:
-            eigs.update((i, -m[:1]) for i, m in zip(members, monics))
-            continue
-        C = np.zeros((len(members), d, d), dtype=np.complex128)
-        C[:, 1:, :-1] = np.eye(d - 1)
-        for k, m in enumerate(monics):
-            C[k, :, -1] = -m[:-1]
-        eigs.update(zip(members, np.linalg.eigvals(C)))
-    out = []
-    for i, p in enumerate(polys):
-        if i not in eigs:
-            out.append([])
-            continue
-        cs = p.coeffs.tolist()
-        ds = p.derivative().coeffs.tolist()
-        polished = [_polish(cs, ds, complex(r)) for r in eigs[i]]
-        clusters = _cluster_points(polished, config.TAU_CLUSTER)
-        clusters.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-        out.append(clusters)
+            eigs = -monic
+        else:
+            C = np.zeros((len(members), d, d), dtype=np.complex128)
+            C[:, 1:, :-1] = np.eye(d - 1)
+            C[:, :, -1] = -monic
+            eigs = np.linalg.eigvals(C)
+        for i, row in zip(members, _newton(P, eigs).tolist()):
+            clusters = _cluster_points(row, config.TAU_CLUSTER)
+            clusters.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+            out[i] = clusters
     return out
 
 
-def _horner(cs: list[complex], z: complex) -> complex:
-    """Value at z of the ascending coefficient list cs (0j when empty)."""
-    if not cs:
-        return 0j
-    acc = cs[-1]
-    for c in reversed(cs[:-1]):
-        acc = acc * z + c
-    return acc
+def _newton(P: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """One guarded Newton step from every point of row k of ``r`` on the
+    polynomial in row k of the coefficient matrix ``P``.
 
-
-def _polish(cs: list[complex], ds: list[complex], r: complex) -> complex:
-    """One guarded Newton step for the polynomial cs with derivative ds."""
-    fr = _horner(cs, r)
-    dfr = _horner(ds, r)
-    if dfr == 0:
-        return r
-    cand = r - fr / dfr
-    # Accept the step only if it actually reduced the residual.
-    if abs(_horner(cs, cand)) < abs(fr):
-        return cand
-    return r
+    A step is kept only where it lowers the residual's modulus, so a step
+    through a vanishing or tiny derivative is refused rather than taken.
+    """
+    K, L = P.shape
+    # The rows of P and of their derivatives, evaluated in one call.
+    both = np.zeros((2 * K, L), dtype=np.complex128)
+    both[:K] = P
+    both[K:, :-1] = P[:, 1:] * np.arange(1, L)
+    vals = polyval_grid(both, np.concatenate([r, r]))
+    f, df = vals[:K], vals[K:]
+    cand = r - np.divide(f, df, out=np.zeros_like(f), where=df != 0)
+    # A refused step may overflow on its way to being refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        better = np.abs(polyval_grid(P, cand)) < np.abs(f)
+    return np.where(better, cand, r)
 
 
 def _cluster_points(points: Sequence[complex],
@@ -285,8 +271,7 @@ def _cluster_points(points: Sequence[complex],
                 break
         else:
             reps.append(pt)
-            # Start from 0 as sum() does: 0 + (-0.0) is 0.0.
-            sums.append(0 + pt)
+            sums.append(pt)
             counts.append(1)
     return list(zip(reps, counts))
 
@@ -306,13 +291,13 @@ def multiple_roots(p: ComplexPoly) -> list[tuple[complex, int]]:
     two at the longest edge of its minimum spanning tree, down to the
     clusters ``roots()`` returned.
     """
-    cs = p.coeffs.tolist()
+    taylor = _taylor_rows(p.coeffs)
     out: list[tuple[complex, int]] = []
     roots = p.roots()
     stack = [roots] if roots else []
     while stack:
         group = stack.pop()
-        root = _multiple_root(cs, group) if len(group) > 1 else group[0]
+        root = _multiple_root(taylor, group) if len(group) > 1 else group[0]
         if root is None:
             stack.extend(_split_longest_edge(group))
         else:
@@ -321,29 +306,37 @@ def multiple_roots(p: ComplexPoly) -> list[tuple[complex, int]]:
     return out
 
 
-def _taylor(cs: list[complex], j: int) -> list[complex]:
-    """Ascending coefficients of p^(j)/j! for p with coefficients cs."""
-    return [math.comb(i, j) * cs[i] for i in range(j, len(cs))]
+def _taylor_rows(c: np.ndarray) -> np.ndarray:
+    """Row j holds the ascending coefficients of p^(j)/j!, zero-padded, for
+    p with coefficients c."""
+    L = c.size
+    out = np.zeros((L, L), dtype=np.complex128)
+    for j in range(L):
+        out[j, : L - j] = [math.comb(i, j) * c[i] for i in range(j, L)]
+    return out
 
 
-def _multiple_root(cs: list[complex], group: list[tuple[complex, int]]
+def _multiple_root(taylor: np.ndarray, group: list[tuple[complex, int]]
                    ) -> tuple[complex, int] | None:
     m = sum(k for _, k in group)
     centre = sum(r * k for r, k in group) / m
     spread = max(abs(r - centre) for r, _ in group)
-    # p^(m-1)/(m-1)! has a simple root at an m-fold root of p.
-    lower = _taylor(cs, m - 1)
-    slope = _horner([i * c for i, c in enumerate(lower)][1:], centre)
+    # p^(m-1)/(m-1)! has a simple root at an m-fold root of p; its
+    # derivative is m p^(m)/m!.
+    value, slope = polyval_grid(taylor[m - 1:m + 1, :len(taylor) - m + 1],
+                                np.array([centre]))[:, 0]
     if slope == 0:
         return None
-    c = centre - _horner(lower, centre) / slope
+    c = complex(centre - value / (m * slope))
     if abs(c - centre) > spread:
         return None
-    for j in range(m - 1):
-        t = _taylor(cs, j)
-        bound = _horner([abs(x) for x in t], abs(c))
-        if abs(_horner(t, c)) > config.TAU_MULTIPLE * bound:
-            return None
+    # The lower Taylor coefficients at c and their bounds at |c|, in one
+    # call: row k at its own point.
+    lower = taylor[: m - 1]
+    at = np.array([[c]] * (m - 1) + [[abs(c)]] * (m - 1))
+    vals = polyval_grid(np.concatenate([lower, np.abs(lower)]), at)[:, 0]
+    if np.any(np.abs(vals[: m - 1]) > config.TAU_MULTIPLE * vals[m - 1:].real):
+        return None
     return c, m
 
 
@@ -385,17 +378,21 @@ def wronskian(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
     return p * q.derivative() - p.derivative() * q
 
 
-def divide_out(p: ComplexPoly, root: complex, mult: int) -> ComplexPoly:
-    """Deflate ``p`` by its own root nearest ``root``, ``mult`` times.
+def divide_out(polys: Sequence[ComplexPoly], root: complex,
+               mult: int) -> list[ComplexPoly]:
+    """Deflate each nonzero polynomial by its own root nearest ``root``,
+    ``mult`` times; zero polynomials are returned as they are.
 
     Deflating by ``root`` itself, a root of another polynomial, can leave a
-    large remainder when p's own root sits a few ulps away, so each pass
-    re-polishes against p's value before dividing.
+    large remainder when a polynomial's own root sits a few ulps away, so
+    each pass first polishes every polynomial's target against its value,
+    all in one array Newton step.
     """
-    out = p
-    target = complex(root)
+    out = list(polys)
+    live = [i for i, p in enumerate(out) if not p.is_zero]
+    targets = np.full((len(live), 1), complex(root))
     for _ in range(mult):
-        target = _polish(out.coeffs.tolist(), out.derivative().coeffs.tolist(),
-                         target)
-        out = out.deflate(target)
+        targets = _newton(stack_coeffs([out[i] for i in live]), targets)
+        for i, t in zip(live, targets[:, 0].tolist()):
+            out[i] = out[i].deflate(t)
     return out

@@ -34,6 +34,7 @@ import numpy as np
 from . import config
 from ._kernels import polyval_grid
 from .errors import DimensionMismatch, WrongCount
+from .polynomial import stack_coeffs
 from .projective import MovingHyperplane
 
 
@@ -80,12 +81,6 @@ class Region:
     def diameter(self) -> float:
         return math.hypot(self.x_max - self.x_min, self.y_max - self.y_min)
 
-    @property
-    def spacing(self) -> float:
-        """Largest grid step along either axis."""
-        return max((self.x_max - self.x_min) / (self.grid_nx - 1),
-                   (self.y_max - self.y_min) / (self.grid_ny - 1))
-
     def contains(self, z: complex, slack: float = 0.0) -> bool:
         return (self.x_min - slack <= z.real <= self.x_max + slack
                 and self.y_min - slack <= z.imag <= self.y_max + slack)
@@ -127,19 +122,6 @@ def _check_family(hypers: Sequence[MovingHyperplane], n: int) -> None:
                 f"hyperplane dimension {h.n} does not match n={n}")
 
 
-def _pack_coeffs(hypers: Sequence[MovingHyperplane]) -> np.ndarray:
-    """Zero-pad all coefficient polynomials into a (q, n+1, L) array."""
-    q = len(hypers)
-    P = hypers[0].n + 1
-    L = max(max(p.coeffs.size for p in h.coeffs) for h in hypers)
-    L = max(L, 1)
-    out = np.zeros((q, P, L), dtype=np.complex128)
-    for i, h in enumerate(hypers):
-        for j, p in enumerate(h.coeffs):
-            out[i, j, : p.coeffs.size] = p.coeffs
-    return out
-
-
 # Complex values one polyval_grid call may produce while multiplying the
 # subset determinants over a grid; bounds memory for large families.
 _EVAL_BLOCK = 1 << 20
@@ -171,10 +153,10 @@ class SubsetDeterminants:
                          0.5 * (region.y_min + region.y_max))
         radius = 0.5 * region.diameter
         nodes = centre + radius * np.exp(2j * np.pi * np.arange(K) / K)
-        coeffs = _pack_coeffs(hypers)
-        q, P, L = coeffs.shape
-        rows = polyval_grid(coeffs.reshape(q * P, L), nodes)
-        rows = rows.reshape(q, P, K).transpose(2, 0, 1)  # (K, q, P)
+        rows = polyval_grid(
+            stack_coeffs([p for h in hypers for p in h.coeffs]), nodes)
+        # (K, q, n+1): the family's coefficient matrix at each node.
+        rows = rows.reshape(len(hypers), n + 1, K).transpose(2, 0, 1)
         samples = np.linalg.det(rows[:, subsets, :])     # (K, S)
         poly = np.fft.fft(samples, axis=0) / K
         return cls(coeffs=np.ascontiguousarray(poly.T), centre=centre,

@@ -1,4 +1,4 @@
-"""Curves into P^n, moving hyperplanes, and the Fubini-Study distance.
+"""Curves into P^n, moving hyperplanes, and their pairing.
 
 A curve is a tuple of n+1 polynomials with no common zero (a reduced
 representation).  A moving hyperplane is likewise a tuple of n+1 coefficient
@@ -14,35 +14,32 @@ factor used.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from . import config
+from ._kernels import polyval_grid
 from .errors import AllZero, DimensionMismatch, ZeroPolynomial
-from .polynomial import ComplexPoly, _add, _trim
+from .polynomial import ComplexPoly, roots_many, stack_coeffs
 
 
 def _check_no_common_zero(polys: tuple[ComplexPoly, ...]) -> None:
     """Reject a tuple whose nonzero entries share a root.
 
-    A nonzero constant entry rules out a common zero.  Otherwise a root of
-    the lowest-degree entry is common when every other entry has a root
-    within ``config.TAU_ROOT`` of it.
+    A nonzero constant entry rules out a common zero.  Otherwise the entries
+    are solved in one ``roots_many`` call, and a root of the lowest-degree
+    entry is common when every other entry has a root within
+    ``config.TAU_ROOT`` of it.
     """
     live = sorted((p for p in polys if not p.is_zero), key=lambda p: p.degree)
     if live[0].degree == 0:
         return
-    shared = [root for root, _ in live[0].roots()]
-    for p in live[1:]:
-        others = [r for r, _ in p.roots()]
-        shared = [root for root in shared
-                  if any(abs(r - root) <= config.TAU_ROOT for r in others)]
-        if not shared:
-            return
-    raise ZeroPolynomial(
-        "components share a zero; reduce the representation first")
+    first, *others = [[r for r, _ in roots] for roots in roots_many(live)]
+    if any(all(any(abs(r - root) <= config.TAU_ROOT for r in rs)
+               for rs in others) for root in first):
+        raise ZeroPolynomial(
+            "components share a zero; reduce the representation first")
 
 
 # ---------------------------------------------------------------------------
@@ -83,11 +80,13 @@ class ProjCurve:
 
     def at(self, z: complex) -> np.ndarray:
         """Homogeneous coordinate vector at z, shape (n+1,)."""
-        return np.array([p(z) for p in self._components], dtype=np.complex128)
+        return self.at_many(np.array([z]))[:, 0]
 
     def at_many(self, pts: np.ndarray) -> np.ndarray:
-        """Coordinates at many points, shape (n+1, M)."""
-        return np.stack([p(pts) for p in self._components])
+        """Coordinates at M points, shape (n+1, M), from one
+        ``polyval_grid`` call."""
+        return polyval_grid(stack_coeffs(self._components),
+                            np.asarray(pts, dtype=np.complex128))
 
     def derivative_components(self) -> tuple[ComplexPoly, ...]:
         return tuple(p.derivative() for p in self._components)
@@ -138,7 +137,7 @@ class MovingHyperplane:
         return self._normalization
 
     def at(self, z: complex) -> np.ndarray:
-        return np.array([p(z) for p in self._coeffs], dtype=np.complex128)
+        return polyval_grid(stack_coeffs(self._coeffs), np.array([z]))[:, 0]
 
     def norm(self, z: complex) -> float:
         """Max modulus over coefficient values at z."""
@@ -149,13 +148,12 @@ class MovingHyperplane:
 
         ``region`` is anything with a ``grid_points()`` method returning the
         sample points.  The applied factor is recorded.  A fixed hyperplane's
-        norm is the same everywhere, so it is read at one point.
+        coefficients are its values everywhere, so its norm is read off them.
         """
-        if self.is_fixed:
-            sup = self.norm(0.0)
-        else:
-            pts = region.grid_points()
-            sup = max(float(np.max(np.abs(p(pts)))) for p in self._coeffs)
+        vals = stack_coeffs(self._coeffs)
+        if not self.is_fixed:
+            vals = polyval_grid(vals, region.grid_points())
+        sup = float(np.max(np.abs(vals)))
         if abs(sup - 1.0) <= 1e-12:
             # Snap to the identity so normalizing twice is bitwise stable.
             return MovingHyperplane(
@@ -179,19 +177,18 @@ class MovingHyperplane:
 # ---------------------------------------------------------------------------
 
 def pair(curve: ProjCurve, hyper: MovingHyperplane) -> ComplexPoly:
-    """The contraction sum_l a_l(z) f_l(z) as a polynomial.
-
-    Works on coefficient arrays with ``ComplexPoly``'s arithmetic step for
-    step, so the result matches the sum of ``a * f`` products bit for bit.
-    """
+    """The contraction sum_l a_l(z) f_l(z) as a polynomial: the products'
+    coefficient arrays, zero-padded and summed, trimmed once."""
     if curve.n != hyper.n:
         raise DimensionMismatch(
             f"curve has n={curve.n}, hyperplane has n={hyper.n}")
-    acc = np.zeros(0, dtype=np.complex128)
-    for a, f in zip(hyper.coeffs, curve.components):
-        if a.is_zero or f.is_zero:
-            continue  # the empty product adds nothing
-        acc = _add(acc, _trim(np.convolve(a.coeffs, f.coeffs)))
+    # An empty product adds nothing (and np.convolve refuses it).
+    prods = [np.convolve(a.coeffs, f.coeffs)
+             for a, f in zip(hyper.coeffs, curve.components)
+             if not (a.is_zero or f.is_zero)]
+    acc = np.zeros(max([0, *(c.size for c in prods)]), dtype=np.complex128)
+    for c in prods:
+        acc[: c.size] += c
     return ComplexPoly(acc)
 
 
@@ -201,33 +198,3 @@ def induced_curve(hyper: MovingHyperplane) -> ProjCurve:
     Already reduced by the MovingHyperplane no-common-zero invariant.
     """
     return ProjCurve(hyper.coeffs, check_reduced=False)
-
-
-# ---------------------------------------------------------------------------
-# projective metrics
-# ---------------------------------------------------------------------------
-
-def fs_distance(a, b) -> float:
-    """Fubini-Study (sine of angle) distance between projective points
-    given as coordinate arrays.
-
-    Computed in the cross-product form
-    sqrt(sum |a_i b_j - a_j b_i|^2) / (|a| |b|), which is algebraically
-    sqrt(1 - |<a,b>|^2/(|a|^2 |b|^2)) but returns exact zero for parallel
-    inputs instead of losing half the digits to cancellation.
-    """
-    av = np.asarray(a, dtype=np.complex128)
-    bv = np.asarray(b, dtype=np.complex128)
-    if av.shape != bv.shape:
-        raise DimensionMismatch("point dimension mismatch")
-    num = 0.0
-    P = av.shape[0]
-    for i in range(P):
-        for j in range(i + 1, P):
-            cross = av[i] * bv[j] - av[j] * bv[i]
-            num += abs(cross) ** 2
-    na = float(np.linalg.norm(av))
-    nb = float(np.linalg.norm(bv))
-    if na == 0.0 or nb == 0.0:
-        raise AllZero("zero vector is not a projective point")
-    return math.sqrt(num) / (na * nb)

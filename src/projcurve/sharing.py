@@ -25,7 +25,7 @@ from . import config
 from .derived import derived_map
 from .errors import IdenticallyZero, WrongCount, ValidationError
 from .normality import marty_sup
-from .polynomial import _horner, roots_many
+from .polynomial import roots_many
 from .position import Region, UniformDelta, uniform_delta
 from .projective import MovingHyperplane, ProjCurve, induced_curve, pair
 
@@ -81,8 +81,8 @@ class CheckConfig:
 
     @property
     def match_tolerance(self) -> float:
-        """TAU_MATCH_REL times the region diameter: the slack of
-        ``preimage_zeros`` and the matching radius of condition 1."""
+        """TAU_MATCH_REL times the region diameter: the slack of the region
+        test on preimage zeros and the matching radius of condition 1."""
         return config.TAU_MATCH_REL * self.region.diameter
 
 
@@ -90,24 +90,16 @@ class CheckConfig:
 # zero sets and matching
 # ---------------------------------------------------------------------------
 
-def preimage_zeros(curve: ProjCurve, hyper: MovingHyperplane,
-                   region: Region) -> list[tuple[complex, int]]:
-    """Zeros of the pairing inside the region (boundary-inclusive, with a
-    slack of TAU_MATCH_REL times the region diameter).
-
-    Raises IdenticallyZero when the curve lies inside the hyperplane; that
-    is a degenerate scene, reported upward rather than silently passed.
-    """
-    return _pairing_zeros([(curve, hyper)], region)[0]
-
-
 def _pairing_zeros(pairings: Sequence[tuple[ProjCurve, MovingHyperplane]],
                    region: Region) -> list[list[tuple[complex, int]]]:
-    """``preimage_zeros`` of every (curve, hyperplane) pairing, from one
-    ``roots_many`` call.
+    """The zeros, with multiplicities, of every (curve, hyperplane) pairing
+    inside the region (boundary-inclusive, with a slack of TAU_MATCH_REL
+    times the region diameter), from one ``roots_many`` call.
 
-    The first pairing that vanishes identically raises IdenticallyZero with
-    its position in ``pairings`` as ``hyperplane_index``.
+    A curve inside a hyperplane is a degenerate scene, reported upward
+    rather than silently passed: the first pairing that vanishes
+    identically raises IdenticallyZero with its position in ``pairings`` as
+    ``hyperplane_index``.
     """
     polys = [pair(curve, hyper) for curve, hyper in pairings]
     for k, p in enumerate(polys):
@@ -174,12 +166,7 @@ def conditions_check(member: FamilyMember,
         j = exc.hyperplane_index // 2
         raise IdenticallyZero(f"hyperplane {j}: {exc}",
                               hyperplane_index=j) from exc
-    # Component coefficient lists, read once for the scalar Horner at every
-    # zero.
-    comps = [p.coeffs.tolist() for p in curve.components]
     cond1 = []
-    witnesses = []
-    checked = 0
     for j in range(len(member.hyperplanes)):
         zf = [z for z, _ in zeros[2 * j]]
         zd = [z for z, _ in zeros[2 * j + 1]]
@@ -190,17 +177,17 @@ def conditions_check(member: FamilyMember,
             "curve_only": [zf[i] for i in free_f],
             "derived_only": [zd[i] for i in free_d],
         })
-        checked += len(zf)
-        for z in zf:
-            values = [_horner(cs, z) for cs in comps]
-            lhs = abs(values[0])
-            rhs = cfg.epsilon * float(np.max(np.abs(
-                np.array(values, dtype=np.complex128))))
-            if lhs < rhs:
-                witnesses.append({
-                    "z": z, "hyperplane": j, "lhs": lhs, "rhs": rhs})
+    # Every curve-side zero, with its hyperplane, at once.
+    found = [(z, j) for j in range(len(member.hyperplanes))
+             for z, _ in zeros[2 * j]]
+    mods = np.abs(curve.at_many(np.array([z for z, _ in found],
+                                         dtype=np.complex128)))
+    lhs = mods[0].tolist()
+    rhs = (cfg.epsilon * mods.max(axis=0)).tolist()
+    witnesses = [{"z": z, "hyperplane": j, "lhs": lo, "rhs": hi}
+                 for (z, j), lo, hi in zip(found, lhs, rhs) if lo < hi]
     return cond1, {"passed": not witnesses, "witnesses": witnesses,
-                   "zeros_checked": checked}
+                   "zeros_checked": len(found)}
 
 
 @dataclass

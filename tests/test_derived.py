@@ -4,20 +4,19 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from projcurve._kernels import pairwise_fs_grid
 from projcurve.derived import derived_map
 from projcurve.errors import FirstComponentZero
 from projcurve.polynomial import ComplexPoly, wronskian
-from projcurve.projective import ProjCurve, fs_distance
+from projcurve.projective import ProjCurve
 
 ONE = ComplexPoly.one()
 Z = ComplexPoly([0, 1])
 
 
 def projectively_close(f, g, pts, tol=1e-10):
-    va = f.at_many(pts)
-    vb = g.at_many(pts)
-    return all(fs_distance(va[:, k], vb[:, k]) <= tol
-               for k in range(len(pts)))
+    return bool(np.all(pairwise_fs_grid(f.at_many(pts), g.at_many(pts))
+                       <= tol))
 
 
 class TestExamples:

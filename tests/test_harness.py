@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from projcurve import harness, normality, position
@@ -13,9 +14,10 @@ from projcurve.errors import (BadParams, ParseError, UnknownTemplate,
 from projcurve.harness import (STAGES, generate_scene, load_scene,
                                run_pipeline, save_scene, scene_from_json,
                                scene_to_json)
+from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
-from projcurve.projective import MovingHyperplane
-from projcurve.sharing import FamilyMember
+from projcurve.projective import MovingHyperplane, ProjCurve
+from projcurve.sharing import CheckConfig, FamilyMember
 
 
 def minimal_scene_dict():
@@ -37,6 +39,27 @@ def minimal_scene_dict():
         }],
         "metadata": {},
     }
+
+
+def planted_scene():
+    """Curves [f0 : f1 : f2] whose f0 of degree 8 has roots of multiplicity
+    1 to 4, against five fixed hyperplanes in general position."""
+    region = Region(-1.0, 1.0, -1.0, 1.0, 21, 21)
+    hypers = [MovingHyperplane([ComplexPoly([b ** l]) for l in range(3)]
+                               ).normalized(region)
+              for b in 0.9 * np.exp(2j * np.pi * np.arange(5) / 5)]
+    rng = np.random.default_rng(5)
+    plants = ([(0.3 + 0.2j, 4), (-0.4j, 2), (0.5, 1), (-0.6 + 0.1j, 1)],
+              [(0.1, 3), (-0.5 + 0.5j, 3), (0.7j, 2)],
+              [(-0.2 - 0.3j, 2), (0.6, 2), (0.0, 2), (0.4 + 0.7j, 2)])
+    members = []
+    for k, roots in enumerate(plants):
+        f0 = ComplexPoly.from_roots([a for a, m in roots for _ in range(m)])
+        rest = [ComplexPoly(c) for c in
+                rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))]
+        members.append(FamilyMember(ProjCurve([f0, *rest]), hypers, f"p{k}"))
+    return harness.Scene(n=2, region=region, members=tuple(members),
+                         config=CheckConfig(region, 0.5, 1e-6), metadata={})
 
 
 class TestSceneIO:
@@ -180,6 +203,27 @@ class TestTemplates:
             mutated = scene_to_json(
                 generate_scene("wandering_shared", {"mutate": mutate}))
             assert mutated != base
+
+
+class TestDeterminism:
+    """The same scene gives the same report bytes: every stage, run twice on
+    two loads of one scene file."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: generate_scene("wandering_shared", {"N": 5}),
+        planted_scene,
+        lambda: generate_scene("blowup_linear", {"n": 2, "N": 5}),
+    ], ids=["wandering_shared", "planted", "blowup_linear"])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_same_bytes_twice(self, build, stage, tmp_path):
+        path = str(tmp_path / "scene.json")
+        save_scene(build(), path)
+        runs = [run_pipeline(load_scene(path), which=(stage,))
+                for _ in range(2)]
+        (first, code), (second, again) = runs
+        assert code == again
+        assert (json.dumps(first, sort_keys=True, indent=2)
+                == json.dumps(second, sort_keys=True, indent=2))
 
 
 class TestPipeline:

@@ -1,11 +1,17 @@
 import itertools
 
+import mpmath
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projcurve import _kernels
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region, SubsetDeterminants
-from projcurve.projective import MovingHyperplane, fs_distance
+from projcurve.projective import MovingHyperplane
+
+# Unit roundoff of complex128 arithmetic.
+U = 2.0 ** -53
 
 
 def random_coeffs(rng, rows, width):
@@ -15,14 +21,26 @@ def random_coeffs(rng, rows, width):
 
 class TestPolyvalGrid:
     def test_matches_poly_eval(self):
+        # Against mpmath, within Horner's rounding bound 2 L u B(z), B(z) =
+        # sum_i |c_i| |z|^i; and row k at its own points is row k of the
+        # shared-points form.
         rng = np.random.default_rng(0)
         coeffs = random_coeffs(rng, 3, 5)
         pts = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         vals = _kernels.polyval_grid_numpy(coeffs, pts)
-        for i in range(3):
-            p = ComplexPoly(coeffs[i])
-            assert np.abs(vals[i] - p(pts)).max() <= 1e-12 * \
-                max(1.0, np.abs(vals[i]).max())
+        with mpmath.workdps(40):
+            for row, got in zip(coeffs, vals):
+                cs = [mpmath.mpc(c) for c in reversed(row.tolist())]
+                mods = [abs(c) for c in cs]
+                for z, g in zip(pts.tolist(), got.tolist()):
+                    want = mpmath.polyval(cs, mpmath.mpc(z))
+                    bound = mpmath.polyval(mods, abs(z))
+                    assert abs(g - want) <= 2 * coeffs.shape[1] * U * bound
+        own = _kernels.polyval_grid_numpy(
+            coeffs, np.stack([pts[::-1], pts, pts[::2].repeat(2)]))
+        assert own[0].tobytes() == vals[0, ::-1].tobytes()
+        assert own[1].tobytes() == vals[1].tobytes()
+        assert own[2].tobytes() == vals[2, ::2].repeat(2).tobytes()
 
     def test_zero_padded_rows(self):
         coeffs = np.array([[1.0, 0.0, 0.0], [2.0, 3.0, 0.0]], dtype=complex)
@@ -65,10 +83,24 @@ class TestDetprodGrid:
 
 
 class TestPairwiseFsGrid:
-    def test_matches_fs_distance(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((3, 20)) + 1j * rng.standard_normal((3, 20))
-        b = rng.standard_normal((3, 20)) + 1j * rng.standard_normal((3, 20))
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), tilt=st.sampled_from([0.0, 1e-9, 1e-5, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_mpmath(self, n, tilt, seed):
+        """sqrt(1 - |<a,b>|^2 / (|a|^2 |b|^2)) in mpmath, within 8 P u.
+        b = c a + tilt e brings the points to within about ``tilt``, where
+        the naive formula keeps only half the digits."""
+        rng = np.random.default_rng(seed)
+        a = random_coeffs(rng, n + 1, 20)
+        b = (rng.standard_normal() * a
+             + tilt * random_coeffs(rng, n + 1, 20))
         got = _kernels.pairwise_fs_grid_numpy(a, b)
-        for k in range(20):
-            assert abs(got[k] - fs_distance(a[:, k], b[:, k])) <= 1e-12
+        with mpmath.workdps(40):
+            for k, g in enumerate(got.tolist()):
+                x = [mpmath.mpc(c) for c in a[:, k].tolist()]
+                y = [mpmath.mpc(c) for c in b[:, k].tolist()]
+                xx = sum(abs(c) ** 2 for c in x)
+                yy = sum(abs(c) ** 2 for c in y)
+                xy = abs(sum(c * mpmath.conj(d) for c, d in zip(x, y))) ** 2
+                want = mpmath.sqrt(max(0, 1 - xy / (xx * yy)))
+                assert abs(g - want) <= 8 * (n + 1) * U

@@ -1,6 +1,7 @@
 import dataclasses
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from projcurve.normality import (fs_derivative, fs_derivative_on_grid,
                                  marty_sup, zalcman_search)
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
-from projcurve.projective import ProjCurve, fs_distance, pair
+from projcurve.projective import ProjCurve, pair
 from projcurve.sharing import FamilyMember
 
 ONE = ComplexPoly.one()
@@ -33,6 +34,47 @@ def linear_family(N):
 
 def zalcman(curves):
     return zalcman_search(curves, marty_sup(curves, REGION))
+
+
+# Unit roundoff of complex128 arithmetic.
+U = 2.0 ** -53
+
+
+def assert_fs_derivative_close(curve, got, pts):
+    """``got`` against the Fubini-Study derivative of ``curve`` at ``pts``
+    in mpmath.
+
+    The tolerance is Horner's rounding bound carried through the
+    cross-term form: 16 L P u |f|~ |f'|~ / |f|^2, with L the coefficient
+    length, P = n + 1, and |f|~, |f'|~ the Euclidean norms of
+    sum_i |c_li| |z|^i over the components and their derivatives.
+    """
+    comps = curve.components
+    ders = curve.derivative_components()
+    L = max(p.coeffs.size for p in comps)
+    P = len(comps)
+    with mpmath.workdps(40):
+        for z, g in zip(pts.tolist(), got.tolist()):
+            zz = mpmath.mpc(z)
+
+            def value(p, x):
+                return mpmath.polyval(
+                    [mpmath.mpc(c) for c in reversed(p.coeffs.tolist())]
+                    or [0], x)
+
+            v = [value(p, zz) for p in comps]
+            dv = [value(p, zz) for p in ders]
+            bv = [value(ComplexPoly(np.abs(p.coeffs)), abs(zz))
+                  for p in comps]
+            bdv = [value(ComplexPoly(np.abs(p.coeffs)), abs(zz))
+                   for p in ders]
+            s2 = sum(abs(x) ** 2 for x in v)
+            num = sum(abs(v[i] * dv[j] - v[j] * dv[i]) ** 2
+                      for i in range(P) for j in range(i + 1, P))
+            want = mpmath.sqrt(num) / s2
+            tol = (16 * L * P * U * mpmath.sqrt(sum(abs(b) ** 2 for b in bv))
+                   * mpmath.sqrt(sum(abs(b) ** 2 for b in bdv)) / s2)
+            assert abs(g - want) <= tol
 
 
 class TestFsDerivative:
@@ -60,12 +102,32 @@ class TestFsDerivative:
             assert abs(a - b) <= 1e-10 * max(1.0, a)
 
     def test_grid_matches_pointwise(self):
-        f = ProjCurve([ONE, ComplexPoly([0.3, -1.0, 0.5])])
+        # Near z = 0 the derivative (1, 1 + 2e-6 z) of the second curve is
+        # almost parallel to the curve: the sine of the angle is about
+        # 1e-6, which the naive |f|^2 |f'|^2 - |<f, f'>|^2 numerator loses.
         region = Region(-1, 1, -1, 1, 9, 9)
-        grid_vals = fs_derivative_on_grid(f, region)
         pts = region.grid_points()
-        for k in (0, 17, 53, 80):
-            assert abs(grid_vals[k] - fs_derivative(f, pts[k])) <= 1e-12
+        some = pts[[0, 17, 40, 53, 80]]
+        for comps in ([[1.0], [0.3, -1.0, 0.5]],
+                      [[1.0, 1.0], [1.0, 1.0, 1e-6]],
+                      [[0.2j, 1.0, -0.5], [1.0, 0.0, 0.0, 0.7], [0, 2 - 1j]]):
+            f = ProjCurve([ComplexPoly(c) for c in comps],
+                          check_reduced=False)
+            assert_fs_derivative_close(f, fs_derivative_on_grid(f, region),
+                                       pts)
+            assert_fs_derivative_close(
+                f, np.array([fs_derivative(f, z) for z in some]), some)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), degree=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_mpmath(self, n, degree, seed):
+        rng = np.random.default_rng(seed)
+        f = ProjCurve(_random_curve(rng, n, degree, 1.0),
+                      check_reduced=False)
+        region = Region(-1, 1, -1, 1, 5, 5)
+        assert_fs_derivative_close(f, fs_derivative_on_grid(f, region),
+                                   region.grid_points())
 
     def test_quotient_formula_n1(self):
         rng = np.random.default_rng(5)
@@ -235,9 +297,7 @@ class TestZalcman:
         # the limit candidate is [1 : zeta]
         target = ProjCurve([ONE, Z])
         vals = target.at_many(trace.zeta_points)
-        diffs = [fs_distance(trace.limit_candidate[:, k], vals[:, k])
-                 for k in range(trace.zeta_points.size)]
-        assert max(diffs) <= 1e-12
+        assert pairwise_fs_grid(trace.limit_candidate, vals).max() <= 1e-12
 
     def test_quadratic_blowup_facts(self):
         curves = [ProjCurve([ONE,
@@ -245,6 +305,7 @@ class TestZalcman:
                   for nu in range(1, 7)]
         trace = zalcman(curves)
         pts = REGION.grid_points()
+        step = 2.0 / (REGION.grid_nx - 1)  # the grid step on both axes
         for k, nu in enumerate(range(1, 7)):
             # closed form of the spherical derivative on the grid
             r = np.abs(pts)
@@ -252,7 +313,7 @@ class TestZalcman:
             assert abs(trace.rhos[k] - 1.0 / sd.max()) <= 1e-12
             # center sits within a grid cell of the true maximizer radius
             r_star = 3.0 ** (-0.25) / nu
-            assert abs(abs(trace.centers[k]) - r_star) <= REGION.spacing
+            assert abs(abs(trace.centers[k]) - r_star) <= step
         for g in trace.rescaled:
             assert abs(fs_derivative(g, 0.0) - 1.0) <= 1e-9
         assert trace.rho_decreasing

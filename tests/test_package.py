@@ -8,9 +8,9 @@ PUBLIC = {
     "ProjcurveError", "Region", "Scene", "UniformDelta", "UnknownTemplate",
     "ValidationError", "WrongCount", "ZalcmanTrace", "ZeroPolynomial",
     "conditions_check", "config", "derived_map", "fs_derivative",
-    "fs_derivative_on_grid", "fs_distance", "generate_scene",
+    "fs_derivative_on_grid", "generate_scene",
     "hypotheses_check", "induced_curve", "load_scene", "marty_sup",
-    "match_point_sets", "pair", "preimage_zeros",
+    "match_point_sets", "pair",
     "run_pipeline", "save_scene", "scene_from_json", "scene_to_json",
     "uniform_delta", "wronskian", "zalcman_search",
     "__version__",

@@ -7,8 +7,7 @@ from projcurve.position import Region
 from projcurve.projective import MovingHyperplane, ProjCurve
 from projcurve import sharing
 from projcurve.sharing import (CheckConfig, FamilyMember, conditions_check,
-                               hypotheses_check, match_point_sets,
-                               preimage_zeros)
+                               hypotheses_check, match_point_sets)
 
 ONE = ComplexPoly.one()
 Z = ComplexPoly([0, 1])
@@ -17,6 +16,11 @@ REGION = Region(-1, 1, -1, 1, 21, 21)
 
 def fixed(*values):
     return MovingHyperplane([ComplexPoly([v]) for v in values])
+
+
+def preimage_zeros(curve, hyper, region):
+    """Zeros of one pairing in the region, as conditions_check finds them."""
+    return sharing._pairing_zeros([(curve, hyper)], region)[0]
 
 
 def make_config(**kw):
