@@ -208,7 +208,11 @@ def roots_many(polys: Sequence[ComplexPoly]
     within ``config.TAU_CLUSTER`` of a cluster representative merge and
     their count is the multiplicity.  The companion matrices of one degree
     >= 2 go to a single ``np.linalg.eigvals`` call as a stack; degree 1 is
-    solved in closed form.  Each degree's stack is polished at once.
+    solved in closed form.  Each degree's stack is polished at once.  A row
+    whose roots are all more than ``TAU_CLUSTER`` apart, found with one
+    array comparison per stack, is its sorted roots, each simple: the same
+    bits ``_cluster_points`` would return; only the other rows take its
+    loop.
     """
     groups: dict[int, list[int]] = {}
     for i, p in enumerate(polys):
@@ -227,10 +231,21 @@ def roots_many(polys: Sequence[ComplexPoly]
             C[:, 1:, :-1] = np.eye(d - 1)
             C[:, :, -1] = -monic
             eigs = np.linalg.eigvals(C)
-        for i, row in zip(members, _newton(P, eigs).tolist()):
-            clusters = _cluster_points(row, config.TAU_CLUSTER)
-            clusters.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-            out[i] = clusters
+            del C  # the largest array here; not kept through the polish
+        roots = _newton(P, eigs)
+        # A row is simple when each of its d(d-1) gaps between two roots is
+        # above TAU_CLUSTER; a NaN gap is not, so its row takes the loop.
+        far = np.abs(roots[:, :, None] - roots[:, None, :]) > config.TAU_CLUSTER
+        simple = far.sum(axis=(1, 2)) == d * (d - 1)
+        order = np.lexsort((roots.imag, roots.real)).tolist()
+        for i, alone, row, rank in zip(members, simple.tolist(),
+                                       roots.tolist(), order):
+            if alone:
+                out[i] = [(row[k], 1) for k in rank]
+            else:
+                clusters = _cluster_points(row, config.TAU_CLUSTER)
+                clusters.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+                out[i] = clusters
     return out
 
 
@@ -276,9 +291,10 @@ def _cluster_points(points: Sequence[complex],
     return list(zip(reps, counts))
 
 
-def multiple_roots(p: ComplexPoly) -> list[tuple[complex, int]]:
-    """``p.roots()`` with the scatter of multiple roots regrouped, sorted by
-    (real, imag).
+def multiple_roots(polys: Sequence[ComplexPoly]
+                   ) -> list[list[tuple[complex, int]]]:
+    """``roots_many(polys)`` with the scatter of multiple roots regrouped,
+    each list sorted by (real, imag).
 
     The eigenvalues of an m-fold root scatter by about (eps times its
     condition)^(1/m), which passes ``config.TAU_CLUSTER`` once m >= 4 or
@@ -289,20 +305,31 @@ def multiple_roots(p: ComplexPoly) -> list[tuple[complex, int]]:
     times sum_i C(i, j) |p_i| |c|^(i-j): a relative change of that size in
     p's coefficients makes c an m-fold root.  A group that fails splits in
     two at the longest edge of its minimum spanning tree, down to the
-    clusters ``roots()`` returned.
+    clusters ``roots_many`` returned.  The pending groups of every
+    polynomial are tested one split level at a time, two ``polyval_grid``
+    calls per level.
     """
-    taylor = _taylor_rows(p.coeffs)
-    out: list[tuple[complex, int]] = []
-    roots = p.roots()
-    stack = [roots] if roots else []
-    while stack:
-        group = stack.pop()
-        root = _multiple_root(taylor, group) if len(group) > 1 else group[0]
-        if root is None:
-            stack.extend(_split_longest_edge(group))
-        else:
-            out.append(root)
-    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    out: list[list[tuple[complex, int]]] = [[] for _ in polys]
+    level = list(enumerate(roots_many(polys)))
+    taylor = {k: _taylor_rows(polys[k].coeffs)
+              for k, group in level if len(group) > 1}
+    while level:
+        tests = []
+        for k, group in level:
+            if len(group) > 1:
+                tests.append((k, group))
+            else:
+                out[k].extend(group)
+        found = _multiple_root_level([taylor[k] for k, _ in tests],
+                                     [group for _, group in tests])
+        level = []
+        for (k, group), root in zip(tests, found):
+            if root is None:
+                level.extend((k, half) for half in _split_longest_edge(group))
+            else:
+                out[k].append(root)
+    for roots in out:
+        roots.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
 
 
@@ -316,28 +343,57 @@ def _taylor_rows(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _multiple_root(taylor: np.ndarray, group: list[tuple[complex, int]]
-                   ) -> tuple[complex, int] | None:
-    m = sum(k for _, k in group)
-    centre = sum(r * k for r, k in group) / m
-    spread = max(abs(r - centre) for r, _ in group)
+def _multiple_root_level(taylors: list[np.ndarray],
+                         groups: list[list[tuple[complex, int]]]
+                         ) -> list[tuple[complex, int] | None]:
+    """For each group, (c, m) when it is one m-fold root at c of the
+    polynomial whose ``_taylor_rows`` go with it, else None.
+
+    Every row of every group is zero-padded to one width and evaluated at
+    its own point, so the whole level takes two ``polyval_grid`` calls.
+    """
+    G = len(groups)
+    if not G:
+        return []
+    width = max(t.shape[1] for t in taylors)
+    ms = [sum(k for _, k in g) for g in groups]
+    centres = [sum(r * k for r, k in g) / m for g, m in zip(groups, ms)]
+    spreads = [max(abs(r - c) for r, _ in g) for g, c in zip(groups, centres)]
     # p^(m-1)/(m-1)! has a simple root at an m-fold root of p; its
     # derivative is m p^(m)/m!.
-    value, slope = polyval_grid(taylor[m - 1:m + 1, :len(taylor) - m + 1],
-                                np.array([centre]))[:, 0]
-    if slope == 0:
-        return None
-    c = complex(centre - value / (m * slope))
-    if abs(c - centre) > spread:
-        return None
+    rows = np.zeros((2 * G, width), dtype=np.complex128)
+    for g, (t, m) in enumerate(zip(taylors, ms)):
+        rows[2 * g: 2 * g + 2, : t.shape[1]] = t[m - 1: m + 1]
+    at = np.repeat(np.array(centres, dtype=np.complex128), 2)[:, None]
+    vals = polyval_grid(rows, at)[:, 0]
+    value, slope = vals[0::2], vals[1::2] * np.array(ms)
+    moved = np.divide(value, slope, out=np.zeros_like(value),
+                      where=slope != 0)
+    cs = np.array(centres, dtype=np.complex128) - moved
+    # Not-greater, so a NaN step is not refused here.
+    near = (slope != 0) & ~(np.abs(cs - centres) > np.array(spreads))
+    live = np.flatnonzero(near).tolist()
+    found: list[tuple[complex, int] | None] = [None] * G
+    if not live:
+        return found
     # The lower Taylor coefficients at c and their bounds at |c|, in one
     # call: row k at its own point.
-    lower = taylor[: m - 1]
-    at = np.array([[c]] * (m - 1) + [[abs(c)]] * (m - 1))
-    vals = polyval_grid(np.concatenate([lower, np.abs(lower)]), at)[:, 0]
-    if np.any(np.abs(vals[: m - 1]) > config.TAU_MULTIPLE * vals[m - 1:].real):
-        return None
-    return c, m
+    counts = [ms[g] - 1 for g in live]
+    R = sum(counts)
+    lower = np.zeros((R, width), dtype=np.complex128)
+    r = 0
+    for g, count in zip(live, counts):
+        lower[r: r + count, : taylors[g].shape[1]] = taylors[g][:count]
+        r += count
+    pts = np.repeat(cs[live], counts)[:, None]
+    vals = polyval_grid(np.concatenate([lower, np.abs(lower)]),
+                        np.concatenate([pts, np.abs(pts)]))[:, 0]
+    bad = np.abs(vals[:R]) > config.TAU_MULTIPLE * vals[R:].real
+    starts = np.cumsum([0, *counts[:-1]])
+    for g, rejected in zip(live, np.logical_or.reduceat(bad, starts).tolist()):
+        if not rejected:
+            found[g] = (complex(cs[g]), ms[g])
+    return found
 
 
 def _split_longest_edge(group: list[tuple[complex, int]]

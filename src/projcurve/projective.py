@@ -78,18 +78,11 @@ class ProjCurve:
     def is_constant(self) -> bool:
         return all(p.is_constant for p in self._components)
 
-    def at(self, z: complex) -> np.ndarray:
-        """Homogeneous coordinate vector at z, shape (n+1,)."""
-        return self.at_many(np.array([z]))[:, 0]
-
     def at_many(self, pts: np.ndarray) -> np.ndarray:
         """Coordinates at M points, shape (n+1, M), from one
         ``polyval_grid`` call."""
         return polyval_grid(stack_coeffs(self._components),
                             np.asarray(pts, dtype=np.complex128))
-
-    def derivative_components(self) -> tuple[ComplexPoly, ...]:
-        return tuple(p.derivative() for p in self._components)
 
     def to_json(self) -> dict:
         return {"n": self.n,
@@ -136,15 +129,9 @@ class MovingHyperplane:
     def normalization(self) -> dict | None:
         return self._normalization
 
-    def at(self, z: complex) -> np.ndarray:
-        return polyval_grid(stack_coeffs(self._coeffs), np.array([z]))[:, 0]
-
-    def norm(self, z: complex) -> float:
-        """Max modulus over coefficient values at z."""
-        return float(np.max(np.abs(self.at(z))))
-
     def normalized(self, region) -> "MovingHyperplane":
-        """Rescale so the sup of ``norm`` over the region's grid equals 1.
+        """Rescale so the sup over the region's grid of the largest
+        coefficient modulus equals 1.
 
         ``region`` is anything with a ``grid_points()`` method returning the
         sample points.  The applied factor is recorded.  A fixed hyperplane's

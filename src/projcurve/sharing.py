@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import config
-from .derived import derived_map
+from .derived import derived_maps
 from .errors import IdenticallyZero, WrongCount, ValidationError
 from .normality import marty_sup
 from .polynomial import roots_many
@@ -146,8 +146,8 @@ def match_point_sets(a: Sequence[complex], b: Sequence[complex],
 
 def conditions_check(member: FamilyMember,
                      cfg: CheckConfig) -> tuple[list[dict], dict]:
-    """Conditions 1 and 2 from one root solve per pairing, all of a
-    member's pairings in one ``roots_many`` call.
+    """Conditions 1 and 2 of one member: ``hypotheses_check``'s family
+    solve with the member alone.
 
     Condition 1, per hyperplane: the curve's and the derived map's preimage
     zero SETS are equal.  Only set equality is tested; the curves are
@@ -156,16 +156,58 @@ def conditions_check(member: FamilyMember,
     Condition 2, across all hyperplanes: every preimage zero z of the curve
     has |f_0(z)| >= epsilon * max_l |f_l(z)|; failures carry full witnesses.
     """
-    curve = member.curve
-    nabla = derived_map(curve)
-    tau = cfg.match_tolerance
     try:
-        zeros = _pairing_zeros([(f, h) for h in member.hyperplanes
-                                for f in (curve, nabla)], cfg.region)
+        [result] = _family_conditions([member], cfg)
     except IdenticallyZero as exc:
-        j = exc.hyperplane_index // 2
-        raise IdenticallyZero(f"hyperplane {j}: {exc}",
-                              hyperplane_index=j) from exc
+        # The family's error names the member; alone it names the
+        # hyperplane only.
+        raise exc.__cause__
+    return result
+
+
+def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
+                       ) -> list[tuple[list[dict], dict]]:
+    """``conditions_check`` of every member, from one ``derived_maps`` call
+    and one ``roots_many`` call over all 2(2n+1) pairings of every member.
+
+    Members meet their defects in member order: the first pairing that
+    vanishes identically raises IdenticallyZero naming its member and
+    hyperplane (its cause names the hyperplane only), unless an earlier
+    member has a zero first component, which raises FirstComponentZero.
+    """
+    curves = [m.curve for m in members]
+    head = next((i for i, f in enumerate(curves)
+                 if f.components[0].is_zero), len(curves))
+    nablas = derived_maps(curves[:head])
+    slots = [(i, j) for i in range(head)
+             for j in range(len(members[i].hyperplanes))]
+    try:
+        zeros = _pairing_zeros([(f, members[i].hyperplanes[j])
+                                for i, j in slots
+                                for f in (curves[i], nablas[i])], cfg.region)
+    except IdenticallyZero as exc:
+        i, j = slots[exc.hyperplane_index // 2]
+        alone = IdenticallyZero(f"hyperplane {j}: {exc}", hyperplane_index=j)
+        alone.__cause__ = exc
+        raise IdenticallyZero(f"member {members[i].label}: {alone}",
+                              hyperplane_index=j) from alone
+    if head < len(curves):
+        derived_maps(curves[head:])  # raises FirstComponentZero
+    out = []
+    start = 0
+    for m in members:
+        stop = start + 2 * len(m.hyperplanes)
+        out.append(_member_conditions(m, zeros[start:stop], cfg))
+        start = stop
+    return out
+
+
+def _member_conditions(member: FamilyMember,
+                       zeros: list[list[tuple[complex, int]]],
+                       cfg: CheckConfig) -> tuple[list[dict], dict]:
+    """Conditions 1 and 2 from the member's pairing zeros, curve and
+    derived map alternating per hyperplane."""
+    tau = cfg.match_tolerance
     cond1 = []
     for j in range(len(member.hyperplanes)):
         zf = [z for z, _ in zeros[2 * j]]
@@ -180,8 +222,8 @@ def conditions_check(member: FamilyMember,
     # Every curve-side zero, with its hyperplane, at once.
     found = [(z, j) for j in range(len(member.hyperplanes))
              for z, _ in zeros[2 * j]]
-    mods = np.abs(curve.at_many(np.array([z for z, _ in found],
-                                         dtype=np.complex128)))
+    mods = np.abs(member.curve.at_many(np.array([z for z, _ in found],
+                                                dtype=np.complex128)))
     lhs = mods[0].tolist()
     rhs = (cfg.epsilon * mods.max(axis=0)).tolist()
     witnesses = [{"z": z, "hyperplane": j, "lhs": lo, "rhs": hi}
@@ -259,9 +301,11 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
     """Run every hypothesis check and aggregate the verdicts.
 
     ``deltas`` maps hyperplane tuples to a ``uniform_delta`` already taken
-    on ``cfg.region``; tuples it lacks are swept here.  Degenerate members
-    (curve inside a hyperplane, zero first component) raise, annotated with
-    the member label; they are scene defects, not check failures.
+    on ``cfg.region``; tuples it lacks are swept here.  Conditions 1 and 2
+    of the whole family come from one ``derived_maps`` call and one
+    ``roots_many`` call.  Degenerate members (curve inside a hyperplane,
+    annotated with the member label; zero first component) raise; they are
+    scene defects, not check failures.
     """
     members = list(members)
     warnings: list[str] = []
@@ -276,20 +320,13 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
     # Members holding the same hyperplane objects share one uniform_delta.
     deltas = dict(deltas or {})
     for m in members:
-        try:
-            if m.hyperplanes not in deltas:
-                deltas[m.hyperplanes] = uniform_delta(m.hyperplanes,
-                                                      cfg.region)
-            ud = deltas[m.hyperplanes]
-            c1, c2 = conditions_check(m, cfg)
-        except IdenticallyZero as exc:
-            raise IdenticallyZero(
-                f"member {m.label}: {exc}",
-                hyperplane_index=exc.hyperplane_index) from exc
+        if m.hyperplanes not in deltas:
+            deltas[m.hyperplanes] = uniform_delta(m.hyperplanes, cfg.region)
+    for m, (c1, c2) in zip(members, _family_conditions(members, cfg)):
         verdicts.append(MemberVerdict(
             label=m.label,
-            delta=ud,
-            delta_ok=ud.value > cfg.delta,
+            delta=deltas[m.hyperplanes],
+            delta_ok=deltas[m.hyperplanes].value > cfg.delta,
             condition1=c1,
             condition1_ok=all(v["passed"] for v in c1),
             condition2=c2,

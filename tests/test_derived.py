@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from projcurve._kernels import pairwise_fs_grid
-from projcurve.derived import derived_map
+from projcurve.derived import derived_map, derived_maps
 from projcurve.errors import FirstComponentZero
 from projcurve.polynomial import ComplexPoly, wronskian
 from projcurve.projective import ProjCurve
@@ -129,33 +129,55 @@ def to_complex_poly(poly):
     return ComplexPoly([complex(c) for c in reversed(poly.all_coeffs())])
 
 
+def exact_case(drawn):
+    """The curve [f0 : f1 : ...] with f0 built from lattice roots, and its
+    derived map's degrees from the exact gcd in sympy; None when the curve
+    is not reduced (the identity needs a reduced curve)."""
+    roots, others = drawn
+    f0 = sympy_poly(sympy.Mul(*[
+        (Z_SYM - sympy.Rational(k, 4) - sympy.I * sympy.Rational(l, 4))
+        ** m for k, l, m in roots]))
+    fs = [sympy_poly(sum(c * Z_SYM ** j for j, c in enumerate(cs)))
+          for cs in others]
+    common = f0
+    for f in fs:
+        common = common.gcd(f)
+    if common.degree() != 0:
+        return None
+
+    parts = [f0 * f0] + [f0 * f.diff(Z_SYM) - f0.diff(Z_SYM) * f
+                         for f in fs]
+    g = parts[0]
+    for part in parts[1:]:
+        g = g.gcd(part)
+    want = [part.degree() - g.degree() if not part.is_zero else -1
+            for part in parts]
+    curve = ProjCurve([to_complex_poly(f) for f in [f0] + fs],
+                      check_reduced=False)
+    return curve, want
+
+
+exact_cases = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    lattice_roots, st.lists(small_int_polys, min_size=n, max_size=n)))
+
+
 class TestExactOracle:
-    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-        lattice_roots, st.lists(small_int_polys, min_size=n, max_size=n))))
+    @given(exact_cases)
     # Three double roots whose eigenvalues scatter past TAU_CLUSTER.
     @example(([(0, 3, 2), (0, 4, 2), (1, 3, 2)], [[1]]))
     @settings(max_examples=80, deadline=None)
     def test_degrees_match_exact_gcd(self, drawn):
-        roots, others = drawn
-        f0 = sympy_poly(sympy.Mul(*[
-            (Z_SYM - sympy.Rational(k, 4) - sympy.I * sympy.Rational(l, 4))
-            ** m for k, l, m in roots]))
-        fs = [sympy_poly(sum(c * Z_SYM ** j for j, c in enumerate(cs)))
-              for cs in others]
-        common = f0
-        for f in fs:
-            common = common.gcd(f)
-        assume(common.degree() == 0)  # the identity needs a reduced curve
-
-        parts = [f0 * f0] + [f0 * f.diff(Z_SYM) - f0.diff(Z_SYM) * f
-                             for f in fs]
-        g = parts[0]
-        for part in parts[1:]:
-            g = g.gcd(part)
-        want = [part.degree() - g.degree() if not part.is_zero else -1
-                for part in parts]
-
-        curve = ProjCurve([to_complex_poly(f) for f in [f0] + fs],
-                          check_reduced=False)
+        case = exact_case(drawn)
+        assume(case is not None)
+        curve, want = case
         got = [c.degree for c in derived_map(curve).components]
         assert got == want
+
+    # A family of curves of several n and degrees, reduced together.
+    @given(st.lists(exact_cases.map(exact_case).filter(bool),
+                    min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_family_degrees_match_exact_gcd(self, cases):
+        got = derived_maps([curve for curve, _ in cases])
+        assert [[c.degree for c in d.components] for d in got] == [
+            want for _, want in cases]

@@ -50,7 +50,7 @@ def assert_fs_derivative_close(curve, got, pts):
     sum_i |c_li| |z|^i over the components and their derivatives.
     """
     comps = curve.components
-    ders = curve.derivative_components()
+    ders = [p.derivative() for p in comps]
     L = max(p.coeffs.size for p in comps)
     P = len(comps)
     with mpmath.workdps(40):
@@ -233,7 +233,8 @@ def _random_curve(rng, n, degree, scale):
 
 
 def _unscaled_pack(curve):
-    comps, ders = curve.components, curve.derivative_components()
+    comps = curve.components
+    ders = [p.derivative() for p in comps]
     L = max(p.coeffs.size for p in comps)
     Ld = max(max(p.coeffs.size for p in ders), 1)
     comp = np.zeros((len(comps), L), dtype=np.complex128)

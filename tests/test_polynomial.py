@@ -320,6 +320,11 @@ def well_posed(case):
             and max(map(case.radius, case.mults)) < case.separation() / 4)
 
 
+def _bits(z):
+    """A complex number's bits, signed zeros told apart."""
+    return z.real.hex(), z.imag.hex()
+
+
 class TestRootsReference:
     """``roots()`` against exact roots, at stated tolerances."""
 
@@ -371,6 +376,35 @@ class TestRootsReference:
             else:
                 check_planted(case, roots)
 
+    # Planted multiplicities 1-5 give rows with and without a close pair.
+    @given(st.lists(planted(degrees=st.sampled_from([1, 2, 3, 5])),
+                    min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_without_close_pair_skip_cluster_loop(self, cases):
+        """A row takes the clustering loop exactly when two of its polished
+        roots are within TAU_CLUSTER, and a row that skips it holds the
+        bits ``_cluster_points`` returns for its roots."""
+        looped = {}
+
+        def spy(points, tau):
+            out = _cluster_points(points, tau)
+            looped[id(out)] = (list(points), out)
+            return out
+
+        with mock.patch.object(polynomial, "_cluster_points", spy):
+            got = roots_many([c.poly for c in cases])
+        for roots in got:
+            if id(roots) in looped:
+                points, _ = looped[id(roots)]
+            else:
+                points = [r for r, _ in roots]
+                want = _cluster_points(points, config.TAU_CLUSTER)
+                assert [(_bits(r), m) for r, m in roots] == [
+                    (_bits(r), m) for r, m in want]
+            close = any(abs(a - b) <= config.TAU_CLUSTER
+                        for i, a in enumerate(points) for b in points[i + 1:])
+            assert close == (id(roots) in looped)
+
     def test_roots_many_zero_polynomial_raises(self):
         with pytest.raises(ZeroPolynomial):
             roots_many([ComplexPoly([1.0, 1.0]), ComplexPoly.zero()])
@@ -401,7 +435,7 @@ class TestMultipleRoots:
         planted = [0.75j, 1j, 0.25 + 0.75j]
         p = ComplexPoly.from_roots([r for r in planted for _ in range(2)])
         assert len(p.roots()) > 3
-        got = multiple_roots(p)
+        got = multiple_roots([p])[0]
         assert [m for _, m in got] == [2, 2, 2]
         for (r, _), want in zip(got, sorted(planted, key=lambda c: (
                 c.real, c.imag))):
@@ -416,7 +450,7 @@ class TestMultipleRoots:
         # their mean (which is a up to the rounding of from_roots).
         a = 0.0123 + 0.0071j
         p = ComplexPoly.from_roots([a] * k)
-        [(r, m)] = multiple_roots(p)
+        [(r, m)] = multiple_roots([p])[0]
         assert m == k
         with mpmath.workdps(60):
             cs = [mpmath.mpc(c) for c in reversed(p.coeffs.tolist())]
@@ -428,16 +462,46 @@ class TestMultipleRoots:
 
     def test_two_quadruple_roots(self):
         p = ComplexPoly.from_roots([0.5] * 4 + [-0.3j] * 4)
-        assert [m for _, m in multiple_roots(p)] == [4, 4]
+        assert [m for _, m in multiple_roots([p])[0]] == [4, 4]
 
     def test_simple_roots_unchanged(self):
         # Distinct roots, two of them 1e-3 apart, keep roots()' clusters.
         p = ComplexPoly.from_roots([0.3, 0.301, -0.5j, 0.7 + 0.2j])
-        assert multiple_roots(p) == p.roots()
+        assert multiple_roots([p])[0] == p.roots()
         assert len(p.roots()) == 4
 
     def test_constant_has_no_roots(self):
-        assert multiple_roots(ComplexPoly([2.0])) == []
+        assert multiple_roots([ComplexPoly([2.0])])[0] == []
+
+    # Mixed degrees, constants included, so one split level holds groups
+    # of several polynomials, of several widths and multiplicities 1-5.
+    @given(st.lists(st.one_of(
+        planted(degrees=st.integers(1, 12)).filter(well_posed),
+        lead_complex.map(lambda c: ComplexPoly([c]))), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_batched_matches_one_at_a_time(self, cases):
+        """Each polynomial of a batch gets the multiplicities it gets
+        alone, per planted root, and its roots lie within the m-fold
+        radius R(a) of ``Planted.radius``."""
+        polys = [c if isinstance(c, ComplexPoly) else c.poly for c in cases]
+        for case, p, got in zip(cases, polys, multiple_roots(polys)):
+            alone = multiple_roots([p])[0]
+            if isinstance(case, ComplexPoly):
+                assert got == alone == []
+                continue
+
+            def mults(roots):
+                owner = [min(case.mults, key=lambda a: abs(r - a))
+                         for r, _ in roots]
+                return {a: sorted(m for (_, m), o in zip(roots, owner)
+                                  if o == a) for a in case.mults}
+
+            assert mults(got) == mults(alone)
+            for a, ms in mults(got).items():
+                assert sum(ms) == case.mults[a]
+            for r, _ in got:
+                a = min(case.mults, key=lambda a: abs(r - a))
+                assert abs(r - a) <= case.radius(a)
 
 
 class TestWronskian:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from projcurve import config
 from projcurve.errors import WrongCount
-from projcurve.polynomial import ComplexPoly
+from projcurve.polynomial import ComplexPoly, stack_coeffs
 from projcurve.position import (Region, SubsetDeterminants, position_sweep,
                                 uniform_delta)
 from projcurve.projective import MovingHyperplane
@@ -351,7 +351,8 @@ class TestFixedFamiliesExact:
     @pytest.mark.parametrize("hypers", FIXED_FAMILIES)
     def test_one_determinant_per_subset(self, hypers):
         region = Region(-0.5, 1.5, -1.0, 0.25, 9, 6)
-        A = np.stack([h.at(0.0)
+        # Fixed hyperplanes: the constant coefficients are the values.
+        A = np.stack([stack_coeffs(h.coeffs)[:, 0]
                       for h in normalized(hypers, region)])
         dets = [np.linalg.det(A[list(idx)]) for idx in
                 itertools.combinations(range(len(hypers)), hypers[0].n + 1)]

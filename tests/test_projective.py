@@ -113,8 +113,9 @@ class TestProjCurve:
 
     def test_at_and_point(self):
         f = ProjCurve([ONE, Z])
-        assert np.allclose(f.at(2.0), [1.0, 2.0])
-        assert fs(f.at(2.0), [0.5, 1.0]) <= 1e-15
+        [at] = f.at_many(np.array([2.0])).T
+        assert np.allclose(at, [1.0, 2.0])
+        assert fs(at, [0.5, 1.0]) <= 1e-15
 
     def test_at_many_shape(self):
         f = ProjCurve([ONE, Z, Z * Z])
@@ -143,10 +144,11 @@ class TestMovingHyperplane:
             MovingHyperplane([Z, Z])
 
     def test_norm(self):
+        # the largest coefficient modulus, pointwise: what normalized()
+        # takes the sup of
         h = MovingHyperplane([ONE, Z])
-        assert h.norm(0.5) == 1.0
-        assert h.norm(2.0) == 2.0
-        assert h.norm(3.0) == 3.0
+        vals = induced_curve(h).at_many(np.array([0.5, 2.0, 3.0]))
+        assert np.abs(vals).max(axis=0).tolist() == [1.0, 2.0, 3.0]
 
     def test_normalized_unit_sup(self):
         region = Region(-1, 1, -1, 1, 11, 11)

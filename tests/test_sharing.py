@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from projcurve.errors import IdenticallyZero, WrongCount
+from projcurve.derived import derived_map
+from projcurve.errors import FirstComponentZero, IdenticallyZero, WrongCount
 from projcurve.polynomial import ComplexPoly, roots_many
-from projcurve.position import Region
-from projcurve.projective import MovingHyperplane, ProjCurve
-from projcurve import sharing
+from projcurve.position import Region, uniform_delta
+from projcurve.projective import MovingHyperplane, ProjCurve, pair
+from projcurve import polynomial, sharing
 from projcurve.sharing import (CheckConfig, FamilyMember, conditions_check,
                                hypotheses_check, match_point_sets)
 
@@ -137,22 +140,28 @@ class TestHypothesesCheck:
         assert len(data["members"]) == 3
 
     def test_one_root_solve_per_pairing(self, monkeypatch):
-        # per member: the curve and its derived map against each of the
-        # 2n+1 hyperplanes, once, all handed to the solver together
-        calls = []
+        # every member's curve and derived map against each of its 2n+1
+        # hyperplanes, once, all of the family handed to the solver
+        # together; and every member's f0 in one solve for the derived maps
+        calls, f0_calls = [], []
 
-        def counting(polys):
-            calls.append(len(polys))
-            return roots_many(polys)
+        def counting(into):
+            def solve(polys):
+                into.append(len(polys))
+                return roots_many(polys)
+            return solve
 
-        monkeypatch.setattr(sharing, "roots_many", counting)
+        monkeypatch.setattr(sharing, "roots_many", counting(calls))
+        monkeypatch.setattr(polynomial, "roots_many", counting(f0_calls))
         hypers = [fixed(0.0, 1.0), fixed(1.0, 0.1), fixed(1.0, -0.1)]
         members = [
-            FamilyMember(ProjCurve([ONE, ComplexPoly([a * a, -2 * a, 1.0])]),
+            FamilyMember(ProjCurve([ComplexPoly([1.0, 0.1 * k]),
+                                    ComplexPoly([a * a, -2 * a, 1.0])]),
                          hypers, f"m{k}")
             for k, a in enumerate((-0.3, 0.0, 0.3))]
         hypotheses_check(members, make_config())
-        assert calls == [2 * len(hypers)] * len(members)
+        assert calls == [2 * len(hypers) * len(members)]
+        assert f0_calls == [len(members)]
 
     def test_degenerate_pairing_is_labeled(self):
         h_bad = MovingHyperplane([Z, ComplexPoly([-1.0])])
@@ -162,6 +171,24 @@ class TestHypothesesCheck:
         with pytest.raises(IdenticallyZero) as err:
             hypotheses_check(members, make_config())
         assert "bad" in str(err.value)
+
+    def test_first_bad_member_is_reported(self):
+        # One solve serves the family, but its defects are met in member
+        # order: [1 : z] lies in (z, -1), and [0 : 1] has no derived map.
+        good = [fixed(0.0, 1.0), fixed(1.0, 0.1), fixed(1.0, -0.1)]
+        h_curve = MovingHyperplane([Z, ComplexPoly([-1.0])])
+        line = ProjCurve([ONE, Z])
+        a = FamilyMember(line, good, "a")
+        b = FamilyMember(line, [good[0], good[1], h_curve], "b")
+        c = FamilyMember(line, [h_curve, good[1], good[2]], "c")
+        flat = FamilyMember(ProjCurve([ComplexPoly.zero(), ONE]), good, "d")
+        with pytest.raises(IdenticallyZero) as err:
+            hypotheses_check([a, b, c, flat], make_config())
+        assert str(err.value) == (
+            "member b: hyperplane 2: curve lies inside the hyperplane")
+        assert err.value.hyperplane_index == 2
+        with pytest.raises(FirstComponentZero):
+            hypotheses_check([a, flat, b], make_config())
 
     def test_first_zero_pairing_is_reported(self):
         # The curve [1 : z] lies in hyperplanes 1 and 2, and its derived map
@@ -183,6 +210,87 @@ class TestHypothesesCheck:
         with pytest.raises(IdenticallyZero) as err:
             conditions_check(member, make_config())
         assert err.value.hyperplane_index == 1
+
+
+# Unit roundoff of complex128 arithmetic.
+U = 2.0 ** -53
+
+
+def simple_root_bound(p, z):
+    """README's bound on a polished simple root of p near z:
+    2 d u B(z) / |p'(z)|, B(z) = sum_i |c_i| |z|^i."""
+    B = float(np.polyval(np.abs(p.coeffs[::-1]), abs(z)))
+    return 2 * p.degree * U * B / abs(p.derivative()(z))
+
+
+@st.composite
+def families(draw):
+    """1-6 members in P^n, n = 1...6, each with f0 planted on the 1/4
+    lattice inside the region with multiplicities 1-5, random f1...fn of
+    degree 1-3, and 2n+1 random fixed hyperplanes of its own."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def gaussian(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    members = []
+    for k in range(draw(st.integers(1, 6))):
+        roots = draw(st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                      st.integers(1, 5)),
+            min_size=1, max_size=2, unique_by=lambda t: t[:2]))
+        f0 = ComplexPoly.from_roots([complex(a, b) / 4
+                                     for a, b, m in roots for _ in range(m)])
+        comps = [f0] + [ComplexPoly(gaussian(int(rng.integers(2, 5))))
+                        for _ in range(n)]
+        hypers = [MovingHyperplane([ComplexPoly([c]) for c in gaussian(n + 1)])
+                  for _ in range(2 * n + 1)]
+        members.append(FamilyMember(ProjCurve(comps), hypers, f"m{k}"))
+    return members
+
+
+class TestMemberIndependence:
+    """A member's verdicts do not depend on the members solved with it."""
+
+    @given(families())
+    @settings(max_examples=30, deadline=None)
+    def test_member_checked_in_family_as_alone(self, members):
+        cfg = make_config(region=Region(-1, 1, -1, 1, 5, 5))
+        deltas = {m.hyperplanes: uniform_delta(m.hyperplanes, cfg.region)
+                  for m in members}
+        family = hypotheses_check(members, cfg, deltas).to_json()["members"]
+        for member, got in zip(members, family):
+            [alone] = hypotheses_check([member], cfg,
+                                       deltas).to_json()["members"]
+            for key in ("delta_ok", "condition1_ok", "condition2_ok"):
+                assert got[key] == alone[key]
+            sides = {"curve_only": member.curve,
+                     "derived_only": derived_map(member.curve)}
+            assert len(got["condition1"]) == len(alone["condition1"])
+            for j, (a, b) in enumerate(zip(got["condition1"],
+                                           alone["condition1"])):
+                assert a["passed"] == b["passed"]
+                for side, curve in sides.items():
+                    p = pair(curve, member.hyperplanes[j])
+                    assert_zeros_agree(p, a[side], b[side])
+            a, b = got["condition2"], alone["condition2"]
+            assert (a["passed"], a["zeros_checked"]) == (
+                b["passed"], b["zeros_checked"])
+            assert [w["hyperplane"] for w in a["witnesses"]] == [
+                w["hyperplane"] for w in b["witnesses"]]
+            for wa, wb in zip(a["witnesses"], b["witnesses"]):
+                p = pair(member.curve, member.hyperplanes[wa["hyperplane"]])
+                assert_zeros_agree(p, [wa["z"]], [wb["z"]])
+
+
+def assert_zeros_agree(p, got, want):
+    """Two lists of reported zeros of p, as [re, im] pairs, are as long
+    and agree in order, each within twice the simple-root bound."""
+    assert len(got) == len(want)
+    for (x, y), (u, v) in zip(got, want):
+        z, w = complex(x, y), complex(u, v)
+        assert abs(z - w) <= 2 * simple_root_bound(p, z)
 
 
 class TestRootSetOracle:
