@@ -14,6 +14,7 @@ degenerate or malformed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,6 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process; each ``parse_args``
+    returns a new namespace, so no call sees another's options."""
+    return build_parser()
+
+
 def _emit(payload: dict, output: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if output is None:
@@ -114,8 +122,7 @@ def _cmd_run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "gen":
             return _cmd_gen(args)

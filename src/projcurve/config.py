@@ -3,7 +3,9 @@
 The checker has two settings, a scene's ``epsilon`` and ``delta``; every
 other number the stages use is a constant here.  ``ComplexPoly`` trims with
 TAU_COEFF, ``ComplexPoly.roots`` clusters with TAU_CLUSTER and
-``multiple_roots`` regroups those clusters with TAU_MULTIPLE, the load-time
+``multiple_roots`` regroups those clusters with TAU_MULTIPLE (which also
+sets how far apart, 2 TAU_MULTIPLE^(1/d) at degree d, two clusters may be
+tested as one root), the load-time
 check that a curve's components (or a hyperplane's coefficients) have no
 common zero matches roots within TAU_ROOT, and preimage zero sets are
 matched within TAU_MATCH_REL times the region diameter.  The three MARTY_

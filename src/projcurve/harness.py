@@ -30,7 +30,7 @@ from .errors import (AllZero, BadParams, DimensionMismatch, FirstComponentZero,
 from .normality import marty_sup, zalcman_search
 from .polynomial import ComplexPoly
 from .position import Region, position_sweep, uniform_delta
-from .projective import MovingHyperplane, ProjCurve
+from .projective import MovingHyperplane, ProjCurve, first_common_zero
 from .sharing import CheckConfig, FamilyMember, _c, hypotheses_check
 
 SCHEMA_VERSION = 1
@@ -72,19 +72,30 @@ def _is_number(value, kinds: type | tuple = (int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _poly_from_json(data, path: str) -> ComplexPoly:
-    _expect(isinstance(data, list), "polynomial must be a list of [re, im]",
-            path)
-    coeffs = []
-    for i, item in enumerate(data):
-        _expect(isinstance(item, list) and len(item) == 2
-                and all(_is_number(v) for v in item),
-                "coefficient must be a [re, im] pair", f"{path}[{i}]")
-        # Also rules out NaN and integers too large for a double.
-        _expect(all(abs(v) <= sys.float_info.max for v in item),
-                f"coefficient must be finite, got {item}", f"{path}[{i}]")
-        coeffs.append(complex(item[0], item[1]))
-    return ComplexPoly(coeffs)
+def _polys_from_json(data: list, path: str) -> list[ComplexPoly]:
+    """The polynomial of each coefficient list in ``data`` (the one at
+    ``path[k]``), built with one ``ComplexPoly.from_rows`` call."""
+    rows = []
+    # The messages and paths are formatted only for a bad entry.
+    for k, poly in enumerate(data):
+        if not isinstance(poly, list):
+            raise ValidationError("polynomial must be a list of [re, im]",
+                                  path=f"{path}[{k}]")
+        coeffs = []
+        for i, item in enumerate(poly):
+            if not (isinstance(item, list) and len(item) == 2
+                    and all(_is_number(v) for v in item)):
+                raise ValidationError("coefficient must be a [re, im] pair",
+                                      path=f"{path}[{k}][{i}]")
+            # Also rules out NaN and integers too large for a double.
+            if not all(abs(v) <= sys.float_info.max for v in item):
+                raise ValidationError(
+                    f"coefficient must be finite, got {item}",
+                    path=f"{path}[{k}][{i}]")
+            coeffs.append(complex(item[0], item[1]))
+        rows.append(coeffs)
+    width = max(map(len, rows), default=0)
+    return ComplexPoly.from_rows([c + [0j] * (width - len(c)) for c in rows])
 
 
 def _region_from_json(data, path: str) -> Region:
@@ -105,7 +116,10 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
     """Validated scene from its JSON document.
 
     ``grid`` (NX, NY), the CLI's ``--grid``, replaces the document's grid
-    resolution before any hyperplane is normalized against it.
+    resolution before any hyperplane is normalized against it.  Every
+    member's structure is checked first; then the components of all curves
+    are solved together, in one ``roots_many`` call, and the first curve
+    whose components share a zero fails at ``$.members[i].curve``.
     """
     _expect(isinstance(data, dict), "scene must be a JSON object", "$")
     version = data.get("schema_version", SCHEMA_VERSION)
@@ -170,10 +184,11 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
         _expect(isinstance(comps_data, list) and len(comps_data) == n + 1,
                 f"curve needs n+1 = {n + 1} components",
                 f"{mpath}.curve.components")
-        comps = [_poly_from_json(c, f"{mpath}.curve.components[{k}]")
-                 for k, c in enumerate(comps_data)]
+        comps = _polys_from_json(comps_data, f"{mpath}.curve.components")
         try:
-            curve = ProjCurve(comps)
+            # Whether the components share a zero is tested for every
+            # curve at once, below.
+            curve = ProjCurve(comps, check_reduced=False)
         except ProjcurveError as exc:
             raise ValidationError(str(exc), path=f"{mpath}.curve") from exc
 
@@ -200,8 +215,7 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
                     and len(coeffs_data) == n + 1,
                     f"hyperplane needs n+1 = {n + 1} coefficients",
                     f"{hpath}.coeffs")
-            coeffs = [_poly_from_json(c, f"{hpath}.coeffs[{j}]")
-                      for j, c in enumerate(coeffs_data)]
+            coeffs = _polys_from_json(coeffs_data, f"{hpath}.coeffs")
             try:
                 h = MovingHyperplane(coeffs).normalized(region)
             except ProjcurveError as exc:
@@ -209,6 +223,11 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
             loaded[key] = h
             hypers.append(h)
         members.append(FamilyMember(curve, hypers, label))
+    bad = first_common_zero([m.curve.components for m in members])
+    if bad is not None:
+        raise ValidationError(
+            "components share a zero; reduce the representation first",
+            path=f"$.members[{bad}].curve")
 
     metadata = data.get("metadata", {})
     _expect(isinstance(metadata, dict), "metadata must be an object",
@@ -271,7 +290,7 @@ def rebuild_scene(scene: Scene, epsilon: float | None = None,
 # ---------------------------------------------------------------------------
 
 def _fixed(*values: complex) -> MovingHyperplane:
-    return MovingHyperplane([ComplexPoly([v]) for v in values])
+    return MovingHyperplane(ComplexPoly.from_rows([[v] for v in values]))
 
 
 # Template parameters that must be integers (JSON true/false are not).

@@ -81,9 +81,12 @@ class Region:
     def diameter(self) -> float:
         return math.hypot(self.x_max - self.x_min, self.y_max - self.y_min)
 
-    def contains(self, z: complex, slack: float = 0.0) -> bool:
-        return (self.x_min - slack <= z.real <= self.x_max + slack
-                and self.y_min - slack <= z.imag <= self.y_max + slack)
+    def contains(self, z, slack: float = 0.0):
+        """Whether z lies in the rectangle widened by ``slack``: a bool for
+        a number, a boolean mask for an array."""
+        x, y = z.real, z.imag
+        return ((self.x_min - slack <= x) & (x <= self.x_max + slack)
+                & (self.y_min - slack <= y) & (y <= self.y_max + slack))
 
     def to_json(self) -> dict:
         return {"x_min": self.x_min, "x_max": self.x_max,

@@ -24,20 +24,35 @@ from .errors import AllZero, DimensionMismatch, ZeroPolynomial
 from .polynomial import ComplexPoly, roots_many, stack_coeffs
 
 
-def _check_no_common_zero(polys: tuple[ComplexPoly, ...]) -> None:
-    """Reject a tuple whose nonzero entries share a root.
+def first_common_zero(tuples: Sequence[Sequence[ComplexPoly]]
+                      ) -> int | None:
+    """The index of the first tuple whose nonzero entries share a root, or
+    None.
 
-    A nonzero constant entry rules out a common zero.  Otherwise the entries
-    are solved in one ``roots_many`` call, and a root of the lowest-degree
-    entry is common when every other entry has a root within
-    ``config.TAU_ROOT`` of it.
+    A nonzero constant entry rules out a common zero.  The entries of every
+    other tuple are solved in one ``roots_many`` call, and a root of a
+    tuple's lowest-degree entry is common when every other entry has a root
+    within ``config.TAU_ROOT`` of it.
     """
-    live = sorted((p for p in polys if not p.is_zero), key=lambda p: p.degree)
-    if live[0].degree == 0:
-        return
-    first, *others = [[r for r, _ in roots] for roots in roots_many(live)]
-    if any(all(any(abs(r - root) <= config.TAU_ROOT for r in rs)
-               for rs in others) for root in first):
+    lives = {k: sorted((p for p in polys if not p.is_zero),
+                       key=lambda p: p.degree)
+             for k, polys in enumerate(tuples)
+             if not any(p.degree == 0 for p in polys)}
+    if not lives:
+        return None
+    roots = iter(roots_many([p.coeffs for live in lives.values()
+                             for p in live]))
+    for k, live in lives.items():
+        first, *others = [[r for r, _ in next(roots)] for _ in live]
+        if any(all(any(abs(r - root) <= config.TAU_ROOT for r in rs)
+                   for rs in others) for root in first):
+            return k
+    return None
+
+
+def _check_no_common_zero(polys: tuple[ComplexPoly, ...]) -> None:
+    """Reject a tuple whose nonzero entries share a root."""
+    if first_common_zero([polys]) is not None:
         raise ZeroPolynomial(
             "components share a zero; reduce the representation first")
 
@@ -137,9 +152,10 @@ class MovingHyperplane:
         sample points.  The applied factor is recorded.  A fixed hyperplane's
         coefficients are its values everywhere, so its norm is read off them.
         """
-        vals = stack_coeffs(self._coeffs)
+        coeffs = stack_coeffs(self._coeffs)
+        vals = coeffs
         if not self.is_fixed:
-            vals = polyval_grid(vals, region.grid_points())
+            vals = polyval_grid(coeffs, region.grid_points())
         sup = float(np.max(np.abs(vals)))
         if abs(sup - 1.0) <= 1e-12:
             # Snap to the identity so normalizing twice is bitwise stable.
@@ -148,7 +164,7 @@ class MovingHyperplane:
                 normalization={"factor": 1.0, "sup_before": sup})
         factor = 1.0 / sup
         return MovingHyperplane(
-            [factor * p for p in self._coeffs],
+            ComplexPoly.from_rows(coeffs * complex(factor)),
             normalization={"factor": factor, "sup_before": sup})
 
     def to_json(self) -> dict:
@@ -163,20 +179,55 @@ class MovingHyperplane:
 # pairing and norms
 # ---------------------------------------------------------------------------
 
+def pair_rows(curves: Sequence[ProjCurve],
+              hypers: Sequence[Sequence[MovingHyperplane]]) -> np.ndarray:
+    """The coefficients of every pairing of curve i with its hyperplanes
+    ``hypers[i]``: an (N, H, K) array whose row [i, j] is the contraction
+    sum_l a_l(z) f_l(z) of curve i with ``hypers[i][j]``, untrimmed and
+    zero-padded (H is the longest list, so row [i, j] of a shorter list is
+    zero).
+
+    The curves' components are stacked into an (N, n+1, La, L + La - 1)
+    array holding each component shifted by s = 0 ... La-1 places, and each
+    distinct hyperplane's coefficients once into an (n+1, La) block; the
+    sum over l and over the shifts is one batched matrix product.
+    """
+    N, H = len(curves), max(len(hs) for hs in hypers)
+    n1 = max(c.n for c in curves) + 1
+    # One block per distinct hyperplane object, and a zero block last
+    # (slot -1) for the missing ones of a shorter list.
+    index: dict[int, int] = {}
+    distinct: list[MovingHyperplane] = []
+    slot = np.full((N, H), -1, dtype=np.intp)
+    for i, (curve, hs) in enumerate(zip(curves, hypers)):
+        for j, h in enumerate(hs):
+            if h.n != curve.n:
+                raise DimensionMismatch(
+                    f"curve has n={curve.n}, hyperplane has n={h.n}")
+            if id(h) not in index:
+                index[id(h)] = len(distinct)
+                distinct.append(h)
+            slot[i, j] = index[id(h)]
+    L = max(1, *(p.coeffs.size for c in curves for p in c.components))
+    La = max(1, *(p.coeffs.size for h in distinct for p in h.coeffs))
+    A = np.zeros((len(distinct) + 1, n1, La), dtype=np.complex128)
+    for block, h in zip(A, distinct):
+        for row, p in zip(block, h.coeffs):
+            row[: p.coeffs.size] = p.coeffs
+    F = np.zeros((N, n1, La, L + La - 1), dtype=np.complex128)
+    for block, curve in zip(F, curves):
+        for rows, p in zip(block, curve.components):
+            rows[0, : p.coeffs.size] = p.coeffs
+    for s in range(1, La):
+        F[:, :, s, s: s + L] = F[:, :, 0, :L]
+    return (A[slot].reshape(N, H, n1 * La)
+            @ F.reshape(N, n1 * La, L + La - 1))
+
+
 def pair(curve: ProjCurve, hyper: MovingHyperplane) -> ComplexPoly:
-    """The contraction sum_l a_l(z) f_l(z) as a polynomial: the products'
-    coefficient arrays, zero-padded and summed, trimmed once."""
-    if curve.n != hyper.n:
-        raise DimensionMismatch(
-            f"curve has n={curve.n}, hyperplane has n={hyper.n}")
-    # An empty product adds nothing (and np.convolve refuses it).
-    prods = [np.convolve(a.coeffs, f.coeffs)
-             for a, f in zip(hyper.coeffs, curve.components)
-             if not (a.is_zero or f.is_zero)]
-    acc = np.zeros(max([0, *(c.size for c in prods)]), dtype=np.complex128)
-    for c in prods:
-        acc[: c.size] += c
-    return ComplexPoly(acc)
+    """The contraction sum_l a_l(z) f_l(z) as a polynomial: ``pair_rows``
+    of the one pairing, trimmed."""
+    return ComplexPoly(pair_rows([curve], [[hyper]])[0, 0])
 
 
 def induced_curve(hyper: MovingHyperplane) -> ProjCurve:

@@ -25,9 +25,9 @@ from . import config
 from .derived import derived_maps
 from .errors import IdenticallyZero, WrongCount, ValidationError
 from .normality import marty_sup
-from .polynomial import roots_many
+from .polynomial import root_stacks, trimmed_lengths
 from .position import Region, UniformDelta, uniform_delta
-from .projective import MovingHyperplane, ProjCurve, induced_curve, pair
+from .projective import MovingHyperplane, ProjCurve, induced_curve, pair_rows
 
 
 # ---------------------------------------------------------------------------
@@ -90,54 +90,88 @@ class CheckConfig:
 # zero sets and matching
 # ---------------------------------------------------------------------------
 
-def _pairing_zeros(pairings: Sequence[tuple[ProjCurve, MovingHyperplane]],
-                   region: Region) -> list[list[tuple[complex, int]]]:
-    """The zeros, with multiplicities, of every (curve, hyperplane) pairing
-    inside the region (boundary-inclusive, with a slack of TAU_MATCH_REL
-    times the region diameter), from one ``roots_many`` call.
+def _pairing_zeros(rows: np.ndarray, region: Region) -> list[list[complex]]:
+    """The distinct zeros inside the region (boundary-inclusive, with a
+    slack of TAU_MATCH_REL times the region diameter) of the polynomial in
+    each row of ``rows``, zero-padded ascending coefficients as
+    ``pair_rows`` gives them, from one ``root_stacks`` pass.
 
-    A curve inside a hyperplane is a degenerate scene, reported upward
-    rather than silently passed: the first pairing that vanishes
-    identically raises IdenticallyZero with its position in ``pairings`` as
-    ``hyperplane_index``.
+    Every row is trimmed by one ``trimmed_lengths`` call.  A curve inside a
+    hyperplane is a degenerate scene, reported upward rather than silently
+    passed: the first row that vanishes identically raises IdenticallyZero
+    with its index as ``hyperplane_index``.  A degree stack's simple rows
+    are filtered with one mask over its sorted roots; rows with clustered
+    roots test each cluster.
     """
-    polys = [pair(curve, hyper) for curve, hyper in pairings]
-    for k, p in enumerate(polys):
-        if p.is_zero:
-            raise IdenticallyZero("curve lies inside the hyperplane",
-                                  hyperplane_index=k)
+    lengths = trimmed_lengths(rows)
+    if not lengths.all():
+        raise IdenticallyZero("curve lies inside the hyperplane",
+                              hyperplane_index=int(np.argmin(lengths)))
     slack = config.TAU_MATCH_REL * region.diameter
-    return [[(z, m) for z, m in roots if region.contains(z, slack=slack)]
-            for roots in roots_many(polys)]
+    out: list[list[complex]] = [[] for _ in lengths]
+    for members, roots, _, clusters in root_stacks(
+            [row[:k] for row, k in zip(rows, lengths.tolist())]):
+        inside = region.contains(roots, slack=slack).tolist()
+        for i, row, keep, found in zip(members, roots.tolist(), inside,
+                                       clusters):
+            if found is None:
+                out[i] = [z for z, ok in zip(row, keep) if ok]
+            else:
+                out[i] = [z for z, _ in found
+                          if region.contains(z, slack=slack)]
+    return out
 
 
 def match_point_sets(a: Sequence[complex], b: Sequence[complex],
                      tau: float) -> tuple[list[tuple[int, int]],
                                           list[int], list[int]]:
-    """Greedy nearest-first bipartite matching within tau.
+    """Greedy nearest-first bipartite matching within tau: ``_match_sets``
+    of the one pair of sets.
 
     Returns (matched index pairs, unmatched indices of a, unmatched of b).
     Nearest-first greedy acceptance equals mutual-nearest matching whenever
     the sets are separated by more than 2*tau, the regime the checker
     operates in.
     """
-    cand = sorted(
-        (abs(pa - pb), i, j)
-        for i, pa in enumerate(a) for j, pb in enumerate(b))
-    used_a: set[int] = set()
-    used_b: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    for d, i, j in cand:
-        if d > tau:
-            break
-        if i in used_a or j in used_b:
+    return _match_sets([(a, b)], tau)[0]
+
+
+def _match_sets(sets: Sequence[tuple[Sequence[complex], Sequence[complex]]],
+                tau: float) -> list[tuple[list[tuple[int, int]],
+                                          list[int], list[int]]]:
+    """``match_point_sets`` of every pair of sets (a, b).
+
+    The distances |a_i - b_j| of every pair of every set are one array;
+    only the candidates with distance at most tau are sorted, by (set,
+    distance, i, j), and accepted greedily, each unless its a_i or b_j is
+    taken already.
+    """
+    na = np.array([len(a) for a, _ in sets], dtype=np.intp)
+    nb = np.array([len(b) for _, b in sets], dtype=np.intp)
+    A = np.array([z for a, _ in sets for z in a], dtype=np.complex128)
+    B = np.array([z for _, b in sets for z in b], dtype=np.complex128)
+    # Pair k of set t is (i, j) = divmod(k, nb[t]).
+    count = na * nb
+    t = np.repeat(np.arange(len(sets)), count)
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    i, j = np.divmod(k, nb[t])
+    dist = np.abs(A[(np.cumsum(na) - na)[t] + i]
+                  - B[(np.cumsum(nb) - nb)[t] + j])
+    near = np.flatnonzero(dist <= tau)
+    order = near[np.lexsort((j[near], i[near], dist[near], t[near]))]
+    pairs: list[list[tuple[int, int]]] = [[] for _ in sets]
+    used_a: list[set[int]] = [set() for _ in sets]
+    used_b: list[set[int]] = [set() for _ in sets]
+    for s, x, y in zip(t[order].tolist(), i[order].tolist(),
+                       j[order].tolist()):
+        if x in used_a[s] or y in used_b[s]:
             continue
-        pairs.append((i, j))
-        used_a.add(i)
-        used_b.add(j)
-    free_a = [i for i in range(len(a)) if i not in used_a]
-    free_b = [j for j in range(len(b)) if j not in used_b]
-    return pairs, free_a, free_b
+        pairs[s].append((x, y))
+        used_a[s].add(x)
+        used_b[s].add(y)
+    return [(p, [x for x in range(len(a)) if x not in ua],
+             [y for y in range(len(b)) if y not in ub])
+            for p, ua, ub, (a, b) in zip(pairs, used_a, used_b, sets)]
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +201,10 @@ def conditions_check(member: FamilyMember,
 
 def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
                        ) -> list[tuple[list[dict], dict]]:
-    """``conditions_check`` of every member, from one ``derived_maps`` call
-    and one ``roots_many`` call over all 2(2n+1) pairings of every member.
+    """``conditions_check`` of every member, from one ``derived_maps`` call,
+    one ``pair_rows`` contraction of the curves and the derived maps with
+    their hyperplanes, one ``root_stacks`` pass over all 2(2n+1) pairings of
+    every member, and one ``_match_sets`` call over all of them.
 
     Members meet their defects in member order: the first pairing that
     vanishes identically raises IdenticallyZero naming its member and
@@ -181,38 +217,47 @@ def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
     nablas = derived_maps(curves[:head])
     slots = [(i, j) for i in range(head)
              for j in range(len(members[i].hyperplanes))]
-    try:
-        zeros = _pairing_zeros([(f, members[i].hyperplanes[j])
-                                for i, j in slots
-                                for f in (curves[i], nablas[i])], cfg.region)
-    except IdenticallyZero as exc:
-        i, j = slots[exc.hyperplane_index // 2]
-        alone = IdenticallyZero(f"hyperplane {j}: {exc}", hyperplane_index=j)
-        alone.__cause__ = exc
-        raise IdenticallyZero(f"member {members[i].label}: {alone}",
-                              hyperplane_index=j) from alone
+    zeros: list[list[complex]] = []
+    if slots:
+        # The curves' pairings, then the derived maps', in one contraction.
+        hypers = [m.hyperplanes for m in members[:head]]
+        sides = pair_rows(curves[:head] + nablas, hypers + hypers)
+        both = np.stack([sides[:head], sides[head:]], axis=2)
+        # Curve then derived map, per hyperplane, per member.
+        rows = both[tuple(np.array(slots).T)].reshape(-1, both.shape[-1])
+        try:
+            zeros = _pairing_zeros(rows, cfg.region)
+        except IdenticallyZero as exc:
+            i, j = slots[exc.hyperplane_index // 2]
+            alone = IdenticallyZero(f"hyperplane {j}: {exc}",
+                                    hyperplane_index=j)
+            alone.__cause__ = exc
+            raise IdenticallyZero(f"member {members[i].label}: {alone}",
+                                  hyperplane_index=j) from alone
     if head < len(curves):
         derived_maps(curves[head:])  # raises FirstComponentZero
+    matches = _match_sets(list(zip(zeros[0::2], zeros[1::2])),
+                          cfg.match_tolerance)
     out = []
     start = 0
     for m in members:
-        stop = start + 2 * len(m.hyperplanes)
-        out.append(_member_conditions(m, zeros[start:stop], cfg))
+        stop = start + len(m.hyperplanes)
+        out.append(_member_conditions(m, zeros[2 * start: 2 * stop],
+                                      matches[start:stop], cfg))
         start = stop
     return out
 
 
-def _member_conditions(member: FamilyMember,
-                       zeros: list[list[tuple[complex, int]]],
+def _member_conditions(member: FamilyMember, zeros: list[list[complex]],
+                       matches: list[tuple[list[tuple[int, int]],
+                                           list[int], list[int]]],
                        cfg: CheckConfig) -> tuple[list[dict], dict]:
     """Conditions 1 and 2 from the member's pairing zeros, curve and
-    derived map alternating per hyperplane."""
-    tau = cfg.match_tolerance
+    derived map alternating per hyperplane, and the matching of each
+    hyperplane's two zero sets."""
     cond1 = []
-    for j in range(len(member.hyperplanes)):
-        zf = [z for z, _ in zeros[2 * j]]
-        zd = [z for z, _ in zeros[2 * j + 1]]
-        _, free_f, free_d = match_point_sets(zf, zd, tau)
+    for j, (_, free_f, free_d) in enumerate(matches):
+        zf, zd = zeros[2 * j], zeros[2 * j + 1]
         cond1.append({
             "hyperplane": j,
             "passed": not free_f and not free_d,
@@ -221,7 +266,7 @@ def _member_conditions(member: FamilyMember,
         })
     # Every curve-side zero, with its hyperplane, at once.
     found = [(z, j) for j in range(len(member.hyperplanes))
-             for z, _ in zeros[2 * j]]
+             for z in zeros[2 * j]]
     mods = np.abs(member.curve.at_many(np.array([z for z, _ in found],
                                                 dtype=np.complex128)))
     lhs = mods[0].tolist()
@@ -303,7 +348,7 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
     ``deltas`` maps hyperplane tuples to a ``uniform_delta`` already taken
     on ``cfg.region``; tuples it lacks are swept here.  Conditions 1 and 2
     of the whole family come from one ``derived_maps`` call and one
-    ``roots_many`` call.  Degenerate members (curve inside a hyperplane,
+    ``root_stacks`` pass.  Degenerate members (curve inside a hyperplane,
     annotated with the member label; zero first component) raise; they are
     scene defects, not check failures.
     """

@@ -104,6 +104,37 @@ class TestSceneIO:
             scene_from_json(data)
         assert "hyperplanes[1]" in str(err.value)
 
+    def test_shared_curve_root_path(self):
+        # The second member's [z : z (z - 1)] has the common zero z = 0.
+        data = minimal_scene_dict()
+        second = copy.deepcopy(data["members"][0])
+        second["label"] = "m1"
+        second["curve"]["components"] = [
+            [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]]
+        data["members"].append(second)
+        with pytest.raises(ValidationError) as err:
+            scene_from_json(data)
+        assert err.value.path == "$.members[1].curve"
+        assert "share a zero" in str(err.value)
+        # Every member's structure is checked before any curve is solved:
+        # a third member's malformed label is met first.
+        third = copy.deepcopy(data["members"][0])
+        third["label"] = ""
+        data["members"].append(third)
+        with pytest.raises(ValidationError) as err:
+            scene_from_json(data)
+        assert err.value.path == "$.members[2].label"
+
+    def test_one_root_solve_per_load(self, monkeypatch):
+        # Every curve's components, one stacked solve.
+        from projcurve import projective
+        data = scene_to_json(planted_scene())
+        calls = count_calls(monkeypatch, projective, "roots_many")
+        scene_from_json(data)
+        # The fixed hyperplanes have a constant entry: nothing to solve.
+        assert [len(rows) for rows, in calls] == [
+            3 * len(data["members"])]
+
     def test_duplicate_labels(self):
         data = minimal_scene_dict()
         data["members"].append(json.loads(json.dumps(data["members"][0])))
@@ -536,6 +567,36 @@ class TestCli:
         assert self.run("check", scene_path, "-o", report_path) == 0
         report = json.loads(open(report_path).read())
         assert report["stages"]["check"]["overall"] is True
+
+    def test_options_do_not_leak_between_calls(self, tmp_path,
+                                               monkeypatch):
+        # One parser serves every call in a process; each call still sees
+        # only its own options.
+        from projcurve import cli
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_run",
+                            lambda args: seen.append(vars(args)) or 0)
+        assert self.run("check", "s.json", "--grid", "5", "7",
+                        "--delta", "0.5") == 0
+        assert self.run("check", "s.json") == 0
+        assert self.run("position", "t.json", "--epsilon", "0.25") == 0
+        assert [(a["command"], a["scene"], a["grid"], a["delta"],
+                 a["epsilon"]) for a in seen] == [
+            ("check", "s.json", [5, 7], 0.5, None),
+            ("check", "s.json", None, None, None),
+            ("position", "t.json", None, None, 0.25)]
+        assert cli._parser() is cli._parser()
+
+    def test_second_call_report_matches_first_process(self, tmp_path):
+        scene_path = str(tmp_path / "scene.json")
+        assert self.run("gen", "wandering_shared", "-o", scene_path) == 0
+        plain, narrow = (str(tmp_path / f"{k}.json") for k in "ab")
+        assert self.run("check", scene_path, "--grid", "9", "9",
+                        "--delta", "1e9", "-o", narrow) == 2
+        assert self.run("check", scene_path, "-o", plain) == 0
+        report = json.loads(open(plain).read())
+        assert report["stages"]["check"]["delta_ok"] is True
+        assert report["scene"]["region"]["grid_nx"] != 9
 
     def test_gen_stdout(self, capsys):
         assert self.run("gen", "degenerate_position") == 0

@@ -63,6 +63,23 @@ class TestConstruction:
         p = ComplexPoly([1.0, 1e-20])
         assert p.degree == 0
 
+    def test_from_rows_is_one_poly_per_row(self):
+        # Rows trimmed to different lengths, a zero row, and a NaN row (a
+        # NaN largest modulus cuts nothing): each equals the polynomial
+        # built from that row alone, and the caller's array stays writable
+        # and unshared.
+        rows = np.array([[1.0, 2.0, 0.0, 1e-20], [0.0, 0.0, 0.0, 0.0],
+                         [3.0, 0.0, 1.0, 5.0], [np.nan, 1.0, 1e-20, 0.0]],
+                        dtype=np.complex128)
+        got = ComplexPoly.from_rows(rows)
+        want = [ComplexPoly(row) for row in rows]
+        assert [p.coeffs.tobytes() for p in got] == [
+            p.coeffs.tobytes() for p in want]
+        assert [p.degree for p in got] == [1, -1, 3, 3]
+        rows[0, 0] = 7.0
+        assert got[0].coeffs[0] == 1.0
+        assert not got[0].coeffs.flags.writeable
+
     def test_zero_poly(self):
         z = ComplexPoly.zero()
         assert z.is_zero
@@ -368,7 +385,7 @@ class TestRootsReference:
         lead_complex.map(lambda c: ComplexPoly([c]))), max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_roots_many_matches_mpmath_roots(self, cases):
-        got = roots_many([c if isinstance(c, ComplexPoly) else c.poly
+        got = roots_many([(c if isinstance(c, ComplexPoly) else c.poly).coeffs
                           for c in cases])
         for case, roots in zip(cases, got):
             if isinstance(case, ComplexPoly):
@@ -392,7 +409,7 @@ class TestRootsReference:
             return out
 
         with mock.patch.object(polynomial, "_cluster_points", spy):
-            got = roots_many([c.poly for c in cases])
+            got = roots_many([c.poly.coeffs for c in cases])
         for roots in got:
             if id(roots) in looped:
                 points, _ = looped[id(roots)]
@@ -407,7 +424,8 @@ class TestRootsReference:
 
     def test_roots_many_zero_polynomial_raises(self):
         with pytest.raises(ZeroPolynomial):
-            roots_many([ComplexPoly([1.0, 1.0]), ComplexPoly.zero()])
+            roots_many([ComplexPoly([1.0, 1.0]).coeffs,
+                        ComplexPoly.zero().coeffs])
 
     @pytest.mark.parametrize("p", [
         ComplexPoly([2.0, 1.0]),
@@ -502,6 +520,65 @@ class TestMultipleRoots:
             for r, _ in got:
                 a = min(case.mults, key=lambda a: abs(r - a))
                 assert abs(r - a) <= case.radius(a)
+
+    def test_squarefree_family_makes_no_group_test(self, monkeypatch):
+        """Simple roots on the 1/4 lattice in [-1, 1]^2, degree <= 8, are
+        farther apart than the link radius 2 TAU_MULTIPLE^(1/8) sqrt(2) =
+        0.067, so no group is tested; a 4-fold root in the same family is,
+        once."""
+        tested = []
+
+        def counting(taylors, groups):
+            tested.extend(groups)
+            return level(taylors, groups)
+
+        level = polynomial._multiple_root_level
+        monkeypatch.setattr(polynomial, "_multiple_root_level", counting)
+        rng = np.random.default_rng(3)
+        lattice = [complex(a, b) / 4 for a in range(-4, 5)
+                   for b in range(-4, 5)]
+        polys = [ComplexPoly.from_roots(
+                    rng.choice(lattice, size=d, replace=False).tolist(),
+                    leading=complex(*rng.normal(size=2)))
+                 for d in range(1, 9) for _ in range(6)]
+        got = multiple_roots(polys)
+        assert tested == []
+        assert got == roots_many([p.coeffs for p in polys])
+        assert all(m == 1 for roots in got for _, m in roots)
+        four = ComplexPoly.from_roots([0.3 + 0.2j] * 4 + [-0.5, 0.5j])
+        got = multiple_roots(polys + [four])[-1]
+        assert len(tested) == 1
+        assert sorted(m for _, m in got) == [1, 1, 4]
+
+    def test_planted_sweep_keeps_multiplicities(self):
+        """2000 polynomials of degree 8 with roots in [-0.8, 0.8]^2 at least
+        0.1 apart, one of multiplicity 2-5 and at times a second of 2-5:
+        every planted multiplicity comes back, and each multiple root's
+        eigenvalues scatter within TAU_MULTIPLE^(1/8), half the link
+        radius (at most 3.7e-3 here, for the 5-fold roots)."""
+        rng = np.random.default_rng(0)
+        cases = []
+        for _ in range(2000):
+            mults = [int(rng.integers(2, 6))]
+            if 8 - mults[0] >= 3 and rng.random() < 0.5:
+                mults.append(int(rng.integers(2, min(5, 8 - mults[0]) + 1)))
+            mults += [1] * (8 - sum(mults))
+            roots: list[complex] = []
+            while len(roots) < len(mults):
+                z = complex(*rng.uniform(-0.8, 0.8, 2))
+                if all(abs(z - w) >= 0.1 for w in roots):
+                    roots.append(z)
+            cases.append(list(zip(roots, mults)))
+        polys = [ComplexPoly.from_roots([a for a, m in case for _ in range(m)])
+                 for case in cases]
+        for case, got in zip(cases, multiple_roots(polys)):
+            assert sorted(m for _, m in got) == sorted(m for _, m in case)
+        half_reach = config.TAU_MULTIPLE ** (1 / 8)
+        for case, raw in zip(cases, roots_many([p.coeffs for p in polys])):
+            for r, _ in raw:
+                a, m = min(case, key=lambda am: abs(r - am[0]))
+                if m > 1:
+                    assert abs(r - a) < half_reach
 
 
 class TestWronskian:

@@ -15,7 +15,7 @@ from projcurve.harness import Scene, scene_from_json, scene_to_json
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
 from projcurve.projective import (MovingHyperplane, ProjCurve, induced_curve,
-                                  pair)
+                                  pair, pair_rows)
 from projcurve.sharing import CheckConfig, FamilyMember
 
 ONE = ComplexPoly.one()
@@ -51,6 +51,17 @@ U = 2.0 ** -53
 # moduli of the products that make it up: a complex product and a sum of at
 # most 20 terms round by less than 32 u of that sum.
 PAIR_TOL = 32 * U
+
+
+def loop_trimmed_length(arr):
+    """The length of ``arr`` once trailing coefficients of modulus at most
+    TAU_COEFF times the largest are cut, one coefficient at a time."""
+    mags = np.abs(arr)
+    cut = mags.max(initial=0.0) * config.TAU_COEFF
+    keep = arr.size
+    while keep and mags[keep - 1] <= cut:
+        keep -= 1
+    return keep
 
 
 def exact_pair(curve, hyper):
@@ -220,6 +231,52 @@ class TestPairing:
         h = MovingHyperplane([ComplexPoly([1.0, 1.0]),
                               ComplexPoly([-(1.0 - 1e-14)])])
         assert pair(ProjCurve([ONE, Z]), h) == ONE
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_family_contraction_matches_convolve(self, data):
+        """Row [i, j] of ``pair_rows`` is the sum over l of np.convolve of
+        hyperplane j's a_l and curve i's f_l, for 1-4 curves of n = 1...6
+        with zero components and 1-3 fixed or moving hyperplanes each: the
+        same length once both are trimmed (the trailing-coefficient rule
+        written out as a loop here), each coefficient within 2 PAIR_TOL of
+        the sum's relative to the sum of the products' moduli, and rows
+        past a shorter hyperplane list zero."""
+        curves, hypers = [], []
+        for _ in range(data.draw(st.integers(1, 4))):
+            n = data.draw(st.integers(min_value=1, max_value=6))
+            comps = [data.draw(pair_polys(4)) for _ in range(n + 1)]
+            assume(not all(p.is_zero for p in comps))
+            curves.append(ProjCurve(comps, check_reduced=False))
+            hs = []
+            for _ in range(data.draw(st.integers(1, 3))):
+                moving = data.draw(st.booleans())
+                try:
+                    hs.append(MovingHyperplane(
+                        [data.draw(pair_polys(3 if moving else 0))
+                         for _ in range(n + 1)]))
+                except (AllZero, ZeroPolynomial):
+                    reject()
+            hypers.append(hs)
+        rows = pair_rows(curves, hypers)
+        assert rows.shape[:2] == (len(curves), max(map(len, hypers)))
+        for curve, hs, block in zip(curves, hypers, rows):
+            assert not block[len(hs):].any()
+            for h, row in zip(hs, block):
+                want = np.zeros(rows.shape[2], dtype=np.complex128)
+                mods = np.zeros(rows.shape[2])
+                for a, f in zip(h.coeffs, curve.components):
+                    if a.is_zero or f.is_zero:
+                        continue
+                    prod = np.convolve(a.coeffs, f.coeffs)
+                    want[: prod.size] += prod
+                    mods[: prod.size] += np.convolve(np.abs(a.coeffs),
+                                                     np.abs(f.coeffs))
+                keep = loop_trimmed_length(want)
+                assert loop_trimmed_length(row) == keep
+                assert ComplexPoly(row).coeffs.size == keep
+                assert np.all(np.abs(row - want)[:keep]
+                              <= 2 * PAIR_TOL * mods[:keep])
 
     def test_induced_curve(self):
         h = MovingHyperplane([ONE, Z])

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from projcurve.derived import derived_map
 from projcurve.errors import FirstComponentZero, IdenticallyZero, WrongCount
-from projcurve.polynomial import ComplexPoly, roots_many
+from projcurve.polynomial import ComplexPoly, multiple_roots, root_stacks
 from projcurve.position import Region, uniform_delta
-from projcurve.projective import MovingHyperplane, ProjCurve, pair
-from projcurve import polynomial, sharing
+from projcurve.projective import MovingHyperplane, ProjCurve, pair, pair_rows
+from projcurve import config, derived, sharing
 from projcurve.sharing import (CheckConfig, FamilyMember, conditions_check,
                                hypotheses_check, match_point_sets)
 
@@ -23,7 +23,7 @@ def fixed(*values):
 
 def preimage_zeros(curve, hyper, region):
     """Zeros of one pairing in the region, as conditions_check finds them."""
-    return sharing._pairing_zeros([(curve, hyper)], region)[0]
+    return sharing._pairing_zeros(pair_rows([curve], [[hyper]])[0], region)[0]
 
 
 def make_config(**kw):
@@ -43,6 +43,18 @@ class TestPreimageZeros:
         f = ProjCurve([ONE, ComplexPoly([1.0, 0, 1.0])])  # zeros at +-i
         zeros = preimage_zeros(f, fixed(0.0, 1.0), REGION)
         assert len(zeros) == 2
+
+    @pytest.mark.parametrize("mult", [1, 2])
+    def test_boundary_slack(self, mult):
+        # The slack is TAU_MATCH_REL times the diameter, 2.8e-6 here: a zero
+        # 1e-6 past the edge x = 1 is kept, one 1e-5 past it is not.  A
+        # double zero takes the clustering path, a simple one the mask.
+        slack = config.TAU_MATCH_REL * REGION.diameter
+        for past, kept in ((slack / 3, True), (3 * slack, False)):
+            q = ComplexPoly.from_roots([1.0 + past] * mult)
+            zeros = preimage_zeros(ProjCurve([ONE, q]), fixed(0.0, 1.0),
+                                   REGION)
+            assert (len(zeros) == 1) == kept
 
     def test_identically_zero(self):
         f = ProjCurve([ONE, Z])
@@ -67,6 +79,43 @@ class TestMatchPointSets:
         pairs, fa, fb = match_point_sets([0.0, 0.1], [0.02], 0.5)
         assert pairs == [(0, 0)]
         assert fa == [1] and fb == []
+
+
+def all_pairs_greedy(a, b, tau):
+    """Greedy nearest-first matching over every candidate pair, sorted by
+    (distance, i, j) in Python: the oracle for ``match_point_sets``."""
+    cand = sorted(
+        (abs(pa - pb), i, j)
+        for i, pa in enumerate(a) for j, pb in enumerate(b))
+    used_a: set[int] = set()
+    used_b: set[int] = set()
+    pairs = []
+    for d, i, j in cand:
+        if d > tau:
+            break
+        if i in used_a or j in used_b:
+            continue
+        pairs.append((i, j))
+        used_a.add(i)
+        used_b.add(j)
+    return (pairs, [i for i in range(len(a)) if i not in used_a],
+            [j for j in range(len(b)) if j not in used_b])
+
+
+# Points on a 1/4 lattice give many equal distances, so the greedy order
+# rests on its (i, j) tie-break; free points give the generic case.
+match_points = st.lists(st.one_of(
+    st.builds(complex, st.integers(-3, 3).map(lambda k: k / 4),
+              st.integers(-3, 3).map(lambda k: k / 4)),
+    st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))), max_size=10)
+
+
+class TestMatchOracle:
+    @given(match_points, match_points,
+           st.sampled_from([0.0, 1e-6, 0.25, 0.3, 0.5, 0.75, 2.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_all_pairs_greedy(self, a, b, tau):
+        assert match_point_sets(a, b, tau) == all_pairs_greedy(a, b, tau)
 
 
 class TestConditions:
@@ -145,14 +194,16 @@ class TestHypothesesCheck:
         # together; and every member's f0 in one solve for the derived maps
         calls, f0_calls = [], []
 
-        def counting(into):
-            def solve(polys):
-                into.append(len(polys))
-                return roots_many(polys)
-            return solve
+        def counting(into, solve):
+            def counted(rows):
+                into.append(len(rows))
+                return solve(rows)
+            return counted
 
-        monkeypatch.setattr(sharing, "roots_many", counting(calls))
-        monkeypatch.setattr(polynomial, "roots_many", counting(f0_calls))
+        monkeypatch.setattr(sharing, "root_stacks",
+                            counting(calls, root_stacks))
+        monkeypatch.setattr(derived, "multiple_roots",
+                            counting(f0_calls, multiple_roots))
         hypers = [fixed(0.0, 1.0), fixed(1.0, 0.1), fixed(1.0, -0.1)]
         members = [
             FamilyMember(ProjCurve([ComplexPoly([1.0, 0.1 * k]),
@@ -306,7 +357,7 @@ class TestRootSetOracle:
             f = ProjCurve([ONE, q])
             hyper = fixed(0.0, 1.0)
             mine = {round(z.real, 5) + 1j * round(z.imag, 5)
-                    for z, _ in preimage_zeros(f, hyper, REGION)}
+                    for z in preimage_zeros(f, hyper, REGION)}
             ref = {round(z.real, 5) + 1j * round(z.imag, 5)
                    for z in np.roots(coeffs[::-1])
                    if REGION.contains(z, slack=1e-9)}
