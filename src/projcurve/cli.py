@@ -21,8 +21,8 @@ import sys
 
 from .errors import ProjcurveError, ValidationError
 from .harness import (DEGENERATE_ERRORS, TEMPLATES, generate_scene,
-                      load_scene, rebuild_scene, run_pipeline, save_scene,
-                      scene_to_json)
+                      json_text, load_scene, rebuild_scene, run_pipeline,
+                      save_scene, scene_to_json)
 
 
 def _add_run_parser(sub, name: str, help_text: str) -> None:
@@ -77,7 +77,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json_text(payload)
     if output is None:
         sys.stdout.write(text)
     else:

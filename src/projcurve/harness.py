@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
+import itertools
 import json
 import os
 import sys
@@ -31,7 +33,7 @@ from .normality import marty_sup, zalcman_search
 from .polynomial import ComplexPoly
 from .position import Region, position_sweep, uniform_delta
 from .projective import MovingHyperplane, ProjCurve, first_common_zero
-from .sharing import CheckConfig, FamilyMember, _c, hypotheses_check
+from .sharing import CheckConfig, FamilyMember, hypotheses_check
 
 SCHEMA_VERSION = 1
 
@@ -270,8 +272,120 @@ def scene_to_json(scene: Scene) -> dict:
 
 def save_scene(scene: Scene, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(scene_to_json(scene), sort_keys=True, indent=2))
-        fh.write("\n")
+        fh.write(json_text(scene_to_json(scene)))
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+# ---------------------------------------------------------------------------
+
+_CONTAINERS = (list, tuple, dict)
+# Exact types whose encoding is one token, which the list fast paths
+# accept.  Anything else (subclasses, numpy scalars) takes the general
+# path, which tells containers from scalars with isinstance as the stdlib
+# does.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_ROWS = frozenset({list, tuple})
+
+# The stdlib encoder with one newline between items; without ``indent``
+# it runs the C encoder.  An encoded scalar or empty container holds no
+# literal newline (a string's own newlines come out escaped), so the
+# output of a list of them splits into their tokens at the newlines.
+_TOKENS = json.JSONEncoder(separators=("\n", ": ")).encode
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(depth: int) -> tuple[str, ...]:
+    """The separators of a container whose opening bracket sits at
+    ``depth`` levels, built once per depth: the newline and indentation
+    of its closing bracket, of its items and of a row's items; a comma
+    and the next item's indentation, for an item and for a row's item;
+    and the text from the last item of one row to the first of the
+    next."""
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    deep = inner + "  "
+    return (pad, inner, deep, "," + inner, "," + deep,
+            inner + "]," + inner + "[" + deep)
+
+
+def _walk(obj, depth: int, pieces: list[str], flat: list) -> None:
+    """Lay out ``obj``, whose first line sits at ``depth`` levels: every
+    scalar and empty container goes to ``flat`` as one token, and the text
+    before each token, and after the last, is the matching item of
+    ``pieces``, which always holds one item more than ``flat``.  So the
+    text between two tokens only closes and opens containers, and grows
+    with the depth alone."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        flat.append(obj)
+        pieces.append("")
+        return
+    pad, inner, deep, comma, row_comma, row_gap = _layout(depth)
+    if isinstance(obj, dict):
+        pieces[-1] += "{"
+        sep = inner
+        for key, value in sorted(obj.items()):
+            if isinstance(key, str):
+                pieces[-1] += sep
+                flat.append(key)
+                pieces.append(": ")
+            elif key is None or isinstance(key, (int, float)):
+                # Other keys become the string of their own encoding.
+                pieces[-1] += sep + '"'
+                flat.append(key)
+                pieces.append('": ')
+            else:
+                raise TypeError("keys must be str, int, float, bool or "
+                                f"None, not {key.__class__.__name__}")
+            _walk(value, depth + 1, pieces, flat)
+            sep = comma
+        pieces[-1] += pad + "}"
+        return
+    types = set(map(type, obj))
+    if types <= _SCALARS:
+        pieces[-1] += "[" + inner
+        flat.extend(obj)
+        pieces.extend([comma] * (len(obj) - 1))
+        pieces.append(pad + "]")
+        return
+    lengths = set(map(len, obj)) if types <= _ROWS else ()
+    if (len(lengths) == 1 and 0 not in lengths and set(
+            map(type, itertools.chain.from_iterable(obj))) <= _SCALARS):
+        # Rows of one length, such as [[re, im], ...]: all their items at
+        # once, and the text between them repeats row after row.
+        width = lengths.pop()
+        pieces[-1] += "[" + inner + "[" + deep
+        flat.extend(itertools.chain.from_iterable(obj))
+        pieces.extend(([row_comma] * (width - 1) + [row_gap]) * len(obj))
+        pieces[-1] = inner + "]" + pad + "]"
+        return
+    pieces[-1] += "["
+    sep = inner
+    for value in obj:
+        pieces[-1] += sep
+        _walk(value, depth + 1, pieces, flat)
+        sep = comma
+    pieces[-1] += pad + "]"
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for
+    byte, at the speed of the stdlib's C encoder rather than of the
+    pure-Python encoder that ``indent`` selects.
+
+    Python walks the containers and lays out the text between scalars;
+    one C-encoder call then encodes every key and scalar, and one join
+    interleaves the two.  Lists of scalars and lists of equal-length rows
+    of scalars, such as ``[[re, im], ...]``, go in whole, without a step
+    per item.  Tuples encode as lists, keys follow the stdlib's non-``str``
+    rules, and the output is ASCII with ``NaN``/``Infinity`` tokens, all
+    as the stdlib's."""
+    pieces = [""]
+    flat: list = []
+    _walk(obj, 0, pieces, flat)
+    tokens = _TOKENS(flat)[1:-1].split("\n")
+    tokens.append("\n")  # after the last piece
+    return "".join(itertools.chain.from_iterable(zip(pieces, tokens)))
 
 
 def rebuild_scene(scene: Scene, epsilon: float | None = None,
@@ -552,7 +666,7 @@ def _stage_position(scene: Scene, csv_dir: str | None,
                 m.hyperplanes, scene.region, scene.config.delta)
         ud, ref, vals = sweeps[m.hyperplanes]
         per.append({"label": m.label, "min": ud.value,
-                    "argmin": _c(ud.argmin), **ref})
+                    "argmin": [ud.argmin.real, ud.argmin.imag], **ref})
         if csv_dir is not None:
             rows.extend((m.label, float(z.real), float(z.imag), float(v))
                         for z, v in zip(pts, vals))

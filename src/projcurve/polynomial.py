@@ -255,7 +255,7 @@ def root_stacks(rows: Sequence[np.ndarray]):
             C = np.zeros((len(members), d, d), dtype=np.complex128)
             C[:, 1:, :-1] = np.eye(d - 1)
             C[:, :, -1] = -monic
-            eigs = np.linalg.eigvals(C)
+            eigs = _eigvals(C)
             del C  # the largest array here; not kept through the polish
         roots = _newton(P, eigs)
         roots = roots[np.arange(len(members))[:, None],
@@ -265,6 +265,28 @@ def root_stacks(rows: Sequence[np.ndarray]):
         clusters = [None if alone else _sorted_clusters(row)
                     for alone, row in zip(simple, roots.tolist())]
         yield members, roots, gaps, clusters
+
+
+def _eigvals(C: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals`` of the (B, d, d) stack ``C``.
+
+    LAPACK's QR iteration can fail to converge on a companion matrix whose
+    entries span hundreds of orders of magnitude (a multiple root near 1e-109
+    beside one of modulus 1 is one).  Then each matrix is solved alone, and
+    one that fails again through its transpose, which has the same
+    eigenvalues but is balanced and reduced differently.
+    """
+    try:
+        return np.linalg.eigvals(C)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty(C.shape[:-1], dtype=np.complex128)
+    for row, M in zip(out, C):
+        try:
+            row[:] = np.linalg.eigvals(M)
+        except np.linalg.LinAlgError:
+            row[:] = np.linalg.eigvals(M.T)
+    return out
 
 
 def _sorted_clusters(points: list[complex]) -> list[tuple[complex, int]]:

@@ -16,6 +16,7 @@ nearest-neighbor with mutual-nearest acceptance within
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -287,6 +288,14 @@ class MemberVerdict:
     condition2: dict = field(default_factory=dict)
     condition2_ok: bool = True
 
+    def point_lists(self) -> list[list[complex]]:
+        """Every list of points the report writes, in the order
+        ``ConditionReport.to_json`` reads them: each condition-1 entry's
+        two lists, then the witnesses' points."""
+        return [*(zs for v in self.condition1
+                  for zs in (v["curve_only"], v["derived_only"])),
+                [w["z"] for w in self.condition2.get("witnesses", [])]]
+
 
 @dataclass
 class ConditionReport:
@@ -303,26 +312,32 @@ class ConditionReport:
     warnings: list[str]
 
     def to_json(self) -> dict:
+        # Every list of points from one array, read back in the order
+        # point_lists() gives them.
+        pairs = iter(_pairs([zs for m in self.members
+                             for zs in m.point_lists()]))
         return {
             "members": [{
                 "label": m.label,
                 "delta": {"min": m.delta.value,
-                          "argmin": _c(m.delta.argmin)},
+                          "argmin": [m.delta.argmin.real,
+                                     m.delta.argmin.imag]},
                 "delta_ok": m.delta_ok,
                 "condition1": [{
                     "hyperplane": v["hyperplane"],
                     "passed": v["passed"],
-                    "curve_only": [_c(z) for z in v["curve_only"]],
-                    "derived_only": [_c(z) for z in v["derived_only"]],
+                    "curve_only": next(pairs),
+                    "derived_only": next(pairs),
                 } for v in m.condition1],
                 "condition1_ok": m.condition1_ok,
                 "condition2": {
                     "passed": m.condition2.get("passed", True),
                     "zeros_checked": m.condition2.get("zeros_checked", 0),
                     "witnesses": [{
-                        "z": _c(w["z"]), "hyperplane": w["hyperplane"],
+                        "z": z, "hyperplane": w["hyperplane"],
                         "lhs": w["lhs"], "rhs": w["rhs"],
-                    } for w in m.condition2.get("witnesses", [])],
+                    } for w, z in zip(m.condition2.get("witnesses", []),
+                                      next(pairs))],
                 },
                 "condition2_ok": m.condition2_ok,
             } for m in self.members],
@@ -337,8 +352,14 @@ class ConditionReport:
         }
 
 
-def _c(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _pairs(lists: list[list[complex]]) -> list[list[list[float]]]:
+    """The ``[[re, im], ...]`` form of each list of points, all from one
+    array."""
+    points = np.array(list(itertools.chain.from_iterable(lists)),
+                      dtype=np.complex128)
+    flat = points.view(np.float64).reshape(-1, 2).tolist()
+    ends = list(itertools.accumulate(map(len, lists)))
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,

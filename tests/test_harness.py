@@ -6,14 +6,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from projcurve import harness, normality, position
 from projcurve.cli import main as cli_main
 from projcurve.errors import (BadParams, ParseError, UnknownTemplate,
                               ValidationError)
-from projcurve.harness import (STAGES, generate_scene, load_scene,
-                               run_pipeline, save_scene, scene_from_json,
-                               scene_to_json)
+from projcurve.harness import (STAGES, generate_scene, json_text,
+                               load_scene, run_pipeline, save_scene,
+                               scene_from_json, scene_to_json)
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
 from projcurve.projective import MovingHyperplane, ProjCurve
@@ -945,3 +947,159 @@ class TestCli:
         self.run("check", scene_path, "-o", p1)
         self.run("check", scene_path, "-o", p2)
         assert open(p1).read() == open(p2).read()
+
+
+def stdlib_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# Scalars at the edges of the encoder: escapes, the indentation pattern
+# inside a string, signed zero, non-finite and subnormal floats, big ints.
+EDGE_STRINGS = ['"', "\\", "\x00\x1f\t\n\r", "\u00e9\u4e2d\U0001f600",
+                '"],\n  ["', "],\n    [", "\n", ""]
+EDGE_NUMBERS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324,
+                2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+                2 ** 64, -(2 ** 200), 0, -1]
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(), st.sampled_from(EDGE_STRINGS + EDGE_NUMBERS))
+# Keys of one kind per dict, so the dict sorts: strings, numbers (int,
+# float and bool compare with each other), or None.
+KEY_KINDS = [st.text() | st.sampled_from(EDGE_STRINGS),
+             st.integers() | st.floats() | st.booleans(), st.none()]
+
+
+def trees(children):
+    rows = st.integers(1, 3).flatmap(lambda width: st.lists(
+        st.lists(SCALARS, min_size=width, max_size=width)
+        .map(tuple) | st.lists(SCALARS, min_size=width, max_size=width),
+        max_size=4))
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        rows,
+        *[st.dictionaries(keys, children, max_size=4) for keys in KEY_KINDS],
+    )
+
+
+JSON_TREES = st.recursive(SCALARS, trees, max_leaves=40)
+
+
+def nest(obj, depth: int):
+    """``obj`` under ``depth`` alternating list and dict levels, with
+    scalars beside it at each level."""
+    for level in range(depth):
+        obj = ([level, obj, [-0.0, "x"]] if level % 2
+               else {"a": obj, "b": [[1.5, level]], "c": None})
+    return obj
+
+
+class TestJsonText:
+    """``json_text`` writes the stdlib's ``indent=2`` bytes."""
+
+    @staticmethod
+    def assert_same(obj):
+        try:
+            expected = stdlib_text(obj)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                json_text(obj)
+        else:
+            assert json_text(obj) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_TREES)
+    @example([])
+    @example({})
+    @example(())
+    @example([[], {}, ()])
+    @example([[1.0, 2.0], (3.0, -0.0), [math.nan, math.inf]])
+    @example([[1, "a"], [2]])
+    @example([["],\n    [", '"]'], ["\n", None]])
+    @example({1: "a", 2.5: [True], True: None})
+    @example({None: 1})
+    @example({"z": [[0.0, -0.0]], "a": {"b": [], "c": ()}})
+    def test_equals_stdlib_on_trees(self, obj):
+        self.assert_same(obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(JSON_TREES, st.integers(6, 10))
+    def test_equals_stdlib_nested_deep(self, obj, depth):
+        self.assert_same(nest(obj, depth))
+
+    def test_key_rules(self):
+        self.assert_same({math.nan: 1, -0.0: 2, math.inf: 3})
+        self.assert_same({False: [1], None: {"x": []}})
+        with pytest.raises(TypeError, match="keys must be"):
+            json_text({(1, 2): 3})
+        with pytest.raises(TypeError):
+            json_text({1: 1, "a": 2})  # unsortable, as in the stdlib
+
+    def test_unserializable_values_raise(self):
+        for bad in ({"a": {1, 2}}, [object()], [[1.0, b"x"]]):
+            with pytest.raises(TypeError):
+                stdlib_text(bad)
+            with pytest.raises(TypeError):
+                json_text(bad)
+
+    def test_subclasses_and_numpy_scalars(self):
+        class Row(list):
+            pass
+
+        class Name(str):
+            pass
+
+        self.assert_same([Row([1.0, 2.0]), Row([3.0, 4.0])])
+        self.assert_same({Name("k"): [np.float64(0.1), np.float64(-0.0)]})
+        self.assert_same([[np.float64(1.5), 2.0], [3.0, np.float64(4.5)]])
+
+
+REFERENCE_SCENES = [
+    *[(f"mutant_{m}", lambda m=m: generate_scene(
+        "wandering_shared", {"mutate": m}))
+      for m in ("none", "delta", "epsilon", "cond1")],
+    *[(f"blowup_linear_n{n}", lambda n=n: generate_scene(
+        "blowup_linear", {"n": n})) for n in (1, 3)],
+    *[(f"montel_omitting_n{n}", lambda n=n: generate_scene(
+        "montel_omitting", {"n": n})) for n in (3, 5)],
+    ("degenerate_position", lambda: generate_scene("degenerate_position")),
+    ("planted", planted_scene),
+]
+
+
+class TestReportBytes:
+    """The CLI's report files and scene files are the stdlib's
+    ``indent=2`` encoding of what they hold."""
+
+    @pytest.mark.parametrize("build", [b for _, b in REFERENCE_SCENES],
+                             ids=[name for name, _ in REFERENCE_SCENES])
+    def test_every_stage_matches_stdlib(self, build, tmp_path, capsys):
+        scene = build()
+        path = str(tmp_path / "scene.json")
+        save_scene(scene, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == stdlib_text(scene_to_json(scene)).encode()
+        loaded = load_scene(path)
+        for stage in STAGES:
+            out = str(tmp_path / f"{stage}.json")
+            code = cli_main([stage, path, "-o", out])
+            report, again = run_pipeline(loaded, which=(stage,))
+            assert code == again
+            with open(out, "rb") as fh:
+                assert fh.read() == stdlib_text(report).encode(), stage
+
+    @pytest.mark.parametrize("template, params", [
+        ("wandering_shared", "{}"), ("montel_omitting", '{"n": 5}'),
+        ("blowup_linear", '{"n": 3}')])
+    def test_gen_stdout_and_file_agree(self, template, params, tmp_path,
+                                       capsys):
+        path = str(tmp_path / "scene.json")
+        assert cli_main(["gen", template, "--params", params,
+                         "-o", path]) == 0
+        capsys.readouterr()
+        assert cli_main(["gen", template, "--params", params]) == 0
+        out = capsys.readouterr().out
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert out == text
+        assert text == stdlib_text(json.loads(text))

@@ -383,6 +383,14 @@ class TestRootsReference:
     @given(st.lists(st.one_of(
         planted(degrees=st.sampled_from([1, 2, 3, 5])).filter(well_posed),
         lead_complex.map(lambda c: ComplexPoly([c]))), max_size=12))
+    # A triple root near 1e-109 beside a double one of modulus 0.35: LAPACK's
+    # eigensolve does not converge on its companion matrix, alone or stacked
+    # with a well-behaved one.
+    @example([Planted([2.947036242933972e-109] * 3 + [0.25 + 0.25j] * 2,
+                      3 + 0.1j)])
+    @example([Planted([0.5, -0.5j, 1 + 1j, 0.25, -1.25], 1.0),
+              Planted([2.947036242933972e-109] * 3 + [0.25 + 0.25j] * 2,
+                      3 + 0.1j)])
     @settings(max_examples=100, deadline=None)
     def test_roots_many_matches_mpmath_roots(self, cases):
         got = roots_many([(c if isinstance(c, ComplexPoly) else c.poly).coeffs
