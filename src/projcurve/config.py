@@ -2,20 +2,20 @@
 
 The checker has two settings, a scene's ``epsilon`` and ``delta``; every
 other number the stages use is a constant here.  ``ComplexPoly`` trims with
-TAU_COEFF, ``ComplexPoly.roots`` clusters with TAU_CLUSTER and
-``multiple_roots`` regroups those clusters with TAU_MULTIPLE (which also
-sets how far apart, 2 TAU_MULTIPLE^(1/d) at degree d, two clusters may be
-tested as one root), the load-time
-check that a curve's components (or a hyperplane's coefficients) have no
-common zero matches roots within TAU_ROOT, and preimage zero sets are
-matched within TAU_MATCH_REL times the region diameter.  The three MARTY_
-values are the verdict thresholds of ``marty_sup``.
+TAU_COEFF; ``roots_many``, the one rule that groups every zero set into
+(root, multiplicity) pairs, accepts a group as one multiple root by a
+backward-error test at TAU_MULTIPLE, which also sets how far apart, 2
+TAU_MULTIPLE^(1/d) max(1, |z|) at degree d, two roots may be tested as
+one; the load-time check that a curve's components (or a hyperplane's
+coefficients) have no common zero matches roots within TAU_ROOT, and
+preimage zero sets are matched within TAU_MATCH_REL times the region
+diameter.  The three MARTY_ values are the verdict thresholds of
+``marty_sup``.
 """
 
 # Polynomial arithmetic.
 TAU_COEFF = 1e-12   # trailing-coefficient trim, relative to max coefficient modulus
 TAU_ROOT = 1e-6     # root matching across polynomials (shared-zero check)
-TAU_CLUSTER = 1e-6  # root clustering into multiplicities
 TAU_MULTIPLE = 1e-13  # relative coefficient change that may make a root multiple
 
 # Most points a Region's grid may hold, about 2048 x 2048.

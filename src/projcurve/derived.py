@@ -13,12 +13,12 @@ When f is reduced (its components have no common zero), the common factor
 of that tuple is gcd(f_0, f_0'): at a root a of f_0 of multiplicity m, f_0^2
 vanishes to order 2m and each W(f_0, f_l) to order at least m - 1, with
 equality for some l because some f_l(a) is nonzero.  So the reduction needs
-the roots of f_0, with its multiple roots regrouped by ``multiple_roots``,
-and divides every part by (z - a)^(m - 1); on a curve that is not reduced
-it leaves the components' shared factor in.  ``derived_maps`` reduces a
-whole family at once: the f_0 of every curve go to one ``multiple_roots``
-call, so one eigensolve per degree and one pass per split level serve them
-all; ``derived_map`` is its one-curve case.
+the roots of f_0 with their multiplicities, from ``roots_many``, and
+divides every part by (z - a)^(m - 1); on a curve that is not reduced it
+leaves the components' shared factor in.  ``derived_maps`` reduces a whole
+family at once: the f_0 of every curve go to one ``roots_many`` call, and
+the parts of every curve to one ``divide_out`` call; ``derived_map`` is
+its one-curve case.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import FirstComponentZero
-from .polynomial import divide_out, multiple_roots, wronskian
+from .polynomial import divide_out, roots_many, wronskian
 from .projective import ProjCurve
 
 
@@ -37,17 +37,12 @@ def derived_maps(curves: Sequence[ProjCurve]) -> list[ProjCurve]:
     if any(f0.is_zero for f0 in f0s):
         raise FirstComponentZero(
             "derived map needs a nonzero first component")
-    out = []
-    for curve, roots in zip(curves, multiple_roots(f0s)):
-        f0 = curve.components[0]
-        parts = [f0 * f0]
-        for fl in curve.components[1:]:
-            parts.append(wronskian(f0, fl))
-        for root, mult in roots:
-            if mult > 1:
-                parts = divide_out(parts, root, mult - 1)
-        out.append(ProjCurve(parts, check_reduced=False))
-    return out
+    parts = [[f0 * f0] + [wronskian(f0, fl) for fl in curve.components[1:]]
+             for f0, curve in zip(f0s, curves)]
+    factors = [[(a, m - 1) for a, m in roots if m > 1]
+               for roots in roots_many([f0.coeffs for f0 in f0s])]
+    return [ProjCurve(ps, check_reduced=False)
+            for ps in divide_out(parts, factors)]
 
 
 def derived_map(curve: ProjCurve) -> ProjCurve:

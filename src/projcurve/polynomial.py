@@ -3,17 +3,19 @@
 Coefficients are stored ascending (constant term first) as complex128.
 Construction trims trailing coefficients that are negligible relative to the
 largest magnitude, so arithmetic keeps degrees honest.  Root finding goes
-through the companion matrix, with one guarded Newton polish per root and a
-clustering pass that merges eigenvalue splatter from multiple roots back
-into (root, multiplicity) pairs.
+through the companion matrix, with one guarded Newton polish per root, and
+``roots_many`` groups the eigenvalue scatter of multiple roots back into
+(root, multiplicity) pairs by one backward-error rule; every zero set of
+the package (``ComplexPoly.roots``, the condition 1 and 2 pairings, the
+load-time shared-zero check and the derived map) goes through it.
 
 Every evaluation, scalar or array, goes through the batched Horner kernel
 ``polyval_grid``.  ``root_stacks`` hands the companion matrices of every
 coefficient row of one degree to a single ``np.linalg.eigvals`` call and
-polishes the whole stack with one array Newton step; ``roots_many``,
-``multiple_roots`` and the checker's zero sets read its stacks.  The results
-are deterministic (the same calls give the same bits), and their accuracy
-is tested against mpmath oracles at stated tolerances.
+polishes the whole stack with one array Newton step; ``roots_many`` reads
+its stacks.  The results are deterministic (the same calls give the same
+bits), and their accuracy is tested against mpmath oracles at stated
+tolerances.
 """
 
 from __future__ import annotations
@@ -172,21 +174,6 @@ class ComplexPoly:
         scaled = work * (np.complex128(scale) ** np.arange(n))
         return ComplexPoly(scaled)
 
-    # -- division helpers ----------------------------------------------
-
-    def deflate(self, root: complex) -> "ComplexPoly":
-        """Synthetic division by (z - root), discarding the remainder."""
-        if self.is_zero:
-            raise ZeroPolynomial("cannot deflate the zero polynomial")
-        c = self._coeffs
-        n = c.size
-        out = np.empty(n - 1, dtype=np.complex128)
-        acc = c[n - 1]
-        for i in range(n - 2, -1, -1):
-            out[i] = acc
-            acc = c[i] + acc * root
-        return ComplexPoly(out)
-
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> list:
@@ -195,8 +182,8 @@ class ComplexPoly:
     # -- root finding ----------------------------------------------------
 
     def roots(self) -> list[tuple[complex, int]]:
-        """Roots with multiplicities, sorted by (real, imag); see
-        ``roots_many``."""
+        """Roots with multiplicities, sorted by (real, imag): ``roots_many``
+        of the one row."""
         return roots_many([self._coeffs])[0]
 
 
@@ -227,12 +214,10 @@ def root_stacks(rows: Sequence[np.ndarray]):
     degree.
 
     ``rows`` are ascending coefficient rows with a nonzero last entry, as
-    ``ComplexPoly.coeffs`` holds them.  Yields ``(members, roots, gaps,
-    clusters)`` for each degree d: the indices of the rows of degree d; their
-    roots, a (B, d) array with each row sorted by (real, imag); the (B, d, d)
-    moduli of the differences of each row's roots; and for each row None
-    when all its d(d-1) gaps exceed ``config.TAU_CLUSTER`` (every root
-    simple), else its ``_cluster_points`` clusters sorted by (real, imag).
+    ``ComplexPoly.coeffs`` holds them.  Yields ``(members, roots, gaps)``
+    for each degree d: the indices of the rows of degree d; their roots, a
+    (B, d) array with each row sorted by (real, imag); and the (B, d, d)
+    moduli of the differences of each row's roots.
 
     The companion matrices of one degree >= 2 go to a single
     ``np.linalg.eigvals`` call; degree 1 is solved in closed form.  Each
@@ -260,11 +245,7 @@ def root_stacks(rows: Sequence[np.ndarray]):
         roots = _newton(P, eigs)
         roots = roots[np.arange(len(members))[:, None],
                       np.lexsort((roots.imag, roots.real))]
-        gaps = np.abs(roots[:, :, None] - roots[:, None, :])
-        simple = _apart(gaps, config.TAU_CLUSTER).tolist()
-        clusters = [None if alone else _sorted_clusters(row)
-                    for alone, row in zip(simple, roots.tolist())]
-        yield members, roots, gaps, clusters
+        yield members, roots, np.abs(roots[:, :, None] - roots[:, None, :])
 
 
 def _eigvals(C: np.ndarray) -> np.ndarray:
@@ -289,42 +270,6 @@ def _eigvals(C: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sorted_clusters(points: list[complex]) -> list[tuple[complex, int]]:
-    """``_cluster_points`` at ``config.TAU_CLUSTER``, sorted in place by
-    (real, imag)."""
-    clusters = _cluster_points(points, config.TAU_CLUSTER)
-    clusters.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return clusters
-
-
-def _apart(gaps: np.ndarray, radius) -> np.ndarray:
-    """Whether each row's d(d-1) gaps off the diagonal all exceed
-    ``radius`` (a number or an array broadcast against ``gaps``); a NaN gap
-    does not."""
-    d = gaps.shape[-1]
-    return (gaps > radius).sum(axis=(1, 2)) == d * (d - 1)
-
-
-def roots_many(rows: Sequence[np.ndarray]
-               ) -> list[list[tuple[complex, int]]]:
-    """``ComplexPoly(c).roots()`` for each coefficient row c (a
-    ``ComplexPoly.coeffs``), with one eigensolve per degree
-    (``root_stacks``).
-
-    Each root list is sorted by (real, imag).  Polished eigenvalues within
-    ``config.TAU_CLUSTER`` of a cluster representative merge and their
-    count is the multiplicity.  A row whose roots are all more than
-    ``TAU_CLUSTER`` apart, found with one array comparison per stack, is its
-    sorted roots, each simple: the same bits ``_cluster_points`` would
-    return; only the other rows take its loop.
-    """
-    out: list[list[tuple[complex, int]]] = [[] for _ in rows]
-    for members, roots, _, clusters in root_stacks(rows):
-        for i, row, found in zip(members, roots.tolist(), clusters):
-            out[i] = [(z, 1) for z in row] if found is None else found
-    return out
-
-
 def _newton(P: np.ndarray, r: np.ndarray) -> np.ndarray:
     """One guarded Newton step from every point of row k of ``r`` on the
     polynomial in row k of the coefficient matrix ``P``.
@@ -346,207 +291,206 @@ def _newton(P: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.where(better, cand, r)
 
 
-def _cluster_points(points: Sequence[complex],
-                    tau: float) -> list[tuple[complex, int]]:
-    reps: list[complex] = []
-    sums: list[complex] = []
-    counts: list[int] = []
-    for pt in sorted(points, key=lambda c: (c.real, c.imag)):
-        for i, rep in enumerate(reps):
-            if abs(pt - rep) <= tau:
-                sums[i] += pt
-                counts[i] += 1
-                # Keep the representative at the running centroid so the
-                # cluster does not drift past tau from its own members.
-                reps[i] = sums[i] / counts[i]
-                break
-        else:
-            reps.append(pt)
-            sums.append(pt)
-            counts.append(1)
-    return list(zip(reps, counts))
+def roots_many(rows: Sequence[np.ndarray]
+               ) -> list[list[tuple[complex, int]]]:
+    """The roots with multiplicities of each coefficient row c (a
+    ``ComplexPoly.coeffs``), each list sorted by (real, imag): the one rule
+    by which zeros are grouped.
 
+    ``root_stacks`` solves every row, one eigensolve per degree.  The
+    eigenvalues of an m-fold root scatter by about (eps times its
+    condition)^(1/m), so they are grouped back by backward error: a group
+    of m roots is one m-fold root at c when one Newton step on p^(m-1)
+    from the group's centroid moves at most the link radius below (taken
+    at the centroid), and every lower Taylor coefficient p^(j)(c)/j!,
+    j < m - 1, is at most ``config.TAU_MULTIPLE`` times sum_i C(i, j)
+    |p_i| r^(i-j), r = max(1, |c|): a change of p's coefficients of that
+    size relative to this majorant makes c an m-fold root.  (Taken at |c|
+    instead of r, the majorant near 0 shrinks to the low coefficients,
+    which a computed polynomial holds only to rounding: the double zero at
+    0 of a derived pairing -1.5i z^2 + 1e-16 z + 5e-17i, or one at
+    1e-205, would stay two simple roots.)
 
-def multiple_roots(polys: Sequence[ComplexPoly]
-                   ) -> list[list[tuple[complex, int]]]:
-    """``roots_many`` of the polynomials' coefficients with the scatter of
-    multiple roots regrouped, each list sorted by (real, imag).
-
-    The eigenvalues of an m-fold root scatter by about (eps times its
-    condition)^(1/m), which passes ``config.TAU_CLUSTER`` once m >= 4 or
-    other roots sit nearby.  A group of clusters is one m-fold root at c
-    when one Newton step from the group's centroid on p^(m-1) lands within
-    the group's spread at c, and every lower Taylor coefficient
-    p^(j)(c)/j!, j < m - 1, is at most ``config.TAU_MULTIPLE`` times
-    sum_i C(i, j) |p_i| |c|^(i-j): a relative change of that size in p's
-    coefficients makes c an m-fold root.
-
-    Groups are built bottom-up.  Two clusters a, b of a polynomial of
-    degree d are linked when |a - b| <= 2 TAU_MULTIPLE^(1/d) max(1, |a|,
-    |b|), and only the groups that links connect are tested.  The radius is
-    the widest scatter the test above can take as one root: a relative
-    change eta in the coefficients moves an m-fold root c by about
-    (eta B(|c|) / |p^(m)(c)/m!|)^(1/m), B(x) = sum_i |p_i| x^i, and for
-    coefficients of one size the ratio in it is about max(1, |c|)^m; so with
-    eta <= TAU_MULTIPLE < 1 and m <= d the clusters of one root lie within
+    Groups are built bottom-up.  Two roots a, b of a polynomial of degree d
+    are linked when |a - b| <= 2 TAU_MULTIPLE^(1/d) max(1, |a|, |b|), and
+    only the groups that links connect are tested.  The radius is the
+    widest scatter the test above can take as one root: a relative change
+    eta in the coefficients moves an m-fold root c by about (eta B(|c|) /
+    |p^(m)(c)/m!|)^(1/m), B(x) = sum_i |p_i| x^i, and for coefficients of
+    one size the ratio in it is about max(1, |c|)^m; so with eta <=
+    TAU_MULTIPLE < 1 and m <= d the roots of one m-fold root lie within
     TAU_MULTIPLE^(1/d) max(1, |c|) of c, and within twice that of each
     other.  (At d = 8 the radius is 0.047; in a sweep of 2000 degree-8
     polynomials, 636 5-fold roots scattered at most 3.7e-3 from the root.)
-    A group that
-    fails splits in two at the longest edge of its minimum spanning tree,
-    down to single clusters, which stay as ``roots_many`` returned them;
-    a polynomial with no linked clusters makes no test.  The pending
-    groups of every polynomial are tested one split level at a time, two
-    ``polyval_grid`` calls per level.
+    A group that fails splits in two, a pair into its two roots and a
+    larger group at the longest edge of its minimum spanning tree, down to
+    single roots, which are simple.  A row with no link, found with one
+    array comparison per stack, is its sorted roots, each simple, and
+    makes no test; the pending groups of every row are tested one split
+    level at a time by ``_accept``.
     """
-    out: list[list[tuple[complex, int]]] = [[] for _ in polys]
-    level = []
-    for members, roots, gaps, clusters in root_stacks(
-            [p.coeffs for p in polys]):
-        reach = 2.0 * config.TAU_MULTIPLE ** (1.0 / roots.shape[1])
+    out: list[list[tuple[complex, int]]] = [[] for _ in rows]
+    # Each linked group: its row, that row's coefficients and roots, which
+    # of them it holds, and the link factor 2 TAU_MULTIPLE^(1/d); one
+    # block per stack.
+    blocks = []
+    for members, roots, gaps in root_stacks(rows):
+        for i, row in zip(members, roots.tolist()):
+            out[i] = [(z, 1) for z in row]
+        d = roots.shape[1]
+        reach = 2.0 * config.TAU_MULTIPLE ** (1.0 / d)
         scale = np.maximum(1.0, np.abs(roots))
-        alone = _apart(gaps, reach * np.maximum(scale[:, :, None],
-                                                scale[:, None, :]))
-        for k, row, found, lone in zip(members, roots.tolist(), clusters,
-                                       alone.tolist()):
-            if found is None:
-                found = [(z, 1) for z in row]
-            if lone:
-                out[k] = found
-                continue
-            for group in _linked_groups(found, reach):
-                if len(group) > 1:
-                    level.append((k, group))
-                else:
-                    out[k].extend(group)
-    taylor = {k: _taylor_rows(polys[k].coeffs) for k in {k for k, _ in level}}
-    while level:
-        found = _multiple_root_level([taylor[k] for k, _ in level],
-                                     [group for _, group in level])
-        pending = []
-        for (k, group), root in zip(level, found):
-            if root is not None:
-                out[k].append(root)
-                continue
-            for half in _split_longest_edge(group):
-                if len(half) > 1:
-                    pending.append((k, half))
-                else:
-                    out[k].extend(half)
-        level = pending
-    for roots in out:
-        roots.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+        # Each root is linked to itself: its gap is 0.
+        linked = gaps <= reach * np.maximum(scale[:, :, None],
+                                            scale[:, None, :])
+        loose = np.flatnonzero(linked.sum(axis=(1, 2)) > d)
+        if not loose.size:
+            continue
+        # The components of the links: their transitive closure, squared
+        # until it stops growing (in float32, which numpy multiplies far
+        # faster than bool); a component is named by its first root.
+        comp = linked[loose].astype(np.float32)
+        while ((grown := np.minimum(comp @ comp, 1)) != comp).any():
+            comp = grown
+        b, j = np.nonzero((comp.argmax(axis=2) == np.arange(d))
+                          & (comp.sum(axis=2) > 1))
+        owner = np.asarray(members)[loose]
+        blocks.append((owner[b], np.array([rows[k] for k in owner])[b],
+                       roots[loose[b]], comp[b, j] > 0, reach))
+    if not blocks:
+        return out
+    # The groups of every stack, zero-padded to the largest degree D.
+    owner = np.concatenate([block[0] for block in blocks])
+    D = max(block[2].shape[1] for block in blocks)
+    coeffs = np.zeros((owner.size, D + 1), dtype=np.complex128)
+    points = np.zeros((owner.size, D), dtype=np.complex128)
+    holds = np.zeros((owner.size, D), dtype=bool)
+    factor = np.empty(owner.size)
+    at = 0
+    for _, cs, zs, hs, reach in blocks:
+        coeffs[at: at + len(cs), : cs.shape[1]] = cs
+        points[at: at + len(zs), : zs.shape[1]] = zs
+        holds[at: at + len(hs), : hs.shape[1]] = hs
+        factor[at: at + len(hs)] = reach
+        at += len(hs)
+    m = holds.sum(axis=1)
+    found = []
+    while True:
+        # Summed in root order, as cumsum does for every width: np.sum's
+        # pairwise order would tie a group's bits to the widest stack.
+        centre = np.where(holds, points, 0).cumsum(axis=1)[:, -1] / m
+        c, ok = _accept(coeffs, centre, m,
+                        factor * np.maximum(1.0, np.abs(centre)))
+        good = np.flatnonzero(ok)
+        found.extend(zip(owner[good].tolist(), c[good].tolist(),
+                         m[good].tolist(), holds[good].tolist()))
+        # A failed pair is two simple roots; a larger group splits in two.
+        split = np.flatnonzero(~ok & (m > 2))
+        if not split.size:
+            break
+        near = _near_side(points[split], holds[split])
+        halves = np.concatenate([holds[split] & near, holds[split] & ~near])
+        m = halves.sum(axis=1)
+        keep = np.concatenate([split, split])[m > 1]
+        if not keep.size:
+            break
+        holds, m = halves[m > 1], m[m > 1]
+        owner, coeffs, points, factor = (owner[keep], coeffs[keep],
+                                         points[keep], factor[keep])
+    # Each row with an accepted group: its roots outside every such group,
+    # and the groups' centres, sorted.
+    rest: dict[int, tuple[list, list]] = {}
+    for k, c, mult, held in found:
+        used, centres = rest.get(k, ([False] * D, []))
+        rest[k] = [u or h for u, h in zip(used, held)], centres + [(c, mult)]
+    for k, (used, centres) in rest.items():
+        out[k] = [rm for rm, u in zip(out[k], used) if not u] + centres
+        out[k].sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
 
 
-def _linked_groups(clusters: list[tuple[complex, int]], reach: float
-                   ) -> list[list[tuple[complex, int]]]:
-    """The clusters split into the groups that links |a - b| <= reach *
-    max(1, |a|, |b|) connect (single linkage), each group in the clusters'
-    order."""
-    label = list(range(len(clusters)))
-    for i, (a, _) in enumerate(clusters):
-        for j, (b, _) in enumerate(clusters[:i]):
-            if (label[i] != label[j]
-                    and abs(a - b) <= reach * max(1.0, abs(a), abs(b))):
-                old = label[i]
-                label = [label[j] if x == old else x for x in label]
-    groups: dict[int, list[tuple[complex, int]]] = {}
-    for x, cluster in zip(label, clusters):
-        groups.setdefault(x, []).append(cluster)
-    return list(groups.values())
+def _near_side(points: np.ndarray, holds: np.ndarray) -> np.ndarray:
+    """For each group, the roots ``holds`` marks in its row of ``points``,
+    those left with the group's first root when the longest edge of the
+    group's minimum spanning tree is cut: the roots it reaches by paths
+    of shorter edges (single linkage)."""
+    F, D = holds.shape
+    # The group's roots in order, root i of row f in column rank.
+    f, i = np.nonzero(holds)
+    rank = holds.cumsum(axis=1)[f, i] - 1
+    S = rank.max() + 1
+    pts = np.zeros((F, S), dtype=np.complex128)
+    pts[f, rank] = points[f, i]
+    held = np.zeros((F, S), dtype=bool)
+    held[f, rank] = True
+    dist = np.where(held[:, :, None] & held[:, None, :],
+                    np.abs(pts[:, :, None] - pts[:, None, :]), np.inf)
+    # From the first root, the longest edge on the best path to each
+    # root, relaxed over paths of up to S - 1 edges; the largest is the
+    # cut edge.
+    reach = dist[:, 0]
+    for _ in range(S - 2):
+        reach = np.maximum(reach[:, :, None], dist).min(axis=1)
+    cut = np.where(held, reach, -np.inf).max(axis=1)
+    near = np.zeros((F, D), dtype=bool)
+    near[f, i] = (reach < cut[:, None])[f, rank]
+    return near
 
 
-def _taylor_rows(c: np.ndarray) -> np.ndarray:
-    """Row j holds the ascending coefficients of p^(j)/j!, zero-padded, for
-    p with coefficients c."""
-    L = c.size
-    out = np.zeros((L, L), dtype=np.complex128)
-    for j in range(L):
-        out[j, : L - j] = [math.comb(i, j) * c[i] for i in range(j, L)]
-    return out
+@functools.cache
+def _taylor_index(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """For Taylor coefficients of length L: entry [j, t] of the first array
+    is C(t + j, j), 0 where t + j >= L, and of the second the coefficient
+    index min(t + j, L - 1) it multiplies."""
+    binom = np.array([[math.comb(t + j, j) if t + j < L else 0
+                       for t in range(L)] for j in range(L)], dtype=np.float64)
+    return binom, np.minimum(np.add.outer(np.arange(L), np.arange(L)), L - 1)
 
 
-def _multiple_root_level(taylors: list[np.ndarray],
-                         groups: list[list[tuple[complex, int]]]
-                         ) -> list[tuple[complex, int] | None]:
-    """For each group, (c, m) when it is one m-fold root at c of the
-    polynomial whose ``_taylor_rows`` go with it, else None.
+def _taylor(coeffs: np.ndarray, k: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Row r: the ascending coefficients of p^(j[r])/j[r]!, zero-padded,
+    for the polynomial p in row k[r] of ``coeffs``."""
+    L = coeffs.shape[1]
+    binom, index = _taylor_index(L)
+    return binom[j] * coeffs.ravel()[index[j] + L * k[:, None]]
 
-    Every row of every group is zero-padded to one width and evaluated at
-    its own point, so the whole level takes two ``polyval_grid`` calls.
+
+def _accept(coeffs: np.ndarray, centre: np.ndarray, m: np.ndarray,
+            radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``roots_many``'s test of G candidate groups: group g has m[g] roots
+    with centroid centre[g], of the polynomial in row g of ``coeffs``.
+    Returns the centres c found and whether each group is one m-fold root
+    at c.
+
+    Every row is evaluated at its own point, so the G groups take two
+    ``polyval_grid`` calls.
     """
-    G = len(groups)
-    if not G:
-        return []
-    width = max(t.shape[1] for t in taylors)
-    ms = [sum(k for _, k in g) for g in groups]
-    centres = [sum(r * k for r, k in g) / m for g, m in zip(groups, ms)]
-    spreads = [max(abs(r - c) for r, _ in g) for g, c in zip(groups, centres)]
+    G = m.size
+    at = np.arange(G)
     # p^(m-1)/(m-1)! has a simple root at an m-fold root of p; its
     # derivative is m p^(m)/m!.
-    rows = np.zeros((2 * G, width), dtype=np.complex128)
-    for g, (t, m) in enumerate(zip(taylors, ms)):
-        rows[2 * g: 2 * g + 2, : t.shape[1]] = t[m - 1: m + 1]
-    at = np.repeat(np.array(centres, dtype=np.complex128), 2)[:, None]
-    vals = polyval_grid(rows, at)[:, 0]
-    value, slope = vals[0::2], vals[1::2] * np.array(ms)
-    moved = np.divide(value, slope, out=np.zeros_like(value),
-                      where=slope != 0)
-    cs = np.array(centres, dtype=np.complex128) - moved
+    vals = polyval_grid(_taylor(coeffs, np.concatenate([at, at]),
+                                np.concatenate([m - 1, m])),
+                        np.concatenate([centre, centre])[:, None])[:, 0]
+    value, slope = vals[:G], vals[G:] * m
+    # A step may overflow on its way to being refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = centre - np.divide(value, slope, out=np.zeros_like(value),
+                               where=slope != 0)
     # Not-greater, so a NaN step is not refused here.
-    near = (slope != 0) & ~(np.abs(cs - centres) > np.array(spreads))
-    live = np.flatnonzero(near).tolist()
-    found: list[tuple[complex, int] | None] = [None] * G
-    if not live:
-        return found
-    # The lower Taylor coefficients at c and their bounds at |c|, in one
-    # call: row k at its own point.
-    counts = [ms[g] - 1 for g in live]
-    R = sum(counts)
-    lower = np.zeros((R, width), dtype=np.complex128)
-    r = 0
-    for g, count in zip(live, counts):
-        lower[r: r + count, : taylors[g].shape[1]] = taylors[g][:count]
-        r += count
-    pts = np.repeat(cs[live], counts)[:, None]
+    ok = (slope != 0) & ~(np.abs(c - centre) > radius)
+    # The lower Taylor coefficients j < m - 1 at c (a refused group's at
+    # its centroid) and their bounds at max(1, |c|), in one call: row r at
+    # its own point.
+    of, j = np.nonzero(np.arange(m.max() - 1) < m[:, None] - 1)
+    lower = _taylor(coeffs, of, j)
+    pts = np.where(ok, c, centre)[of, None]
     vals = polyval_grid(np.concatenate([lower, np.abs(lower)]),
-                        np.concatenate([pts, np.abs(pts)]))[:, 0]
-    bad = np.abs(vals[:R]) > config.TAU_MULTIPLE * vals[R:].real
-    starts = np.cumsum([0, *counts[:-1]])
-    for g, rejected in zip(live, np.logical_or.reduceat(bad, starts).tolist()):
-        if not rejected:
-            found[g] = (complex(cs[g]), ms[g])
-    return found
-
-
-def _split_longest_edge(group: list[tuple[complex, int]]
-                        ) -> list[list[tuple[complex, int]]]:
-    """The two halves of ``group`` left when the longest edge of its
-    minimum spanning tree (Prim's, from the first cluster) is cut."""
-    pts = [r for r, _ in group]
-    dist = [abs(pts[0] - q) for q in pts]
-    parent = [0] * len(pts)
-    todo = set(range(1, len(pts)))
-    longest = (-1.0, 0)
-    while todo:
-        i = min(todo, key=lambda k: (dist[k], k))
-        todo.discard(i)
-        longest = max(longest, (dist[i], i))
-        for k in todo:
-            if abs(pts[i] - pts[k]) < dist[k]:
-                dist[k], parent[k] = abs(pts[i] - pts[k]), i
-    cut = longest[1]
-
-    def below_cut(k: int) -> bool:
-        while k not in (0, cut):
-            k = parent[k]
-        return k == cut
-
-    halves: list[list[tuple[complex, int]]] = [[], []]
-    for k, rm in enumerate(group):
-        halves[below_cut(k)].append(rm)
-    return halves
+                        np.concatenate([pts, np.maximum(1.0, np.abs(pts))]))
+    bad = np.abs(vals[: of.size, 0]) > (
+        config.TAU_MULTIPLE * vals[of.size:, 0].real)
+    ok[of[bad]] = False
+    return c, ok
 
 
 # ---------------------------------------------------------------------------
@@ -571,21 +515,53 @@ def wronskian(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
     return ComplexPoly(out)
 
 
-def divide_out(polys: Sequence[ComplexPoly], root: complex,
-               mult: int) -> list[ComplexPoly]:
-    """Deflate each nonzero polynomial by its own root nearest ``root``,
-    ``mult`` times; zero polynomials are returned as they are.
+def divide_out(polys: Sequence[Sequence[ComplexPoly]],
+               factors: Sequence[Sequence[tuple[complex, int]]]
+               ) -> list[list[ComplexPoly]]:
+    """Each list of ``polys`` with every nonzero polynomial in it divided
+    by (z - a)^k for each (a, k) of the list's ``factors``, in turn,
+    discarding the remainders; zero polynomials are returned as they are.
 
-    Deflating by ``root`` itself, a root of another polynomial, can leave a
-    large remainder when a polynomial's own root sits a few ulps away, so
-    each pass first polishes every polynomial's target against its value,
-    all in one array Newton step.
+    Dividing by a itself, a root of another polynomial, can leave a large
+    remainder when a polynomial's own root sits a few ulps away, so each
+    division is by the polynomial's own root nearest a: one Newton step
+    from a, or from the root its last division by (z - a) used.  Division
+    t of every list is one pass over the whole stack: one array Newton
+    step and one array synthetic division.
     """
-    out = list(polys)
-    live = [i for i, p in enumerate(out) if not p.is_zero]
-    targets = np.full((len(live), 1), complex(root))
-    for _ in range(mult):
-        targets = _newton(stack_coeffs([out[i] for i in live]), targets)
-        for i, t in zip(live, targets[:, 0].tolist()):
-            out[i] = out[i].deflate(t)
+    out = [list(ps) for ps in polys]
+    # One (a, first division by z - a) per linear factor of each list.
+    steps = [[(a, t == 0) for a, k in fs for t in range(k)] for fs in factors]
+    slots = [(i, j) for i, ps in enumerate(out) if steps[i]
+             for j, p in enumerate(ps) if not p.is_zero]
+    if not slots:
+        return out
+    P = stack_coeffs([out[i][j] for i, j in slots])
+    count = np.array([len(steps[i]) for i, _ in slots])
+    targets = np.zeros((len(slots), 1), dtype=np.complex128)
+    for t in range(count.max()):
+        live = np.flatnonzero(count > t)
+        a, fresh = zip(*[steps[slots[s][0]][t] for s in live.tolist()])
+        start = np.where(np.array(fresh)[:, None],
+                         np.array(a, dtype=np.complex128)[:, None],
+                         targets[live])
+        targets[live] = _newton(P[live], start)
+        quotient = _deflate(P[live], targets[live, 0])
+        # Trimmed as a ComplexPoly is, before the next pass reads it.
+        P[live] = np.where(np.arange(P.shape[1])
+                           < trimmed_lengths(quotient)[:, None], quotient, 0)
+    for (i, j), p in zip(slots, ComplexPoly.from_rows(P)):
+        out[i][j] = p
+    return out
+
+
+def _deflate(P: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Synthetic division of the polynomial in each row of ``P`` by
+    (z - its root), discarding the remainder.  A row's zero padding stays
+    zero: above its leading coefficient the running value is 0."""
+    out = np.zeros_like(P)
+    acc = P[:, -1]
+    for i in range(P.shape[1] - 2, -1, -1):
+        out[:, i] = acc
+        acc = P[:, i] + acc * roots
     return out

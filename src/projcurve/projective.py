@@ -30,9 +30,10 @@ def first_common_zero(tuples: Sequence[Sequence[ComplexPoly]]
     None.
 
     A nonzero constant entry rules out a common zero.  The entries of every
-    other tuple are solved in one ``roots_many`` call, and a root of a
-    tuple's lowest-degree entry is common when every other entry has a root
-    within ``config.TAU_ROOT`` of it.
+    other tuple are solved in one ``roots_many`` call, which gives each
+    multiple root as one centre, and a root of a tuple's lowest-degree
+    entry is common when every other entry has a root within
+    ``config.TAU_ROOT`` of it.
     """
     lives = {k: sorted((p for p in polys if not p.is_zero),
                        key=lambda p: p.degree)

@@ -26,7 +26,7 @@ from . import config
 from .derived import derived_maps
 from .errors import IdenticallyZero, WrongCount, ValidationError
 from .normality import marty_sup
-from .polynomial import root_stacks, trimmed_lengths
+from .polynomial import roots_many, trimmed_lengths
 from .position import Region, UniformDelta, uniform_delta
 from .projective import MovingHyperplane, ProjCurve, induced_curve, pair_rows
 
@@ -95,32 +95,25 @@ def _pairing_zeros(rows: np.ndarray, region: Region) -> list[list[complex]]:
     """The distinct zeros inside the region (boundary-inclusive, with a
     slack of TAU_MATCH_REL times the region diameter) of the polynomial in
     each row of ``rows``, zero-padded ascending coefficients as
-    ``pair_rows`` gives them, from one ``root_stacks`` pass.
+    ``pair_rows`` gives them: the centres ``roots_many`` groups them into,
+    filtered with one ``Region.contains`` mask over all of them.
 
     Every row is trimmed by one ``trimmed_lengths`` call.  A curve inside a
     hyperplane is a degenerate scene, reported upward rather than silently
     passed: the first row that vanishes identically raises IdenticallyZero
-    with its index as ``hyperplane_index``.  A degree stack's simple rows
-    are filtered with one mask over its sorted roots; rows with clustered
-    roots test each cluster.
+    with its index as ``hyperplane_index``.
     """
     lengths = trimmed_lengths(rows)
     if not lengths.all():
         raise IdenticallyZero("curve lies inside the hyperplane",
                               hyperplane_index=int(np.argmin(lengths)))
-    slack = config.TAU_MATCH_REL * region.diameter
-    out: list[list[complex]] = [[] for _ in lengths]
-    for members, roots, _, clusters in root_stacks(
-            [row[:k] for row, k in zip(rows, lengths.tolist())]):
-        inside = region.contains(roots, slack=slack).tolist()
-        for i, row, keep, found in zip(members, roots.tolist(), inside,
-                                       clusters):
-            if found is None:
-                out[i] = [z for z, ok in zip(row, keep) if ok]
-            else:
-                out[i] = [z for z, _ in found
-                          if region.contains(z, slack=slack)]
-    return out
+    found = [[z for z, _ in roots] for roots in roots_many(
+        [row[:k] for row, k in zip(rows, lengths.tolist())])]
+    inside = iter(region.contains(
+        np.array(list(itertools.chain.from_iterable(found)),
+                 dtype=np.complex128),
+        slack=config.TAU_MATCH_REL * region.diameter).tolist())
+    return [[z for z in zs if next(inside)] for zs in found]
 
 
 def match_point_sets(a: Sequence[complex], b: Sequence[complex],
@@ -204,7 +197,7 @@ def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
                        ) -> list[tuple[list[dict], dict]]:
     """``conditions_check`` of every member, from one ``derived_maps`` call,
     one ``pair_rows`` contraction of the curves and the derived maps with
-    their hyperplanes, one ``root_stacks`` pass over all 2(2n+1) pairings of
+    their hyperplanes, one ``roots_many`` call over all 2(2n+1) pairings of
     every member, and one ``_match_sets`` call over all of them.
 
     Members meet their defects in member order: the first pairing that
@@ -369,7 +362,7 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
     ``deltas`` maps hyperplane tuples to a ``uniform_delta`` already taken
     on ``cfg.region``; tuples it lacks are swept here.  Conditions 1 and 2
     of the whole family come from one ``derived_maps`` call and one
-    ``root_stacks`` pass.  Degenerate members (curve inside a hyperplane,
+    ``roots_many`` call.  Degenerate members (curve inside a hyperplane,
     annotated with the member label; zero first component) raise; they are
     scene defects, not check failures.
     """

@@ -163,7 +163,7 @@ exact_cases = st.integers(1, 6).flatmap(lambda n: st.tuples(
 
 class TestExactOracle:
     @given(exact_cases)
-    # Three double roots whose eigenvalues scatter past TAU_CLUSTER.
+    # Three double roots whose eigenvalues scatter more than 1e-6 apart.
     @example(([(0, 3, 2), (0, 4, 2), (1, 3, 2)], [[1]]))
     @settings(max_examples=80, deadline=None)
     def test_degrees_match_exact_gcd(self, drawn):

@@ -712,6 +712,26 @@ class TestCli:
         assert self.run("check", scene_path,
                         "-o", str(tmp_path / "r.json")) == 2
 
+    def test_shared_fourfold_root_exit_3(self, tmp_path, capsys):
+        # [(z - a)^4 : (z - a)^4 (z + 1)]: the eigenvalues of each 4-fold
+        # root scatter by about 1e-4, farther apart than TAU_ROOT; their
+        # regrouped centres match.
+        a = 0.0123 + 0.0071j
+        data = minimal_scene_dict()
+        data["members"][0]["curve"]["components"] = [
+            ComplexPoly.from_roots([a] * 4).to_json(),
+            ComplexPoly.from_roots([a] * 4 + [-1.0]).to_json()]
+        with pytest.raises(ValidationError) as err:
+            scene_from_json(data)
+        assert err.value.path == "$.members[0].curve"
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert self.run("check", str(scene_path)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: $.members[0].curve: ")
+
     def test_degenerate_scene_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

@@ -1,6 +1,5 @@
 import cmath
 import math
-from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -11,8 +10,8 @@ from hypothesis import strategies as st
 
 from projcurve import config, polynomial
 from projcurve.errors import AllZero, ZeroPolynomial
-from projcurve.polynomial import (ComplexPoly, _cluster_points,
-                                  multiple_roots, roots_many, wronskian)
+from projcurve.polynomial import (ComplexPoly, root_stacks, roots_many,
+                                  wronskian)
 from projcurve.projective import MovingHyperplane, ProjCurve
 from test_projective import scene_round_trip
 
@@ -307,10 +306,13 @@ def check_planted(case, got):
     """``got``, the roots found for ``case.poly``, against its planted roots.
 
     Each planted m-fold root a gets returned roots of total multiplicity m,
-    all within R(a) (``Planted.radius``); where R(a) is at most TAU_CLUSTER
-    / 2 they are one cluster of multiplicity m.  A simple root r is within
-    2 d u B(x) / |p'(x)| + |p''(x)| R(a)^2 / (2 |p'(x)|) of the exact root
-    x of the stored polynomial near it, B(x) = sum_i |c_i| |x|^i: Horner's
+    all within R(a) (``Planted.radius``), and one root of multiplicity m
+    for m <= 5.  (A root drawn twice can reach m = 10; at m = 9 the
+    polished eigenvalues' centroid can sit 1e-3 off the root, and one
+    Newton step from it too far for the backward-error test.)  A simple
+    root r is within 2 d u B(x) / |p'(x)| + |p''(x)| R(a)^2 / (2 |p'(x)|)
+    of the exact root x of the stored polynomial near it, B(x) = sum_i
+    |c_i| |x|^i: Horner's
     rounding bound, plus one Newton step's contraction of an eigenvalue
     error R(a).  The bare eigenvalue in general is not that close.
     """
@@ -321,8 +323,8 @@ def check_planted(case, got):
         near = [(r, k) for (r, k), o in zip(got, owner) if o == a]
         assert sum(k for _, k in near) == m
         assert all(abs(r - a) <= radii[a] for r, _ in near)
-        if radii[a] <= config.TAU_CLUSTER / 2:
-            assert [k for _, k in near] == [m]
+        if m <= 5:
+            assert len(near) == 1
         if m == 1:
             [(r, _)] = near
             x, slope, curve, bound = exact_root(p, r)
@@ -355,29 +357,6 @@ class TestRootsReference:
     def test_matches_mpmath_roots(self, case):
         check_planted(case, case.poly.roots())
 
-    # Groups on the 0.25 lattice, each spread over less than TAU_CLUSTER /
-    # 2, signed zeros included, so every group is exactly one cluster.
-    @given(st.lists(st.tuples(lattice_complex, st.lists(st.builds(
-        complex, *[st.sampled_from([0.0, -0.0, 1e-7, -1e-7, 2e-7])] * 2),
-        min_size=1, max_size=6)), max_size=6, unique_by=lambda g: g[0]))
-    @settings(max_examples=200, deadline=None)
-    def test_cluster_centroids_match_reference(self, groups):
-        """One cluster per group, its multiplicity the group's size and its
-        centre the exact mean of the group (in fractions) to within the
-        rounding of the running centroid."""
-        points = [c + off for c, offs in groups for off in offs]
-        got = _cluster_points(points, config.TAU_CLUSTER)
-        assert len(got) == len(groups)
-        for c, offs in groups:
-            members = [c + o for o in offs]
-            mean = complex(float(sum(Fraction(z.real) for z in members)
-                                 / len(members)),
-                           float(sum(Fraction(z.imag) for z in members)
-                                 / len(members)))
-            [(rep, m)] = [(r, m) for r, m in got if abs(r - c) < 0.1]
-            assert m == len(members)
-            assert abs(rep - mean) <= 4 * len(members) * U * max(1.0, abs(c))
-
     # Few distinct degrees, so most lists stack several companion matrices
     # of one degree; constants have no roots and take no eigensolve.
     @given(st.lists(st.one_of(
@@ -401,34 +380,45 @@ class TestRootsReference:
             else:
                 check_planted(case, roots)
 
-    # Planted multiplicities 1-5 give rows with and without a close pair.
+    # Planted multiplicities 1-5 give rows with and without a linked pair.
     @given(st.lists(planted(degrees=st.sampled_from([1, 2, 3, 5])),
                     min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
-    def test_rows_without_close_pair_skip_cluster_loop(self, cases):
-        """A row takes the clustering loop exactly when two of its polished
-        roots are within TAU_CLUSTER, and a row that skips it holds the
-        bits ``_cluster_points`` returns for its roots."""
-        looped = {}
+    def test_rows_without_link_make_no_group_test(self, cases):
+        """The first level of group tests holds one group per component of
+        two or more roots that links connect, |a - b| <= 2
+        TAU_MULTIPLE^(1/d) max(1, |a|, |b|) (single linkage, in Python
+        here); a row with no link is its ``root_stacks`` roots, bit for
+        bit, each simple."""
+        rows = [c.poly.coeffs for c in cases]
+        raw = [[] for _ in rows]
+        for members, roots, _ in root_stacks(rows):
+            for i, row in zip(members, roots.tolist()):
+                raw[i] = row
+        levels = []
 
-        def spy(points, tau):
-            out = _cluster_points(points, tau)
-            looped[id(out)] = (list(points), out)
-            return out
+        def spy(coeffs, centre, m, radius):
+            levels.append(m.size)
+            return accept(coeffs, centre, m, radius)
 
-        with mock.patch.object(polynomial, "_cluster_points", spy):
-            got = roots_many([c.poly.coeffs for c in cases])
-        for roots in got:
-            if id(roots) in looped:
-                points, _ = looped[id(roots)]
-            else:
-                points = [r for r, _ in roots]
-                want = _cluster_points(points, config.TAU_CLUSTER)
+        accept = polynomial._accept
+        with mock.patch.object(polynomial, "_accept", spy):
+            got = roots_many(rows)
+        components = 0
+        for roots, points in zip(got, raw):
+            reach = 2 * config.TAU_MULTIPLE ** (1 / max(1, len(points)))
+            label = list(range(len(points)))
+            for i, a in enumerate(points):
+                for j, b in enumerate(points[:i]):
+                    if abs(a - b) <= reach * max(1.0, abs(a), abs(b)):
+                        old = label[i]
+                        label = [label[j] if x == old else x for x in label]
+            sizes = [label.count(x) for x in set(label)]
+            components += sum(k > 1 for k in sizes)
+            if all(k == 1 for k in sizes):
                 assert [(_bits(r), m) for r, m in roots] == [
-                    (_bits(r), m) for r, m in want]
-            close = any(abs(a - b) <= config.TAU_CLUSTER
-                        for i, a in enumerate(points) for b in points[i + 1:])
-            assert close == (id(roots) in looped)
+                    (_bits(r), 1) for r in points]
+        assert levels[:1] == ([components] if components else [])
 
     def test_roots_many_zero_polynomial_raises(self):
         with pytest.raises(ZeroPolynomial):
@@ -457,11 +447,15 @@ class TestRootsReference:
 
 class TestMultipleRoots:
     def test_regroups_scattered_double_roots(self):
-        # roots() leaves the double roots at 0.75i and i as simple pairs.
+        # The eigenvalues of the double roots at 0.75i and i scatter more
+        # than 1e-6 apart.
         planted = [0.75j, 1j, 0.25 + 0.75j]
         p = ComplexPoly.from_roots([r for r in planted for _ in range(2)])
-        assert len(p.roots()) > 3
-        got = multiple_roots([p])[0]
+        [(_, [raw], _)] = root_stacks([p.coeffs])
+        for a in planted[:2]:
+            near = [z for z in raw if abs(z - a) < 1e-3]
+            assert abs(near[0] - near[1]) > 1e-6
+        got = p.roots()
         assert [m for _, m in got] == [2, 2, 2]
         for (r, _), want in zip(got, sorted(planted, key=lambda c: (
                 c.real, c.imag))):
@@ -476,7 +470,7 @@ class TestMultipleRoots:
         # their mean (which is a up to the rounding of from_roots).
         a = 0.0123 + 0.0071j
         p = ComplexPoly.from_roots([a] * k)
-        [(r, m)] = multiple_roots([p])[0]
+        [(r, m)] = p.roots()
         assert m == k
         with mpmath.workdps(60):
             cs = [mpmath.mpc(c) for c in reversed(p.coeffs.tolist())]
@@ -486,18 +480,32 @@ class TestMultipleRoots:
                 / abs(mpmath.polyval(cs, x, derivative=True)[1]) for x in xs)
             assert abs(mpmath.mpc(r) - sum(xs) / k) <= bound
 
+    def test_close_double_root_is_one_root(self):
+        # The eigenvalues of 3 (z - a)^2 sit 2.6e-9 apart and one Newton
+        # step from their centroid moves about 2e-9, more than their spread
+        # but well inside the link radius 2 TAU_MULTIPLE^(1/2) max(1, |c|).
+        a = 0.3 + 0.2j
+        p = ComplexPoly.from_roots([a, a], leading=3.0)
+        [(_, [raw], _)] = root_stacks([p.coeffs])
+        assert 0 < abs(raw[0] - raw[1]) < 1e-8
+        [(r, m)] = p.roots()
+        assert m == 2
+        assert abs(r - a) < 1e-9
+
     def test_two_quadruple_roots(self):
         p = ComplexPoly.from_roots([0.5] * 4 + [-0.3j] * 4)
-        assert [m for _, m in multiple_roots([p])[0]] == [4, 4]
+        assert [m for _, m in p.roots()] == [4, 4]
 
     def test_simple_roots_unchanged(self):
-        # Distinct roots, two of them 1e-3 apart, keep roots()' clusters.
+        # Distinct roots, two of them 1e-3 apart, are the raw roots, bit
+        # for bit, each simple.
         p = ComplexPoly.from_roots([0.3, 0.301, -0.5j, 0.7 + 0.2j])
-        assert multiple_roots([p])[0] == p.roots()
-        assert len(p.roots()) == 4
+        [(_, [raw], _)] = root_stacks([p.coeffs])
+        assert [(_bits(r), m) for r, m in p.roots()] == [
+            (_bits(r), 1) for r in raw.tolist()]
 
     def test_constant_has_no_roots(self):
-        assert multiple_roots([ComplexPoly([2.0])])[0] == []
+        assert roots_many([ComplexPoly([2.0]).coeffs])[0] == []
 
     # Mixed degrees, constants included, so one split level holds groups
     # of several polynomials, of several widths and multiplicities 1-5.
@@ -510,8 +518,9 @@ class TestMultipleRoots:
         alone, per planted root, and its roots lie within the m-fold
         radius R(a) of ``Planted.radius``."""
         polys = [c if isinstance(c, ComplexPoly) else c.poly for c in cases]
-        for case, p, got in zip(cases, polys, multiple_roots(polys)):
-            alone = multiple_roots([p])[0]
+        for case, p, got in zip(cases, polys,
+                                roots_many([p.coeffs for p in polys])):
+            alone = p.roots()
             if isinstance(case, ComplexPoly):
                 assert got == alone == []
                 continue
@@ -536,12 +545,12 @@ class TestMultipleRoots:
         once."""
         tested = []
 
-        def counting(taylors, groups):
-            tested.extend(groups)
-            return level(taylors, groups)
+        def counting(coeffs, centre, m, radius):
+            tested.extend(m.tolist())
+            return accept(coeffs, centre, m, radius)
 
-        level = polynomial._multiple_root_level
-        monkeypatch.setattr(polynomial, "_multiple_root_level", counting)
+        accept = polynomial._accept
+        monkeypatch.setattr(polynomial, "_accept", counting)
         rng = np.random.default_rng(3)
         lattice = [complex(a, b) / 4 for a in range(-4, 5)
                    for b in range(-4, 5)]
@@ -549,13 +558,12 @@ class TestMultipleRoots:
                     rng.choice(lattice, size=d, replace=False).tolist(),
                     leading=complex(*rng.normal(size=2)))
                  for d in range(1, 9) for _ in range(6)]
-        got = multiple_roots(polys)
+        got = roots_many([p.coeffs for p in polys])
         assert tested == []
-        assert got == roots_many([p.coeffs for p in polys])
         assert all(m == 1 for roots in got for _, m in roots)
         four = ComplexPoly.from_roots([0.3 + 0.2j] * 4 + [-0.5, 0.5j])
-        got = multiple_roots(polys + [four])[-1]
-        assert len(tested) == 1
+        got = roots_many([p.coeffs for p in polys + [four]])[-1]
+        assert tested == [4]
         assert sorted(m for _, m in got) == [1, 1, 4]
 
     def test_planted_sweep_keeps_multiplicities(self):
@@ -579,11 +587,12 @@ class TestMultipleRoots:
             cases.append(list(zip(roots, mults)))
         polys = [ComplexPoly.from_roots([a for a, m in case for _ in range(m)])
                  for case in cases]
-        for case, got in zip(cases, multiple_roots(polys)):
+        for case, got in zip(cases, roots_many([p.coeffs for p in polys])):
             assert sorted(m for _, m in got) == sorted(m for _, m in case)
         half_reach = config.TAU_MULTIPLE ** (1 / 8)
-        for case, raw in zip(cases, roots_many([p.coeffs for p in polys])):
-            for r, _ in raw:
+        [(_, raws, _)] = root_stacks([p.coeffs for p in polys])
+        for case, raw in zip(cases, raws.tolist()):
+            for r in raw:
                 a, m = min(case, key=lambda am: abs(r - am[0]))
                 if m > 1:
                     assert abs(r - a) < half_reach
@@ -627,7 +636,10 @@ class TestGcd:
         pairs = ([g * ComplexPoly([1, 1]), g * ComplexPoly([3, 0, 1])],
                  # one shared root, double in the first entry
                  [ComplexPoly.from_roots([1.0, 1.0, -2.0]),
-                  ComplexPoly.from_roots([1.0, 0.0])])
+                  ComplexPoly.from_roots([1.0, 0.0])],
+                 # a shared 4-fold root, whose eigenvalues scatter by 1e-4
+                 [ComplexPoly.from_roots([0.0123 + 0.0071j] * 4),
+                  ComplexPoly.from_roots([0.0123 + 0.0071j] * 4 + [-1.0])])
         for entries in pairs:
             for build in self.BUILDERS:
                 with pytest.raises(ZeroPolynomial):

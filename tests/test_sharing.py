@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from projcurve.derived import derived_map
 from projcurve.errors import FirstComponentZero, IdenticallyZero, WrongCount
-from projcurve.polynomial import ComplexPoly, multiple_roots, root_stacks
+from projcurve.polynomial import ComplexPoly, roots_many
 from projcurve.position import Region, uniform_delta
 from projcurve.projective import MovingHyperplane, ProjCurve, pair, pair_rows
 from projcurve import config, derived, sharing
@@ -47,8 +48,8 @@ class TestPreimageZeros:
     @pytest.mark.parametrize("mult", [1, 2])
     def test_boundary_slack(self, mult):
         # The slack is TAU_MATCH_REL times the diameter, 2.8e-6 here: a zero
-        # 1e-6 past the edge x = 1 is kept, one 1e-5 past it is not.  A
-        # double zero takes the clustering path, a simple one the mask.
+        # 1e-6 past the edge x = 1 is kept, one 1e-5 past it is not, for a
+        # simple zero and for a double zero's one centre alike.
         slack = config.TAU_MATCH_REL * REGION.diameter
         for past, kept in ((slack / 3, True), (3 * slack, False)):
             q = ComplexPoly.from_roots([1.0 + past] * mult)
@@ -146,6 +147,27 @@ class TestConditions:
         assert got == [(-0.0, -1.0), (-0.0, 0.0), (-0.0, 1.0)] or \
             got == [(0.0, -1.0), (0.0, 0.0), (0.0, 1.0)]
 
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_multiple_zero_shared_with_derived_curve(self, m):
+        # [1 : (z - a)^m] has the zero set {a} in H = (0, 1), and so has its
+        # derived curve [1 : m (z - a)^(m-1)] once m >= 2; at m = 1 the
+        # derived pairing is constant.  The other two hyperplanes have no
+        # zero in the region (|z - a| >= 100^(1/m) >= 2.5 there).
+        a = 0.3 + 0.2j
+        q = ComplexPoly.from_roots([a] * m)
+        member = self.member(ProjCurve([ONE, q]), [
+            fixed(0.0, 1.0), fixed(1.0, 0.01), fixed(1.0, -0.01)])
+        cond1, cond2 = conditions_check(member, make_config())
+        assert [e["passed"] for e in cond1] == [m >= 2, True, True]
+        assert cond1[0]["derived_only"] == []
+        if m == 1:
+            [z] = cond1[0]["curve_only"]
+            assert abs(z - a) < 1e-12
+        else:
+            assert cond1[0]["curve_only"] == []
+        assert cond2["zeros_checked"] == 1
+        assert cond2["passed"]
+
     def test_condition2(self):
         cfg = make_config(epsilon=0.5)
         # f = (1, (z-0.2)^2): at the only pairing zero z = 0.2 the sup norm
@@ -200,10 +222,10 @@ class TestHypothesesCheck:
                 return solve(rows)
             return counted
 
-        monkeypatch.setattr(sharing, "root_stacks",
-                            counting(calls, root_stacks))
-        monkeypatch.setattr(derived, "multiple_roots",
-                            counting(f0_calls, multiple_roots))
+        monkeypatch.setattr(sharing, "roots_many",
+                            counting(calls, roots_many))
+        monkeypatch.setattr(derived, "roots_many",
+                            counting(f0_calls, roots_many))
         hypers = [fixed(0.0, 1.0), fixed(1.0, 0.1), fixed(1.0, -0.1)]
         members = [
             FamilyMember(ProjCurve([ComplexPoly([1.0, 0.1 * k]),
@@ -364,3 +386,104 @@ class TestRootSetOracle:
             if mine == ref:
                 agree += 1
         assert agree >= 198  # ties at the region boundary may differ
+
+
+Z_SYM = sympy.Symbol("z")
+
+
+def sympy_poly(expr):
+    return sympy.Poly(expr, Z_SYM, domain="QQ_I")
+
+
+# Points of the 1/4 lattice inside (-1, 1)^2, as (x, y) numerators.
+lattice = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def sharing_cases(draw):
+    """A reduced curve [f0 : ... : fn] in P^n, n = 1...6, exact in sympy,
+    from lattice factors (z - b)^k, k = 1-5: f0 is 1 or one such factor,
+    at times times a simple one, and each other component a small Gaussian
+    integer times up to two such factors; with 2n+1 fixed hyperplanes, the
+    n+1 coordinate ones and n with coefficients in {-2, ..., 2}.
+
+    f0 holds one multiple root at most: with two of multiplicity 4 or 5 a
+    quarter apart, the derived map's pairings are computed too far from
+    their exact multiple zeros for any backward-error grouping."""
+    n = draw(st.integers(1, 6))
+
+    def planted(top):
+        factors = draw(st.lists(st.tuples(lattice, st.integers(1, 5)),
+                                max_size=2, unique_by=lambda t: t[0]))
+        return sympy.Mul(*[(Z_SYM - sympy.Rational(x, 4)
+                            - sympy.I * sympy.Rational(y, 4))
+                           ** (k if i < top else 1)
+                           for i, ((x, y), k) in enumerate(factors)])
+
+    unit = st.sampled_from([1, -1, 2, sympy.I, 1 + sympy.I])
+    comps = [sympy_poly(planted(1))] + [
+        sympy_poly(draw(unit) * planted(2)) for _ in range(n)]
+    common = comps[0]
+    for f in comps[1:]:
+        common = common.gcd(f)
+    assume(common.degree() == 0)
+    coeffs = [[int(j == l) for l in range(n + 1)] for j in range(n + 1)]
+    coeffs += [draw(st.lists(st.integers(-2, 2), min_size=n + 1,
+                             max_size=n + 1).filter(any))
+               for _ in range(n)]
+    return comps, coeffs
+
+
+def zeros_agree_in(region, P, Q):
+    """Whether the exact polynomials P and Q have the same zeros in the
+    region: no zero of either squarefree part that the other lacks lies
+    in it.  Which zeros are shared is exact (a gcd); where a zero lies is
+    read from the simple roots of the squarefree parts in double
+    precision, so every zero must be 1e-3 clear of the region's edge and
+    each unshared zero 1e-4 clear of the other polynomial's zeros."""
+    S, T = (p.quo(p.gcd(p.diff(Z_SYM))) for p in (P, Q))
+    G = S.gcd(T)
+
+    def roots(p):
+        return np.roots([complex(c) for c in p.all_coeffs()]).tolist()
+
+    def clear(z):
+        return min(abs(abs(z.real) - 1), abs(abs(z.imag) - 1)) > 1e-3 or \
+            not region.contains(z, slack=1e-3)
+
+    shared, s_only, t_only = roots(G), roots(S.quo(G)), roots(T.quo(G))
+    assume(all(clear(z) for z in shared + s_only + t_only))
+    assume(all(abs(z - w) > 1e-4 for z in s_only for w in shared + t_only))
+    assume(all(abs(z - w) > 1e-4 for z in t_only for w in shared))
+    return not any(region.contains(z) for z in s_only + t_only)
+
+
+class TestSharingOracle:
+    """Condition 1 against the exact zero sets: for each hyperplane H,
+    the radicals of <f, H> and of <nabla f, H>, the derived curve's
+    pairing with nabla f = [f0^2 : W(f0, f1) : ...] divided by the exact
+    gcd of its parts, computed in sympy."""
+
+    @given(sharing_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_condition1_matches_exact_radicals(self, case):
+        comps, coeffs = case
+        f0 = comps[0]
+        parts = [f0 * f0] + [f0 * f.diff(Z_SYM) - f0.diff(Z_SYM) * f
+                             for f in comps[1:]]
+        g = sympy_poly(0)
+        for part in parts:
+            g = g.gcd(part)
+        parts = [part.quo(g) for part in parts]
+        want = []
+        for a in coeffs:
+            P = sum((c * f for c, f in zip(a, comps)), sympy_poly(0))
+            Q = sum((c * d for c, d in zip(a, parts)), sympy_poly(0))
+            assume(not P.is_zero and not Q.is_zero)
+            want.append(zeros_agree_in(REGION, P, Q))
+        curve = ProjCurve([ComplexPoly([complex(c) for c in
+                                        reversed(f.all_coeffs())])
+                           for f in comps], check_reduced=False)
+        member = FamilyMember(curve, [fixed(*a) for a in coeffs], "m")
+        cond1, _ = conditions_check(member, make_config())
+        assert [e["passed"] for e in cond1] == want
