@@ -5,9 +5,10 @@ Construction trims trailing coefficients that are negligible relative to the
 largest magnitude, so arithmetic keeps degrees honest.  Root finding goes
 through the companion matrix, with one guarded Newton polish per root, and
 ``roots_many`` groups the eigenvalue scatter of multiple roots back into
-(root, multiplicity) pairs by one backward-error rule; every zero set of
-the package (``ComplexPoly.roots``, the condition 1 and 2 pairings, the
-load-time shared-zero check and the derived map) goes through it.
+(root, multiplicity) pairs by one backward-error rule, centred on the mean
+of a group's unpolished eigenvalues; every zero set of the package
+(``ComplexPoly.roots``, the condition 1 and 2 pairings, the load-time
+shared-zero check and the derived map) goes through it.
 
 Every evaluation, scalar or array, goes through the batched Horner kernel
 ``polyval_grid``.  ``root_stacks`` hands the companion matrices of every
@@ -214,10 +215,11 @@ def root_stacks(rows: Sequence[np.ndarray]):
     degree.
 
     ``rows`` are ascending coefficient rows with a nonzero last entry, as
-    ``ComplexPoly.coeffs`` holds them.  Yields ``(members, roots, gaps)``
-    for each degree d: the indices of the rows of degree d; their roots, a
-    (B, d) array with each row sorted by (real, imag); and the (B, d, d)
-    moduli of the differences of each row's roots.
+    ``ComplexPoly.coeffs`` holds them.  Yields ``(members, roots, eigs,
+    gaps)`` for each degree d: the indices of the rows of degree d; their
+    polished roots, a (B, d) array with each row sorted by (real, imag);
+    the unpolished eigenvalues, in the same order as the roots; and the
+    (B, d, d) moduli of the differences of each row's roots.
 
     The companion matrices of one degree >= 2 go to a single
     ``np.linalg.eigvals`` call; degree 1 is solved in closed form.  Each
@@ -243,9 +245,11 @@ def root_stacks(rows: Sequence[np.ndarray]):
             eigs = _eigvals(C)
             del C  # the largest array here; not kept through the polish
         roots = _newton(P, eigs)
-        roots = roots[np.arange(len(members))[:, None],
-                      np.lexsort((roots.imag, roots.real))]
-        yield members, roots, np.abs(roots[:, :, None] - roots[:, None, :])
+        order = (np.arange(len(members))[:, None],
+                 np.lexsort((roots.imag, roots.real)))
+        roots, eigs = roots[order], eigs[order]
+        yield (members, roots, eigs,
+               np.abs(roots[:, :, None] - roots[:, None, :]))
 
 
 def _eigvals(C: np.ndarray) -> np.ndarray:
@@ -311,6 +315,14 @@ def roots_many(rows: Sequence[np.ndarray]
     0 of a derived pairing -1.5i z^2 + 1e-16 z + 5e-17i, or one at
     1e-205, would stay two simple roots.)
 
+    The centroid is the mean of the group's unpolished eigenvalues, which
+    is far better conditioned than any one of them: polishing each
+    eigenvalue of an m-fold root on its own moves their mean (for
+    i (z - 1)^9 z the polished mean sits 1e-3 from 1 and the step from it
+    lands 5e-6 off, too far; the unpolished mean is within rounding).
+    Simple roots keep their polish, and links and splits read the
+    polished roots.
+
     Groups are built bottom-up.  Two roots a, b of a polynomial of degree d
     are linked when |a - b| <= 2 TAU_MULTIPLE^(1/d) max(1, |a|, |b|), and
     only the groups that links connect are tested.  The radius is the
@@ -330,11 +342,11 @@ def roots_many(rows: Sequence[np.ndarray]
     level at a time by ``_accept``.
     """
     out: list[list[tuple[complex, int]]] = [[] for _ in rows]
-    # Each linked group: its row, that row's coefficients and roots, which
-    # of them it holds, and the link factor 2 TAU_MULTIPLE^(1/d); one
-    # block per stack.
+    # Each linked group: its row, that row's coefficients, roots and
+    # eigenvalues, which of them it holds, and the link factor 2
+    # TAU_MULTIPLE^(1/d); one block per stack.
     blocks = []
-    for members, roots, gaps in root_stacks(rows):
+    for members, roots, eigs, gaps in root_stacks(rows):
         for i, row in zip(members, roots.tolist()):
             out[i] = [(z, 1) for z in row]
         d = roots.shape[1]
@@ -356,7 +368,8 @@ def roots_many(rows: Sequence[np.ndarray]
                           & (comp.sum(axis=2) > 1))
         owner = np.asarray(members)[loose]
         blocks.append((owner[b], np.array([rows[k] for k in owner])[b],
-                       roots[loose[b]], comp[b, j] > 0, reach))
+                       roots[loose[b]], eigs[loose[b]], comp[b, j] > 0,
+                       reach))
     if not blocks:
         return out
     # The groups of every stack, zero-padded to the largest degree D.
@@ -364,12 +377,14 @@ def roots_many(rows: Sequence[np.ndarray]
     D = max(block[2].shape[1] for block in blocks)
     coeffs = np.zeros((owner.size, D + 1), dtype=np.complex128)
     points = np.zeros((owner.size, D), dtype=np.complex128)
+    raw = np.zeros((owner.size, D), dtype=np.complex128)
     holds = np.zeros((owner.size, D), dtype=bool)
     factor = np.empty(owner.size)
     at = 0
-    for _, cs, zs, hs, reach in blocks:
+    for _, cs, zs, es, hs, reach in blocks:
         coeffs[at: at + len(cs), : cs.shape[1]] = cs
         points[at: at + len(zs), : zs.shape[1]] = zs
+        raw[at: at + len(es), : es.shape[1]] = es
         holds[at: at + len(hs), : hs.shape[1]] = hs
         factor[at: at + len(hs)] = reach
         at += len(hs)
@@ -378,7 +393,7 @@ def roots_many(rows: Sequence[np.ndarray]
     while True:
         # Summed in root order, as cumsum does for every width: np.sum's
         # pairwise order would tie a group's bits to the widest stack.
-        centre = np.where(holds, points, 0).cumsum(axis=1)[:, -1] / m
+        centre = np.where(holds, raw, 0).cumsum(axis=1)[:, -1] / m
         c, ok = _accept(coeffs, centre, m,
                         factor * np.maximum(1.0, np.abs(centre)))
         good = np.flatnonzero(ok)
@@ -395,8 +410,8 @@ def roots_many(rows: Sequence[np.ndarray]
         if not keep.size:
             break
         holds, m = halves[m > 1], m[m > 1]
-        owner, coeffs, points, factor = (owner[keep], coeffs[keep],
-                                         points[keep], factor[keep])
+        owner, coeffs, points, raw, factor = (
+            owner[keep], coeffs[keep], points[keep], raw[keep], factor[keep])
     # Each row with an accepted group: its roots outside every such group,
     # and the groups' centres, sorted.
     rest: dict[int, tuple[list, list]] = {}
@@ -491,77 +506,3 @@ def _accept(coeffs: np.ndarray, centre: np.ndarray, m: np.ndarray,
         config.TAU_MULTIPLE * vals[of.size:, 0].real)
     ok[of[bad]] = False
     return c, ok
-
-
-# ---------------------------------------------------------------------------
-# polynomial combinators
-# ---------------------------------------------------------------------------
-
-def wronskian(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
-    """W(p, q) = p q' - p' q, from the coefficient arrays, trimmed once."""
-    a, b = p.coeffs, q.coeffs
-    if a.size <= 1 and b.size <= 1:
-        return ComplexPoly.zero()
-    # A constant's derivative, and a zero factor, is the one coefficient 0
-    # (np.convolve refuses an empty array).
-    zero = np.zeros(1, dtype=np.complex128)
-    da = a[1:] * np.arange(1, a.size) if a.size > 1 else zero
-    db = b[1:] * np.arange(1, b.size) if b.size > 1 else zero
-    left = np.convolve(a if a.size else zero, db)
-    right = np.convolve(da, b if b.size else zero)
-    out = np.zeros(max(left.size, right.size), dtype=np.complex128)
-    out[: left.size] += left
-    out[: right.size] -= right
-    return ComplexPoly(out)
-
-
-def divide_out(polys: Sequence[Sequence[ComplexPoly]],
-               factors: Sequence[Sequence[tuple[complex, int]]]
-               ) -> list[list[ComplexPoly]]:
-    """Each list of ``polys`` with every nonzero polynomial in it divided
-    by (z - a)^k for each (a, k) of the list's ``factors``, in turn,
-    discarding the remainders; zero polynomials are returned as they are.
-
-    Dividing by a itself, a root of another polynomial, can leave a large
-    remainder when a polynomial's own root sits a few ulps away, so each
-    division is by the polynomial's own root nearest a: one Newton step
-    from a, or from the root its last division by (z - a) used.  Division
-    t of every list is one pass over the whole stack: one array Newton
-    step and one array synthetic division.
-    """
-    out = [list(ps) for ps in polys]
-    # One (a, first division by z - a) per linear factor of each list.
-    steps = [[(a, t == 0) for a, k in fs for t in range(k)] for fs in factors]
-    slots = [(i, j) for i, ps in enumerate(out) if steps[i]
-             for j, p in enumerate(ps) if not p.is_zero]
-    if not slots:
-        return out
-    P = stack_coeffs([out[i][j] for i, j in slots])
-    count = np.array([len(steps[i]) for i, _ in slots])
-    targets = np.zeros((len(slots), 1), dtype=np.complex128)
-    for t in range(count.max()):
-        live = np.flatnonzero(count > t)
-        a, fresh = zip(*[steps[slots[s][0]][t] for s in live.tolist()])
-        start = np.where(np.array(fresh)[:, None],
-                         np.array(a, dtype=np.complex128)[:, None],
-                         targets[live])
-        targets[live] = _newton(P[live], start)
-        quotient = _deflate(P[live], targets[live, 0])
-        # Trimmed as a ComplexPoly is, before the next pass reads it.
-        P[live] = np.where(np.arange(P.shape[1])
-                           < trimmed_lengths(quotient)[:, None], quotient, 0)
-    for (i, j), p in zip(slots, ComplexPoly.from_rows(P)):
-        out[i][j] = p
-    return out
-
-
-def _deflate(P: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Synthetic division of the polynomial in each row of ``P`` by
-    (z - its root), discarding the remainder.  A row's zero padding stays
-    zero: above its leading coefficient the running value is 0."""
-    out = np.zeros_like(P)
-    acc = P[:, -1]
-    for i in range(P.shape[1] - 2, -1, -1):
-        out[:, i] = acc
-        acc = P[:, i] + acc * roots
-    return out

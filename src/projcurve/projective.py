@@ -225,12 +225,6 @@ def pair_rows(curves: Sequence[ProjCurve],
             @ F.reshape(N, n1 * La, L + La - 1))
 
 
-def pair(curve: ProjCurve, hyper: MovingHyperplane) -> ComplexPoly:
-    """The contraction sum_l a_l(z) f_l(z) as a polynomial: ``pair_rows``
-    of the one pairing, trimmed."""
-    return ComplexPoly(pair_rows([curve], [[hyper]])[0, 0])
-
-
 def induced_curve(hyper: MovingHyperplane) -> ProjCurve:
     """The curve z -> [a_0(z) : ... : a_n(z)] traced by the coefficients.
 

@@ -116,24 +116,14 @@ def _pairing_zeros(rows: np.ndarray, region: Region) -> list[list[complex]]:
     return [[z for z in zs if next(inside)] for zs in found]
 
 
-def match_point_sets(a: Sequence[complex], b: Sequence[complex],
-                     tau: float) -> tuple[list[tuple[int, int]],
-                                          list[int], list[int]]:
-    """Greedy nearest-first bipartite matching within tau: ``_match_sets``
-    of the one pair of sets.
-
-    Returns (matched index pairs, unmatched indices of a, unmatched of b).
-    Nearest-first greedy acceptance equals mutual-nearest matching whenever
-    the sets are separated by more than 2*tau, the regime the checker
-    operates in.
-    """
-    return _match_sets([(a, b)], tau)[0]
-
-
 def _match_sets(sets: Sequence[tuple[Sequence[complex], Sequence[complex]]],
                 tau: float) -> list[tuple[list[tuple[int, int]],
                                           list[int], list[int]]]:
-    """``match_point_sets`` of every pair of sets (a, b).
+    """Greedy nearest-first bipartite matching within tau of every pair of
+    sets (a, b): for each, (matched index pairs, unmatched indices of a,
+    unmatched of b).  Nearest-first greedy acceptance equals mutual-nearest
+    matching whenever the sets are separated by more than 2*tau, the regime
+    the checker operates in.
 
     The distances |a_i - b_j| of every pair of every set are one array;
     only the candidates with distance at most tau are sorted, by (set,

@@ -18,7 +18,7 @@ from projcurve.harness import generate_scene, run_pipeline
 from projcurve.normality import fs_derivative, marty_sup, zalcman_search
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region, uniform_delta
-from projcurve.projective import MovingHyperplane, ProjCurve, pair
+from projcurve.projective import MovingHyperplane, ProjCurve, pair_rows
 
 
 @pytest.fixture
@@ -140,7 +140,8 @@ def test_acceptance_2_green_consistency(announce):
         # A nonconstant pairing has roots; a constant one omits its
         # hyperplane on all of C.  Fujimoto-Green: a nonconstant curve
         # omits at most 2n of 2n+1 hyperplanes in general position.
-        omitted = sum(pair(curve, h).degree == 0 for h in hypers)
+        omitted = sum(ComplexPoly(row).degree == 0
+                      for row in pair_rows([curve], [hypers])[0])
         if omitted == q and not curve.is_constant:
             bad += 1
         if omitted > 2 * n:

@@ -14,7 +14,7 @@ from projcurve.normality import (fs_derivative, fs_derivative_on_grid,
                                  marty_sup, zalcman_search)
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
-from projcurve.projective import ProjCurve, pair
+from projcurve.projective import ProjCurve, pair_rows
 from projcurve.sharing import FamilyMember
 
 ONE = ComplexPoly.one()
@@ -341,7 +341,8 @@ class TestZalcman:
 def omitted(curve, hypers):
     """Indices of the hyperplanes the curve omits on all of C: a pairing
     that is a nonzero constant has no zeros anywhere."""
-    return [j for j, h in enumerate(hypers) if pair(curve, h).degree == 0]
+    return [j for j, row in enumerate(pair_rows([curve], [hypers])[0])
+            if ComplexPoly(row).degree == 0]
 
 
 class TestGreenOmission:
@@ -360,7 +361,8 @@ class TestGreenOmission:
         f = ProjCurve([ONE, Z])
         hypers = self.unity_hypers(1)
         assert omitted(f, hypers) == []
-        assert all(pair(f, h).roots() for h in hypers)
+        assert all(ComplexPoly(row).roots()
+                   for row in pair_rows([f], [hypers])[0])
 
     def test_constant_curve_omits_all(self):
         f = ProjCurve([ONE, ComplexPoly([0.3 + 0.1j])])

@@ -10,9 +10,8 @@ PUBLIC = {
     "conditions_check", "config", "derived_map", "fs_derivative",
     "fs_derivative_on_grid", "generate_scene",
     "hypotheses_check", "induced_curve", "load_scene", "marty_sup",
-    "match_point_sets", "pair",
     "run_pipeline", "save_scene", "scene_from_json", "scene_to_json",
-    "uniform_delta", "wronskian", "zalcman_search",
+    "uniform_delta", "zalcman_search",
     "__version__",
 }
 

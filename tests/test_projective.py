@@ -15,7 +15,7 @@ from projcurve.harness import Scene, scene_from_json, scene_to_json
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
 from projcurve.projective import (MovingHyperplane, ProjCurve, induced_curve,
-                                  pair, pair_rows)
+                                  pair_rows)
 from projcurve.sharing import CheckConfig, FamilyMember
 
 ONE = ComplexPoly.one()
@@ -176,6 +176,13 @@ class TestMovingHyperplane:
         again = h.normalized(region)
         for a, b in zip(h.coeffs, again.coeffs):
             assert a == b
+
+
+def pair(curve, hyper):
+    """The pairing of one curve with one hyperplane, trimmed: ``pair_rows``
+    of the one pairing."""
+    return ComplexPoly(pair_rows([curve], [[hyper]])[0, 0])
+
 
 class TestPairing:
     def test_pair_is_linear_combination(self):

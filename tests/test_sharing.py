@@ -8,10 +8,10 @@ from projcurve.derived import derived_map
 from projcurve.errors import FirstComponentZero, IdenticallyZero, WrongCount
 from projcurve.polynomial import ComplexPoly, roots_many
 from projcurve.position import Region, uniform_delta
-from projcurve.projective import MovingHyperplane, ProjCurve, pair, pair_rows
+from projcurve.projective import MovingHyperplane, ProjCurve, pair_rows
 from projcurve import config, derived, sharing
-from projcurve.sharing import (CheckConfig, FamilyMember, conditions_check,
-                               hypotheses_check, match_point_sets)
+from projcurve.sharing import (CheckConfig, FamilyMember, _match_sets,
+                               conditions_check, hypotheses_check)
 
 ONE = ComplexPoly.one()
 Z = ComplexPoly([0, 1])
@@ -66,25 +66,25 @@ class TestPreimageZeros:
 
 class TestMatchPointSets:
     def test_exact_match(self):
-        pairs, fa, fb = match_point_sets([0.0, 1.0], [1.0, 0.0], 1e-6)
+        [(pairs, fa, fb)] = _match_sets([([0.0, 1.0], [1.0, 0.0])], 1e-6)
         assert len(pairs) == 2
         assert fa == [] and fb == []
 
     def test_partial(self):
-        pairs, fa, fb = match_point_sets([0.0, 1.0], [0.0], 1e-6)
+        [(pairs, fa, fb)] = _match_sets([([0.0, 1.0], [0.0])], 1e-6)
         assert pairs == [(0, 0)]
         assert fa == [1] and fb == []
 
     def test_nearest_first(self):
         # 0.02 pairs with the closer of the two candidates
-        pairs, fa, fb = match_point_sets([0.0, 0.1], [0.02], 0.5)
+        [(pairs, fa, fb)] = _match_sets([([0.0, 0.1], [0.02])], 0.5)
         assert pairs == [(0, 0)]
         assert fa == [1] and fb == []
 
 
 def all_pairs_greedy(a, b, tau):
     """Greedy nearest-first matching over every candidate pair, sorted by
-    (distance, i, j) in Python: the oracle for ``match_point_sets``."""
+    (distance, i, j) in Python: the oracle for ``_match_sets``."""
     cand = sorted(
         (abs(pa - pb), i, j)
         for i, pa in enumerate(a) for j, pb in enumerate(b))
@@ -116,7 +116,7 @@ class TestMatchOracle:
            st.sampled_from([0.0, 1e-6, 0.25, 0.3, 0.5, 0.75, 2.0]))
     @settings(max_examples=300, deadline=None)
     def test_matches_all_pairs_greedy(self, a, b, tau):
-        assert match_point_sets(a, b, tau) == all_pairs_greedy(a, b, tau)
+        assert _match_sets([(a, b)], tau) == [all_pairs_greedy(a, b, tau)]
 
 
 class TestConditions:
@@ -167,6 +167,21 @@ class TestConditions:
             assert cond1[0]["curve_only"] == []
         assert cond2["zeros_checked"] == 1
         assert cond2["passed"]
+
+    def test_two_fourfold_zeros_shared_with_derived_curve(self):
+        # [(z - a1)^4 (z - a2)^4 : (z - b)^2] with a1, a2 a quarter apart:
+        # H = (1, 0) has the zero set {a1, a2} on both sides, so it
+        # passes; (0, 1) and (1, 5) fail with the counts of the exact zero
+        # sets in sympy, 0/2 and 4/4 zeros in the region on one side only.
+        a1, a2, b = 0.5 - 0.5j, 0.5 - 0.75j, -0.5 + 0.5j
+        curve = ProjCurve([ComplexPoly.from_roots([a1] * 4 + [a2] * 4),
+                           ComplexPoly.from_roots([b] * 2)])
+        member = self.member(curve, [fixed(1.0, 0.0), fixed(0.0, 1.0),
+                                     fixed(1.0, 5.0)])
+        cond1, _ = conditions_check(member, make_config())
+        assert [(e["passed"], len(e["curve_only"]), len(e["derived_only"]))
+                for e in cond1] == [(True, 0, 0), (False, 0, 2),
+                                    (False, 4, 4)]
 
     def test_condition2(self):
         cfg = make_config(epsilon=0.5)
@@ -345,7 +360,8 @@ class TestMemberIndependence:
                                            alone["condition1"])):
                 assert a["passed"] == b["passed"]
                 for side, curve in sides.items():
-                    p = pair(curve, member.hyperplanes[j])
+                    p = ComplexPoly(pair_rows(
+                        [curve], [[member.hyperplanes[j]]])[0, 0])
                     assert_zeros_agree(p, a[side], b[side])
             a, b = got["condition2"], alone["condition2"]
             assert (a["passed"], a["zeros_checked"]) == (
@@ -353,7 +369,9 @@ class TestMemberIndependence:
             assert [w["hyperplane"] for w in a["witnesses"]] == [
                 w["hyperplane"] for w in b["witnesses"]]
             for wa, wb in zip(a["witnesses"], b["witnesses"]):
-                p = pair(member.curve, member.hyperplanes[wa["hyperplane"]])
+                p = ComplexPoly(pair_rows(
+                    [member.curve],
+                    [[member.hyperplanes[wa["hyperplane"]]]])[0, 0])
                 assert_zeros_agree(p, [wa["z"]], [wb["z"]])
 
 
@@ -402,27 +420,22 @@ lattice = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 @st.composite
 def sharing_cases(draw):
     """A reduced curve [f0 : ... : fn] in P^n, n = 1...6, exact in sympy,
-    from lattice factors (z - b)^k, k = 1-5: f0 is 1 or one such factor,
-    at times times a simple one, and each other component a small Gaussian
-    integer times up to two such factors; with 2n+1 fixed hyperplanes, the
-    n+1 coordinate ones and n with coefficients in {-2, ..., 2}.
-
-    f0 holds one multiple root at most: with two of multiplicity 4 or 5 a
-    quarter apart, the derived map's pairings are computed too far from
-    their exact multiple zeros for any backward-error grouping."""
+    from lattice factors (z - b)^k, k = 1-5: f0 is up to two such
+    factors, and each other component a small Gaussian integer times up to
+    two such factors; with 2n+1 fixed hyperplanes, the n+1 coordinate ones
+    and n with coefficients in {-2, ..., 2}."""
     n = draw(st.integers(1, 6))
 
-    def planted(top):
+    def planted():
         factors = draw(st.lists(st.tuples(lattice, st.integers(1, 5)),
                                 max_size=2, unique_by=lambda t: t[0]))
         return sympy.Mul(*[(Z_SYM - sympy.Rational(x, 4)
-                            - sympy.I * sympy.Rational(y, 4))
-                           ** (k if i < top else 1)
-                           for i, ((x, y), k) in enumerate(factors)])
+                            - sympy.I * sympy.Rational(y, 4)) ** k
+                           for (x, y), k in factors])
 
     unit = st.sampled_from([1, -1, 2, sympy.I, 1 + sympy.I])
-    comps = [sympy_poly(planted(1))] + [
-        sympy_poly(draw(unit) * planted(2)) for _ in range(n)]
+    comps = [sympy_poly(planted())] + [
+        sympy_poly(draw(unit) * planted()) for _ in range(n)]
     common = comps[0]
     for f in comps[1:]:
         common = common.gcd(f)
