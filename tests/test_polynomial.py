@@ -218,6 +218,10 @@ class TestRoots:
 # Unit roundoff of complex128 arithmetic.
 U = 2.0 ** -53
 
+# Smallest positive subnormal double: below 2^-1022 rounding is absolute,
+# up to half of this per real component, not relative to U.
+TINY = 2.0 ** -1074
+
 # Coefficient backward error allowed to the root finder, relative to N in
 # ``Planted.radius``: 32 unit roundoffs.  The largest seen over 12,000
 # planted roots of degree <= 20 was about 4.5 u.
@@ -310,7 +314,9 @@ def check_planted(case, got):
     + |p''(x)| R(a)^2 / (2 |p'(x)|) of the exact root x of the stored
     polynomial near it, B(x) = sum_i |c_i| |x|^i: Horner's rounding
     bound, plus one Newton step's contraction of an eigenvalue error R(a).
-    The bare eigenvalue in general is not that close.
+    The bare eigenvalue in general is not that close.  Underflow adds
+    (2 d + |p'(x)|) TINY / |p'(x)|: an absolute TINY per Horner step, and
+    r itself no nearer x than the subnormal grid allows.
     """
     p = case.poly
     radii = {a: case.radius(a) for a in case.mults}
@@ -322,7 +328,8 @@ def check_planted(case, got):
         if m == 1:
             x, slope, curve, bound = exact_root(p, r)
             assert abs(mpmath.mpc(r) - x) * slope <= (
-                2 * p.degree * U * bound + curve * radii[a] ** 2 / 2)
+                2 * p.degree * U * bound + curve * radii[a] ** 2 / 2
+                + (2 * p.degree + slope) * TINY)
 
 
 def well_posed(case):
@@ -346,6 +353,9 @@ class TestRootsReference:
     # unguarded Newton step throws that one 0.1 to 0.25 away.
     @example(Planted([1j] * 2, 0.6397384874366299 + 0.34106952407486324j))
     @example(Planted([-0.75] * 2, 0.6665898026523805 + 1.3734237065282995j))
+    # A subnormal root: the exact root of the stored 1.5j z + 1e-323 is
+    # about 6.6e-324j, and the nearest double, 5e-324j, is 1.6e-324 off.
+    @example(Planted([5e-324j], 1.5j))
     @settings(max_examples=150, deadline=None)
     def test_matches_mpmath_roots(self, case):
         check_planted(case, case.poly.roots())
