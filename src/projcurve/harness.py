@@ -32,7 +32,8 @@ from .errors import (AllZero, BadParams, DimensionMismatch, FirstComponentZero,
 from .normality import marty_sup, zalcman_search
 from .polynomial import ComplexPoly
 from .position import Region, position_sweep, uniform_delta
-from .projective import MovingHyperplane, ProjCurve, first_common_zero
+from .projective import (MovingHyperplane, ProjCurve, first_common_zero,
+                         normalized_many, tuple_error)
 from .sharing import CheckConfig, FamilyMember, hypotheses_check
 
 SCHEMA_VERSION = 1
@@ -74,30 +75,100 @@ def _is_number(value, kinds: type | tuple = (int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _polys_from_json(data: list, path: str) -> list[ComplexPoly]:
-    """The polynomial of each coefficient list in ``data`` (the one at
-    ``path[k]``), built with one ``ComplexPoly.from_rows`` call."""
-    rows = []
-    # The messages and paths are formatted only for a bad entry.
-    for k, poly in enumerate(data):
-        if not isinstance(poly, list):
-            raise ValidationError("polynomial must be a list of [re, im]",
-                                  path=f"{path}[{k}]")
-        coeffs = []
-        for i, item in enumerate(poly):
-            if not (isinstance(item, list) and len(item) == 2
-                    and all(_is_number(v) for v in item)):
-                raise ValidationError("coefficient must be a [re, im] pair",
-                                      path=f"{path}[{k}][{i}]")
-            # Also rules out NaN and integers too large for a double.
-            if not all(abs(v) <= sys.float_info.max for v in item):
-                raise ValidationError(
-                    f"coefficient must be finite, got {item}",
-                    path=f"{path}[{k}][{i}]")
-            coeffs.append(complex(item[0], item[1]))
-        rows.append(coeffs)
-    width = max(map(len, rows), default=0)
-    return ComplexPoly.from_rows([c + [0j] * (width - len(c)) for c in rows])
+def _coefficients_from_json(polys: list[list], where) -> np.ndarray:
+    """The coefficient lists ``polys`` as the rows of one zero-padded
+    complex array, checked and converted in one array pass over all of
+    them.
+
+    Each entry must be an ``[re, im]`` pair of JSON numbers (not
+    ``true``/``false``) with ``abs(v) <= sys.float_info.max``, compared
+    exactly, so NaN, the infinities and integers beyond double range fail.
+    A scene of plain JSON lists, floats and integers below that bound
+    passes on the sets of their types and one float64 cast; any other
+    goes through ``_checked_values``, whose masks find the first bad
+    entry, in order, at ``where(k)[i]`` for entry i of ``polys[k]``.
+    """
+    sizes = np.fromiter(map(len, polys), np.intp, len(polys))
+    items = list(itertools.chain.from_iterable(polys))
+    values = None
+    if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
+        flat = list(itertools.chain.from_iterable(items))
+        if set(map(type, flat)) <= {float, int}:
+            try:
+                values = np.array(flat, dtype=np.float64)
+            except OverflowError:  # an integer beyond double range
+                pass
+        # NaN, the infinities and an integer that the cast rounded down
+        # onto the largest double fail here and take the exact path.
+        if values is not None and not (
+                np.abs(values).max(initial=0.0) < sys.float_info.max):
+            values = None
+    if values is None:
+        values = _checked_values(items, sizes, where)
+    stack = np.zeros((len(polys), int(sizes.max(initial=1))),
+                     dtype=np.complex128)
+    stack[np.arange(stack.shape[1]) < sizes[:, None]] = values.view(
+        np.complex128)
+    return stack
+
+
+def _checked_values(items: list, sizes: np.ndarray, where) -> np.ndarray:
+    """The float64 values of the coefficient entries ``items`` (entry i of
+    polynomial k counted from ``sizes``), or the ValidationError of the
+    first that is not a pair of numbers or not finite."""
+    repeat, compress = itertools.repeat, itertools.compress
+    pair = np.fromiter(map(isinstance, items, repeat(list)), bool, len(items))
+    pair[pair] = np.fromiter(map(len, compress(items, pair)), np.intp) == 2
+    values = list(itertools.chain.from_iterable(compress(items, pair)))
+    number = np.fromiter(map(_is_number, values), bool, len(values))
+    finite = np.zeros(len(values), dtype=bool)
+    finite[number] = np.fromiter(map(sys.float_info.max.__ge__,
+                                     map(abs, compress(values, number))),
+                                 bool)
+    good = pair.copy()
+    good[pair] = number.reshape(-1, 2).all(axis=1)
+    ok = good.copy()
+    ok[pair] = good[pair] & finite.reshape(-1, 2).all(axis=1)
+    if ok.all():
+        return np.array(values, dtype=np.float64)
+    at = int(np.argmin(ok))
+    k = int(np.searchsorted(np.cumsum(sizes), at, side="right"))
+    path = f"{where(k)}[{at - int(sizes[:k].sum())}]"
+    if not good[at]:
+        raise ValidationError("coefficient must be a [re, im] pair",
+                              path=path)
+    raise ValidationError(f"coefficient must be finite, got {items[at]}",
+                          path=path)
+
+
+# What a curve and a hyperplane object hold: the key of their n+1
+# polynomials, and the messages of a wrong dimension and a wrong count.
+_TUPLES = {
+    "curve": ("components", "curve dimension {} does not match scene n={}",
+              "curve needs n+1 = {} components"),
+    "hyperplane": ("coeffs", "hyperplane dimension {} does not match n={}",
+                   "hyperplane needs n+1 = {} coefficients"),
+}
+
+
+def _tuple_from_json(data, n: int, kind: str, path) -> list:
+    """The n+1 coefficient lists of the curve or hyperplane object
+    ``data``; ``path()`` is its path, formatted only for a defect."""
+    key, dimension, count = _TUPLES[kind]
+    polys = data.get(key) if isinstance(data, dict) else None
+    if (isinstance(polys, list) and len(polys) == n + 1
+            and _is_number(data.get("n"), int) and data["n"] == n
+            and all(map(isinstance, polys, itertools.repeat(list)))):
+        return polys
+    path = path()
+    _expect(isinstance(data, dict), f"{kind} must be an object", path)
+    _expect(_is_number(data.get("n"), int) and data["n"] == n,
+            dimension.format(data.get("n"), n), f"{path}.n")
+    _expect(isinstance(polys, list) and len(polys) == n + 1,
+            count.format(n + 1), f"{path}.{key}")
+    k = next(k for k, p in enumerate(polys) if not isinstance(p, list))
+    raise ValidationError("polynomial must be a list of [re, im]",
+                          path=f"{path}.{key}[{k}]")
 
 
 def _region_from_json(data, path: str) -> Region:
@@ -115,13 +186,24 @@ def _region_from_json(data, path: str) -> Region:
 
 
 def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
-    """Validated scene from its JSON document.
+    """Validated scene from its JSON document, in three passes.
 
-    ``grid`` (NX, NY), the CLI's ``--grid``, replaces the document's grid
-    resolution before any hyperplane is normalized against it.  Every
-    member's structure is checked first; then the components of all curves
-    are solved together, in one ``roots_many`` call, and the first curve
-    whose components share a zero fails at ``$.members[i].curve``.
+    1. Structure: one walk over the document, in order, checks its objects,
+       labels, dimensions and counts, and collects every coefficient list.
+       ``grid`` (NX, NY), the CLI's ``--grid``, replaces the document's grid
+       resolution here, before any hyperplane is normalized against it.
+    2. Values: ``_coefficients_from_json`` checks and converts every
+       coefficient of the scene at once.
+    3. Invariants: hyperplanes with the same coefficient values (their
+       parsed bytes, so ``1`` and ``1.0`` agree but ``-0.0`` and ``0.0``
+       do not) become one object, and ``normalized_many`` normalizes each
+       distinct one once.  One ``first_common_zero`` call then tests every
+       distinct hyperplane, as given and normalized, and every curve for
+       entries that are all zero or share a zero.
+
+    The first defect fails with its JSON path: a structure defect before
+    any value, a value before any hyperplane invariant, and a hyperplane
+    (at its first occurrence) before any curve.
     """
     _expect(isinstance(data, dict), "scene must be a JSON object", "$")
     version = data.get("schema_version", SCHEMA_VERSION)
@@ -160,12 +242,9 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
     _expect(isinstance(members_data, list), "members must be a list",
             "$.members")
     expected = 2 * n + 1
-    members = []
-    labels = set()
-    # Normalized hyperplane per distinct JSON object, keyed by repr, which
-    # (unlike ==) tells -0.0 from 0.0.  Members that list the same
-    # hyperplane share one object, so stages can do its work once.
-    loaded: dict[str, MovingHyperplane] = {}
+    labels: dict[str, None] = {}
+    # Member i's curve components, then its hyperplanes' coefficients.
+    polys = []
     for i, mdata in enumerate(members_data):
         mpath = f"$.members[{i}]"
         _expect(isinstance(mdata, dict), "member must be an object", mpath)
@@ -174,67 +253,78 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
                 f"{mpath}.label")
         _expect(label not in labels, f"duplicate label {label!r}",
                 f"{mpath}.label")
-        labels.add(label)
-
-        cdata = mdata.get("curve")
-        _expect(isinstance(cdata, dict), "curve must be an object",
-                f"{mpath}.curve")
-        _expect(_is_number(cdata.get("n"), int) and cdata["n"] == n,
-                f"curve dimension {cdata.get('n')} does not match scene n={n}",
-                f"{mpath}.curve.n")
-        comps_data = cdata.get("components")
-        _expect(isinstance(comps_data, list) and len(comps_data) == n + 1,
-                f"curve needs n+1 = {n + 1} components",
-                f"{mpath}.curve.components")
-        comps = _polys_from_json(comps_data, f"{mpath}.curve.components")
-        try:
-            # Whether the components share a zero is tested for every
-            # curve at once, below.
-            curve = ProjCurve(comps, check_reduced=False)
-        except ProjcurveError as exc:
-            raise ValidationError(str(exc), path=f"{mpath}.curve") from exc
-
+        labels[label] = None
+        polys.extend(_tuple_from_json(mdata.get("curve"), n, "curve",
+                                      lambda: f"{mpath}.curve"))
         hdata = mdata.get("hyperplanes")
         _expect(isinstance(hdata, list), "hyperplanes must be a list",
                 f"{mpath}.hyperplanes")
         _expect(len(hdata) == expected,
                 f"expected 2n+1 = {expected} hyperplanes, got {len(hdata)}",
                 f"{mpath}.hyperplanes")
-        hypers = []
         for k, hd in enumerate(hdata):
-            key = repr(hd)
-            if key in loaded:
-                hypers.append(loaded[key])
-                continue
-            hpath = f"{mpath}.hyperplanes[{k}]"
-            _expect(isinstance(hd, dict), "hyperplane must be an object",
-                    hpath)
-            _expect(_is_number(hd.get("n"), int) and hd["n"] == n,
-                    f"hyperplane dimension {hd.get('n')} does not match n={n}",
-                    f"{hpath}.n")
-            coeffs_data = hd.get("coeffs")
-            _expect(isinstance(coeffs_data, list)
-                    and len(coeffs_data) == n + 1,
-                    f"hyperplane needs n+1 = {n + 1} coefficients",
-                    f"{hpath}.coeffs")
-            coeffs = _polys_from_json(coeffs_data, f"{hpath}.coeffs")
-            try:
-                h = MovingHyperplane(coeffs).normalized(region)
-            except ProjcurveError as exc:
-                raise ValidationError(str(exc), path=hpath) from exc
-            loaded[key] = h
-            hypers.append(h)
-        members.append(FamilyMember(curve, hypers, label))
-    bad = first_common_zero([m.curve.components for m in members])
-    if bad is not None:
-        raise ValidationError(
-            "components share a zero; reduce the representation first",
-            path=f"$.members[{bad}].curve")
-
+            polys.extend(_tuple_from_json(
+                hd, n, "hyperplane", lambda: f"{mpath}.hyperplanes[{k}]"))
     metadata = data.get("metadata", {})
     _expect(isinstance(metadata, dict), "metadata must be an object",
             "$.metadata")
-    return Scene(n=n, region=region, members=tuple(members), config=cfg,
+
+    def where(k: int) -> str:
+        """The path of polys[k]: member i's n+1 curve components come
+        first, then the n+1 coefficients of each of its 2n+1 hyperplanes."""
+        i, r = divmod(k, 2 * (n + 1) ** 2)
+        h, l = divmod(r, n + 1)
+        if h == 0:
+            return f"$.members[{i}].curve.components[{l}]"
+        return f"$.members[{i}].hyperplanes[{h - 1}].coeffs[{l}]"
+
+    stack = _coefficients_from_json(polys, where)
+    q = 2 * n + 1
+    # Per member, its curve and then its hyperplanes, each as one row of
+    # parsed coefficients.  Hyperplane j is hyperplane j % q of member
+    # j // q; its row's bytes map it to the first with the same values.
+    N, width = len(labels), (n + 1) * stack.shape[1]
+    runs = stack.reshape(N, q + 1, width)
+    hyper_rows = runs[:, 1:].reshape(N * q, width)
+    seen: dict[bytes, int] = {}
+    first_of = [seen.setdefault(key, j) for j, key in
+                enumerate(map(np.ndarray.tobytes, hyper_rows))]
+    # Polynomials only for the curves and the distinct hyperplanes.
+    parsed = ComplexPoly.from_rows(np.concatenate(
+        [runs[:, 0], hyper_rows[list(seen.values())]]).reshape(
+            -1, stack.shape[1]))
+    tuples = [tuple(parsed[k: k + n + 1])
+              for k in range(0, len(parsed), n + 1)]
+    curves = tuples[:N]
+    raw = dict(zip(seen.values(), tuples[N:]))
+    normalized = dict(zip(raw, normalized_many(raw.values(), region)))
+
+    # Each distinct hyperplane as given, and normalized where that changed
+    # its polynomials, then every curve; owned by (member, hyperplane), or
+    # (member, None) for a curve.
+    checks, owners = [], []
+    for j, coeffs in raw.items():
+        scaled = normalized[j].coeffs
+        tried = [coeffs] if scaled is coeffs else [coeffs, scaled]
+        checks += tried
+        owners += [divmod(j, q)] * len(tried)
+    checks += curves
+    owners += [(i, None) for i in range(N)]
+    bad = first_common_zero(checks)
+    if bad is not None:
+        i, k = owners[bad]
+        path, entry = ((f"$.members[{i}].curve", "component") if k is None
+                       else (f"$.members[{i}].hyperplanes[{k}]",
+                             "coefficient"))
+        raise ValidationError(str(tuple_error(checks[bad], entry)),
+                              path=path)
+
+    members = tuple(
+        FamilyMember(ProjCurve(curve, check_reduced=False),
+                     [normalized[j] for j in first_of[i * q: i * q + q]],
+                     label)
+        for i, (curve, label) in enumerate(zip(curves, labels)))
+    return Scene(n=n, region=region, members=members, config=cfg,
                  metadata=metadata)
 
 
@@ -454,16 +544,17 @@ def _normalize_members(raw_members, region: Region
                        ) -> tuple[FamilyMember, ...]:
     """Members from (label, curve, hyperplanes) triples, with hyperplanes
     normalized against the region.  Each distinct hyperplane object is
-    normalized once, so members that shared it share the result."""
-    normalized: dict[MovingHyperplane, MovingHyperplane] = {}
-    members = []
-    for label, curve, hypers in raw_members:
-        for h in hypers:
-            if h not in normalized:
-                normalized[h] = h.normalized(region)
-        members.append(FamilyMember(curve, [normalized[h] for h in hypers],
-                                    label))
-    return tuple(members)
+    normalized once, so members that shared it share the result, and the
+    results are held to the hyperplane invariants."""
+    distinct = list(dict.fromkeys(h for _, _, hypers in raw_members
+                                  for h in hypers))
+    normalized = dict(zip(distinct, normalized_many(
+        [h.coeffs for h in distinct], region)))
+    bad = first_common_zero([h.coeffs for h in normalized.values()])
+    if bad is not None:
+        raise tuple_error(normalized[distinct[bad]].coeffs, "coefficient")
+    return tuple(FamilyMember(curve, [normalized[h] for h in hypers], label)
+                 for label, curve, hypers in raw_members)
 
 
 def _assemble(n: int, region: Region, raw_members, epsilon: float,

@@ -35,7 +35,7 @@ from . import config
 from ._kernels import polyval_grid
 from .errors import DimensionMismatch, WrongCount
 from .polynomial import stack_coeffs
-from .projective import MovingHyperplane
+from .projective import MovingHyperplane, normalized_many
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,11 @@ class Region:
 
 def _canonical(hypers: Sequence[MovingHyperplane],
                region: Region) -> list[MovingHyperplane]:
-    """Hyperplanes with a normalization in force, normalizing if needed."""
-    return [h if h.normalization is not None else h.normalized(region)
-            for h in hypers]
+    """Hyperplanes with a normalization in force, normalizing the others
+    with one ``normalized_many`` call."""
+    done = iter(normalized_many(
+        [h.coeffs for h in hypers if h.normalization is None], region))
+    return [h if h.normalization is not None else next(done) for h in hypers]
 
 
 # ---------------------------------------------------------------------------

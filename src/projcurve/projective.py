@@ -20,20 +20,20 @@ import numpy as np
 
 from . import config
 from ._kernels import polyval_grid
-from .errors import AllZero, DimensionMismatch, ZeroPolynomial
+from .errors import (AllZero, DimensionMismatch, ProjcurveError,
+                     ZeroPolynomial)
 from .polynomial import ComplexPoly, roots_many, stack_coeffs
 
 
 def first_common_zero(tuples: Sequence[Sequence[ComplexPoly]]
                       ) -> int | None:
-    """The index of the first tuple whose nonzero entries share a root, or
-    None.
+    """The index of the first tuple whose entries share a root, or None.
 
-    A nonzero constant entry rules out a common zero.  The entries of every
-    other tuple are solved in one ``roots_many`` call, which gives each
-    multiple root as one centre, and a root of a tuple's lowest-degree
-    entry is common when every other entry has a root within
-    ``config.TAU_ROOT`` of it.
+    A nonzero constant entry rules out a common zero, and a tuple of zero
+    polynomials shares every point.  The entries of every other tuple are
+    solved in one ``roots_many`` call, which gives each multiple root as one
+    centre, and a root of a tuple's lowest-degree entry is common when every
+    other entry has a root within ``config.TAU_ROOT`` of it.
     """
     lives = {k: sorted((p for p in polys if not p.is_zero),
                        key=lambda p: p.degree)
@@ -44,6 +44,8 @@ def first_common_zero(tuples: Sequence[Sequence[ComplexPoly]]
     roots = iter(roots_many([p.coeffs for live in lives.values()
                              for p in live]))
     for k, live in lives.items():
+        if not live:
+            return k
         first, *others = [[r for r, _ in next(roots)] for _ in live]
         if any(all(any(abs(r - root) <= config.TAU_ROOT for r in rs)
                    for rs in others) for root in first):
@@ -51,11 +53,14 @@ def first_common_zero(tuples: Sequence[Sequence[ComplexPoly]]
     return None
 
 
-def _check_no_common_zero(polys: tuple[ComplexPoly, ...]) -> None:
-    """Reject a tuple whose nonzero entries share a root."""
-    if first_common_zero([polys]) is not None:
-        raise ZeroPolynomial(
-            "components share a zero; reduce the representation first")
+def tuple_error(polys: Sequence[ComplexPoly], entry: str) -> ProjcurveError:
+    """The error of a tuple that ``first_common_zero`` flags, whose entries
+    are each a ``entry``: AllZero when every one is the zero polynomial,
+    else ZeroPolynomial."""
+    if all(p.is_zero for p in polys):
+        return AllZero(f"every {entry} is the zero polynomial")
+    return ZeroPolynomial(
+        "components share a zero; reduce the representation first")
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +77,9 @@ class ProjCurve:
         comps = tuple(components)
         if len(comps) < 2:
             raise DimensionMismatch("need at least two components (n >= 1)")
-        if all(p.is_zero for p in comps):
-            raise AllZero("every component is the zero polynomial")
-        if check_reduced:
-            _check_no_common_zero(comps)
+        if all(p.is_zero for p in comps) or (
+                check_reduced and first_common_zero([comps]) is not None):
+            raise tuple_error(comps, "component")
         self._components = comps
 
     @property
@@ -123,9 +127,8 @@ class MovingHyperplane:
         cf = tuple(coeffs)
         if len(cf) < 2:
             raise DimensionMismatch("need at least two coefficients (n >= 1)")
-        if all(p.is_zero for p in cf):
-            raise AllZero("every coefficient is the zero polynomial")
-        _check_no_common_zero(cf)
+        if first_common_zero([cf]) is not None:
+            raise tuple_error(cf, "coefficient")
         self._coeffs = cf
         self._normalization = normalization
 
@@ -146,27 +149,8 @@ class MovingHyperplane:
         return self._normalization
 
     def normalized(self, region) -> "MovingHyperplane":
-        """Rescale so the sup over the region's grid of the largest
-        coefficient modulus equals 1.
-
-        ``region`` is anything with a ``grid_points()`` method returning the
-        sample points.  The applied factor is recorded.  A fixed hyperplane's
-        coefficients are its values everywhere, so its norm is read off them.
-        """
-        coeffs = stack_coeffs(self._coeffs)
-        vals = coeffs
-        if not self.is_fixed:
-            vals = polyval_grid(coeffs, region.grid_points())
-        sup = float(np.max(np.abs(vals)))
-        if abs(sup - 1.0) <= 1e-12:
-            # Snap to the identity so normalizing twice is bitwise stable.
-            return MovingHyperplane(
-                list(self._coeffs),
-                normalization={"factor": 1.0, "sup_before": sup})
-        factor = 1.0 / sup
-        return MovingHyperplane(
-            ComplexPoly.from_rows(coeffs * complex(factor)),
-            normalization={"factor": factor, "sup_before": sup})
+        """``normalized_many`` of this hyperplane alone."""
+        return normalized_many([self._coeffs], region)[0]
 
     def to_json(self) -> dict:
         return {"n": self.n, "coeffs": [p.to_json() for p in self._coeffs]}
@@ -174,6 +158,73 @@ class MovingHyperplane:
     def __repr__(self) -> str:
         fixed = "fixed" if self.is_fixed else "moving"
         return f"MovingHyperplane(n={self.n}, {fixed})"
+
+
+# ---------------------------------------------------------------------------
+# normalization
+# ---------------------------------------------------------------------------
+
+def normalized_many(tuples: Sequence[Sequence[ComplexPoly]],
+                    region) -> list[MovingHyperplane]:
+    """The hyperplane of each coefficient tuple, rescaled so the sup over
+    the region's grid of its largest coefficient modulus is 1, with the
+    factor applied recorded as its ``normalization``.
+
+    ``region`` is anything with a ``grid_points()`` method returning the
+    sample points.  A fixed tuple's coefficients are its values
+    everywhere, so its sup is read off them; the moving ones are evaluated
+    with ``polyval_grid``, in blocks of at most 2n+1 tuples (one member's),
+    which bounds memory.  A sup within 1e-12 of 1 snaps to the identity,
+    keeping the tuple's own polynomials, so normalizing twice is bitwise
+    stable.  Any other tuple is multiplied by the complex number 1/sup, all
+    of them with one ``ComplexPoly.from_rows`` call; a factor that is not
+    finite (a sup that is 0 or subnormal, or that overflowed) is 0, so the
+    tuple scales to zero.  The results are not checked again: scaling
+    keeps the no-common-zero invariant up to rounding, and a caller that
+    must hold it for every input tests them with ``first_common_zero``.
+    """
+    tuples = [tuple(t) for t in tuples]
+    if not tuples:
+        return []
+    sizes = np.array([len(t) for t in tuples])
+    flat = [p for t in tuples for p in t]
+    lengths = np.array([p.coeffs.size for p in flat])
+    rows = stack_coeffs(flat)
+    # The largest modulus of each row: of its coefficients for a fixed
+    # tuple, of its values on the grid for a moving one.
+    top = np.abs(rows).max(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    moving = np.maximum.reduceat(lengths, starts) > 1
+    at = np.flatnonzero(np.repeat(moving, sizes))
+    # The rows of moving tuples a ... a + per - 1 are at[ends[a]:ends[a+per]].
+    ends = np.concatenate([[0], np.cumsum(sizes[moving])])
+    per = 2 * int(sizes.max()) - 1
+    for a in range(0, ends.size - 1, per):
+        block = at[ends[a]: ends[min(a + per, ends.size - 1)]]
+        vals = polyval_grid(rows[block, : lengths[block].max()],
+                            region.grid_points())
+        top[block] = np.abs(vals).max(axis=1)
+    sup = np.maximum.reduceat(top, starts)
+    with np.errstate(divide="ignore", over="ignore"):
+        factor = 1.0 / sup
+    factor[~np.isfinite(factor)] = 0.0
+    snap = np.abs(sup - 1.0) <= 1e-12
+    scaled = np.repeat(~snap, sizes)
+    polys = iter(ComplexPoly.from_rows(
+        rows[scaled] * np.repeat(factor, sizes)[scaled, None]
+        .astype(np.complex128)))
+    out = []
+    for t, s, f, keep in zip(tuples, sup.tolist(), factor.tolist(),
+                             snap.tolist()):
+        h = MovingHyperplane.__new__(MovingHyperplane)
+        if keep:
+            h._coeffs = t
+            h._normalization = {"factor": 1.0, "sup_before": s}
+        else:
+            h._coeffs = tuple(next(polys) for _ in t)
+            h._normalization = {"factor": f, "sup_before": s}
+        out.append(h)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from projcurve.harness import (STAGES, generate_scene, json_text,
                                scene_from_json, scene_to_json)
 from projcurve.polynomial import ComplexPoly
 from projcurve.position import Region
-from projcurve.projective import MovingHyperplane, ProjCurve
+from projcurve.projective import (MovingHyperplane, ProjCurve,
+                                  normalized_many)
 from projcurve.sharing import CheckConfig, FamilyMember
 
 
@@ -136,6 +138,100 @@ class TestSceneIO:
         # The fixed hyperplanes have a constant entry: nothing to solve.
         assert [len(rows) for rows, in calls] == [
             3 * len(data["members"])]
+        # Moving hyperplanes (z - b, z - 2b, z + b) have no constant
+        # entry: each is solved as given and normalized, in the same call.
+        for member in data["members"]:
+            member["hyperplanes"] = [{"n": 2, "coeffs": [
+                ComplexPoly([-c * b, 1.0]).to_json() for c in (1, 2, -1)]}
+                for b in (0.5, 0.5j, -0.5, -0.5j, 0.25 + 0.25j)]
+        calls.clear()
+        scene = scene_from_json(data)
+        assert not any(h.is_fixed for h in scene.members[0].hyperplanes)
+        assert [len(rows) for rows, in calls] == [
+            2 * 3 * 5 + 3 * len(data["members"])]
+
+    @pytest.mark.parametrize("at", ["curve", "hyperplane"])
+    @pytest.mark.parametrize("defect, entry, message", [
+        ("polynomial", 5, "polynomial must be a list of [re, im]"),
+        ("polynomial", {"re": 1.0}, "polynomial must be a list of [re, im]"),
+        ("entry", [1.0, 0.0, 0.0], "coefficient must be a [re, im] pair"),
+        ("entry", 1.0, "coefficient must be a [re, im] pair"),
+        ("entry", [True, 0.0], "coefficient must be a [re, im] pair"),
+        ("entry", [1.0, "x"], "coefficient must be a [re, im] pair"),
+        ("entry", [math.nan, 0.0],
+         "coefficient must be finite, got [nan, 0.0]"),
+        ("entry", [0.5, math.inf],
+         "coefficient must be finite, got [0.5, inf]"),
+        ("entry", [-math.inf, 0.0],
+         "coefficient must be finite, got [-inf, 0.0]"),
+        ("entry", [10 ** 400, 0.0],
+         f"coefficient must be finite, got [{10 ** 400}, 0.0]"),
+        # float() rounds this integer down to the largest double, so a
+        # float64 cast alone would accept it.
+        ("entry", [0.0, int(sys.float_info.max) + 1],
+         f"coefficient must be finite, got [0.0, "
+         f"{int(sys.float_info.max) + 1}]"),
+    ])
+    def test_single_defect_message_and_path(self, at, defect, entry,
+                                            message):
+        # Member 1 of two holds the one defect, at its curve's component 1
+        # or its hyperplane 2's coefficient 1.
+        data = minimal_scene_dict()
+        data["members"].append(copy.deepcopy(data["members"][0]))
+        data["members"][1]["label"] = "m1"
+        member = data["members"][1]
+        polys, path = ((member["curve"]["components"],
+                        "$.members[1].curve.components[1]")
+                       if at == "curve" else
+                       (member["hyperplanes"][2]["coeffs"],
+                        "$.members[1].hyperplanes[2].coeffs[1]"))
+        if defect == "polynomial":
+            polys[1] = entry
+        else:
+            polys[1][0] = entry
+            path += "[0]"
+        with pytest.raises(ValidationError) as err:
+            scene_from_json(data)
+        assert str(err.value) == f"{path}: {message}"
+        assert err.value.path == path
+
+    def test_several_defects_report_in_pass_order(self):
+        # Structure, then coefficient values, then hyperplane invariants,
+        # then curve zeros, whatever their order in the document: each
+        # defect fixed reveals the next.
+        data = minimal_scene_dict()
+        for k in (1, 2):
+            data["members"].append(copy.deepcopy(data["members"][0]))
+            data["members"][k]["label"] = f"m{k}"
+        m0, m1, m2 = data["members"]
+        m0["curve"]["components"] = [[[0.0, 0.0], [1.0, 0.0]],
+                                     [[0.0, 0.0], [2.0, 0.0]]]
+        m0["hyperplanes"][1]["coeffs"] = [[[1.0, 0.0], [1.0, 0.0]],
+                                          [[1.0, 0.0], [1.0, 0.0]]]
+        m1["curve"]["components"][1][0] = [math.nan, 0.0]
+        del m2["hyperplanes"][2]
+        expected = [
+            "$.members[2].hyperplanes: expected 2n+1 = 3 hyperplanes, got 2",
+            "$.members[1].curve.components[1][0]: coefficient must be "
+            "finite, got [nan, 0.0]",
+            "$.members[0].hyperplanes[1]: components share a zero; reduce "
+            "the representation first",
+            "$.members[0].curve: components share a zero; reduce the "
+            "representation first",
+        ]
+        repairs = [
+            lambda: m2["hyperplanes"].append(m1["hyperplanes"][2]),
+            lambda: m1["curve"]["components"][1].__setitem__(0, [0.0, 0.0]),
+            lambda: m0.__setitem__("hyperplanes", m1["hyperplanes"]),
+            lambda: m0["curve"].__setitem__("components",
+                                            m1["curve"]["components"]),
+        ]
+        for message, repair in zip(expected, repairs):
+            with pytest.raises(ValidationError) as err:
+                scene_from_json(data)
+            assert str(err.value) == message
+            repair()
+        assert len(scene_from_json(data).members) == 3
 
     def test_duplicate_labels(self):
         data = minimal_scene_dict()
@@ -382,6 +478,21 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def count_normalized(monkeypatch):
+    """The region of each hyperplane that ``normalized_many`` normalizes,
+    wherever the package calls it."""
+    regions = []
+
+    def counting(tuples, region):
+        tuples = list(tuples)
+        regions.extend([region] * len(tuples))
+        return normalized_many(tuples, region)
+
+    for module in (harness, position):
+        monkeypatch.setattr(module, "normalized_many", counting)
+    return regions
+
+
 def hyperplane_ids(scene):
     return {id(h) for m in scene.members for h in m.hyperplanes}
 
@@ -395,9 +506,9 @@ class TestSharedHyperplanes:
         data = scene_to_json(generate_scene(
             "blowup_linear", {"n": 3, "N": 50, "grid_nx": 11,
                               "grid_ny": 11}))
-        calls = count_calls(monkeypatch, MovingHyperplane, "normalized")
+        regions = count_normalized(monkeypatch)
         scene = scene_from_json(data)
-        assert len(calls) == 7
+        assert len(regions) == 7
         assert len(hyperplane_ids(scene)) == 7
         first = scene.members[0].hyperplanes
         assert all(m.hyperplanes == first for m in scene.members)
@@ -417,6 +528,17 @@ class TestSharedHyperplanes:
         signs = [math.copysign(1.0, m["hyperplanes"][1]["coeffs"][0][0][1])
                  for m in scene_to_json(scene)["members"]]
         assert signs == [1.0, -1.0]
+
+    def test_equal_values_share_one_object(self):
+        # Keys are the parsed coefficient bytes: 1 and 1.0 are one value.
+        data = minimal_scene_dict()
+        twin = copy.deepcopy(data["members"][0])
+        twin["label"] = "m1"
+        twin["hyperplanes"][0]["coeffs"] = [[[0, 0]], [[1, 0]]]
+        data["members"].append(twin)
+        m0, m1 = scene_from_json(data).members
+        assert m1.hyperplanes == m0.hyperplanes
+        assert all(a is b for a, b in zip(m0.hyperplanes, m1.hyperplanes))
 
     def test_malformed_hyperplane_raises_at_its_own_path(self):
         data = minimal_scene_dict()
@@ -442,9 +564,9 @@ class TestSharedHyperplanes:
                                 "grid_ny": 11})
         assert len(hyperplane_ids(scene)) == 5
         data = scene_to_json(scene)
-        calls = count_calls(monkeypatch, MovingHyperplane, "normalized")
+        regions = count_normalized(monkeypatch)
         regridded = scene_from_json(data, grid=(9, 7))
-        assert len(calls) == 5
+        assert [(r.grid_nx, r.grid_ny) for r in regions] == [(9, 7)] * 5
         assert len(hyperplane_ids(regridded)) == 5
 
     def test_grid_override_normalizes_once_on_the_final_grid(
@@ -454,11 +576,11 @@ class TestSharedHyperplanes:
         save_scene(generate_scene("wandering_shared",
                                   {"N": 12, "grid_nx": 21, "grid_ny": 21}),
                    path)
-        calls = count_calls(monkeypatch, MovingHyperplane, "normalized")
+        regions = count_normalized(monkeypatch)
         report = str(tmp_path / "r.json")
         assert cli_main(["position", path, "--grid", "11", "11",
                          "-o", report]) == 0
-        assert [(r.grid_nx, r.grid_ny) for _, r in calls] == [(11, 11)] * 25
+        assert [(r.grid_nx, r.grid_ny) for r in regions] == [(11, 11)] * 25
 
     def test_check_reuses_position_deltas(self, monkeypatch):
         scene = generate_scene("wandering_shared",

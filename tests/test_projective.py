@@ -5,17 +5,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from projcurve import config
-from projcurve._kernels import pairwise_fs_grid
-from projcurve.errors import AllZero, DimensionMismatch, ZeroPolynomial
+from projcurve._kernels import pairwise_fs_grid, polyval_grid
+from projcurve.errors import (AllZero, DimensionMismatch, ValidationError,
+                              ZeroPolynomial)
 from projcurve.harness import Scene, scene_from_json, scene_to_json
-from projcurve.polynomial import ComplexPoly
+from projcurve.polynomial import ComplexPoly, stack_coeffs
 from projcurve.position import Region
 from projcurve.projective import (MovingHyperplane, ProjCurve, induced_curve,
-                                  pair_rows)
+                                  normalized_many, pair_rows)
 from projcurve.sharing import CheckConfig, FamilyMember
 
 ONE = ComplexPoly.one()
@@ -176,6 +177,121 @@ class TestMovingHyperplane:
         again = h.normalized(region)
         for a, b in zip(h.coeffs, again.coeffs):
             assert a == b
+
+
+def normalized_one(coeffs, region):
+    """The normalization of one hyperplane by its definition: its values on
+    the grid (its coefficients when fixed), their largest modulus, the
+    snap to 1 within 1e-12, else the complex factor 1/sup, which is 0 when
+    not finite.  Returns the coefficient tuple and the normalization."""
+    rows = stack_coeffs(coeffs)
+    if not all(p.is_constant for p in coeffs):
+        rows = polyval_grid(rows, region.grid_points())
+    sup = float(np.max(np.abs(rows)))
+    if abs(sup - 1.0) <= 1e-12:
+        return tuple(coeffs), {"factor": 1.0, "sup_before": sup}
+    factor = 1.0 / sup if sup > 0.0 else math.inf
+    if not math.isfinite(factor):
+        factor = 0.0
+    return (tuple(ComplexPoly.from_rows(stack_coeffs(coeffs)
+                                        * complex(factor))),
+            {"factor": factor, "sup_before": sup})
+
+
+# Coefficient values: small integers, signed zeros, generic doubles, and
+# sizes whose grid values reach far from 1.
+norm_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-9, 3e5]),
+    st.integers(min_value=0, max_value=2 ** 32 - 1).map(
+        lambda seed: float(np.random.default_rng(seed).normal())),
+)
+
+
+@st.composite
+def hyperplane_tuples(draw, n):
+    """Coefficients of n+1 polynomials of 0-4 terms each, not all zero;
+    fixed (every entry constant) about half the time.  Some are scaled to
+    a sup within 1e-12 of 1 on ``NORM_REGION``, the snap case."""
+    fixed = draw(st.booleans())
+    polys = []
+    for _ in range(n + 1):
+        size = draw(st.integers(0, 1 if fixed else 4))
+        polys.append(ComplexPoly([complex(draw(norm_value), draw(norm_value))
+                                  for _ in range(size)]))
+    assume(not all(p.is_zero for p in polys))
+    if draw(st.booleans()):
+        _, norm = normalized_one(polys, NORM_REGION)
+        nudge = 1.0 + draw(st.floats(-9e-13, 9e-13))
+        polys = [p * complex(nudge * norm["factor"]) for p in polys]
+    return polys
+
+
+NORM_REGION = Region(-1.5, 1.0, -0.5, 1.25, 5, 4)
+ZERO_POLY = ComplexPoly.zero()
+# 1e308 (1 + z) overflows to inf at z = 1 + 0.083i, a point of the grid.
+OVERFLOW = [ComplexPoly([1e308, 1e308]), ComplexPoly([1.0])]
+
+
+class TestNormalizedMany:
+    """``normalized_many`` of any list of hyperplanes gives, bit for bit,
+    each one's normalization by the definition, one at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(hyperplane_tuples(n), min_size=1, max_size=20)))
+    @example([OVERFLOW, [ONE, Z]])
+    # A zero and a subnormal sup: 1/sup is not finite, so the factor is 0.
+    @example([[ZERO_POLY, ZERO_POLY], [ComplexPoly([5e-324]), ZERO_POLY]])
+    # Scaling 2 - 0i by the complex 1/2 gives 1 + 0i, not 1 - 0i.
+    @example([[ComplexPoly([complex(2.0, -0.0)]), ComplexPoly([-0.5, 1.0])]])
+    @example([[ComplexPoly([0.0, -0.0j]), ComplexPoly([-0.0, 1.0])],
+              [ComplexPoly([-0.0]), ComplexPoly([2.0, 0.0, -3.0])]])
+    def test_matches_definition_one_at_a_time(self, tuples):
+        # Grid values may overflow (OVERFLOW does); both sides see it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = normalized_many(tuples, NORM_REGION)
+            want = [normalized_one(coeffs, NORM_REGION) for coeffs in tuples]
+        assert len(got) == len(tuples)
+        for coeffs, h, (polys, norm) in zip(tuples, got, want):
+            assert repr(h.normalization) == repr(norm)
+            assert [(p.coeffs.shape, p.coeffs.tobytes()) for p in h.coeffs] \
+                == [(p.coeffs.shape, p.coeffs.tobytes()) for p in polys]
+            assert [p is q for p, q in zip(h.coeffs, coeffs)] == \
+                [p is q for p, q in zip(polys, coeffs)]
+
+    def test_method_is_the_one_hyperplane_case(self):
+        for coeffs in ([ComplexPoly([3.0]), Z], [ONE, ComplexPoly([2, 1j])]):
+            h = MovingHyperplane(coeffs)
+            one = h.normalized(NORM_REGION)
+            [many] = normalized_many([coeffs], NORM_REGION)
+            assert one.normalization == many.normalization
+            assert one.coeffs == many.coeffs
+
+    @pytest.mark.parametrize("coeffs, sup", [
+        (OVERFLOW, math.inf),
+        # Horner's steps on 1e308 (1 + z + z^2 + z^3) reach inf - inf.
+        ([ComplexPoly([1e308] * 4), ONE], math.nan),
+    ], ids=["inf", "nan"])
+    def test_overflowed_sup_fails_at_load(self, coeffs, sup):
+        # The factor 0 scales the hyperplane to zero, and the loader
+        # rejects it at its own path (the 3 x 3 grid has z = 1 + i).
+        region = Region(-1, 1, -1, 1, 3, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            [h] = normalized_many([coeffs], region)
+        assert repr(h.normalization) == repr({"factor": 0.0,
+                                              "sup_before": sup})
+        assert all(p.is_zero for p in h.coeffs)
+        hypers = [{"n": 1, "coeffs": [p.to_json() for p in polys]}
+                  for polys in ([ONE, ZERO_POLY], coeffs, [ONE, ONE])]
+        data = {"n": 1, "region": region.to_json(),
+                "config": {"epsilon": 0.5, "delta": 1e-4},
+                "members": [{"label": "m", "hyperplanes": hypers,
+                             "curve": ProjCurve([ONE, Z]).to_json()}]}
+        with pytest.raises(ValidationError) as err, \
+                np.errstate(over="ignore", invalid="ignore"):
+            scene_from_json(data)
+        assert str(err.value) == ("$.members[0].hyperplanes[1]: every "
+                                  "coefficient is the zero polynomial")
 
 
 def pair(curve, hyper):
