@@ -127,8 +127,8 @@ def _checked_values(items: list, sizes: np.ndarray, where) -> np.ndarray:
                                  bool)
     good = pair.copy()
     good[pair] = number.reshape(-1, 2).all(axis=1)
-    ok = good.copy()
-    ok[pair] = good[pair] & finite.reshape(-1, 2).all(axis=1)
+    ok = pair.copy()  # finite implies a number
+    ok[pair] = finite.reshape(-1, 2).all(axis=1)
     if ok.all():
         return np.array(values, dtype=np.float64)
     at = int(np.argmin(ok))
