@@ -18,7 +18,7 @@ from .harness import (Scene, generate_scene, load_scene, run_pipeline,
 from .normality import (MartyStats, ZalcmanTrace, fs_derivative,
                         fs_derivative_on_grid, marty_sup, zalcman_search)
 from .polynomial import ComplexPoly
-from .position import Region, UniformDelta, uniform_delta
+from .position import Region, UniformDelta, position_sweep
 from .projective import MovingHyperplane, ProjCurve, induced_curve
 from .sharing import (CheckConfig, ConditionReport, FamilyMember,
                       conditions_check, hypotheses_check)
@@ -35,6 +35,6 @@ __all__ = [
     "ZeroPolynomial", "conditions_check", "config", "derived_map",
     "fs_derivative", "fs_derivative_on_grid",
     "generate_scene", "hypotheses_check", "induced_curve", "load_scene",
-    "marty_sup", "run_pipeline", "save_scene", "scene_from_json",
-    "scene_to_json", "uniform_delta", "zalcman_search", "__version__",
+    "marty_sup", "position_sweep", "run_pipeline", "save_scene",
+    "scene_from_json", "scene_to_json", "zalcman_search", "__version__",
 ]

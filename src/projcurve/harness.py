@@ -31,7 +31,7 @@ from .errors import (AllZero, BadParams, DimensionMismatch, FirstComponentZero,
                      ZeroPolynomial)
 from .normality import marty_sup, zalcman_search
 from .polynomial import ComplexPoly
-from .position import Region, position_sweep, uniform_delta
+from .position import Region, position_sweep
 from .projective import (MovingHyperplane, ProjCurve, first_common_zero,
                          normalized_many, tuple_error)
 from .sharing import CheckConfig, FamilyMember, hypotheses_check
@@ -82,9 +82,10 @@ def _coefficients_from_json(polys: list[list], where) -> np.ndarray:
 
     Each entry must be an ``[re, im]`` pair of JSON numbers (not
     ``true``/``false``) with ``abs(v) <= sys.float_info.max``, compared
-    exactly, so NaN, the infinities and integers beyond double range fail.
-    A scene of plain JSON lists, floats and integers below that bound
-    passes on the sets of their types and one float64 cast; any other
+    exactly, so NaN, the infinities and integers beyond double range fail,
+    and with a finite modulus ``hypot(re, im)``.  A scene of plain JSON
+    lists, floats and integers whose moduli are below that bound passes on
+    the sets of their types, one float64 cast and one modulus; any other
     goes through ``_checked_values``, whose masks find the first bad
     entry, in order, at ``where(k)[i]`` for entry i of ``polys[k]``.
     """
@@ -98,11 +99,14 @@ def _coefficients_from_json(polys: list[list], where) -> np.ndarray:
                 values = np.array(flat, dtype=np.float64)
             except OverflowError:  # an integer beyond double range
                 pass
-        # NaN, the infinities and an integer that the cast rounded down
-        # onto the largest double fail here and take the exact path.
-        if values is not None and not (
-                np.abs(values).max(initial=0.0) < sys.float_info.max):
-            values = None
+        # NaN, the infinities, an integer that the cast rounded down onto
+        # the largest double and a modulus that overflows fail here and
+        # take the exact path.
+        if values is not None:
+            with np.errstate(over="ignore"):
+                top = np.abs(values.view(np.complex128)).max(initial=0.0)
+            if not top < sys.float_info.max:
+                values = None
     if values is None:
         values = _checked_values(items, sizes, where)
     stack = np.zeros((len(polys), int(sizes.max(initial=1))),
@@ -115,7 +119,8 @@ def _coefficients_from_json(polys: list[list], where) -> np.ndarray:
 def _checked_values(items: list, sizes: np.ndarray, where) -> np.ndarray:
     """The float64 values of the coefficient entries ``items`` (entry i of
     polynomial k counted from ``sizes``), or the ValidationError of the
-    first that is not a pair of numbers or not finite."""
+    first that is not a pair of numbers, not finite or of a modulus that
+    is not finite."""
     repeat, compress = itertools.repeat, itertools.compress
     pair = np.fromiter(map(isinstance, items, repeat(list)), bool, len(items))
     pair[pair] = np.fromiter(map(len, compress(items, pair)), np.intp) == 2
@@ -125,20 +130,24 @@ def _checked_values(items: list, sizes: np.ndarray, where) -> np.ndarray:
     finite[number] = np.fromiter(map(sys.float_info.max.__ge__,
                                      map(abs, compress(values, number))),
                                  bool)
+    parts = np.zeros(len(values))
+    parts[finite] = list(compress(values, finite))
     good = pair.copy()
     good[pair] = number.reshape(-1, 2).all(axis=1)
     ok = pair.copy()  # finite implies a number
     ok[pair] = finite.reshape(-1, 2).all(axis=1)
-    if ok.all():
-        return np.array(values, dtype=np.float64)
-    at = int(np.argmin(ok))
+    fits = ok.copy()
+    with np.errstate(over="ignore"):
+        fits[pair] &= np.isfinite(np.abs(parts.view(np.complex128)))
+    if fits.all():
+        return parts
+    at = int(np.argmin(fits))
     k = int(np.searchsorted(np.cumsum(sizes), at, side="right"))
     path = f"{where(k)}[{at - int(sizes[:k].sum())}]"
-    if not good[at]:
-        raise ValidationError("coefficient must be a [re, im] pair",
-                              path=path)
-    raise ValidationError(f"coefficient must be finite, got {items[at]}",
-                          path=path)
+    raise ValidationError(
+        "coefficient must be a [re, im] pair" if not good[at] else
+        f"coefficient must be finite, got {items[at]}" if not ok[at] else
+        f"coefficient modulus must be finite, got {items[at]}", path=path)
 
 
 # What a curve and a hyperplane object hold: the key of their n+1
@@ -516,7 +525,7 @@ def _check_params(params: dict, allowed: dict, template: str) -> dict:
             raise BadParams(
                 f"template {template!r} parameter {key!r} must be an "
                 f"integer, got {out[key]!r}")
-    if out["seed"] < 0:
+    if out.get("seed", 0) < 0:
         raise BadParams(f"template {template!r} parameter 'seed' must be "
                         f"non-negative, got {out['seed']}")
     if "t" in out:
@@ -558,8 +567,12 @@ def _normalize_members(raw_members, region: Region
 
 
 def _assemble(n: int, region: Region, raw_members, epsilon: float,
-              delta: float, metadata: dict) -> Scene:
+              delta: float | None, metadata: dict) -> Scene:
+    """The scene of the normalized members; a ``delta`` of None is half the
+    grid minimum of the first member's general-position product."""
     members = _normalize_members(raw_members, region)
+    if delta is None:
+        delta = position_sweep(members[0].hyperplanes, region)[0].value / 2.0
     cfg = CheckConfig(region=region, epsilon=epsilon, delta=delta)
     return Scene(n=n, region=region, members=members, config=cfg,
                  metadata=metadata)
@@ -595,15 +608,13 @@ def _gen_montel_omitting(params: dict) -> Scene:
         # sum_l (b c)^l has modulus >= (1 - |c|^2) / (1 + |c|) > 0.
         curve = ProjCurve([ComplexPoly([c ** l]) for l in range(n + 1)])
         raw.append((f"m{k}", curve, list(hypers)))
-    ud = uniform_delta(hypers, region)
-    return _assemble(n, region, raw, epsilon=0.5, delta=ud.value / 2.0,
+    return _assemble(n, region, raw, epsilon=0.5, delta=None,
                      metadata={"template": "montel_omitting",
                                "params": {"n": n, "N": N, "seed": seed}})
 
 
 def _gen_blowup_linear(params: dict) -> Scene:
-    p = _check_params(params, {"n": 1, "N": 8, "seed": 0,
-                               "grid_nx": 41, "grid_ny": 41},
+    p = _check_params(params, {"n": 1, "N": 8, "grid_nx": 41, "grid_ny": 41},
                       "blowup_linear")
     n, N = p["n"], p["N"]
     if n < 1 or N < 1:
@@ -615,10 +626,9 @@ def _gen_blowup_linear(params: dict) -> Scene:
         comps = [ComplexPoly([0.0] * l + [float(nu) ** l])
                  for l in range(n + 1)]
         raw.append((f"m{nu}", ProjCurve(comps), list(hypers)))
-    ud = uniform_delta(hypers, region)
-    return _assemble(n, region, raw, epsilon=0.5, delta=ud.value / 2.0,
+    return _assemble(n, region, raw, epsilon=0.5, delta=None,
                      metadata={"template": "blowup_linear",
-                               "params": {"n": n, "N": N, "seed": p["seed"]}})
+                               "params": {"n": n, "N": N}})
 
 
 def _gen_wandering_shared(params: dict) -> Scene:
@@ -690,8 +700,7 @@ def _gen_wandering_shared(params: dict) -> Scene:
 
 
 def _gen_degenerate_position(params: dict) -> Scene:
-    p = _check_params(params, {"t": 0.01, "seed": 0,
-                               "grid_nx": 41, "grid_ny": 41},
+    p = _check_params(params, {"t": 0.01, "grid_nx": 41, "grid_ny": 41},
                       "degenerate_position")
     t = p["t"]
     region = _template_region(p)
@@ -702,8 +711,7 @@ def _gen_degenerate_position(params: dict) -> Scene:
             [_fixed(1.0, 0.0), _fixed(0.0, 1.0), h3])]
     return _assemble(1, region, raw, epsilon=0.5, delta=0.05,
                      metadata={"template": "degenerate_position",
-                               "params": {"t": [t.real, t.imag],
-                                          "seed": p["seed"]}})
+                               "params": {"t": [t.real, t.imag]}})
 
 
 _GENERATORS = {
@@ -753,15 +761,20 @@ def _stage_position(scene: Scene, csv_dir: str | None,
     sweeps: dict = {}
     for m in scene.members:
         if m.hyperplanes not in sweeps:
-            sweeps[m.hyperplanes] = position_sweep(
-                m.hyperplanes, scene.region, scene.config.delta)
-        ud, ref, vals = sweeps[m.hyperplanes]
+            sweeps[m.hyperplanes] = position_sweep(m.hyperplanes,
+                                                   scene.region)
+        ud, low, vals = sweeps[m.hyperplanes]
+        # Inconsistent: the grid minimum clears delta, but the bound on the
+        # region is at most delta/2.
         per.append({"label": m.label, "min": ud.value,
-                    "argmin": [ud.argmin.real, ud.argmin.imag], **ref})
+                    "argmin": [ud.argmin.real, ud.argmin.imag],
+                    "lower_bound": low,
+                    "consistent": not (ud.value > scene.config.delta
+                                       and low <= scene.config.delta / 2.0)})
         if csv_dir is not None:
             rows.extend((m.label, float(z.real), float(z.imag), float(v))
                         for z, v in zip(pts, vals))
-    # check reuses each tuple's uniform_delta.
+    # check reuses each tuple's grid minimum.
     done["position"] = {h: sweep[0] for h, sweep in sweeps.items()}
     worst = min(per, key=lambda e: e["min"])
     verdict = worst["min"] > scene.config.delta

@@ -191,11 +191,13 @@ class ComplexPoly:
 def trimmed_lengths(rows: np.ndarray) -> np.ndarray:
     """The length of each coefficient row (the last axis of ``rows``) once
     its trailing coefficients of modulus at most ``config.TAU_COEFF`` times
-    the row's largest are cut; 0 for a row of zeros."""
-    # Coefficients first, so every reduction runs along axis 0.  At-most,
-    # so a NaN largest modulus cuts nothing.
+    the row's largest are cut; 0 for a row of zeros.  A row whose largest
+    modulus is NaN or inf (finite parts can overflow to an inf modulus)
+    loses nothing."""
+    # Coefficients first, so every reduction runs along axis 0.
     mags = np.abs(rows).T
-    cut = mags <= config.TAU_COEFF * mags.max(0, initial=0.0)
+    top = mags.max(0, initial=0.0)
+    cut = (mags <= config.TAU_COEFF * top) & (top < np.inf)
     trailing = np.logical_and.accumulate(cut[::-1])
     return (len(mags) - trailing.sum(0)).T
 

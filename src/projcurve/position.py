@@ -106,10 +106,10 @@ class Region:
 
 def _canonical(hypers: Sequence[MovingHyperplane],
                region: Region) -> list[MovingHyperplane]:
-    """Hyperplanes with a normalization in force, normalizing the others
-    with one ``normalized_many`` call."""
-    done = iter(normalized_many(
-        [h.coeffs for h in hypers if h.normalization is None], region))
+    """Hyperplanes with a normalization in force, normalizing the others,
+    if any, with one ``normalized_many`` call."""
+    raw = [h.coeffs for h in hypers if h.normalization is None]
+    done = iter(normalized_many(raw, region) if raw else ())
     return [h if h.normalization is not None else next(done) for h in hypers]
 
 
@@ -167,20 +167,14 @@ class SubsetDeterminants:
         return cls(coeffs=np.ascontiguousarray(poly.T), centre=centre,
                    radius=radius)
 
-    def _moduli(self, pts: np.ndarray):
-        """|det_s| at each point, subset by subset in subset order."""
+    def blocks(self, pts: np.ndarray):
+        """|det_s| at each point, as (subsets, points) blocks of at most
+        ``_EVAL_BLOCK`` values in subset order, each with the index of its
+        first subset."""
         u = (pts - self.centre) / self.radius
         step = max(1, _EVAL_BLOCK // pts.shape[0])
         for i in range(0, self.coeffs.shape[0], step):
-            yield from np.abs(polyval_grid(self.coeffs[i:i + step], u))
-
-    def product(self, pts: np.ndarray) -> np.ndarray:
-        """Product of |det_s| over all subsets at each point, in subset
-        order."""
-        out = np.ones(pts.shape[0], dtype=np.float64)
-        for mod in self._moduli(pts):
-            out *= mod
-        return out
+            yield i, np.abs(polyval_grid(self.coeffs[i:i + step], u))
 
 
 @dataclass(frozen=True)
@@ -190,49 +184,36 @@ class UniformDelta:
     value: float
     argmin: complex
 
-    @classmethod
-    def from_grid(cls, vals: np.ndarray, pts: np.ndarray) -> "UniformDelta":
-        """The smallest of ``vals`` and the first point reaching it."""
-        idx = int(np.argmin(vals))
-        return cls(value=float(vals[idx]), argmin=complex(pts[idx]))
 
-
-def uniform_delta(hypers: Sequence[MovingHyperplane],
-                  region: Region) -> UniformDelta:
-    """Minimum of the determinant product over the region's grid.
+def position_sweep(hypers: Sequence[MovingHyperplane], region: Region
+                   ) -> tuple[UniformDelta, float, np.ndarray]:
+    """The grid minimum of the general-position product, a lower bound of
+    the product on the whole region and the product on the grid, from one
+    sweep of the determinant moduli.
 
     Hyperplanes without a normalization record are normalized against the
-    region first.  Grid minimization estimates the true infimum from above;
-    position_sweep adds a lower bound over the whole region.
-    """
-    pts = region.grid_points()
-    dets = SubsetDeterminants.of(_canonical(hypers, region), region)
-    return UniformDelta.from_grid(dets.product(pts), pts)
-
-
-def position_sweep(hypers: Sequence[MovingHyperplane], region: Region,
-                   delta: float) -> tuple[UniformDelta, dict, np.ndarray]:
-    """uniform_delta, a lower bound of the product on the whole region and
-    the product on the grid, from one sweep of the determinant moduli.
-
-    Each point of the region lies within h (half a cell diagonal, in u) of
-    a grid point, and |det_s'| <= L_s = sum_k k |c_{s,k}| on |u| <= 1, so
-    the grid minimum of prod_s max(0, |det_s| - h L_s) is a bound; a fixed
-    family has L_s = 0 and a bound equal to the grid minimum.
-    ``consistent`` is false when the grid minimum clears delta but the
-    bound is at most delta/2.
+    region first.  Each point of the region lies within h (half a cell
+    diagonal, in u) of a grid point, and |det_s'| <= L_s = sum_k k |c_{s,k}|
+    on |u| <= 1, so the grid minimum of prod_s max(0, |det_s| - h L_s) is a
+    bound; a fixed family has L_s = 0 and a bound equal to the grid
+    minimum.  Both products multiply the subsets in order, each block's
+    first row carrying the running product, so their bits do not depend on
+    the block size.
     """
     dets = SubsetDeterminants.of(_canonical(hypers, region), region)
     pts = region.grid_points()
     cell = math.hypot((region.x_max - region.x_min) / (region.grid_nx - 1),
                       (region.y_max - region.y_min) / (region.grid_ny - 1))
     lip = np.abs(dets.coeffs[:, 1:]) @ np.arange(1, dets.coeffs.shape[1])
-    vals = np.ones(pts.shape[0], dtype=np.float64)
-    low = np.ones(pts.shape[0], dtype=np.float64)
-    for mod, s in zip(dets._moduli(pts), 0.5 * cell / dets.radius * lip):
-        vals *= mod
-        low *= np.maximum(mod - s, 0.0)
-    ud = UniformDelta.from_grid(vals, pts)
-    lower_bound = float(low.min())
-    consistent = not (ud.value > delta and lower_bound <= delta / 2.0)
-    return ud, {"lower_bound": lower_bound, "consistent": consistent}, vals
+    slack = 0.5 * cell / dets.radius * lip
+    vals = low = 1.0
+    for i, mod in dets.blocks(pts):
+        bound = np.maximum(mod - slack[i:i + len(mod), None], 0.0)
+        mod[0] *= vals
+        bound[0] *= low
+        vals = np.multiply.reduce(mod, axis=0)
+        low = np.multiply.reduce(bound, axis=0)
+    # The first grid point reaching the minimum.
+    at = int(np.argmin(vals))
+    return (UniformDelta(float(vals[at]), complex(pts[at])), float(low.min()),
+            vals)

@@ -27,7 +27,7 @@ from .derived import derived_maps
 from .errors import IdenticallyZero, WrongCount, ValidationError
 from .normality import marty_sup
 from .polynomial import roots_many, trimmed_lengths
-from .position import Region, UniformDelta, uniform_delta
+from .position import Region, UniformDelta, position_sweep
 from .projective import MovingHyperplane, ProjCurve, induced_curve, pair_rows
 
 
@@ -349,12 +349,12 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
                      deltas: dict | None = None) -> ConditionReport:
     """Run every hypothesis check and aggregate the verdicts.
 
-    ``deltas`` maps hyperplane tuples to a ``uniform_delta`` already taken
-    on ``cfg.region``; tuples it lacks are swept here.  Conditions 1 and 2
-    of the whole family come from one ``derived_maps`` call and one
-    ``roots_many`` call.  Degenerate members (curve inside a hyperplane,
-    annotated with the member label; zero first component) raise; they are
-    scene defects, not check failures.
+    ``deltas`` maps hyperplane tuples to ``position_sweep(...)[0]``
+    already taken on ``cfg.region``; tuples it lacks are swept here.
+    Conditions 1 and 2 of the whole family come from one ``derived_maps``
+    call and one ``roots_many`` call.  Degenerate members (curve inside a
+    hyperplane, annotated with the member label; zero first component)
+    raise; they are scene defects, not check failures.
     """
     members = list(members)
     warnings: list[str] = []
@@ -366,11 +366,12 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
             warnings=["empty family: all hypotheses hold vacuously"])
 
     verdicts: list[MemberVerdict] = []
-    # Members holding the same hyperplane objects share one uniform_delta.
+    # Members holding the same hyperplane objects share one sweep.
     deltas = dict(deltas or {})
     for m in members:
         if m.hyperplanes not in deltas:
-            deltas[m.hyperplanes] = uniform_delta(m.hyperplanes, cfg.region)
+            deltas[m.hyperplanes] = position_sweep(m.hyperplanes,
+                                                   cfg.region)[0]
     for m, (c1, c2) in zip(members, _family_conditions(members, cfg)):
         verdicts.append(MemberVerdict(
             label=m.label,

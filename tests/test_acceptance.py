@@ -17,7 +17,7 @@ from projcurve.derived import derived_map
 from projcurve.harness import generate_scene, run_pipeline
 from projcurve.normality import fs_derivative, marty_sup, zalcman_search
 from projcurve.polynomial import ComplexPoly
-from projcurve.position import Region, uniform_delta
+from projcurve.position import Region, position_sweep
 from projcurve.projective import MovingHyperplane, ProjCurve, pair_rows
 
 
@@ -47,7 +47,7 @@ TAU_GP = 1e-10
 
 
 def in_general_position(hypers):
-    return uniform_delta(hypers, SMALL).value > TAU_GP
+    return position_sweep(hypers, SMALL)[0].value > TAU_GP
 
 
 # --- independent numpy-only helpers (no package arithmetic) ----------------
@@ -220,9 +220,9 @@ def test_acceptance_5_general_position_algebra(announce):
         z = complex(*rng.uniform(-1, 1, 2))
         near = Region(z.real - 0.1, z.real + 0.1, z.imag - 0.1, z.imag + 0.1,
                       2, 2)
-        base = uniform_delta(hypers, near).value
+        base = position_sweep(hypers, near)[0].value
         perm = rng.permutation(q)
-        v = uniform_delta([hypers[i] for i in perm], near).value
+        v = position_sweep([hypers[i] for i in perm], near)[0].value
         worst_rel = max(worst_rel, abs(v - base) / max(base, 1e-300))
 
     flips = 0
@@ -240,7 +240,8 @@ def test_acceptance_5_general_position_algebra(announce):
             flips += 1
 
     exact = all(
-        uniform_delta([fixed(*row) for row in np.eye(n + 1)], SMALL).value
+        position_sweep([fixed(*row) for row in np.eye(n + 1)],
+                       SMALL)[0].value
         == 1.0
         for n in (1, 2, 3))
     ok = worst_rel <= 1e-12 and flips == 0 and exact

@@ -171,6 +171,12 @@ class TestSceneIO:
         ("entry", [0.0, int(sys.float_info.max) + 1],
          f"coefficient must be finite, got [0.0, "
          f"{int(sys.float_info.max) + 1}]"),
+        # Finite parts whose modulus hypot(re, im) overflows to inf.
+        ("entry", [1.5e308, 1.5e308],
+         "coefficient modulus must be finite, got [1.5e+308, 1.5e+308]"),
+        ("entry", [-13 * 10 ** 307, 13 * 10 ** 307],
+         f"coefficient modulus must be finite, got [{-13 * 10 ** 307}, "
+         f"{13 * 10 ** 307}]"),
     ])
     def test_single_defect_message_and_path(self, at, defect, entry,
                                             message):
@@ -194,6 +200,23 @@ class TestSceneIO:
             scene_from_json(data)
         assert str(err.value) == f"{path}: {message}"
         assert err.value.path == path
+
+    @pytest.mark.parametrize("first", ["modulus", "nan"])
+    def test_bad_values_report_in_document_order(self, first):
+        # A NaN entry sends the scene through the exact check, which must
+        # still report an overflowing modulus before it, and after it.
+        data = minimal_scene_dict()
+        comps = data["members"][0]["curve"]["components"]
+        entries = {"modulus": [1.5e308, -1.5e308], "nan": [math.nan, 0.0]}
+        comps[1][0] = entries[first]
+        comps[1][1] = entries[{"modulus": "nan", "nan": "modulus"}[first]]
+        with pytest.raises(ValidationError) as err:
+            scene_from_json(data)
+        assert err.value.path == "$.members[0].curve.components[1][0]"
+        assert str(err.value).endswith(
+            "coefficient modulus must be finite, got [1.5e+308, -1.5e+308]"
+            if first == "modulus" else
+            "coefficient must be finite, got [nan, 0.0]")
 
     def test_several_defects_report_in_pass_order(self):
         # Structure, then coefficient values, then hyperplane invariants,
@@ -296,6 +319,29 @@ class TestSceneIO:
 
 
 class TestTemplates:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("template", ["montel_omitting", "blowup_linear"])
+    def test_delta_from_assembled_hyperplanes(self, monkeypatch, template,
+                                              n):
+        # One normalization per scene, and delta is half the sweep of the
+        # members' own normalized hyperplanes (still inf at n >= 5, where
+        # the product overflows: ROADMAP item 2).
+        calls = []
+
+        def counting(tuples, region):
+            calls.append(len(tuples))
+            return normalized_many(tuples, region)
+
+        for module in (harness, position):
+            monkeypatch.setattr(module, "normalized_many", counting)
+        scene = generate_scene(template, {"n": n, "N": 3, "grid_nx": 7,
+                                          "grid_ny": 7})
+        assert calls == [2 * n + 1]
+        ud = position.position_sweep(scene.members[0].hyperplanes,
+                                     scene.region)[0]
+        assert scene.config.delta.hex() == (ud.value / 2.0).hex()
+        assert math.isinf(scene.config.delta) == (n >= 5)
+
     def test_unknown(self):
         with pytest.raises(UnknownTemplate):
             generate_scene("nope")
@@ -735,6 +781,21 @@ class TestCli:
         assert self.run("gen", "blowup_linear", "--params", "{bad") == 3
         assert self.run("gen", "blowup_linear", "--params", '{"x": 1}') == 3
 
+    @pytest.mark.parametrize("template", ["blowup_linear",
+                                          "degenerate_position"])
+    def test_seedless_templates_reject_seed(self, capsys, template):
+        # Neither template draws samples, so neither takes a seed, and
+        # their scenes record none.
+        for argv in (["--params", '{"seed": 1.5}'], ["--seed", "1"]):
+            assert self.run("gen", template, *argv) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: template {template!r} does not "
+                                  "accept parameter 'seed'")
+        assert self.run("gen", template) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert "seed" not in data["metadata"]["params"]
+
     @pytest.mark.parametrize("template, params, name", [
         ("montel_omitting", '{"n": "x"}', "n"),
         ("montel_omitting", '{"N": [1]}', "N"),
@@ -742,7 +803,7 @@ class TestCli:
         ("montel_omitting", '{"N": 4.9}', "N"),
         ("montel_omitting", '{"n": true}', "n"),
         ("montel_omitting", '{"seed": -1}', "seed"),
-        ("blowup_linear", '{"seed": 1.5}', "seed"),
+        ("wandering_shared", '{"seed": 1.5}', "seed"),
         ("wandering_shared", '{"grid_nx": true}', "grid_nx"),
         ("degenerate_position", '{"grid_ny": 21.0}', "grid_ny"),
         ("degenerate_position", '{"t": "x"}', "t"),

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projcurve import _kernels
-from projcurve.polynomial import ComplexPoly
-from projcurve.position import Region, SubsetDeterminants
+from projcurve.polynomial import ComplexPoly, stack_coeffs
+from projcurve.position import Region, position_sweep
 from projcurve.projective import MovingHyperplane
 
 # Unit roundoff of complex128 arithmetic.
@@ -66,13 +66,13 @@ class TestDetprodGrid:
         rng = np.random.default_rng(1)
         q, P, L = 5, 3, 4
         coeffs = random_coeffs(rng, q * P, L).reshape(q, P, L)
-        hypers = [MovingHyperplane([ComplexPoly(c) for c in rows])
-                  for rows in coeffs]
         region = Region(-0.4, 1.1, -0.7, 0.2, 4, 3)
-        got = SubsetDeterminants.of(hypers, region).product(
+        hypers = [MovingHyperplane([ComplexPoly(c) for c in rows]
+                                   ).normalized(region) for rows in coeffs]
+        got = position_sweep(hypers, region)[2]
+        vals = _kernels.polyval_grid_numpy(
+            stack_coeffs([p for h in hypers for p in h.coeffs]),
             region.grid_points())
-        vals = _kernels.polyval_grid_numpy(coeffs.reshape(q * P, L),
-                                           region.grid_points())
         vals = vals.reshape(q, P, -1)
         subsets = list(itertools.combinations(range(q), P))
         for m in range(got.size):

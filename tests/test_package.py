@@ -10,8 +10,8 @@ PUBLIC = {
     "conditions_check", "config", "derived_map", "fs_derivative",
     "fs_derivative_on_grid", "generate_scene",
     "hypotheses_check", "induced_curve", "load_scene", "marty_sup",
-    "run_pipeline", "save_scene", "scene_from_json", "scene_to_json",
-    "uniform_delta", "zalcman_search",
+    "position_sweep", "run_pipeline", "save_scene", "scene_from_json",
+    "scene_to_json", "zalcman_search",
     "__version__",
 }
 

@@ -78,6 +78,18 @@ class TestConstruction:
         assert got[0].coeffs[0] == 1.0
         assert not got[0].coeffs.flags.writeable
 
+    def test_overflowing_modulus_kept(self):
+        # Finite parts whose modulus overflows to inf: an inf largest
+        # modulus cuts nothing, as a NaN one does, so the coefficient is
+        # kept alone and in a stack.
+        c = 1.5e308 + 1.5e308j
+        assert np.isinf(np.abs(c))
+        p = ComplexPoly([c])
+        assert p.degree == 0
+        assert p.coeffs.tobytes() == np.array([c]).tobytes()
+        got = ComplexPoly.from_rows([[c, 0.0], [1.0, 1e-300]])
+        assert [q.coeffs.tolist() for q in got] == [[c, 0.0], [1.0]]
+
     def test_zero_poly(self):
         z = ComplexPoly.zero()
         assert z.is_zero

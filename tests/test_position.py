@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projcurve import config
+from projcurve import config, position
 from projcurve.errors import WrongCount
+from projcurve.harness import generate_scene, rebuild_scene, run_pipeline
 from projcurve.polynomial import ComplexPoly, stack_coeffs
-from projcurve.position import (Region, SubsetDeterminants, position_sweep,
-                                uniform_delta)
+from projcurve.position import Region, position_sweep
 from projcurve.projective import MovingHyperplane
 
 ONE = ComplexPoly.one()
@@ -26,7 +26,7 @@ def fixed(*values):
 
 
 def in_general_position(hypers):
-    return uniform_delta(hypers, SMALL).value > TAU_GP
+    return position_sweep(hypers, SMALL)[0].value > TAU_GP
 
 
 def normalized(hypers, region):
@@ -97,16 +97,16 @@ class TestRegion:
 
 class TestGenPosDet:
     """The determinant D of exactly n+1 hyperplanes, read through
-    uniform_delta on a small region."""
+    position_sweep on a small region."""
 
     def test_identity_exact(self):
         for n in (1, 2, 3):
-            d = uniform_delta(coordinate_hyperplanes(n), SMALL).value
+            d = position_sweep(coordinate_hyperplanes(n), SMALL)[0].value
             assert d == 1.0
 
     def test_wrong_count(self):
         with pytest.raises(WrongCount):
-            uniform_delta(coordinate_hyperplanes(1)[:1], SMALL)
+            position_sweep(coordinate_hyperplanes(1)[:1], SMALL)
 
     def test_moving_example(self):
         # rows (1, z) and (0, 1): determinant is the normalization factor
@@ -115,14 +115,14 @@ class TestGenPosDet:
         h2 = fixed(0.0, 1.0)
         pts = region.grid_points()
         sup = max(1.0, float(np.abs(pts).max()))
-        got = uniform_delta([h1, h2], region).value
+        got = position_sweep([h1, h2], region)[0].value
         assert abs(got - 1.0 / sup) <= 1e-12
 
     def test_dependent_rows_zero(self):
         h = fixed(1.0, 2.0)
         g = fixed(2.0, 4.0)
         # scalar multiples normalize to the same row
-        assert uniform_delta([h, g], SMALL).value <= 1e-15
+        assert position_sweep([h, g], SMALL)[0].value <= 1e-15
 
 
 class TestGenPosProduct:
@@ -131,27 +131,28 @@ class TestGenPosProduct:
     def test_three_coordinate_like(self):
         hypers = [fixed(1.0, 0.0), fixed(0.0, 1.0), fixed(1.0, 1.0)]
         # subsets: dets 1, 1, -1; all coefficients already unit-normalized
-        assert abs(uniform_delta(hypers, SMALL).value - 1.0) <= 1e-12
+        assert abs(position_sweep(hypers, SMALL)[0].value - 1.0) <= 1e-12
 
     def test_vanishes_at_collision(self):
-        # (z - t, 1) collides with (0, 1) as z -> t
+        # (z - t, 1) collides with (0, 1) as z -> t; t and t + 0.5 are
+        # grid points.
         t = 0.25
         hypers = [fixed(1.0, 0.0), fixed(0.0, 1.0),
                   MovingHyperplane([ComplexPoly([-t, 1.0]), ONE])]
-        region = Region(-1, 1, -1, 1, 5, 5)
-        dets = SubsetDeterminants.of(normalized(hypers, region), region)
-        vals = dets.product(np.array([t, t + 0.5], dtype=complex))
-        assert vals[0] <= 1e-12
-        assert vals[1] > 1e-4
+        region = Region(-1, 1, -1, 1, 9, 9)
+        pts = region.grid_points()
+        vals = position_sweep(hypers, region)[2]
+        assert vals[pts == t] <= 1e-12
+        assert vals[pts == t + 0.5] > 1e-4
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         hypers = [fixed(*(rng.standard_normal(3)
                           + 1j * rng.standard_normal(3)))
                   for _ in range(5)]
-        base = uniform_delta(hypers, SMALL).value
+        base = position_sweep(hypers, SMALL)[0].value
         for perm in itertools.permutations(range(5)):
-            v = uniform_delta([hypers[i] for i in perm], SMALL).value
+            v = position_sweep([hypers[i] for i in perm], SMALL)[0].value
             assert abs(v - base) <= 1e-12 * max(1.0, base)
 
 
@@ -159,7 +160,7 @@ class TestUniformDelta:
     def test_constant_family(self):
         hypers = [fixed(1.0, 0.0), fixed(0.0, 1.0), fixed(1.0, 1.0)]
         region = Region(-1, 1, -1, 1, 9, 9)
-        ud = uniform_delta(hypers, region)
+        ud = position_sweep(hypers, region)[0]
         assert abs(ud.value - 1.0) <= 1e-12
         assert ud.argmin in set(region.grid_points().tolist())
 
@@ -173,7 +174,7 @@ class TestUniformDelta:
         pts = region.grid_points()
         sigma = max(np.abs(pts - t).max(), 1.0)
         oracle = np.abs(pts - t) / sigma ** 2
-        ud = uniform_delta(hypers, region)
+        ud = position_sweep(hypers, region)[0]
         k = int(np.argmin(oracle))
         assert abs(ud.value - oracle[k]) <= 1e-12
         assert abs(ud.argmin - pts[k]) <= 1e-15
@@ -185,14 +186,19 @@ class TestUniformDelta:
         hypers = [fixed(1.0, 0.0), fixed(0.0, 1.0),
                   MovingHyperplane([ComplexPoly([-0.01, 1.0]), ONE])]
         region = Region(-1, 1, -1, 1, 41, 41)
-        ud, chk, _ = position_sweep(hypers, region, delta=0.05)
-        assert set(chk) == {"lower_bound", "consistent"}
+        ud, low, _ = position_sweep(hypers, region)
         assert abs(ud.value - 0.00495) <= 1e-5
-        assert chk["lower_bound"] == 0.0
-        assert chk["consistent"]
-        # A delta the grid min clears, with the bound at 0: inconsistent.
-        assert not position_sweep(hypers, region, delta=0.001)[1][
-            "consistent"]
+        assert low == 0.0
+        # The position stage marks a member inconsistent when its grid min
+        # clears delta but the bound is at most delta / 2.
+        scene = generate_scene("degenerate_position", {})
+        for delta, consistent in ((0.05, True), (0.001, False)):
+            report, _ = run_pipeline(rebuild_scene(scene, delta=delta),
+                                     which=("position",))
+            [entry] = report["stages"]["position"]["per_member"]
+            assert entry["min"] == ud.value
+            assert entry["lower_bound"] == 0.0
+            assert entry["consistent"] is consistent
 
     def test_matches_grid_kernel(self):
         rng = np.random.default_rng(11)
@@ -201,9 +207,9 @@ class TestUniformDelta:
             ComplexPoly(rng.standard_normal(2) + 1j * rng.standard_normal(2)),
         ]) for _ in range(3)]
         region = Region(-1, 1, -1, 1, 7, 7)
-        dets = SubsetDeterminants.of(normalized(hypers, region), region)
-        vals = dets.product(region.grid_points())
-        ud = uniform_delta(hypers, region)
+        vals = per_point_product(normalized(hypers, region),
+                                 region.grid_points())
+        ud = position_sweep(hypers, region)[0]
         assert abs(ud.value - float(vals.min())) <= 1e-12
 
 
@@ -241,14 +247,12 @@ class TestIsGeneralPosition:
 
 
 def per_point_product(hypers, pts):
-    """Product of |det| over (n+1)-subsets, one np.linalg.det per point."""
+    """Product of |det| over (n+1)-subsets, one determinant per point of
+    the hyperplanes' values there."""
     rows = np.stack([np.stack([p(pts) for p in h.coeffs]) for h in hypers])
-    subsets = list(itertools.combinations(range(len(hypers)),
-                                          hypers[0].n + 1))
     out = np.ones(pts.size)
-    for m in range(pts.size):
-        for idx in subsets:
-            out[m] *= abs(np.linalg.det(rows[list(idx), :, m]))
+    for idx in itertools.combinations(range(len(hypers)), hypers[0].n + 1):
+        out *= np.abs(np.linalg.det(rows[list(idx)].transpose(2, 0, 1)))
     return out
 
 
@@ -272,8 +276,7 @@ class TestDeterminantPolynomials:
         region = Region(cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2,
                         nx, ny)
         normed = normalized(hypers, region)
-        got = SubsetDeterminants.of(normed, region).product(
-            region.grid_points())
+        got = position_sweep(normed, region)[2]
         ref = per_point_product(normed, region.grid_points())
         assert np.abs(got - ref).max() <= 1e-9 * max(1.0, ref.max())
 
@@ -300,15 +303,15 @@ class TestLowerBound:
                 for _ in range(n + 1)]))
         x0, y0 = cx - w / 2, cy - h / 2
         region = Region(x0, x0 + w, y0, y0 + h, nx, ny)
-        ud, chk, _ = position_sweep(hypers, region, delta=1e-3)
-        bound = chk["lower_bound"]
+        ud, bound, _ = position_sweep(hypers, region)
         assert 0.0 <= bound <= ud.value
-        dets = SubsetDeterminants.of(normalized(hypers, region), region)
+        normed = normalized(hypers, region)
         off_grid = (x0 + w * rng.uniform(0, 1, 200)
                     + 1j * (y0 + h * rng.uniform(0, 1, 200)))
         denser = Region(x0, x0 + w, y0, y0 + h, 2 * nx - 1, 2 * ny - 1)
         for pts in (off_grid, denser.grid_points()):
-            assert bound <= dets.product(pts).min() * (1 + 1e-12)
+            assert bound <= per_point_product(normed, pts).min() * (
+                1 + 1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("g", [5, 11, 41])
@@ -321,11 +324,9 @@ class TestLowerBound:
         p = ComplexPoly(np.r_[-t ** k, np.zeros(k - 1), 1.0])
         hypers = [fixed(1.0, 0.0), fixed(0.0, 1.0),
                   MovingHyperplane([p, ONE])]
-        ud, chk, _ = position_sweep(hypers, Region(-1, 1, -1, 1, g, g),
-                                    delta=1e-3)
+        ud, low, _ = position_sweep(hypers, Region(-1, 1, -1, 1, g, g))
         assert ud.value > 1e-3
-        assert chk["lower_bound"] == 0.0
-        assert not chk["consistent"]
+        assert low == 0.0
 
 
 def vandermonde(n):
@@ -361,12 +362,9 @@ class TestFixedFamiliesExact:
         prod = 1.0
         for mag in np.abs(dets):
             prod *= mag
-        ud = uniform_delta(hypers, region)
-        assert ud.value == prod
+        ud, low, _ = position_sweep(hypers, region)
+        assert ud.value == low == prod
         assert ud.argmin == region.grid_points()[0]
-        ud, chk, _ = position_sweep(hypers, region, delta=0.5 * prod)
-        assert chk["lower_bound"] == ud.value == prod
-        assert chk["consistent"]
 
     @pytest.mark.parametrize("values", [(1.0, 0.0), (0.0, 1.0, 0.5j),
                                         (3.0, -4.0j, 0.25, 1e-7),
@@ -382,3 +380,38 @@ class TestFixedFamiliesExact:
         for p, q in zip(got.coeffs, h.coeffs):
             expect = q.coeffs if factor == 1.0 else (factor * q).coeffs
             assert p.coeffs.tobytes() == expect.tobytes()
+
+
+class TestBlockSize:
+    """The sweep multiplies the subsets in order whatever its block size:
+    each block's first row carries the running product."""
+
+    @pytest.mark.parametrize("grid", [3, 41])
+    @pytest.mark.parametrize("template, params", [
+        ("montel_omitting", {"n": 3}),
+        ("montel_omitting", {"n": 5}),
+        ("wandering_shared", {}),
+        ("degenerate_position", {}),
+    ])
+    def test_bits_do_not_depend_on_block(self, monkeypatch, template,
+                                         params, grid):
+        scene = generate_scene(template, {**params, "grid_nx": grid,
+                                          "grid_ny": grid})
+        tuples = list(dict.fromkeys(m.hyperplanes for m in scene.members))
+        pts = scene.region.grid_points()
+        # The default block holds every subset of these families at once.
+        assert all(math.comb(len(h), h[0].n + 1) * pts.size
+                   <= position._EVAL_BLOCK for h in tuples)
+
+        def sweeps():
+            out = []
+            for hypers in tuples:
+                ud, low, vals = position_sweep(hypers, scene.region)
+                out.append((ud.value.hex(), ud.argmin, low.hex(),
+                            vals.tobytes()))
+            return out
+
+        whole = sweeps()
+        for block in (1, 7, 100):
+            monkeypatch.setattr(position, "_EVAL_BLOCK", block)
+            assert sweeps() == whole

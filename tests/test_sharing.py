@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from projcurve.derived import derived_map
 from projcurve.errors import FirstComponentZero, IdenticallyZero, WrongCount
 from projcurve.polynomial import ComplexPoly, roots_many
-from projcurve.position import Region, uniform_delta
+from projcurve.position import Region, position_sweep
 from projcurve.projective import MovingHyperplane, ProjCurve, pair_rows
 from projcurve import config, derived, sharing
 from projcurve.sharing import (CheckConfig, FamilyMember, _match_sets,
@@ -384,7 +384,7 @@ class TestMemberIndependence:
     @example(family(3, 17420, [[(-2, 3, 1)], [(2, -1, 4), (3, 2, 4)]]))
     def test_member_checked_in_family_as_alone(self, members):
         cfg = make_config(region=Region(-1, 1, -1, 1, 5, 5))
-        deltas = {m.hyperplanes: uniform_delta(m.hyperplanes, cfg.region)
+        deltas = {m.hyperplanes: position_sweep(m.hyperplanes, cfg.region)[0]
                   for m in members}
         family = hypotheses_check(members, cfg, deltas).to_json()["members"]
         for member, got in zip(members, family):
