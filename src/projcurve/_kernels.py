@@ -2,11 +2,25 @@
 
 The kernels are plain numpy.  They keep their historical ``*_numpy`` names,
 which the benchmark's trace wraps; the plain names are aliases.
+
+The kernels take whole families on a batch axis: ``polyval_grid`` takes
+(K, L) rows and ``fs_derivative_grid`` (B, P, L) curves.  The grid sweeps
+of ``position`` and ``normality`` cut a family into blocks of at most
+``_EVAL_BLOCK`` complex values per ``polyval_grid`` call.  A kernel works
+elementwise along the batch and reduces only along other axes, so no bit
+of an item depends on the batch it rides in.
 """
 
 import math
 
 import numpy as np
+
+# Complex values one polyval_grid call of a grid sweep may produce (256 KiB):
+# whole hyperplane tuples (subsets x points) or whole curves (curve and
+# derivative rows x points) per block, at least one.  Small enough that a
+# block stays in cache: a blow-up family of n = 3 at 81 x 81 points sweeps
+# one curve per block.
+_EVAL_BLOCK = 1 << 14
 
 
 def pow2_scaled(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -20,9 +34,16 @@ def pow2_scaled(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     top = max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
     if not 0.0 < top < math.inf:
         return arrays
-    # Clamped so that 2.0 ** -e stays finite.
-    e = max(math.frexp(top)[1], -1021)
+    e = int(pow2_exponents(np.float64(top)))
     return tuple(a * 2.0 ** -e for a in arrays)
+
+
+def pow2_exponents(top: np.ndarray) -> np.ndarray:
+    """The binary exponent e of each finite positive modulus in ``top``,
+    so that top * 2**-e lies in [0.5, 1); clamped at -1021 so that
+    2.0 ** -e stays finite, which leaves a subnormal top in
+    [2**-53, 0.5)."""
+    return np.maximum(np.frexp(top)[1], -1021)
 
 
 def polyval_grid_numpy(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -41,29 +62,38 @@ def polyval_grid_numpy(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _cross_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_{i<j} |a_i b_j - a_j b_i|^2 over the rows of two (P, M) arrays."""
-    P = a.shape[0]
-    num = np.zeros(a.shape[1], dtype=np.float64)
+    """sum_{i<j} |a_i b_j - a_j b_i|^2 over the rows (axis -2) of two
+    (..., P, M) arrays."""
+    P = a.shape[-2]
+    num = np.zeros(a[..., 0, :].shape, dtype=np.float64)
     for i in range(P):
         for j in range(i + 1, P):
-            cross = a[i] * b[j] - a[j] * b[i]
+            cross = a[..., i, :] * b[..., j, :] - a[..., j, :] * b[..., i, :]
             num += np.abs(cross) ** 2
     return num
 
 
 def fs_derivative_grid_numpy(comp: np.ndarray, dcomp: np.ndarray,
                              pts: np.ndarray) -> np.ndarray:
-    """Fubini-Study derivative of a curve at M points.
+    """Fubini-Study derivative of B curves at M points: (B, P, L) and
+    (B, P, L-1) x (M,) -> (B, M).
 
-    ``comp``/``dcomp`` hold the n+1 component polynomials and their formal
-    derivatives, zero-padded to a common length.  The numerator is the
-    cross-term (Lagrange identity) form, which is exact when curve and
-    derivative are parallel; the naive norm-product form loses half the
-    digits to cancellation there.
+    ``comp``/``dcomp`` hold each curve's n+1 = P component polynomials and
+    their formal derivatives, zero-padded to a common length.  Both are
+    evaluated with one ``polyval_grid`` call, the derivatives padded by a
+    zero column, which changes no bit; one allocation for both keeps the
+    allocator from returning and re-faulting the pages of each call.  The
+    numerator is the cross-term (Lagrange identity) form, which is exact
+    when curve and derivative are parallel; the naive norm-product form
+    loses half the digits to cancellation there.
     """
-    v = polyval_grid_numpy(comp, pts)
-    dv = polyval_grid_numpy(dcomp, pts)
-    s2 = np.sum(np.abs(v) ** 2, axis=0)
+    B, P, L = comp.shape
+    rows = np.zeros((2, B, P, L), dtype=np.complex128)
+    rows[0] = comp
+    rows[1, :, :, :dcomp.shape[2]] = dcomp
+    v, dv = polyval_grid_numpy(rows.reshape(2 * B * P, L),
+                               pts).reshape(2, B, P, -1)
+    s2 = np.sum(np.abs(v) ** 2, axis=1)
     return np.sqrt(_cross_terms(v, dv)) / s2
 
 

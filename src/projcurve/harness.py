@@ -31,7 +31,7 @@ from .errors import (AllZero, BadParams, DimensionMismatch, FirstComponentZero,
                      ZeroPolynomial)
 from .normality import marty_sup, zalcman_search
 from .polynomial import ComplexPoly
-from .position import Region, position_sweep
+from .position import Region, position_sweep, position_sweeps
 from .projective import (MovingHyperplane, ProjCurve, first_common_zero,
                          normalized_many, tuple_error)
 from .sharing import CheckConfig, FamilyMember, hypotheses_check
@@ -758,11 +758,9 @@ def _stage_position(scene: Scene, csv_dir: str | None,
     rows = []
     pts = scene.region.grid_points()
     # Members holding the same hyperplane objects share one sweep.
-    sweeps: dict = {}
+    distinct = list(dict.fromkeys(m.hyperplanes for m in scene.members))
+    sweeps = dict(zip(distinct, position_sweeps(distinct, scene.region)))
     for m in scene.members:
-        if m.hyperplanes not in sweeps:
-            sweeps[m.hyperplanes] = position_sweep(m.hyperplanes,
-                                                   scene.region)
         ud, low, vals = sweeps[m.hyperplanes]
         # Inconsistent: the grid minimum clears delta, but the bound on the
         # region is at most delta/2.

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import config
-from ._kernels import fs_derivative_grid, pairwise_fs_grid, pow2_scaled
+from . import _kernels, config
+from ._kernels import fs_derivative_grid, pairwise_fs_grid, pow2_exponents
 from .errors import NotBlowingUp, WrongCount
 from .polynomial import stack_coeffs
 from .position import Region
@@ -30,28 +30,69 @@ from .projective import ProjCurve
 # ---------------------------------------------------------------------------
 
 def fs_derivative(curve: ProjCurve, z: complex) -> float:
-    """Metric derivative of the curve at z: ``fs_derivative_on_grid``'s
-    kernel at the one point z.
+    """Metric derivative of the curve at z: the stacked kernel at the one
+    curve and the one point z.
 
     Equals sqrt(|f|^2 |f'|^2 - |<f,f'>|^2) / |f|^2 with Euclidean norms,
     evaluated in the cancellation-free cross-term form.  At n = 1 this is
     the classical spherical derivative |g'| / (1 + |g|^2) of g = f1/f0.
     """
-    return float(fs_derivative_grid(*_pack_curve(curve),
-                                    np.array([z], dtype=np.complex128))[0])
-
-
-def _pack_curve(curve: ProjCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded component coefficients and their derivatives' (one
-    column shorter), scaled together by one power of two."""
-    comp = stack_coeffs(curve.components)
-    return pow2_scaled(comp, comp[:, 1:] * np.arange(1, comp.shape[1]))
+    return float(_fs_values([curve],
+                            np.array([z], dtype=np.complex128))[0, 0])
 
 
 def fs_derivative_on_grid(curve: ProjCurve, region: Region) -> np.ndarray:
-    """Fubini-Study derivative at every grid point of the region."""
-    comp, dcomp = _pack_curve(curve)
-    return fs_derivative_grid(comp, dcomp, region.grid_points())
+    """Fubini-Study derivative at every grid point of the region: the
+    stacked kernel at the one curve."""
+    return _fs_values([curve], region.grid_points())[0]
+
+
+def _fs_values(curves: Sequence[ProjCurve], pts: np.ndarray) -> np.ndarray:
+    """The Fubini-Study derivative of every curve at every point, (B, M)."""
+    out = np.empty((len(curves), pts.shape[0]))
+    for idx, vals in _fs_blocks(curves, pts):
+        out[idx] = vals
+    return out
+
+
+def _fs_blocks(curves: Sequence[ProjCurve], pts: np.ndarray):
+    """The Fubini-Study derivative of the curves at the points, as
+    ``(indices, values)`` blocks: one ``fs_derivative_grid`` call per block
+    of whole curves with the same n, at most ``_EVAL_BLOCK`` values per
+    ``polyval_grid`` call and at least one curve.
+
+    The curves are packed with one ``stack_coeffs`` call.  Each curve's
+    components, and their derivatives one column shorter, are scaled
+    together by the power of two that ``pow2_scaled`` would pick for them,
+    so tiny or huge coefficients neither underflow nor overflow.
+    """
+    if not curves:
+        return
+    sizes = [f.n + 1 for f in curves]
+    comp = stack_coeffs([p for f in curves for p in f.components])
+    dcomp = comp[:, 1:] * np.arange(1, comp.shape[1])
+    starts = np.cumsum(sizes) - sizes
+    top = np.maximum.reduceat(np.maximum(
+        np.abs(comp).max(axis=1), np.abs(dcomp).max(axis=1, initial=0.0)),
+        starts)
+    finite = (0.0 < top) & (top < np.inf)
+    exps = pow2_exponents(np.where(finite, top, 1.0))
+    scaled = np.repeat(finite, sizes)
+    factor = np.repeat(np.ldexp(1.0, -exps), sizes)[scaled, None]
+    comp[scaled] *= factor
+    dcomp[scaled] *= factor
+    groups: dict[int, list[int]] = {}
+    for i, P in enumerate(sizes):
+        groups.setdefault(P, []).append(i)
+    for P, idx in groups.items():
+        L = max(p.coeffs.size for i in idx for p in curves[i].components)
+        rows = starts[idx, None] + np.arange(P)  # each curve's P rows
+        # A curve is 2P rows of the kernel's polyval_grid call.
+        step = max(1, _kernels._EVAL_BLOCK // (2 * P * pts.shape[0]))
+        for a in range(0, len(idx), step):
+            r = rows[a:a + step]
+            yield idx[a:a + step], fs_derivative_grid(
+                comp[r, :L], dcomp[r, :L - 1], pts)
 
 
 # ---------------------------------------------------------------------------
@@ -106,30 +147,40 @@ def _classify(sups: Sequence[float]) -> str:
 
 
 def marty_sup(members: Sequence[ProjCurve], region: Region) -> MartyStats:
-    """Grid sup of the Fubini-Study derivative per member, with a verdict.
+    """``marty_sups`` of one family."""
+    return marty_sups([members], region)[0]
 
-    A constant curve has derivative 0 at every grid point, so it gets sup 0.0
-    at the first grid point, as the grid sweep would give, without one.  A
-    curve object listed more than once is swept once.
+
+def marty_sups(families: Sequence[Sequence[ProjCurve]],
+               region: Region) -> list[MartyStats]:
+    """Grid sup of the Fubini-Study derivative per member of each family,
+    with the family's verdict.
+
+    Every distinct curve object of all the families is swept once, in one
+    stacked pass.  A constant curve has derivative 0 at every grid point,
+    so it gets sup 0.0 at the first grid point, as the grid sweep would
+    give, without one.
     """
-    members = list(members)
-    if not members:
+    families = [list(members) for members in families]
+    if not all(families):
         raise WrongCount("need at least one member curve")
     pts = region.grid_points()
-    swept: dict[ProjCurve, MemberMarty] = {}
-    for f in members:
-        if f in swept:
-            continue
-        if f.is_constant:
-            swept[f] = MemberMarty(sup=0.0, argmax=complex(pts[0]))
-            continue
-        vals = fs_derivative_on_grid(f, region)
-        idx = int(np.argmax(vals))
-        swept[f] = MemberMarty(sup=float(vals[idx]), argmax=complex(pts[idx]))
-    per = [swept[f] for f in members]
-    sups = tuple(m.sup for m in per)
-    return MartyStats(members=tuple(per), sups=sups,
-                      verdict=_classify(sups))
+    distinct = list(dict.fromkeys(f for members in families for f in members))
+    swept = dict.fromkeys(distinct,
+                          MemberMarty(sup=0.0, argmax=complex(pts[0])))
+    moving = [f for f in distinct if not f.is_constant]
+    for idx, vals in _fs_blocks(moving, pts):
+        at = np.argmax(vals, axis=1)
+        sups = vals[np.arange(len(idx)), at].tolist()
+        for i, k, sup in zip(idx, at.tolist(), sups):
+            swept[moving[i]] = MemberMarty(sup=sup, argmax=complex(pts[k]))
+    out = []
+    for members in families:
+        per = tuple(swept[f] for f in members)
+        sups = tuple(m.sup for m in per)
+        out.append(MartyStats(members=per, sups=sups,
+                              verdict=_classify(sups)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +212,10 @@ class ZalcmanTrace:
             "rho_decreasing": self.rho_decreasing,
             "zeta_radius": ZETA_RADIUS,
             "num_zeta_points": int(self.zeta_points.size),
-            "unit_derivative_at_zero": [
-                fs_derivative(g, 0.0) for g in self.rescaled],
+            # One stacked kernel call at zeta = 0.
+            "unit_derivative_at_zero": _fs_values(
+                self.rescaled, np.zeros(1, dtype=np.complex128))[:, 0]
+            .tolist(),
         }
 
 

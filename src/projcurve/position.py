@@ -11,10 +11,19 @@ determinant det_s(z) is a polynomial whose degree is at most the sum of its
 rows' degrees, so it is built once, as a polynomial in u = (z - c) / r with
 c the region's centre and r half its diameter: det_s is sampled at K roots
 of unity on |u| = 1 (K one more than the largest subset's row-degree sum)
-with a single stacked determinant call, and an inverse FFT gives its
-coefficients.  The grid then only needs polynomial evaluation.  A fixed
-family has K = 1: one determinant per subset, a constant on the grid, and
-the product bit-identical to a per-point sweep.
+and an inverse FFT gives its coefficients.  The grid then only needs
+polynomial evaluation.  A fixed family has K = 1: one determinant per
+subset, a constant on the grid, so the sweep evaluates it at the first
+grid point only, and the product is bit-identical to a per-point sweep.
+
+``position_sweeps`` takes every hyperplane tuple of a family at once.  The
+tuples that share n, q and K are one stack, swept in blocks of T whole
+tuples: one ``polyval_grid`` call gives their (T, q, n+1) coefficient
+matrices at the K nodes, one determinant call the (K, T, S) samples of
+their S subsets, one FFT the (T, S, K) coefficients, and one
+``polyval_grid`` call the (T, S, M) moduli on the M grid points.  A
+tuple's bits do not depend on the block it rides in.  ``position_sweep``
+is the one-tuple case.
 
 All measures are computed on normalized hyperplane representatives (unit sup
 coefficient norm); unnormalized inputs are normalized on the fly, fixed ones
@@ -31,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import config
+from . import _kernels, config
 from ._kernels import polyval_grid
 from .errors import DimensionMismatch, WrongCount
 from .polynomial import stack_coeffs
@@ -104,13 +113,15 @@ class Region:
 # normalization
 # ---------------------------------------------------------------------------
 
-def _canonical(hypers: Sequence[MovingHyperplane],
-               region: Region) -> list[MovingHyperplane]:
-    """Hyperplanes with a normalization in force, normalizing the others,
-    if any, with one ``normalized_many`` call."""
-    raw = [h.coeffs for h in hypers if h.normalization is None]
+def _canonical(tuples: Sequence[Sequence[MovingHyperplane]], region: Region
+               ) -> list[tuple[MovingHyperplane, ...]]:
+    """The tuples with a normalization in force on every hyperplane,
+    normalizing the others, if any, with one ``normalized_many`` call."""
+    raw = [h.coeffs for hypers in tuples for h in hypers
+           if h.normalization is None]
     done = iter(normalized_many(raw, region) if raw else ())
-    return [h if h.normalization is not None else next(done) for h in hypers]
+    return [tuple(h if h.normalization is not None else next(done)
+                  for h in hypers) for hypers in tuples]
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +138,13 @@ def _check_family(hypers: Sequence[MovingHyperplane], n: int) -> None:
                 f"hyperplane dimension {h.n} does not match n={n}")
 
 
-# Complex values one polyval_grid call may produce while multiplying the
-# subset determinants over a grid; bounds memory for large families.
-_EVAL_BLOCK = 1 << 20
-
-
 @dataclass(frozen=True)
 class SubsetDeterminants:
-    """Every (n+1)-subset determinant of a family, as polynomials in u.
+    """Every (n+1)-subset determinant of T hyperplane tuples that share n,
+    their count q and K, as polynomials in u.
 
-    Row s of ``coeffs`` holds det_s ascending in u = (z - centre) / radius,
-    subsets in ``itertools.combinations`` order.
+    ``coeffs[t, s]`` holds det_s of tuple t ascending in
+    u = (z - centre) / radius, subsets in ``itertools.combinations`` order.
     """
 
     coeffs: np.ndarray
@@ -145,36 +152,25 @@ class SubsetDeterminants:
     radius: float
 
     @classmethod
-    def of(cls, hypers: Sequence[MovingHyperplane],
+    def of(cls, tuples: Sequence[Sequence[MovingHyperplane]], K: int,
            region: Region) -> "SubsetDeterminants":
-        """Interpolate each det_s of the hyperplanes, used as given."""
-        n = hypers[0].n
-        _check_family(hypers, n)
-        subsets = list(itertools.combinations(range(len(hypers)), n + 1))
-        row_degrees = sorted(max(p.coeffs.size for p in h.coeffs) - 1
-                             for h in hypers)
-        K = sum(row_degrees[-(n + 1):]) + 1
+        """Interpolate each det_s of the tuples, used as given, from K
+        samples: one ``polyval_grid`` call at the K nodes, one stacked
+        determinant over (K, T, S) and one FFT."""
+        n, q = tuples[0][0].n, len(tuples[0])
+        subsets = list(itertools.combinations(range(q), n + 1))
         centre = complex(0.5 * (region.x_min + region.x_max),
                          0.5 * (region.y_min + region.y_max))
         radius = 0.5 * region.diameter
         nodes = centre + radius * np.exp(2j * np.pi * np.arange(K) / K)
-        rows = polyval_grid(
-            stack_coeffs([p for h in hypers for p in h.coeffs]), nodes)
-        # (K, q, n+1): the family's coefficient matrix at each node.
-        rows = rows.reshape(len(hypers), n + 1, K).transpose(2, 0, 1)
-        samples = np.linalg.det(rows[:, subsets, :])     # (K, S)
+        rows = polyval_grid(stack_coeffs(
+            [p for hypers in tuples for h in hypers for p in h.coeffs]), nodes)
+        # (K, T, q, n+1): each tuple's coefficient matrix at each node.
+        rows = rows.reshape(len(tuples), q, n + 1, K).transpose(3, 0, 1, 2)
+        samples = np.linalg.det(rows[:, :, subsets, :])  # (K, T, S)
         poly = np.fft.fft(samples, axis=0) / K
-        return cls(coeffs=np.ascontiguousarray(poly.T), centre=centre,
-                   radius=radius)
-
-    def blocks(self, pts: np.ndarray):
-        """|det_s| at each point, as (subsets, points) blocks of at most
-        ``_EVAL_BLOCK`` values in subset order, each with the index of its
-        first subset."""
-        u = (pts - self.centre) / self.radius
-        step = max(1, _EVAL_BLOCK // pts.shape[0])
-        for i in range(0, self.coeffs.shape[0], step):
-            yield i, np.abs(polyval_grid(self.coeffs[i:i + step], u))
+        return cls(coeffs=np.ascontiguousarray(poly.transpose(1, 2, 0)),
+                   centre=centre, radius=radius)
 
 
 @dataclass(frozen=True)
@@ -187,33 +183,80 @@ class UniformDelta:
 
 def position_sweep(hypers: Sequence[MovingHyperplane], region: Region
                    ) -> tuple[UniformDelta, float, np.ndarray]:
-    """The grid minimum of the general-position product, a lower bound of
-    the product on the whole region and the product on the grid, from one
-    sweep of the determinant moduli.
+    """``position_sweeps`` of one hyperplane tuple."""
+    return position_sweeps([hypers], region)[0]
+
+
+def position_sweeps(tuples: Sequence[Sequence[MovingHyperplane]],
+                    region: Region
+                    ) -> list[tuple[UniformDelta, float, np.ndarray]]:
+    """For each hyperplane tuple: the grid minimum of its general-position
+    product, a lower bound of the product on the whole region and the
+    product on the grid.
 
     Hyperplanes without a normalization record are normalized against the
     region first.  Each point of the region lies within h (half a cell
     diagonal, in u) of a grid point, and |det_s'| <= L_s = sum_k k |c_{s,k}|
     on |u| <= 1, so the grid minimum of prod_s max(0, |det_s| - h L_s) is a
     bound; a fixed family has L_s = 0 and a bound equal to the grid
-    minimum.  Both products multiply the subsets in order, each block's
-    first row carrying the running product, so their bits do not depend on
-    the block size.
+    minimum, and its products, constant on the grid, are taken at the
+    first grid point only.
+
+    The tuples that share n, q and K are one stack, swept in blocks of
+    whole tuples of at most ``_EVAL_BLOCK`` subset values on the grid; a
+    tuple larger than that is swept alone, its subsets split into blocks.
+    Both products are one ``np.multiply.reduce`` over a block's subsets,
+    the running product folded into its first subset, so no bit of a
+    tuple's sweep depends on the block size or on the other tuples.
     """
-    dets = SubsetDeterminants.of(_canonical(hypers, region), region)
+    tuples = _canonical(tuples, region)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for t, hypers in enumerate(tuples):
+        n = hypers[0].n
+        _check_family(hypers, n)
+        degrees = sorted(max(p.coeffs.size for p in h.coeffs) - 1
+                         for h in hypers)
+        K = sum(degrees[-(n + 1):]) + 1
+        groups.setdefault((n, len(hypers), K), []).append(t)
     pts = region.grid_points()
     cell = math.hypot((region.x_max - region.x_min) / (region.grid_nx - 1),
                       (region.y_max - region.y_min) / (region.grid_ny - 1))
-    lip = np.abs(dets.coeffs[:, 1:]) @ np.arange(1, dets.coeffs.shape[1])
-    slack = 0.5 * cell / dets.radius * lip
-    vals = low = 1.0
-    for i, mod in dets.blocks(pts):
-        bound = np.maximum(mod - slack[i:i + len(mod), None], 0.0)
-        mod[0] *= vals
-        bound[0] *= low
-        vals = np.multiply.reduce(mod, axis=0)
-        low = np.multiply.reduce(bound, axis=0)
-    # The first grid point reaching the minimum.
-    at = int(np.argmin(vals))
-    return (UniformDelta(float(vals[at]), complex(pts[at])), float(low.min()),
-            vals)
+    out: list = [None] * len(tuples)
+    for (n, q, K), stack in groups.items():
+        S = math.comb(q, n + 1)
+        # A fixed tuple's determinants are constants, so its products are
+        # the same at every grid point: the first point gives their bits.
+        M = pts.shape[0] if K > 1 else 1
+        # Whole tuples per block, or one tuple in blocks of `step` subsets.
+        per = _kernels._EVAL_BLOCK // (S * M)
+        step = S if per else max(1, _kernels._EVAL_BLOCK // M)
+        per = max(per, 1)
+        for a in range(0, len(stack), per):
+            block = stack[a:a + per]
+            dets = SubsetDeterminants.of([tuples[t] for t in block], K,
+                                         region)
+            coeffs = dets.coeffs
+            # A (T, S, K-1) stack: numpy takes one product per tuple, with
+            # the tuple's own bits.  One (T*S, K-1) product would not keep
+            # them: OpenBLAS sums some rows in another order.
+            lip = np.abs(coeffs[:, :, 1:]) @ np.arange(1, K)
+            slack = 0.5 * cell / dets.radius * lip
+            u = (pts[:M] - dets.centre) / dets.radius
+            vals = np.ones((len(block), M))
+            low = np.ones((len(block), M))
+            for s in range(0, S, step):
+                mod = np.abs(polyval_grid(
+                    coeffs[:, s:s + step].reshape(-1, K), u)
+                ).reshape(len(block), -1, M)
+                bound = np.maximum(mod - slack[:, s:s + step, None], 0.0)
+                mod[:, 0] *= vals
+                bound[:, 0] *= low
+                vals = np.multiply.reduce(mod, axis=1)
+                low = np.multiply.reduce(bound, axis=1)
+            if K == 1:
+                vals = np.repeat(vals, pts.shape[0], axis=1)
+            # The first grid point reaching each minimum.
+            at = np.argmin(vals, axis=1).tolist()
+            for t, v, k, b in zip(block, vals, at, low.min(axis=1).tolist()):
+                out[t] = (UniformDelta(float(v[k]), complex(pts[k])), b, v)
+    return out

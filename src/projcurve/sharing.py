@@ -23,11 +23,12 @@ from typing import Sequence
 import numpy as np
 
 from . import config
+from ._kernels import polyval_grid
 from .derived import derived_maps
 from .errors import IdenticallyZero, WrongCount, ValidationError
-from .normality import marty_sup
-from .polynomial import roots_many, trimmed_lengths
-from .position import Region, UniformDelta, position_sweep
+from .normality import marty_sups
+from .polynomial import roots_many, stack_coeffs, trimmed_lengths
+from .position import Region, UniformDelta, position_sweeps
 from .projective import MovingHyperplane, ProjCurve, induced_curve, pair_rows
 
 
@@ -188,7 +189,8 @@ def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
     """``conditions_check`` of every member, from one ``derived_maps`` call,
     one ``pair_rows`` contraction of the curves and the derived maps with
     their hyperplanes, one ``roots_many`` call over all 2(2n+1) pairings of
-    every member, and one ``_match_sets`` call over all of them.
+    every member, one ``_match_sets`` call over all of them, and one
+    ``polyval_grid`` call for condition 2.
 
     Members meet their defects in member order: the first pairing that
     vanishes identically raises IdenticallyZero naming its member and
@@ -222,23 +224,36 @@ def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
         derived_maps(curves[head:])  # raises FirstComponentZero
     matches = _match_sets(list(zip(zeros[0::2], zeros[1::2])),
                           cfg.match_tolerance)
-    out = []
-    start = 0
-    for m in members:
-        stop = start + len(m.hyperplanes)
-        out.append(_member_conditions(m, zeros[2 * start: 2 * stop],
-                                      matches[start:stop], cfg))
-        start = stop
-    return out
+    ends = list(itertools.accumulate(len(m.hyperplanes) for m in members))
+    spans = list(zip([0, *ends], ends))
+    # Every curve-side zero of each member, with its hyperplane.
+    found = [[(z, j - a) for j in range(a, b) for z in zeros[2 * j]]
+             for a, b in spans]
+    # Condition 2 evaluates every member's components at its own zeros in
+    # one polyval_grid call, rows and point lists zero-padded.
+    at = np.zeros((len(members), max(map(len, found), default=0)),
+                  dtype=np.complex128)
+    for row, zs in zip(at, found):
+        row[:len(zs)] = [z for z, _ in zs]
+    sizes = [f.n + 1 for f in curves]
+    mods = np.abs(polyval_grid(
+        stack_coeffs([p for f in curves for p in f.components]),
+        np.repeat(at, sizes, axis=0)))
+    firsts = itertools.accumulate(sizes, initial=0)
+    return [_member_conditions(zeros[2 * a: 2 * b], matches[a:b], zs,
+                               mods[r: r + size, :len(zs)], cfg)
+            for (a, b), zs, r, size in zip(spans, found, firsts, sizes)]
 
 
-def _member_conditions(member: FamilyMember, zeros: list[list[complex]],
+def _member_conditions(zeros: list[list[complex]],
                        matches: list[tuple[list[tuple[int, int]],
                                            list[int], list[int]]],
+                       found: list[tuple[complex, int]], mods: np.ndarray,
                        cfg: CheckConfig) -> tuple[list[dict], dict]:
-    """Conditions 1 and 2 from the member's pairing zeros, curve and
-    derived map alternating per hyperplane, and the matching of each
-    hyperplane's two zero sets."""
+    """Conditions 1 and 2 of one member from its pairing zeros, curve and
+    derived map alternating per hyperplane, the matching of each
+    hyperplane's two zero sets, and the moduli ``mods`` of its components
+    at its curve-side zeros ``found`` (each with its hyperplane)."""
     cond1 = []
     for j, (_, free_f, free_d) in enumerate(matches):
         zf, zd = zeros[2 * j], zeros[2 * j + 1]
@@ -248,11 +263,6 @@ def _member_conditions(member: FamilyMember, zeros: list[list[complex]],
             "curve_only": [zf[i] for i in free_f],
             "derived_only": [zd[i] for i in free_d],
         })
-    # Every curve-side zero, with its hyperplane, at once.
-    found = [(z, j) for j in range(len(member.hyperplanes))
-             for z in zeros[2 * j]]
-    mods = np.abs(member.curve.at_many(np.array([z for z, _ in found],
-                                                dtype=np.complex128)))
     lhs = mods[0].tolist()
     rhs = (cfg.epsilon * mods.max(axis=0)).tolist()
     witnesses = [{"z": z, "hyperplane": j, "lhs": lo, "rhs": hi}
@@ -350,9 +360,11 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
     """Run every hypothesis check and aggregate the verdicts.
 
     ``deltas`` maps hyperplane tuples to ``position_sweep(...)[0]``
-    already taken on ``cfg.region``; tuples it lacks are swept here.
-    Conditions 1 and 2 of the whole family come from one ``derived_maps``
-    call and one ``roots_many`` call.  Degenerate members (curve inside a
+    already taken on ``cfg.region``; the tuples it lacks are swept here
+    with one ``position_sweeps`` call.  Conditions 1 and 2 of the whole
+    family come from one ``derived_maps`` call and one ``roots_many``
+    call, and the induced curves of all 2n+1 hyperplane indices from one
+    ``marty_sups`` call.  Degenerate members (curve inside a
     hyperplane, annotated with the member label; zero first component)
     raise; they are scene defects, not check failures.
     """
@@ -368,10 +380,10 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
     verdicts: list[MemberVerdict] = []
     # Members holding the same hyperplane objects share one sweep.
     deltas = dict(deltas or {})
-    for m in members:
-        if m.hyperplanes not in deltas:
-            deltas[m.hyperplanes] = position_sweep(m.hyperplanes,
-                                                   cfg.region)[0]
+    missing = list(dict.fromkeys(m.hyperplanes for m in members
+                                 if m.hyperplanes not in deltas))
+    deltas.update(zip(missing, (sweep[0] for sweep in position_sweeps(
+        missing, cfg.region))))
     for m, (c1, c2) in zip(members, _family_conditions(members, cfg)):
         verdicts.append(MemberVerdict(
             label=m.label,
@@ -383,19 +395,16 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
             condition2_ok=c2["passed"],
         ))
 
-    # One induced curve per distinct hyperplane object, so marty_sup sweeps
-    # a hyperplane that several members hold once.
+    # One induced curve per distinct hyperplane object, and the families of
+    # every hyperplane index in one marty_sups sweep, so a hyperplane that
+    # several members hold is swept once.
     curves = {h: induced_curve(h) for m in members for h in m.hyperplanes}
     count = len(members[0].hyperplanes)
-    induced = []
-    for j in range(count):
-        fam = [curves[m.hyperplanes[j]] for m in members]
-        stats = marty_sup(fam, cfg.region)
-        induced.append({
-            "hyperplane": j,
-            "verdict": stats.verdict,
-            "sups": list(stats.sups),
-        })
+    induced = [{"hyperplane": j, "verdict": stats.verdict,
+                "sups": list(stats.sups)}
+               for j, stats in enumerate(marty_sups(
+                   [[curves[m.hyperplanes[j]] for m in members]
+                    for j in range(count)], cfg.region))]
     if len(members) < config.MARTY_WINDOW:
         warnings.append(
             "induced-family normality is inconclusive below "

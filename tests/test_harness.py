@@ -417,30 +417,26 @@ class TestPipeline:
         assert report["stages"]["normality"]["verdict"] == "blow-up"
 
     def test_zalcman_reuses_normality_sups(self, monkeypatch):
+        # The stacked sweep receives each member once, on the grid; zalcman
+        # sweeps only the rescaled members, and only at zeta = 0.
         scene = generate_scene("blowup_linear")
-        calls = []
-
-        def counting(curve, region):
-            calls.append(curve)
-            return fs_derivative_on_grid(curve, region)
-
-        fs_derivative_on_grid = normality.fs_derivative_on_grid
-        monkeypatch.setattr(normality, "fs_derivative_on_grid", counting)
+        swept = record_swept(monkeypatch)
         _, code = run_pipeline(scene, which=("zalcman",))
         assert code == 0
-        assert len(calls) == len(scene.members)
+        grid = scene.region.grid_points().size
+        assert [f for f, m in swept if m == grid] == \
+            [m.curve for m in scene.members]
+        assert [m for _, m in swept if m != grid] == [1] * len(scene.members)
 
     def test_fixed_hyperplanes_check_sweeps_no_grid(self, monkeypatch):
         # Fixed hyperplanes induce constant curves; montel members are
         # constant too, so neither check nor normality sweeps a grid.
         scene = generate_scene("montel_omitting", {"n": 2, "N": 4})
-        calls = []
-        monkeypatch.setattr(normality, "fs_derivative_on_grid",
-                            lambda curve, region: calls.append(curve))
+        swept = record_swept(monkeypatch)
         report, _ = run_pipeline(scene, which=("check", "normality"))
         assert len(report["stages"]["check"]["induced_normality"]) == 5
         assert report["stages"]["normality"]["sups"] == [0.0] * 4
-        assert calls == []
+        assert swept == []
 
     def test_zalcman_csv_reuses_last_residual(self, tmp_path, monkeypatch):
         scene = generate_scene("blowup_linear", {"N": 8})
@@ -509,6 +505,35 @@ class TestPipeline:
         scene = generate_scene("wandering_shared")
         report, _ = run_pipeline(scene, which=("position",))
         assert report["schema_version"] == 1
+
+
+def record_swept(monkeypatch):
+    """(curve, point count) for every curve the stacked Fubini-Study
+    sweep receives."""
+    swept = []
+    blocks = normality._fs_blocks
+
+    def recording(curves, pts):
+        swept.extend((f, pts.size) for f in curves)
+        return blocks(curves, pts)
+
+    monkeypatch.setattr(normality, "_fs_blocks", recording)
+    return swept
+
+
+def record_interpolated(monkeypatch):
+    """Every hyperplane tuple whose subset determinants are interpolated,
+    in the order the stacked calls receive them."""
+    received = []
+    of = position.SubsetDeterminants.of
+
+    def recording(tuples, K, region):
+        received.extend(tuples)
+        return of(tuples, K, region)
+
+    monkeypatch.setattr(position.SubsetDeterminants, "of",
+                        staticmethod(recording))
+    return received
 
 
 def count_calls(monkeypatch, owner, name):
@@ -633,10 +658,12 @@ class TestSharedHyperplanes:
                                {"N": 12, "grid_nx": 21, "grid_ny": 21})
         alone = {stage: run_pipeline(scene, which=(stage,))[0]["stages"][stage]
                  for stage in ("position", "check")}
-        calls = count_calls(monkeypatch, position.SubsetDeterminants, "of")
+        # position interpolates each of the 12 distinct tuples once, and
+        # check none again.
+        received = record_interpolated(monkeypatch)
         report, code = run_pipeline(scene, which=("position", "check"))
         assert code == 0
-        assert len(calls) == 12
+        assert received == [m.hyperplanes for m in scene.members]
         assert json.dumps(report["stages"], sort_keys=True) == \
             json.dumps(alone, sort_keys=True)
 
@@ -649,32 +676,32 @@ class TestSharedHyperplanes:
                                   {"n": 2, "N": 30, "grid_nx": 11,
                                    "grid_ny": 11}), path)
         scene = load_scene(path)
-        calls = []
-        of = position.SubsetDeterminants.of
-        monkeypatch.setattr(position.SubsetDeterminants, "of", staticmethod(
-            lambda hypers, region: calls.append(hypers) or of(hypers, region)))
+        shared = scene.members[0].hyperplanes
+        received = record_interpolated(monkeypatch)
         report, _ = run_pipeline(scene, which=("check",))
-        assert len(calls) == 1
+        assert received == [shared]
         assert len(report["stages"]["check"]["members"]) == 30
-        calls.clear()
-        sweeps = count_calls(monkeypatch, harness, "position_sweep")
+        received.clear()
+        sweeps = count_calls(monkeypatch, harness, "position_sweeps")
         report, _ = run_pipeline(scene, which=("position",),
                                  csv_dir=str(tmp_path / "csv"))
-        assert len(calls) == len(sweeps) == 1
+        assert received == [shared]
+        assert [list(tuples) for tuples, _ in sweeps] == [[shared]]
         assert len(report["stages"]["position"]["per_member"]) == 30
         rows = (tmp_path / "csv" / "position.csv").read_text().splitlines()
         assert len(rows) == 1 + 30 * 11 * 11
 
     def test_position_builds_no_second_grid(self, monkeypatch):
-        # 12 members with 12 distinct hyperplane tuples: 12 sweeps read the
-        # scene's grid, built when the hyperplanes were normalized, and
-        # bound the product without a finer grid.
+        # 12 members with 12 distinct hyperplane tuples: one stacked sweep
+        # of all 12 reads the scene's grid, built when the hyperplanes were
+        # normalized, and bounds the product without a finer grid.
         scene = generate_scene("wandering_shared",
                                {"N": 12, "grid_nx": 21, "grid_ny": 21})
         calls = count_calls(monkeypatch, position.np, "meshgrid")
-        sweeps = count_calls(monkeypatch, harness, "position_sweep")
+        sweeps = count_calls(monkeypatch, harness, "position_sweeps")
         report, _ = run_pipeline(scene, which=("position",))
-        assert len(sweeps) == 12
+        assert [list(tuples) for tuples, _ in sweeps] == \
+            [[m.hyperplanes for m in scene.members]]
         assert calls == []
         for entry in report["stages"]["position"]["per_member"]:
             assert set(entry) == {"label", "min", "argmin", "lower_bound",
@@ -692,13 +719,16 @@ class TestSharedHyperplanes:
         copies = dataclasses.replace(scene, members=tuple(
             FamilyMember(m.curve, [copy.deepcopy(h) for h in first], m.label)
             for m in scene.members))
-        calls = count_calls(monkeypatch, normality, "fs_derivative_on_grid")
+        swept = record_swept(monkeypatch)
         reports = []
         for sc, sweeps in ((shared, 2), (copies, 24)):
-            calls.clear()
+            swept.clear()
             report, code = run_pipeline(sc, which=("check",))
             reports.append((json.dumps(report, sort_keys=True), code))
-            assert len(calls) == sweeps
+            # Each moving hyperplane object's induced curve, once.
+            curves = [f for f, _ in swept]
+            assert len(curves) == len(set(curves)) == sweeps
+            assert not any(f.is_constant for f in curves)
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("template, params", [

@@ -52,12 +52,20 @@ class TestPolyvalGrid:
 
 class TestFsDerivativeGrid:
     def test_linear_formula(self):
-        comp = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
-        dcomp = np.array([[0.0, 0.0], [2.0, 0.0]], dtype=complex)
+        # [1 : 2z], alone and stacked with [1 : z] on the batch axis.
+        comp = np.array([[[1.0, 0.0], [0.0, 2.0]]], dtype=complex)
+        dcomp = np.array([[[0.0], [2.0]]], dtype=complex)
         pts = np.array([0.0 + 0j, 1.0 + 0j, 1j])
         vals = _kernels.fs_derivative_grid_numpy(comp, dcomp, pts)
+        assert vals.shape == (1, 3)
         expect = 2.0 / (1.0 + 4.0 * np.abs(pts) ** 2)
-        assert np.abs(vals - expect).max() <= 1e-14
+        assert np.abs(vals[0] - expect).max() <= 1e-14
+        both = _kernels.fs_derivative_grid_numpy(
+            np.concatenate([comp, comp / [[[1.0], [2.0]]]]),
+            np.concatenate([dcomp, dcomp / 2.0]), pts)
+        assert both.shape == (2, 3)
+        assert both[0].tobytes() == vals[0].tobytes()
+        assert np.abs(both[1] - 1.0 / (1.0 + np.abs(pts) ** 2)).max() <= 1e-14
 
 
 class TestDetprodGrid:

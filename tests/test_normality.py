@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projcurve import normality, position
+from projcurve import _kernels, normality, position
 from projcurve._kernels import fs_derivative_grid, pairwise_fs_grid
 from projcurve.errors import NotBlowingUp, WrongCount
 from projcurve.normality import (fs_derivative, fs_derivative_on_grid,
@@ -181,16 +181,16 @@ class TestMartySup:
                             property(lambda self: False))
         grid = marty_sup(curves, REGION)
         monkeypatch.undo()
-        calls = []
-        sweep = normality.fs_derivative_on_grid
+        swept = []
+        blocks = normality._fs_blocks
 
-        def counting(curve, region):
-            calls.append(curve)
-            return sweep(curve, region)
+        def recording(batch, pts):
+            swept.extend(batch)
+            return blocks(batch, pts)
 
-        monkeypatch.setattr(normality, "fs_derivative_on_grid", counting)
+        monkeypatch.setattr(normality, "_fs_blocks", recording)
         assert marty_sup(curves, REGION) == grid
-        assert calls == curves[-1:]
+        assert swept == curves[-1:]
 
     def test_tiny_and_huge_coordinates(self):
         # [c : c z] is [1 : z] projectively; |f|^2 underflows or overflows
@@ -281,8 +281,47 @@ class TestPowerOfTwoScaling:
         f = ProjCurve(_random_curve(rng, n, degree, 10.0 ** exponent),
                       check_reduced=False)
         pts = self.grid.grid_points()
-        raw = fs_derivative_grid(*_unscaled_pack(f), pts)
-        assert fs_derivative_on_grid(f, self.grid).tobytes() == raw.tobytes()
+        comp, dcomp = _unscaled_pack(f)
+        raw = fs_derivative_grid(comp[None], dcomp[None], pts)
+        assert raw.shape == (1, pts.size)
+        assert fs_derivative_on_grid(f, self.grid).tobytes() == \
+            raw[0].tobytes()
+
+
+class TestStackedMarty:
+    """A curve's sup, argmax and grid values have the same bits swept
+    alone and inside a family that mixes n, degrees, scales, constant
+    curves and repeated objects, at every block size."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 4),
+                                     st.sampled_from([-170, 0, 170])),
+                           min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_alone_equals_in_family(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        region = Region(-1, 1, -0.5, 0.5, 7, 5)
+        pts = region.grid_points()
+        # Degree 0 makes a constant curve.
+        curves = [ProjCurve(_random_curve(rng, n, degree, 10.0 ** e),
+                            check_reduced=False)
+                  for n, degree, e in shapes]
+        family = curves + curves[:2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = [marty_sup([f], region).members[0] for f in family]
+            grids = [fs_derivative_on_grid(f, region).tobytes()
+                     for f in family]
+            with pytest.MonkeyPatch.context() as mp:
+                # One curve per block; two n = 6 curves; the default; all.
+                for block in (1, 2 * 14 * pts.size, _kernels._EVAL_BLOCK,
+                              1 << 30):
+                    mp.setattr(_kernels, "_EVAL_BLOCK", block)
+                    got = marty_sup(family, region).members
+                    assert [(m.sup.hex(), m.argmax) for m in got] == \
+                        [(m.sup.hex(), m.argmax) for m in want]
+                    assert [row.tobytes() for row in normality._fs_values(
+                        family, pts)] == grids
 
 
 class TestZalcman:
@@ -336,6 +375,26 @@ class TestZalcman:
         assert data["rho_decreasing"] is True
         assert data["limit_candidate"] == data["rescaled"][-1]
         assert len(data["unit_derivative_at_zero"]) == 4
+
+    def test_unit_derivatives_match_pointwise(self, monkeypatch):
+        # One stacked kernel call at zeta = 0 gives every rescaled
+        # member's unit derivative, with fs_derivative's bits.
+        curves = [ProjCurve([ONE, ComplexPoly([0.3, -1.0, 0.5 * nu])])
+                  for nu in range(1, 9)]
+        trace = zalcman(curves)
+        calls = []
+        kernel = normality.fs_derivative_grid
+
+        def counting(comp, dcomp, pts):
+            calls.append((comp.shape[0], pts.size))
+            return kernel(comp, dcomp, pts)
+
+        monkeypatch.setattr(normality, "fs_derivative_grid", counting)
+        got = trace.to_json()["unit_derivative_at_zero"]
+        assert calls == [(8, 1)]
+        monkeypatch.undo()
+        assert [x.hex() for x in got] == \
+            [fs_derivative(g, 0.0).hex() for g in trace.rescaled]
 
 
 def omitted(curve, hypers):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projcurve import config, position
+from projcurve import _kernels, config, position
 from projcurve.errors import WrongCount
 from projcurve.harness import generate_scene, rebuild_scene, run_pipeline
 from projcurve.polynomial import ComplexPoly, stack_coeffs
-from projcurve.position import Region, position_sweep
+from projcurve.position import Region, position_sweep, position_sweeps
 from projcurve.projective import MovingHyperplane
 
 ONE = ComplexPoly.one()
@@ -382,6 +382,12 @@ class TestFixedFamiliesExact:
             assert p.coeffs.tobytes() == expect.tobytes()
 
 
+def sweep_key(sweep):
+    """Every bit of a sweep: minimum, argmin, lower bound, grid values."""
+    ud, low, vals = sweep
+    return ud.value.hex(), ud.argmin, low.hex(), vals.tobytes()
+
+
 class TestBlockSize:
     """The sweep multiplies the subsets in order whatever its block size:
     each block's first row carries the running product."""
@@ -399,19 +405,68 @@ class TestBlockSize:
                                           "grid_ny": grid})
         tuples = list(dict.fromkeys(m.hyperplanes for m in scene.members))
         pts = scene.region.grid_points()
-        # The default block holds every subset of these families at once.
-        assert all(math.comb(len(h), h[0].n + 1) * pts.size
-                   <= position._EVAL_BLOCK for h in tuples)
 
         def sweeps():
-            out = []
-            for hypers in tuples:
-                ud, low, vals = position_sweep(hypers, scene.region)
-                out.append((ud.value.hex(), ud.argmin, low.hex(),
-                            vals.tobytes()))
-            return out
+            alone = [sweep_key(position_sweep(h, scene.region))
+                     for h in tuples]
+            stacked = [sweep_key(s)
+                       for s in position_sweeps(tuples, scene.region)]
+            assert stacked == alone
+            return alone
 
+        default = _kernels._EVAL_BLOCK
+        # A block that holds every subset of every tuple at once.
+        monkeypatch.setattr(_kernels, "_EVAL_BLOCK", len(tuples) * max(
+            math.comb(len(h), h[0].n + 1) for h in tuples) * pts.size)
         whole = sweeps()
-        for block in (1, 7, 100):
-            monkeypatch.setattr(position, "_EVAL_BLOCK", block)
+        for block in (1, 7, 100, default):
+            monkeypatch.setattr(_kernels, "_EVAL_BLOCK", block)
             assert sweeps() == whole
+
+
+def _random_tuples(rng, n, q, count):
+    """``count`` tuples of q random hyperplanes of P^n with one pattern of
+    degrees, so one stack: each hyperplane fixed or moving of degree 1
+    or 2."""
+    sizes = rng.integers(1, 4, q)
+    return [[MovingHyperplane([
+        ComplexPoly(rng.standard_normal(size)
+                    + 1j * rng.standard_normal(size))
+        for _ in range(n + 1)]) for size in sizes] for _ in range(count)]
+
+
+class TestStackedSweep:
+    """A tuple's sweep has the same bits swept alone and inside a family
+    that mixes n, q, K, fixed and moving hyperplanes and duplicates, at
+    every block size."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2),
+                                     st.integers(1, 4)),
+                           min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_alone_equals_in_family(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        # Small enough that the lower bounds are positive, so that every
+        # bit of each L_s reaches them.
+        region = Region(0.3, 0.31, -0.1, -0.092, 4, 3)
+        # q runs from n + 1 to n + 3, at most 36 subsets (n = 6, q = 9).
+        tuples = [h for n, extra, count in shapes
+                  for h in _random_tuples(rng, n, n + 1 + min(extra, n),
+                                          count)]
+        # Duplicates: a repeated tuple, and one sharing another's objects.
+        family = tuples + [tuples[0], tuples[-1][::-1]]
+        M = region.grid_points().size
+        largest = max(math.comb(len(h), h[0].n + 1) for h in family) * M
+        default = _kernels._EVAL_BLOCK
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_EVAL_BLOCK", len(family) * largest)
+            want = [sweep_key(position_sweep(h, region)) for h in family]
+            # One subset per block; a split of the larger tuples; one
+            # tuple per block; the default; everything in one block.
+            for block in (1, 5 * M, largest, default, len(family) * largest):
+                mp.setattr(_kernels, "_EVAL_BLOCK", block)
+                assert [sweep_key(position_sweep(h, region))
+                        for h in family] == want
+                assert [sweep_key(s)
+                        for s in position_sweeps(family, region)] == want

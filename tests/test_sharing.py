@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from projcurve.derived import derived_map
 from projcurve.errors import FirstComponentZero, IdenticallyZero, WrongCount
+from projcurve.harness import generate_scene
 from projcurve.polynomial import ComplexPoly, roots_many
 from projcurve.position import Region, position_sweep
 from projcurve.projective import MovingHyperplane, ProjCurve, pair_rows
@@ -204,6 +205,22 @@ class TestConditions:
         _, rep = conditions_check(m, cfg)
         assert not rep["passed"]
         assert any(abs(w["z"] - 0.2) <= 1e-6 for w in rep["witnesses"])
+
+    def test_condition2_witnesses_carry_the_members_own_values(self):
+        # The whole family is evaluated in one stacked call; each witness
+        # has the bits of its member's own at_many at its zero.
+        scene = generate_scene("wandering_shared", {"mutate": "epsilon"})
+        cfg = scene.config
+        report = hypotheses_check(scene.members, cfg)
+        checked = 0
+        for m, v in zip(scene.members, report.members):
+            for w in v.condition2["witnesses"]:
+                mods = np.abs(m.curve.at_many(np.array([w["z"]])))[:, 0]
+                assert w["lhs"].hex() == float(mods[0]).hex()
+                assert w["rhs"].hex() == \
+                    float(cfg.epsilon * mods.max()).hex()
+                checked += 1
+        assert checked > 0
 
 
 class TestHypothesesCheck:
