@@ -4,46 +4,38 @@ The kernels are plain numpy.  They keep their historical ``*_numpy`` names,
 which the benchmark's trace wraps; the plain names are aliases.
 
 The kernels take whole families on a batch axis: ``polyval_grid`` takes
-(K, L) rows and ``fs_derivative_grid`` (B, P, L) curves.  The grid sweeps
-of ``position`` and ``normality`` cut a family into blocks of at most
-``_EVAL_BLOCK`` complex values per ``polyval_grid`` call.  A kernel works
-elementwise along the batch and reduces only along other axes, so no bit
-of an item depends on the batch it rides in.
+(K, L) rows, ``fs_derivative_grid`` (B, P, L) curves and
+``pairwise_fs_grid`` (..., P, M) sampled curves.  The grid sweeps of
+``position`` and ``normality``, the Zalcman samples and the hyperplane
+normalization cut a family into blocks of at most ``_EVAL_BLOCK`` complex
+values per ``polyval_grid`` call.  A kernel works elementwise along the
+batch and reduces only along other axes, so no bit of an item depends on
+the batch it rides in.
 """
-
-import math
 
 import numpy as np
 
 # Complex values one polyval_grid call of a grid sweep may produce (256 KiB):
 # whole hyperplane tuples (subsets x points) or whole curves (curve and
-# derivative rows x points) per block, at least one.  Small enough that a
-# block stays in cache: a blow-up family of n = 3 at 81 x 81 points sweeps
-# one curve per block.
+# derivative rows, or components, x points) per block, at least one.  Small
+# enough that a block stays in cache: a blow-up family of n = 3 at 81 x 81
+# points sweeps one curve per block.
 _EVAL_BLOCK = 1 << 14
 
 
-def pow2_scaled(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays times one power of two that brings their largest modulus
-    into [0.5, 1), or a subnormal one into [2**-53, 0.5).
+def pow2_factors(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each modulus in ``top`` is finite and positive, and the
+    power of two 2**-e that brings such a top into [0.5, 1), 1.0 for the
+    others.  e is clamped at -1021 so that 2**-e stays finite, which leaves
+    a subnormal top in [2**-53, 0.5).
 
-    Scaling by a power of two is exact, and the Fubini-Study ratios do not
-    depend on scale, so the kernels keep every bit while tiny or huge
+    Scaling by a power of two is exact, and the Fubini-Study quantities do
+    not depend on scale, so the kernels keep every bit while tiny or huge
     coordinates no longer underflow or overflow in the squared norms.
     """
-    top = max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
-    if not 0.0 < top < math.inf:
-        return arrays
-    e = int(pow2_exponents(np.float64(top)))
-    return tuple(a * 2.0 ** -e for a in arrays)
-
-
-def pow2_exponents(top: np.ndarray) -> np.ndarray:
-    """The binary exponent e of each finite positive modulus in ``top``,
-    so that top * 2**-e lies in [0.5, 1); clamped at -1021 so that
-    2.0 ** -e stays finite, which leaves a subnormal top in
-    [2**-53, 0.5)."""
-    return np.maximum(np.frexp(top)[1], -1021)
+    finite = (0.0 < top) & (top < np.inf)
+    e = np.maximum(np.frexp(np.where(finite, top, 0.5))[1], -1021)
+    return finite, np.ldexp(1.0, -e)
 
 
 def polyval_grid_numpy(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -98,16 +90,22 @@ def fs_derivative_grid_numpy(comp: np.ndarray, dcomp: np.ndarray,
 
 
 def pairwise_fs_grid_numpy(vals_a: np.ndarray, vals_b: np.ndarray) -> np.ndarray:
-    """Fubini-Study distance between two sampled curves, pointwise.
+    """Fubini-Study distance between sampled curves, pointwise:
+    (..., P, M) x (..., P, M) -> (..., M), item by item along the batch.
 
-    Inputs are (n+1, M) arrays of homogeneous coordinates; each is scaled
-    by its own power of two first.
+    An item is the (P, M) homogeneous coordinates of one curve at M points.
+    Each item is scaled first by its own ``pow2_factors`` power of two; an
+    item whose largest modulus is 0 or not finite is left as it is.
     """
-    vals_a, = pow2_scaled(vals_a)
-    vals_b, = pow2_scaled(vals_b)
-    na = np.sqrt(np.sum(np.abs(vals_a) ** 2, axis=0))
-    nb = np.sqrt(np.sum(np.abs(vals_b) ** 2, axis=0))
-    return np.sqrt(_cross_terms(vals_a, vals_b)) / (na * nb)
+    scaled = []
+    for vals in (vals_a, vals_b):
+        finite, factor = pow2_factors(np.abs(vals).max(
+            axis=(-2, -1), keepdims=True, initial=0.0))
+        scaled.append(np.where(finite, vals * factor, vals))
+    a, b = scaled
+    na = np.sqrt(np.sum(np.abs(a) ** 2, axis=-2))
+    nb = np.sqrt(np.sum(np.abs(b) ** 2, axis=-2))
+    return np.sqrt(_cross_terms(a, b)) / (na * nb)
 
 
 polyval_grid = polyval_grid_numpy

@@ -7,7 +7,8 @@ sequence of per-member sups is classified as bounded, blow-up, or
 inconclusive under declared thresholds.  When the verdict is blow-up, the
 rescaling explorer recenters each member at its sup location, scales by the
 reciprocal sup (forcing unit derivative at the origin), and measures how the
-rescaled curves converge on a disc.
+rescaled curves converge on a disc.  Both take a family at once, its
+members on the batch axis of the stacked kernels.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels, config
-from ._kernels import fs_derivative_grid, pairwise_fs_grid, pow2_exponents
+from ._kernels import (fs_derivative_grid, pairwise_fs_grid, polyval_grid,
+                       pow2_factors)
 from .errors import NotBlowingUp, WrongCount
-from .polynomial import stack_coeffs
+from .polynomial import ComplexPoly, _taylor, stack_coeffs
 from .position import Region
 from .projective import ProjCurve
 
@@ -63,7 +65,7 @@ def _fs_blocks(curves: Sequence[ProjCurve], pts: np.ndarray):
 
     The curves are packed with one ``stack_coeffs`` call.  Each curve's
     components, and their derivatives one column shorter, are scaled
-    together by the power of two that ``pow2_scaled`` would pick for them,
+    together by the ``pow2_factors`` power of two of their largest modulus,
     so tiny or huge coefficients neither underflow nor overflow.
     """
     if not curves:
@@ -75,10 +77,9 @@ def _fs_blocks(curves: Sequence[ProjCurve], pts: np.ndarray):
     top = np.maximum.reduceat(np.maximum(
         np.abs(comp).max(axis=1), np.abs(dcomp).max(axis=1, initial=0.0)),
         starts)
-    finite = (0.0 < top) & (top < np.inf)
-    exps = pow2_exponents(np.where(finite, top, 1.0))
+    finite, factor = pow2_factors(top)
     scaled = np.repeat(finite, sizes)
-    factor = np.repeat(np.ldexp(1.0, -exps), sizes)[scaled, None]
+    factor = np.repeat(factor, sizes)[scaled, None]
     comp[scaled] *= factor
     dcomp[scaled] *= factor
     groups: dict[int, list[int]] = {}
@@ -246,6 +247,13 @@ def zalcman_search(members: Sequence[ProjCurve],
     the last member's samples.  A blow-up verdict can still include a
     member with sup 0, such as a constant curve before the growing tail; it
     has no scale, so it raises NotBlowingUp naming its index.
+
+    The Taylor coefficients of every component are one ``polyval_grid``
+    call, each ``_taylor`` row at its member's center.  The samples and
+    distances take one ``polyval_grid`` and one ``pairwise_fs_grid`` call
+    per block of whole members of at most ``_EVAL_BLOCK`` values, a block's
+    last member carried into the next; a member of smaller n is padded
+    with zero components, which change no distance.
     """
     members = list(members)
     if len(members) != len(stats.members):
@@ -254,35 +262,47 @@ def zalcman_search(members: Sequence[ProjCurve],
     if stats.verdict != "blow-up":
         raise NotBlowingUp(
             f"family verdict is {stats.verdict!r}; rescaling needs blow-up")
-    centers = []
-    rhos = []
-    rescaled = []
-    for i, (f, mm) in enumerate(zip(members, stats.members)):
+    for i, mm in enumerate(stats.members):
         if mm.sup == 0.0:
             raise NotBlowingUp(
                 f"member {i} has Marty sup 0; rescaling needs a positive sup")
-        rho = 1.0 / mm.sup
-        comps = [p.shift_scale(mm.argmax, rho) for p in f.components]
-        centers.append(mm.argmax)
-        rhos.append(rho)
-        rescaled.append(ProjCurve(comps, check_reduced=False))
+    centers = tuple(mm.argmax for mm in stats.members)
+    rhos = tuple(1.0 / mm.sup for mm in stats.members)
+    sizes = [f.n + 1 for f in members]
+    comps = stack_coeffs([p for f in members for p in f.components])
+    R, L = comps.shape
+    owner = np.repeat(np.arange(len(members)), sizes)
+    # Row r * L + j is component r's j-th Taylor coefficient at its center.
+    taylor = polyval_grid(
+        _taylor(comps, np.repeat(np.arange(R), L), np.tile(np.arange(L), R)),
+        np.repeat(np.array(centers, dtype=np.complex128)[owner], L)[:, None])
+    powers = np.array(rhos, dtype=np.complex128)[owner, None] ** np.arange(L)
+    polys = iter(ComplexPoly.from_rows(taylor.reshape(R, L) * powers))
+    rescaled = tuple(ProjCurve([next(polys) for _ in range(P)],
+                               check_reduced=False) for P in sizes)
     zeta = _zeta_disc(ZETA_RADIUS, ZETA_PER_AXIS)
-    samples = [g.at_many(zeta) for g in rescaled]
-    # Only the last pair's distances are kept, for ``limit_distances``.
-    last = np.zeros(zeta.size)
-    residuals = []
-    for a, b in zip(samples, samples[1:]):
-        last = pairwise_fs_grid(a, b)
-        residuals.append(float(np.max(last)))
-    rho_arr = np.array(rhos)
+    P, M = max(sizes), zeta.size
+    pad = (ComplexPoly.zero(),)
+    coeffs = stack_coeffs([p for g in rescaled
+                           for p in g.components + pad * (P - g.n - 1)])
+    coeffs = coeffs.reshape(len(members), P, -1)
+    step = max(1, _kernels._EVAL_BLOCK // (P * M))
+    vals = np.zeros((0, P, M), dtype=np.complex128)
+    residuals: list[float] = []
+    for a in range(0, len(members), step):
+        block = polyval_grid(coeffs[a:a + step].reshape(-1, coeffs.shape[2]),
+                             zeta).reshape(-1, P, M)
+        vals = np.concatenate([vals[-1:], block])
+        dist = pairwise_fs_grid(vals[:-1], vals[1:])
+        residuals += dist.max(axis=1).tolist()
     return ZalcmanTrace(
-        centers=tuple(centers),
-        rhos=tuple(rhos),
-        rescaled=tuple(rescaled),
+        centers=centers,
+        rhos=rhos,
+        rescaled=rescaled,
         zeta_points=zeta,
-        limit_candidate=samples[-1],
-        limit_distances=last,
+        limit_candidate=vals[-1, :sizes[-1]],
+        limit_distances=dist[-1] if residuals else np.zeros(M),
         residuals=tuple(residuals),
         convergence_residual=residuals[-1] if residuals else 0.0,
-        rho_decreasing=bool(np.all(np.diff(rho_arr) < 0)),
+        rho_decreasing=bool(np.all(np.diff(rhos) < 0)),
     )

@@ -156,25 +156,6 @@ class ComplexPoly:
         k = np.arange(1, self._coeffs.size)
         return ComplexPoly(self._coeffs[1:] * k)
 
-    def shift_scale(self, center: complex, scale: complex) -> "ComplexPoly":
-        """Return q with q(w) = p(center + scale * w), exactly in coefficients.
-
-        The shift is repeated synthetic division (a Taylor shift), the scale
-        multiplies coefficient j by scale**j.  Both steps are coefficient
-        level, so recomposition introduces no sampling error.
-        """
-        if self.is_zero:
-            return ComplexPoly.zero()
-        work = np.array(self._coeffs, dtype=np.complex128)
-        n = work.size
-        # Taylor shift: after pass k, work[k] is the k-th Taylor coefficient
-        # of p at `center`.
-        for k in range(n - 1):
-            for i in range(n - 2, k - 1, -1):
-                work[i] += center * work[i + 1]
-        scaled = work * (np.complex128(scale) ** np.arange(n))
-        return ComplexPoly(scaled)
-
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> list:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import config
+from . import _kernels, config
 from ._kernels import polyval_grid
 from .errors import (AllZero, DimensionMismatch, ProjcurveError,
                      ZeroPolynomial)
@@ -98,12 +98,6 @@ class ProjCurve:
     def is_constant(self) -> bool:
         return all(p.is_constant for p in self._components)
 
-    def at_many(self, pts: np.ndarray) -> np.ndarray:
-        """Coordinates at M points, shape (n+1, M), from one
-        ``polyval_grid`` call."""
-        return polyval_grid(stack_coeffs(self._components),
-                            np.asarray(pts, dtype=np.complex128))
-
     def to_json(self) -> dict:
         return {"n": self.n,
                 "components": [p.to_json() for p in self._components]}
@@ -122,15 +116,14 @@ class MovingHyperplane:
 
     __slots__ = ("_coeffs", "_normalization")
 
-    def __init__(self, coeffs: Sequence[ComplexPoly],
-                 normalization: dict | None = None) -> None:
+    def __init__(self, coeffs: Sequence[ComplexPoly]) -> None:
         cf = tuple(coeffs)
         if len(cf) < 2:
             raise DimensionMismatch("need at least two coefficients (n >= 1)")
         if first_common_zero([cf]) is not None:
             raise tuple_error(cf, "coefficient")
         self._coeffs = cf
-        self._normalization = normalization
+        self._normalization = None
 
     @property
     def coeffs(self) -> tuple[ComplexPoly, ...]:
@@ -173,10 +166,10 @@ def normalized_many(tuples: Sequence[Sequence[ComplexPoly]],
     ``region`` is anything with a ``grid_points()`` method returning the
     sample points.  A fixed tuple's coefficients are its values
     everywhere, so its sup is read off them; the moving ones are evaluated
-    with ``polyval_grid``, in blocks of at most 2n+1 tuples (one member's),
-    which bounds memory.  A sup within 1e-12 of 1 snaps to the identity,
-    keeping the tuple's own polynomials, so normalizing twice is bitwise
-    stable.  Any other tuple is multiplied by the complex number 1/sup, all
+    with ``polyval_grid``, in blocks of whole tuples of at most
+    ``_EVAL_BLOCK`` values, at least one, which bounds memory.  A sup
+    within 1e-12 of 1 snaps to the identity, keeping the tuple's own
+    polynomials, so normalizing twice is bitwise stable.  Any other tuple is multiplied by the complex number 1/sup, all
     of them with one ``ComplexPoly.from_rows`` call; a factor that is not
     finite (a sup that is 0 or subnormal, or that overflowed) is 0, so the
     tuple scales to zero.  The results are not checked again: scaling
@@ -198,11 +191,11 @@ def normalized_many(tuples: Sequence[Sequence[ComplexPoly]],
     at = np.flatnonzero(np.repeat(moving, sizes))
     # The rows of moving tuples a ... a + per - 1 are at[ends[a]:ends[a+per]].
     ends = np.concatenate([[0], np.cumsum(sizes[moving])])
-    per = 2 * int(sizes.max()) - 1
+    pts = region.grid_points()
+    per = max(1, _kernels._EVAL_BLOCK // (int(sizes.max()) * pts.size))
     for a in range(0, ends.size - 1, per):
         block = at[ends[a]: ends[min(a + per, ends.size - 1)]]
-        vals = polyval_grid(rows[block, : lengths[block].max()],
-                            region.grid_points())
+        vals = polyval_grid(rows[block, : lengths[block].max()], pts)
         top[block] = np.abs(vals).max(axis=1)
     sup = np.maximum.reduceat(top, starts)
     with np.errstate(divide="ignore", over="ignore"):

@@ -92,9 +92,10 @@ class CheckConfig:
 # zero sets and matching
 # ---------------------------------------------------------------------------
 
-def _pairing_zeros(rows: np.ndarray, region: Region) -> list[list[complex]]:
-    """The distinct zeros inside the region (boundary-inclusive, with a
-    slack of TAU_MATCH_REL times the region diameter) of the polynomial in
+def _pairing_zeros(rows: np.ndarray,
+                   cfg: CheckConfig) -> list[list[complex]]:
+    """The distinct zeros inside the config's region (boundary-inclusive,
+    with a slack of ``cfg.match_tolerance``) of the polynomial in
     each row of ``rows``, zero-padded ascending coefficients as
     ``pair_rows`` gives them: the centres ``roots_many`` groups them into,
     filtered with one ``Region.contains`` mask over all of them.
@@ -110,10 +111,10 @@ def _pairing_zeros(rows: np.ndarray, region: Region) -> list[list[complex]]:
                               hyperplane_index=int(np.argmin(lengths)))
     found = [[z for z, _ in roots] for roots in roots_many(
         [row[:k] for row, k in zip(rows, lengths.tolist())])]
-    inside = iter(region.contains(
+    inside = iter(cfg.region.contains(
         np.array(list(itertools.chain.from_iterable(found)),
                  dtype=np.complex128),
-        slack=config.TAU_MATCH_REL * region.diameter).tolist())
+        slack=cfg.match_tolerance).tolist())
     return [[z for z in zs if next(inside)] for zs in found]
 
 
@@ -212,7 +213,7 @@ def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
         # Curve then derived map, per hyperplane, per member.
         rows = both[tuple(np.array(slots).T)].reshape(-1, both.shape[-1])
         try:
-            zeros = _pairing_zeros(rows, cfg.region)
+            zeros = _pairing_zeros(rows, cfg)
         except IdenticallyZero as exc:
             i, j = slots[exc.hyperplane_index // 2]
             alone = IdenticallyZero(f"hyperplane {j}: {exc}",

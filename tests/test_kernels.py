@@ -112,3 +112,25 @@ class TestPairwiseFsGrid:
                 xy = abs(sum(c * mpmath.conj(d) for c, d in zip(x, y))) ** 2
                 want = mpmath.sqrt(max(0, 1 - xy / (xx * yy)))
                 assert abs(g - want) <= 8 * (n + 1) * U
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6),
+           exponents=st.lists(st.tuples(st.sampled_from([-600, 0, 600]),
+                                        st.sampled_from([-600, 0, 600])),
+                              min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_is_items_alone(self, n, exponents, seed):
+        """A (B, P, M) stack gives each item the bits of its own 2-D call,
+        each item scaled by its own power of two: items of moduli 2**-600
+        and 2**600 ride in one stack without underflow or overflow."""
+        rng = np.random.default_rng(seed)
+        a = np.stack([2.0 ** ea * random_coeffs(rng, n + 1, 9)
+                      for ea, _ in exponents])
+        b = np.stack([2.0 ** eb * random_coeffs(rng, n + 1, 9)
+                      for _, eb in exponents])
+        got = _kernels.pairwise_fs_grid_numpy(a, b)
+        assert got.shape == (len(exponents), 9)
+        assert np.all(np.isfinite(got))
+        for row, x, y in zip(got, a, b):
+            assert row.tobytes() == \
+                _kernels.pairwise_fs_grid_numpy(x, y).tobytes()

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projcurve import _kernels, normality, position
-from projcurve._kernels import fs_derivative_grid, pairwise_fs_grid
+from projcurve._kernels import (fs_derivative_grid, pairwise_fs_grid,
+                                polyval_grid)
 from projcurve.errors import NotBlowingUp, WrongCount
 from projcurve.normality import (fs_derivative, fs_derivative_on_grid,
                                  marty_sup, zalcman_search)
-from projcurve.polynomial import ComplexPoly
+from projcurve.polynomial import ComplexPoly, stack_coeffs
 from projcurve.position import Region
 from projcurve.projective import ProjCurve, pair_rows
 from projcurve.sharing import FamilyMember
@@ -266,9 +267,9 @@ class TestPowerOfTwoScaling:
             z = complex(*rng.uniform(-1, 1, 2))
             assert fs_derivative(f, z).hex() == fs_derivative(g, z).hex()
             pts = self.grid.grid_points()
-            a = f.at_many(pts)
-            b = ProjCurve(_random_curve(rng, n, degree, 1.0),
-                          check_reduced=False).at_many(pts)
+            a = polyval_grid(stack_coeffs(comps), pts)
+            b = polyval_grid(stack_coeffs(_random_curve(rng, n, degree, 1.0)),
+                             pts)
             assert (pairwise_fs_grid(a, b).tobytes()
                     == pairwise_fs_grid(2.0 ** k * a, 2.0 ** j * b).tobytes())
 
@@ -336,7 +337,8 @@ class TestZalcman:
             assert abs(fs_derivative(g, 0.0) - 1.0) <= 1e-12
         # the limit candidate is [1 : zeta]
         target = ProjCurve([ONE, Z])
-        vals = target.at_many(trace.zeta_points)
+        vals = polyval_grid(stack_coeffs(target.components),
+                            trace.zeta_points)
         assert pairwise_fs_grid(trace.limit_candidate, vals).max() <= 1e-12
 
     def test_quadratic_blowup_facts(self):
@@ -395,6 +397,133 @@ class TestZalcman:
         monkeypatch.undo()
         assert [x.hex() for x in got] == \
             [fs_derivative(g, 0.0).hex() for g in trace.rescaled]
+
+
+def _blowup_family(rng, n, exponents):
+    """Curves into P^n, one per exponent, of component degrees 0 ... 8
+    with leading moduli in [0.1, 2] times 10**exponent, and a blow-up
+    ``MartyStats`` for them with chosen centres (0.1 <= |c| <= 1.5) and
+    sups in [0.5, 4]."""
+    curves, members = [], []
+    for e in exponents:
+        comps = []
+        for _ in range(n + 1):
+            L = int(rng.integers(1, 10))
+            c = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+            c[-1] *= rng.uniform(0.1, 2.0) / abs(c[-1])
+            comps.append(ComplexPoly(10.0 ** e * c))
+        curves.append(ProjCurve(comps, check_reduced=False))
+        r, t = rng.uniform(0.1, 1.5), rng.uniform(0.0, 2.0 * np.pi)
+        members.append(normality.MemberMarty(
+            sup=float(rng.uniform(0.5, 4.0)),
+            argmax=complex(r * np.cos(t), r * np.sin(t))))
+    stats = normality.MartyStats(members=tuple(members),
+                                 sups=tuple(m.sup for m in members),
+                                 verdict="blow-up")
+    return curves, stats
+
+
+class TestZalcmanOracle:
+    """The rescaled members against the exact Taylor shift in mpmath.
+
+    Component p = sum_t a_t z^t of length L rescales to q with exact
+    coefficients q_j = rho^j sum_t C(t, j) a_t c^(t-j); each computed one
+    lies within 2 L u of the majorant rho^j sum_t C(t, j) |a_t| |c|^(t-j),
+    and g(zeta) = f(c + rho zeta) within 4 L u of
+    sum_t |a_t| (|c| + rho |zeta|)^t (the shift, then Horner's rounding).
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), N=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_exact_shift(self, n, N, seed):
+        rng = np.random.default_rng(seed)
+        curves, stats = _blowup_family(rng, n, [0] * N)
+        trace = zalcman_search(curves, stats)
+        assert trace.centers == tuple(m.argmax for m in stats.members)
+        assert trace.rhos == tuple(1.0 / m.sup for m in stats.members)
+        zeta = trace.zeta_points[::97]
+        with mpmath.workdps(40):
+            for f, g, c, rho in zip(curves, trace.rescaled, trace.centers,
+                                    trace.rhos):
+                c, rho = mpmath.mpc(c), mpmath.mpf(rho)
+                for p, q in zip(f.components, g.components):
+                    a = [mpmath.mpc(x) for x in p.coeffs.tolist()]
+                    L = len(a)
+                    assert q.coeffs.size == L
+                    for j, got in enumerate(q.coeffs.tolist()):
+                        terms = [mpmath.binomial(t, j) * rho ** j
+                                 * c ** (t - j) * a[t] for t in range(j, L)]
+                        exact = sum(terms)
+                        major = sum(abs(x) for x in terms)
+                        assert abs(got - exact) <= 2 * L * U * major
+                    vals = polyval_grid(q.coeffs[None], zeta)[0]
+                    for z, got in zip(zeta.tolist(), vals.tolist()):
+                        w = c + rho * z
+                        exact = sum(x * w ** t for t, x in enumerate(a))
+                        major = sum(abs(x) * (abs(c) + rho * abs(z)) ** t
+                                    for t, x in enumerate(a))
+                        assert abs(got - exact) <= 4 * L * U * major
+
+
+class TestStackedZalcman:
+    """The rescaled members, residuals and limit samples have the same bits
+    at every block size, and each residual is the sup of one pair's
+    distances computed alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 6),
+           exponents=st.lists(st.sampled_from([-170, 0, 170]),
+                              min_size=1, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_independent(self, n, exponents, seed):
+        rng = np.random.default_rng(seed)
+        curves, stats = _blowup_family(rng, n, exponents)
+        M = normality._zeta_disc(normality.ZETA_RADIUS,
+                                 normality.ZETA_PER_AXIS).size
+        runs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.MonkeyPatch.context() as mp:
+                # One member per block; two; the default; all.
+                for block in ((n + 1) * M, 2 * (n + 1) * M,
+                              _kernels._EVAL_BLOCK, 1 << 30):
+                    mp.setattr(_kernels, "_EVAL_BLOCK", block)
+                    t = zalcman_search(curves, stats)
+                    runs.append((
+                        [p.coeffs.tobytes() for g in t.rescaled
+                         for p in g.components],
+                        [r.hex() for r in t.residuals],
+                        t.limit_distances.tobytes(),
+                        t.limit_candidate.tobytes()))
+        assert all(run == runs[0] for run in runs)
+        samples = [polyval_grid(stack_coeffs(g.components), t.zeta_points)
+                   for g in t.rescaled]
+        pairs = [pairwise_fs_grid(a, b)
+                 for a, b in zip(samples, samples[1:])]
+        assert [r.hex() for r in t.residuals] == \
+            [float(d.max()).hex() for d in pairs]
+        assert t.limit_candidate.tobytes() == samples[-1].tobytes()
+        assert t.limit_distances.tobytes() == (
+            pairs[-1] if pairs else np.zeros(M)).tobytes()
+        assert t.convergence_residual == (t.residuals[-1] if pairs else 0.0)
+
+    def test_mixed_n_pads_with_zero_components(self):
+        # [f0 : f1] and [f0 : f1 : 0] are the same points of P^2: the
+        # pair (f, g) has the distances of (f, f), bit for bit.
+        rng = np.random.default_rng(7)
+        [f], stats = _blowup_family(rng, 1, [0])
+        g = ProjCurve([*f.components, ComplexPoly.zero()],
+                      check_reduced=False)
+        stats = dataclasses.replace(stats, members=stats.members * 2,
+                                    sups=stats.sups * 2)
+        same = zalcman_search([f, f], stats)
+        t = zalcman_search([f, g], stats)
+        assert [r.hex() for r in t.residuals] == \
+            [r.hex() for r in same.residuals]
+        assert t.limit_distances.tobytes() == same.limit_distances.tobytes()
+        assert t.limit_candidate.shape == (3, t.zeta_points.size)
+        assert not t.limit_candidate[2].any()
 
 
 def omitted(curve, hypers):

@@ -176,21 +176,6 @@ class TestArithmetic:
         assert (p * q).degree == p.degree + q.degree
 
 
-class TestShiftScale:
-    def test_example(self):
-        p = ComplexPoly([0, 0, 1])  # z^2
-        s = p.shift_scale(1.0, 2.0)  # (1 + 2w)^2
-        assert s == ComplexPoly([1, 4, 4])
-
-    @given(polys(max_degree=6), finite_complex,
-           st.floats(min_value=0.05, max_value=2.0))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_direct_evaluation(self, p, center, scale):
-        w = 0.3 - 0.7j
-        assert close(p.shift_scale(center, scale)(w), p(center + scale * w),
-                     tol=1e-8)
-
-
 class TestRoots:
     def test_cube_roots(self):
         p = ComplexPoly([1, 0, 0, 1])  # z^3 + 1

@@ -125,14 +125,14 @@ class TestProjCurve:
 
     def test_at_and_point(self):
         f = ProjCurve([ONE, Z])
-        [at] = f.at_many(np.array([2.0])).T
+        [at] = polyval_grid(stack_coeffs(f.components), np.array([2.0])).T
         assert np.allclose(at, [1.0, 2.0])
         assert fs(at, [0.5, 1.0]) <= 1e-15
 
-    def test_at_many_shape(self):
+    def test_components_evaluate_as_rows(self):
         f = ProjCurve([ONE, Z, Z * Z])
         pts = np.array([0.0, 1.0, 2.0, 3.0])
-        vals = f.at_many(pts)
+        vals = polyval_grid(stack_coeffs(f.components), pts)
         assert vals.shape == (3, 4)
         assert np.allclose(vals[2], [0.0, 1.0, 4.0, 9.0])
 
@@ -159,7 +159,8 @@ class TestMovingHyperplane:
         # the largest coefficient modulus, pointwise: what normalized()
         # takes the sup of
         h = MovingHyperplane([ONE, Z])
-        vals = induced_curve(h).at_many(np.array([0.5, 2.0, 3.0]))
+        vals = polyval_grid(stack_coeffs(induced_curve(h).components),
+                            np.array([0.5, 2.0, 3.0]))
         assert np.abs(vals).max(axis=0).tolist() == [1.0, 2.0, 3.0]
 
     def test_normalized_unit_sup(self):

@@ -4,10 +4,11 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from projcurve._kernels import polyval_grid
 from projcurve.derived import derived_map
 from projcurve.errors import FirstComponentZero, IdenticallyZero, WrongCount
 from projcurve.harness import generate_scene
-from projcurve.polynomial import ComplexPoly, roots_many
+from projcurve.polynomial import ComplexPoly, roots_many, stack_coeffs
 from projcurve.position import Region, position_sweep
 from projcurve.projective import MovingHyperplane, ProjCurve, pair_rows
 from projcurve import config, derived, sharing
@@ -25,7 +26,8 @@ def fixed(*values):
 
 def preimage_zeros(curve, hyper, region):
     """Zeros of one pairing in the region, as conditions_check finds them."""
-    return sharing._pairing_zeros(pair_rows([curve], [[hyper]])[0], region)[0]
+    return sharing._pairing_zeros(pair_rows([curve], [[hyper]])[0],
+                                  make_config(region=region))[0]
 
 
 def make_config(**kw):
@@ -208,14 +210,15 @@ class TestConditions:
 
     def test_condition2_witnesses_carry_the_members_own_values(self):
         # The whole family is evaluated in one stacked call; each witness
-        # has the bits of its member's own at_many at its zero.
+        # has the bits of its member's own components evaluated at its zero.
         scene = generate_scene("wandering_shared", {"mutate": "epsilon"})
         cfg = scene.config
         report = hypotheses_check(scene.members, cfg)
         checked = 0
         for m, v in zip(scene.members, report.members):
             for w in v.condition2["witnesses"]:
-                mods = np.abs(m.curve.at_many(np.array([w["z"]])))[:, 0]
+                mods = np.abs(polyval_grid(stack_coeffs(m.curve.components),
+                                           np.array([w["z"]])))[:, 0]
                 assert w["lhs"].hex() == float(mods[0]).hex()
                 assert w["rhs"].hex() == \
                     float(cfg.epsilon * mods.max()).hex()
