@@ -11,12 +11,12 @@ from . import config
 from .derived import derived_map
 from .errors import (AllZero, BadParams, DimensionMismatch,
                      FirstComponentZero, IdenticallyZero, NotBlowingUp,
-                     ParseError, ProjcurveError, UnknownTemplate,
-                     ValidationError, WrongCount, ZeroPolynomial)
+                     NumericOverflow, ParseError, ProjcurveError,
+                     UnknownTemplate, ValidationError, WrongCount,
+                     ZeroPolynomial)
 from .harness import (Scene, generate_scene, load_scene, run_pipeline,
                       save_scene, scene_from_json, scene_to_json)
-from .normality import (MartyStats, ZalcmanTrace, fs_derivative,
-                        fs_derivative_on_grid, marty_sup, zalcman_search)
+from .normality import MartyStats, ZalcmanTrace, marty_sup, zalcman_search
 from .polynomial import ComplexPoly
 from .position import Region, UniformDelta, position_sweep
 from .projective import MovingHyperplane, ProjCurve, induced_curve
@@ -29,11 +29,10 @@ __all__ = [
     "AllZero", "BadParams", "CheckConfig", "ComplexPoly",
     "ConditionReport", "DimensionMismatch", "FamilyMember",
     "FirstComponentZero", "IdenticallyZero", "MartyStats",
-    "MovingHyperplane", "NotBlowingUp", "ParseError",
+    "MovingHyperplane", "NotBlowingUp", "NumericOverflow", "ParseError",
     "ProjCurve", "ProjcurveError", "Region", "Scene", "UniformDelta",
     "UnknownTemplate", "ValidationError", "WrongCount", "ZalcmanTrace",
     "ZeroPolynomial", "conditions_check", "config", "derived_map",
-    "fs_derivative", "fs_derivative_on_grid",
     "generate_scene", "hypotheses_check", "induced_curve", "load_scene",
     "marty_sup", "position_sweep", "run_pipeline", "save_scene",
     "scene_from_json", "scene_to_json", "zalcman_search", "__version__",

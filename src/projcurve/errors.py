@@ -39,6 +39,10 @@ class NotBlowingUp(ProjcurveError):
     """Rescaling exploration requires a family whose derivative sups blow up."""
 
 
+class NumericOverflow(ProjcurveError):
+    """A computed quantity left the float range, so no answer is given."""
+
+
 class UnknownTemplate(ProjcurveError):
     """No scene generator with the requested name exists."""
 

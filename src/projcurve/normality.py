@@ -13,15 +13,20 @@ members on the batch axis of the stacked kernels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels, config
-from ._kernels import (fs_derivative_grid, pairwise_fs_grid, polyval_grid,
+# pairwise_fs_grid stays bound here, where the benchmark's trace wraps the
+# kernels normality calls; zalcman_search calls its two steps, fs_scale and
+# fs_distance, itself.
+from ._kernels import (fs_derivative_grid, fs_distance, fs_scale,  # noqa: F401
+                       fs_workspace, pairwise_fs_grid, polyval_grid,
                        pow2_factors)
-from .errors import NotBlowingUp, WrongCount
+from .errors import NotBlowingUp, NumericOverflow, WrongCount
 from .polynomial import ComplexPoly, _taylor, stack_coeffs
 from .position import Region
 from .projective import ProjCurve
@@ -30,24 +35,6 @@ from .projective import ProjCurve
 # ---------------------------------------------------------------------------
 # Fubini-Study derivative
 # ---------------------------------------------------------------------------
-
-def fs_derivative(curve: ProjCurve, z: complex) -> float:
-    """Metric derivative of the curve at z: the stacked kernel at the one
-    curve and the one point z.
-
-    Equals sqrt(|f|^2 |f'|^2 - |<f,f'>|^2) / |f|^2 with Euclidean norms,
-    evaluated in the cancellation-free cross-term form.  At n = 1 this is
-    the classical spherical derivative |g'| / (1 + |g|^2) of g = f1/f0.
-    """
-    return float(_fs_values([curve],
-                            np.array([z], dtype=np.complex128))[0, 0])
-
-
-def fs_derivative_on_grid(curve: ProjCurve, region: Region) -> np.ndarray:
-    """Fubini-Study derivative at every grid point of the region: the
-    stacked kernel at the one curve."""
-    return _fs_values([curve], region.grid_points())[0]
-
 
 def _fs_values(curves: Sequence[ProjCurve], pts: np.ndarray) -> np.ndarray:
     """The Fubini-Study derivative of every curve at every point, (B, M)."""
@@ -61,7 +48,8 @@ def _fs_blocks(curves: Sequence[ProjCurve], pts: np.ndarray):
     """The Fubini-Study derivative of the curves at the points, as
     ``(indices, values)`` blocks: one ``fs_derivative_grid`` call per block
     of whole curves with the same n, at most ``_EVAL_BLOCK`` values per
-    ``polyval_grid`` call and at least one curve.
+    ``polyval_grid`` call and at least one curve.  The blocks of one n
+    share one ``fs_workspace``.
 
     The curves are packed with one ``stack_coeffs`` call.  Each curve's
     components, and their derivatives one column shorter, are scaled
@@ -90,10 +78,11 @@ def _fs_blocks(curves: Sequence[ProjCurve], pts: np.ndarray):
         rows = starts[idx, None] + np.arange(P)  # each curve's P rows
         # A curve is 2P rows of the kernel's polyval_grid call.
         step = max(1, _kernels._EVAL_BLOCK // (2 * P * pts.shape[0]))
+        work = fs_workspace(min(step, len(idx)), P, pts.shape[0])
         for a in range(0, len(idx), step):
             r = rows[a:a + step]
             yield idx[a:a + step], fs_derivative_grid(
-                comp[r, :L], dcomp[r, :L - 1], pts)
+                comp[r, :L], dcomp[r, :L - 1], pts, work)
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +121,12 @@ def _classify(sups: Sequence[float]) -> str:
     final sup has grown by a factor >= MARTY_GROWTH_FACTOR over the sequence
     minimum.
     bounded: no blow-up and every sup is at most MARTY_CAP.
-    inconclusive: too few members for a trend, or sups beyond the cap
-    without a clean growth signature.
+    inconclusive: too few members for a trend, a sup that is not finite
+    (the sweep overflowed), or sups beyond the cap without a clean growth
+    signature.
     """
     window = config.MARTY_WINDOW
-    if len(sups) < window:
+    if len(sups) < window or not all(map(math.isfinite, sups)):
         return "inconclusive"
     tail = sups[-window:]
     increasing = all(tail[i] < tail[i + 1] for i in range(len(tail) - 1))
@@ -246,13 +236,18 @@ def zalcman_search(members: Sequence[ProjCurve],
     distance between successive rescaled members; the limit candidate is
     the last member's samples.  A blow-up verdict can still include a
     member with sup 0, such as a constant curve before the growing tail; it
-    has no scale, so it raises NotBlowingUp naming its index.
+    has no scale, so it raises NotBlowingUp naming its index.  A rescaled
+    coefficient that is not finite (a Taylor binomial past the float range,
+    from degree about 1030 on) raises NumericOverflow naming its member.
 
     The Taylor coefficients of every component are one ``polyval_grid``
-    call, each ``_taylor`` row at its member's center.  The samples and
-    distances take one ``polyval_grid`` and one ``pairwise_fs_grid`` call
-    per block of whole members of at most ``_EVAL_BLOCK`` values, a block's
-    last member carried into the next; a member of smaller n is padded
+    call, each ``_taylor`` row at its member's center.  The samples are one
+    ``polyval_grid`` call per block of whole members of at most
+    ``_EVAL_BLOCK`` values, into buffers allocated once.  Each member's
+    samples are scaled in place by its own power of two and its norms taken
+    once (``fs_scale``), then the distances of the block's successive pairs
+    are one ``fs_distance`` call; the block's last member, scaled, and its
+    norms are carried into the next block.  A member of smaller n is padded
     with zero components, which change no distance.
     """
     members = list(members)
@@ -272,35 +267,58 @@ def zalcman_search(members: Sequence[ProjCurve],
     comps = stack_coeffs([p for f in members for p in f.components])
     R, L = comps.shape
     owner = np.repeat(np.arange(len(members)), sizes)
-    # Row r * L + j is component r's j-th Taylor coefficient at its center.
-    taylor = polyval_grid(
-        _taylor(comps, np.repeat(np.arange(R), L), np.tile(np.arange(L), R)),
-        np.repeat(np.array(centers, dtype=np.complex128)[owner], L)[:, None])
-    powers = np.array(rhos, dtype=np.complex128)[owner, None] ** np.arange(L)
-    polys = iter(ComplexPoly.from_rows(taylor.reshape(R, L) * powers))
+    # Row r * L + j is component r's j-th Taylor coefficient at its center;
+    # a coefficient that leaves the float range is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        taylor = polyval_grid(
+            _taylor(comps, np.repeat(np.arange(R), L),
+                    np.tile(np.arange(L), R)),
+            np.repeat(np.array(centers, dtype=np.complex128)[owner],
+                      L)[:, None])
+        powers = (np.array(rhos, dtype=np.complex128)[owner, None]
+                  ** np.arange(L))
+        rows = taylor.reshape(R, L) * powers
+    bad = owner[~np.isfinite(rows).all(axis=1)]
+    if bad.size:
+        raise NumericOverflow(
+            f"member {bad[0]}: a rescaled coefficient is not finite")
+    polys = iter(ComplexPoly.from_rows(rows))
     rescaled = tuple(ProjCurve([next(polys) for _ in range(P)],
                                check_reduced=False) for P in sizes)
     zeta = _zeta_disc(ZETA_RADIUS, ZETA_PER_AXIS)
-    P, M = max(sizes), zeta.size
+    N, P, M = len(members), max(sizes), zeta.size
     pad = (ComplexPoly.zero(),)
     coeffs = stack_coeffs([p for g in rescaled
                            for p in g.components + pad * (P - g.n - 1)])
-    coeffs = coeffs.reshape(len(members), P, -1)
-    step = max(1, _kernels._EVAL_BLOCK // (P * M))
-    vals = np.zeros((0, P, M), dtype=np.complex128)
+    coeffs = coeffs.reshape(N, P, -1)
+    step = min(N, max(1, _kernels._EVAL_BLOCK // (P * M)))
+    # Slot 0 holds the last member of the previous block, scaled, and its
+    # norms; slots 1 ... step the members of the block.
+    vals = np.empty((step + 1, P, M), dtype=np.complex128)
+    mods = np.empty(vals.shape)
+    norms = np.empty((step + 1, M))
+    prods = np.empty((2, step, M), dtype=np.complex128)
+    term = np.empty((step, M))
     residuals: list[float] = []
-    for a in range(0, len(members), step):
-        block = polyval_grid(coeffs[a:a + step].reshape(-1, coeffs.shape[2]),
-                             zeta).reshape(-1, P, M)
-        vals = np.concatenate([vals[-1:], block])
-        dist = pairwise_fs_grid(vals[:-1], vals[1:])
+    for a in range(0, N, step):
+        b = min(step, N - a)
+        block = vals[1:b + 1]
+        polyval_grid(coeffs[a:a + b].reshape(b * P, coeffs.shape[2]), zeta,
+                     out=block.reshape(b * P, M))
+        if a + b == N:
+            limit = vals[b, :sizes[-1]].copy()
+        fs_scale(block, mods[1:b + 1], norms[1:b + 1])
+        lo = 0 if a else 1
+        dist = fs_distance(vals[lo:b], block[lo:], norms[lo:b],
+                           norms[lo + 1:b + 1], prods, term)
         residuals += dist.max(axis=1).tolist()
+        vals[0], norms[0] = vals[b], norms[b]
     return ZalcmanTrace(
         centers=centers,
         rhos=rhos,
         rescaled=rescaled,
         zeta_points=zeta,
-        limit_candidate=vals[-1, :sizes[-1]],
+        limit_candidate=limit,
         limit_distances=dist[-1] if residuals else np.zeros(M),
         residuals=tuple(residuals),
         convergence_residual=residuals[-1] if residuals else 0.0,

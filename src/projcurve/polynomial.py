@@ -22,7 +22,6 @@ tolerances.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -439,10 +438,18 @@ def _near_side(points: np.ndarray, holds: np.ndarray) -> np.ndarray:
 def _taylor_index(L: int) -> tuple[np.ndarray, np.ndarray]:
     """For Taylor coefficients of length L: entry [j, t] of the first array
     is C(t + j, j), 0 where t + j >= L, and of the second the coefficient
-    index min(t + j, L - 1) it multiplies."""
-    binom = np.array([[math.comb(t + j, j) if t + j < L else 0
-                       for t in range(L)] for j in range(L)], dtype=np.float64)
-    return binom, np.minimum(np.add.outer(np.arange(L), np.arange(L)), L - 1)
+    index min(t + j, L - 1) it multiplies.
+
+    Row j is the running sum of row j - 1 (Pascal's rule), which is exact
+    while the entries stay below 2**53, as they do for L <= 57, and inf
+    where a binomial passes the float range."""
+    binom = np.ones((L, L))
+    with np.errstate(over="ignore"):
+        for j in range(1, L):
+            np.cumsum(binom[j - 1], out=binom[j])
+    index = np.add.outer(np.arange(L), np.arange(L))
+    binom[index >= L] = 0.0
+    return binom, np.minimum(index, L - 1)
 
 
 def _taylor(coeffs: np.ndarray, k: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from projcurve import config
 from projcurve._kernels import polyval_grid
 from projcurve.derived import derived_map
 from projcurve.harness import generate_scene, run_pipeline
-from projcurve.normality import fs_derivative, marty_sup, zalcman_search
+from projcurve.normality import _fs_values, marty_sup, zalcman_search
 from projcurve.polynomial import ComplexPoly, stack_coeffs
 from projcurve.position import Region, position_sweep
 from projcurve.projective import MovingHyperplane, ProjCurve, pair_rows
@@ -320,9 +320,9 @@ def test_acceptance_7_spherical_derivative(announce):
                - np_polyval(np_derivative(c0), pts[keep]) * np_polyval(c1, pts[keep]))
         gprime = num / f0v[keep] ** 2
         classical = np.abs(gprime) / (1.0 + np.abs(g) ** 2)
-        for z, want in zip(pts[keep], classical):
-            got = fs_derivative(f, z)
-            worst = max(worst, abs(got - want) / max(1.0, want))
+        got = _fs_values([f], pts[keep])[0]
+        worst = max(worst, (np.abs(got - classical)
+                            / np.maximum(1.0, classical)).max(initial=0.0))
     ok = worst <= 1e-8
     announce(7, ok, f"spherical derivative vs classical formula, 200 pairs, "
                     f"max rel err {worst:.2e}")

@@ -442,15 +442,15 @@ class TestPipeline:
         scene = generate_scene("blowup_linear", {"N": 8})
         calls = []
 
-        def counting(a, b):
+        def counting(*args):
             calls.append(1)
-            return pairwise_fs_grid(a, b)
+            return fs_distance(*args)
 
-        pairwise_fs_grid = normality.pairwise_fs_grid
-        # Count the kernel wherever the pipeline binds it.
+        fs_distance = normality.fs_distance
+        # Count the distance kernel wherever the pipeline binds it.
         for mod in (normality, harness):
-            if hasattr(mod, "pairwise_fs_grid"):
-                monkeypatch.setattr(mod, "pairwise_fs_grid", counting)
+            if hasattr(mod, "fs_distance"):
+                monkeypatch.setattr(mod, "fs_distance", counting)
         report, code = run_pipeline(scene, which=("zalcman",),
                                     csv_dir=str(tmp_path))
         assert code == 0

@@ -2,13 +2,14 @@ import itertools
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projcurve import _kernels
+from projcurve import _kernels, normality
 from projcurve.polynomial import ComplexPoly, stack_coeffs
 from projcurve.position import Region, position_sweep
-from projcurve.projective import MovingHyperplane
+from projcurve.projective import MovingHyperplane, ProjCurve
 
 # Unit roundoff of complex128 arithmetic.
 U = 2.0 ** -53
@@ -134,3 +135,162 @@ class TestPairwiseFsGrid:
         for row, x, y in zip(got, a, b):
             assert row.tobytes() == \
                 _kernels.pairwise_fs_grid_numpy(x, y).tobytes()
+
+
+# The kernels as they were before a sweep reused its block arrays: Horner
+# from a zero start, derivative rows padded by a zero column and evaluated
+# with the curve rows, |x|^2 as np.abs(x) ** 2, and the power-of-two
+# scaling through np.where.  The kernels must give their bytes.
+
+def ref_polyval(coeffs, pts):
+    K, L = coeffs.shape
+    out = np.zeros((K, pts.shape[-1]), dtype=np.complex128)
+    for l in range(L - 1, -1, -1):
+        out *= pts
+        out += coeffs[:, l, None]
+    return out
+
+
+def ref_cross_terms(a, b):
+    P = a.shape[-2]
+    num = np.zeros(a[..., 0, :].shape, dtype=np.float64)
+    for i in range(P):
+        for j in range(i + 1, P):
+            cross = a[..., i, :] * b[..., j, :] - a[..., j, :] * b[..., i, :]
+            num += np.abs(cross) ** 2
+    return num
+
+
+def ref_fs_derivative(comp, dcomp, pts):
+    B, P, L = comp.shape
+    rows = np.zeros((2, B, P, L), dtype=np.complex128)
+    rows[0] = comp
+    rows[1, :, :, :dcomp.shape[2]] = dcomp
+    v, dv = ref_polyval(rows.reshape(2 * B * P, L), pts).reshape(2, B, P, -1)
+    s2 = np.sum(np.abs(v) ** 2, axis=1)
+    return np.sqrt(ref_cross_terms(v, dv)) / s2
+
+
+def ref_pairwise(vals_a, vals_b):
+    scaled = []
+    for vals in (vals_a, vals_b):
+        finite, factor = _kernels.pow2_factors(np.abs(vals).max(
+            axis=(-2, -1), keepdims=True, initial=0.0))
+        scaled.append(np.where(finite, vals * factor, vals))
+    a, b = scaled
+    na = np.sqrt(np.sum(np.abs(a) ** 2, axis=-2))
+    nb = np.sqrt(np.sum(np.abs(b) ** 2, axis=-2))
+    return np.sqrt(ref_cross_terms(a, b)) / (na * nb)
+
+
+SCALES = st.sampled_from([-170, 0, 170])
+
+
+def ragged(rng, shape, exponents):
+    """Complex rows of the given shape, item k (axis 0) of modulus about
+    10**exponents[k], each row zero-padded from a random length on."""
+    rows = random_coeffs(rng, int(np.prod(shape[:-1])), shape[-1])
+    rows[np.arange(shape[-1]) >= rng.integers(0, shape[-1] + 1,
+                                              (rows.shape[0], 1))] = 0.0
+    scale = 10.0 ** np.asarray(exponents, dtype=float)
+    return rows.reshape(shape) * scale.reshape((-1,) + (1,) * (len(shape) - 1))
+
+
+class TestReferenceBytes:
+    """The kernels against the reference forms above, bit for bit, for
+    n <= 6, degree <= 12, items of moduli 10**-170 ... 10**170 and rows of
+    length 0, on the shared-points and own-points forms."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(K=st.integers(1, 7), L=st.integers(0, 13),
+           M=st.integers(1, 20), own=st.booleans(), e=SCALES,
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_polyval_grid(self, K, L, M, own, e, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = ragged(rng, (K, L), [e] * K)
+        pts = random_coeffs(rng, K if own else 1, M)
+        pts = pts if own else pts[0]
+        out = np.full((K, M), np.nan, dtype=np.complex128)
+        with np.errstate(all="ignore"):
+            want = ref_polyval(coeffs, pts).tobytes()
+            assert _kernels.polyval_grid(coeffs, pts).tobytes() == want
+            assert _kernels.polyval_grid(coeffs, pts, out=out) is out
+        assert out.tobytes() == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 6), degree=st.integers(0, 12),
+           exponents=st.lists(SCALES, min_size=1, max_size=3),
+           M=st.integers(1, 20), spare=st.integers(0, 2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fs_derivative_grid(self, n, degree, exponents, M, spare, seed):
+        rng = np.random.default_rng(seed)
+        B, P, L = len(exponents), n + 1, degree + 1
+        comp = ragged(rng, (B, P, L), exponents)
+        dcomp = comp[:, :, 1:] * np.arange(1, L)
+        pts = random_coeffs(rng, 1, M)[0]
+        with np.errstate(all="ignore"):
+            want = ref_fs_derivative(comp, dcomp, pts).tobytes()
+            assert _kernels.fs_derivative_grid(comp, dcomp, pts).tobytes() \
+                == want
+            # A workspace for more curves than the block holds, reused.
+            work = _kernels.fs_workspace(B + spare, P, M)
+            for _ in range(2):
+                assert _kernels.fs_derivative_grid(
+                    comp, dcomp, pts, work).tobytes() == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 6),
+           exponents=st.lists(st.tuples(SCALES, SCALES), min_size=1,
+                              max_size=4),
+           M=st.integers(1, 20), zero=st.integers(0, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_pairwise_fs_grid(self, n, exponents, M, zero, seed):
+        rng = np.random.default_rng(seed)
+        B, P = len(exponents), n + 1
+        a = ragged(rng, (B, P, M), [ea for ea, _ in exponents])
+        b = ragged(rng, (B, P, M), [eb for _, eb in exponents])
+        # Items that are not scaled: one of zeros, one with an infinite
+        # coordinate.
+        a[zero:zero + 1] = 0.0
+        b[zero:zero + 1, 0, 0] = np.inf
+        with np.errstate(all="ignore"):
+            assert _kernels.pairwise_fs_grid(a, b).tobytes() == \
+                ref_pairwise(a, b).tobytes()
+            assert _kernels.pairwise_fs_grid(a[0], b[0]).tobytes() == \
+                ref_pairwise(a[0], b[0]).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 6),
+           shapes=st.lists(st.tuples(st.integers(1, 12), SCALES),
+                           min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_zalcman_residuals(self, n, shapes, seed):
+        rng = np.random.default_rng(seed)
+        curves, members = [], []
+        for degree, e in shapes:
+            comps = ragged(rng, (n + 1, degree + 1), [e] * (n + 1))
+            comps[0, degree] = 10.0 ** e  # a member of this degree
+            curves.append(ProjCurve([ComplexPoly(c) for c in comps],
+                                    check_reduced=False))
+            members.append(normality.MemberMarty(
+                sup=float(rng.uniform(0.5, 4.0)),
+                argmax=complex(*rng.uniform(-1.0, 1.0, 2))))
+        stats = normality.MartyStats(members=tuple(members),
+                                     sups=tuple(m.sup for m in members),
+                                     verdict="blow-up")
+        M = normality._zeta_disc(normality.ZETA_RADIUS,
+                                 normality.ZETA_PER_AXIS).size
+        with pytest.MonkeyPatch.context() as mp:
+            # One member per block, and the default.
+            for block in ((n + 1) * M, _kernels._EVAL_BLOCK):
+                mp.setattr(_kernels, "_EVAL_BLOCK", block)
+                t = normality.zalcman_search(curves, stats)
+                samples = [ref_polyval(stack_coeffs(g.components),
+                                       t.zeta_points) for g in t.rescaled]
+                pairs = [ref_pairwise(a, b)
+                         for a, b in zip(samples, samples[1:])]
+                assert [r.hex() for r in t.residuals] == \
+                    [float(d.max()).hex() for d in pairs]
+                assert t.limit_distances.tobytes() == (
+                    pairs[-1] if pairs else np.zeros(M)).tobytes()
+                assert t.limit_candidate.tobytes() == samples[-1].tobytes()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import mpmath
@@ -10,9 +11,8 @@ from hypothesis import strategies as st
 from projcurve import _kernels, normality, position
 from projcurve._kernels import (fs_derivative_grid, pairwise_fs_grid,
                                 polyval_grid)
-from projcurve.errors import NotBlowingUp, WrongCount
-from projcurve.normality import (fs_derivative, fs_derivative_on_grid,
-                                 marty_sup, zalcman_search)
+from projcurve.errors import NotBlowingUp, NumericOverflow, WrongCount
+from projcurve.normality import marty_sup, zalcman_search
 from projcurve.polynomial import ComplexPoly, stack_coeffs
 from projcurve.position import Region
 from projcurve.projective import ProjCurve, pair_rows
@@ -39,6 +39,13 @@ def zalcman(curves):
 
 # Unit roundoff of complex128 arithmetic.
 U = 2.0 ** -53
+
+
+def fs_at(curve, pts):
+    """The Fubini-Study derivative of one curve at the points, from the
+    stacked sweep."""
+    return normality._fs_values(
+        [curve], np.asarray(pts, dtype=np.complex128).ravel())[0]
 
 
 def assert_fs_derivative_close(curve, got, pts):
@@ -82,13 +89,13 @@ class TestFsDerivative:
     def test_identity_chart(self):
         f = ProjCurve([ONE, Z])
         # |g'| / (1 + |g|^2) with g = z
-        assert fs_derivative(f, 0.0) == 1.0
-        assert abs(fs_derivative(f, 1.0) - 0.5) <= 1e-15
-        assert abs(fs_derivative(f, 1j) - 0.5) <= 1e-15
+        assert fs_at(f, [0.0])[0] == 1.0
+        assert abs(fs_at(f, [1.0])[0] - 0.5) <= 1e-15
+        assert abs(fs_at(f, [1j])[0] - 0.5) <= 1e-15
 
     def test_constant_curve_zero(self):
         f = ProjCurve([ONE, ComplexPoly([2.0 + 1j])])
-        assert fs_derivative(f, 0.37) == 0.0
+        assert fs_at(f, [0.37])[0] == 0.0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(23)
@@ -99,7 +106,7 @@ class TestFsDerivative:
             g = ProjCurve([(2.0 - 3.0j) * p for p in f.components],
                           check_reduced=False)
             z = complex(*rng.uniform(-1, 1, 2))
-            a, b = fs_derivative(f, z), fs_derivative(g, z)
+            a, b = fs_at(f, [z])[0], fs_at(g, [z])[0]
             assert abs(a - b) <= 1e-10 * max(1.0, a)
 
     def test_grid_matches_pointwise(self):
@@ -114,10 +121,8 @@ class TestFsDerivative:
                       [[0.2j, 1.0, -0.5], [1.0, 0.0, 0.0, 0.7], [0, 2 - 1j]]):
             f = ProjCurve([ComplexPoly(c) for c in comps],
                           check_reduced=False)
-            assert_fs_derivative_close(f, fs_derivative_on_grid(f, region),
-                                       pts)
-            assert_fs_derivative_close(
-                f, np.array([fs_derivative(f, z) for z in some]), some)
+            assert_fs_derivative_close(f, fs_at(f, pts), pts)
+            assert_fs_derivative_close(f, fs_at(f, some), some)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 6), degree=st.integers(1, 4),
@@ -127,7 +132,7 @@ class TestFsDerivative:
         f = ProjCurve(_random_curve(rng, n, degree, 1.0),
                       check_reduced=False)
         region = Region(-1, 1, -1, 1, 5, 5)
-        assert_fs_derivative_close(f, fs_derivative_on_grid(f, region),
+        assert_fs_derivative_close(f, fs_at(f, region.grid_points()),
                                    region.grid_points())
 
     def test_quotient_formula_n1(self):
@@ -140,7 +145,7 @@ class TestFsDerivative:
             z = complex(*rng.uniform(-1, 1, 2))
             num = abs(f0(z) * d1(z) - f1(z) * d0(z))
             den = abs(f0(z)) ** 2 + abs(f1(z)) ** 2
-            assert abs(fs_derivative(f, z) - num / den) <= 1e-12
+            assert abs(fs_at(f, [z])[0] - num / den) <= 1e-12
 
 
 class TestMartySup:
@@ -172,6 +177,30 @@ class TestMartySup:
         with pytest.raises(WrongCount):
             marty_sup([], REGION)
 
+    def test_overflowed_sup_inconclusive(self):
+        # [1 : (nu z)^1040] on blowup_linear's region: at nu = 1.5, |f|^2
+        # overflows at the corners, so that member's sup is NaN; a NaN that
+        # is not the first sup escapes max(), which must not make the family
+        # bounded.
+        curves = [ProjCurve([ONE, ComplexPoly([0.0] * 1040 + [nu ** 1040])])
+                  for nu in (0.7, 1.0, 1.5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            stats = marty_sup(curves, REGION)
+        assert abs(stats.sups[0] - 0.0201) <= 1e-4
+        assert abs(stats.sups[1] - 520.0) <= 1e-9
+        assert math.isnan(stats.sups[2])
+        assert stats.verdict == "inconclusive"
+
+    def test_classify_not_finite_inconclusive(self):
+        # Bounded or blow-up sequences but for one sup that is not finite,
+        # wherever it sits.
+        for sups in ((0.5, 0.5, 0.5, 0.5), (1.0, 2.0, 4.0, 8.0)):
+            for bad in (math.nan, math.inf):
+                for k in range(len(sups)):
+                    broken = sups[:k] + (bad,) + sups[k + 1:]
+                    assert normality._classify(broken) == "inconclusive"
+
     def test_constant_curves_skip_the_grid(self, monkeypatch):
         curves = [ProjCurve([ComplexPoly([c ** l]) for l in range(n + 1)])
                   for n, c in ((1, 0.3 + 0.1j), (3, -0.2j), (6, 0.45))]
@@ -202,7 +231,7 @@ class TestMartySup:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert marty_sup([f], REGION) == ref
-                assert abs(fs_derivative(f, 0.3) - 1.0 / 1.09) <= 1e-15
+                assert abs(fs_at(f, [0.3])[0] - 1.0 / 1.09) <= 1e-15
 
     def test_grid_built_once(self, monkeypatch):
         calls = []
@@ -262,10 +291,10 @@ class TestPowerOfTwoScaling:
         g = ProjCurve([2.0 ** k * p for p in comps], check_reduced=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert (fs_derivative_on_grid(f, self.grid).tobytes()
-                    == fs_derivative_on_grid(g, self.grid).tobytes())
+            assert (fs_at(f, self.grid.grid_points()).tobytes()
+                    == fs_at(g, self.grid.grid_points()).tobytes())
             z = complex(*rng.uniform(-1, 1, 2))
-            assert fs_derivative(f, z).hex() == fs_derivative(g, z).hex()
+            assert fs_at(f, [z])[0].hex() == fs_at(g, [z])[0].hex()
             pts = self.grid.grid_points()
             a = polyval_grid(stack_coeffs(comps), pts)
             b = polyval_grid(stack_coeffs(_random_curve(rng, n, degree, 1.0)),
@@ -285,7 +314,7 @@ class TestPowerOfTwoScaling:
         comp, dcomp = _unscaled_pack(f)
         raw = fs_derivative_grid(comp[None], dcomp[None], pts)
         assert raw.shape == (1, pts.size)
-        assert fs_derivative_on_grid(f, self.grid).tobytes() == \
+        assert fs_at(f, self.grid.grid_points()).tobytes() == \
             raw[0].tobytes()
 
 
@@ -311,7 +340,7 @@ class TestStackedMarty:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             want = [marty_sup([f], region).members[0] for f in family]
-            grids = [fs_derivative_on_grid(f, region).tobytes()
+            grids = [fs_at(f, region.grid_points()).tobytes()
                      for f in family]
             with pytest.MonkeyPatch.context() as mp:
                 # One curve per block; two n = 6 curves; the default; all.
@@ -334,7 +363,7 @@ class TestZalcman:
         # every rescaled curve is exactly (1, zeta)
         assert trace.convergence_residual == 0.0
         for g in trace.rescaled:
-            assert abs(fs_derivative(g, 0.0) - 1.0) <= 1e-12
+            assert abs(fs_at(g, [0.0])[0] - 1.0) <= 1e-12
         # the limit candidate is [1 : zeta]
         target = ProjCurve([ONE, Z])
         vals = polyval_grid(stack_coeffs(target.components),
@@ -357,7 +386,7 @@ class TestZalcman:
             r_star = 3.0 ** (-0.25) / nu
             assert abs(abs(trace.centers[k]) - r_star) <= step
         for g in trace.rescaled:
-            assert abs(fs_derivative(g, 0.0) - 1.0) <= 1e-9
+            assert abs(fs_at(g, [0.0])[0] - 1.0) <= 1e-9
         assert trace.rho_decreasing
 
     def test_bounded_family_refuses(self):
@@ -365,6 +394,21 @@ class TestZalcman:
                   for k in range(5)]
         with pytest.raises(NotBlowingUp):
             zalcman(curves)
+
+    def test_overflowed_rescaling_raises(self):
+        # Degree 1040: C(1040, 520) is past the float range, so the Taylor
+        # shift gives coefficients that are not finite.
+        curves = [ProjCurve([ONE, ComplexPoly([0.0] * 1040 + [nu ** 1040])])
+                  for nu in (0.9, 1.0, 1.1)]
+        members = tuple(normality.MemberMarty(sup=s, argmax=0.5 + 0.25j)
+                        for s in (1.0, 2.0, 4.0))
+        stats = normality.MartyStats(members=members,
+                                     sups=tuple(m.sup for m in members),
+                                     verdict="blow-up")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflow, match="member 0"):
+                zalcman_search(curves, stats)
 
     def test_stats_must_match_members(self):
         curves = linear_family(4)
@@ -380,23 +424,23 @@ class TestZalcman:
 
     def test_unit_derivatives_match_pointwise(self, monkeypatch):
         # One stacked kernel call at zeta = 0 gives every rescaled
-        # member's unit derivative, with fs_derivative's bits.
+        # member's unit derivative, with the bits of the member swept alone.
         curves = [ProjCurve([ONE, ComplexPoly([0.3, -1.0, 0.5 * nu])])
                   for nu in range(1, 9)]
         trace = zalcman(curves)
         calls = []
         kernel = normality.fs_derivative_grid
 
-        def counting(comp, dcomp, pts):
+        def counting(comp, dcomp, pts, *work):
             calls.append((comp.shape[0], pts.size))
-            return kernel(comp, dcomp, pts)
+            return kernel(comp, dcomp, pts, *work)
 
         monkeypatch.setattr(normality, "fs_derivative_grid", counting)
         got = trace.to_json()["unit_derivative_at_zero"]
         assert calls == [(8, 1)]
         monkeypatch.undo()
         assert [x.hex() for x in got] == \
-            [fs_derivative(g, 0.0).hex() for g in trace.rescaled]
+            [fs_at(g, [0.0])[0].hex() for g in trace.rescaled]
 
 
 def _blowup_family(rng, n, exponents):

@@ -1,5 +1,8 @@
+import bisect
 import cmath
 import math
+import sys
+import time
 from unittest import mock
 
 import mpmath
@@ -605,6 +608,37 @@ class TestMultipleRoots:
                 a, m = min(case, key=lambda am: abs(r - am[0]))
                 if m > 1:
                     assert abs(r - a) < half_reach
+
+
+class TestTaylorIndex:
+    """The binomial table of the Taylor shift, built by Pascal's rule."""
+
+    def test_exact_while_below_2_53(self):
+        # C(56, 28) < 2**53 < C(57, 28): every entry at L <= 57 is exact.
+        for L in range(58):
+            binom, index = polynomial._taylor_index.__wrapped__(L)
+            want = [[float(math.comb(t + j, j)) if t + j < L else 0.0
+                     for t in range(L)] for j in range(L)]
+            assert binom.tobytes() == np.array(want).reshape(L, L).tobytes()
+            assert index.tolist() == [[min(t + j, L - 1) for t in range(L)]
+                                      for j in range(L)]
+
+    def test_inf_past_the_float_range(self):
+        L = 1100
+        start = time.perf_counter()
+        binom, _ = polynomial._taylor_index.__wrapped__(L)
+        assert time.perf_counter() - start < 1.0
+        # C(t + j, j) grows with t: row j is inf from the first t whose
+        # binomial exceeds the largest double up to t + j = L - 1.
+        first = [bisect.bisect_left(
+            range(L - j), True,
+            key=lambda t: math.comb(t + j, j) > sys.float_info.max)
+            for j in range(L)]
+        t = np.arange(L)
+        big = (t >= np.array(first)[:, None]) & (t + t[:, None] < L)
+        assert big.any()
+        assert (np.isinf(binom) == big).all()
+        assert not np.isnan(binom).any()
 
 
 class TestGcd:
