@@ -21,7 +21,7 @@ from .polynomial import ComplexPoly
 from .position import Region, UniformDelta, position_sweep
 from .projective import MovingHyperplane, ProjCurve, induced_curve
 from .sharing import (CheckConfig, ConditionReport, FamilyMember,
-                      conditions_check, hypotheses_check)
+                      hypotheses_check)
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "MovingHyperplane", "NotBlowingUp", "NumericOverflow", "ParseError",
     "ProjCurve", "ProjcurveError", "Region", "Scene", "UniformDelta",
     "UnknownTemplate", "ValidationError", "WrongCount", "ZalcmanTrace",
-    "ZeroPolynomial", "conditions_check", "config", "derived_map",
+    "ZeroPolynomial", "config", "derived_map",
     "generate_scene", "hypotheses_check", "induced_curve", "load_scene",
     "marty_sup", "position_sweep", "run_pipeline", "save_scene",
     "scene_from_json", "scene_to_json", "zalcman_search", "__version__",

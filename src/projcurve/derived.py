@@ -42,19 +42,22 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FirstComponentZero
-from .polynomial import ComplexPoly, roots_many
-from .projective import ProjCurve
+from .polynomial import ComplexPoly, roots_many, stack_coeffs
+from .projective import ProjCurve, family_n
 
 
 def derived_maps(curves: Sequence[ProjCurve]) -> list[ProjCurve]:
-    """The reduced derived curve of each curve; every curve needs a nonzero
-    first component."""
+    """The reduced derived curve of each curve; the curves share one n
+    (``family_n``), and every curve needs a nonzero first component."""
+    n = family_n(curves)
+    if n is None:
+        return []
     f0s = [curve.components[0] for curve in curves]
     if any(f0.is_zero for f0 in f0s):
         raise FirstComponentZero(
             "derived map needs a nonzero first component")
     groups = roots_many([f0.coeffs for f0 in f0s])
-    N, K = len(curves), max(map(len, groups), default=0)
+    N, K = len(curves), max(map(len, groups))
     # Curve i's k-th linear factor alpha + beta z: z - a for its k-th
     # centre a, and the constant 1 in a padded slot, which leaves s and t
     # as they are.
@@ -74,23 +77,17 @@ def derived_maps(curves: Sequence[ProjCurve]) -> list[ProjCurve]:
         a, b = alpha[:, k, None], beta[:, k, None]
         s, t = (a * s + b * np.roll(s, 1, axis=1),
                 a * t + b * np.roll(t, 1, axis=1) + mult[:, k, None] * s)
-    # Every curve's components and their derivatives, zero-padded to n + 1
-    # rows of one length.
-    F = np.zeros((N, max((c.n for c in curves), default=0) + 1,
-                  max((p.coeffs.size for c in curves
-                       for p in c.components), default=1)),
-                 dtype=np.complex128)
-    for block, curve in zip(F, curves):
-        for row, p in zip(block, curve.components):
-            row[: p.coeffs.size] = p.coeffs
+    # Every curve's components and their derivatives, zero-padded to one
+    # length.
+    F = stack_coeffs([p for c in curves for p in c.components]
+                     ).reshape(N, n + 1, -1)
     dF = np.zeros_like(F)
     dF[..., :-1] = F[..., 1:] * np.arange(1, F.shape[-1])
     parts = np.concatenate([_times(s, F[:, :1]),
                             _times(s, dF[:, 1:]) - _times(t, F[:, 1:])],
                            axis=1)
-    return [ProjCurve(ComplexPoly.from_rows(rows[: curve.n + 1]),
-                      check_reduced=False)
-            for rows, curve in zip(parts, curves)]
+    return [ProjCurve(ComplexPoly.from_rows(rows), check_reduced=False)
+            for rows in parts]
 
 
 def _times(s: np.ndarray, F: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from ._kernels import (fs_derivative_grid, fs_distance, fs_scale,  # noqa: F401
 from .errors import NotBlowingUp, NumericOverflow, WrongCount
 from .polynomial import ComplexPoly, _taylor, stack_coeffs
 from .position import Region
-from .projective import ProjCurve
+from .projective import ProjCurve, family_n
 
 
 # ---------------------------------------------------------------------------
@@ -39,50 +39,42 @@ from .projective import ProjCurve
 def _fs_values(curves: Sequence[ProjCurve], pts: np.ndarray) -> np.ndarray:
     """The Fubini-Study derivative of every curve at every point, (B, M)."""
     out = np.empty((len(curves), pts.shape[0]))
-    for idx, vals in _fs_blocks(curves, pts):
-        out[idx] = vals
+    for at, vals in _fs_blocks(curves, pts):
+        out[at] = vals
     return out
 
 
 def _fs_blocks(curves: Sequence[ProjCurve], pts: np.ndarray):
-    """The Fubini-Study derivative of the curves at the points, as
-    ``(indices, values)`` blocks: one ``fs_derivative_grid`` call per block
-    of whole curves with the same n, at most ``_EVAL_BLOCK`` values per
-    ``polyval_grid`` call and at least one curve.  The blocks of one n
-    share one ``fs_workspace``.
+    """The Fubini-Study derivative of the curves, which share one n
+    (``family_n``), at the points, as ``(slice, values)`` blocks: one
+    ``fs_derivative_grid`` call per block of whole curves, at most
+    ``_EVAL_BLOCK`` values per ``polyval_grid`` call and at least one
+    curve.  The blocks share one ``fs_workspace``.
 
-    The curves are packed with one ``stack_coeffs`` call.  Each curve's
-    components, and their derivatives one column shorter, are scaled
-    together by the ``pow2_factors`` power of two of their largest modulus,
-    so tiny or huge coefficients neither underflow nor overflow.
+    The curves are packed into one (N, P, L) stack with one
+    ``stack_coeffs`` call.  Each curve's components, and their derivatives
+    one column shorter, are scaled together by the ``pow2_factors`` power
+    of two of their largest modulus, so tiny or huge coefficients neither
+    underflow nor overflow.
     """
     if not curves:
         return
-    sizes = [f.n + 1 for f in curves]
-    comp = stack_coeffs([p for f in curves for p in f.components])
-    dcomp = comp[:, 1:] * np.arange(1, comp.shape[1])
-    starts = np.cumsum(sizes) - sizes
-    top = np.maximum.reduceat(np.maximum(
-        np.abs(comp).max(axis=1), np.abs(dcomp).max(axis=1, initial=0.0)),
-        starts)
-    finite, factor = pow2_factors(top)
-    scaled = np.repeat(finite, sizes)
-    factor = np.repeat(factor, sizes)[scaled, None]
-    comp[scaled] *= factor
-    dcomp[scaled] *= factor
-    groups: dict[int, list[int]] = {}
-    for i, P in enumerate(sizes):
-        groups.setdefault(P, []).append(i)
-    for P, idx in groups.items():
-        L = max(p.coeffs.size for i in idx for p in curves[i].components)
-        rows = starts[idx, None] + np.arange(P)  # each curve's P rows
-        # A curve is 2P rows of the kernel's polyval_grid call.
-        step = max(1, _kernels._EVAL_BLOCK // (2 * P * pts.shape[0]))
-        work = fs_workspace(min(step, len(idx)), P, pts.shape[0])
-        for a in range(0, len(idx), step):
-            r = rows[a:a + step]
-            yield idx[a:a + step], fs_derivative_grid(
-                comp[r, :L], dcomp[r, :L - 1], pts, work)
+    N, P, M = len(curves), family_n(curves) + 1, pts.shape[0]
+    comp = stack_coeffs([p for f in curves for p in f.components]
+                        ).reshape(N, P, -1)
+    dcomp = comp[..., 1:] * np.arange(1, comp.shape[2])
+    # A top that is 0 or not finite has the factor 1.0.
+    _, factor = pow2_factors(np.maximum(
+        np.abs(comp).max(axis=(1, 2)),
+        np.abs(dcomp).max(axis=(1, 2), initial=0.0)))
+    comp *= factor[:, None, None]
+    dcomp *= factor[:, None, None]
+    # A curve is 2P rows of the kernel's polyval_grid call.
+    step = max(1, _kernels._EVAL_BLOCK // (2 * P * M))
+    work = fs_workspace(min(step, N), P, M)
+    for a in range(0, N, step):
+        at = slice(a, a + step)
+        yield at, fs_derivative_grid(comp[at], dcomp[at], pts, work)
 
 
 # ---------------------------------------------------------------------------
@@ -148,23 +140,24 @@ def marty_sups(families: Sequence[Sequence[ProjCurve]],
     with the family's verdict.
 
     Every distinct curve object of all the families is swept once, in one
-    stacked pass.  A constant curve has derivative 0 at every grid point,
-    so it gets sup 0.0 at the first grid point, as the grid sweep would
-    give, without one.
+    stacked pass; they share one n (``family_n``).  A constant curve has
+    derivative 0 at every grid point, so it gets sup 0.0 at the first grid
+    point, as the grid sweep would give, without one.
     """
     families = [list(members) for members in families]
     if not all(families):
         raise WrongCount("need at least one member curve")
     pts = region.grid_points()
     distinct = list(dict.fromkeys(f for members in families for f in members))
+    family_n(distinct)
     swept = dict.fromkeys(distinct,
                           MemberMarty(sup=0.0, argmax=complex(pts[0])))
     moving = [f for f in distinct if not f.is_constant]
-    for idx, vals in _fs_blocks(moving, pts):
-        at = np.argmax(vals, axis=1)
-        sups = vals[np.arange(len(idx)), at].tolist()
-        for i, k, sup in zip(idx, at.tolist(), sups):
-            swept[moving[i]] = MemberMarty(sup=sup, argmax=complex(pts[k]))
+    for at, vals in _fs_blocks(moving, pts):
+        top = np.argmax(vals, axis=1)
+        sups = vals[np.arange(len(vals)), top].tolist()
+        for f, k, sup in zip(moving[at], top.tolist(), sups):
+            swept[f] = MemberMarty(sup=sup, argmax=complex(pts[k]))
     out = []
     for members in families:
         per = tuple(swept[f] for f in members)
@@ -247,8 +240,8 @@ def zalcman_search(members: Sequence[ProjCurve],
     samples are scaled in place by its own power of two and its norms taken
     once (``fs_scale``), then the distances of the block's successive pairs
     are one ``fs_distance`` call; the block's last member, scaled, and its
-    norms are carried into the next block.  A member of smaller n is padded
-    with zero components, which change no distance.
+    norms are carried into the next block.  The members share one n
+    (``family_n``).
     """
     members = list(members)
     if len(members) != len(stats.members):
@@ -263,10 +256,10 @@ def zalcman_search(members: Sequence[ProjCurve],
                 f"member {i} has Marty sup 0; rescaling needs a positive sup")
     centers = tuple(mm.argmax for mm in stats.members)
     rhos = tuple(1.0 / mm.sup for mm in stats.members)
-    sizes = [f.n + 1 for f in members]
+    N, P = len(members), family_n(members) + 1
     comps = stack_coeffs([p for f in members for p in f.components])
     R, L = comps.shape
-    owner = np.repeat(np.arange(len(members)), sizes)
+    owner = np.repeat(np.arange(N), P)
     # Row r * L + j is component r's j-th Taylor coefficient at its center;
     # a coefficient that leaves the float range is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -282,15 +275,12 @@ def zalcman_search(members: Sequence[ProjCurve],
     if bad.size:
         raise NumericOverflow(
             f"member {bad[0]}: a rescaled coefficient is not finite")
-    polys = iter(ComplexPoly.from_rows(rows))
-    rescaled = tuple(ProjCurve([next(polys) for _ in range(P)],
-                               check_reduced=False) for P in sizes)
+    polys = ComplexPoly.from_rows(rows)
+    rescaled = tuple(ProjCurve(polys[r: r + P], check_reduced=False)
+                     for r in range(0, R, P))
     zeta = _zeta_disc(ZETA_RADIUS, ZETA_PER_AXIS)
-    N, P, M = len(members), max(sizes), zeta.size
-    pad = (ComplexPoly.zero(),)
-    coeffs = stack_coeffs([p for g in rescaled
-                           for p in g.components + pad * (P - g.n - 1)])
-    coeffs = coeffs.reshape(N, P, -1)
+    M = zeta.size
+    coeffs = stack_coeffs(polys).reshape(N, P, -1)
     step = min(N, max(1, _kernels._EVAL_BLOCK // (P * M)))
     # Slot 0 holds the last member of the previous block, scaled, and its
     # norms; slots 1 ... step the members of the block.
@@ -306,7 +296,7 @@ def zalcman_search(members: Sequence[ProjCurve],
         polyval_grid(coeffs[a:a + b].reshape(b * P, coeffs.shape[2]), zeta,
                      out=block.reshape(b * P, M))
         if a + b == N:
-            limit = vals[b, :sizes[-1]].copy()
+            limit = vals[b].copy()
         fs_scale(block, mods[1:b + 1], norms[1:b + 1])
         lo = 0 if a else 1
         dist = fs_distance(vals[lo:b], block[lo:], norms[lo:b],

@@ -2,15 +2,16 @@
 
 Coefficients are stored ascending (constant term first) as complex128.
 Construction trims trailing coefficients that are negligible relative to the
-largest magnitude, so arithmetic keeps degrees honest.  Root finding goes
-through the companion matrix, with one guarded Newton polish per root, and
-``roots_many`` groups the eigenvalue scatter of multiple roots back into
-(root, multiplicity) pairs by one backward-error rule, centred on the mean
-of a group's unpolished eigenvalues; every zero set of the package
-(``ComplexPoly.roots``, the condition 1 and 2 pairings, the load-time
-shared-zero check and the derived map) goes through it.
+largest magnitude, so degrees stay honest.  A ``ComplexPoly`` holds
+coefficients; the package computes on stacks of coefficient rows.  Root
+finding goes through the companion matrix, with one guarded Newton polish
+per root, and ``roots_many`` groups the eigenvalue scatter of multiple
+roots back into (root, multiplicity) pairs by one backward-error rule,
+centred on the mean of a group's unpolished eigenvalues; every zero set of
+the package (the condition 1 and 2 pairings, the load-time shared-zero
+check and the derived map) goes through it.
 
-Every evaluation, scalar or array, goes through the batched Horner kernel
+Every evaluation goes through the batched Horner kernel
 ``polyval_grid``.  ``root_stacks`` hands the companion matrices of every
 coefficient row of one degree to a single ``np.linalg.eigvals`` call and
 polishes the whole stack with one array Newton step; ``roots_many`` reads
@@ -116,56 +117,10 @@ class ComplexPoly:
     def __hash__(self) -> int:
         return hash(tuple(self._coeffs.tolist()))
 
-    # -- evaluation ------------------------------------------------------
-
-    def __call__(self, z):
-        """Horner evaluation at a scalar or at every entry of an array."""
-        pts = np.asarray(z, dtype=np.complex128)
-        vals = polyval_grid(self._coeffs[None, :], pts.ravel())[0]
-        return vals.reshape(pts.shape)[()]
-
-    # -- arithmetic --------------------------------------------------
-
-    def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        a, b = self._coeffs, other._coeffs
-        out = np.zeros(max(a.size, b.size), dtype=np.complex128)
-        out[: a.size] += a
-        out[: b.size] += b
-        return ComplexPoly(out)
-
-    def __sub__(self, other: "ComplexPoly") -> "ComplexPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "ComplexPoly":
-        return ComplexPoly(-self._coeffs)
-
-    def __mul__(self, other) -> "ComplexPoly":
-        if isinstance(other, ComplexPoly):
-            if self.is_zero or other.is_zero:
-                return ComplexPoly.zero()
-            return ComplexPoly(np.convolve(self._coeffs, other._coeffs))
-        return ComplexPoly(self._coeffs * complex(other))
-
-    def __rmul__(self, other) -> "ComplexPoly":
-        return self.__mul__(other)
-
-    def derivative(self) -> "ComplexPoly":
-        if self._coeffs.size <= 1:
-            return ComplexPoly.zero()
-        k = np.arange(1, self._coeffs.size)
-        return ComplexPoly(self._coeffs[1:] * k)
-
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> list:
         return [[c.real, c.imag] for c in self._coeffs.tolist()]
-
-    # -- root finding ----------------------------------------------------
-
-    def roots(self) -> list[tuple[complex, int]]:
-        """Roots with multiplicities, sorted by (real, imag): ``roots_many``
-        of the one row."""
-        return roots_many([self._coeffs])[0]
 
 
 def trimmed_lengths(rows: np.ndarray) -> np.ndarray:

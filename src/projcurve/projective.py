@@ -106,6 +106,16 @@ class ProjCurve:
         return f"ProjCurve(n={self.n}, degree={self.degree})"
 
 
+def family_n(curves: Sequence[ProjCurve]) -> int | None:
+    """The n of P^n that every curve of ``curves`` maps into, None for no
+    curves; DimensionMismatch names the first curve of another n."""
+    for i, curve in enumerate(curves):
+        if curve.n != curves[0].n:
+            raise DimensionMismatch(
+                f"curve {i} has n={curve.n}, curve 0 has n={curves[0].n}")
+    return curves[0].n if curves else None
+
+
 class MovingHyperplane:
     """A hyperplane with polynomial coefficients, nowhere all zero.
 
@@ -230,7 +240,7 @@ def pair_rows(curves: Sequence[ProjCurve],
     ``hypers[i]``: an (N, H, K) array whose row [i, j] is the contraction
     sum_l a_l(z) f_l(z) of curve i with ``hypers[i][j]``, untrimmed and
     zero-padded (H is the longest list, so row [i, j] of a shorter list is
-    zero).
+    zero).  The curves share one n (``family_n``).
 
     The curves' components are stacked into an (N, n+1, La, L + La - 1)
     array holding each component shifted by s = 0 ... La-1 places, and each
@@ -238,33 +248,30 @@ def pair_rows(curves: Sequence[ProjCurve],
     sum over l and over the shifts is one batched matrix product.
     """
     N, H = len(curves), max(len(hs) for hs in hypers)
-    n1 = max(c.n for c in curves) + 1
+    n1 = family_n(curves) + 1
     # One block per distinct hyperplane object, and a zero block last
     # (slot -1) for the missing ones of a shorter list.
     index: dict[int, int] = {}
     distinct: list[MovingHyperplane] = []
     slot = np.full((N, H), -1, dtype=np.intp)
-    for i, (curve, hs) in enumerate(zip(curves, hypers)):
+    for i, hs in enumerate(hypers):
         for j, h in enumerate(hs):
-            if h.n != curve.n:
+            if h.n != n1 - 1:
                 raise DimensionMismatch(
-                    f"curve has n={curve.n}, hyperplane has n={h.n}")
+                    f"curve has n={n1 - 1}, hyperplane has n={h.n}")
             if id(h) not in index:
                 index[id(h)] = len(distinct)
                 distinct.append(h)
             slot[i, j] = index[id(h)]
-    L = max(1, *(p.coeffs.size for c in curves for p in c.components))
-    La = max(1, *(p.coeffs.size for h in distinct for p in h.coeffs))
+    a = stack_coeffs([p for h in distinct for p in h.coeffs])
+    La = a.shape[1]
     A = np.zeros((len(distinct) + 1, n1, La), dtype=np.complex128)
-    for block, h in zip(A, distinct):
-        for row, p in zip(block, h.coeffs):
-            row[: p.coeffs.size] = p.coeffs
+    A[:-1] = a.reshape(len(distinct), n1, La)
+    f = stack_coeffs([p for c in curves for p in c.components])
+    L = f.shape[1]
     F = np.zeros((N, n1, La, L + La - 1), dtype=np.complex128)
-    for block, curve in zip(F, curves):
-        for rows, p in zip(block, curve.components):
-            rows[0, : p.coeffs.size] = p.coeffs
-    for s in range(1, La):
-        F[:, :, s, s: s + L] = F[:, :, 0, :L]
+    for s in range(La):
+        F[:, :, s, s: s + L] = f.reshape(N, n1, L)
     return (A[slot].reshape(N, H, n1 * La)
             @ F.reshape(N, n1 * La, L + La - 1))
 

@@ -29,7 +29,8 @@ from .errors import IdenticallyZero, WrongCount, ValidationError
 from .normality import marty_sups
 from .polynomial import roots_many, stack_coeffs, trimmed_lengths
 from .position import Region, UniformDelta, position_sweeps
-from .projective import MovingHyperplane, ProjCurve, induced_curve, pair_rows
+from .projective import (MovingHyperplane, ProjCurve, family_n,
+                         induced_curve, pair_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +165,10 @@ def _match_sets(sets: Sequence[tuple[Sequence[complex], Sequence[complex]]],
 # sharing-hypothesis conditions
 # ---------------------------------------------------------------------------
 
-def conditions_check(member: FamilyMember,
-                     cfg: CheckConfig) -> tuple[list[dict], dict]:
-    """Conditions 1 and 2 of one member: ``hypotheses_check``'s family
-    solve with the member alone.
+def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
+                       ) -> list[tuple[list[dict], dict]]:
+    """Conditions 1 and 2 of every member of a nonempty family, whose
+    curves share one n (``family_n``).
 
     Condition 1, per hyperplane: the curve's and the derived map's preimage
     zero SETS are equal.  Only set equality is tested; the curves are
@@ -175,21 +176,10 @@ def conditions_check(member: FamilyMember,
 
     Condition 2, across all hyperplanes: every preimage zero z of the curve
     has |f_0(z)| >= epsilon * max_l |f_l(z)|; failures carry full witnesses.
-    """
-    try:
-        [result] = _family_conditions([member], cfg)
-    except IdenticallyZero as exc:
-        # The family's error names the member; alone it names the
-        # hyperplane only.
-        raise exc.__cause__
-    return result
 
-
-def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
-                       ) -> list[tuple[list[dict], dict]]:
-    """``conditions_check`` of every member, from one ``derived_maps`` call,
-    one ``pair_rows`` contraction of the curves and the derived maps with
-    their hyperplanes, one ``roots_many`` call over all 2(2n+1) pairings of
+    Both come from one ``derived_maps`` call, one ``pair_rows``
+    contraction of the curves and the derived maps with their
+    hyperplanes, one ``roots_many`` call over all 2(2n+1) pairings of
     every member, one ``_match_sets`` call over all of them, and one
     ``polyval_grid`` call for condition 2.
 
@@ -199,23 +189,23 @@ def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
     member has a zero first component, which raises FirstComponentZero.
     """
     curves = [m.curve for m in members]
+    n = family_n(curves)
+    P, H = n + 1, 2 * n + 1
     head = next((i for i, f in enumerate(curves)
                  if f.components[0].is_zero), len(curves))
     nablas = derived_maps(curves[:head])
-    slots = [(i, j) for i in range(head)
-             for j in range(len(members[i].hyperplanes))]
     zeros: list[list[complex]] = []
-    if slots:
+    if head:
         # The curves' pairings, then the derived maps', in one contraction.
         hypers = [m.hyperplanes for m in members[:head]]
         sides = pair_rows(curves[:head] + nablas, hypers + hypers)
-        both = np.stack([sides[:head], sides[head:]], axis=2)
         # Curve then derived map, per hyperplane, per member.
-        rows = both[tuple(np.array(slots).T)].reshape(-1, both.shape[-1])
+        rows = np.stack([sides[:head], sides[head:]], axis=2
+                        ).reshape(-1, sides.shape[-1])
         try:
             zeros = _pairing_zeros(rows, cfg)
         except IdenticallyZero as exc:
-            i, j = slots[exc.hyperplane_index // 2]
+            i, j = divmod(exc.hyperplane_index // 2, H)
             alone = IdenticallyZero(f"hyperplane {j}: {exc}",
                                     hyperplane_index=j)
             alone.__cause__ = exc
@@ -225,25 +215,21 @@ def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
         derived_maps(curves[head:])  # raises FirstComponentZero
     matches = _match_sets(list(zip(zeros[0::2], zeros[1::2])),
                           cfg.match_tolerance)
-    ends = list(itertools.accumulate(len(m.hyperplanes) for m in members))
-    spans = list(zip([0, *ends], ends))
     # Every curve-side zero of each member, with its hyperplane.
-    found = [[(z, j - a) for j in range(a, b) for z in zeros[2 * j]]
-             for a, b in spans]
+    found = [[(z, j) for j in range(H) for z in zeros[2 * (i * H + j)]]
+             for i in range(len(members))]
     # Condition 2 evaluates every member's components at its own zeros in
-    # one polyval_grid call, rows and point lists zero-padded.
-    at = np.zeros((len(members), max(map(len, found), default=0)),
-                  dtype=np.complex128)
+    # one polyval_grid call, point lists zero-padded.
+    at = np.zeros((len(members), max(map(len, found))), dtype=np.complex128)
     for row, zs in zip(at, found):
         row[:len(zs)] = [z for z, _ in zs]
-    sizes = [f.n + 1 for f in curves]
     mods = np.abs(polyval_grid(
         stack_coeffs([p for f in curves for p in f.components]),
-        np.repeat(at, sizes, axis=0)))
-    firsts = itertools.accumulate(sizes, initial=0)
-    return [_member_conditions(zeros[2 * a: 2 * b], matches[a:b], zs,
-                               mods[r: r + size, :len(zs)], cfg)
-            for (a, b), zs, r, size in zip(spans, found, firsts, sizes)]
+        np.repeat(at, P, axis=0))).reshape(len(members), P, at.shape[1])
+    return [_member_conditions(zeros[2 * H * i: 2 * H * (i + 1)],
+                               matches[H * i: H * (i + 1)], zs,
+                               mod[:, :len(zs)], cfg)
+            for i, (zs, mod) in enumerate(zip(found, mods))]
 
 
 def _member_conditions(zeros: list[list[complex]],
@@ -365,13 +351,15 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
     with one ``position_sweeps`` call.  Conditions 1 and 2 of the whole
     family come from one ``derived_maps`` call and one ``roots_many``
     call, and the induced curves of all 2n+1 hyperplane indices from one
-    ``marty_sups`` call.  Degenerate members (curve inside a
-    hyperplane, annotated with the member label; zero first component)
-    raise; they are scene defects, not check failures.
+    ``marty_sups`` call.  The members' curves share one n: a family of
+    mixed n raises DimensionMismatch (``family_n``).  Degenerate members
+    (curve inside a hyperplane, annotated with the member label; zero
+    first component) raise; they are scene defects, not check failures.
     """
     members = list(members)
+    n = family_n([m.curve for m in members])
     warnings: list[str] = []
-    if not members:
+    if n is None:
         return ConditionReport(
             members=[], delta_estimate=None, delta_ok=True,
             condition1_ok=True, condition2_ok=True, induced_normality=[],
@@ -400,12 +388,11 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
     # every hyperplane index in one marty_sups sweep, so a hyperplane that
     # several members hold is swept once.
     curves = {h: induced_curve(h) for m in members for h in m.hyperplanes}
-    count = len(members[0].hyperplanes)
     induced = [{"hyperplane": j, "verdict": stats.verdict,
                 "sups": list(stats.sups)}
                for j, stats in enumerate(marty_sups(
                    [[curves[m.hyperplanes[j]] for m in members]
-                    for j in range(count)], cfg.region))]
+                    for j in range(2 * n + 1)], cfg.region))]
     if len(members) < config.MARTY_WINDOW:
         warnings.append(
             "induced-family normality is inconclusive below "

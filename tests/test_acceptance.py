@@ -17,7 +17,7 @@ from projcurve._kernels import polyval_grid
 from projcurve.derived import derived_map
 from projcurve.harness import generate_scene, run_pipeline
 from projcurve.normality import _fs_values, marty_sup, zalcman_search
-from projcurve.polynomial import ComplexPoly, stack_coeffs
+from projcurve.polynomial import ComplexPoly, roots_many, stack_coeffs
 from projcurve.position import Region, position_sweep
 from projcurve.projective import MovingHyperplane, ProjCurve, pair_rows
 
@@ -361,17 +361,17 @@ def test_acceptance_8_reduction_invariants(announce):
         # [g q0 : q1] is reduced, and f0 = g q0 carries the planted factor:
         # the derived tuple [f0^2 : W(f0, f1)] shares gcd(f0, f0'), one
         # factor (z - r) per double root r of g.
-        red = derived_map(ProjCurve([g * q0, q1])).components
+        f0 = ComplexPoly(np.convolve(g.coeffs, q0.coeffs))
+        red = derived_map(ProjCurve([f0, q1])).components
         doubles = len(g_roots) - len(g_simple)
         if red[0].degree != 2 * (len(g_roots) + 1) - doubles:
             degree_failures += 1
 
         scale = max(max(np.abs(p.coeffs).max() for p in red), 1.0)
-        for p in red:
-            if p.degree < 1:
-                continue
-            for root, _ in p.roots():
-                other = max(abs(qq(root)) for qq in red)
+        rows = stack_coeffs(red)
+        for found in roots_many([p.coeffs for p in red if p.degree >= 1]):
+            for root, _ in found:
+                other = np.abs(polyval_grid(rows, np.array([root]))).max()
                 if other <= TAU_RES * scale:
                     residual_failures += 1
     elapsed = time.perf_counter() - start

@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
@@ -6,12 +7,13 @@ from hypothesis import strategies as st
 
 from projcurve._kernels import pairwise_fs_grid, polyval_grid
 from projcurve.derived import derived_map, derived_maps
-from projcurve.errors import FirstComponentZero
+from projcurve.errors import DimensionMismatch, FirstComponentZero
 from projcurve.polynomial import ComplexPoly, stack_coeffs
 from projcurve.projective import ProjCurve
 
 ONE = ComplexPoly.one()
 Z = ComplexPoly([0, 1])
+Z2 = ComplexPoly([0, 0, 1])
 
 
 def projectively_close(f, g, pts, tol=1e-10):
@@ -27,14 +29,14 @@ class TestExamples:
         assert d.components == (ONE, ONE)
 
     def test_square(self):
-        f = ProjCurve([ONE, Z * Z])
+        f = ProjCurve([ONE, Z2])
         d = derived_map(f)
         # (1, 2z) after cancelling nothing: W(1, z^2) = 2z
         assert d.components[0] == ONE
         assert d.components[1] == ComplexPoly([0, 2])
 
     def test_rational_normal_n2(self):
-        f = ProjCurve([ONE, Z, Z * Z])
+        f = ProjCurve([ONE, Z, Z2])
         d = derived_map(f)
         assert d.components == (ONE, ONE, ComplexPoly([0, 2]))
 
@@ -56,6 +58,17 @@ class TestExamples:
         with pytest.raises(FirstComponentZero):
             derived_map(f)
 
+    def test_empty_family(self):
+        assert derived_maps([]) == []
+
+    def test_mixed_n_raises(self):
+        # One family maps into one P^n; the error names the first curve of
+        # another n.
+        for curves in ([ProjCurve([ONE, Z]), ProjCurve([ONE, Z, Z2])],
+                       [ProjCurve([ONE, Z, Z2]), ProjCurve([ONE, Z])]):
+            with pytest.raises(DimensionMismatch, match="curve 1 has n="):
+                derived_maps(curves)
+
 
 class TestProjectiveWellDefined:
     def test_scalar_multiple_same_map(self):
@@ -67,7 +80,8 @@ class TestProjectiveWellDefined:
             f = ProjCurve([ComplexPoly(coeffs0), ComplexPoly(coeffs1)],
                           check_reduced=False)
             c = 0.7 - 1.3j
-            g = ProjCurve([c * p for p in f.components], check_reduced=False)
+            g = ProjCurve([ComplexPoly(c * p.coeffs) for p in f.components],
+                          check_reduced=False)
             assert projectively_close(derived_map(f), derived_map(g), pts)
 
 
@@ -80,12 +94,15 @@ class TestDerivativeOfRatio:
         q = ComplexPoly([0.3, -2.0, 0.0, 1.0])
         f = ProjCurve([p, q])
         d = derived_map(f)
-        dp, dq = p.derivative(), q.derivative()
-        for z in pts:
-            # The quotient rule: (q/p)' = (p q' - p' q) / p^2.
-            ratio_prime = (p(z) * dq(z) - dp(z) * q(z)) / p(z) ** 2
-            got = d.components[1](z) / d.components[0](z)
-            assert abs(got - ratio_prime) <= 1e-9 * max(1.0, abs(ratio_prime))
+        # numpy's polyval and polyder as the oracle.
+        pv, qv, dpv, dqv, d0, d1 = (npoly.polyval(pts, c) for c in (
+            p.coeffs, q.coeffs, npoly.polyder(p.coeffs),
+            npoly.polyder(q.coeffs), d.components[0].coeffs,
+            d.components[1].coeffs))
+        # The quotient rule: (q/p)' = (p q' - p' q) / p^2.
+        ratio_prime = (pv * dqv - dpv * qv) / pv ** 2
+        assert np.all(np.abs(d1 / d0 - ratio_prime)
+                      <= 1e-9 * np.maximum(1.0, np.abs(ratio_prime)))
 
     def test_cancellation_happens(self):
         # f0 = z^2 forces f0^2 = z^4 and W divisible by z: the tuple reduces
@@ -159,8 +176,13 @@ def exact_case(drawn):
     return curve, want
 
 
-exact_cases = st.integers(1, 6).flatmap(lambda n: st.tuples(
-    lattice_roots, st.lists(small_int_polys, min_size=n, max_size=n)))
+def exact_cases_of(n):
+    """f0's lattice roots and the n other components of a curve in P^n."""
+    return st.tuples(lattice_roots,
+                     st.lists(small_int_polys, min_size=n, max_size=n))
+
+
+exact_cases = st.integers(1, 6).flatmap(exact_cases_of)
 
 
 class TestExactOracle:
@@ -175,9 +197,10 @@ class TestExactOracle:
         got = [c.degree for c in derived_map(curve).components]
         assert got == want
 
-    # A family of curves of several n and degrees, reduced together.
-    @given(st.lists(exact_cases.map(exact_case).filter(bool),
-                    min_size=1, max_size=5))
+    # A family of curves of one n and several degrees, reduced together.
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        exact_cases_of(n).map(exact_case).filter(bool),
+        min_size=1, max_size=5)))
     @settings(max_examples=40, deadline=None)
     def test_family_degrees_match_exact_gcd(self, cases):
         got = derived_maps([curve for curve, _ in cases])

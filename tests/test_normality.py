@@ -4,6 +4,7 @@ import warnings
 
 import mpmath
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from projcurve import _kernels, normality, position
 from projcurve._kernels import (fs_derivative_grid, pairwise_fs_grid,
                                 polyval_grid)
-from projcurve.errors import NotBlowingUp, NumericOverflow, WrongCount
-from projcurve.normality import marty_sup, zalcman_search
-from projcurve.polynomial import ComplexPoly, stack_coeffs
+from projcurve.errors import (DimensionMismatch, NotBlowingUp,
+                              NumericOverflow, WrongCount)
+from projcurve.normality import marty_sup, marty_sups, zalcman_search
+from projcurve.polynomial import ComplexPoly, roots_many, stack_coeffs
 from projcurve.position import Region
 from projcurve.projective import ProjCurve, pair_rows
 from projcurve.sharing import FamilyMember
@@ -41,6 +43,16 @@ def zalcman(curves):
 U = 2.0 ** -53
 
 
+def derivative(p):
+    """The derivative of a polynomial, by numpy's ``polyder``."""
+    return ComplexPoly(npoly.polyder(p.coeffs))
+
+
+def scaled(c, comps):
+    """Every polynomial of ``comps`` times the number c."""
+    return [ComplexPoly(c * p.coeffs) for p in comps]
+
+
 def fs_at(curve, pts):
     """The Fubini-Study derivative of one curve at the points, from the
     stacked sweep."""
@@ -58,7 +70,7 @@ def assert_fs_derivative_close(curve, got, pts):
     sum_i |c_li| |z|^i over the components and their derivatives.
     """
     comps = curve.components
-    ders = [p.derivative() for p in comps]
+    ders = [derivative(p) for p in comps]
     L = max(p.coeffs.size for p in comps)
     P = len(comps)
     with mpmath.workdps(40):
@@ -103,7 +115,7 @@ class TestFsDerivative:
             coeffs = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
             f = ProjCurve([ComplexPoly(c) for c in coeffs],
                           check_reduced=False)
-            g = ProjCurve([(2.0 - 3.0j) * p for p in f.components],
+            g = ProjCurve(scaled(2.0 - 3.0j, f.components),
                           check_reduced=False)
             z = complex(*rng.uniform(-1, 1, 2))
             a, b = fs_at(f, [z])[0], fs_at(g, [z])[0]
@@ -140,12 +152,13 @@ class TestFsDerivative:
         f0 = ComplexPoly([1.0, 0.2, 0.8])
         f1 = ComplexPoly([0.1, -1.5, 0.0, 0.7])
         f = ProjCurve([f0, f1])
-        d0, d1 = f0.derivative(), f1.derivative()
-        for _ in range(50):
-            z = complex(*rng.uniform(-1, 1, 2))
-            num = abs(f0(z) * d1(z) - f1(z) * d0(z))
-            den = abs(f0(z)) ** 2 + abs(f1(z)) ** 2
-            assert abs(fs_at(f, [z])[0] - num / den) <= 1e-12
+        # numpy's polyval and polyder as the oracle.
+        pts = rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50)
+        v0, v1, d0, d1 = (npoly.polyval(pts, c) for c in (
+            f0.coeffs, f1.coeffs, npoly.polyder(f0.coeffs),
+            npoly.polyder(f1.coeffs)))
+        want = np.abs(v0 * d1 - v1 * d0) / (np.abs(v0) ** 2 + np.abs(v1) ** 2)
+        assert np.all(np.abs(fs_at(f, pts) - want) <= 1e-12)
 
 
 class TestMartySup:
@@ -202,10 +215,11 @@ class TestMartySup:
                     assert normality._classify(broken) == "inconclusive"
 
     def test_constant_curves_skip_the_grid(self, monkeypatch):
-        curves = [ProjCurve([ComplexPoly([c ** l]) for l in range(n + 1)])
-                  for n, c in ((1, 0.3 + 0.1j), (3, -0.2j), (6, 0.45))]
-        curves += [ProjCurve([ComplexPoly.zero(), ONE]),
-                   ProjCurve([ONE, ComplexPoly([0.0, 2.0])])]
+        zero = ComplexPoly.zero()
+        curves = [ProjCurve([ComplexPoly([c ** l]) for l in range(4)])
+                  for c in (0.3 + 0.1j, -0.2j, 0.45)]
+        curves += [ProjCurve([zero, ONE, zero, zero]),
+                   ProjCurve([ONE, ComplexPoly([0.0, 2.0]), zero, zero])]
         # The grid path, as taken by curves that are not constant.
         monkeypatch.setattr(ProjCurve, "is_constant",
                             property(lambda self: False))
@@ -264,7 +278,7 @@ def _random_curve(rng, n, degree, scale):
 
 def _unscaled_pack(curve):
     comps = curve.components
-    ders = [p.derivative() for p in comps]
+    ders = [derivative(p) for p in comps]
     L = max(p.coeffs.size for p in comps)
     Ld = max(max(p.coeffs.size for p in ders), 1)
     comp = np.zeros((len(comps), L), dtype=np.complex128)
@@ -288,7 +302,7 @@ class TestPowerOfTwoScaling:
         rng = np.random.default_rng(seed)
         comps = _random_curve(rng, n, degree, 1.0)
         f = ProjCurve(comps, check_reduced=False)
-        g = ProjCurve([2.0 ** k * p for p in comps], check_reduced=False)
+        g = ProjCurve(scaled(2.0 ** k, comps), check_reduced=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert (fs_at(f, self.grid.grid_points()).tobytes()
@@ -320,22 +334,23 @@ class TestPowerOfTwoScaling:
 
 class TestStackedMarty:
     """A curve's sup, argmax and grid values have the same bits swept
-    alone and inside a family that mixes n, degrees, scales, constant
-    curves and repeated objects, at every block size."""
+    alone and inside a family of one n that mixes degrees, scales,
+    constant curves and repeated objects, at every block size."""
 
     @settings(max_examples=30, deadline=None)
-    @given(shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 4),
+    @given(n=st.integers(1, 6),
+           shapes=st.lists(st.tuples(st.integers(0, 4),
                                      st.sampled_from([-170, 0, 170])),
                            min_size=1, max_size=6),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_alone_equals_in_family(self, shapes, seed):
+    def test_alone_equals_in_family(self, n, shapes, seed):
         rng = np.random.default_rng(seed)
         region = Region(-1, 1, -0.5, 0.5, 7, 5)
         pts = region.grid_points()
         # Degree 0 makes a constant curve.
         curves = [ProjCurve(_random_curve(rng, n, degree, 10.0 ** e),
                             check_reduced=False)
-                  for n, degree, e in shapes]
+                  for degree, e in shapes]
         family = curves + curves[:2]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -343,8 +358,8 @@ class TestStackedMarty:
             grids = [fs_at(f, region.grid_points()).tobytes()
                      for f in family]
             with pytest.MonkeyPatch.context() as mp:
-                # One curve per block; two n = 6 curves; the default; all.
-                for block in (1, 2 * 14 * pts.size, _kernels._EVAL_BLOCK,
+                # One curve per block; two; the default; all.
+                for block in (1, 4 * (n + 1) * pts.size, _kernels._EVAL_BLOCK,
                               1 << 30):
                     mp.setattr(_kernels, "_EVAL_BLOCK", block)
                     got = marty_sup(family, region).members
@@ -552,22 +567,21 @@ class TestStackedZalcman:
             pairs[-1] if pairs else np.zeros(M)).tobytes()
         assert t.convergence_residual == (t.residuals[-1] if pairs else 0.0)
 
-    def test_mixed_n_pads_with_zero_components(self):
-        # [f0 : f1] and [f0 : f1 : 0] are the same points of P^2: the
-        # pair (f, g) has the distances of (f, f), bit for bit.
+    def test_mixed_n_raises(self):
+        # One family maps into one P^n: members of n = 1 and n = 2 raise
+        # DimensionMismatch, in either order, before anything is swept.
         rng = np.random.default_rng(7)
-        [f], stats = _blowup_family(rng, 1, [0])
-        g = ProjCurve([*f.components, ComplexPoly.zero()],
-                      check_reduced=False)
-        stats = dataclasses.replace(stats, members=stats.members * 2,
-                                    sups=stats.sups * 2)
-        same = zalcman_search([f, f], stats)
-        t = zalcman_search([f, g], stats)
-        assert [r.hex() for r in t.residuals] == \
-            [r.hex() for r in same.residuals]
-        assert t.limit_distances.tobytes() == same.limit_distances.tobytes()
-        assert t.limit_candidate.shape == (3, t.zeta_points.size)
-        assert not t.limit_candidate[2].any()
+        curves, stats = _blowup_family(rng, 1, [0, 0])
+        [g], _ = _blowup_family(rng, 2, [0])
+        for family in ([curves[0], g], [g, curves[0]]):
+            with pytest.raises(DimensionMismatch, match="curve 1 has n="):
+                zalcman_search(family, stats)
+            with pytest.raises(DimensionMismatch, match="curve 1 has n="):
+                marty_sup(family, REGION)
+        # Across families too: every curve of one marty_sups call is swept
+        # in one stack.
+        with pytest.raises(DimensionMismatch):
+            marty_sups([curves, [g]], REGION)
 
 
 def omitted(curve, hypers):
@@ -593,8 +607,8 @@ class TestGreenOmission:
         f = ProjCurve([ONE, Z])
         hypers = self.unity_hypers(1)
         assert omitted(f, hypers) == []
-        assert all(ComplexPoly(row).roots()
-                   for row in pair_rows([f], [hypers])[0])
+        assert all(roots_many([ComplexPoly(row).coeffs
+                               for row in pair_rows([f], [hypers])[0]]))
 
     def test_constant_curve_omits_all(self):
         f = ProjCurve([ONE, ComplexPoly([0.3 + 0.1j])])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from projcurve import _kernels, config, position
 from projcurve.errors import WrongCount
+from projcurve._kernels import polyval_grid
 from projcurve.harness import generate_scene, rebuild_scene, run_pipeline
 from projcurve.polynomial import ComplexPoly, stack_coeffs
 from projcurve.position import Region, position_sweep, position_sweeps
@@ -249,7 +250,8 @@ class TestIsGeneralPosition:
 def per_point_product(hypers, pts):
     """Product of |det| over (n+1)-subsets, one determinant per point of
     the hyperplanes' values there."""
-    rows = np.stack([np.stack([p(pts) for p in h.coeffs]) for h in hypers])
+    rows = np.stack([polyval_grid(stack_coeffs(h.coeffs), pts)
+                     for h in hypers])
     out = np.ones(pts.size)
     for idx in itertools.combinations(range(len(hypers)), hypers[0].n + 1):
         out *= np.abs(np.linalg.det(rows[list(idx)].transpose(2, 0, 1)))
@@ -373,12 +375,13 @@ class TestFixedFamiliesExact:
         h = fixed(*values)
         region = Region(-1.0, 2.0, -0.5, 0.5, 7, 4)
         pts = region.grid_points()
-        sup = max(float(np.max(np.abs(p(pts)))) for p in h.coeffs)
+        sup = float(np.abs(polyval_grid(stack_coeffs(h.coeffs), pts)).max())
         factor = 1.0 if abs(sup - 1.0) <= 1e-12 else 1.0 / sup
         got = h.normalized(region)
         assert got.normalization == {"factor": factor, "sup_before": sup}
         for p, q in zip(got.coeffs, h.coeffs):
-            expect = q.coeffs if factor == 1.0 else (factor * q).coeffs
+            expect = (q.coeffs if factor == 1.0 else
+                      ComplexPoly(q.coeffs * complex(factor)).coeffs)
             assert p.coeffs.tobytes() == expect.tobytes()
 
 

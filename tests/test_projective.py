@@ -15,12 +15,13 @@ from projcurve.errors import (AllZero, DimensionMismatch, ValidationError,
 from projcurve.harness import Scene, scene_from_json, scene_to_json
 from projcurve.polynomial import ComplexPoly, stack_coeffs
 from projcurve.position import Region
-from projcurve.projective import (MovingHyperplane, ProjCurve, induced_curve,
-                                  normalized_many, pair_rows)
+from projcurve.projective import (MovingHyperplane, ProjCurve, family_n,
+                                  induced_curve, normalized_many, pair_rows)
 from projcurve.sharing import CheckConfig, FamilyMember
 
 ONE = ComplexPoly.one()
 Z = ComplexPoly([0, 1])
+Z2 = ComplexPoly([0, 0, 1])
 
 unit_complex = st.builds(
     complex,
@@ -117,7 +118,7 @@ def chordal(a, b):
 class TestProjCurve:
     def test_common_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            ProjCurve([Z, Z * Z])
+            ProjCurve([Z, Z2])
 
     def test_needs_two_components(self):
         with pytest.raises(DimensionMismatch):
@@ -130,20 +131,34 @@ class TestProjCurve:
         assert fs(at, [0.5, 1.0]) <= 1e-15
 
     def test_components_evaluate_as_rows(self):
-        f = ProjCurve([ONE, Z, Z * Z])
+        f = ProjCurve([ONE, Z, Z2])
         pts = np.array([0.0, 1.0, 2.0, 3.0])
         vals = polyval_grid(stack_coeffs(f.components), pts)
         assert vals.shape == (3, 4)
         assert np.allclose(vals[2], [0.0, 1.0, 4.0, 9.0])
 
     def test_degree_and_constant(self):
-        assert ProjCurve([ONE, Z * Z]).degree == 2
+        assert ProjCurve([ONE, Z2]).degree == 2
         assert ProjCurve([ONE, ComplexPoly([2.0])]).is_constant
 
     def test_json_round_trip(self):
         f = ProjCurve([ONE, ComplexPoly([1j, 2.0])])
         g = scene_round_trip(f)
         assert g.components == f.components
+
+
+class TestFamilyN:
+    def test_shared_n(self):
+        line, conic = ProjCurve([ONE, Z]), ProjCurve([ONE, Z, Z2])
+        assert family_n([line, line, ProjCurve([Z, ONE])]) == 1
+        assert family_n([conic]) == 2
+        assert family_n([]) is None
+
+    def test_names_first_curve_of_another_n(self):
+        line, conic = ProjCurve([ONE, Z]), ProjCurve([ONE, Z, Z2])
+        with pytest.raises(DimensionMismatch) as err:
+            family_n([line, line, conic, ProjCurve([ONE, Z, Z2, Z])])
+        assert str(err.value) == "curve 2 has n=2, curve 0 has n=1"
 
 
 class TestMovingHyperplane:
@@ -166,8 +181,8 @@ class TestMovingHyperplane:
     def test_normalized_unit_sup(self):
         region = Region(-1, 1, -1, 1, 11, 11)
         h = MovingHyperplane([ComplexPoly([3.0]), Z]).normalized(region)
-        sup = max(float(np.max(np.abs(p(region.grid_points()))))
-                  for p in h.coeffs)
+        sup = float(np.abs(polyval_grid(stack_coeffs(h.coeffs),
+                                        region.grid_points())).max())
         assert abs(sup - 1.0) <= 1e-12
         assert h.normalization is not None
         assert abs(h.normalization["factor"] - 1.0 / 3.0) <= 1e-15
@@ -223,7 +238,8 @@ def hyperplane_tuples(draw, n):
     if draw(st.booleans()):
         _, norm = normalized_one(polys, NORM_REGION)
         nudge = 1.0 + draw(st.floats(-9e-13, 9e-13))
-        polys = [p * complex(nudge * norm["factor"]) for p in polys]
+        polys = [ComplexPoly(p.coeffs * complex(nudge * norm["factor"]))
+                 for p in polys]
     return polys
 
 
@@ -308,10 +324,18 @@ class TestPairing:
         assert pair(f, h) == ComplexPoly([2.0, 3.0])
 
     def test_dim_mismatch(self):
-        f = ProjCurve([ONE, Z, Z * Z])
+        f = ProjCurve([ONE, Z, Z2])
         h = MovingHyperplane([ONE, Z])
         with pytest.raises(DimensionMismatch):
             pair(f, h)
+
+    def test_mixed_n_curves(self):
+        # Each curve with hyperplanes of its own n, but the curves of one
+        # contraction share one n.
+        hypers = [[MovingHyperplane([ONE, Z])],
+                  [MovingHyperplane([ONE, Z, ONE])]]
+        with pytest.raises(DimensionMismatch, match="curve 1 has n=2"):
+            pair_rows([ProjCurve([ONE, Z]), ProjCurve([ONE, Z, Z2])], hypers)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -344,7 +368,7 @@ class TestPairing:
         # (1 + 1e-7 z)^2 keeps its 1e-14 z^2, which is not trailing once z^2
         # is added; the z terms cancel to the rounding of 2e-7 - 1e-19.
         small = ComplexPoly([1.0, 1e-7])
-        f = ProjCurve([small, ONE, Z * Z], check_reduced=False)
+        f = ProjCurve([small, ONE, Z2], check_reduced=False)
         h = MovingHyperplane([small, ComplexPoly([1.0, -2e-7 + 1e-19]), ONE])
         got = pair(f, h).coeffs
         assert got.size == 3
@@ -360,15 +384,16 @@ class TestPairing:
     @settings(max_examples=100, deadline=None)
     def test_family_contraction_matches_convolve(self, data):
         """Row [i, j] of ``pair_rows`` is the sum over l of np.convolve of
-        hyperplane j's a_l and curve i's f_l, for 1-4 curves of n = 1...6
-        with zero components and 1-3 fixed or moving hyperplanes each: the
-        same length once both are trimmed (the trailing-coefficient rule
-        written out as a loop here), each coefficient within 2 PAIR_TOL of
-        the sum's relative to the sum of the products' moduli, and rows
-        past a shorter hyperplane list zero."""
+        hyperplane j's a_l and curve i's f_l, for 1-4 curves of one n =
+        1...6 with zero components and 1-3 fixed or moving hyperplanes
+        each: the same length once both are trimmed (the
+        trailing-coefficient rule written out as a loop here), each
+        coefficient within 2 PAIR_TOL of the sum's relative to the sum of
+        the products' moduli, and rows past a shorter hyperplane list
+        zero."""
         curves, hypers = [], []
+        n = data.draw(st.integers(min_value=1, max_value=6))
         for _ in range(data.draw(st.integers(1, 4))):
-            n = data.draw(st.integers(min_value=1, max_value=6))
             comps = [data.draw(pair_polys(4)) for _ in range(n + 1)]
             assume(not all(p.is_zero for p in comps))
             curves.append(ProjCurve(comps, check_reduced=False))

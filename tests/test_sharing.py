@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
@@ -6,14 +7,15 @@ from hypothesis import strategies as st
 
 from projcurve._kernels import polyval_grid
 from projcurve.derived import derived_map
-from projcurve.errors import FirstComponentZero, IdenticallyZero, WrongCount
+from projcurve.errors import (DimensionMismatch, FirstComponentZero,
+                              IdenticallyZero, WrongCount)
 from projcurve.harness import generate_scene
 from projcurve.polynomial import ComplexPoly, roots_many, stack_coeffs
 from projcurve.position import Region, position_sweep
 from projcurve.projective import MovingHyperplane, ProjCurve, pair_rows
 from projcurve import config, derived, sharing
 from projcurve.sharing import (CheckConfig, FamilyMember, _match_sets,
-                               conditions_check, hypotheses_check)
+                               hypotheses_check)
 
 ONE = ComplexPoly.one()
 Z = ComplexPoly([0, 1])
@@ -25,9 +27,16 @@ def fixed(*values):
 
 
 def preimage_zeros(curve, hyper, region):
-    """Zeros of one pairing in the region, as conditions_check finds them."""
+    """Zeros of one pairing in the region, as hypotheses_check finds them."""
     return sharing._pairing_zeros(pair_rows([curve], [[hyper]])[0],
                                   make_config(region=region))[0]
+
+
+def conditions_alone(member, cfg):
+    """Conditions 1 and 2 of one member, from ``hypotheses_check`` of the
+    member alone."""
+    [verdict] = hypotheses_check([member], cfg).members
+    return verdict.condition1, verdict.condition2
 
 
 def make_config(**kw):
@@ -135,13 +144,13 @@ class TestConditions:
         good = self.member(
             ProjCurve([ONE, ComplexPoly([0.04, -0.4, 1.0])]),
             [fixed(0.0, 1.0), fixed(1.0, 0.1), fixed(1.0, -0.1)])
-        rep, _ = conditions_check(good, cfg)
+        rep, _ = conditions_alone(good, cfg)
         assert all(e["passed"] for e in rep)
 
         bad = self.member(
             ProjCurve([ONE, ComplexPoly([1.0, 0, 1.0])]),
             [fixed(0.0, 1.0), fixed(1.0, 0.1), fixed(1.0, -0.1)])
-        rep, _ = conditions_check(bad, cfg)
+        rep, _ = conditions_alone(bad, cfg)
         failing = [e for e in rep if not e["passed"]]
         assert len(failing) == 1
         witnesses = ([w for w in failing[0]["curve_only"]]
@@ -160,7 +169,7 @@ class TestConditions:
         q = ComplexPoly.from_roots([a] * m)
         member = self.member(ProjCurve([ONE, q]), [
             fixed(0.0, 1.0), fixed(1.0, 0.01), fixed(1.0, -0.01)])
-        cond1, cond2 = conditions_check(member, make_config())
+        cond1, cond2 = conditions_alone(member, make_config())
         assert [e["passed"] for e in cond1] == [m >= 2, True, True]
         assert cond1[0]["derived_only"] == []
         if m == 1:
@@ -181,7 +190,7 @@ class TestConditions:
                            ComplexPoly.from_roots([b] * 2)])
         member = self.member(curve, [fixed(1.0, 0.0), fixed(0.0, 1.0),
                                      fixed(1.0, 5.0)])
-        cond1, _ = conditions_check(member, make_config())
+        cond1, _ = conditions_alone(member, make_config())
         assert [(e["passed"], len(e["curve_only"]), len(e["derived_only"]))
                 for e in cond1] == [(True, 0, 0), (False, 0, 2),
                                     (False, 4, 4)]
@@ -193,7 +202,7 @@ class TestConditions:
         m = self.member(
             ProjCurve([ONE, ComplexPoly([0.04, -0.4, 1.0])]),
             [fixed(0.0, 1.0), fixed(1.0, 0.1), fixed(1.0, -0.1)])
-        _, rep = conditions_check(m, cfg)
+        _, rep = conditions_alone(m, cfg)
         assert rep["passed"]
         assert rep["zeros_checked"] >= 1
 
@@ -204,7 +213,7 @@ class TestConditions:
         m = self.member(
             ProjCurve([ONE, q]),
             [fixed(20.0, -1.0), fixed(7.0, -1.0), fixed(-20.0, -1.0)])
-        _, rep = conditions_check(m, cfg)
+        _, rep = conditions_alone(m, cfg)
         assert not rep["passed"]
         assert any(abs(w["z"] - 0.2) <= 1e-6 for w in rep["witnesses"])
 
@@ -280,6 +289,19 @@ class TestHypothesesCheck:
             hypotheses_check(members, make_config())
         assert "bad" in str(err.value)
 
+    def test_mixed_n_raises(self):
+        # One family maps into one P^n, whichever n comes first: the error
+        # names the first member's curve of another n.
+        one = FamilyMember(ProjCurve([ONE, Z]),
+                           [fixed(0.0, 1.0), fixed(1.0, 0.1),
+                            fixed(1.0, -0.1)], "one")
+        two = FamilyMember(ProjCurve([ONE, Z, ComplexPoly([0, 0, 1])]),
+                           [fixed(*(b ** l for l in range(3)))
+                            for b in (1.0, -1.0, 0.5, -0.5, 2.0)], "two")
+        for members in ([two, one], [one, two]):
+            with pytest.raises(DimensionMismatch, match="curve 1 has n="):
+                hypotheses_check(members, make_config())
+
     def test_first_bad_member_is_reported(self):
         # One solve serves the family, but its defects are met in member
         # order: [1 : z] lies in (z, -1), and [0 : 1] has no derived map.
@@ -308,15 +330,17 @@ class TestHypothesesCheck:
         member = FamilyMember(ProjCurve([ONE, Z]),
                               [h_derived, h_curve, h_curve], "m")
         with pytest.raises(IdenticallyZero) as err:
-            conditions_check(member, make_config())
+            conditions_alone(member, make_config())
         assert err.value.hyperplane_index == 0
         assert str(err.value) == (
+            "member m: hyperplane 0: curve lies inside the hyperplane")
+        assert str(err.value.__cause__) == (
             "hyperplane 0: curve lies inside the hyperplane")
         # Here the curve's pairing in hyperplane 1 comes first.
         member = FamilyMember(ProjCurve([ONE, Z]),
                               [fixed(1.0, 0.1), h_curve, h_derived], "m")
         with pytest.raises(IdenticallyZero) as err:
-            conditions_check(member, make_config())
+            conditions_alone(member, make_config())
         assert err.value.hyperplane_index == 1
 
 
@@ -324,11 +348,16 @@ class TestHypothesesCheck:
 U = 2.0 ** -53
 
 
+def slope(p, z):
+    """p'(z), by numpy's ``polyder`` and ``polyval``."""
+    return npoly.polyval(z, npoly.polyder(p.coeffs))
+
+
 def simple_root_bound(p, z):
     """README's bound on a polished simple root of p near z:
     2 d u B(z) / |p'(z)|, B(z) = sum_i |c_i| |z|^i."""
     B = float(np.polyval(np.abs(p.coeffs[::-1]), abs(z)))
-    return 2 * p.degree * U * B / abs(p.derivative()(z))
+    return 2 * p.degree * U * B / abs(slope(p, z))
 
 
 def pairing_zero_bound(curve, hyper, z):
@@ -354,7 +383,7 @@ def pairing_zero_bound(curve, hyper, z):
             * float(np.polyval(np.abs(f.coeffs[::-1]), x))
             for a, f in zip(hyper.coeffs, curve.components))
     return 2 * (simple_root_bound(p, z)
-                + 32 * U * M / abs(p.derivative()(z)))
+                + 32 * U * M / abs(slope(p, z)))
 
 
 def family(n, seed, roots):
@@ -556,5 +585,5 @@ class TestSharingOracle:
                                         reversed(f.all_coeffs())])
                            for f in comps], check_reduced=False)
         member = FamilyMember(curve, [fixed(*a) for a in coeffs], "m")
-        cond1, _ = conditions_check(member, make_config())
+        cond1, _ = conditions_alone(member, make_config())
         assert [e["passed"] for e in cond1] == want
