@@ -9,17 +9,26 @@ The kernels take whole families on a batch axis: ``polyval_grid`` takes
 ``position`` and ``normality``, the Zalcman samples and the hyperplane
 normalization cut a family into blocks of at most ``_EVAL_BLOCK`` complex
 values per ``polyval_grid`` call.  A kernel works elementwise along the
-batch and reduces only along other axes, so no bit of an item depends on
-the batch it rides in.
+batch and the points and reduces only along other axes, so no bit of an
+item at a point depends on the batch or the other points it rides with.
+
+``taylor_discs`` gives the Taylor data of polynomial rows on discs, with
+one error bound for the coefficients and their tail, by the binomial
+shift ``_taylor`` and ``polyval_grid``.  The Marty sweep bounds the
+Fubini-Study derivative on grid cells with it, and skips a cell whose
+bound is below a value already computed.
 
 A Fubini-Study sweep allocates its block arrays once and every block
 reuses them: ``polyval_grid`` writes into a caller's ``out``,
-``fs_derivative_grid`` takes the arrays of ``fs_workspace``, and the
-Zalcman samples are scaled in place by ``fs_scale`` and measured by
-``fs_distance``, whose composition is ``pairwise_fs_grid``.  Each buffer
-is filled by in-place ufuncs that give the bits of the plain expressions
-they replace.
+``fs_derivative_grid`` carves its arrays from an ``fs_workspace`` (the
+Marty sweep's blocks on cells differ in their point counts and share the
+workspace of one curve's whole grid), and the Zalcman samples are scaled
+in place by ``fs_scale`` and measured by ``fs_distance``, whose
+composition is ``pairwise_fs_grid``.  Each buffer is filled by in-place
+ufuncs that give the bits of the plain expressions they replace.
 """
+
+import functools
 
 import numpy as np
 
@@ -31,6 +40,11 @@ import numpy as np
 # values, about 3.2 blocks, and the sweep reuses its buffers from curve to
 # curve.
 _EVAL_BLOCK = 1 << 14
+
+# Unit roundoff of float64, and the smallest subnormal, which bounds the
+# absolute error an operation adds when its result underflows.
+_U = 2.0 ** -53
+_ETA = 2.0 ** -1074
 
 
 def pow2_factors(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,6 +85,81 @@ def polyval_grid_numpy(coeffs: np.ndarray, pts: np.ndarray,
     return out
 
 
+@functools.cache
+def _taylor_index(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """For Taylor coefficients of length L: entry [j, t] of the first array
+    is C(t + j, j), 0 where t + j >= L, and of the second the coefficient
+    index min(t + j, L - 1) it multiplies.
+
+    Row j is the running sum of row j - 1 (Pascal's rule), which is exact
+    while the entries stay below 2**53, as they do for L <= 57, and inf
+    where a binomial passes the float range.  Past 2**53 each running sum
+    adds a relative error of at most (L - 1) u, so an entry is within
+    L**2 u of its binomial."""
+    binom = np.ones((L, L))
+    with np.errstate(over="ignore"):
+        for j in range(1, L):
+            np.cumsum(binom[j - 1], out=binom[j])
+    index = np.add.outer(np.arange(L), np.arange(L))
+    binom[index >= L] = 0.0
+    return binom, np.minimum(index, L - 1)
+
+
+def _taylor(coeffs: np.ndarray, k: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Row r: the ascending coefficients of p^(j[r])/j[r]!, zero-padded,
+    for the polynomial p in row k[r] of ``coeffs``."""
+    L = coeffs.shape[1]
+    binom, index = _taylor_index(L)
+    return binom[j] * coeffs.ravel()[index[j] + L * k[:, None]]
+
+
+def taylor_discs(rows: np.ndarray, centres: np.ndarray, radii: np.ndarray
+                 ) -> tuple[np.ndarray, ...]:
+    """Taylor data of K polynomial rows on C discs D(c, r): (K, L) rows,
+    ascending and zero-padded, and (C,) centres and radii give
+
+    - ``q``, (K, C, L): q[k, d, j] = p_k^(j)(c_d) / j!;
+    - ``tail``, (K, C): sum_{j >= 1} |q_j| r^j, which bounds
+      |p(z) - p(c)| on the disc;
+    - ``major``, (K, C): the centre-0 majorant sum_m |a_m| S^m, S = |c| + r
+      rounded up, itself rounded up, which bounds |p| on the disc;
+    - ``err``, (K, C): a bound on |q_j - exact q_j| r^j for every j, and
+      on |tail - exact tail|.
+
+    Exact means in real arithmetic on the given floats.  The shift
+    coefficients are ``_taylor`` rows, evaluated at the centres in one
+    ``polyval_grid`` call; the majorants are a second call and the tails a
+    Horner loop in r.  ``q`` is a view of a (K, L, C) array.
+
+    The bound is Horner's (Higham, Accuracy and Stability, 2nd ed., section
+    5.1) with complex operations counted at 4u, carried through the
+    binomial weights: q_j is within (L**2 + 8L + 8) u M_j, M_j = sum_t
+    C(t + j, j) |a_(t+j)| |c|^t, the L**2 for the binomials, and
+    sum_j M_j r^j = sum_m |a_m| (|c| + r)^m, so every M_j r^j is at most
+    ``major``.  The tail adds its own (2L + 8) u, and underflow 8 (L**2 +
+    L) eta max(1, S)**(2L), eta = 2**-1074.  ``err`` is inf where the
+    majorant passes 2**1000, so that q may have overflowed, or the tail is
+    not finite (a binomial past the float range, from L about 1030 on).
+    """
+    K, L = rows.shape
+    C = centres.shape[0]
+    with np.errstate(all="ignore"):
+        q = polyval_grid_numpy(_taylor(rows, *np.divmod(np.arange(K * L), L)),
+                               centres).reshape(K, L, C)
+        far = (np.abs(centres) + radii) * (1 + 8 * _U)
+        major = polyval_grid_numpy(np.abs(rows), far, out=np.empty((K, C)))
+        major *= 1 + (2 * L + 4) * _U
+        mods = np.abs(q[:, 1:])
+        tail = np.zeros((K, C))
+        for j in range(L - 2, -1, -1):
+            tail += mods[:, j]
+            tail *= radii
+        err = ((L * L + 8 * L + 8) * _U * major + (2 * L + 8) * _U * tail
+               + 8 * (L * L + L) * _ETA * np.maximum(1.0, far) ** (2 * L))
+        err[~((major < 2.0 ** 1000) & (tail < np.inf))] = np.inf
+    return q.transpose(0, 2, 1), tail, major, err
+
+
 def _cross_terms(a: np.ndarray, b: np.ndarray, prods: np.ndarray,
                  term: np.ndarray) -> np.ndarray:
     """sum_{i<j} |a_i b_j - a_j b_i|^2 over the rows (axis 1) of two
@@ -100,10 +189,11 @@ def _sum_sq(vals: np.ndarray, mods: np.ndarray, out: np.ndarray) -> None:
 
 
 def fs_workspace(B: int, P: int, M: int) -> tuple[np.ndarray, ...]:
-    """The block arrays of ``fs_derivative_grid`` for up to B curves of P
-    components at M points: curve and derivative values, the moduli of the
-    curve values, their squared norms, and one cross term's products and
-    squared modulus."""
+    """The block arrays of ``fs_derivative_grid`` for up to B M
+    curve-points of curves of P components (B curves at M points, or more
+    curves at fewer points): curve and derivative values, the moduli of
+    the curve values, their squared norms, and one cross term's products
+    and squared modulus."""
     return (np.empty((2, B * P, M), dtype=np.complex128),
             np.empty((B, P, M)), np.empty((B, M)),
             np.empty((2, B, M), dtype=np.complex128), np.empty((B, M)))
@@ -117,22 +207,27 @@ def fs_derivative_grid_numpy(comp: np.ndarray, dcomp: np.ndarray,
 
     ``comp``/``dcomp`` hold each curve's n+1 = P component polynomials and
     their formal derivatives, zero-padded to a common length.  Each is
-    evaluated at its own length into the arrays of ``work``, from
-    ``fs_workspace`` for at least B curves, or of a new workspace.  The
+    evaluated at its own length into arrays carved from the memory of
+    ``work``, an ``fs_workspace`` for at least B M curve-points, or of a
+    new workspace.  The
     numerator is the cross-term (Lagrange identity) form, which is exact
     when curve and derivative are parallel; the naive norm-product form
     loses half the digits to cancellation there.
     """
     B, P, L = comp.shape
     M = pts.shape[-1]
-    vals, mods, s2, prods, term = work or fs_workspace(B, P, M)
+    n = B * M
+    vals, mods, s2, prods, term = (w.reshape(-1) for w in
+                                   work or fs_workspace(B, P, M))
+    vals = vals[:2 * P * n].reshape(2, B * P, M)
     v = polyval_grid_numpy(comp.reshape(B * P, L), pts,
-                           out=vals[0, :B * P]).reshape(B, P, M)
+                           out=vals[0]).reshape(B, P, M)
     dv = polyval_grid_numpy(dcomp.reshape(B * P, dcomp.shape[2]), pts,
-                            out=vals[1, :B * P]).reshape(B, P, M)
-    s2 = s2[:B]
-    _sum_sq(v, mods[:B], s2)
-    num = _cross_terms(v, dv, prods, term)
+                            out=vals[1]).reshape(B, P, M)
+    s2 = s2[:n].reshape(B, M)
+    _sum_sq(v, mods[:P * n].reshape(B, P, M), s2)
+    num = _cross_terms(v, dv, prods[:2 * n].reshape(2, B, M),
+                       term[:n].reshape(B, M))
     np.sqrt(num, out=num)
     num /= s2
     return num

@@ -9,10 +9,22 @@ rescaling explorer recenters each member at its sup location, scales by the
 reciprocal sup (forcing unit derivative at the origin), and measures how the
 rescaled curves converge on a disc.  Both take a family at once, its
 members on the batch axis of the stacked kernels.
+
+The grid sweep skips what cannot hold a sup.  The grid is cut into cells
+of ``_CELL`` x ``_CELL`` points, and ``_cell_bounds`` bounds, for every
+member and cell, the value the kernel computes at each of the cell's
+points: the centre-0 majorant of f ^ f' over a lower end of |f|^2 from the
+``taylor_discs`` data at the cell centre, with every rounding and
+underflow term.  Each member is evaluated at its best-bound cell, then at
+every cell whose bound is not below the largest value found there.  A
+skipped point's computed value is below a computed one, so the sups and
+the first argmax in grid order are those of the full grid, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,11 +35,11 @@ from . import _kernels, config
 # pairwise_fs_grid stays bound here, where the benchmark's trace wraps the
 # kernels normality calls; zalcman_search calls its two steps, fs_scale and
 # fs_distance, itself.
-from ._kernels import (fs_derivative_grid, fs_distance, fs_scale,  # noqa: F401
-                       fs_workspace, pairwise_fs_grid, polyval_grid,
-                       pow2_factors)
+from ._kernels import (_taylor, fs_derivative_grid,  # noqa: F401
+                       fs_distance, fs_scale, fs_workspace, pairwise_fs_grid,
+                       polyval_grid, pow2_factors, taylor_discs)
 from .errors import NotBlowingUp, NumericOverflow, WrongCount
-from .polynomial import ComplexPoly, _taylor, stack_coeffs
+from .polynomial import ComplexPoly, stack_coeffs
 from .position import Region
 from .projective import ProjCurve, family_n
 
@@ -37,29 +49,41 @@ from .projective import ProjCurve, family_n
 # ---------------------------------------------------------------------------
 
 def _fs_values(curves: Sequence[ProjCurve], pts: np.ndarray) -> np.ndarray:
-    """The Fubini-Study derivative of every curve at every point, (B, M)."""
-    out = np.empty((len(curves), pts.shape[0]))
-    for at, vals in _fs_blocks(curves, pts):
-        out[at] = vals
+    """The Fubini-Study derivative of every curve at every point, (B, M):
+    one ``fs_derivative_grid`` call per block of whole curves, at most
+    ``_EVAL_BLOCK`` values per ``polyval_grid`` call and at least one
+    curve.  The blocks share one ``fs_workspace``."""
+    M = pts.shape[0]
+    if not curves:
+        return np.empty((0, M))
+    comp, dcomp = _fs_stack(curves)
+    N, P, _ = comp.shape
+    out = np.empty((N, M))
+    blocks, work = _whole_blocks(N, P, M)
+    for a, b, _ in blocks:
+        out[a:b] = fs_derivative_grid(comp[a:b], dcomp[a:b], pts, work)
     return out
 
 
-def _fs_blocks(curves: Sequence[ProjCurve], pts: np.ndarray):
-    """The Fubini-Study derivative of the curves, which share one n
-    (``family_n``), at the points, as ``(slice, values)`` blocks: one
-    ``fs_derivative_grid`` call per block of whole curves, at most
+def _whole_blocks(N: int, P: int, M: int) -> tuple[list, tuple]:
+    """Blocks ``(a, b, None)`` of whole curves at all M points, at most
     ``_EVAL_BLOCK`` values per ``polyval_grid`` call and at least one
-    curve.  The blocks share one ``fs_workspace``.
+    curve, and the one ``fs_workspace`` they share."""
+    step = max(1, _kernels._EVAL_BLOCK // (2 * P * M))
+    return ([(a, min(a + step, N), None) for a in range(0, N, step)],
+            fs_workspace(min(step, N), P, M))
 
-    The curves are packed into one (N, P, L) stack with one
-    ``stack_coeffs`` call.  Each curve's components, and their derivatives
-    one column shorter, are scaled together by the ``pow2_factors`` power
-    of two of their largest modulus, so tiny or huge coefficients neither
-    underflow nor overflow.
+
+def _fs_stack(curves: Sequence[ProjCurve]) -> tuple[np.ndarray, np.ndarray]:
+    """The curves, which share one n (``family_n``), as the (N, P, L)
+    component rows and (N, P, L-1) derivative rows of the Fubini-Study
+    kernel, packed with one ``stack_coeffs`` call.
+
+    Each curve's components, and their derivatives, are scaled together by
+    the ``pow2_factors`` power of two of their largest modulus, so tiny or
+    huge coefficients neither underflow nor overflow.
     """
-    if not curves:
-        return
-    N, P, M = len(curves), family_n(curves) + 1, pts.shape[0]
+    N, P = len(curves), family_n(curves) + 1
     comp = stack_coeffs([p for f in curves for p in f.components]
                         ).reshape(N, P, -1)
     dcomp = comp[..., 1:] * np.arange(1, comp.shape[2])
@@ -69,12 +93,240 @@ def _fs_blocks(curves: Sequence[ProjCurve], pts: np.ndarray):
         np.abs(dcomp).max(axis=(1, 2), initial=0.0)))
     comp *= factor[:, None, None]
     dcomp *= factor[:, None, None]
-    # A curve is 2P rows of the kernel's polyval_grid call.
-    step = max(1, _kernels._EVAL_BLOCK // (2 * P * M))
-    work = fs_workspace(min(step, N), P, M)
-    for a in range(0, N, step):
-        at = slice(a, a + step)
-        yield at, fs_derivative_grid(comp[at], dcomp[at], pts, work)
+    return comp, dcomp
+
+
+# ---------------------------------------------------------------------------
+# Grid cells and their bounds
+# ---------------------------------------------------------------------------
+
+# Grid points per cell side: the Marty sweep bounds the Fubini-Study
+# derivative on cells of _CELL x _CELL grid points and evaluates only the
+# cells that may hold a member's sup.  Chosen by measurement on
+# blowup_marty's scene (n = 3, 50 members, 81 x 81 points) on a 2-core
+# Xeon VM: marty_sup took 25.2, 21.4, 21.3 and 23.3 ms at 4, 5, 6 and 7
+# points per side, interleaved medians of 40 runs.  5 and 6 tie; at 5 the
+# kernel sees 12% of the grid's member-points, at 6 17%.
+_CELL = 5
+
+_U, _ETA = _kernels._U, _kernels._ETA
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """A region's grid cut into blocks of ``_CELL`` x ``_CELL`` points,
+    smaller at the far edges, numbered row-major like the grid: cell rows
+    of ``rows`` grid rows each and cell columns of ``cols`` grid columns.
+    ``sizes`` (C,) holds the points per cell, and every point of cell d
+    lies in the disc D(``centres[d]``, ``radii[d]``), so its modulus is at
+    most ``far[d]``."""
+    rows: np.ndarray
+    cols: np.ndarray
+    sizes: np.ndarray
+    centres: np.ndarray
+    radii: np.ndarray
+    far: np.ndarray
+
+    def points(self, cells: np.ndarray) -> np.ndarray:
+        """The grid indices, ascending, of the points of the cells in a
+        (C,) mask."""
+        return np.flatnonzero(np.repeat(np.repeat(
+            cells.reshape(self.rows.size, -1), self.rows, axis=0),
+            self.cols, axis=1))
+
+
+def _cells(region: Region) -> _Cells:
+    """The cells of a region's grid, built once per region.  A cell's
+    centre is the midpoint of its corner points, and its radius the
+    half-diagonal, rounded up."""
+    return _cell_layout(region.x_min, region.x_max, region.grid_nx,
+                        region.y_min, region.y_max, region.grid_ny)
+
+
+# Keyed by the region's numbers, not the Region, which would keep the
+# first region's grid alive.
+@functools.lru_cache(maxsize=16)
+def _cell_layout(x_min: float, x_max: float, nx: int, y_min: float,
+                 y_max: float, ny: int) -> _Cells:
+    """``_cells`` of the region with these bounds and sides, from the
+    ``np.linspace`` axes its grid points are made of."""
+    axes = []
+    for xs in (np.linspace(x_min, x_max, nx), np.linspace(y_min, y_max, ny)):
+        lo = xs[::_CELL]
+        hi = xs[np.minimum(np.arange(_CELL, xs.size + _CELL, _CELL),
+                           xs.size) - 1]
+        mid = 0.5 * lo + 0.5 * hi
+        axes.append((np.bincount(np.arange(xs.size) // _CELL), mid,
+                     np.maximum(mid - lo, hi - mid)))
+    (cols, cx, hx), (rows, cy, hy) = axes
+    # The half-widths are differences of grid floats rounded once; the
+    # factor covers that rounding and the hypot's.
+    radii = np.hypot(hx, hy[:, None]).ravel() * (1 + 8 * _U)
+    centres = (cx + 1j * cy[:, None]).ravel()
+    return _Cells(rows=rows, cols=cols, sizes=np.outer(rows, cols).ravel(),
+                  centres=centres, radii=radii,
+                  far=(np.abs(centres) + radii) * (1 + 8 * _U))
+
+
+@functools.cache
+def _pairs(P: int) -> np.ndarray:
+    """The index pairs i < j of P components, as two rows."""
+    return np.array(list(itertools.combinations(range(P), 2))).T.reshape(
+        2, -1)
+
+
+def _cell_bounds(comp: np.ndarray, dcomp: np.ndarray,
+                 cells: _Cells) -> np.ndarray:
+    """An upper bound, (B, C), on the value ``fs_derivative_grid``
+    computes for each of B curves (rows of ``_fs_stack``) at every grid
+    point of each cell, inf where a cell has none.
+
+    On the disc D(c, rho) of a cell, with R = |c| + rho rounded up:
+
+    - the numerator: W_ij = f_i f_j' - f_j f_i' has coefficients w, so
+      |W_ij| <= sum_m |w_m| R^m, the centre-0 majorant; the rounding of
+      the kernel's cross term, (12L + 6) u (A_i D_j + A_j D_i), and of w,
+      (2L + 4) u times the same, are at most (32L + 48) u top^2, with A
+      and D the majorants sum_l |c_l| R^l of the components and
+      derivatives and top the largest of them;
+    - the denominator: |f_i| >= |f_i(c)| - sum_{j>=1} |q_j| rho^j, from
+      ``taylor_discs`` less its error bound twice (once for q_0, once for
+      the tail), and less the kernel's Horner error 6 L u A_i, A_i the
+      majorant ``taylor_discs`` returns;
+    - each step of the quotient adds a stated multiple of u, and every
+      term a multiple of eta = 2**-1074 for underflow.
+
+    A cell gets inf when its lower end of |f|^2 is not positive, or the
+    numerator or the bound leaves the range where the kernel's own values
+    provably stay finite.
+    """
+    B, P, L = comp.shape
+    C = cells.centres.size
+    i, j = _pairs(P)
+    K2 = i.size
+    with np.errstate(all="ignore"):
+        q, tail, A, err = taylor_discs(comp.reshape(B * P, L), cells.centres,
+                                       cells.radii)
+        A = A.reshape(B, P, C)
+        hR = np.maximum(1.0, cells.far) ** L
+        # The coefficients of W_ij: the anti-diagonal sums of the outer
+        # products, each row shifted by its index through the padding.
+        outer = np.zeros((B, K2, L, 2 * L - 1), dtype=np.complex128)
+        np.subtract(comp[:, i, :, None] * dcomp[:, j, None, :],
+                    comp[:, j, :, None] * dcomp[:, i, None, :],
+                    out=outer[..., :L - 1])
+        # Majorants at R of the derivatives and of W_ij, (B, P + K2, C), in
+        # one call.
+        rows = np.zeros((B, P + K2, 2 * L - 2))
+        np.abs(dcomp, out=rows[:, :P, :L - 1])
+        np.abs(outer.reshape(B, K2, -1)[..., :L * (2 * L - 2)].reshape(
+            B, K2, L, 2 * L - 2).sum(axis=2), out=rows[:, P:])
+        major = polyval_grid(rows.reshape(-1, 2 * L - 2), cells.far,
+                             out=np.empty((B * (P + K2), C))
+                             ).reshape(B, P + K2, C)
+        top = np.maximum(A.max(axis=1), major[:, :P].max(axis=1))
+        # |t_ij| <= (1 + (4L + 16) u) W^_ij + e for every pair: the kernel's
+        # cross term t_ij, the docstring's rounding and underflow in e.
+        e = ((32 * L + 48) * _U * top * top
+             + 32 * L * _ETA * hR * hR * (1 + 2 * top))
+        root = (((1 + (4 * L + 16) * _U)
+                * np.sqrt(np.square(major[:, P:]).sum(axis=1))
+                + math.sqrt(K2) * e) * (1 + (K2 + 12) * _U)
+                + math.sqrt(2 * K2 * _ETA))
+        lo = ((1 - 8 * _U) * np.abs(q[..., 0]).reshape(B, P, C)
+              - (1 + 8 * _U) * ((tail + 2 * err).reshape(B, P, C)
+                                + 6 * L * _U * A + 8 * L * _ETA * hR))
+        s2lo = (np.square(np.maximum(lo, 0.0)).sum(axis=1)
+                * (1 - (2 * P + 16) * _U) - 2 * P * _ETA)
+        bound = root / np.maximum(s2lo, 0.0) * (1 + 8 * _U)
+        # Past 2**500 the kernel's squares may overflow; a top past 2**400
+        # puts root there too.
+        bound[~((root < 2.0 ** 500) & (bound < 2.0 ** 1000))] = np.inf
+    return bound
+
+
+def _point_blocks(mask: np.ndarray, cells: _Cells, P: int):
+    """Blocks of consecutive curves and the grid points of the union of
+    their cells in ``mask`` (N, C), as ``(a, b, idx)`` with idx in grid
+    order: greedily as many curves as keep b - a times the 2P rows times
+    len(idx) within ``_EVAL_BLOCK``, at least one.  A block whose union is
+    empty is left out."""
+    N = mask.shape[0]
+    limit = _kernels._EVAL_BLOCK
+    a = 0
+    while a < N:
+        # The union only grows, so curve a's own cells cap the block.
+        ahead = min(N - a, max(1, limit // (2 * P * max(
+            1, int(cells.sizes @ mask[a])))))
+        union = np.logical_or.accumulate(mask[a:a + ahead], axis=0)
+        cost = np.arange(1, ahead + 1) * (2 * P) * (union @ cells.sizes)
+        b = a + max(1, int(np.count_nonzero(cost <= limit)))
+        idx = cells.points(union[b - a - 1])
+        if idx.size:
+            yield a, b, idx
+        a = b
+
+
+def _fs_sups(curves: Sequence[ProjCurve], region: Region
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The grid sup of the Fubini-Study derivative of each curve and the
+    grid index of its first maximum in grid order (of the first NaN, if
+    any), with the bits of the full grid sweep, evaluating only the cells
+    that may hold it.
+
+    Each curve's cells are bounded by ``_cell_bounds``, in blocks of
+    curves whose Taylor shift stays within ``_EVAL_BLOCK`` values.  The
+    kernel is evaluated first at the curve's best-bound cell, then at
+    every cell whose bound is not below the largest value found there; a
+    value found that is NaN keeps every cell, and so does a bound that is
+    inf.  A skipped point's computed value is below a computed one, so the
+    maximum and its first grid index are those of the full grid.  Blocks of
+    consecutive curves are evaluated at the union of their cells
+    (``_point_blocks``).
+
+    The whole grid is swept, in ``_whole_blocks`` as by ``_fs_values``,
+    where skipping cannot pay: on a grid of one cell; when
+    the coefficient length L times the cell count passes the grid size,
+    since the bounds cost L^2 complex steps per component and cell against
+    the cell's 2L per grid point; and when a curve's grid fits in one block
+    (2P M values), where the bounds and the best cell cost about as many
+    array operations as the kernel calls they could save.
+    """
+    comp, dcomp = _fs_stack(curves)
+    N, P, L = comp.shape
+    pts = region.grid_points()
+    M = pts.size
+    cells = _cells(region)
+    C = cells.sizes.size
+    sups, top = np.empty(N), np.empty(N, dtype=np.intp)
+    with np.errstate(all="ignore"):
+        if 1 < C and L * C <= M and 2 * P * M > _kernels._EVAL_BLOCK:
+            bound = np.empty((N, C))
+            step = max(1, _kernels._EVAL_BLOCK
+                       // (P * L * C + P * (P - 1) // 2 * L * (2 * L - 1)))
+            for a in range(0, N, step):
+                bound[a:a + step] = _cell_bounds(comp[a:a + step],
+                                                 dcomp[a:a + step], cells)
+            best = np.zeros((N, C), dtype=bool)
+            best[np.arange(N), np.argmax(bound, axis=1)] = True
+            keep = np.empty((N, C), dtype=bool)
+            # A block of several curves holds fewer than 2 P M values, so
+            # every block fits the workspace of one curve's whole grid.
+            work = fs_workspace(1, P, M)
+            for a, b, idx in _point_blocks(best, cells, P):
+                found = fs_derivative_grid(comp[a:b], dcomp[a:b], pts[idx],
+                                           work)
+                keep[a:b] = ~(bound[a:b] < found.max(axis=1)[:, None])
+            blocks = _point_blocks(keep, cells, P)
+        else:
+            blocks, work = _whole_blocks(N, P, M)
+        for a, b, idx in blocks:
+            vals = fs_derivative_grid(comp[a:b], dcomp[a:b],
+                                      pts if idx is None else pts[idx], work)
+            k = np.argmax(vals, axis=1)
+            sups[a:b] = vals[np.arange(b - a), k]
+            top[a:b] = k if idx is None else idx[k]
+    return sups, top
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +392,12 @@ def marty_sups(families: Sequence[Sequence[ProjCurve]],
     with the family's verdict.
 
     Every distinct curve object of all the families is swept once, in one
-    stacked pass; they share one n (``family_n``).  A constant curve has
+    stacked pass (``_fs_sups``), which evaluates only the grid cells whose
+    bound may hold a sup and gives the full grid's sup and first argmax;
+    the curves share one n (``family_n``).  A constant curve has
     derivative 0 at every grid point, so it gets sup 0.0 at the first grid
-    point, as the grid sweep would give, without one.
+    point, as the grid sweep would give, without one.  A sup that is not
+    finite is reported in the sups, not as a floating-point warning.
     """
     families = [list(members) for members in families]
     if not all(families):
@@ -153,10 +408,9 @@ def marty_sups(families: Sequence[Sequence[ProjCurve]],
     swept = dict.fromkeys(distinct,
                           MemberMarty(sup=0.0, argmax=complex(pts[0])))
     moving = [f for f in distinct if not f.is_constant]
-    for at, vals in _fs_blocks(moving, pts):
-        top = np.argmax(vals, axis=1)
-        sups = vals[np.arange(len(vals)), top].tolist()
-        for f, k, sup in zip(moving[at], top.tolist(), sups):
+    if moving:
+        sups, top = _fs_sups(moving, region)
+        for f, k, sup in zip(moving, top.tolist(), sups.tolist()):
             swept[f] = MemberMarty(sup=sup, argmax=complex(pts[k]))
     out = []
     for members in families:

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import config
-from ._kernels import polyval_grid
+from ._kernels import _taylor, polyval_grid
 from .errors import ZeroPolynomial
 
 
@@ -387,32 +387,6 @@ def _near_side(points: np.ndarray, holds: np.ndarray) -> np.ndarray:
     near = np.zeros((F, D), dtype=bool)
     near[f, i] = (reach < cut[:, None])[f, rank]
     return near
-
-
-@functools.cache
-def _taylor_index(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """For Taylor coefficients of length L: entry [j, t] of the first array
-    is C(t + j, j), 0 where t + j >= L, and of the second the coefficient
-    index min(t + j, L - 1) it multiplies.
-
-    Row j is the running sum of row j - 1 (Pascal's rule), which is exact
-    while the entries stay below 2**53, as they do for L <= 57, and inf
-    where a binomial passes the float range."""
-    binom = np.ones((L, L))
-    with np.errstate(over="ignore"):
-        for j in range(1, L):
-            np.cumsum(binom[j - 1], out=binom[j])
-    index = np.add.outer(np.arange(L), np.arange(L))
-    binom[index >= L] = 0.0
-    return binom, np.minimum(index, L - 1)
-
-
-def _taylor(coeffs: np.ndarray, k: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Row r: the ascending coefficients of p^(j[r])/j[r]!, zero-padded,
-    for the polynomial p in row k[r] of ``coeffs``."""
-    L = coeffs.shape[1]
-    binom, index = _taylor_index(L)
-    return binom[j] * coeffs.ravel()[index[j] + L * k[:, None]]
 
 
 def _accept(coeffs: np.ndarray, centre: np.ndarray, m: np.ndarray,

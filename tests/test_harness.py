@@ -514,15 +514,21 @@ class TestPipeline:
 
 def record_swept(monkeypatch):
     """(curve, point count) for every curve the stacked Fubini-Study
-    sweep receives."""
+    sweeps receive: the grid sup sweep, which counts its region's grid,
+    and the sweep of values at given points."""
     swept = []
-    blocks = normality._fs_blocks
+    sups, values = normality._fs_sups, normality._fs_values
 
-    def recording(curves, pts):
+    def recording_sups(curves, region):
+        swept.extend((f, region.grid_points().size) for f in curves)
+        return sups(curves, region)
+
+    def recording_values(curves, pts):
         swept.extend((f, pts.size) for f in curves)
-        return blocks(curves, pts)
+        return values(curves, pts)
 
-    monkeypatch.setattr(normality, "_fs_blocks", recording)
+    monkeypatch.setattr(normality, "_fs_sups", recording_sups)
+    monkeypatch.setattr(normality, "_fs_values", recording_values)
     return swept
 
 

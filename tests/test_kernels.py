@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import mpmath
 import numpy as np
@@ -49,6 +50,92 @@ class TestPolyvalGrid:
         vals = _kernels.polyval_grid_numpy(coeffs, pts)
         assert np.allclose(vals[0], [1.0, 1.0])
         assert np.allclose(vals[1], [3.5 + 1.5j, -1.0])
+
+
+def iv_taylor(row, c):
+    """The exact Taylor coefficients of an ascending row at c, as mpmath
+    interval enclosures: q_j = sum_t C(t + j, j) a_(t+j) c^t."""
+    iv = mpmath.iv
+    a = [iv.mpc(x.real, x.imag) for x in row.tolist()]
+    L = len(a)
+    powers = [iv.mpc(1)]
+    for _ in range(L - 1):
+        powers.append(powers[-1] * iv.mpc(c.real, c.imag))
+    return [sum((math.comb(t + j, j) * a[t + j] * powers[t]
+                 for t in range(L - j)), iv.mpc(0)) for j in range(L)]
+
+
+def iv_far(x, q):
+    """An upper bound on the largest distance from the float x to a point
+    of the complex interval q."""
+    re = max(abs(mpmath.mpf(x.real) - q.real.a),
+             abs(mpmath.mpf(x.real) - q.real.b))
+    im = max(abs(mpmath.mpf(x.imag) - q.imag.a),
+             abs(mpmath.mpf(x.imag) - q.imag.b))
+    return mpmath.sqrt(re ** 2 + im ** 2)
+
+
+class TestTaylorDiscs:
+    """``taylor_discs`` against mpmath interval enclosures of the exact
+    Taylor data of its float inputs."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(1, 6), degree=st.integers(0, 40),
+           exponent=st.integers(-3, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_interval_enclosure(self, n, degree, exponent, seed):
+        rng = np.random.default_rng(seed)
+        rows = 10.0 ** exponent * random_coeffs(rng, n + 1, degree + 1)
+        centres = rng.uniform(-1.5, 1.5, 3) + 1j * rng.uniform(-1.5, 1.5, 3)
+        radii = np.array([0.0, rng.uniform(0.0, 0.1), rng.uniform(0.1, 1.0)])
+        q, tail, major, err = _kernels.taylor_discs(rows, centres, radii)
+        L = degree + 1
+        assert q.shape == (n + 1, 3, L)
+        assert tail.shape == major.shape == err.shape == (n + 1, 3)
+        assert np.isfinite(err).all()
+        with mpmath.workprec(120):
+            mpmath.iv.prec = 120
+            try:
+                for k, d in itertools.product(range(n + 1), range(3)):
+                    exact = iv_taylor(rows[k], centres[d])
+                    r = mpmath.iv.mpf(float(radii[d]))
+                    for j in range(L):
+                        assert (iv_far(q[k, d, j], exact[j])
+                                * mpmath.mpf(float(radii[d])) ** j
+                                <= err[k, d])
+                    want = sum((abs(exact[j]) * r ** j
+                                for j in range(1, L)), mpmath.iv.mpf(0))
+                    assert tail[k, d] - err[k, d] <= want.a
+                    assert want.b <= tail[k, d] + err[k, d]
+                    far = abs(mpmath.mpc(complex(centres[d]))) + radii[d]
+                    assert sum(abs(mpmath.mpc(x)) * far ** m for m, x in
+                               enumerate(rows[k].tolist())) <= major[k, d]
+            finally:
+                mpmath.iv.prec = 53
+
+    def test_rows_of_length_0_and_1(self):
+        centres = np.array([0.3 - 0.2j, 2.0 + 0j])
+        radii = np.array([0.5, 0.0])
+        q, tail, major, err = _kernels.taylor_discs(
+            np.zeros((2, 0), dtype=complex), centres, radii)
+        assert q.shape == (2, 2, 0)
+        assert (tail == 0.0).all() and (major == 0.0).all()
+        row = np.array([[1.5 - 2.0j], [0.0]])
+        q, tail, major, err = _kernels.taylor_discs(row, centres, radii)
+        assert q.shape == (2, 2, 1)
+        assert (q[0, :, 0] == 1.5 - 2.0j).all() and (q[1] == 0.0).all()
+        assert (tail == 0.0).all()
+        assert (major[0] >= 2.5).all() and np.isfinite(err).all()
+
+    def test_degree_1100_does_not_raise(self):
+        # The binomials pass the float range from L about 1030 on: those
+        # Taylor coefficients are not finite, and their bound is inf.
+        rng = np.random.default_rng(5)
+        rows = random_coeffs(rng, 2, 1101)
+        q, tail, major, err = _kernels.taylor_discs(
+            rows, np.array([0.5 + 0.1j, 0.0]), np.array([0.25, 0.0]))
+        assert q.shape == (2, 2, 1101)
+        assert np.isinf(err[:, 0]).all()
+        assert np.isfinite(q[:, 1, 0]).all()
 
 
 class TestFsDerivativeGrid:

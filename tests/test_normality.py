@@ -198,7 +198,7 @@ class TestMartySup:
         curves = [ProjCurve([ONE, ComplexPoly([0.0] * 1040 + [nu ** 1040])])
                   for nu in (0.7, 1.0, 1.5)]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             stats = marty_sup(curves, REGION)
         assert abs(stats.sups[0] - 0.0201) <= 1e-4
         assert abs(stats.sups[1] - 520.0) <= 1e-9
@@ -226,13 +226,13 @@ class TestMartySup:
         grid = marty_sup(curves, REGION)
         monkeypatch.undo()
         swept = []
-        blocks = normality._fs_blocks
+        sups = normality._fs_sups
 
-        def recording(batch, pts):
+        def recording(batch, region):
             swept.extend(batch)
-            return blocks(batch, pts)
+            return sups(batch, region)
 
-        monkeypatch.setattr(normality, "_fs_blocks", recording)
+        monkeypatch.setattr(normality, "_fs_sups", recording)
         assert marty_sup(curves, REGION) == grid
         assert swept == curves[-1:]
 
@@ -367,6 +367,117 @@ class TestStackedMarty:
                         [(m.sup.hex(), m.argmax) for m in want]
                     assert [row.tobytes() for row in normality._fs_values(
                         family, pts)] == grids
+
+
+def full_grid_members(curves, region):
+    """(sup.hex(), argmax) of each curve from the full grid: the first
+    maximum in grid order, or the first NaN."""
+    pts = region.grid_points()
+    vals = normality._fs_values(curves, pts)
+    top = np.argmax(vals, axis=1)
+    return [(float(v[k]).hex(), complex(pts[k])) for v, k in zip(vals, top)]
+
+
+# Grid sides that are not multiples of the cell side.
+SIDES = st.integers(2, 41).filter(lambda m: m % normality._CELL)
+
+
+class TestPrunedMarty:
+    """The Marty sweep evaluates only the cells whose bound may hold a
+    member's sup, and keeps the sup and argmax of the full grid bit for
+    bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6),
+           shapes=st.lists(st.tuples(st.integers(0, 12),
+                                     st.sampled_from([-170, 0, 170])),
+                           min_size=1, max_size=5),
+           nx=SIDES, ny=SIDES,
+           box=st.tuples(st.floats(-2, 0), st.floats(0.1, 2),
+                         st.floats(-2, 0), st.floats(0.1, 2)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_full_grid(self, n, shapes, nx, ny, box, seed):
+        rng = np.random.default_rng(seed)
+        x0, w, y0, h = box
+        region = Region(x0, x0 + w, y0, y0 + h, nx, ny)
+        # Degree 0 makes a constant curve; the first two curves repeat.
+        curves = [ProjCurve(_random_curve(rng, n, degree, 10.0 ** e),
+                            check_reduced=False)
+                  for degree, e in shapes]
+        family = curves + curves[:2]
+        M = region.grid_points().size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = full_grid_members(family, region)
+            with pytest.MonkeyPatch.context() as mp:
+                # The block sizes of TestStackedMarty, and one just short
+                # of a curve's grid: the sweep skips cells only for curves
+                # whose grid fills more than a block.
+                for block in (1, 4 * (n + 1) * M, _kernels._EVAL_BLOCK,
+                              1 << 30, 2 * (n + 1) * M - 1):
+                    mp.setattr(_kernels, "_EVAL_BLOCK", block)
+                    got = marty_sup(family, region).members
+                    assert [(m.sup.hex(), m.argmax) for m in got] == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6),
+           shapes=st.lists(st.tuples(st.integers(1, 12),
+                                     st.sampled_from([-170, 0, 170])),
+                           min_size=1, max_size=4),
+           nx=SIDES, ny=SIDES, seed=st.integers(0, 2 ** 32 - 1))
+    def test_bound_holds_at_every_point(self, n, shapes, nx, ny, seed):
+        # Every value the kernel computes lies at or below its cell's bound.
+        rng = np.random.default_rng(seed)
+        region = Region(-1.2, 0.9, -0.7, 1.1, nx, ny)
+        curves = [ProjCurve(_random_curve(rng, n, degree, 10.0 ** e),
+                            check_reduced=False)
+                  for degree, e in shapes]
+        comp, dcomp = normality._fs_stack(curves)
+        cells = normality._cells(region)
+        bound = normality._cell_bounds(comp, dcomp, cells)
+        vals = normality._fs_values(curves, region.grid_points())
+        cell_of = np.repeat(np.repeat(
+            np.arange(cells.sizes.size).reshape(cells.rows.size, -1),
+            cells.rows, axis=0), cells.cols, axis=1).ravel()
+        assert cell_of.size == nx * ny
+        assert cells.sizes.tolist() == np.bincount(cell_of).tolist()
+        assert (vals <= bound[:, cell_of]).all()
+
+    def test_nan_first_argmax(self, monkeypatch):
+        # [1 : (nu z)^12] overflows |f|^2 off the column x = 0, so every
+        # other grid value is NaN: the argmax is the first NaN in grid
+        # order, as on the full grid, also when the sweep skips cells.
+        region = Region(0.0, 3e25, -1.0, 1.0, 41, 41)
+        curves = [ProjCurve([ONE, ComplexPoly([0.0] * 12 + [nu ** 12])])
+                  for nu in (1.0, 2.0)]
+        with np.errstate(all="ignore"):
+            want = full_grid_members(curves, region)
+        assert [a for _, a in want] == [region.grid_points()[1]] * 2
+        for block in (1, _kernels._EVAL_BLOCK):
+            monkeypatch.setattr(_kernels, "_EVAL_BLOCK", block)
+            got = marty_sup(curves, region).members
+            assert [(m.sup.hex(), m.argmax) for m in got] == want
+
+    def test_blowup_scene_skips_most_points(self, monkeypatch):
+        # blowup_marty's scene: [1 : nu z : (nu z)^2 : (nu z)^3], nu = 1 ...
+        # 50, on 81 x 81 points.  The sweep hands fs_derivative_grid at
+        # most 35% of the member-points of the full grid.
+        region = Region(-1, 1, -1, 1, 81, 81)
+        curves = [ProjCurve([ComplexPoly([0.0] * l + [float(nu) ** l])
+                             for l in range(4)])
+                  for nu in range(1, 51)]
+        want = full_grid_members(curves, region)
+        points = []
+        kernel = normality.fs_derivative_grid
+
+        def counting(comp, dcomp, pts, *work):
+            points.append(comp.shape[0] * pts.shape[0])
+            return kernel(comp, dcomp, pts, *work)
+
+        monkeypatch.setattr(normality, "fs_derivative_grid", counting)
+        got = marty_sup(curves, region).members
+        assert [(m.sup.hex(), m.argmax) for m in got] == want
+        assert sum(points) <= 0.35 * len(curves) * region.grid_points().size
 
 
 class TestZalcman:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from projcurve import config, polynomial
+from projcurve import _kernels, config, polynomial
 from projcurve.derived import derived_maps
 from projcurve.errors import AllZero, ZeroPolynomial
 from projcurve.polynomial import ComplexPoly, root_stacks, roots_many
@@ -570,7 +570,7 @@ class TestTaylorIndex:
     def test_exact_while_below_2_53(self):
         # C(56, 28) < 2**53 < C(57, 28): every entry at L <= 57 is exact.
         for L in range(58):
-            binom, index = polynomial._taylor_index.__wrapped__(L)
+            binom, index = _kernels._taylor_index.__wrapped__(L)
             want = [[float(math.comb(t + j, j)) if t + j < L else 0.0
                      for t in range(L)] for j in range(L)]
             assert binom.tobytes() == np.array(want).reshape(L, L).tobytes()
@@ -580,7 +580,7 @@ class TestTaylorIndex:
     def test_inf_past_the_float_range(self):
         L = 1100
         start = time.perf_counter()
-        binom, _ = polynomial._taylor_index.__wrapped__(L)
+        binom, _ = _kernels._taylor_index.__wrapped__(L)
         assert time.perf_counter() - start < 1.0
         # C(t + j, j) grows with t: row j is inf from the first t whose
         # binomial exceeds the largest double up to t + j = L - 1.
