@@ -9,8 +9,10 @@ The kernels take whole families on a batch axis: ``polyval_grid`` takes
 ``position`` and ``normality``, the Zalcman samples and the hyperplane
 normalization cut a family into blocks of at most ``_EVAL_BLOCK`` complex
 values per ``polyval_grid`` call.  A kernel works elementwise along the
-batch and the points and reduces only along other axes, so no bit of an
-item at a point depends on the batch or the other points it rides with.
+batch and the points and reduces only along other axes, one row after
+another (``np.sum`` would add a contiguous axis pairwise, so a call at one
+point would round differently), so no bit of an item at a point depends on
+the batch or the other points it rides with.
 
 ``taylor_discs`` gives the Taylor data of polynomial rows on discs, with
 one error bound for the coefficients and their tail, by the binomial
@@ -22,7 +24,7 @@ A Fubini-Study sweep allocates its block arrays once and every block
 reuses them: ``polyval_grid`` writes into a caller's ``out``,
 ``fs_derivative_grid`` carves its arrays from an ``fs_workspace`` (the
 Marty sweep's blocks on cells differ in their point counts and share the
-workspace of one curve's whole grid), and the Zalcman samples are scaled
+workspace of one block), and the Zalcman samples are scaled
 in place by ``fs_scale`` and measured by ``fs_distance``, whose
 composition is ``pairwise_fs_grid``.  Each buffer is filled by in-place
 ufuncs that give the bits of the plain expressions they replace.
@@ -121,10 +123,11 @@ def taylor_discs(rows: np.ndarray, centres: np.ndarray, radii: np.ndarray
     - ``q``, (K, C, L): q[k, d, j] = p_k^(j)(c_d) / j!;
     - ``tail``, (K, C): sum_{j >= 1} |q_j| r^j, which bounds
       |p(z) - p(c)| on the disc;
-    - ``major``, (K, C): the centre-0 majorant sum_m |a_m| S^m, S = |c| + r
-      rounded up, itself rounded up, which bounds |p| on the disc;
+    - ``major``, (K, C): the centre-0 majorant sum_m |a_m| S^m, itself
+      rounded up, which bounds |p| on the disc;
     - ``err``, (K, C): a bound on |q_j - exact q_j| r^j for every j, and
-      on |tail - exact tail|.
+      on |tail - exact tail|;
+    - ``far``, (C,): S = |c| + r rounded up, which bounds |z| on the disc.
 
     Exact means in real arithmetic on the given floats.  The shift
     coefficients are ``_taylor`` rows, evaluated at the centres in one
@@ -149,15 +152,14 @@ def taylor_discs(rows: np.ndarray, centres: np.ndarray, radii: np.ndarray
         far = (np.abs(centres) + radii) * (1 + 8 * _U)
         major = polyval_grid_numpy(np.abs(rows), far, out=np.empty((K, C)))
         major *= 1 + (2 * L + 4) * _U
-        mods = np.abs(q[:, 1:])
-        tail = np.zeros((K, C))
-        for j in range(L - 2, -1, -1):
-            tail += mods[:, j]
+        tail, mods = np.zeros((2, K, C))
+        for j in range(L - 1, 0, -1):
+            tail += np.abs(q[:, j], out=mods)
             tail *= radii
         err = ((L * L + 8 * L + 8) * _U * major + (2 * L + 8) * _U * tail
                + 8 * (L * L + L) * _ETA * np.maximum(1.0, far) ** (2 * L))
         err[~((major < 2.0 ** 1000) & (tail < np.inf))] = np.inf
-    return q.transpose(0, 2, 1), tail, major, err
+    return q.transpose(0, 2, 1), tail, major, err, far
 
 
 def _cross_terms(a: np.ndarray, b: np.ndarray, prods: np.ndarray,
@@ -182,10 +184,13 @@ def _cross_terms(a: np.ndarray, b: np.ndarray, prods: np.ndarray,
 
 def _sum_sq(vals: np.ndarray, mods: np.ndarray, out: np.ndarray) -> None:
     """sum_i |v_i|^2 over axis 1 of a (B, P, M) array into ``out``, (B, M),
-    through ``mods``, a real array of the shape of ``vals``."""
+    through ``mods``, a real array of the shape of ``vals``, added in the
+    order of i at every M."""
     np.abs(vals, out=mods)
     np.square(mods, out=mods)
-    np.sum(mods, axis=1, out=out)
+    np.copyto(out, mods[:, 0])
+    for i in range(1, mods.shape[1]):
+        out += mods[:, i]
 
 
 def fs_workspace(B: int, P: int, M: int) -> tuple[np.ndarray, ...]:

@@ -109,6 +109,22 @@ def _fs_stack(curves: Sequence[ProjCurve]) -> tuple[np.ndarray, np.ndarray]:
 # kernel sees 12% of the grid's member-points, at 6 17%.
 _CELL = 5
 
+# The longest coefficient rows (degree + 1) whose sweep skips cells.  The
+# centre-0 majorant of W_ij loosens with its degree 2L - 3 (for a monomial
+# it exceeds |W_ij(z)| by (R / |z|)^(2L - 3) on a cell), so fewer cells
+# fall below a sup as L grows, while the Taylor shift costs L^2 per
+# component and cell.  Pruned over whole-grid sweep time on 81 x 81
+# points of [-1, 1]^2, n = 3, 2-core Xeon VM, interleaved medians of 15
+# runs; "mono" is [1 : nu z : (nu z)^2 : (nu z)^(L-1)] (blowup_marty's
+# family at L = 4 and 50 nu), "random" g(nu z) with g of random
+# coefficients and 20 nu in [0.5, 3]:
+#   L                  2     3     4     5     6     8    16    64
+#   mono, 20 nu        -     -  0.79  1.05  1.14  2.20  3.29  5.31
+#   mono, 50 nu        -     -  0.66  0.84  1.10  1.84     -     -
+#   random          0.39  0.86  1.38  1.72  1.21  2.35  3.17  5.38
+# On 161 x 161 points both won at L = 4, 5, 6 and 8 (0.47 to 0.91).
+_CELL_MAX_LEN = 4
+
 _U, _ETA = _kernels._U, _kernels._ETA
 
 
@@ -118,14 +134,12 @@ class _Cells:
     smaller at the far edges, numbered row-major like the grid: cell rows
     of ``rows`` grid rows each and cell columns of ``cols`` grid columns.
     ``sizes`` (C,) holds the points per cell, and every point of cell d
-    lies in the disc D(``centres[d]``, ``radii[d]``), so its modulus is at
-    most ``far[d]``."""
+    lies in the disc D(``centres[d]``, ``radii[d]``)."""
     rows: np.ndarray
     cols: np.ndarray
     sizes: np.ndarray
     centres: np.ndarray
     radii: np.ndarray
-    far: np.ndarray
 
     def points(self, cells: np.ndarray) -> np.ndarray:
         """The grid indices, ascending, of the points of the cells in a
@@ -161,11 +175,9 @@ def _cell_layout(x_min: float, x_max: float, nx: int, y_min: float,
     (cols, cx, hx), (rows, cy, hy) = axes
     # The half-widths are differences of grid floats rounded once; the
     # factor covers that rounding and the hypot's.
-    radii = np.hypot(hx, hy[:, None]).ravel() * (1 + 8 * _U)
-    centres = (cx + 1j * cy[:, None]).ravel()
     return _Cells(rows=rows, cols=cols, sizes=np.outer(rows, cols).ravel(),
-                  centres=centres, radii=radii,
-                  far=(np.abs(centres) + radii) * (1 + 8 * _U))
+                  centres=(cx + 1j * cy[:, None]).ravel(),
+                  radii=np.hypot(hx, hy[:, None]).ravel() * (1 + 8 * _U))
 
 
 @functools.cache
@@ -181,7 +193,8 @@ def _cell_bounds(comp: np.ndarray, dcomp: np.ndarray,
     computes for each of B curves (rows of ``_fs_stack``) at every grid
     point of each cell, inf where a cell has none.
 
-    On the disc D(c, rho) of a cell, with R = |c| + rho rounded up:
+    On the disc D(c, rho) of a cell, with R = |c| + rho rounded up
+    (``taylor_discs``' ``far``):
 
     - the numerator: W_ij = f_i f_j' - f_j f_i' has coefficients w, so
       |W_ij| <= sum_m |w_m| R^m, the centre-0 majorant; the rounding of
@@ -205,12 +218,14 @@ def _cell_bounds(comp: np.ndarray, dcomp: np.ndarray,
     i, j = _pairs(P)
     K2 = i.size
     with np.errstate(all="ignore"):
-        q, tail, A, err = taylor_discs(comp.reshape(B * P, L), cells.centres,
-                                       cells.radii)
+        q, tail, A, err, far = taylor_discs(comp.reshape(B * P, L),
+                                            cells.centres, cells.radii)
         A = A.reshape(B, P, C)
-        hR = np.maximum(1.0, cells.far) ** L
+        hR = np.maximum(1.0, far) ** L
         # The coefficients of W_ij: the anti-diagonal sums of the outer
-        # products, each row shifted by its index through the padding.
+        # products, each row shifted by its index through the padding
+        # (B K2 L (2L - 1) values, at most 28 B K2 for the L of a pruned
+        # sweep).
         outer = np.zeros((B, K2, L, 2 * L - 1), dtype=np.complex128)
         np.subtract(comp[:, i, :, None] * dcomp[:, j, None, :],
                     comp[:, j, :, None] * dcomp[:, i, None, :],
@@ -221,7 +236,7 @@ def _cell_bounds(comp: np.ndarray, dcomp: np.ndarray,
         np.abs(dcomp, out=rows[:, :P, :L - 1])
         np.abs(outer.reshape(B, K2, -1)[..., :L * (2 * L - 2)].reshape(
             B, K2, L, 2 * L - 2).sum(axis=2), out=rows[:, P:])
-        major = polyval_grid(rows.reshape(-1, 2 * L - 2), cells.far,
+        major = polyval_grid(rows.reshape(-1, 2 * L - 2), far,
                              out=np.empty((B * (P + K2), C))
                              ).reshape(B, P + K2, C)
         top = np.maximum(A.max(axis=1), major[:, :P].max(axis=1))
@@ -245,25 +260,25 @@ def _cell_bounds(comp: np.ndarray, dcomp: np.ndarray,
     return bound
 
 
-def _point_blocks(mask: np.ndarray, cells: _Cells, P: int):
-    """Blocks of consecutive curves and the grid points of the union of
-    their cells in ``mask`` (N, C), as ``(a, b, idx)`` with idx in grid
-    order: greedily as many curves as keep b - a times the 2P rows times
-    len(idx) within ``_EVAL_BLOCK``, at least one.  A block whose union is
-    empty is left out."""
+def _point_blocks(mask: np.ndarray, cells: _Cells, width: int):
+    """Blocks of consecutive curves and grid points of the union of their
+    cells in ``mask`` (N, C), as ``(a, b, idx)`` with idx ascending, at
+    most ``width`` curve-points each: greedily as many curves as keep
+    b - a times len(idx) within ``width``, at least one, and the points of
+    a curve whose own cells pass it in runs of ``width``.  A block whose
+    union is empty is left out."""
     N = mask.shape[0]
-    limit = _kernels._EVAL_BLOCK
     a = 0
     while a < N:
         # The union only grows, so curve a's own cells cap the block.
-        ahead = min(N - a, max(1, limit // (2 * P * max(
-            1, int(cells.sizes @ mask[a])))))
+        ahead = min(N - a, max(1, width // max(
+            1, int(cells.sizes @ mask[a]))))
         union = np.logical_or.accumulate(mask[a:a + ahead], axis=0)
-        cost = np.arange(1, ahead + 1) * (2 * P) * (union @ cells.sizes)
-        b = a + max(1, int(np.count_nonzero(cost <= limit)))
+        cost = np.arange(1, ahead + 1) * (union @ cells.sizes)
+        b = a + max(1, int(np.count_nonzero(cost <= width)))
         idx = cells.points(union[b - a - 1])
-        if idx.size:
-            yield a, b, idx
+        for start in range(0, idx.size, width):
+            yield a, b, idx[start:start + width]
         a = b
 
 
@@ -275,20 +290,22 @@ def _fs_sups(curves: Sequence[ProjCurve], region: Region
     that may hold it.
 
     Each curve's cells are bounded by ``_cell_bounds``, in blocks of
-    curves whose Taylor shift stays within ``_EVAL_BLOCK`` values.  The
-    kernel is evaluated first at the curve's best-bound cell, then at
-    every cell whose bound is not below the largest value found there; a
-    value found that is NaN keeps every cell, and so does a bound that is
-    inf.  A skipped point's computed value is below a computed one, so the
-    maximum and its first grid index are those of the full grid.  Blocks of
-    consecutive curves are evaluated at the union of their cells
-    (``_point_blocks``).
+    curves whose Taylor shift stays within ``_EVAL_BLOCK`` values, at
+    least one.  The kernel is evaluated first at the curve's best-bound
+    cell, then at every cell whose bound is not below the largest value
+    found there; a value found that is NaN keeps every cell, and so does a
+    bound that is inf.  A skipped point's computed value is below a
+    computed one, so the maximum and its first grid index are those of the
+    full grid.  Blocks of consecutive curves are evaluated at the union of
+    their cells, and a curve with more points in runs, at most
+    ``_EVAL_BLOCK`` values per ``polyval_grid`` call (``_point_blocks``),
+    so the blocks share a workspace of one block.  The runs of a curve come
+    in grid order, and a later run's maximum replaces the one found if it
+    is larger, or if it is the first NaN.
 
     The whole grid is swept, in ``_whole_blocks`` as by ``_fs_values``,
-    where skipping cannot pay: on a grid of one cell; when
-    the coefficient length L times the cell count passes the grid size,
-    since the bounds cost L^2 complex steps per component and cell against
-    the cell's 2L per grid point; and when a curve's grid fits in one block
+    where skipping was measured not to pay: for coefficient rows longer
+    than ``_CELL_MAX_LEN``, and when a curve's grid fits in one block
     (2P M values), where the bounds and the best cell cost about as many
     array operations as the kernel calls they could save.
     """
@@ -296,36 +313,36 @@ def _fs_sups(curves: Sequence[ProjCurve], region: Region
     N, P, L = comp.shape
     pts = region.grid_points()
     M = pts.size
-    cells = _cells(region)
-    C = cells.sizes.size
-    sups, top = np.empty(N), np.empty(N, dtype=np.intp)
+    sups, top = np.full(N, -np.inf), np.empty(N, dtype=np.intp)
     with np.errstate(all="ignore"):
-        if 1 < C and L * C <= M and 2 * P * M > _kernels._EVAL_BLOCK:
+        if L <= _CELL_MAX_LEN and 2 * P * M > _kernels._EVAL_BLOCK:
+            cells = _cells(region)
+            C = cells.sizes.size
             bound = np.empty((N, C))
-            step = max(1, _kernels._EVAL_BLOCK
-                       // (P * L * C + P * (P - 1) // 2 * L * (2 * L - 1)))
+            step = max(1, _kernels._EVAL_BLOCK // (P * L * C))
             for a in range(0, N, step):
                 bound[a:a + step] = _cell_bounds(comp[a:a + step],
                                                  dcomp[a:a + step], cells)
             best = np.zeros((N, C), dtype=bool)
             best[np.arange(N), np.argmax(bound, axis=1)] = True
-            keep = np.empty((N, C), dtype=bool)
-            # A block of several curves holds fewer than 2 P M values, so
-            # every block fits the workspace of one curve's whole grid.
-            work = fs_workspace(1, P, M)
-            for a, b, idx in _point_blocks(best, cells, P):
+            keep = np.ones((N, C), dtype=bool)
+            width = max(1, _kernels._EVAL_BLOCK // (2 * P))
+            work = fs_workspace(1, P, width)
+            for a, b, idx in _point_blocks(best, cells, width):
                 found = fs_derivative_grid(comp[a:b], dcomp[a:b], pts[idx],
                                            work)
-                keep[a:b] = ~(bound[a:b] < found.max(axis=1)[:, None])
-            blocks = _point_blocks(keep, cells, P)
+                keep[a:b] &= ~(bound[a:b] < found.max(axis=1)[:, None])
+            blocks = _point_blocks(keep, cells, width)
         else:
             blocks, work = _whole_blocks(N, P, M)
         for a, b, idx in blocks:
             vals = fs_derivative_grid(comp[a:b], dcomp[a:b],
                                       pts if idx is None else pts[idx], work)
             k = np.argmax(vals, axis=1)
-            sups[a:b] = vals[np.arange(b - a), k]
-            top[a:b] = k if idx is None else idx[k]
+            v, was = vals[np.arange(b - a), k], sups[a:b]
+            new = (v > was) | np.isnan(v) & ~np.isnan(was)
+            sups[a:b][new] = v[new]
+            top[a:b][new] = k[new] if idx is None else idx[k[new]]
     return sups, top
 
 

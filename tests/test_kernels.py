@@ -87,10 +87,11 @@ class TestTaylorDiscs:
         rows = 10.0 ** exponent * random_coeffs(rng, n + 1, degree + 1)
         centres = rng.uniform(-1.5, 1.5, 3) + 1j * rng.uniform(-1.5, 1.5, 3)
         radii = np.array([0.0, rng.uniform(0.0, 0.1), rng.uniform(0.1, 1.0)])
-        q, tail, major, err = _kernels.taylor_discs(rows, centres, radii)
+        q, tail, major, err, far = _kernels.taylor_discs(rows, centres, radii)
         L = degree + 1
         assert q.shape == (n + 1, 3, L)
         assert tail.shape == major.shape == err.shape == (n + 1, 3)
+        assert far.shape == (3,)
         assert np.isfinite(err).all()
         with mpmath.workprec(120):
             mpmath.iv.prec = 120
@@ -106,8 +107,9 @@ class TestTaylorDiscs:
                                 for j in range(1, L)), mpmath.iv.mpf(0))
                     assert tail[k, d] - err[k, d] <= want.a
                     assert want.b <= tail[k, d] + err[k, d]
-                    far = abs(mpmath.mpc(complex(centres[d]))) + radii[d]
-                    assert sum(abs(mpmath.mpc(x)) * far ** m for m, x in
+                    reach = abs(mpmath.mpc(complex(centres[d]))) + radii[d]
+                    assert reach <= far[d]
+                    assert sum(abs(mpmath.mpc(x)) * reach ** m for m, x in
                                enumerate(rows[k].tolist())) <= major[k, d]
             finally:
                 mpmath.iv.prec = 53
@@ -115,12 +117,12 @@ class TestTaylorDiscs:
     def test_rows_of_length_0_and_1(self):
         centres = np.array([0.3 - 0.2j, 2.0 + 0j])
         radii = np.array([0.5, 0.0])
-        q, tail, major, err = _kernels.taylor_discs(
+        q, tail, major, err, far = _kernels.taylor_discs(
             np.zeros((2, 0), dtype=complex), centres, radii)
         assert q.shape == (2, 2, 0)
         assert (tail == 0.0).all() and (major == 0.0).all()
         row = np.array([[1.5 - 2.0j], [0.0]])
-        q, tail, major, err = _kernels.taylor_discs(row, centres, radii)
+        q, tail, major, err, far = _kernels.taylor_discs(row, centres, radii)
         assert q.shape == (2, 2, 1)
         assert (q[0, :, 0] == 1.5 - 2.0j).all() and (q[1] == 0.0).all()
         assert (tail == 0.0).all()
@@ -131,7 +133,7 @@ class TestTaylorDiscs:
         # Taylor coefficients are not finite, and their bound is inf.
         rng = np.random.default_rng(5)
         rows = random_coeffs(rng, 2, 1101)
-        q, tail, major, err = _kernels.taylor_discs(
+        q, tail, major, err, far = _kernels.taylor_discs(
             rows, np.array([0.5 + 0.1j, 0.0]), np.array([0.25, 0.0]))
         assert q.shape == (2, 2, 1101)
         assert np.isinf(err[:, 0]).all()

@@ -388,7 +388,7 @@ class TestPrunedMarty:
     bit."""
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 6),
+    @given(n=st.integers(1, 8),
            shapes=st.lists(st.tuples(st.integers(0, 12),
                                      st.sampled_from([-170, 0, 170])),
                            min_size=1, max_size=5),
@@ -442,6 +442,43 @@ class TestPrunedMarty:
         assert cell_of.size == nx * ny
         assert cells.sizes.tolist() == np.bincount(cell_of).tolist()
         assert (vals <= bound[:, cell_of]).all()
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("side", [6, 11, 41])
+    def test_sup_in_one_point_corner(self, n, side):
+        # A side of 1 mod 5 leaves a last corner cell of one point.  The
+        # curve [1 : a w_1 (z - c) : ... : a w_n (z - c)] peaks at c, just
+        # off that corner, so the sweep keeps only the corner and the
+        # kernel sums |f|^2 over n + 1 >= 8 components at one point.  The
+        # sups still have the bits of the full grid.
+        region = Region(-1, 1, -1, 1, side, side)
+        M = side * side
+        kernel = normality.fs_derivative_grid
+        counts = []
+
+        def counting(comp, dcomp, pts, *work):
+            counts.append(pts.shape[0])
+            return kernel(comp, dcomp, pts, *work)
+
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            c = 1 + 1j + 1e-3 * complex(*rng.standard_normal(2))
+            a = 1e3 * rng.uniform(0.5, 2.0) * (rng.standard_normal(n)
+                                                + 1j * rng.standard_normal(n))
+            curve = ProjCurve([ONE] + [ComplexPoly([-x * c, x]) for x in a],
+                              check_reduced=False)
+            want = full_grid_members([curve], region)
+            assert want[0][1] == 1 + 1j
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(normality, "fs_derivative_grid", counting)
+                # A block just short of the curve's grid, so that the
+                # sweep skips cells at every side.
+                mp.setattr(_kernels, "_EVAL_BLOCK",
+                           min(_kernels._EVAL_BLOCK, 2 * (n + 1) * M - 1))
+                counts.clear()
+                got = marty_sup([curve], region).members
+            assert [(m.sup.hex(), m.argmax) for m in got] == want
+            assert counts == [1, 1]
 
     def test_nan_first_argmax(self, monkeypatch):
         # [1 : (nu z)^12] overflows |f|^2 off the column x = 0, so every
