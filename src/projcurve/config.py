@@ -6,8 +6,13 @@ TAU_COEFF; ``roots_many``, the one rule that groups every zero set into
 (root, multiplicity) pairs, accepts a group as one multiple root by a
 backward-error test at TAU_MULTIPLE, which also sets how far apart, 2
 TAU_MULTIPLE^(1/d) max(1, |z|) at degree d, two roots may be tested as
-one; the load-time check that a curve's components (or a hyperplane's
-coefficients) have no common zero matches roots within TAU_ROOT, and
+one.  The load-time check that a curve's components (or a hyperplane's
+coefficients) have no common zero works at TAU_ROOT: each root r of a
+tuple's first entry is cleared when another entry e provably has no zero
+within TAU_ROOT of r (its value at r, less Horner's rounding bound,
+exceeds TAU_ROOT times a majorant of |e'| on that disc), and a tuple with
+a root that nothing clears is solved in full and shares a zero when every
+other entry has a root within TAU_ROOT of one of its first entry's; and
 preimage zero sets are matched within TAU_MATCH_REL times the region
 diameter.  The three MARTY_ values are the verdict thresholds of
 ``marty_sup``.

@@ -29,10 +29,12 @@ it scatters into are not (W. Kahan, "Conserving confluence curbs
 ill-condition", 1972).  On a curve that is not reduced the map keeps the
 components' shared factor.
 
-``derived_maps`` reduces a whole family at once: the f_0 of every curve go
-to one ``roots_many`` call, s and t of every curve come from one array
-recurrence over their zero-padded centres, and every part is one product;
-``derived_map`` is its one-curve case.
+``derived_maps`` reduces a whole family at once: the f_0 of every curve are
+read through ``grouped_roots``, whose one ``roots_many`` call solves only
+those not solved before (a curve checked at load has its f_0 solved
+already when f_0 is its lowest-degree component), s and t of every curve
+come from one array recurrence over their zero-padded centres, and every
+part is one product; ``derived_map`` is its one-curve case.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FirstComponentZero
-from .polynomial import ComplexPoly, roots_many, stack_coeffs
+from .polynomial import ComplexPoly, grouped_roots, stack_coeffs
 from .projective import ProjCurve, family_n
 
 
@@ -56,7 +58,7 @@ def derived_maps(curves: Sequence[ProjCurve]) -> list[ProjCurve]:
     if any(f0.is_zero for f0 in f0s):
         raise FirstComponentZero(
             "derived map needs a nonzero first component")
-    groups = roots_many([f0.coeffs for f0 in f0s])
+    groups = grouped_roots(f0s)
     N, K = len(curves), max(map(len, groups))
     # Curve i's k-th linear factor alpha + beta z: z - a for its k-th
     # centre a, and the constant 1 in a padded slot, which leaves s and t

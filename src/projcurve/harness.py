@@ -208,7 +208,10 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
        do not) become one object, and ``normalized_many`` normalizes each
        distinct one once.  One ``first_common_zero`` call then tests every
        distinct hyperplane, as given and normalized, and every curve for
-       entries that are all zero or share a zero.
+       entries that are all zero or share a zero.  It solves the first
+       entry of lowest degree of each tuple (a curve's f_0 when its
+       components have one degree, kept for the derived map) and solves
+       the other entries only of a tuple whose roots they do not clear.
 
     The first defect fails with its JSON path: a structure defect before
     any value, a value before any hyperplane invariant, and a hyperplane

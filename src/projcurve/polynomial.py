@@ -9,7 +9,9 @@ per root, and ``roots_many`` groups the eigenvalue scatter of multiple
 roots back into (root, multiplicity) pairs by one backward-error rule,
 centred on the mean of a group's unpolished eigenvalues; every zero set of
 the package (the condition 1 and 2 pairings, the load-time shared-zero
-check and the derived map) goes through it.
+check and the derived map) goes through it.  ``grouped_roots`` keeps the
+grouping of a ``ComplexPoly`` on it, so the shared-zero check and the
+derived map solve each polynomial once between them.
 
 Every evaluation goes through the batched Horner kernel
 ``polyval_grid``.  ``root_stacks`` hands the companion matrices of every
@@ -33,9 +35,13 @@ from .errors import ZeroPolynomial
 
 
 class ComplexPoly:
-    """Immutable polynomial with ascending complex coefficients."""
+    """Immutable polynomial with ascending complex coefficients.
 
-    __slots__ = ("_coeffs",)
+    ``grouped_roots`` keeps a polynomial's ``roots_many`` grouping on it,
+    so each polynomial is solved at most once.
+    """
+
+    __slots__ = ("_coeffs", "_roots")
 
     def __init__(self, coeffs: Iterable[complex]) -> None:
         if isinstance(coeffs, np.ndarray):
@@ -47,6 +53,7 @@ class ComplexPoly:
             raise ValueError("coefficients must be a flat sequence")
         self._coeffs = arr[: trimmed_lengths(arr)]
         self._coeffs.setflags(write=False)
+        self._roots = None
 
     # -- construction -------------------------------------------------
 
@@ -64,6 +71,7 @@ class ComplexPoly:
         for row, k in zip(stack, trimmed_lengths(stack).tolist()):
             p = cls.__new__(cls)
             p._coeffs = row[:k]
+            p._roots = None
             out.append(p)
         return out
 
@@ -359,6 +367,20 @@ def roots_many(rows: Sequence[np.ndarray]
         out[k] = [rm for rm, u in zip(out[k], used) if not u] + centres
         out[k].sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
+
+
+def grouped_roots(polys: Sequence[ComplexPoly]
+                  ) -> list[tuple[tuple[complex, int], ...]]:
+    """``roots_many`` of each polynomial, kept on it: the polynomials not
+    solved before (each distinct object once) go to one ``roots_many``
+    call, and every later call reads their kept grouping.  ``roots_many``
+    gives a row the same bits whatever rows it is solved with, so the
+    grouping does not depend on which call solved it first."""
+    todo = list({id(p): p for p in polys if p._roots is None}.values())
+    if todo:
+        for p, found in zip(todo, roots_many([p.coeffs for p in todo])):
+            p._roots = tuple(found)
+    return [p._roots for p in polys]
 
 
 def _near_side(points: np.ndarray, holds: np.ndarray) -> np.ndarray:

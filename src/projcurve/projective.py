@@ -22,7 +22,7 @@ from . import _kernels, config
 from ._kernels import polyval_grid
 from .errors import (AllZero, DimensionMismatch, ProjcurveError,
                      ZeroPolynomial)
-from .polynomial import ComplexPoly, roots_many, stack_coeffs
+from .polynomial import ComplexPoly, grouped_roots, stack_coeffs
 
 
 def first_common_zero(tuples: Sequence[Sequence[ComplexPoly]]
@@ -30,10 +30,28 @@ def first_common_zero(tuples: Sequence[Sequence[ComplexPoly]]
     """The index of the first tuple whose entries share a root, or None.
 
     A nonzero constant entry rules out a common zero, and a tuple of zero
-    polynomials shares every point.  The entries of every other tuple are
-    solved in one ``roots_many`` call, which gives each multiple root as one
-    centre, and a root of a tuple's lowest-degree entry is common when every
-    other entry has a root within ``config.TAU_ROOT`` of it.
+    polynomials shares every point.  Of every other tuple only the first
+    entry of lowest degree is solved, through ``grouped_roots`` (one
+    ``roots_many`` call for them all), and each of its roots r is cleared
+    by the other entries e, evaluated at r in one ``polyval_grid`` pass: r
+    is cleared when for some e
+
+        |e(r)| - err > TAU_ROOT sum_m m |a_m| (|r| + TAU_ROOT)^(m-1),
+
+    with err = (8L + 8) u sum_m (|a_m| + eta/u) |r|^m for the L
+    coefficients a_m of e, Horner's rounding bound (Higham, Accuracy and
+    Stability, 2nd ed., section 5.1) with complex operations counted at 4u
+    and underflow at eta = 2**-1074 each; the right side, the mean-value
+    bound on |e(z) - e(r)| for |z - r| <= TAU_ROOT, is rounded up by the
+    same factor.  Then e has no zero within ``config.TAU_ROOT`` of r.  A
+    value or bound that is not finite clears nothing.
+
+    A tuple with a root that no entry clears is decided by matching: its
+    entries are solved (those tuples' together, in one more call), which
+    gives each multiple root as one centre, and it shares a zero when every
+    other entry has a root within ``config.TAU_ROOT`` of some root of its
+    first entry.  The exclusion only proves that there is no common zero,
+    so a tuple that does share one is always matched.
     """
     lives = {k: sorted((p for p in polys if not p.is_zero),
                        key=lambda p: p.degree)
@@ -41,9 +59,11 @@ def first_common_zero(tuples: Sequence[Sequence[ComplexPoly]]
              if not any(p.degree == 0 for p in polys)}
     if not lives:
         return None
-    roots = iter(roots_many([p.coeffs for live in lives.values()
-                             for p in live]))
-    for k, live in lives.items():
+    cleared = _cleared({k: live for k, live in lives.items() if live})
+    pending = {k: live for k, live in lives.items() if k not in cleared}
+    roots = iter(grouped_roots([p for live in pending.values()
+                                for p in live]))
+    for k, live in pending.items():
         if not live:
             return k
         first, *others = [[r for r, _ in next(roots)] for _ in live]
@@ -51,6 +71,50 @@ def first_common_zero(tuples: Sequence[Sequence[ComplexPoly]]
                    for rs in others) for root in first):
             return k
     return None
+
+
+def _cleared(lives: dict[int, list[ComplexPoly]]) -> set[int]:
+    """The keys of the tuples ``lives`` (nonzero entries of degree >= 1,
+    lowest degree first) whose first entry has every root cleared by some
+    other entry, by ``first_common_zero``'s exclusion test."""
+    heads = grouped_roots([live[0] for live in lives.values()])
+    K = max(map(len, lives.values()), default=1) - 1
+    if not K:
+        return set()
+    # Item (t, j): entry j + 1 of tuple t, or the zero polynomial, which
+    # clears nothing, against the roots of the tuple's first entry, padded
+    # with its first root, which leaves the tuple's verdict as it is.
+    entries = [e for live in lives.values()
+               for e in live[1:] + [ComplexPoly.zero()] * (K + 1 - len(live))]
+    E = stack_coeffs(entries)
+    I, L = E.shape
+    size = np.array([e.coeffs.size for e in entries])
+    D = max(map(len, heads))
+    pts = np.repeat(np.array([[r for r, _ in found]
+                              + [found[0][0]] * (D - len(found))
+                              for found in heads]), K, axis=0)
+    # Each entry's majorant rows: |a_m| raised by eta/u for underflow
+    # within the entry's own length, and m times that for e'.
+    u = _kernels._U
+    major = np.abs(E)
+    major[np.arange(L) < size[:, None]] += _kernels._ETA / u
+    slope = np.zeros((I, L))
+    slope[:, :-1] = major[:, 1:] * np.arange(1, L)
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = np.abs(pts)
+        vals = polyval_grid(np.concatenate([E, major, slope]),
+                            np.concatenate([pts, near, (near + config.TAU_ROOT)
+                                            * (1 + 8 * u)]))
+        value = np.abs(vals[:I])
+        err, turn = vals[I:].real.reshape(2, I, -1)
+        turn *= config.TAU_ROOT
+        # |e(r)| - err > turn, with the rounding of err, (8L + 8) u, also
+        # on turn; an overflowed value clears nothing, and a NaN fails
+        # the comparison.
+        ok = ((value - turn > ((8 * size + 8) * u)[:, None] * (err + turn))
+              & (value < np.inf))
+    done = ok.reshape(len(heads), K, D).any(axis=1).all(axis=1)
+    return {k for k, d in zip(lives, done.tolist()) if d}
 
 
 def tuple_error(polys: Sequence[ComplexPoly], entry: str) -> ProjcurveError:

@@ -130,16 +130,21 @@ class TestSceneIO:
         assert err.value.path == "$.members[2].label"
 
     def test_one_root_solve_per_load(self, monkeypatch):
-        # Every curve's components, one stacked solve.
-        from projcurve import projective
+        # One stacked solve of each curve's lowest-degree component (f1 of
+        # degree 3, against f0 of degree 8); f0 and f2 clear its roots
+        # unsolved.
+        from projcurve import polynomial
         data = scene_to_json(planted_scene())
-        calls = count_calls(monkeypatch, projective, "roots_many")
-        scene_from_json(data)
+        calls = count_calls(monkeypatch, polynomial, "roots_many")
+        scene = scene_from_json(data)
         # The fixed hyperplanes have a constant entry: nothing to solve.
-        assert [len(rows) for rows, in calls] == [
-            3 * len(data["members"])]
+        assert [len(rows) for rows, in calls] == [len(data["members"])]
+        assert all(m.curve.components[1]._roots is not None
+                   and m.curve.components[0]._roots is None
+                   for m in scene.members)
         # Moving hyperplanes (z - b, z - 2b, z + b) have no constant
-        # entry: each is solved as given and normalized, in the same call.
+        # entry: the first entry of each, as given and normalized, is
+        # solved in the same call.
         for member in data["members"]:
             member["hyperplanes"] = [{"n": 2, "coeffs": [
                 ComplexPoly([-c * b, 1.0]).to_json() for c in (1, 2, -1)]}
@@ -148,7 +153,7 @@ class TestSceneIO:
         scene = scene_from_json(data)
         assert not any(h.is_fixed for h in scene.members[0].hyperplanes)
         assert [len(rows) for rows, in calls] == [
-            2 * 3 * 5 + 3 * len(data["members"])]
+            2 * 5 + len(data["members"])]
 
     @pytest.mark.parametrize("at", ["curve", "hyperplane"])
     @pytest.mark.parametrize("defect, entry, message", [

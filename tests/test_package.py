@@ -5,7 +5,7 @@ import re
 import pytest
 
 import projcurve
-from projcurve import derived, harness
+from projcurve import cli, derived, harness, polynomial, sharing
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -63,3 +63,33 @@ def test_perfbench_calls_still_run(name, tmp_path, monkeypatch):
         curves = {m.label: m.curve for m in scene.members}
         for label, degree in case.derived:
             assert derived.derived_map(curves[label]).degree == degree
+
+
+def test_check_solves_each_polynomial_once(tmp_path, monkeypatch):
+    """``projcurve check`` on planted_roots' scene at seed 1 solves 330
+    companion matrices in two ``roots_many`` calls: each curve's f0 at
+    load, which the derived maps reuse, and every pairing of the curves
+    and their derived maps."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    [case] = WORKLOADS["planted_roots"].cases(1)
+    path = str(tmp_path / "planted.json")
+    harness.save_scene(case.build(), path)
+    calls, solved = [], []
+    roots_many, eigvals = polynomial.roots_many, polynomial._eigvals
+
+    def counted_roots_many(rows):
+        calls.append(len(rows))
+        return roots_many(rows)
+
+    def counted_eigvals(C):
+        solved.append(len(C))
+        return eigvals(C)
+
+    monkeypatch.setattr(polynomial, "roots_many", counted_roots_many)
+    monkeypatch.setattr(sharing, "roots_many", counted_roots_many)
+    monkeypatch.setattr(polynomial, "_eigvals", counted_eigvals)
+    assert cli.main(["check", path, "-o", str(tmp_path / "r.json")]) == 2
+    assert calls == [30, 300]
+    assert sum(solved) == 330

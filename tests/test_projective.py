@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,15 +9,16 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from projcurve import config
+from projcurve import config, polynomial
 from projcurve._kernels import pairwise_fs_grid, polyval_grid
 from projcurve.errors import (AllZero, DimensionMismatch, ValidationError,
                               ZeroPolynomial)
 from projcurve.harness import Scene, scene_from_json, scene_to_json
-from projcurve.polynomial import ComplexPoly, stack_coeffs
+from projcurve.polynomial import ComplexPoly, roots_many, stack_coeffs
 from projcurve.position import Region
 from projcurve.projective import (MovingHyperplane, ProjCurve, family_n,
-                                  induced_curve, normalized_many, pair_rows)
+                                  first_common_zero, induced_curve,
+                                  normalized_many, pair_rows)
 from projcurve.sharing import CheckConfig, FamilyMember
 
 ONE = ComplexPoly.one()
@@ -113,6 +115,130 @@ def chordal(a, b):
     if cmath.isinf(b):
         return 1.0 / math.sqrt(1.0 + abs(a) ** 2)
     return abs(a - b) / math.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
+
+
+def solve_every_entry(tuples):
+    """The rule ``first_common_zero`` had before its exclusion test, kept
+    as its oracle: every entry of every tuple without a constant entry is
+    solved in one ``roots_many`` call, and a root of a tuple's
+    lowest-degree entry is common when every other entry has a root within
+    TAU_ROOT of it."""
+    lives = {k: sorted((p for p in polys if not p.is_zero),
+                       key=lambda p: p.degree)
+             for k, polys in enumerate(tuples)
+             if not any(p.degree == 0 for p in polys)}
+    roots = iter(roots_many([p.coeffs for live in lives.values()
+                             for p in live]))
+    for k, live in lives.items():
+        if not live:
+            return k
+        first, *others = [[r for r, _ in next(roots)] for _ in live]
+        if any(all(any(abs(r - root) <= config.TAU_ROOT for r in rs)
+                   for rs in others) for root in first):
+            return k
+    return None
+
+
+SHARED_OFFSETS = (0.0, config.TAU_ROOT / 2, 2 * config.TAU_ROOT, 1e-3)
+
+
+@st.composite
+def root_tuples(draw):
+    """2 to 7 entries with roots in the unit square.  Either each entry has
+    only its own random roots (a reduced tuple, but for a chance near
+    miss), or the first has a root a of multiplicity 1 to 5 and every
+    other entry has one of the same multiplicity at a + offset, each in
+    its own direction, for an offset of ``SHARED_OFFSETS``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(2, 7))
+    mult = draw(st.integers(1, 5))
+    offset = draw(st.one_of(st.none(), st.sampled_from(SHARED_OFFSETS)))
+    a = complex(*rng.uniform(-1.0, 1.0, 2))
+    out = []
+    for i in range(k):
+        own = list(rng.uniform(-1.0, 1.0, (draw(st.integers(0, 3)), 2))
+                   @ [1.0, 1.0j])
+        if offset is None:
+            own.append(complex(*rng.uniform(-1.0, 1.0, 2)))
+        else:
+            turn = np.exp(2j * np.pi * rng.random())
+            own += [a + (i > 0) * offset * turn] * mult
+        out.append(ComplexPoly.from_roots(
+            own, leading=complex(*rng.normal(size=2))))
+    return out
+
+
+class TestFirstCommonZero:
+    """``first_common_zero`` solves only each tuple's first entry and
+    clears its roots by an exclusion test; it must agree with solving and
+    matching every entry."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(root_tuples(), min_size=1, max_size=3))
+    def test_agrees_with_solving_every_entry(self, tuples):
+        expected = solve_every_entry(tuples)
+        assert first_common_zero(tuples) == expected
+        # Solved once, the first entries are read again from their memo.
+        assert first_common_zero(tuples) == expected
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        """The number of rows of each ``roots_many`` call from here on."""
+        solved = []
+        original = polynomial.roots_many
+        monkeypatch.setattr(polynomial, "roots_many",
+                            lambda rows: solved.append(len(rows))
+                            or original(rows))
+        return solved
+
+    @pytest.mark.parametrize("gap, expected", [(2e-6, None), (5e-7, 0)])
+    def test_two_linear_entries(self, gap, expected, monkeypatch):
+        # [z - a : z - a - gap]: zeros 2 TAU_ROOT apart are cleared
+        # without solving the second entry; zeros TAU_ROOT / 2 apart are
+        # matched.
+        a = 0.3 + 0.2j
+        solved = self.count_solves(monkeypatch)
+        pair = [ComplexPoly([-a, 1.0]), ComplexPoly([-a - gap, 1.0])]
+        assert first_common_zero([pair]) == expected
+        assert solved == ([1] if expected is None else [1, 1])
+
+    def test_reduced_tuples_solve_only_first_entries(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        tuples = [[ComplexPoly(c) for c in rng.normal(size=(3, 9))
+                   + 1j * rng.normal(size=(3, 9))] for _ in range(4)]
+        solved = self.count_solves(monkeypatch)
+        assert first_common_zero(tuples) is None
+        assert solved == [4]
+        assert all(t[0]._roots is not None and t[1]._roots is None
+                   for t in tuples)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100, 1e300, 1e-300])
+    def test_extreme_roots_do_not_warn(self, scale):
+        # Roots near 1e+-100 and 1e+-300: the exclusion's values and
+        # bounds overflow or underflow without a warning, and a tuple they
+        # leave uncleared is matched.
+        def tuples():
+            return [[ComplexPoly.from_roots([3 * scale]),
+                     ComplexPoly.from_roots([scale, 2 * scale])],
+                    [ComplexPoly.from_roots([scale * (1 + 1e-9)]),
+                     ComplexPoly.from_roots([scale, 2j * scale])]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = first_common_zero(tuples())
+        assert got == solve_every_entry(tuples())
+        assert got == (None if scale > 1 else 0)
+
+    def test_degree_1040_does_not_warn(self):
+        # blowup_linear's [1 : (nu z)^1040] has a constant entry; beside
+        # z - 0.5, (1.5 z)^1040 clears the root 0.5 without being solved.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for nu in (0.7, 1.0, 1.5):
+                top = ComplexPoly([0.0] * 1040 + [nu ** 1040])
+                assert first_common_zero([[ONE, top]]) is None
+            assert first_common_zero(
+                [[ComplexPoly([-0.5, 1.0]), top]]) is None
+        assert top._roots is None
 
 
 class TestProjCurve:

@@ -13,7 +13,7 @@ from projcurve.harness import generate_scene
 from projcurve.polynomial import ComplexPoly, roots_many, stack_coeffs
 from projcurve.position import Region, position_sweep
 from projcurve.projective import MovingHyperplane, ProjCurve, pair_rows
-from projcurve import config, derived, sharing
+from projcurve import config, polynomial, sharing
 from projcurve.sharing import (CheckConfig, FamilyMember, _match_sets,
                                hypotheses_check)
 
@@ -257,7 +257,14 @@ class TestHypothesesCheck:
     def test_one_root_solve_per_pairing(self, monkeypatch):
         # every member's curve and derived map against each of its 2n+1
         # hyperplanes, once, all of the family handed to the solver
-        # together; and every member's f0 in one solve for the derived maps
+        # together; and each f0 once: those the curve check solved are
+        # reused, the rest go to one solve for the derived maps
+        hypers = [fixed(0.0, 1.0), fixed(1.0, 0.1), fixed(1.0, -0.1)]
+        members = [
+            FamilyMember(ProjCurve([ComplexPoly([1.0, 0.1 * k]),
+                                    ComplexPoly([a * a, -2 * a, 1.0])]),
+                         hypers, f"m{k}")
+            for k, a in enumerate((-0.3, 0.0, 0.3))]
         calls, f0_calls = [], []
 
         def counting(into, solve):
@@ -268,17 +275,14 @@ class TestHypothesesCheck:
 
         monkeypatch.setattr(sharing, "roots_many",
                             counting(calls, roots_many))
-        monkeypatch.setattr(derived, "roots_many",
+        monkeypatch.setattr(polynomial, "roots_many",
                             counting(f0_calls, roots_many))
-        hypers = [fixed(0.0, 1.0), fixed(1.0, 0.1), fixed(1.0, -0.1)]
-        members = [
-            FamilyMember(ProjCurve([ComplexPoly([1.0, 0.1 * k]),
-                                    ComplexPoly([a * a, -2 * a, 1.0])]),
-                         hypers, f"m{k}")
-            for k, a in enumerate((-0.3, 0.0, 0.3))]
         hypotheses_check(members, make_config())
         assert calls == [2 * len(hypers) * len(members)]
-        assert f0_calls == [len(members)]
+        # m1's and m2's f0 (degree 1) were solved when their curves were
+        # checked; m0's is a constant, which rules out a common zero
+        # unsolved.
+        assert f0_calls == [1]
 
     def test_degenerate_pairing_is_labeled(self):
         h_bad = MovingHyperplane([Z, ComplexPoly([-1.0])])
