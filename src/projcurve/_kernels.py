@@ -16,9 +16,12 @@ the batch or the other points it rides with.
 
 ``taylor_discs`` gives the Taylor data of polynomial rows on discs, with
 one error bound for the coefficients and their tail, by the binomial
-shift ``_taylor`` and ``polyval_grid``.  The Marty sweep bounds the
-Fubini-Study derivative on grid cells with it, and skips a cell whose
-bound is below a value already computed.
+shift ``_taylor`` and ``polyval_grid``.  No sweep calls it: the Marty
+sweep bounds its grid cells with centre-0 majorants and the values at the
+cell centres alone (``normality._cell_bounds``).  It stays, with its
+mpmath tests, for the local bounds of the general-position sweep, the
+disc tests at each zero and the certified root clusters (ROADMAP items 2,
+15 and 18).
 
 A Fubini-Study sweep allocates its block arrays once and every block
 reuses them: ``polyval_grid`` writes into a caller's ``out``,

@@ -13,12 +13,15 @@ members on the batch axis of the stacked kernels.
 The grid sweep skips what cannot hold a sup.  The grid is cut into cells
 of ``_CELL`` x ``_CELL`` points, and ``_cell_bounds`` bounds, for every
 member and cell, the value the kernel computes at each of the cell's
-points: the centre-0 majorant of f ^ f' over a lower end of |f|^2 from the
-``taylor_discs`` data at the cell centre, with every rounding and
-underflow term.  Each member is evaluated at its best-bound cell, then at
-every cell whose bound is not below the largest value found there.  A
-skipped point's computed value is below a computed one, so the sups and
-the first argmax in grid order are those of the full grid, bit for bit.
+points: the centre-0 majorant of f ^ f' over a lower end of |f|^2, the
+values at the cell centre less the cell radius times the centre-0
+majorant of f', with every rounding and underflow term.  The majorants
+are one matrix product with the powers of each cell's outer radius, so no
+Taylor shift is formed.  Each member is evaluated at its best-bound cell,
+then at every cell whose bound is not below the largest value found
+there.  A skipped point's computed value is below a computed one, so the
+sups and the first argmax in grid order are those of the full grid, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from . import _kernels, config
 # fs_distance, itself.
 from ._kernels import (_taylor, fs_derivative_grid,  # noqa: F401
                        fs_distance, fs_scale, fs_workspace, pairwise_fs_grid,
-                       polyval_grid, pow2_factors, taylor_discs)
+                       polyval_grid, pow2_factors)
 from .errors import NotBlowingUp, NumericOverflow, WrongCount
 from .polynomial import ComplexPoly, stack_coeffs
 from .position import Region
@@ -104,25 +107,27 @@ def _fs_stack(curves: Sequence[ProjCurve]) -> tuple[np.ndarray, np.ndarray]:
 # derivative on cells of _CELL x _CELL grid points and evaluates only the
 # cells that may hold a member's sup.  Chosen by measurement on
 # blowup_marty's scene (n = 3, 50 members, 81 x 81 points) on a 2-core
-# Xeon VM: marty_sup took 25.2, 21.4, 21.3 and 23.3 ms at 4, 5, 6 and 7
-# points per side, interleaved medians of 40 runs.  5 and 6 tie; at 5 the
-# kernel sees 12% of the grid's member-points, at 6 17%.
+# Xeon VM: marty_sup took 20.6, 20.0, 22.1 and 26.2 ms at 4, 5, 6 and 7
+# points per side, interleaved medians of 40 runs, and the kernel saw 10%,
+# 15%, 21% and 27% of the grid's member-points.
 _CELL = 5
 
 # The longest coefficient rows (degree + 1) whose sweep skips cells.  The
-# centre-0 majorant of W_ij loosens with its degree 2L - 3 (for a monomial
-# it exceeds |W_ij(z)| by (R / |z|)^(2L - 3) on a cell), so fewer cells
-# fall below a sup as L grows, while the Taylor shift costs L^2 per
-# component and cell.  Pruned over whole-grid sweep time on 81 x 81
+# centre-0 majorants loosen with the degree (for a monomial the one of
+# W_ij exceeds |W_ij(z)| by (R / |z|)^(2L - 3) on a cell), so fewer cells
+# fall below a sup as L grows, while the bound pass costs (2P + K2)(2L - 2)
+# per curve and cell.  Pruned over whole-grid sweep time on 81 x 81
 # points of [-1, 1]^2, n = 3, 2-core Xeon VM, interleaved medians of 15
 # runs; "mono" is [1 : nu z : (nu z)^2 : (nu z)^(L-1)] (blowup_marty's
 # family at L = 4 and 50 nu), "random" g(nu z) with g of random
 # coefficients and 20 nu in [0.5, 3]:
 #   L                  2     3     4     5     6     8    16    64
-#   mono, 20 nu        -     -  0.79  1.05  1.14  2.20  3.29  5.31
-#   mono, 50 nu        -     -  0.66  0.84  1.10  1.84     -     -
-#   random          0.39  0.86  1.38  1.72  1.21  2.35  3.17  5.38
-# On 161 x 161 points both won at L = 4, 5, 6 and 8 (0.47 to 0.91).
+#   mono, 20 nu        -     -  0.58  0.64  0.87  1.29  2.38  2.76
+#   mono, 50 nu        -     -  0.54  0.65  0.79  1.61     -     -
+#   random          0.41  0.65  0.89  1.16  1.87  1.97  2.08  2.30
+# At L = 5 the random family lost.  On 161 x 161 points pruning won at
+# L = 4, 5 and 6 (0.22 to 0.95) and lost on the random family at L = 8
+# (1.18).
 _CELL_MAX_LEN = 4
 
 _U, _ETA = _kernels._U, _kernels._ETA
@@ -134,12 +139,14 @@ class _Cells:
     smaller at the far edges, numbered row-major like the grid: cell rows
     of ``rows`` grid rows each and cell columns of ``cols`` grid columns.
     ``sizes`` (C,) holds the points per cell, and every point of cell d
-    lies in the disc D(``centres[d]``, ``radii[d]``)."""
+    lies in the disc D(``centres[d]``, ``radii[d]``), so in D(0,
+    ``far[d]``)."""
     rows: np.ndarray
     cols: np.ndarray
     sizes: np.ndarray
     centres: np.ndarray
     radii: np.ndarray
+    far: np.ndarray
 
     def points(self, cells: np.ndarray) -> np.ndarray:
         """The grid indices, ascending, of the points of the cells in a
@@ -151,8 +158,8 @@ class _Cells:
 
 def _cells(region: Region) -> _Cells:
     """The cells of a region's grid, built once per region.  A cell's
-    centre is the midpoint of its corner points, and its radius the
-    half-diagonal, rounded up."""
+    centre c is the midpoint of its corner points, its radius rho the
+    half-diagonal, rounded up, and its ``far`` |c| + rho, rounded up."""
     return _cell_layout(region.x_min, region.x_max, region.grid_nx,
                         region.y_min, region.y_max, region.grid_ny)
 
@@ -174,10 +181,13 @@ def _cell_layout(x_min: float, x_max: float, nx: int, y_min: float,
                      np.maximum(mid - lo, hi - mid)))
     (cols, cx, hx), (rows, cy, hy) = axes
     # The half-widths are differences of grid floats rounded once; the
-    # factor covers that rounding and the hypot's.
+    # factor covers that rounding and the hypot's, and in far the modulus'
+    # and the sum's.
+    centres = (cx + 1j * cy[:, None]).ravel()
+    radii = np.hypot(hx, hy[:, None]).ravel() * (1 + 8 * _U)
     return _Cells(rows=rows, cols=cols, sizes=np.outer(rows, cols).ravel(),
-                  centres=(cx + 1j * cy[:, None]).ravel(),
-                  radii=np.hypot(hx, hy[:, None]).ravel() * (1 + 8 * _U))
+                  centres=centres, radii=radii,
+                  far=(np.abs(centres) + radii) * (1 + 8 * _U))
 
 
 @functools.cache
@@ -187,41 +197,62 @@ def _pairs(P: int) -> np.ndarray:
         2, -1)
 
 
-def _cell_bounds(comp: np.ndarray, dcomp: np.ndarray,
-                 cells: _Cells) -> np.ndarray:
+def _powers(cells: _Cells, W: int) -> np.ndarray:
+    """R^t for t < W at every cell's R (``far``), (W, C), rounded up: the
+    computed power, within (t - 1) u relative and t eta absolute of R^t,
+    plus W eta, times 1 + (W + 4) u.  A power past the float range is
+    inf.  Built once per sweep."""
+    rpow = np.empty((W, cells.far.size))
+    rpow[0] = 1.0
+    with np.errstate(over="ignore"):
+        for t in range(1, W):
+            np.multiply(rpow[t - 1], cells.far, out=rpow[t])
+        rpow += W * _ETA
+        rpow *= 1 + (W + 4) * _U
+    return rpow
+
+
+def _cell_bounds(comp: np.ndarray, dcomp: np.ndarray, cells: _Cells,
+                 rpow: np.ndarray) -> np.ndarray:
     """An upper bound, (B, C), on the value ``fs_derivative_grid``
     computes for each of B curves (rows of ``_fs_stack``) at every grid
-    point of each cell, inf where a cell has none.
+    point of each cell, inf where a cell has none.  ``rpow`` is
+    ``_powers(cells, 2L - 2)``.
 
     On the disc D(c, rho) of a cell, with R = |c| + rho rounded up
-    (``taylor_discs``' ``far``):
+    (``far``), every majorant is centre-0, sum_m |a_m| R^m over the
+    moduli of a row's coefficients: A_i of the components f_i, D_i of
+    their derivatives and W^_ij of W_ij = f_i f_j' - f_j f_i', whose
+    coefficients w are the anti-diagonal sums of the rows' outer products.
+    The (2P + K2) rows of a curve go through one real matrix product with
+    ``rpow``; the product is within W u relative and W eta absolute of its
+    exact value on the rounded-up powers, so the majorants add W eta and
+    take the factor 1 + (W + 4) u, W = 2L - 2, which also covers the
+    rounding of the derivative coefficients m a_m.
 
-    - the numerator: W_ij = f_i f_j' - f_j f_i' has coefficients w, so
-      |W_ij| <= sum_m |w_m| R^m, the centre-0 majorant; the rounding of
-      the kernel's cross term, (12L + 6) u (A_i D_j + A_j D_i), and of w,
-      (2L + 4) u times the same, are at most (32L + 48) u top^2, with A
-      and D the majorants sum_l |c_l| R^l of the components and
-      derivatives and top the largest of them;
-    - the denominator: |f_i| >= |f_i(c)| - sum_{j>=1} |q_j| rho^j, from
-      ``taylor_discs`` less its error bound twice (once for q_0, once for
-      the tail), and less the kernel's Horner error 6 L u A_i, A_i the
-      majorant ``taylor_discs`` returns;
+    - the numerator: |W_ij| <= W^_ij on D(0, R); the rounding of the
+      kernel's cross term, (12L + 6) u (A_i D_j + A_j D_i), and of w,
+      (2L + 4) u times the same, are at most (32L + 48) u top^2, with top
+      the largest of the A_i and D_i;
+    - the denominator: |f_i(z)| >= |f_i(c)| - rho D_i, since the segment
+      [c, z] lies in D(0, R), where |f_i'| <= D_i; f_i(c) is one
+      ``polyval_grid`` call at the cell centres, less Horner's bound on
+      its error, (8L + 8) u A_i, and less the kernel's own Horner error at
+      z, 6 L u A_i;
     - each step of the quotient adds a stated multiple of u, and every
       term a multiple of eta = 2**-1074 for underflow.
 
     A cell gets inf when its lower end of |f|^2 is not positive, or the
     numerator or the bound leaves the range where the kernel's own values
-    provably stay finite.
+    provably stay finite; a power or majorant past the float range makes
+    inf or NaN there, and so inf.
     """
     B, P, L = comp.shape
-    C = cells.centres.size
+    W, C = rpow.shape
     i, j = _pairs(P)
     K2 = i.size
     with np.errstate(all="ignore"):
-        q, tail, A, err, far = taylor_discs(comp.reshape(B * P, L),
-                                            cells.centres, cells.radii)
-        A = A.reshape(B, P, C)
-        hR = np.maximum(1.0, far) ** L
+        hR = np.maximum(1.0, cells.far) ** L
         # The coefficients of W_ij: the anti-diagonal sums of the outer
         # products, each row shifted by its index through the padding
         # (B K2 L (2L - 1) values, at most 28 B K2 for the L of a pruned
@@ -230,27 +261,32 @@ def _cell_bounds(comp: np.ndarray, dcomp: np.ndarray,
         np.subtract(comp[:, i, :, None] * dcomp[:, j, None, :],
                     comp[:, j, :, None] * dcomp[:, i, None, :],
                     out=outer[..., :L - 1])
-        # Majorants at R of the derivatives and of W_ij, (B, P + K2, C), in
-        # one call.
-        rows = np.zeros((B, P + K2, 2 * L - 2))
-        np.abs(dcomp, out=rows[:, :P, :L - 1])
-        np.abs(outer.reshape(B, K2, -1)[..., :L * (2 * L - 2)].reshape(
-            B, K2, L, 2 * L - 2).sum(axis=2), out=rows[:, P:])
-        major = polyval_grid(rows.reshape(-1, 2 * L - 2), far,
-                             out=np.empty((B * (P + K2), C))
-                             ).reshape(B, P + K2, C)
-        top = np.maximum(A.max(axis=1), major[:, :P].max(axis=1))
+        # The coefficient moduli of the components, derivatives and W_ij,
+        # (B, 2P + K2, W), and their majorants at R in one product.
+        rows = np.zeros((B, 2 * P + K2, W))
+        np.abs(comp, out=rows[:, :P, :L])
+        np.abs(dcomp, out=rows[:, P:2 * P, :L - 1])
+        np.abs(outer.reshape(B, K2, -1)[..., :L * W].reshape(
+            B, K2, L, W).sum(axis=2), out=rows[:, 2 * P:])
+        major = rows.reshape(-1, W) @ rpow
+        major += W * _ETA
+        major *= 1 + (W + 4) * _U
+        major = major.reshape(B, 2 * P + K2, C)
+        A, D = major[:, :P], major[:, P:2 * P]
+        top = np.maximum(A.max(axis=1), D.max(axis=1))
         # |t_ij| <= (1 + (4L + 16) u) W^_ij + e for every pair: the kernel's
         # cross term t_ij, the docstring's rounding and underflow in e.
         e = ((32 * L + 48) * _U * top * top
              + 32 * L * _ETA * hR * hR * (1 + 2 * top))
         root = (((1 + (4 * L + 16) * _U)
-                * np.sqrt(np.square(major[:, P:]).sum(axis=1))
+                * np.sqrt(np.square(major[:, 2 * P:]).sum(axis=1))
                 + math.sqrt(K2) * e) * (1 + (K2 + 12) * _U)
                 + math.sqrt(2 * K2 * _ETA))
-        lo = ((1 - 8 * _U) * np.abs(q[..., 0]).reshape(B, P, C)
-              - (1 + 8 * _U) * ((tail + 2 * err).reshape(B, P, C)
-                                + 6 * L * _U * A + 8 * L * _ETA * hR))
+        at_c = polyval_grid(comp.reshape(B * P, L), cells.centres)
+        # Underflow: 8 L eta max(1, R)^L for each of the two Horner values.
+        lo = ((1 - 8 * _U) * np.abs(at_c).reshape(B, P, C)
+              - (1 + 8 * _U) * (cells.radii * D + (14 * L + 8) * _U * A
+                                + 16 * L * _ETA * hR))
         s2lo = (np.square(np.maximum(lo, 0.0)).sum(axis=1)
                 * (1 - (2 * P + 16) * _U) - 2 * P * _ETA)
         bound = root / np.maximum(s2lo, 0.0) * (1 + 8 * _U)
@@ -289,19 +325,21 @@ def _fs_sups(curves: Sequence[ProjCurve], region: Region
     any), with the bits of the full grid sweep, evaluating only the cells
     that may hold it.
 
-    Each curve's cells are bounded by ``_cell_bounds``, in blocks of
-    curves whose Taylor shift stays within ``_EVAL_BLOCK`` values, at
-    least one.  The kernel is evaluated first at the curve's best-bound
-    cell, then at every cell whose bound is not below the largest value
-    found there; a value found that is NaN keeps every cell, and so does a
-    bound that is inf.  A skipped point's computed value is below a
-    computed one, so the maximum and its first grid index are those of the
-    full grid.  Blocks of consecutive curves are evaluated at the union of
-    their cells, and a curve with more points in runs, at most
-    ``_EVAL_BLOCK`` values per ``polyval_grid`` call (``_point_blocks``),
-    so the blocks share a workspace of one block.  The runs of a curve come
-    in grid order, and a later run's maximum replaces the one found if it
-    is larger, or if it is the first NaN.
+    Each curve's cells are bounded by ``_cell_bounds``, on powers of the
+    cells' outer radii built once, in blocks of curves whose (2P + K2)
+    majorant rows at every cell stay within ``_EVAL_BLOCK`` values, at
+    least one (K2 = P (P - 1) / 2 pairs).  The kernel is evaluated first
+    at the curve's best-bound cell, then at every cell whose bound is not
+    below the largest value found there; a value found that is NaN keeps
+    every cell, and so does a bound that is inf.  A skipped point's
+    computed value is below a computed one, so the maximum and its first
+    grid index are those of the full grid.  Blocks of consecutive curves
+    are evaluated at the union of their cells, and a curve with more
+    points in runs, at most ``_EVAL_BLOCK`` values per ``polyval_grid``
+    call (``_point_blocks``), so the blocks share a workspace of one
+    block.  The runs of a curve come in grid order, and a later run's
+    maximum replaces the one found if it is larger, or if it is the first
+    NaN.
 
     The whole grid is swept, in ``_whole_blocks`` as by ``_fs_values``,
     where skipping was measured not to pay: for coefficient rows longer
@@ -318,11 +356,13 @@ def _fs_sups(curves: Sequence[ProjCurve], region: Region
         if L <= _CELL_MAX_LEN and 2 * P * M > _kernels._EVAL_BLOCK:
             cells = _cells(region)
             C = cells.sizes.size
+            rpow = _powers(cells, 2 * L - 2)
             bound = np.empty((N, C))
-            step = max(1, _kernels._EVAL_BLOCK // (P * L * C))
+            step = max(1, _kernels._EVAL_BLOCK
+                       // ((2 * P + _pairs(P).shape[1]) * C))
             for a in range(0, N, step):
-                bound[a:a + step] = _cell_bounds(comp[a:a + step],
-                                                 dcomp[a:a + step], cells)
+                bound[a:a + step] = _cell_bounds(
+                    comp[a:a + step], dcomp[a:a + step], cells, rpow)
             best = np.zeros((N, C), dtype=bool)
             best[np.arange(N), np.argmax(bound, axis=1)] = True
             keep = np.ones((N, C), dtype=bool)

@@ -423,26 +423,29 @@ def _accept(coeffs: np.ndarray, centre: np.ndarray, m: np.ndarray,
     """
     G = m.size
     at = np.arange(G)
-    # p^(m-1)/(m-1)! has a simple root at an m-fold root of p; its
-    # derivative is m p^(m)/m!.
-    vals = polyval_grid(_taylor(coeffs, np.concatenate([at, at]),
-                                np.concatenate([m - 1, m])),
-                        np.concatenate([centre, centre])[:, None])[:, 0]
-    value, slope = vals[:G], vals[G:] * m
-    # A step may overflow on its way to being refused.
+    # Past degree about 1030 a binomial of the shift is inf, and inf times
+    # a zero coefficient NaN; the evaluations and a step may overflow on
+    # their way to being refused.
     with np.errstate(over="ignore", invalid="ignore"):
+        # p^(m-1)/(m-1)! has a simple root at an m-fold root of p; its
+        # derivative is m p^(m)/m!.
+        vals = polyval_grid(_taylor(coeffs, np.concatenate([at, at]),
+                                    np.concatenate([m - 1, m])),
+                            np.concatenate([centre, centre])[:, None])[:, 0]
+        value, slope = vals[:G], vals[G:] * m
         c = centre - np.divide(value, slope, out=np.zeros_like(value),
                                where=slope != 0)
-    # Not-greater, so a NaN step is not refused here.
-    ok = (slope != 0) & ~(np.abs(c - centre) > radius)
-    # The lower Taylor coefficients j < m - 1 at c (a refused group's at
-    # its centroid) and their bounds at max(1, |c|), in one call: row r at
-    # its own point.
-    of, j = np.nonzero(np.arange(m.max() - 1) < m[:, None] - 1)
-    lower = _taylor(coeffs, of, j)
-    pts = np.where(ok, c, centre)[of, None]
-    vals = polyval_grid(np.concatenate([lower, np.abs(lower)]),
-                        np.concatenate([pts, np.maximum(1.0, np.abs(pts))]))
+        # Not-greater, so a NaN step is not refused here.
+        ok = (slope != 0) & ~(np.abs(c - centre) > radius)
+        # The lower Taylor coefficients j < m - 1 at c (a refused group's
+        # at its centroid) and their bounds at max(1, |c|), in one call:
+        # row r at its own point.
+        of, j = np.nonzero(np.arange(m.max() - 1) < m[:, None] - 1)
+        lower = _taylor(coeffs, of, j)
+        pts = np.where(ok, c, centre)[of, None]
+        vals = polyval_grid(np.concatenate([lower, np.abs(lower)]),
+                            np.concatenate([pts,
+                                            np.maximum(1.0, np.abs(pts))]))
     bad = np.abs(vals[: of.size, 0]) > (
         config.TAU_MULTIPLE * vals[of.size:, 0].real)
     ok[of[bad]] = False

@@ -378,6 +378,16 @@ def full_grid_members(curves, region):
     return [(float(v[k]).hex(), complex(pts[k])) for v, k in zip(vals, top)]
 
 
+def blowup_scene():
+    """blowup_marty's region and family: [1 : nu z : (nu z)^2 : (nu z)^3],
+    nu = 1 ... 50, on 81 x 81 points of [-1, 1]^2."""
+    region = Region(-1, 1, -1, 1, 81, 81)
+    curves = [ProjCurve([ComplexPoly([0.0] * l + [float(nu) ** l])
+                         for l in range(4)])
+              for nu in range(1, 51)]
+    return region, curves
+
+
 # Grid sides that are not multiples of the cell side.
 SIDES = st.integers(2, 41).filter(lambda m: m % normality._CELL)
 
@@ -424,24 +434,40 @@ class TestPrunedMarty:
            shapes=st.lists(st.tuples(st.integers(1, 12),
                                      st.sampled_from([-170, 0, 170])),
                            min_size=1, max_size=4),
-           nx=SIDES, ny=SIDES, seed=st.integers(0, 2 ** 32 - 1))
-    def test_bound_holds_at_every_point(self, n, shapes, nx, ny, seed):
-        # Every value the kernel computes lies at or below its cell's bound.
+           nx=SIDES, ny=SIDES, seed=st.integers(0, 2 ** 32 - 1),
+           box=st.sampled_from([
+               (-1.2, 0.9, -0.7, 1.1),
+               # R^t underflows from t = 3 on.
+               (-1.2e-150, 0.9e-150, -0.7e-150, 1.1e-150),
+               # |f|^2 reaches about 1e72 at degree 12.
+               (1e3 - 1.2, 1e3 + 0.9, -0.7, 1.1),
+               # R^t passes 2**1000 from t = 11 on and |f|^2 overflows
+               # from degree 6 on: the kernel's values there are NaN.
+               (1e30 - 1.2e29, 1e30 + 0.9e29, -0.7e29, 1.1e29)]))
+    def test_bound_holds_at_every_point(self, n, shapes, nx, ny, seed, box):
+        # Every value the kernel computes lies at or below its cell's
+        # bound, and where it is NaN the bound is inf.
         rng = np.random.default_rng(seed)
-        region = Region(-1.2, 0.9, -0.7, 1.1, nx, ny)
+        region = Region(*box, nx, ny)
         curves = [ProjCurve(_random_curve(rng, n, degree, 10.0 ** e),
                             check_reduced=False)
                   for degree, e in shapes]
         comp, dcomp = normality._fs_stack(curves)
         cells = normality._cells(region)
-        bound = normality._cell_bounds(comp, dcomp, cells)
-        vals = normality._fs_values(curves, region.grid_points())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = normality._cell_bounds(
+                comp, dcomp, cells,
+                normality._powers(cells, 2 * comp.shape[2] - 2))
+        with np.errstate(all="ignore"):
+            vals = normality._fs_values(curves, region.grid_points())
         cell_of = np.repeat(np.repeat(
             np.arange(cells.sizes.size).reshape(cells.rows.size, -1),
             cells.rows, axis=0), cells.cols, axis=1).ravel()
         assert cell_of.size == nx * ny
         assert cells.sizes.tolist() == np.bincount(cell_of).tolist()
-        assert (vals <= bound[:, cell_of]).all()
+        bound = bound[:, cell_of]
+        assert ((vals <= bound) | np.isnan(vals) & (bound == np.inf)).all()
 
     @pytest.mark.parametrize("n", [7, 8])
     @pytest.mark.parametrize("side", [6, 11, 41])
@@ -496,13 +522,9 @@ class TestPrunedMarty:
             assert [(m.sup.hex(), m.argmax) for m in got] == want
 
     def test_blowup_scene_skips_most_points(self, monkeypatch):
-        # blowup_marty's scene: [1 : nu z : (nu z)^2 : (nu z)^3], nu = 1 ...
-        # 50, on 81 x 81 points.  The sweep hands fs_derivative_grid at
-        # most 35% of the member-points of the full grid.
-        region = Region(-1, 1, -1, 1, 81, 81)
-        curves = [ProjCurve([ComplexPoly([0.0] * l + [float(nu) ** l])
-                             for l in range(4)])
-                  for nu in range(1, 51)]
+        # blowup_marty's scene: the sweep hands fs_derivative_grid 15% of
+        # the member-points of the full grid; the test allows 35%.
+        region, curves = blowup_scene()
         want = full_grid_members(curves, region)
         points = []
         kernel = normality.fs_derivative_grid
@@ -515,6 +537,22 @@ class TestPrunedMarty:
         got = marty_sup(curves, region).members
         assert [(m.sup.hex(), m.argmax) for m in got] == want
         assert sum(points) <= 0.35 * len(curves) * region.grid_points().size
+
+    def test_blowup_scene_bounds_without_taylor_shift(self, monkeypatch):
+        # The cell bounds take centre-0 majorants and the values at the
+        # cell centres, and no Taylor coefficient at a centre.
+        region, curves = blowup_scene()
+        calls = []
+        taylor = _kernels._taylor
+
+        def counting(*args):
+            calls.append(args)
+            return taylor(*args)
+
+        monkeypatch.setattr(_kernels, "_taylor", counting)
+        monkeypatch.setattr(normality, "_taylor", counting)
+        marty_sup(curves, region)
+        assert calls == []
 
 
 class TestZalcman:

@@ -3,6 +3,7 @@ import cmath
 import math
 import sys
 import time
+import warnings
 from unittest import mock
 
 import mpmath
@@ -461,6 +462,16 @@ class TestMultipleRoots:
         [d] = derived_maps([ProjCurve([f0, ComplexPoly.one()],
                                       check_reduced=False)])
         assert [p.degree for p in d.components] == [17, 2]
+
+    def test_degree_1040_root_without_warnings(self):
+        # The group test's Taylor shift of (0.7 z)^1040 has binomials past
+        # the float range, inf times the zero coefficients: the one
+        # 1040-fold root at 0 still comes back, with no RuntimeWarning.
+        row = np.zeros(1041, dtype=np.complex128)
+        row[-1] = 0.7 ** 1040
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert roots_many([row]) == [[(0j, 1040)]]
 
     def test_simple_roots_unchanged(self):
         # Distinct roots, two of them 1e-3 apart, are the raw roots, bit
