@@ -14,14 +14,11 @@ another (``np.sum`` would add a contiguous axis pairwise, so a call at one
 point would round differently), so no bit of an item at a point depends on
 the batch or the other points it rides with.
 
-``taylor_discs`` gives the Taylor data of polynomial rows on discs, with
-one error bound for the coefficients and their tail, by the binomial
-shift ``_taylor`` and ``polyval_grid``.  No sweep calls it: the Marty
-sweep bounds its grid cells with centre-0 majorants and the values at the
-cell centres alone (``normality._cell_bounds``).  It stays, with its
-mpmath tests, for the local bounds of the general-position sweep, the
-disc tests at each zero and the certified root clusters (ROADMAP items 2,
-15 and 18).
+Every rounding bound of the package comes from one centre-0 enclosure
+family, in midpoint-radius (ball) arithmetic (Rump, Acta Numerica 19,
+2010; Johansson, "Arb", IEEE TC 66, 2017): ``majorants``, ``horner_error``
+and ``enclose``, whose rounding and underflow terms are derived once, in
+their docstrings.
 
 A Fubini-Study sweep allocates its block arrays once and every block
 reuses them: ``polyval_grid`` writes into a caller's ``out``,
@@ -46,10 +43,12 @@ import numpy as np
 # curve.
 _EVAL_BLOCK = 1 << 14
 
-# Unit roundoff of float64, and the smallest subnormal, which bounds the
-# absolute error an operation adds when its result underflows.
+# Unit roundoff of float64, and eta, over twice the error (2**-1075 at most)
+# of an operation whose result underflows: the smallest normal, not
+# subnormal, so that no bound computes on a subnormal, which x86 runs about
+# ten times slower.
 _U = 2.0 ** -53
-_ETA = 2.0 ** -1074
+_ETA = 2.0 ** -1022
 
 
 def pow2_factors(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,9 +97,7 @@ def _taylor_index(L: int) -> tuple[np.ndarray, np.ndarray]:
 
     Row j is the running sum of row j - 1 (Pascal's rule), which is exact
     while the entries stay below 2**53, as they do for L <= 57, and inf
-    where a binomial passes the float range.  Past 2**53 each running sum
-    adds a relative error of at most (L - 1) u, so an entry is within
-    L**2 u of its binomial."""
+    where a binomial passes the float range."""
     binom = np.ones((L, L))
     with np.errstate(over="ignore"):
         for j in range(1, L):
@@ -118,51 +115,97 @@ def _taylor(coeffs: np.ndarray, k: np.ndarray, j: np.ndarray) -> np.ndarray:
     return binom[j] * coeffs.ravel()[index[j] + L * k[:, None]]
 
 
-def taylor_discs(rows: np.ndarray, centres: np.ndarray, radii: np.ndarray
-                 ) -> tuple[np.ndarray, ...]:
-    """Taylor data of K polynomial rows on C discs D(c, r): (K, L) rows,
-    ascending and zero-padded, and (C,) centres and radii give
+def reach(centres: np.ndarray, radii) -> np.ndarray:
+    """|c| + r rounded up, an R with D(c, r) inside D(0, R): the modulus
+    and the sum each round once, and the factor covers both."""
+    return (np.abs(centres) + radii) * (1 + 8 * _U)
 
-    - ``q``, (K, C, L): q[k, d, j] = p_k^(j)(c_d) / j!;
-    - ``tail``, (K, C): sum_{j >= 1} |q_j| r^j, which bounds
-      |p(z) - p(c)| on the disc;
-    - ``major``, (K, C): the centre-0 majorant sum_m |a_m| S^m, itself
-      rounded up, which bounds |p| on the disc;
-    - ``err``, (K, C): a bound on |q_j - exact q_j| r^j for every j, and
-      on |tail - exact tail|;
-    - ``far``, (C,): S = |c| + r rounded up, which bounds |z| on the disc.
 
-    Exact means in real arithmetic on the given floats.  The shift
-    coefficients are ``_taylor`` rows, evaluated at the centres in one
-    ``polyval_grid`` call; the majorants are a second call and the tails a
-    Horner loop in r.  ``q`` is a view of a (K, L, C) array.
+def majorants(rows: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """sum_m |a_m| R^m for each row of ascending coefficients a, rounded
+    up, which bounds |p| on D(0, R).  (..., L) rows and (C,) ``radii``
+    shared by them give (..., C), one product of the moduli with the powers
+    R^t; (K, L) rows and (K, C) ``radii``, each row at its own, give (K, C)
+    by Horner's scheme on the moduli.
 
-    The bound is Horner's (Higham, Accuracy and Stability, 2nd ed., section
-    5.1) with complex operations counted at 4u, carried through the
-    binomial weights: q_j is within (L**2 + 8L + 8) u M_j, M_j = sum_t
-    C(t + j, j) |a_(t+j)| |c|^t, the L**2 for the binomials, and
-    sum_j M_j r^j = sum_m |a_m| (|c| + r)^m, so every M_j r^j is at most
-    ``major``.  The tail adds its own (2L + 8) u, and underflow 8 (L**2 +
-    L) eta max(1, S)**(2L), eta = 2**-1074.  ``err`` is inf where the
-    majorant passes 2**1000, so that q may have overflowed, or the tail is
-    not finite (a binomial past the float range, from L about 1030 on).
+    It bounds every row within u |a_m| of the given a_m (one more rounding
+    of the coefficients, as of a derivative's m a_m).  Each operation on
+    the nonnegative terms is exact up to a factor within u of 1, or adds
+    eta/2 where it underflows (u = 2**-53, eta = 2**-1022).  The product
+    form rounds each power up first (+ L eta, times 1 + (L + 2) u) and its
+    products add at most L eta/2; in Horner's form each step's eta/2 is
+    carried by at most L powers of max(1, R).  Either sum, with the
+    moduli's rounding, is within (2L + 6) u relative of the exact one; the
+    result adds the absolute term and takes 1 + (2L + 12) u, which covers
+    its own roundings too.  A sum past the float range is inf, or NaN where
+    an inf power meets a zero coefficient, and no comparison passes on it.
+    """
+    L = rows.shape[-1]
+    with np.errstate(all="ignore"):
+        mods = np.abs(rows)
+        if radii.ndim == 1:
+            powers = np.empty((L, radii.size))
+            powers[:1] = 1.0
+            for t in range(1, L):
+                np.multiply(powers[t - 1], radii, out=powers[t])
+            powers += L * _ETA
+            powers *= 1 + (L + 2) * _U
+            total = mods @ powers
+            total += L * _ETA
+        else:
+            total = polyval_grid_numpy(mods, radii, out=np.empty(radii.shape))
+            total += L * _ETA * np.maximum(1.0, radii) ** L
+        total *= 1 + (2 * L + 12) * _U
+    return total
+
+
+def horner_error(major: np.ndarray, L: int, far) -> np.ndarray:
+    """A bound on |polyval_grid(row, z) - p(z)| on |z| <= R = far for rows
+    of (padded) length L with ``majorants`` ``major`` at R; 0 for L <= 1,
+    as evaluating a constant rounds nothing.
+
+    Horner's bound (Higham, Accuracy and Stability, 2nd ed., section 5.1):
+    a complex product is within 2 sqrt(2) u of its exact value and a sum
+    within u, so the L - 1 steps stay within 4 L u of the majorant, and a
+    product that underflows adds at most sqrt(2) eta, carried by at most L
+    powers of max(1, R).  (8L + 8) u major + 4 L eta max(1, R)^L is over
+    twice that, which covers its own rounding.
+    """
+    if L <= 1:
+        return np.zeros(np.broadcast_shapes(np.shape(major), np.shape(far)))
+    with np.errstate(all="ignore"):
+        return ((8 * L + 8) * _U * major
+                + 4 * L * _ETA * np.maximum(1.0, far) ** L)
+
+
+def enclose(rows: np.ndarray, centres: np.ndarray, radii
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Balls (mid, rad), (K, C), of K rows (ascending, zero-padded) on the
+    discs D(c, r): (C,) centres shared by the rows or (K, C) ones, each row
+    at its own, and radii that broadcast against them.
+
+    mid is ``polyval_grid`` at c, and for every z in the disc both p(z) and
+    the value ``polyval_grid`` computes at z lie within rad of it: r times
+    the majorant of p' at R = ``reach(c, r)`` (the mean-value bound, as
+    [c, z] lies in D(0, R)), plus twice ``horner_error`` at R, for mid and
+    for the value at z, plus 2u |mid|, so that np.abs(mid) > rad proves p
+    has no zero on the disc, times 1 + 4u.  A row of length 1 has rad 0.
     """
     K, L = rows.shape
-    C = centres.shape[0]
     with np.errstate(all="ignore"):
-        q = polyval_grid_numpy(_taylor(rows, *np.divmod(np.arange(K * L), L)),
-                               centres).reshape(K, L, C)
-        far = (np.abs(centres) + radii) * (1 + 8 * _U)
-        major = polyval_grid_numpy(np.abs(rows), far, out=np.empty((K, C)))
-        major *= 1 + (2 * L + 4) * _U
-        tail, mods = np.zeros((2, K, C))
-        for j in range(L - 1, 0, -1):
-            tail += np.abs(q[:, j], out=mods)
-            tail *= radii
-        err = ((L * L + 8 * L + 8) * _U * major + (2 * L + 8) * _U * tail
-               + 8 * (L * L + L) * _ETA * np.maximum(1.0, far) ** (2 * L))
-        err[~((major < 2.0 ** 1000) & (tail < np.inf))] = np.inf
-    return q.transpose(0, 2, 1), tail, major, err, far
+        mid = polyval_grid_numpy(rows, centres)
+        if L <= 1:
+            return mid, np.zeros(mid.shape)
+        far = reach(centres, radii)
+        slopes = np.zeros_like(rows)
+        np.multiply(rows[:, 1:], np.arange(1, L), out=slopes[:, :-1])
+        major = majorants(np.concatenate([rows, slopes]), far
+                          if far.ndim == 1 else np.concatenate([far, far]))
+        rad = radii * major[K:]
+        rad += 2 * horner_error(major[:K], L, far)
+        rad += 2 * _U * np.abs(mid)
+        rad *= 1 + 4 * _U
+    return mid, rad
 
 
 def _cross_terms(a: np.ndarray, b: np.ndarray, prods: np.ndarray,

@@ -13,11 +13,9 @@ members on the batch axis of the stacked kernels.
 The grid sweep skips what cannot hold a sup.  The grid is cut into cells
 of ``_CELL`` x ``_CELL`` points, and ``_cell_bounds`` bounds, for every
 member and cell, the value the kernel computes at each of the cell's
-points: the centre-0 majorant of f ^ f' over a lower end of |f|^2, the
-values at the cell centre less the cell radius times the centre-0
-majorant of f', with every rounding and underflow term.  The majorants
-are one matrix product with the powers of each cell's outer radius, so no
-Taylor shift is formed.  Each member is evaluated at its best-bound cell,
+points: the centre-0 majorant of f ^ f' over the lower end of |f|^2 that
+the components' balls on the cell give, both from the enclosures of
+``_kernels``.  Each member is evaluated at its best-bound cell,
 then at every cell whose bound is not below the largest value found
 there.  A skipped point's computed value is below a computed one, so the
 sups and the first argmax in grid order are those of the full grid, bit
@@ -159,7 +157,7 @@ class _Cells:
 def _cells(region: Region) -> _Cells:
     """The cells of a region's grid, built once per region.  A cell's
     centre c is the midpoint of its corner points, its radius rho the
-    half-diagonal, rounded up, and its ``far`` |c| + rho, rounded up."""
+    half-diagonal, rounded up, and its ``far`` ``_kernels.reach(c, rho)``."""
     return _cell_layout(region.x_min, region.x_max, region.grid_nx,
                         region.y_min, region.y_max, region.grid_ny)
 
@@ -181,13 +179,12 @@ def _cell_layout(x_min: float, x_max: float, nx: int, y_min: float,
                      np.maximum(mid - lo, hi - mid)))
     (cols, cx, hx), (rows, cy, hy) = axes
     # The half-widths are differences of grid floats rounded once; the
-    # factor covers that rounding and the hypot's, and in far the modulus'
-    # and the sum's.
+    # factor covers that rounding and the hypot's.
     centres = (cx + 1j * cy[:, None]).ravel()
     radii = np.hypot(hx, hy[:, None]).ravel() * (1 + 8 * _U)
     return _Cells(rows=rows, cols=cols, sizes=np.outer(rows, cols).ravel(),
                   centres=centres, radii=radii,
-                  far=(np.abs(centres) + radii) * (1 + 8 * _U))
+                  far=_kernels.reach(centres, radii))
 
 
 @functools.cache
@@ -197,62 +194,38 @@ def _pairs(P: int) -> np.ndarray:
         2, -1)
 
 
-def _powers(cells: _Cells, W: int) -> np.ndarray:
-    """R^t for t < W at every cell's R (``far``), (W, C), rounded up: the
-    computed power, within (t - 1) u relative and t eta absolute of R^t,
-    plus W eta, times 1 + (W + 4) u.  A power past the float range is
-    inf.  Built once per sweep."""
-    rpow = np.empty((W, cells.far.size))
-    rpow[0] = 1.0
-    with np.errstate(over="ignore"):
-        for t in range(1, W):
-            np.multiply(rpow[t - 1], cells.far, out=rpow[t])
-        rpow += W * _ETA
-        rpow *= 1 + (W + 4) * _U
-    return rpow
-
-
-def _cell_bounds(comp: np.ndarray, dcomp: np.ndarray, cells: _Cells,
-                 rpow: np.ndarray) -> np.ndarray:
+def _cell_bounds(comp: np.ndarray, dcomp: np.ndarray, cells: _Cells
+                 ) -> np.ndarray:
     """An upper bound, (B, C), on the value ``fs_derivative_grid``
     computes for each of B curves (rows of ``_fs_stack``) at every grid
-    point of each cell, inf where a cell has none.  ``rpow`` is
-    ``_powers(cells, 2L - 2)``.
+    point of each cell, inf where a cell has none.
 
-    On the disc D(c, rho) of a cell, with R = |c| + rho rounded up
-    (``far``), every majorant is centre-0, sum_m |a_m| R^m over the
-    moduli of a row's coefficients: A_i of the components f_i, D_i of
-    their derivatives and W^_ij of W_ij = f_i f_j' - f_j f_i', whose
-    coefficients w are the anti-diagonal sums of the rows' outer products.
-    The (2P + K2) rows of a curve go through one real matrix product with
-    ``rpow``; the product is within W u relative and W eta absolute of its
-    exact value on the rounded-up powers, so the majorants add W eta and
-    take the factor 1 + (W + 4) u, W = 2L - 2, which also covers the
-    rounding of the derivative coefficients m a_m.
+    Every polynomial bound is one of the enclosures of ``_kernels``, on a
+    cell's disc D(c, rho) or on D(0, R), R = ``far``:
 
-    - the numerator: |W_ij| <= W^_ij on D(0, R); the rounding of the
-      kernel's cross term, (12L + 6) u (A_i D_j + A_j D_i), and of w,
-      (2L + 4) u times the same, are at most (32L + 48) u top^2, with top
-      the largest of the A_i and D_i;
-    - the denominator: |f_i(z)| >= |f_i(c)| - rho D_i, since the segment
-      [c, z] lies in D(0, R), where |f_i'| <= D_i; f_i(c) is one
-      ``polyval_grid`` call at the cell centres, less Horner's bound on
-      its error, (8L + 8) u A_i, and less the kernel's own Horner error at
-      z, 6 L u A_i;
-    - each step of the quotient adds a stated multiple of u, and every
-      term a multiple of eta = 2**-1074 for underflow.
+    - the numerator: the ``majorants`` A_i of the components, D_i of their
+      derivatives and W^_ij of W_ij = f_i f_j' - f_j f_i', whose
+      coefficients are the anti-diagonal sums of the rows' outer products,
+      in one matrix product.  With h the ``horner_error`` at top, the
+      largest A_i or D_i, the kernel's cross term is within 2 h (2 top + h)
+      of W_ij(z); its own products and difference and the rounding of the
+      coefficients of W_ij add (2L + 24) u (top + h)^2, and their underflow
+      8 L^2 eta max(1, R)^(2L);
+    - the denominator: the kernel's |f_i(z)| is at least |mid| - rad of
+      f_i's ``enclose`` ball on the cell;
+    - each step of the quotient adds a stated multiple of u, and the sums
+      of squares a multiple of eta for underflow (u and eta of
+      ``_kernels``).
 
-    A cell gets inf when its lower end of |f|^2 is not positive, or the
-    numerator or the bound leaves the range where the kernel's own values
-    provably stay finite; a power or majorant past the float range makes
-    inf or NaN there, and so inf.
+    A cell gets inf when its lower end of |f|^2 is not positive, or when
+    the numerator or the bound is NaN or leaves the range where the
+    kernel's own values provably stay finite.
     """
     B, P, L = comp.shape
-    W, C = rpow.shape
+    W, C = 2 * L - 2, cells.sizes.size
     i, j = _pairs(P)
     K2 = i.size
     with np.errstate(all="ignore"):
-        hR = np.maximum(1.0, cells.far) ** L
         # The coefficients of W_ij: the anti-diagonal sums of the outer
         # products, each row shifted by its index through the padding
         # (B K2 L (2L - 1) values, at most 28 B K2 for the L of a pruned
@@ -261,32 +234,30 @@ def _cell_bounds(comp: np.ndarray, dcomp: np.ndarray, cells: _Cells,
         np.subtract(comp[:, i, :, None] * dcomp[:, j, None, :],
                     comp[:, j, :, None] * dcomp[:, i, None, :],
                     out=outer[..., :L - 1])
-        # The coefficient moduli of the components, derivatives and W_ij,
-        # (B, 2P + K2, W), and their majorants at R in one product.
-        rows = np.zeros((B, 2 * P + K2, W))
-        np.abs(comp, out=rows[:, :P, :L])
-        np.abs(dcomp, out=rows[:, P:2 * P, :L - 1])
-        np.abs(outer.reshape(B, K2, -1)[..., :L * W].reshape(
-            B, K2, L, W).sum(axis=2), out=rows[:, 2 * P:])
-        major = rows.reshape(-1, W) @ rpow
-        major += W * _ETA
-        major *= 1 + (W + 4) * _U
-        major = major.reshape(B, 2 * P + K2, C)
-        A, D = major[:, :P], major[:, P:2 * P]
-        top = np.maximum(A.max(axis=1), D.max(axis=1))
-        # |t_ij| <= (1 + (4L + 16) u) W^_ij + e for every pair: the kernel's
-        # cross term t_ij, the docstring's rounding and underflow in e.
-        e = ((32 * L + 48) * _U * top * top
-             + 32 * L * _ETA * hR * hR * (1 + 2 * top))
-        root = (((1 + (4 * L + 16) * _U)
-                * np.sqrt(np.square(major[:, 2 * P:]).sum(axis=1))
-                + math.sqrt(K2) * e) * (1 + (K2 + 12) * _U)
+        # The components, derivatives and W_ij, (B, 2P + K2, W), and their
+        # majorants at R in one product.
+        rows = np.zeros((B, 2 * P + K2, W), dtype=np.complex128)
+        rows[:, :P, :L] = comp
+        rows[:, P:2 * P, :L - 1] = dcomp
+        rows[:, 2 * P:] = outer.reshape(B, K2, -1)[..., :L * W].reshape(
+            B, K2, L, W).sum(axis=2)
+        major = _kernels.majorants(rows.reshape(-1, W), cells.far).reshape(
+            B, 2 * P + K2, C)
+        top = major[:, :2 * P].max(axis=1)
+        h = _kernels.horner_error(top, L, cells.far)
+        # |t_ij| <= (1 + u) W^_ij + e for every pair: the kernel's cross
+        # term t_ij, the docstring's Horner, rounding and underflow in e.
+        # The factors on the norm cover its rounding, and the kernel's
+        # squares, sum and root.
+        e = (2 * h * (2 * top + h) + (2 * L + 24) * _U * np.square(top + h)
+             + 8 * L * L * _ETA * np.maximum(1.0, cells.far) ** (2 * L))
+        root = (((1 + (K2 + 4) * _U)
+                 * np.sqrt(np.square(major[:, 2 * P:]).sum(axis=1))
+                 + math.sqrt(K2) * e) * (1 + (K2 + 12) * _U)
                 + math.sqrt(2 * K2 * _ETA))
-        at_c = polyval_grid(comp.reshape(B * P, L), cells.centres)
-        # Underflow: 8 L eta max(1, R)^L for each of the two Horner values.
-        lo = ((1 - 8 * _U) * np.abs(at_c).reshape(B, P, C)
-              - (1 + 8 * _U) * (cells.radii * D + (14 * L + 8) * _U * A
-                                + 16 * L * _ETA * hR))
+        mid, rad = _kernels.enclose(comp.reshape(B * P, L), cells.centres,
+                                    cells.radii)
+        lo = (np.abs(mid) - rad).reshape(B, P, C)
         s2lo = (np.square(np.maximum(lo, 0.0)).sum(axis=1)
                 * (1 - (2 * P + 16) * _U) - 2 * P * _ETA)
         bound = root / np.maximum(s2lo, 0.0) * (1 + 8 * _U)
@@ -356,13 +327,12 @@ def _fs_sups(curves: Sequence[ProjCurve], region: Region
         if L <= _CELL_MAX_LEN and 2 * P * M > _kernels._EVAL_BLOCK:
             cells = _cells(region)
             C = cells.sizes.size
-            rpow = _powers(cells, 2 * L - 2)
             bound = np.empty((N, C))
             step = max(1, _kernels._EVAL_BLOCK
                        // ((2 * P + _pairs(P).shape[1]) * C))
             for a in range(0, N, step):
                 bound[a:a + step] = _cell_bounds(
-                    comp[a:a + step], dcomp[a:a + step], cells, rpow)
+                    comp[a:a + step], dcomp[a:a + step], cells)
             best = np.zeros((N, C), dtype=bool)
             best[np.arange(N), np.argmax(bound, axis=1)] = True
             keep = np.ones((N, C), dtype=bool)

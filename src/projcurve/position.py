@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels, config
-from ._kernels import polyval_grid
+from ._kernels import horner_error, majorants, polyval_grid
 from .errors import DimensionMismatch, WrongCount
 from .polynomial import stack_coeffs
 from .projective import MovingHyperplane, normalized_many
@@ -128,6 +128,10 @@ def _canonical(tuples: Sequence[Sequence[MovingHyperplane]], region: Region
 # determinant measures
 # ---------------------------------------------------------------------------
 
+# The radius of the disc |u| <= 1 that holds the region, for ``majorants``.
+_UNIT = np.ones(1)
+
+
 def _check_family(hypers: Sequence[MovingHyperplane], n: int) -> None:
     if len(hypers) < n + 1:
         raise WrongCount(
@@ -196,9 +200,11 @@ def position_sweeps(tuples: Sequence[Sequence[MovingHyperplane]],
 
     Hyperplanes without a normalization record are normalized against the
     region first.  Each point of the region lies within h (half a cell
-    diagonal, in u) of a grid point, and |det_s'| <= L_s = sum_k k |c_{s,k}|
-    on |u| <= 1, so the grid minimum of prod_s max(0, |det_s| - h L_s) is a
-    bound; a fixed family has L_s = 0 and a bound equal to the grid
+    diagonal, in u) of a grid point, where det_s is evaluated, so the grid
+    minimum of prod_s max(0, |det_s| - slack_s) is a bound, with slack_s =
+    h ``majorants``(det_s', 1) + ``horner_error`` at R = 1, the mean-value
+    bound on |u| <= 1 and the rounding of the grid value.  A fixed family
+    has constant det_s, whose slack is 0, so its bound equals the grid
     minimum, and its products, constant on the grid, are taken at the
     first grid point only.
 
@@ -236,11 +242,15 @@ def position_sweeps(tuples: Sequence[Sequence[MovingHyperplane]],
             dets = SubsetDeterminants.of([tuples[t] for t in block], K,
                                          region)
             coeffs = dets.coeffs
-            # A (T, S, K-1) stack: numpy takes one product per tuple, with
-            # the tuple's own bits.  One (T*S, K-1) product would not keep
+            # A fixed tuple's constant determinants have no slack.  The
+            # majorants of (T, S, K) stacks are one product per tuple, with
+            # the tuple's own bits; one (T*S, K) product would not keep
             # them: OpenBLAS sums some rows in another order.
-            lip = np.abs(coeffs[:, :, 1:]) @ np.arange(1, K)
-            slack = 0.5 * cell / dets.radius * lip
+            slack = np.zeros(coeffs.shape[:2])
+            if K > 1:
+                slack = (0.5 * cell / dets.radius * majorants(
+                    coeffs[:, :, 1:] * np.arange(1, K), _UNIT)[..., 0]
+                    + horner_error(majorants(coeffs, _UNIT)[..., 0], K, 1.0))
             u = (pts[:M] - dets.centre) / dets.radius
             vals = np.ones((len(block), M))
             low = np.ones((len(block), M))

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels, config
-from ._kernels import polyval_grid
+from ._kernels import enclose, polyval_grid
 from .errors import (AllZero, DimensionMismatch, ProjcurveError,
                      ZeroPolynomial)
 from .polynomial import ComplexPoly, grouped_roots, stack_coeffs
@@ -33,18 +33,10 @@ def first_common_zero(tuples: Sequence[Sequence[ComplexPoly]]
     polynomials shares every point.  Of every other tuple only the first
     entry of lowest degree is solved, through ``grouped_roots`` (one
     ``roots_many`` call for them all), and each of its roots r is cleared
-    by the other entries e, evaluated at r in one ``polyval_grid`` pass: r
-    is cleared when for some e
-
-        |e(r)| - err > TAU_ROOT sum_m m |a_m| (|r| + TAU_ROOT)^(m-1),
-
-    with err = (8L + 8) u sum_m (|a_m| + eta/u) |r|^m for the L
-    coefficients a_m of e, Horner's rounding bound (Higham, Accuracy and
-    Stability, 2nd ed., section 5.1) with complex operations counted at 4u
-    and underflow at eta = 2**-1074 each; the right side, the mean-value
-    bound on |e(z) - e(r)| for |z - r| <= TAU_ROOT, is rounded up by the
-    same factor.  Then e has no zero within ``config.TAU_ROOT`` of r.  A
-    value or bound that is not finite clears nothing.
+    when the ball of some other entry e on D(r, ``config.TAU_ROOT``)
+    excludes 0 (``_kernels.enclose``, one call for every entry and root):
+    then e has no zero within ``config.TAU_ROOT`` of r.  A ball that is
+    not finite clears nothing.
 
     A tuple with a root that no entry clears is decided by matching: its
     entries are solved (those tuples' together, in one more call), which
@@ -86,33 +78,14 @@ def _cleared(lives: dict[int, list[ComplexPoly]]) -> set[int]:
     # with its first root, which leaves the tuple's verdict as it is.
     entries = [e for live in lives.values()
                for e in live[1:] + [ComplexPoly.zero()] * (K + 1 - len(live))]
-    E = stack_coeffs(entries)
-    I, L = E.shape
-    size = np.array([e.coeffs.size for e in entries])
     D = max(map(len, heads))
     pts = np.repeat(np.array([[r for r, _ in found]
                               + [found[0][0]] * (D - len(found))
                               for found in heads]), K, axis=0)
-    # Each entry's majorant rows: |a_m| raised by eta/u for underflow
-    # within the entry's own length, and m times that for e'.
-    u = _kernels._U
-    major = np.abs(E)
-    major[np.arange(L) < size[:, None]] += _kernels._ETA / u
-    slope = np.zeros((I, L))
-    slope[:, :-1] = major[:, 1:] * np.arange(1, L)
-    with np.errstate(over="ignore", invalid="ignore"):
-        near = np.abs(pts)
-        vals = polyval_grid(np.concatenate([E, major, slope]),
-                            np.concatenate([pts, near, (near + config.TAU_ROOT)
-                                            * (1 + 8 * u)]))
-        value = np.abs(vals[:I])
-        err, turn = vals[I:].real.reshape(2, I, -1)
-        turn *= config.TAU_ROOT
-        # |e(r)| - err > turn, with the rounding of err, (8L + 8) u, also
-        # on turn; an overflowed value clears nothing, and a NaN fails
-        # the comparison.
-        ok = ((value - turn > ((8 * size + 8) * u)[:, None] * (err + turn))
-              & (value < np.inf))
+    mid, rad = enclose(stack_coeffs(entries), pts, config.TAU_ROOT)
+    value = np.abs(mid)
+    # A ball that is not finite, or NaN, clears nothing.
+    ok = (rad < value) & (value < np.inf)
     done = ok.reshape(len(heads), K, D).any(axis=1).all(axis=1)
     return {k for k, d in zip(lives, done.tolist()) if d}
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -75,69 +76,90 @@ def iv_far(x, q):
     return mpmath.sqrt(re ** 2 + im ** 2)
 
 
-class TestTaylorDiscs:
-    """``taylor_discs`` against mpmath interval enclosures of the exact
-    Taylor data of its float inputs."""
+class TestEnclose:
+    """``majorants`` and ``enclose`` against mpmath interval enclosures of
+    the exact values on their float inputs, in both forms: discs shared by
+    the rows, and each row on its own discs."""
 
     @settings(max_examples=8, deadline=None)
     @given(n=st.integers(1, 6), degree=st.integers(0, 40),
            exponent=st.integers(-3, 3), seed=st.integers(0, 2 ** 32 - 1))
     def test_interval_enclosure(self, n, degree, exponent, seed):
         rng = np.random.default_rng(seed)
-        rows = 10.0 ** exponent * random_coeffs(rng, n + 1, degree + 1)
+        K, L = n + 1, degree + 1
+        rows = 10.0 ** exponent * random_coeffs(rng, K, L)
         centres = rng.uniform(-1.5, 1.5, 3) + 1j * rng.uniform(-1.5, 1.5, 3)
         radii = np.array([0.0, rng.uniform(0.0, 0.1), rng.uniform(0.1, 1.0)])
-        q, tail, major, err, far = _kernels.taylor_discs(rows, centres, radii)
-        L = degree + 1
-        assert q.shape == (n + 1, 3, L)
-        assert tail.shape == major.shape == err.shape == (n + 1, 3)
-        assert far.shape == (3,)
-        assert np.isfinite(err).all()
+        # Row k on the discs rolled by k.
+        roll = (np.arange(3) + np.arange(K)[:, None]) % 3
+        balls = [_kernels.enclose(rows, centres, radii)
+                 + (np.broadcast_to(np.arange(3), roll.shape),),
+                 _kernels.enclose(rows, centres[roll], radii[roll]) + (roll,)]
+        far = _kernels.reach(centres, radii)
+        majors = [_kernels.majorants(rows, far),
+                  np.take_along_axis(_kernels.majorants(rows, far[roll]),
+                                     np.argsort(roll, axis=1), axis=1)]
+        assert balls[0][0].tobytes() == _kernels.polyval_grid(
+            rows, centres).tobytes()
+        # Points of each disc, where the value polyval_grid computes must
+        # lie in the ball too.
+        angle = np.exp(2j * np.pi * rng.uniform(0, 1, 2))
         with mpmath.workprec(120):
             mpmath.iv.prec = 120
             try:
-                for k, d in itertools.product(range(n + 1), range(3)):
-                    exact = iv_taylor(rows[k], centres[d])
-                    r = mpmath.iv.mpf(float(radii[d]))
-                    for j in range(L):
-                        assert (iv_far(q[k, d, j], exact[j])
-                                * mpmath.mpf(float(radii[d])) ** j
-                                <= err[k, d])
-                    want = sum((abs(exact[j]) * r ** j
-                                for j in range(1, L)), mpmath.iv.mpf(0))
-                    assert tail[k, d] - err[k, d] <= want.a
-                    assert want.b <= tail[k, d] + err[k, d]
+                for k, d in itertools.product(range(K), range(3)):
                     reach = abs(mpmath.mpc(complex(centres[d]))) + radii[d]
                     assert reach <= far[d]
-                    assert sum(abs(mpmath.mpc(x)) * reach ** m for m, x in
-                               enumerate(rows[k].tolist())) <= major[k, d]
+                    want = sum(abs(mpmath.mpc(x)) * reach ** m for m, x in
+                               enumerate(rows[k].tolist()))
+                    assert all(want <= major[k, d] for major in majors)
+                for (mid, rad, at), k, e in itertools.product(
+                        balls, range(K), range(3)):
+                    d = at[k, e]
+                    exact = iv_taylor(rows[k], centres[d])
+                    # sup |p(z) - mid| on the disc is at most |q_0 - mid|
+                    # plus the Taylor tail.
+                    r = mpmath.iv.mpf(float(radii[d]))
+                    tail = sum((abs(exact[j]) * r ** j for j in range(1, L)),
+                               mpmath.iv.mpf(0))
+                    assert iv_far(mid[k, e], exact[0]) + tail.b <= rad[k, e]
+                    zs = centres[d] + radii[d] * np.append(angle, 0.5)
+                    got = _kernels.polyval_grid(rows[k:k + 1], zs)[0]
+                    for g in got.tolist():
+                        assert (abs(mpmath.mpc(g) - mpmath.mpc(mid[k, e]))
+                                <= rad[k, e])
             finally:
                 mpmath.iv.prec = 53
 
+
     def test_rows_of_length_0_and_1(self):
+        # A constant rounds nothing: its ball is the constant with rad 0,
+        # and its Horner bound is 0 even where its majorant is inf.
         centres = np.array([0.3 - 0.2j, 2.0 + 0j])
         radii = np.array([0.5, 0.0])
-        q, tail, major, err, far = _kernels.taylor_discs(
-            np.zeros((2, 0), dtype=complex), centres, radii)
-        assert q.shape == (2, 2, 0)
-        assert (tail == 0.0).all() and (major == 0.0).all()
-        row = np.array([[1.5 - 2.0j], [0.0]])
-        q, tail, major, err, far = _kernels.taylor_discs(row, centres, radii)
-        assert q.shape == (2, 2, 1)
-        assert (q[0, :, 0] == 1.5 - 2.0j).all() and (q[1] == 0.0).all()
-        assert (tail == 0.0).all()
-        assert (major[0] >= 2.5).all() and np.isfinite(err).all()
+        rows = np.array([[1.5 - 2.0j], [0.0], [1.5e308 + 1.5e308j]])
+        mid, rad = _kernels.enclose(rows, centres, radii)
+        assert (mid == rows).all() and (rad == 0.0).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            major = _kernels.majorants(rows, radii)
+            assert major[0].min() >= 2.5 and np.isinf(major[2]).all()
+            assert (_kernels.horner_error(major, 1, radii) == 0.0).all()
+            assert (_kernels.majorants(rows[:, :0], radii) == 0.0).all()
 
-    def test_degree_1100_does_not_raise(self):
-        # The binomials pass the float range from L about 1030 on: those
-        # Taylor coefficients are not finite, and their bound is inf.
-        rng = np.random.default_rng(5)
-        rows = random_coeffs(rng, 2, 1101)
-        q, tail, major, err, far = _kernels.taylor_discs(
-            rows, np.array([0.5 + 0.1j, 0.0]), np.array([0.25, 0.0]))
-        assert q.shape == (2, 2, 1101)
-        assert np.isinf(err[:, 0]).all()
-        assert np.isfinite(q[:, 1, 0]).all()
+    def test_past_the_float_range(self):
+        # Powers past the float range make the majorants inf, or NaN where
+        # they meet a zero coefficient, so no ball there excludes 0; and
+        # nothing warns.
+        rows = np.zeros((2, 41), dtype=np.complex128)
+        rows[0, 0], rows[1, 40] = 1.0, 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            major = _kernels.majorants(rows, np.array([1e20]))
+            mid, rad = _kernels.enclose(rows, np.array([[1e20], [1e20]]),
+                                        1.0)
+        assert not (major[:, 0] < np.inf).any()
+        assert not (rad < np.abs(mid)).any()
 
 
 class TestFsDerivativeGrid:

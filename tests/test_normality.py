@@ -456,9 +456,7 @@ class TestPrunedMarty:
         cells = normality._cells(region)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bound = normality._cell_bounds(
-                comp, dcomp, cells,
-                normality._powers(cells, 2 * comp.shape[2] - 2))
+            bound = normality._cell_bounds(comp, dcomp, cells)
         with np.errstate(all="ignore"):
             vals = normality._fs_values(curves, region.grid_points())
         cell_of = np.repeat(np.repeat(

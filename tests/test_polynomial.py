@@ -473,6 +473,37 @@ class TestMultipleRoots:
             warnings.simplefilter("error")
             assert roots_many([row]) == [[(0j, 1040)]]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "CHANGES.md FOUND after PR 25: the group test passes the 1040-fold "
+        "group of (0.7 z)^1040 on NaN values (item 18)"))
+    def test_degree_1040_group_decided_on_finite_values(self, monkeypatch):
+        # The group test compares each lower Taylor coefficient at the
+        # group's centre with its bound.  Binomials past the float range
+        # make them NaN, and a NaN passes the comparison: a group must be
+        # refused, or accepted on values and bounds that are finite.
+        row = np.zeros(1041, dtype=np.complex128)
+        row[-1] = 0.7 ** 1040
+        accepted = []
+        accept = polynomial._accept
+
+        def spy(coeffs, centre, m, radius):
+            c, ok = accept(coeffs, centre, m, radius)
+            accepted.extend((coeffs[g:g + 1], c[g], m[g])
+                            for g in np.flatnonzero(ok))
+            return c, ok
+
+        monkeypatch.setattr(polynomial, "_accept", spy)
+        with np.errstate(all="ignore"):
+            roots_many([row])
+            assert accepted
+            for coeffs, c, m in accepted:
+                j = np.arange(m - 1)
+                lower = _kernels._taylor(coeffs, np.zeros_like(j), j)
+                vals = _kernels.polyval_grid(
+                    np.concatenate([lower, np.abs(lower)]),
+                    np.repeat([c, max(1.0, abs(c))], j.size)[:, None])
+                assert np.isfinite(vals).all()
+
     def test_simple_roots_unchanged(self):
         # Distinct roots, two of them 1e-3 apart, are the raw roots, bit
         # for bit, each simple.
