@@ -17,8 +17,9 @@ the batch or the other points it rides with.
 Every rounding bound of the package comes from one centre-0 enclosure
 family, in midpoint-radius (ball) arithmetic (Rump, Acta Numerica 19,
 2010; Johansson, "Arb", IEEE TC 66, 2017): ``majorants``, ``horner_error``
-and ``enclose``, whose rounding and underflow terms are derived once, in
-their docstrings.
+and ``ball``, whose rounding and underflow terms are derived once, in
+their docstrings, and ``enclose``, which builds a ``ball`` from its
+majorants.
 
 A Fubini-Study sweep allocates its block arrays once and every block
 reuses them: ``polyval_grid`` writes into a caller's ``out``,
@@ -184,25 +185,41 @@ def enclose(rows: np.ndarray, centres: np.ndarray, radii
     discs D(c, r): (C,) centres shared by the rows or (K, C) ones, each row
     at its own, and radii that broadcast against them.
 
-    mid is ``polyval_grid`` at c, and for every z in the disc both p(z) and
-    the value ``polyval_grid`` computes at z lie within rad of it: r times
-    the majorant of p' at R = ``reach(c, r)`` (the mean-value bound, as
-    [c, z] lies in D(0, R)), plus twice ``horner_error`` at R, for mid and
-    for the value at z, plus 2u |mid|, so that np.abs(mid) > rad proves p
-    has no zero on the disc, times 1 + 4u.  A row of length 1 has rad 0.
+    The ``ball`` of each row from its ``majorants`` and those of its
+    derivative at R = ``reach(c, r)``, all in one call.
     """
     K, L = rows.shape
     with np.errstate(all="ignore"):
-        mid = polyval_grid_numpy(rows, centres)
-        if L <= 1:
-            return mid, np.zeros(mid.shape)
         far = reach(centres, radii)
         slopes = np.zeros_like(rows)
         np.multiply(rows[:, 1:], np.arange(1, L), out=slopes[:, :-1])
         major = majorants(np.concatenate([rows, slopes]), far
                           if far.ndim == 1 else np.concatenate([far, far]))
-        rad = radii * major[K:]
-        rad += 2 * horner_error(major[:K], L, far)
+    return ball(rows, centres, radii, far, major[:K], major[K:])
+
+
+def ball(rows: np.ndarray, centres: np.ndarray, radii, far: np.ndarray,
+         major: np.ndarray, slope_major: np.ndarray
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """The balls (mid, rad) of ``enclose`` from majorants already built:
+    ``major`` of the rows and ``slope_major`` of their derivatives, both
+    (K, C) ``majorants`` at R = ``far``, which is ``reach(c, r)`` or
+    larger.  A majorant of a row zero-padded to any width bounds it too.
+
+    mid is ``polyval_grid`` at c, and for every z in the disc both p(z) and
+    the value ``polyval_grid`` computes at z lie within rad of it: r times
+    the majorant of p' at R (the mean-value bound, as [c, z] lies in
+    D(0, R)), plus twice ``horner_error`` at R, for mid and for the value
+    at z, plus 2u |mid|, so that np.abs(mid) > rad proves p has no zero on
+    the disc, times 1 + 4u.  A row of length 1 has rad 0.
+    """
+    L = rows.shape[1]
+    with np.errstate(all="ignore"):
+        mid = polyval_grid_numpy(rows, centres)
+        if L <= 1:
+            return mid, np.zeros(mid.shape)
+        rad = radii * slope_major
+        rad += 2 * horner_error(major, L, far)
         rad += 2 * _U * np.abs(mid)
         rad *= 1 + 4 * _U
     return mid, rad

@@ -22,7 +22,7 @@ import sys
 from .errors import ProjcurveError, ValidationError
 from .harness import (DEGENERATE_ERRORS, TEMPLATES, generate_scene,
                       json_text, load_scene, rebuild_scene, run_pipeline,
-                      save_scene, scene_to_json)
+                      scene_text)
 
 
 def _add_run_parser(sub, name: str, help_text: str) -> None:
@@ -76,8 +76,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _emit(payload: dict, output: str | None) -> None:
-    text = json_text(payload)
+def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
@@ -101,11 +100,7 @@ def _cmd_gen(args) -> int:
         params["seed"] = args.seed
     if args.grid is not None:
         params["grid_nx"], params["grid_ny"] = args.grid
-    scene = generate_scene(args.template, params)
-    if args.output is None:
-        _emit(scene_to_json(scene), None)
-    else:
-        save_scene(scene, args.output)
+    _emit(scene_text(generate_scene(args.template, params)), args.output)
     return 0
 
 
@@ -117,7 +112,7 @@ def _cmd_run(args) -> int:
                           epsilon=args.epsilon, delta=args.delta)
     report, code = run_pipeline(scene, which=(args.command,),
                                 csv_dir=args.csv)
-    _emit(report, args.output)
+    _emit(json_text(report), args.output)
     return code
 
 

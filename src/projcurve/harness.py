@@ -354,7 +354,9 @@ def load_scene(path: str, grid: tuple[int, int] | None = None) -> Scene:
     return scene_from_json(data, grid)
 
 
-def scene_to_json(scene: Scene) -> dict:
+def _scene_document(scene: Scene, hyperplanes) -> dict:
+    """The JSON document of ``scene``, with ``hyperplanes(m.hyperplanes)``
+    as the hyperplane list of each member m."""
     return {
         "schema_version": SCHEMA_VERSION,
         "n": scene.n,
@@ -366,15 +368,36 @@ def scene_to_json(scene: Scene) -> dict:
         "members": [{
             "label": m.label,
             "curve": m.curve.to_json(),
-            "hyperplanes": [h.to_json() for h in m.hyperplanes],
+            "hyperplanes": hyperplanes(m.hyperplanes),
         } for m in scene.members],
         "metadata": scene.metadata,
     }
 
 
+def _hyperplanes_json(hypers: tuple[MovingHyperplane, ...]) -> list:
+    return [h.to_json() for h in hypers]
+
+
+def scene_to_json(scene: Scene) -> dict:
+    """The JSON document of ``scene``.  Every member holds lists of its
+    own, so editing one member's leaves every other member unchanged."""
+    return _scene_document(scene, _hyperplanes_json)
+
+
+def scene_text(scene: Scene) -> str:
+    """``json_text(scene_to_json(scene))``, the text of a scene file, with
+    one hyperplane list per distinct tuple of hyperplane objects.  The
+    members that hold a tuple share its list, so each of its hyperplanes
+    is turned into JSON once, and ``json_text`` copies the list's text to
+    every member after the first."""
+    lists = {hypers: _hyperplanes_json(hypers) for hypers in
+             dict.fromkeys(m.hyperplanes for m in scene.members)}
+    return json_text(_scene_document(scene, lists.__getitem__))
+
+
 def save_scene(scene: Scene, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(scene_to_json(scene)))
+        fh.write(scene_text(scene))
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +434,27 @@ def _layout(depth: int) -> tuple[str, ...]:
             inner + "]," + inner + "[" + deep)
 
 
-def _walk(obj, depth: int, pieces: list[str], flat: list) -> None:
+def _join(pieces: list[str], flat: list) -> str:
+    """``pieces`` with the encoded tokens of ``flat`` between them, one
+    C-encoder call for all of them."""
+    tokens = _TOKENS(flat)[1:-1].split("\n")
+    tokens.append("")  # after the last piece
+    return "".join(itertools.chain.from_iterable(zip(pieces, tokens)))
+
+
+def _walk(obj, depth: int, pieces: list[str], flat: list,
+          seen: dict) -> None:
     """Lay out ``obj``, whose first line sits at ``depth`` levels: every
     scalar and empty container goes to ``flat`` as one token, and the text
     before each token, and after the last, is the matching item of
     ``pieces``, which always holds one item more than ``flat``.  So the
     text between two tokens only closes and opens containers, and grows
-    with the depth alone."""
+    with the depth alone.
+
+    ``seen`` maps the id of every list holding a dict met so far to its
+    texts by depth.  Its first occurrence is laid out in place and costs
+    only that entry; a later one appends the text of its depth, laid out
+    and encoded on its own when a repeat first needs it."""
     if not isinstance(obj, _CONTAINERS) or not obj:
         flat.append(obj)
         pieces.append("")
@@ -439,7 +476,11 @@ def _walk(obj, depth: int, pieces: list[str], flat: list) -> None:
             else:
                 raise TypeError("keys must be str, int, float, bool or "
                                 f"None, not {key.__class__.__name__}")
-            _walk(value, depth + 1, pieces, flat)
+            if isinstance(value, _CONTAINERS) and value:
+                _walk(value, depth + 1, pieces, flat, seen)
+            else:  # a token, as _walk takes it, without a call
+                flat.append(value)
+                pieces.append("")
             sep = comma
         pieces[-1] += pad + "}"
         return
@@ -461,11 +502,27 @@ def _walk(obj, depth: int, pieces: list[str], flat: list) -> None:
         pieces.extend(([row_comma] * (width - 1) + [row_gap]) * len(obj))
         pieces[-1] = inner + "]" + pad + "]"
         return
+    if dict in types:
+        texts = seen.get(id(obj))
+        if texts is None:
+            seen[id(obj)] = {}
+        else:
+            text = texts.get(depth)
+            if text is None:
+                # Laid out on its own as a first occurrence, then known
+                # again.
+                del seen[id(obj)]
+                span, tokens = [""], []
+                _walk(obj, depth, span, tokens, seen)
+                seen[id(obj)] = texts
+                text = texts[depth] = _join(span, tokens)
+            pieces[-1] += text
+            return
     pieces[-1] += "["
     sep = inner
     for value in obj:
         pieces[-1] += sep
-        _walk(value, depth + 1, pieces, flat)
+        _walk(value, depth + 1, pieces, flat, seen)
         sep = comma
     pieces[-1] += pad + "]"
 
@@ -479,15 +536,19 @@ def json_text(obj) -> str:
     one C-encoder call then encodes every key and scalar, and one join
     interleaves the two.  Lists of scalars and lists of equal-length rows
     of scalars, such as ``[[re, im], ...]``, go in whole, without a step
-    per item.  Tuples encode as lists, keys follow the stdlib's non-``str``
-    rules, and the output is ASCII with ``NaN``/``Infinity`` tokens, all
-    as the stdlib's."""
+    per item.  A list holding a dict that occurs again, such as the
+    hyperplane list that ``scene_text`` shares between members, is laid
+    out and encoded once more per depth, and every repeat appends that
+    text.  Other repeated containers are laid out again: tracking the
+    many dicts and coefficient lists of a report or scene would cost more
+    than it saves.  Tuples encode as lists, keys follow the stdlib's
+    non-``str`` rules, and the output is ASCII with ``NaN``/``Infinity``
+    tokens, all as the stdlib's."""
     pieces = [""]
     flat: list = []
-    _walk(obj, 0, pieces, flat)
-    tokens = _TOKENS(flat)[1:-1].split("\n")
-    tokens.append("\n")  # after the last piece
-    return "".join(itertools.chain.from_iterable(zip(pieces, tokens)))
+    _walk(obj, 0, pieces, flat, {})
+    pieces[-1] += "\n"
+    return _join(pieces, flat)
 
 
 def rebuild_scene(scene: Scene, epsilon: float | None = None,
@@ -581,6 +642,15 @@ def _assemble(n: int, region: Region, raw_members, epsilon: float,
                  metadata=metadata)
 
 
+def _curves(rows, n: int) -> list[ProjCurve]:
+    """One curve of n+1 components per n+1 consecutive coefficient rows
+    of ``rows``, all components built by one ``ComplexPoly.from_rows``
+    call."""
+    polys = ComplexPoly.from_rows(rows)
+    return [ProjCurve(polys[k:k + n + 1])
+            for k in range(0, len(polys), n + 1)]
+
+
 def _vandermonde_hyperplanes(n: int) -> list[MovingHyperplane]:
     """2n+1 fixed hyperplanes (1, b, ..., b^n) at the (2n+1)-th roots of
     unity: every (n+1)-subset is a Vandermonde system, hence nonsingular."""
@@ -602,15 +672,16 @@ def _gen_montel_omitting(params: dict) -> Scene:
     region = _template_region(p)
     rng = np.random.default_rng(seed)
     hypers = _vandermonde_hyperplanes(n)
-    raw = []
+    coords = []
     for k in range(N):
         r = rng.uniform(0.1, 0.45)
         theta = rng.uniform(0.0, 2.0 * np.pi)
         c = r * np.exp(1j * theta)
         # Geometric coordinates keep every pairing a nonzero constant:
         # sum_l (b c)^l has modulus >= (1 - |c|^2) / (1 + |c|) > 0.
-        curve = ProjCurve([ComplexPoly([c ** l]) for l in range(n + 1)])
-        raw.append((f"m{k}", curve, list(hypers)))
+        coords.extend([c ** l] for l in range(n + 1))
+    raw = [(f"m{k}", curve, hypers)
+           for k, curve in enumerate(_curves(coords, n))]
     return _assemble(n, region, raw, epsilon=0.5, delta=None,
                      metadata={"template": "montel_omitting",
                                "params": {"n": n, "N": N, "seed": seed}})
@@ -624,11 +695,13 @@ def _gen_blowup_linear(params: dict) -> Scene:
         raise BadParams("blowup_linear needs n >= 1 and N >= 1")
     region = _template_region(p)
     hypers = _vandermonde_hyperplanes(n)
-    raw = []
-    for nu in range(1, N + 1):
-        comps = [ComplexPoly([0.0] * l + [float(nu) ** l])
-                 for l in range(n + 1)]
-        raw.append((f"m{nu}", ProjCurve(comps), list(hypers)))
+    # Component l of member nu is (nu z)^l: row l of member nu's block
+    # holds nu^l in column l.
+    rows = np.zeros((N, n + 1, n + 1), dtype=np.complex128)
+    rows[:, range(n + 1), range(n + 1)] = [
+        [float(nu) ** l for l in range(n + 1)] for nu in range(1, N + 1)]
+    raw = [(f"m{k + 1}", curve, hypers)
+           for k, curve in enumerate(_curves(rows.reshape(-1, n + 1), n))]
     return _assemble(n, region, raw, epsilon=0.5, delta=None,
                      metadata={"template": "blowup_linear",
                                "params": {"n": n, "N": N}})

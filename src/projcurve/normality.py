@@ -212,7 +212,7 @@ def _cell_bounds(comp: np.ndarray, dcomp: np.ndarray, cells: _Cells
       coefficients of W_ij add (2L + 24) u (top + h)^2, and their underflow
       8 L^2 eta max(1, R)^(2L);
     - the denominator: the kernel's |f_i(z)| is at least |mid| - rad of
-      f_i's ``enclose`` ball on the cell;
+      f_i's ``ball`` on the cell, built from A_i and D_i;
     - each step of the quotient adds a stated multiple of u, and the sums
       of squares a multiple of eta for underflow (u and eta of
       ``_kernels``).
@@ -255,8 +255,10 @@ def _cell_bounds(comp: np.ndarray, dcomp: np.ndarray, cells: _Cells
                  * np.sqrt(np.square(major[:, 2 * P:]).sum(axis=1))
                  + math.sqrt(K2) * e) * (1 + (K2 + 12) * _U)
                 + math.sqrt(2 * K2 * _ETA))
-        mid, rad = _kernels.enclose(comp.reshape(B * P, L), cells.centres,
-                                    cells.radii)
+        mid, rad = _kernels.ball(comp.reshape(B * P, L), cells.centres,
+                                 cells.radii, cells.far,
+                                 major[:, :P].reshape(B * P, C),
+                                 major[:, P:2 * P].reshape(B * P, C))
         lo = (np.abs(mid) - rad).reshape(B, P, C)
         s2lo = (np.square(np.maximum(lo, 0.0)).sum(axis=1)
                 * (1 - (2 * P + 16) * _U) - 2 * P * _ETA)
@@ -296,21 +298,21 @@ def _fs_sups(curves: Sequence[ProjCurve], region: Region
     any), with the bits of the full grid sweep, evaluating only the cells
     that may hold it.
 
-    Each curve's cells are bounded by ``_cell_bounds``, on powers of the
-    cells' outer radii built once, in blocks of curves whose (2P + K2)
-    majorant rows at every cell stay within ``_EVAL_BLOCK`` values, at
-    least one (K2 = P (P - 1) / 2 pairs).  The kernel is evaluated first
-    at the curve's best-bound cell, then at every cell whose bound is not
-    below the largest value found there; a value found that is NaN keeps
-    every cell, and so does a bound that is inf.  A skipped point's
-    computed value is below a computed one, so the maximum and its first
-    grid index are those of the full grid.  Blocks of consecutive curves
-    are evaluated at the union of their cells, and a curve with more
-    points in runs, at most ``_EVAL_BLOCK`` values per ``polyval_grid``
-    call (``_point_blocks``), so the blocks share a workspace of one
-    block.  The runs of a curve come in grid order, and a later run's
-    maximum replaces the one found if it is larger, or if it is the first
-    NaN.
+    Each curve's cells are bounded by ``_cell_bounds``, from one
+    ``majorants`` call at the cells' outer radii per block of curves whose
+    (2P + K2) majorant rows at every cell stay within ``_EVAL_BLOCK``
+    values, at least one (K2 = P (P - 1) / 2 pairs).  The kernel is
+    evaluated first at the curve's best-bound cell, then at every cell
+    whose bound is not below the largest value found there; a value found
+    that is NaN keeps every cell, and so does a bound that is inf.  A
+    skipped point's computed value is below a computed one, so the maximum
+    and its first grid index are those of the full grid.  Blocks of
+    consecutive curves are evaluated at the union of their cells, and a
+    curve with more points in runs, at most ``_EVAL_BLOCK`` values per
+    ``polyval_grid`` call (``_point_blocks``), so the blocks share a
+    workspace of one block.  The runs of a curve come in grid order, and a
+    later run's maximum replaces the one found if it is larger, or if it is
+    the first NaN.
 
     The whole grid is swept, in ``_whole_blocks`` as by ``_fs_values``,
     where skipping was measured not to pay: for coefficient rows longer

@@ -771,6 +771,29 @@ class TestSharedHyperplanes:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    def test_save_turns_each_distinct_hyperplane_into_json_once(
+            self, monkeypatch, tmp_path):
+        # 50 members carry one tuple of 7 hyperplanes: 350 in the file.
+        scene = generate_scene("blowup_linear", {"n": 3, "N": 50})
+        calls = count_calls(monkeypatch, MovingHyperplane, "to_json")
+        path = tmp_path / "scene.json"
+        save_scene(scene, str(path))
+        assert len(calls) == 7
+        assert {id(h) for h, in calls} == hyperplane_ids(scene)
+        data = json.loads(path.read_text())
+        assert sum(len(m["hyperplanes"]) for m in data["members"]) == 350
+
+    def test_scene_to_json_members_own_their_lists(self):
+        scene = generate_scene("blowup_linear", {"n": 1, "N": 4})
+        data = scene_to_json(scene)
+        before = copy.deepcopy(data)
+        data["members"][0]["hyperplanes"][1]["coeffs"][0][0] = [9.0, 9.0]
+        data["members"][1]["hyperplanes"].pop()
+        assert data["members"][2:] == before["members"][2:]
+        assert data["members"][1]["hyperplanes"] == \
+            before["members"][1]["hyperplanes"][:-1]
+        assert scene_to_json(scene) == before
+
 
 class TestCli:
     def run(self, *argv):
@@ -1234,6 +1257,27 @@ def trees(children):
 JSON_TREES = st.recursive(SCALARS, trees, max_leaves=40)
 
 
+@st.composite
+def shared_trees(draw):
+    """A tree holding one list or dict object several times, at equal and
+    at different depths, and a list that holds it twice, repeated too."""
+    inner = draw(st.dictionaries(st.text(max_size=2), JSON_TREES,
+                                 min_size=1, max_size=3)
+                 | st.lists(JSON_TREES, min_size=1, max_size=3).map(
+                     lambda items: [{"k": items[0]}, *items[1:]]))
+    pair = [inner, {"again": inner}]
+    places = []
+    for shared in draw(st.lists(st.sampled_from([inner, pair]),
+                                min_size=2, max_size=6)):
+        for wrap in draw(st.lists(st.sampled_from("ldt"), max_size=3)):
+            shared = {"l": [shared], "d": {"x": shared},
+                      "t": (shared, None)}[wrap]
+        places.append(shared)
+        places.append(draw(JSON_TREES))
+    return draw(st.sampled_from([places, tuple(places),
+                                 {str(k): v for k, v in enumerate(places)}]))
+
+
 def nest(obj, depth: int):
     """``obj`` under ``depth`` alternating list and dict levels, with
     scalars beside it at each level."""
@@ -1275,6 +1319,24 @@ class TestJsonText:
     @given(JSON_TREES, st.integers(6, 10))
     def test_equals_stdlib_nested_deep(self, obj, depth):
         self.assert_same(nest(obj, depth))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shared_trees())
+    def test_equals_stdlib_on_repeated_subtrees(self, obj):
+        self.assert_same(obj)
+
+    def test_each_later_repeat_is_one_call(self, monkeypatch):
+        shared = [{"a": [1.0, -0.0], "b": None}, {"c": [[1, 2], [3, 4]]}]
+        calls = count_calls(monkeypatch, harness, "_walk")
+        counts = []
+        for k in (2, 40):
+            obj = {"x": [shared] * k, "y": [[shared] * k]}
+            assert json_text(obj) == stdlib_text(obj)
+            counts.append(len(calls))
+            calls.clear()
+        # Past the second, each occurrence of shared, at depth 2 under x
+        # and at depth 3 under y, appends a text laid out before: one call.
+        assert counts[1] - counts[0] == 2 * 38
 
     def test_key_rules(self):
         self.assert_same({math.nan: 1, -0.0: 2, math.inf: 3})
@@ -1339,7 +1401,8 @@ class TestReportBytes:
 
     @pytest.mark.parametrize("template, params", [
         ("wandering_shared", "{}"), ("montel_omitting", '{"n": 5}'),
-        ("blowup_linear", '{"n": 3}')])
+        ("blowup_linear", '{"n": 3}'),
+        ("blowup_linear", '{"n": 3, "N": 50}')])
     def test_gen_stdout_and_file_agree(self, template, params, tmp_path,
                                        capsys):
         path = str(tmp_path / "scene.json")
