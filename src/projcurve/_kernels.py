@@ -21,14 +21,12 @@ and ``ball``, whose rounding and underflow terms are derived once, in
 their docstrings, and ``enclose``, which builds a ``ball`` from its
 majorants.
 
-A Fubini-Study sweep allocates its block arrays once and every block
-reuses them: ``polyval_grid`` writes into a caller's ``out``,
-``fs_derivative_grid`` carves its arrays from an ``fs_workspace`` (the
-Marty sweep's blocks on cells differ in their point counts and share the
-workspace of one block), and the Zalcman samples are scaled
-in place by ``fs_scale`` and measured by ``fs_distance``, whose
-composition is ``pairwise_fs_grid``.  Each buffer is filled by in-place
-ufuncs that give the bits of the plain expressions they replace.
+A kernel allocates its own arrays: ``fs_derivative_grid`` evaluates a
+block into new arrays, and the Zalcman samples are scaled in place by
+``fs_scale``, which returns their norms, and measured by ``fs_distance``,
+whose composition is ``pairwise_fs_grid``.  Inside a call, each array is
+filled by in-place ufuncs that give the bits of the plain expressions they
+replace; ``polyval_grid`` writes into a caller's ``out`` when it is given.
 """
 
 import functools
@@ -38,10 +36,9 @@ import numpy as np
 # Complex values one polyval_grid call of a grid sweep may produce (256 KiB):
 # whole hyperplane tuples (subsets x points) or whole curves (components,
 # or curve and derivative rows, x points) per block, at least one.  Small
-# enough that a block stays in cache.  A curve larger than a block makes a
-# block of its own: a blow-up curve of n = 3 at 81 x 81 points is 52,488
-# values, about 3.2 blocks, and the sweep reuses its buffers from curve to
-# curve.
+# enough that a block stays in cache.  The Marty sweep splits a curve
+# larger than a block into runs of points: a blow-up curve of n = 3 at
+# 81 x 81 points is 52,488 values, four runs of at most 2,048 points.
 _EVAL_BLOCK = 1 << 14
 
 # Unit roundoff of float64, and eta, over twice the error (2**-1075 at most)
@@ -225,15 +222,15 @@ def ball(rows: np.ndarray, centres: np.ndarray, radii, far: np.ndarray,
     return mid, rad
 
 
-def _cross_terms(a: np.ndarray, b: np.ndarray, prods: np.ndarray,
-                 term: np.ndarray) -> np.ndarray:
+def _cross_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_{i<j} |a_i b_j - a_j b_i|^2 over the rows (axis 1) of two
-    (B, P, M) arrays, as a new (B, M) array.  ``prods`` (2, B', M) complex
-    and ``term`` (B', M) real, B' >= B, hold one pair's products and
-    squared modulus."""
-    B, P, _ = a.shape
-    t, s, term = prods[0, :B], prods[1, :B], term[:B]
-    num = np.zeros(term.shape)
+    (B, P, M) arrays, as a new (B, M) array.  One pair's products and
+    squared modulus go into arrays allocated once per call."""
+    B, P, M = a.shape
+    t = np.empty((B, M), dtype=np.complex128)
+    s = np.empty((B, M), dtype=np.complex128)
+    term = np.empty((B, M))
+    num = np.zeros((B, M))
     for i in range(P):
         for j in range(i + 1, P):
             np.multiply(a[:, i], b[:, j], out=t)
@@ -245,83 +242,60 @@ def _cross_terms(a: np.ndarray, b: np.ndarray, prods: np.ndarray,
     return num
 
 
-def _sum_sq(vals: np.ndarray, mods: np.ndarray, out: np.ndarray) -> None:
-    """sum_i |v_i|^2 over axis 1 of a (B, P, M) array into ``out``, (B, M),
-    through ``mods``, a real array of the shape of ``vals``, added in the
-    order of i at every M."""
-    np.abs(vals, out=mods)
+def _sum_sq(vals: np.ndarray) -> np.ndarray:
+    """sum_i |v_i|^2 over axis 1 of a (B, P, M) array, as a new (B, M)
+    array, added in the order of i at every M."""
+    mods = np.abs(vals)
     np.square(mods, out=mods)
-    np.copyto(out, mods[:, 0])
+    out = mods[:, 0].copy()
     for i in range(1, mods.shape[1]):
         out += mods[:, i]
-
-
-def fs_workspace(B: int, P: int, M: int) -> tuple[np.ndarray, ...]:
-    """The block arrays of ``fs_derivative_grid`` for up to B M
-    curve-points of curves of P components (B curves at M points, or more
-    curves at fewer points): curve and derivative values, the moduli of
-    the curve values, their squared norms, and one cross term's products
-    and squared modulus."""
-    return (np.empty((2, B * P, M), dtype=np.complex128),
-            np.empty((B, P, M)), np.empty((B, M)),
-            np.empty((2, B, M), dtype=np.complex128), np.empty((B, M)))
+    return out
 
 
 def fs_derivative_grid_numpy(comp: np.ndarray, dcomp: np.ndarray,
-                             pts: np.ndarray,
-                             work: tuple | None = None) -> np.ndarray:
+                             pts: np.ndarray) -> np.ndarray:
     """Fubini-Study derivative of B curves at M points: (B, P, L) and
     (B, P, L-1) x (M,) -> (B, M).
 
     ``comp``/``dcomp`` hold each curve's n+1 = P component polynomials and
-    their formal derivatives, zero-padded to a common length.  Each is
-    evaluated at its own length into arrays carved from the memory of
-    ``work``, an ``fs_workspace`` for at least B M curve-points, or of a
-    new workspace.  The
-    numerator is the cross-term (Lagrange identity) form, which is exact
-    when curve and derivative are parallel; the naive norm-product form
-    loses half the digits to cancellation there.
+    their formal derivatives, zero-padded to a common length; each is
+    evaluated at its own length.  The numerator is the cross-term
+    (Lagrange identity) form, which is exact when curve and derivative are
+    parallel; the naive norm-product form loses half the digits to
+    cancellation there.
     """
     B, P, L = comp.shape
     M = pts.shape[-1]
-    n = B * M
-    vals, mods, s2, prods, term = (w.reshape(-1) for w in
-                                   work or fs_workspace(B, P, M))
-    vals = vals[:2 * P * n].reshape(2, B * P, M)
-    v = polyval_grid_numpy(comp.reshape(B * P, L), pts,
-                           out=vals[0]).reshape(B, P, M)
-    dv = polyval_grid_numpy(dcomp.reshape(B * P, dcomp.shape[2]), pts,
-                            out=vals[1]).reshape(B, P, M)
-    s2 = s2[:n].reshape(B, M)
-    _sum_sq(v, mods[:P * n].reshape(B, P, M), s2)
-    num = _cross_terms(v, dv, prods[:2 * n].reshape(2, B, M),
-                       term[:n].reshape(B, M))
+    v = polyval_grid_numpy(comp.reshape(B * P, L), pts).reshape(B, P, M)
+    dv = polyval_grid_numpy(dcomp.reshape(B * P, dcomp.shape[2]),
+                            pts).reshape(B, P, M)
+    s2 = _sum_sq(v)
+    num = _cross_terms(v, dv)
     np.sqrt(num, out=num)
     num /= s2
     return num
 
 
-def fs_scale(vals: np.ndarray, mods: np.ndarray, norms: np.ndarray) -> None:
+def fs_scale(vals: np.ndarray) -> np.ndarray:
     """Scale each item of a (B, P, M) stack of sampled curves in place by
     its own ``pow2_factors`` power of two, an item whose largest modulus is
-    0 or not finite left as it is, and write the items' norms
-    sqrt(sum_i |v_i|^2), (B, M), into ``norms``.  ``mods`` is a real array
-    of the shape of ``vals``."""
-    np.abs(vals, out=mods)
+    0 or not finite left as it is, and return the items' norms
+    sqrt(sum_i |v_i|^2), (B, M)."""
     finite, factor = pow2_factors(
-        mods.max(axis=(1, 2), keepdims=True, initial=0.0))
+        np.abs(vals).max(axis=(1, 2), keepdims=True, initial=0.0))
     np.multiply(vals, factor, out=vals, where=finite)
-    _sum_sq(vals, mods, norms)
+    norms = _sum_sq(vals)
     np.sqrt(norms, out=norms)
+    return norms
 
 
 def fs_distance(a: np.ndarray, b: np.ndarray, na: np.ndarray,
-                nb: np.ndarray, prods: np.ndarray,
-                term: np.ndarray) -> np.ndarray:
+                nb: np.ndarray) -> np.ndarray:
     """Fubini-Study distance between two (B, P, M) stacks scaled by
-    ``fs_scale``, with norms ``na``/``nb``, pointwise: a new (B, M) array.
-    ``prods`` and ``term`` are as for ``_cross_terms``."""
-    num = _cross_terms(a, b, prods, term)
+    ``fs_scale``, with norms ``na``/``nb``, pointwise: a new (B, M)
+    array."""
+    num = _cross_terms(a, b)
     np.sqrt(num, out=num)
     num /= na * nb
     return num
@@ -339,13 +313,7 @@ def pairwise_fs_grid_numpy(vals_a: np.ndarray, vals_b: np.ndarray) -> np.ndarray
     *batch, P, M = vals_a.shape
     a, b = (np.array(v, dtype=np.complex128).reshape(-1, P, M)
             for v in (vals_a, vals_b))
-    B = a.shape[0]
-    mods = np.empty(a.shape)
-    na, nb = np.empty((2, B, M))
-    fs_scale(a, mods, na)
-    fs_scale(b, mods, nb)
-    dist = fs_distance(a, b, na, nb, np.empty((2, B, M), dtype=np.complex128),
-                       np.empty((B, M)))
+    dist = fs_distance(a, b, fs_scale(a), fs_scale(b))
     return dist.reshape(*batch, M)
 
 

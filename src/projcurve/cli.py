@@ -20,9 +20,8 @@ import math
 import sys
 
 from .errors import ProjcurveError, ValidationError
-from .harness import (DEGENERATE_ERRORS, TEMPLATES, generate_scene,
-                      json_text, load_scene, rebuild_scene, run_pipeline,
-                      scene_text)
+from .harness import (TEMPLATES, generate_scene, json_text, load_scene,
+                      rebuild_scene, run_pipeline, scene_text)
 
 
 def _add_run_parser(sub, name: str, help_text: str) -> None:
@@ -124,7 +123,7 @@ def main(argv=None) -> int:
         return _cmd_run(args)
     except ProjcurveError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, DEGENERATE_ERRORS) else 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -25,10 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from . import config
-from .errors import (AllZero, BadParams, DimensionMismatch, FirstComponentZero,
-                     IdenticallyZero, ParseError, ProjcurveError,
-                     UnknownTemplate, ValidationError, WrongCount,
-                     ZeroPolynomial)
+from .errors import (BadParams, ParseError, ProjcurveError, UnknownTemplate,
+                     ValidationError, WrongCount)
 from .normality import marty_sup, zalcman_search
 from .polynomial import ComplexPoly
 from .position import Region, position_sweep, position_sweeps
@@ -42,14 +40,6 @@ STAGES = ("position", "check", "normality", "zalcman")
 
 TEMPLATES = ("montel_omitting", "blowup_linear", "wandering_shared",
              "degenerate_position")
-
-# Scene defects: malformed input or configurations outside the theory's
-# setting.  They exit 3; failed checks exit 2.
-DEGENERATE_ERRORS = (IdenticallyZero, FirstComponentZero, AllZero,
-                     ZeroPolynomial, ParseError, ValidationError,
-                     DimensionMismatch, WrongCount, UnknownTemplate,
-                     BadParams)
-
 
 @dataclass
 class Scene:
@@ -693,6 +683,12 @@ def _gen_blowup_linear(params: dict) -> Scene:
     n, N = p["n"], p["N"]
     if n < 1 or N < 1:
         raise BadParams("blowup_linear needs n >= 1 and N >= 1")
+    try:
+        # N^n, the largest coefficient, of member N's last component.
+        float(N) ** n
+    except OverflowError:
+        raise BadParams(f"blowup_linear coefficient N**n = {N}**{n} is past "
+                        f"the float range") from None
     region = _template_region(p)
     hypers = _vandermonde_hyperplanes(n)
     # Component l of member nu is (nu z)^l: row l of member nu's block
@@ -936,7 +932,7 @@ def run_pipeline(scene: Scene, which: Sequence[str] = STAGES,
             stages[stage] = {"error": {"type": type(exc).__name__,
                                        "message": str(exc)}}
             if stage in requested:
-                codes.append(3 if isinstance(exc, DEGENERATE_ERRORS) else 2)
+                codes.append(exc.exit_code)
             continue
         stages[stage] = result
         if stage in requested:

@@ -37,7 +37,7 @@ from . import _kernels, config
 # kernels normality calls; zalcman_search calls its two steps, fs_scale and
 # fs_distance, itself.
 from ._kernels import (_taylor, fs_derivative_grid,  # noqa: F401
-                       fs_distance, fs_scale, fs_workspace, pairwise_fs_grid,
+                       fs_distance, fs_scale, pairwise_fs_grid,
                        polyval_grid, pow2_factors)
 from .errors import NotBlowingUp, NumericOverflow, WrongCount
 from .polynomial import ComplexPoly, stack_coeffs
@@ -53,26 +53,18 @@ def _fs_values(curves: Sequence[ProjCurve], pts: np.ndarray) -> np.ndarray:
     """The Fubini-Study derivative of every curve at every point, (B, M):
     one ``fs_derivative_grid`` call per block of whole curves, at most
     ``_EVAL_BLOCK`` values per ``polyval_grid`` call and at least one
-    curve.  The blocks share one ``fs_workspace``."""
+    curve."""
     M = pts.shape[0]
     if not curves:
         return np.empty((0, M))
     comp, dcomp = _fs_stack(curves)
     N, P, _ = comp.shape
     out = np.empty((N, M))
-    blocks, work = _whole_blocks(N, P, M)
-    for a, b, _ in blocks:
-        out[a:b] = fs_derivative_grid(comp[a:b], dcomp[a:b], pts, work)
-    return out
-
-
-def _whole_blocks(N: int, P: int, M: int) -> tuple[list, tuple]:
-    """Blocks ``(a, b, None)`` of whole curves at all M points, at most
-    ``_EVAL_BLOCK`` values per ``polyval_grid`` call and at least one
-    curve, and the one ``fs_workspace`` they share."""
     step = max(1, _kernels._EVAL_BLOCK // (2 * P * M))
-    return ([(a, min(a + step, N), None) for a in range(0, N, step)],
-            fs_workspace(min(step, N), P, M))
+    for a in range(0, N, step):
+        out[a:a + step] = fs_derivative_grid(comp[a:a + step],
+                                             dcomp[a:a + step], pts)
+    return out
 
 
 def _fs_stack(curves: Sequence[ProjCurve]) -> tuple[np.ndarray, np.ndarray]:
@@ -309,26 +301,26 @@ def _fs_sups(curves: Sequence[ProjCurve], region: Region
     and its first grid index are those of the full grid.  Blocks of
     consecutive curves are evaluated at the union of their cells, and a
     curve with more points in runs, at most ``_EVAL_BLOCK`` values per
-    ``polyval_grid`` call (``_point_blocks``), so the blocks share a
-    workspace of one block.  The runs of a curve come in grid order, and a
-    later run's maximum replaces the one found if it is larger, or if it is
-    the first NaN.
+    ``polyval_grid`` call (``_point_blocks``).  The runs of a curve come
+    in grid order, and a later run's maximum replaces the one found if it
+    is larger, or if it is the first NaN.
 
-    The whole grid is swept, in ``_whole_blocks`` as by ``_fs_values``,
-    where skipping was measured not to pay: for coefficient rows longer
-    than ``_CELL_MAX_LEN``, and when a curve's grid fits in one block
-    (2P M values), where the bounds and the best cell cost about as many
-    array operations as the kernel calls they could save.
+    Where skipping was measured not to pay, the mask keeps every cell, so
+    the same blocks cover the whole grid: for coefficient rows longer than
+    ``_CELL_MAX_LEN``, and when a curve's grid fits in one block (2P M
+    values), where the bounds and the best cell cost about as many array
+    operations as the kernel calls they could save.
     """
     comp, dcomp = _fs_stack(curves)
     N, P, L = comp.shape
     pts = region.grid_points()
-    M = pts.size
+    cells = _cells(region)
+    C = cells.sizes.size
+    width = max(1, _kernels._EVAL_BLOCK // (2 * P))
+    keep = np.ones((N, C), dtype=bool)
     sups, top = np.full(N, -np.inf), np.empty(N, dtype=np.intp)
     with np.errstate(all="ignore"):
-        if L <= _CELL_MAX_LEN and 2 * P * M > _kernels._EVAL_BLOCK:
-            cells = _cells(region)
-            C = cells.sizes.size
+        if L <= _CELL_MAX_LEN and 2 * P * pts.size > _kernels._EVAL_BLOCK:
             bound = np.empty((N, C))
             step = max(1, _kernels._EVAL_BLOCK
                        // ((2 * P + _pairs(P).shape[1]) * C))
@@ -337,24 +329,16 @@ def _fs_sups(curves: Sequence[ProjCurve], region: Region
                     comp[a:a + step], dcomp[a:a + step], cells)
             best = np.zeros((N, C), dtype=bool)
             best[np.arange(N), np.argmax(bound, axis=1)] = True
-            keep = np.ones((N, C), dtype=bool)
-            width = max(1, _kernels._EVAL_BLOCK // (2 * P))
-            work = fs_workspace(1, P, width)
             for a, b, idx in _point_blocks(best, cells, width):
-                found = fs_derivative_grid(comp[a:b], dcomp[a:b], pts[idx],
-                                           work)
+                found = fs_derivative_grid(comp[a:b], dcomp[a:b], pts[idx])
                 keep[a:b] &= ~(bound[a:b] < found.max(axis=1)[:, None])
-            blocks = _point_blocks(keep, cells, width)
-        else:
-            blocks, work = _whole_blocks(N, P, M)
-        for a, b, idx in blocks:
-            vals = fs_derivative_grid(comp[a:b], dcomp[a:b],
-                                      pts if idx is None else pts[idx], work)
+        for a, b, idx in _point_blocks(keep, cells, width):
+            vals = fs_derivative_grid(comp[a:b], dcomp[a:b], pts[idx])
             k = np.argmax(vals, axis=1)
             v, was = vals[np.arange(b - a), k], sups[a:b]
             new = (v > was) | np.isnan(v) & ~np.isnan(was)
             sups[a:b][new] = v[new]
-            top[a:b][new] = k[new] if idx is None else idx[k[new]]
+            top[a:b][new] = idx[k[new]]
     return sups, top
 
 
@@ -568,10 +552,7 @@ def zalcman_search(members: Sequence[ProjCurve],
     # Slot 0 holds the last member of the previous block, scaled, and its
     # norms; slots 1 ... step the members of the block.
     vals = np.empty((step + 1, P, M), dtype=np.complex128)
-    mods = np.empty(vals.shape)
     norms = np.empty((step + 1, M))
-    prods = np.empty((2, step, M), dtype=np.complex128)
-    term = np.empty((step, M))
     residuals: list[float] = []
     for a in range(0, N, step):
         b = min(step, N - a)
@@ -580,10 +561,10 @@ def zalcman_search(members: Sequence[ProjCurve],
                      out=block.reshape(b * P, M))
         if a + b == N:
             limit = vals[b].copy()
-        fs_scale(block, mods[1:b + 1], norms[1:b + 1])
+        norms[1:b + 1] = fs_scale(block)
         lo = 0 if a else 1
         dist = fs_distance(vals[lo:b], block[lo:], norms[lo:b],
-                           norms[lo + 1:b + 1], prods, term)
+                           norms[lo + 1:b + 1])
         residuals += dist.max(axis=1).tolist()
         vals[0], norms[0] = vals[b], norms[b]
     return ZalcmanTrace(

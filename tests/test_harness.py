@@ -850,6 +850,17 @@ class TestCli:
         assert self.run("gen", "blowup_linear", "--params", "{bad") == 3
         assert self.run("gen", "blowup_linear", "--params", '{"x": 1}') == 3
 
+    def test_overflowing_blowup_coefficient_exit_3(self, tmp_path, capsys):
+        # 8**400 is past the float range; this used to end in an
+        # OverflowError traceback (exit 1).
+        out = tmp_path / "b.json"
+        assert self.run("gen", "blowup_linear", "--params",
+                        '{"n": 400, "N": 8}', "-o", str(out)) == 3
+        assert capsys.readouterr() == (
+            "", "error: blowup_linear coefficient N**n = 8**400 is past the "
+            "float range\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("template", ["blowup_linear",
                                           "degenerate_position"])
     def test_seedless_templates_reject_seed(self, capsys, template):

@@ -331,9 +331,8 @@ class TestReferenceBytes:
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 6), degree=st.integers(0, 12),
            exponents=st.lists(SCALES, min_size=1, max_size=3),
-           M=st.integers(1, 20), spare=st.integers(0, 2),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_fs_derivative_grid(self, n, degree, exponents, M, spare, seed):
+           M=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1))
+    def test_fs_derivative_grid(self, n, degree, exponents, M, seed):
         rng = np.random.default_rng(seed)
         B, P, L = len(exponents), n + 1, degree + 1
         comp = ragged(rng, (B, P, L), exponents)
@@ -343,11 +342,6 @@ class TestReferenceBytes:
             want = ref_fs_derivative(comp, dcomp, pts).tobytes()
             assert _kernels.fs_derivative_grid(comp, dcomp, pts).tobytes() \
                 == want
-            # A workspace for more curves than the block holds, reused.
-            work = _kernels.fs_workspace(B + spare, P, M)
-            for _ in range(2):
-                assert _kernels.fs_derivative_grid(
-                    comp, dcomp, pts, work).tobytes() == want
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 6),

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import warnings
@@ -378,13 +379,14 @@ def full_grid_members(curves, region):
     return [(float(v[k]).hex(), complex(pts[k])) for v, k in zip(vals, top)]
 
 
-def blowup_scene():
-    """blowup_marty's region and family: [1 : nu z : (nu z)^2 : (nu z)^3],
-    nu = 1 ... 50, on 81 x 81 points of [-1, 1]^2."""
+def blowup_scene(n=3, N=50):
+    """blowup_linear's region and family: [1 : nu z : ... : (nu z)^n],
+    nu = 1 ... N, on 81 x 81 points of [-1, 1]^2; by default blowup_marty's
+    (n = 3, N = 50)."""
     region = Region(-1, 1, -1, 1, 81, 81)
     curves = [ProjCurve([ComplexPoly([0.0] * l + [float(nu) ** l])
-                         for l in range(4)])
-              for nu in range(1, 51)]
+                         for l in range(n + 1)])
+              for nu in range(1, N + 1)]
     return region, curves
 
 
@@ -480,9 +482,9 @@ class TestPrunedMarty:
         kernel = normality.fs_derivative_grid
         counts = []
 
-        def counting(comp, dcomp, pts, *work):
+        def counting(comp, dcomp, pts):
             counts.append(pts.shape[0])
-            return kernel(comp, dcomp, pts, *work)
+            return kernel(comp, dcomp, pts)
 
         for seed in range(8):
             rng = np.random.default_rng(seed)
@@ -527,14 +529,37 @@ class TestPrunedMarty:
         points = []
         kernel = normality.fs_derivative_grid
 
-        def counting(comp, dcomp, pts, *work):
+        def counting(comp, dcomp, pts):
             points.append(comp.shape[0] * pts.shape[0])
-            return kernel(comp, dcomp, pts, *work)
+            return kernel(comp, dcomp, pts)
 
         monkeypatch.setattr(normality, "fs_derivative_grid", counting)
         got = marty_sup(curves, region).members
         assert [(m.sup.hex(), m.argmax) for m in got] == want
         assert sum(points) <= 0.35 * len(curves) * region.grid_points().size
+
+    def test_whole_grid_in_blocks(self, monkeypatch):
+        # blowup_linear at n = 4 has rows of length 5, past _CELL_MAX_LEN,
+        # so the sweep keeps every cell: it hands fs_derivative_grid each
+        # member-point exactly once, in calls of at most _EVAL_BLOCK values
+        # (2P values per curve-point), and keeps the full grid's bits.
+        region, curves = blowup_scene(n=4, N=20)
+        M = region.grid_points().size
+        want = full_grid_members(curves, region)
+        seen, sizes = collections.Counter(), []
+        kernel = normality.fs_derivative_grid
+
+        def counting(comp, dcomp, pts):
+            sizes.append(2 * comp.shape[1] * comp.shape[0] * pts.shape[0])
+            seen.update((c.tobytes(), z) for c in comp for z in pts.tolist())
+            return kernel(comp, dcomp, pts)
+
+        monkeypatch.setattr(normality, "fs_derivative_grid", counting)
+        got = marty_sup(curves, region).members
+        assert [(m.sup.hex(), m.argmax) for m in got] == want
+        assert len(seen) == len(curves) * M == 131220
+        assert set(seen.values()) == {1}
+        assert max(sizes) <= _kernels._EVAL_BLOCK
 
     def test_blowup_scene_bounds_without_taylor_shift(self, monkeypatch):
         # The cell bounds take centre-0 majorants and the values at the
@@ -630,9 +655,9 @@ class TestZalcman:
         calls = []
         kernel = normality.fs_derivative_grid
 
-        def counting(comp, dcomp, pts, *work):
+        def counting(comp, dcomp, pts):
             calls.append((comp.shape[0], pts.size))
-            return kernel(comp, dcomp, pts, *work)
+            return kernel(comp, dcomp, pts)
 
         monkeypatch.setattr(normality, "fs_derivative_grid", counting)
         got = trace.to_json()["unit_derivative_at_zero"]
