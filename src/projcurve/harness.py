@@ -2,8 +2,10 @@
 
 A scene is a declarative JSON document: a dimension, a rectangular region
 with a grid, a checker configuration, and an explicit list of members (curve
-plus its 2n+1 hyperplanes).  Generators build canonical scenes in code; the
-file format stays free of any expression language.
+plus its 2n+1 hyperplanes).  Generators compute a scene's coefficient
+array in code and validate it with the loader's own last pass, so a
+generated scene is the scene its file loads as; the file format stays free
+of any expression language.
 
 The pipeline runs the requested stages in dependency order and merges their
 results into a single versioned report.  Reports are deterministic: no
@@ -193,15 +195,14 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
        resolution here, before any hyperplane is normalized against it.
     2. Values: ``_coefficients_from_json`` checks and converts every
        coefficient of the scene at once.
-    3. Invariants: hyperplanes with the same coefficient values (their
-       parsed bytes, so ``1`` and ``1.0`` agree but ``-0.0`` and ``0.0``
-       do not) become one object, and ``normalized_many`` normalizes each
-       distinct one once.  One ``first_common_zero`` call then tests every
-       distinct hyperplane, as given and normalized, and every curve for
-       entries that are all zero or share a zero.  It solves the first
-       entry of lowest degree of each tuple (a curve's f_0 when its
-       components have one degree, kept for the derived map) and solves
-       the other entries only of a tuple whose roots they do not clear.
+    3. Invariants: ``_validated_members`` of the scene's coefficient
+       array, the pass that the templates take too.  Hyperplanes with the
+       same parsed values (so ``1`` and ``1.0`` agree) become one object,
+       normalized once, and one ``first_common_zero`` call tests every
+       hyperplane and curve.  It solves the first entry of lowest degree
+       of each tuple (a curve's f_0 when its components have one degree,
+       kept for the derived map) and solves the other entries only of a
+       tuple whose roots they do not clear.
 
     The first defect fails with its JSON path: a structure defect before
     any value, a value before any hyperplane invariant, and a hyperplane
@@ -281,22 +282,43 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
         return f"$.members[{i}].hyperplanes[{h - 1}].coeffs[{l}]"
 
     stack = _coefficients_from_json(polys, where)
-    q = 2 * n + 1
+    members = _validated_members(
+        stack.reshape(len(labels), 2 * n + 2, n + 1, stack.shape[1]), labels,
+        region)
+    return Scene(n=n, region=region, members=members, config=cfg,
+                 metadata=metadata)
+
+
+def _validated_members(runs: np.ndarray, labels: Sequence[str],
+                       region: Region) -> tuple[FamilyMember, ...]:
+    """The members of the scene whose coefficient array is ``runs``, a
+    complex (N, 2n+2, n+1, L) array: member i's curve components are the
+    rows of ``runs[i, 0]`` and the coefficients of its hyperplane k those
+    of ``runs[i, k + 1]``, ascending and zero-padded to one width L.
+    Member i is labelled ``labels[i]``.
+
+    Hyperplanes with the same coefficients (their bytes, so ``-0.0`` and
+    ``0.0`` differ) become one object, and ``normalized_many``
+    normalizes each distinct one once against ``region``.  One
+    ``first_common_zero`` call then tests every distinct hyperplane, as
+    given and normalized, and every curve for entries that are all zero or
+    share a zero; the first defect, a hyperplane (at its first occurrence)
+    before any curve, fails with the ValidationError of its JSON path.
+    """
+    N, q = runs.shape[0], runs.shape[1] - 1
+    n1, L = runs.shape[2:]
     # Per member, its curve and then its hyperplanes, each as one row of
-    # parsed coefficients.  Hyperplane j is hyperplane j % q of member
-    # j // q; its row's bytes map it to the first with the same values.
-    N, width = len(labels), (n + 1) * stack.shape[1]
-    runs = stack.reshape(N, q + 1, width)
-    hyper_rows = runs[:, 1:].reshape(N * q, width)
+    # coefficients.  Hyperplane j is hyperplane j % q of member j // q;
+    # its row's bytes map it to the first with the same values.
+    runs = runs.reshape(N, q + 1, n1 * L)
+    hyper_rows = runs[:, 1:].reshape(N * q, n1 * L)
     seen: dict[bytes, int] = {}
     first_of = [seen.setdefault(key, j) for j, key in
                 enumerate(map(np.ndarray.tobytes, hyper_rows))]
     # Polynomials only for the curves and the distinct hyperplanes.
     parsed = ComplexPoly.from_rows(np.concatenate(
-        [runs[:, 0], hyper_rows[list(seen.values())]]).reshape(
-            -1, stack.shape[1]))
-    tuples = [tuple(parsed[k: k + n + 1])
-              for k in range(0, len(parsed), n + 1)]
+        [runs[:, 0], hyper_rows[list(seen.values())]]).reshape(-1, L))
+    tuples = [tuple(parsed[k: k + n1]) for k in range(0, len(parsed), n1)]
     curves = tuples[:N]
     raw = dict(zip(seen.values(), tuples[N:]))
     normalized = dict(zip(raw, normalized_many(raw.values(), region)))
@@ -321,13 +343,11 @@ def scene_from_json(data: dict, grid: tuple[int, int] | None = None) -> Scene:
         raise ValidationError(str(tuple_error(checks[bad], entry)),
                               path=path)
 
-    members = tuple(
+    return tuple(
         FamilyMember(ProjCurve(curve, check_reduced=False),
                      [normalized[j] for j in first_of[i * q: i * q + q]],
                      label)
         for i, (curve, label) in enumerate(zip(curves, labels)))
-    return Scene(n=n, region=region, members=members, config=cfg,
-                 metadata=metadata)
 
 
 def load_scene(path: str, grid: tuple[int, int] | None = None) -> Scene:
@@ -556,10 +576,6 @@ def rebuild_scene(scene: Scene, epsilon: float | None = None,
 # scene generators
 # ---------------------------------------------------------------------------
 
-def _fixed(*values: complex) -> MovingHyperplane:
-    return MovingHyperplane(ComplexPoly.from_rows([[v] for v in values]))
-
-
 # Template parameters that must be integers (JSON true/false are not).
 _INT_PARAMS = ("n", "N", "seed", "grid_nx", "grid_ny")
 
@@ -603,53 +619,27 @@ def _template_region(p: dict) -> Region:
         raise BadParams(str(exc)) from exc
 
 
-def _normalize_members(raw_members, region: Region
-                       ) -> tuple[FamilyMember, ...]:
-    """Members from (label, curve, hyperplanes) triples, with hyperplanes
-    normalized against the region.  Each distinct hyperplane object is
-    normalized once, so members that shared it share the result, and the
-    results are held to the hyperplane invariants."""
-    distinct = list(dict.fromkeys(h for _, _, hypers in raw_members
-                                  for h in hypers))
-    normalized = dict(zip(distinct, normalized_many(
-        [h.coeffs for h in distinct], region)))
-    bad = first_common_zero([h.coeffs for h in normalized.values()])
-    if bad is not None:
-        raise tuple_error(normalized[distinct[bad]].coeffs, "coefficient")
-    return tuple(FamilyMember(curve, [normalized[h] for h in hypers], label)
-                 for label, curve, hypers in raw_members)
-
-
-def _assemble(n: int, region: Region, raw_members, epsilon: float,
-              delta: float | None, metadata: dict) -> Scene:
-    """The scene of the normalized members; a ``delta`` of None is half the
-    grid minimum of the first member's general-position product."""
-    members = _normalize_members(raw_members, region)
+def _assemble(region: Region, labels: list[str], runs: np.ndarray,
+              epsilon: float, delta: float | None, metadata: dict) -> Scene:
+    """The scene of the members ``_validated_members`` makes of the
+    coefficient array ``runs``, as a scene file's load does; a ``delta``
+    of None is half the grid minimum of the first member's
+    general-position product."""
+    members = _validated_members(runs, labels, region)
     if delta is None:
         delta = position_sweep(members[0].hyperplanes, region)[0].value / 2.0
     cfg = CheckConfig(region=region, epsilon=epsilon, delta=delta)
-    return Scene(n=n, region=region, members=members, config=cfg,
-                 metadata=metadata)
+    return Scene(n=runs.shape[2] - 1, region=region, members=members,
+                 config=cfg, metadata=metadata)
 
 
-def _curves(rows, n: int) -> list[ProjCurve]:
-    """One curve of n+1 components per n+1 consecutive coefficient rows
-    of ``rows``, all components built by one ``ComplexPoly.from_rows``
-    call."""
-    polys = ComplexPoly.from_rows(rows)
-    return [ProjCurve(polys[k:k + n + 1])
-            for k in range(0, len(polys), n + 1)]
-
-
-def _vandermonde_hyperplanes(n: int) -> list[MovingHyperplane]:
-    """2n+1 fixed hyperplanes (1, b, ..., b^n) at the (2n+1)-th roots of
-    unity: every (n+1)-subset is a Vandermonde system, hence nonsingular."""
+def _vandermonde(n: int) -> list[list[complex]]:
+    """The coefficients (1, b, ..., b^n) of 2n+1 fixed hyperplanes at the
+    (2n+1)-th roots of unity b: every (n+1)-subset is a Vandermonde
+    system, hence nonsingular."""
     q = 2 * n + 1
-    out = []
-    for j in range(q):
-        b = np.exp(2j * np.pi * j / q)
-        out.append(_fixed(*[b ** l for l in range(n + 1)]))
-    return out
+    return [[b ** l for l in range(n + 1)]
+            for b in (np.exp(2j * np.pi * j / q) for j in range(q))]
 
 
 def _gen_montel_omitting(params: dict) -> Scene:
@@ -661,18 +651,18 @@ def _gen_montel_omitting(params: dict) -> Scene:
         raise BadParams("montel_omitting needs n >= 1 and N >= 1")
     region = _template_region(p)
     rng = np.random.default_rng(seed)
-    hypers = _vandermonde_hyperplanes(n)
-    coords = []
+    # Constant curves and hyperplanes: one coefficient per polynomial.
+    runs = np.zeros((N, 2 * n + 2, n + 1, 1), dtype=np.complex128)
+    runs[:, 1:, :, 0] = _vandermonde(n)
     for k in range(N):
         r = rng.uniform(0.1, 0.45)
         theta = rng.uniform(0.0, 2.0 * np.pi)
         c = r * np.exp(1j * theta)
         # Geometric coordinates keep every pairing a nonzero constant:
         # sum_l (b c)^l has modulus >= (1 - |c|^2) / (1 + |c|) > 0.
-        coords.extend([c ** l] for l in range(n + 1))
-    raw = [(f"m{k}", curve, hypers)
-           for k, curve in enumerate(_curves(coords, n))]
-    return _assemble(n, region, raw, epsilon=0.5, delta=None,
+        runs[k, 0, :, 0] = [c ** l for l in range(n + 1)]
+    return _assemble(region, [f"m{k}" for k in range(N)], runs,
+                     epsilon=0.5, delta=None,
                      metadata={"template": "montel_omitting",
                                "params": {"n": n, "N": N, "seed": seed}})
 
@@ -690,15 +680,14 @@ def _gen_blowup_linear(params: dict) -> Scene:
         raise BadParams(f"blowup_linear coefficient N**n = {N}**{n} is past "
                         f"the float range") from None
     region = _template_region(p)
-    hypers = _vandermonde_hyperplanes(n)
-    # Component l of member nu is (nu z)^l: row l of member nu's block
+    # Component l of member nu is (nu z)^l: row l of member nu's curve
     # holds nu^l in column l.
-    rows = np.zeros((N, n + 1, n + 1), dtype=np.complex128)
-    rows[:, range(n + 1), range(n + 1)] = [
+    runs = np.zeros((N, 2 * n + 2, n + 1, n + 1), dtype=np.complex128)
+    runs[:, 0, range(n + 1), range(n + 1)] = [
         [float(nu) ** l for l in range(n + 1)] for nu in range(1, N + 1)]
-    raw = [(f"m{k + 1}", curve, hypers)
-           for k, curve in enumerate(_curves(rows.reshape(-1, n + 1), n))]
-    return _assemble(n, region, raw, epsilon=0.5, delta=None,
+    runs[:, 1:, :, 0] = _vandermonde(n)
+    return _assemble(region, [f"m{nu}" for nu in range(1, N + 1)], runs,
+                     epsilon=0.5, delta=None,
                      metadata={"template": "blowup_linear",
                                "params": {"n": n, "N": N}})
 
@@ -715,34 +704,27 @@ def _gen_wandering_shared(params: dict) -> Scene:
         raise BadParams(
             f"mutate must be one of none/delta/epsilon/cond1, got {mutate!r}")
     region = _template_region(p)
-    n = 1
-    centers = np.linspace(-0.5, 0.5, N)
+    a = np.linspace(-0.5, 0.5, N)
+    c = 0.1 * (1.0 + 0.05 * np.arange(N))
     eps_c = 0.01
-    one = ComplexPoly.one()
-    raw = []
-    for k in range(N):
-        a = float(centers[k])
-        c = 0.1 * (1.0 + 0.05 * k)
-        # Curve (1, (z-a)^2): its derived map is (1, 2(z-a)), so the
-        # coordinate hyperplane (0, 1) is shared with identical zero set {a}.
-        curve = ProjCurve([one, ComplexPoly([a * a, -2.0 * a, 1.0])])
-        h1 = MovingHyperplane([ComplexPoly.zero(), one])
-        # The moving pair (1, +-(c + eps*z)) keeps both pairings zero-free
-        # on the region (|c + eps*z| * |z-a|^2 < 1 there) while their mutual
-        # determinant 2|c + eps*z| stays well above zero.
-        h2 = MovingHyperplane([one, ComplexPoly([c, eps_c])])
-        h3 = MovingHyperplane([one, ComplexPoly([-c, -eps_c])])
-        raw.append((f"m{k}", curve, [h1, h2, h3]))
+    runs = np.zeros((N, 4, 2, 3), dtype=np.complex128)
+    # Member k's curve (1, (z-a)^2): its derived map is (1, 2(z-a)), so the
+    # coordinate hyperplane (0, 1) is shared with identical zero set {a}.
+    runs[:, 0, 0, 0] = 1.0
+    runs[:, 0, 1] = np.stack([a * a, -2.0 * a, np.ones(N)], axis=1)
+    runs[:, 1, 1, 0] = 1.0
+    # The moving pair (1, +-(c + eps*z)) keeps both pairings zero-free on
+    # the region (|c + eps*z| * |z-a|^2 < 1 there) while their mutual
+    # determinant 2|c + eps*z| stays well above zero.
+    runs[:, 2:, 0, 0] = 1.0
+    runs[:, 2, 1, :2] = np.stack([c, np.full(N, eps_c)], axis=1)
+    runs[:, 3, 1, :2] = np.stack([-c, np.full(N, -eps_c)], axis=1)
 
-    a0 = float(centers[0])
+    a0 = float(a[0])
     if mutate == "delta":
         # Duplicate hyperplane: one vanishing determinant factor drives the
         # general-position product to zero identically.
-        label, curve, hypers = raw[0]
-        hypers = [hypers[0],
-                  MovingHyperplane([ComplexPoly.zero(), one]),
-                  hypers[2]]
-        raw[0] = (label, curve, hypers)
+        runs[0, 2] = runs[0, 1]
     elif mutate == "epsilon":
         # Member 0 becomes (1, q) with q = 5(z-a0)^2 + 4.55: at z0 = a0+0.7
         # both q and q' equal 7, so the hyperplane (7, -1) is hit by the
@@ -751,21 +733,18 @@ def _gen_wandering_shared(params: dict) -> Scene:
         # |f_0(z0)| = 1 < epsilon * |q(z0)| = 3.5 violates condition 2.
         # The flanking hyperplanes (+-20, -1) have no preimages in the
         # region for either curve.
-        q = ComplexPoly([5.0 * a0 * a0 + 4.55, -10.0 * a0, 5.0])
-        curve = ProjCurve([one, q])
-        hypers = [_fixed(20.0, -1.0), _fixed(7.0, -1.0), _fixed(-20.0, -1.0)]
-        raw[0] = (raw[0][0], curve, hypers)
+        runs[0, 0, 1] = [5.0 * a0 * a0 + 4.55, -10.0 * a0, 5.0]
+        runs[0, 1:] = 0.0
+        runs[0, 1:, :, 0] = [[20.0, -1.0], [7.0, -1.0], [-20.0, -1.0]]
     elif mutate == "cond1":
         # Perturbing (0,1) to (0.01, 1) splits the curve-side preimage into
         # a0 +- 0.1i while the derived-map side moves to a0 - 0.005: the
         # sets no longer match, but determinants and the epsilon bound are
         # barely disturbed.
-        label, curve, hypers = raw[0]
-        hypers = [MovingHyperplane([ComplexPoly([0.01]), one]),
-                  hypers[1], hypers[2]]
-        raw[0] = (label, curve, hypers)
+        runs[0, 1, 0, 0] = 0.01
 
-    return _assemble(n, region, raw, epsilon=0.5, delta=1e-4,
+    return _assemble(region, [f"m{k}" for k in range(N)], runs,
+                     epsilon=0.5, delta=1e-4,
                      metadata={"template": "wandering_shared",
                                "params": {"N": N, "seed": p["seed"],
                                           "mutate": mutate}})
@@ -776,12 +755,12 @@ def _gen_degenerate_position(params: dict) -> Scene:
                       "degenerate_position")
     t = p["t"]
     region = _template_region(p)
-    one = ComplexPoly.one()
-    curve = ProjCurve([one, ComplexPoly([0.0, 1.0])])
-    h3 = MovingHyperplane([ComplexPoly([-t, 1.0]), one])
-    raw = [("m0", curve,
-            [_fixed(1.0, 0.0), _fixed(0.0, 1.0), h3])]
-    return _assemble(1, region, raw, epsilon=0.5, delta=0.05,
+    # The curve (1, z) and the hyperplanes (1, 0), (0, 1) and (z - t, 1).
+    runs = np.zeros((1, 4, 2, 2), dtype=np.complex128)
+    runs[0, 0] = [[1.0, 0.0], [0.0, 1.0]]
+    runs[0, 1:, :, 0] = [[1.0, 0.0], [0.0, 1.0], [-t, 1.0]]
+    runs[0, 3, 0, 1] = 1.0
+    return _assemble(region, ["m0"], runs, epsilon=0.5, delta=0.05,
                      metadata={"template": "degenerate_position",
                                "params": {"t": [t.real, t.imag]}})
 

@@ -19,9 +19,10 @@ grid point only, and the product is bit-identical to a per-point sweep.
 ``position_sweeps`` takes every hyperplane tuple of a family at once.  The
 tuples that share n, q and K are one stack, swept in blocks of T whole
 tuples: one ``polyval_grid`` call gives their (T, q, n+1) coefficient
-matrices at the K nodes, one determinant call the (K, T, S) samples of
-their S subsets, one FFT the (T, S, K) coefficients, and one
-``polyval_grid`` call the (T, S, M) moduli on the M grid points.  A
+matrices at the K nodes, determinant calls the (K, T, S) samples of their
+S subsets, taken from ``itertools.combinations`` in blocks of at most
+``_EVAL_BLOCK`` determinants, one FFT the (T, S, K) coefficients, and
+``polyval_grid`` calls the (T, S, M) moduli on the M grid points.  A
 tuple's bits do not depend on the block it rides in.  ``position_sweep``
 is the one-tuple case.
 
@@ -159,10 +160,11 @@ class SubsetDeterminants:
     def of(cls, tuples: Sequence[Sequence[MovingHyperplane]], K: int,
            region: Region) -> "SubsetDeterminants":
         """Interpolate each det_s of the tuples, used as given, from K
-        samples: one ``polyval_grid`` call at the K nodes, one stacked
-        determinant over (K, T, S) and one FFT."""
+        samples: one ``polyval_grid`` call at the K nodes, the (K, T, S)
+        determinants in blocks of whole subsets of at most ``_EVAL_BLOCK``
+        determinants, at least one subset, and one FFT."""
         n, q = tuples[0][0].n, len(tuples[0])
-        subsets = list(itertools.combinations(range(q), n + 1))
+        subsets = itertools.combinations(range(q), n + 1)
         centre = complex(0.5 * (region.x_min + region.x_max),
                          0.5 * (region.y_min + region.y_max))
         radius = 0.5 * region.diameter
@@ -171,7 +173,12 @@ class SubsetDeterminants:
             [p for hypers in tuples for h in hypers for p in h.coeffs]), nodes)
         # (K, T, q, n+1): each tuple's coefficient matrix at each node.
         rows = rows.reshape(len(tuples), q, n + 1, K).transpose(3, 0, 1, 2)
-        samples = np.linalg.det(rows[:, :, subsets, :])  # (K, T, S)
+        samples = np.empty((K, len(tuples), math.comb(q, n + 1)),
+                           dtype=np.complex128)
+        step = max(1, _kernels._EVAL_BLOCK // (K * len(tuples)))
+        for s in range(0, samples.shape[2], step):
+            index = list(itertools.islice(subsets, step))
+            samples[:, :, s:s + step] = np.linalg.det(rows[:, :, index, :])
         poly = np.fft.fft(samples, axis=0) / K
         return cls(coeffs=np.ascontiguousarray(poly.transpose(1, 2, 0)),
                    centre=centre, radius=radius)

@@ -216,10 +216,11 @@ def normalized_many(tuples: Sequence[Sequence[ComplexPoly]],
     with ``polyval_grid``, in blocks of whole tuples of at most
     ``_EVAL_BLOCK`` values, at least one, which bounds memory.  A sup
     within 1e-12 of 1 snaps to the identity, keeping the tuple's own
-    polynomials, so normalizing twice is bitwise stable.  Any other tuple is multiplied by the complex number 1/sup, all
-    of them with one ``ComplexPoly.from_rows`` call; a factor that is not
-    finite (a sup that is 0 or subnormal, or that overflowed) is 0, so the
-    tuple scales to zero.  The results are not checked again: scaling
+    polynomials, so normalizing twice is bitwise stable.  Any other tuple
+    is multiplied by the complex number 1/sup, all of them with one
+    ``ComplexPoly.from_rows`` call; a factor that is not finite (a sup
+    that is 0 or subnormal, or that overflowed) is 0, so the tuple scales
+    to zero.  The results are not checked again: scaling
     keeps the no-common-zero invariant up to rounding, and a caller that
     must hold it for every input tests them with ``first_common_zero``.
     """

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from projcurve import _kernels, harness, normality, position
+from projcurve import (_kernels, harness, normality, position,
+                       projective, sharing)
 from projcurve.cli import main as cli_main
 from projcurve.errors import (BadParams, ParseError, UnknownTemplate,
                               ValidationError)
@@ -347,6 +348,38 @@ class TestTemplates:
         assert scene.config.delta.hex() == (ud.value / 2.0).hex()
         assert math.isinf(scene.config.delta) == (n >= 5)
 
+    @pytest.mark.parametrize("template, params", [
+        *(("wandering_shared", {"mutate": mutate})
+          for mutate in ("none", "delta", "epsilon", "cond1")),
+        ("degenerate_position", {}),
+        *((template, {"n": n}) for template in ("montel_omitting",
+                                                "blowup_linear")
+          for n in (1, 2, 3)),
+        ("blowup_linear", {"n": 3, "N": 50}),
+    ])
+    def test_generated_scene_is_its_reloaded_file(self, monkeypatch,
+                                                  template, params):
+        # A template takes the loader's last pass: one first_common_zero
+        # call, and the scene its own file loads as, down to which member
+        # slots hold one hyperplane object.
+        calls = [count_calls(monkeypatch, module, "first_common_zero")
+                 for module in (harness, projective)]
+        scene = generate_scene(template, params)
+        assert sum(map(len, calls)) == 1
+        text = harness.scene_text(scene)
+        loaded = scene_from_json(json.loads(text))
+        assert harness.scene_text(loaded) == text
+        assert slot_partition(loaded) == slot_partition(scene)
+        assert loaded.config.delta.hex() == scene.config.delta.hex()
+        # The file holds the normalized coefficients, which its load scales
+        # by 1.  A hyperplane that the template gives at unit sup records
+        # just that; epsilon's (+-20, -1) and (7, -1) and degenerate's
+        # (z - t, 1) record the factor that made their coefficients.
+        for made, read in zip(normalizations(scene), normalizations(loaded)):
+            assert read["factor"] == 1.0
+            if made["factor"] == 1.0:
+                assert repr(made) == repr(read)
+
     def test_unknown(self):
         with pytest.raises(UnknownTemplate):
             generate_scene("nope")
@@ -584,6 +617,20 @@ def hyperplane_ids(scene):
     return {id(h) for m in scene.members for h in m.hyperplanes}
 
 
+def slot_partition(scene):
+    """Each (member, slot) as the first (member, slot) holding its
+    hyperplane object: equal for two scenes when their slots share objects
+    alike."""
+    first: dict = {}
+    return [[first.setdefault(id(h), (i, k))
+             for k, h in enumerate(m.hyperplanes)]
+            for i, m in enumerate(scene.members)]
+
+
+def normalizations(scene):
+    return [h.normalization for m in scene.members for h in m.hyperplanes]
+
+
 class TestSharedHyperplanes:
     """Identical hyperplanes are one object per scene, and stages do their
     work once per distinct hyperplane tuple."""
@@ -723,6 +770,20 @@ class TestSharedHyperplanes:
             assert set(entry) == {"label", "min", "argmin", "lower_bound",
                                   "consistent"}
             assert 0.0 <= entry["lower_bound"] <= entry["min"]
+
+    def test_generated_scene_shares_induced_curves(self, monkeypatch):
+        # The 12 members' (0, 1) hyperplanes are one object, so check hands
+        # marty_sups its induced curve once: 25 distinct curves, the
+        # shared one and two moving ones per member.
+        scene = generate_scene("wandering_shared", {"N": 12})
+        calls = count_calls(monkeypatch, sharing, "marty_sups")
+        report = run_pipeline(scene, which=("check",))
+        [(families, _)] = calls
+        assert len({id(f) for family in families for f in family}) == 25
+        loaded = scene_from_json(json.loads(harness.scene_text(scene)))
+        again = run_pipeline(loaded, which=("check",))
+        assert json_text(again[0]) == json_text(report[0])
+        assert again[1] == report[1]
 
     def test_check_sweeps_each_induced_curve_once(self, monkeypatch):
         # Every member lists member 0's hyperplanes: one fixed, whose

@@ -426,6 +426,34 @@ class TestBlockSize:
             monkeypatch.setattr(_kernels, "_EVAL_BLOCK", block)
             assert sweeps() == whole
 
+    def test_subset_determinants_in_blocks(self, monkeypatch):
+        # blowup_linear at n = 8 holds one fixed tuple of 17 hyperplanes,
+        # C(17, 9) = 24,310 subsets: more determinants than one block, from
+        # generating the scene on.  Its product overflows (ROADMAP item 2),
+        # so the interpolated determinants are compared too.
+        sizes = []
+        det = np.linalg.det
+
+        def counting(a):
+            sizes.append(math.prod(a.shape[:-2]))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
+        with np.errstate(over="ignore"):
+            scene = generate_scene("blowup_linear", {"n": 8, "N": 1,
+                                                     "grid_nx": 3,
+                                                     "grid_ny": 3})
+            hypers = scene.members[0].hyperplanes
+            got = [sweep_key(position_sweep(hypers, scene.region)),
+                   position.SubsetDeterminants.of(
+                       [hypers], 1, scene.region).coeffs.tobytes()]
+            assert sum(sizes) == 3 * 24310
+            assert max(sizes) <= _kernels._EVAL_BLOCK
+            monkeypatch.setattr(_kernels, "_EVAL_BLOCK", 1 << 15)
+            assert [sweep_key(position_sweep(hypers, scene.region)),
+                    position.SubsetDeterminants.of(
+                        [hypers], 1, scene.region).coeffs.tobytes()] == got
+
 
 def _random_tuples(rng, n, q, count):
     """``count`` tuples of q random hyperplanes of P^n with one pattern of
