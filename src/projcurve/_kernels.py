@@ -34,9 +34,11 @@ import functools
 import numpy as np
 
 # Complex values one polyval_grid call of a grid sweep may produce (256 KiB):
-# whole hyperplane tuples (subsets x points) or whole curves (components,
-# or curve and derivative rows, x points) per block, at least one.  Small
-# enough that a block stays in cache.  The Marty sweep splits a curve
+# whole curves (components, or curve and derivative rows, x points) per
+# block, or hyperplane subsets x points, of whole tuples or of one tuple's
+# subsets, where the general-position sweep takes at most as many
+# determinants per block too; at least one item.  Small enough that a
+# block stays in cache.  The Marty sweep splits a curve
 # larger than a block into runs of points: a blow-up curve of n = 3 at
 # 81 x 81 points is 52,488 values, four runs of at most 2,048 points.
 _EVAL_BLOCK = 1 << 14
@@ -137,6 +139,13 @@ def majorants(rows: np.ndarray, radii: np.ndarray) -> np.ndarray:
     result adds the absolute term and takes 1 + (2L + 12) u, which covers
     its own roundings too.  A sum past the float range is inf, or NaN where
     an inf power meets a zero coefficient, and no comparison passes on it.
+
+    ``normality._cell_bounds`` takes the product form, its rows sharing the
+    cells' radii.  ``enclose`` at rows' own centres (``projective``'s
+    exclusion test) and the slack of ``position.position_sweeps``, one
+    R = 1 per subset, take Horner's form, whose row has the same bits
+    whatever rows ride with it; a product may sum a row in another order
+    when the rows beside it change.
     """
     L = rows.shape[-1]
     with np.errstate(all="ignore"):

@@ -16,15 +16,16 @@ polynomial evaluation.  A fixed family has K = 1: one determinant per
 subset, a constant on the grid, so the sweep evaluates it at the first
 grid point only, and the product is bit-identical to a per-point sweep.
 
-``position_sweeps`` takes every hyperplane tuple of a family at once.  The
-tuples that share n, q and K are one stack, swept in blocks of T whole
-tuples: one ``polyval_grid`` call gives their (T, q, n+1) coefficient
-matrices at the K nodes, determinant calls the (K, T, S) samples of their
-S subsets, taken from ``itertools.combinations`` in blocks of at most
-``_EVAL_BLOCK`` determinants, one FFT the (T, S, K) coefficients, and
-``polyval_grid`` calls the (T, S, M) moduli on the M grid points.  A
-tuple's bits do not depend on the block it rides in.  ``position_sweep``
-is the one-tuple case.
+``position_sweeps`` takes every hyperplane tuple of a family at once, in
+one pass.  The tuples that share n, q and K are one stack, swept in blocks
+of T tuples: one ``polyval_grid`` call gives their (T, q, n+1) coefficient
+matrices at the K nodes.  Their S subsets, taken from
+``itertools.combinations`` as they are needed, go in blocks of s: per
+block one determinant call gives the (K, T, s) samples, one FFT the
+coefficients, and one ``polyval_grid`` call the moduli on the M grid
+points.  A block holds at most ``_EVAL_BLOCK`` determinants and grid
+values, so no array spans every subset, and a tuple's bits do not depend
+on the block it rides in.  ``position_sweep`` is the one-tuple case.
 
 All measures are computed on normalized hyperplane representatives (unit sup
 coefficient norm); unnormalized inputs are normalized on the fly, fixed ones
@@ -116,24 +117,25 @@ class Region:
 
 def _canonical(tuples: Sequence[Sequence[MovingHyperplane]], region: Region
                ) -> list[tuple[MovingHyperplane, ...]]:
-    """The tuples with a normalization in force on every hyperplane,
-    normalizing the others, if any, with one ``normalized_many`` call."""
+    """The tuples with every hyperplane normalized, normalizing the others,
+    if any, with one ``normalized_many`` call."""
     raw = [h.coeffs for hypers in tuples for h in hypers
-           if h.normalization is None]
+           if not h.is_normalized]
     done = iter(normalized_many(raw, region) if raw else ())
-    return [tuple(h if h.normalization is not None else next(done)
-                  for h in hypers) for hypers in tuples]
+    return [tuple(h if h.is_normalized else next(done) for h in hypers)
+            for hypers in tuples]
 
 
 # ---------------------------------------------------------------------------
 # determinant measures
 # ---------------------------------------------------------------------------
 
-# The radius of the disc |u| <= 1 that holds the region, for ``majorants``.
-_UNIT = np.ones(1)
-
-
-def _check_family(hypers: Sequence[MovingHyperplane], n: int) -> None:
+def _family_n(hypers: Sequence[MovingHyperplane]) -> int:
+    """The n of a hyperplane tuple, which must hold at least n+1
+    hyperplanes, all of P^n."""
+    if not hypers:
+        raise WrongCount("need at least n+1 hyperplanes, got 0")
+    n = hypers[0].n
     if len(hypers) < n + 1:
         raise WrongCount(
             f"need at least {n + 1} hyperplanes, got {len(hypers)}")
@@ -141,47 +143,7 @@ def _check_family(hypers: Sequence[MovingHyperplane], n: int) -> None:
         if h.n != n:
             raise DimensionMismatch(
                 f"hyperplane dimension {h.n} does not match n={n}")
-
-
-@dataclass(frozen=True)
-class SubsetDeterminants:
-    """Every (n+1)-subset determinant of T hyperplane tuples that share n,
-    their count q and K, as polynomials in u.
-
-    ``coeffs[t, s]`` holds det_s of tuple t ascending in
-    u = (z - centre) / radius, subsets in ``itertools.combinations`` order.
-    """
-
-    coeffs: np.ndarray
-    centre: complex
-    radius: float
-
-    @classmethod
-    def of(cls, tuples: Sequence[Sequence[MovingHyperplane]], K: int,
-           region: Region) -> "SubsetDeterminants":
-        """Interpolate each det_s of the tuples, used as given, from K
-        samples: one ``polyval_grid`` call at the K nodes, the (K, T, S)
-        determinants in blocks of whole subsets of at most ``_EVAL_BLOCK``
-        determinants, at least one subset, and one FFT."""
-        n, q = tuples[0][0].n, len(tuples[0])
-        subsets = itertools.combinations(range(q), n + 1)
-        centre = complex(0.5 * (region.x_min + region.x_max),
-                         0.5 * (region.y_min + region.y_max))
-        radius = 0.5 * region.diameter
-        nodes = centre + radius * np.exp(2j * np.pi * np.arange(K) / K)
-        rows = polyval_grid(stack_coeffs(
-            [p for hypers in tuples for h in hypers for p in h.coeffs]), nodes)
-        # (K, T, q, n+1): each tuple's coefficient matrix at each node.
-        rows = rows.reshape(len(tuples), q, n + 1, K).transpose(3, 0, 1, 2)
-        samples = np.empty((K, len(tuples), math.comb(q, n + 1)),
-                           dtype=np.complex128)
-        step = max(1, _kernels._EVAL_BLOCK // (K * len(tuples)))
-        for s in range(0, samples.shape[2], step):
-            index = list(itertools.islice(subsets, step))
-            samples[:, :, s:s + step] = np.linalg.det(rows[:, :, index, :])
-        poly = np.fft.fft(samples, axis=0) / K
-        return cls(coeffs=np.ascontiguousarray(poly.transpose(1, 2, 0)),
-                   centre=centre, radius=radius)
+    return n
 
 
 @dataclass(frozen=True)
@@ -205,28 +167,29 @@ def position_sweeps(tuples: Sequence[Sequence[MovingHyperplane]],
     product, a lower bound of the product on the whole region and the
     product on the grid.
 
-    Hyperplanes without a normalization record are normalized against the
-    region first.  Each point of the region lies within h (half a cell
-    diagonal, in u) of a grid point, where det_s is evaluated, so the grid
-    minimum of prod_s max(0, |det_s| - slack_s) is a bound, with slack_s =
+    Hyperplanes not yet normalized are normalized against the region
+    first.  Each point of the region lies within h (half a cell diagonal,
+    in u) of a grid point, where det_s is evaluated, so the grid minimum of
+    prod_s max(0, |det_s| - slack_s) is a bound, with slack_s =
     h ``majorants``(det_s', 1) + ``horner_error`` at R = 1, the mean-value
-    bound on |u| <= 1 and the rounding of the grid value.  A fixed family
-    has constant det_s, whose slack is 0, so its bound equals the grid
-    minimum, and its products, constant on the grid, are taken at the
-    first grid point only.
+    bound on |u| <= 1 and the rounding of the grid value.  The majorants
+    take Horner's form, one radius per subset, so a subset's slack does not
+    depend on the subsets beside it.  A fixed family has constant det_s,
+    whose slack is 0, so its bound is its grid minimum, and its products,
+    constant on the grid, are taken at the first grid point only.
 
-    The tuples that share n, q and K are one stack, swept in blocks of
-    whole tuples of at most ``_EVAL_BLOCK`` subset values on the grid; a
-    tuple larger than that is swept alone, its subsets split into blocks.
-    Both products are one ``np.multiply.reduce`` over a block's subsets,
-    the running product folded into its first subset, so no bit of a
-    tuple's sweep depends on the block size or on the other tuples.
+    The tuples that share n, q and K are one stack, swept in blocks of T
+    tuples and s subsets, at most ``_EVAL_BLOCK`` determinants (K T s) and
+    ``_EVAL_BLOCK`` grid values (T s M), at least one subset: whole tuples,
+    or one tuple too large for that alone, its subsets split.  Both
+    products are one ``np.multiply.reduce`` over a block's subsets, the
+    running product folded into its first subset, so no bit of a tuple's
+    sweep depends on the block size or on the other tuples.
     """
     tuples = _canonical(tuples, region)
     groups: dict[tuple[int, int, int], list[int]] = {}
     for t, hypers in enumerate(tuples):
-        n = hypers[0].n
-        _check_family(hypers, n)
+        n = _family_n(hypers)
         degrees = sorted(max(p.coeffs.size for p in h.coeffs) - 1
                          for h in hypers)
         K = sum(degrees[-(n + 1):]) + 1
@@ -234,43 +197,51 @@ def position_sweeps(tuples: Sequence[Sequence[MovingHyperplane]],
     pts = region.grid_points()
     cell = math.hypot((region.x_max - region.x_min) / (region.grid_nx - 1),
                       (region.y_max - region.y_min) / (region.grid_ny - 1))
+    centre = complex(0.5 * (region.x_min + region.x_max),
+                     0.5 * (region.y_min + region.y_max))
+    radius = 0.5 * region.diameter
     out: list = [None] * len(tuples)
     for (n, q, K), stack in groups.items():
         S = math.comb(q, n + 1)
         # A fixed tuple's determinants are constants, so its products are
         # the same at every grid point: the first point gives their bits.
         M = pts.shape[0] if K > 1 else 1
-        # Whole tuples per block, or one tuple in blocks of `step` subsets.
-        per = _kernels._EVAL_BLOCK // (S * M)
-        step = S if per else max(1, _kernels._EVAL_BLOCK // M)
-        per = max(per, 1)
+        u = (pts[:M] - centre) / radius
+        nodes = centre + radius * np.exp(2j * np.pi * np.arange(K) / K)
+        # At most _EVAL_BLOCK determinants (K T s) and grid values (T s M)
+        # per block: whole tuples, or one tuple in blocks of `step` subsets.
+        width = max(1, _kernels._EVAL_BLOCK // max(K, M))
+        per, step = (width // S, S) if width >= S else (1, width)
         for a in range(0, len(stack), per):
             block = stack[a:a + per]
-            dets = SubsetDeterminants.of([tuples[t] for t in block], K,
-                                         region)
-            coeffs = dets.coeffs
-            # A fixed tuple's constant determinants have no slack.  The
-            # majorants of (T, S, K) stacks are one product per tuple, with
-            # the tuple's own bits; one (T*S, K) product would not keep
-            # them: OpenBLAS sums some rows in another order.
-            slack = np.zeros(coeffs.shape[:2])
-            if K > 1:
-                slack = (0.5 * cell / dets.radius * majorants(
-                    coeffs[:, :, 1:] * np.arange(1, K), _UNIT)[..., 0]
-                    + horner_error(majorants(coeffs, _UNIT)[..., 0], K, 1.0))
-            u = (pts[:M] - dets.centre) / dets.radius
-            vals = np.ones((len(block), M))
-            low = np.ones((len(block), M))
-            for s in range(0, S, step):
-                mod = np.abs(polyval_grid(
-                    coeffs[:, s:s + step].reshape(-1, K), u)
-                ).reshape(len(block), -1, M)
-                bound = np.maximum(mod - slack[:, s:s + step, None], 0.0)
+            T = len(block)
+            # (K, T, q, n+1): each tuple's coefficient matrix at each node.
+            rows = polyval_grid(stack_coeffs(
+                [p for t in block for h in tuples[t] for p in h.coeffs]),
+                nodes).reshape(T, q, n + 1, K).transpose(3, 0, 1, 2)
+            subsets = itertools.combinations(range(q), n + 1)
+            vals = np.ones((T, M))
+            low = np.ones((T, M))
+            for _ in range(0, S, step):
+                index = list(itertools.islice(subsets, step))
+                # Each det_s ascending in u from its K samples, one row per
+                # (tuple, subset).
+                coeffs = (np.fft.fft(np.linalg.det(rows[:, :, index]), axis=0)
+                          / K).transpose(1, 2, 0).reshape(-1, K)
+                mod = np.abs(polyval_grid(coeffs, u)).reshape(T, -1, M)
+                if K > 1:
+                    unit = np.ones((coeffs.shape[0], 1))
+                    slack = (0.5 * cell / radius * majorants(
+                        coeffs[:, 1:] * np.arange(1, K), unit)[:, 0]
+                        + horner_error(majorants(coeffs, unit)[:, 0], K, 1.0))
+                    bound = np.maximum(mod - slack.reshape(T, -1, 1), 0.0)
+                    bound[:, 0] *= low
+                    low = np.multiply.reduce(bound, axis=1)
                 mod[:, 0] *= vals
-                bound[:, 0] *= low
                 vals = np.multiply.reduce(mod, axis=1)
-                low = np.multiply.reduce(bound, axis=1)
             if K == 1:
+                # The bound of constant determinants is their product.
+                low = vals
                 vals = np.repeat(vals, pts.shape[0], axis=1)
             # The first grid point reaching each minimum.
             at = np.argmin(vals, axis=1).tolist()

@@ -156,12 +156,12 @@ def family_n(curves: Sequence[ProjCurve]) -> int | None:
 class MovingHyperplane:
     """A hyperplane with polynomial coefficients, nowhere all zero.
 
-    ``normalization`` records how the representative was scaled (None if it
-    never was); determinant measures require normalized representatives to be
-    well-defined numbers.
+    ``is_normalized`` says whether the representative came from
+    ``normalized_many``; determinant measures require normalized
+    representatives to be well-defined numbers.
     """
 
-    __slots__ = ("_coeffs", "_normalization")
+    __slots__ = ("_coeffs", "_normalized")
 
     def __init__(self, coeffs: Sequence[ComplexPoly]) -> None:
         cf = tuple(coeffs)
@@ -170,7 +170,7 @@ class MovingHyperplane:
         if first_common_zero([cf]) is not None:
             raise tuple_error(cf, "coefficient")
         self._coeffs = cf
-        self._normalization = None
+        self._normalized = False
 
     @property
     def coeffs(self) -> tuple[ComplexPoly, ...]:
@@ -185,8 +185,8 @@ class MovingHyperplane:
         return all(p.is_constant for p in self._coeffs)
 
     @property
-    def normalization(self) -> dict | None:
-        return self._normalization
+    def is_normalized(self) -> bool:
+        return self._normalized
 
     def normalized(self, region) -> "MovingHyperplane":
         """``normalized_many`` of this hyperplane alone."""
@@ -207,8 +207,8 @@ class MovingHyperplane:
 def normalized_many(tuples: Sequence[Sequence[ComplexPoly]],
                     region) -> list[MovingHyperplane]:
     """The hyperplane of each coefficient tuple, rescaled so the sup over
-    the region's grid of its largest coefficient modulus is 1, with the
-    factor applied recorded as its ``normalization``.
+    the region's grid of its largest coefficient modulus is 1, and marked
+    ``is_normalized``.
 
     ``region`` is anything with a ``grid_points()`` method returning the
     sample points.  A fixed tuple's coefficients are its values
@@ -255,15 +255,10 @@ def normalized_many(tuples: Sequence[Sequence[ComplexPoly]],
         rows[scaled] * np.repeat(factor, sizes)[scaled, None]
         .astype(np.complex128)))
     out = []
-    for t, s, f, keep in zip(tuples, sup.tolist(), factor.tolist(),
-                             snap.tolist()):
+    for t, keep in zip(tuples, snap.tolist()):
         h = MovingHyperplane.__new__(MovingHyperplane)
-        if keep:
-            h._coeffs = t
-            h._normalization = {"factor": 1.0, "sup_before": s}
-        else:
-            h._coeffs = tuple(next(polys) for _ in t)
-            h._normalization = {"factor": f, "sup_before": s}
+        h._coeffs = t if keep else tuple(next(polys) for _ in t)
+        h._normalized = True
         out.append(h)
     return out
 

@@ -285,7 +285,7 @@ class TestSceneIO:
     def test_normalized_on_load(self):
         scene = scene_from_json(minimal_scene_dict())
         for h in scene.members[0].hyperplanes:
-            assert h.normalization is not None
+            assert h.is_normalized
 
     def test_saved_config_holds_epsilon_and_delta(self):
         data = scene_to_json(generate_scene("wandering_shared"))
@@ -371,14 +371,9 @@ class TestTemplates:
         assert harness.scene_text(loaded) == text
         assert slot_partition(loaded) == slot_partition(scene)
         assert loaded.config.delta.hex() == scene.config.delta.hex()
-        # The file holds the normalized coefficients, which its load scales
-        # by 1.  A hyperplane that the template gives at unit sup records
-        # just that; epsilon's (+-20, -1) and (7, -1) and degenerate's
-        # (z - t, 1) record the factor that made their coefficients.
-        for made, read in zip(normalizations(scene), normalizations(loaded)):
-            assert read["factor"] == 1.0
-            if made["factor"] == 1.0:
-                assert repr(made) == repr(read)
+        # The file holds the normalized coefficients, which its load keeps.
+        assert normalizations(loaded) == normalizations(scene)
+        assert all(flag for flag, _ in normalizations(scene))
 
     def test_unknown(self):
         with pytest.raises(UnknownTemplate):
@@ -542,7 +537,7 @@ class TestPipeline:
         assert scene.config.region == region
         for m in scene.members:
             for h in m.hyperplanes:
-                assert h.normalization is not None
+                assert h.is_normalized
 
     def test_schema_version_present(self):
         scene = generate_scene("wandering_shared")
@@ -570,21 +565,6 @@ def record_swept(monkeypatch):
     return swept
 
 
-def record_interpolated(monkeypatch):
-    """Every hyperplane tuple whose subset determinants are interpolated,
-    in the order the stacked calls receive them."""
-    received = []
-    of = position.SubsetDeterminants.of
-
-    def recording(tuples, K, region):
-        received.extend(tuples)
-        return of(tuples, K, region)
-
-    monkeypatch.setattr(position.SubsetDeterminants, "of",
-                        staticmethod(recording))
-    return received
-
-
 def count_calls(monkeypatch, owner, name):
     """Record each call of owner.name, a function or an instance method."""
     calls = []
@@ -596,6 +576,13 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def determinants(monkeypatch):
+    """A function giving the number of matrices that ``np.linalg.det``
+    has taken since this call, wherever the package calls it."""
+    calls = count_calls(monkeypatch, np.linalg, "det")
+    return lambda: sum(math.prod(a.shape[:-2]) for a, in calls)
 
 
 def count_normalized(monkeypatch):
@@ -628,7 +615,9 @@ def slot_partition(scene):
 
 
 def normalizations(scene):
-    return [h.normalization for m in scene.members for h in m.hyperplanes]
+    """Each hyperplane's flag and coefficient bytes, member by member."""
+    return [(h.is_normalized, [p.coeffs.tobytes() for p in h.coeffs])
+            for m in scene.members for h in m.hyperplanes]
 
 
 class TestSharedHyperplanes:
@@ -723,10 +712,13 @@ class TestSharedHyperplanes:
                  for stage in ("position", "check")}
         # position interpolates each of the 12 distinct tuples once, and
         # check none again.
-        received = record_interpolated(monkeypatch)
+        taken = determinants(monkeypatch)
+        position.position_sweeps([m.hyperplanes for m in scene.members],
+                                 scene.region)
+        once = taken()
         report, code = run_pipeline(scene, which=("position", "check"))
         assert code == 0
-        assert received == [m.hyperplanes for m in scene.members]
+        assert taken() == 2 * once
         assert json.dumps(report["stages"], sort_keys=True) == \
             json.dumps(alone, sort_keys=True)
 
@@ -740,15 +732,17 @@ class TestSharedHyperplanes:
                                    "grid_ny": 11}), path)
         scene = load_scene(path)
         shared = scene.members[0].hyperplanes
-        received = record_interpolated(monkeypatch)
+        taken = determinants(monkeypatch)
+        position.position_sweep(shared, scene.region)
+        # C(5, 3) = 10 subsets of the one fixed tuple, one node each.
+        assert taken() == 10
         report, _ = run_pipeline(scene, which=("check",))
-        assert received == [shared]
+        assert taken() == 20
         assert len(report["stages"]["check"]["members"]) == 30
-        received.clear()
         sweeps = count_calls(monkeypatch, harness, "position_sweeps")
         report, _ = run_pipeline(scene, which=("position",),
                                  csv_dir=str(tmp_path / "csv"))
-        assert received == [shared]
+        assert taken() == 30
         assert [list(tuples) for tuples, _ in sweeps] == [[shared]]
         assert len(report["stages"]["position"]["per_member"]) == 30
         rows = (tmp_path / "csv" / "position.csv").read_text().splitlines()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projcurve import _kernels, config, position
+from projcurve import _kernels, config
 from projcurve.errors import WrongCount
 from projcurve._kernels import polyval_grid
 from projcurve.harness import generate_scene, rebuild_scene, run_pipeline
@@ -108,6 +108,12 @@ class TestGenPosDet:
     def test_wrong_count(self):
         with pytest.raises(WrongCount):
             position_sweep(coordinate_hyperplanes(1)[:1], SMALL)
+
+    def test_empty_tuple(self):
+        with pytest.raises(WrongCount):
+            position_sweep([], SMALL)
+        with pytest.raises(WrongCount):
+            position_sweeps([coordinate_hyperplanes(1), ()], SMALL)
 
     def test_moving_example(self):
         # rows (1, z) and (0, 1): determinant is the normalization factor
@@ -378,7 +384,7 @@ class TestFixedFamiliesExact:
         sup = float(np.abs(polyval_grid(stack_coeffs(h.coeffs), pts)).max())
         factor = 1.0 if abs(sup - 1.0) <= 1e-12 else 1.0 / sup
         got = h.normalized(region)
-        assert got.normalization == {"factor": factor, "sup_before": sup}
+        assert got.is_normalized
         for p, q in zip(got.coeffs, h.coeffs):
             expect = (q.coeffs if factor == 1.0 else
                       ComplexPoly(q.coeffs * complex(factor)).coeffs)
@@ -430,29 +436,49 @@ class TestBlockSize:
         # blowup_linear at n = 8 holds one fixed tuple of 17 hyperplanes,
         # C(17, 9) = 24,310 subsets: more determinants than one block, from
         # generating the scene on.  Its product overflows (ROADMAP item 2),
-        # so the interpolated determinants are compared too.
-        sizes = []
-        det = np.linalg.det
-
-        def counting(a):
-            sizes.append(math.prod(a.shape[:-2]))
-            return det(a)
-
-        monkeypatch.setattr(np.linalg, "det", counting)
+        # so the determinants are compared too.
         with np.errstate(over="ignore"):
             scene = generate_scene("blowup_linear", {"n": 8, "N": 1,
                                                      "grid_nx": 3,
                                                      "grid_ny": 3})
             hypers = scene.members[0].hyperplanes
-            got = [sweep_key(position_sweep(hypers, scene.region)),
-                   position.SubsetDeterminants.of(
-                       [hypers], 1, scene.region).coeffs.tobytes()]
-            assert sum(sizes) == 3 * 24310
-            assert max(sizes) <= _kernels._EVAL_BLOCK
+            dets = record_outputs(monkeypatch, np.linalg, "det")
+            got = sweep_key(position_sweep(hypers, scene.region))
+            taken = np.concatenate([d.ravel() for d in dets])
+            assert taken.size == 24310
+            assert len(dets) > 1
+            dets.clear()
             monkeypatch.setattr(_kernels, "_EVAL_BLOCK", 1 << 15)
-            assert [sweep_key(position_sweep(hypers, scene.region)),
-                    position.SubsetDeterminants.of(
-                        [hypers], 1, scene.region).coeffs.tobytes()] == got
+            assert sweep_key(position_sweep(hypers, scene.region)) == got
+        assert len(dets) == 1
+        assert dets[0].tobytes() == taken.tobytes()
+
+    def test_no_call_spans_every_subset(self, monkeypatch):
+        # Each determinant and FFT call of the n = 8 sweep, from generating
+        # the scene on, takes at most one block of its 24,310 subsets.
+        dets = record_outputs(monkeypatch, np.linalg, "det")
+        ffts = record_outputs(monkeypatch, np.fft, "fft")
+        with np.errstate(over="ignore"):
+            scene = generate_scene("blowup_linear", {"n": 8, "N": 1,
+                                                     "grid_nx": 3,
+                                                     "grid_ny": 3})
+            position_sweep(scene.members[0].hyperplanes, scene.region)
+        for calls in (dets, ffts):
+            assert sum(a.size for a in calls) == 2 * 24310
+            assert max(a.size for a in calls) <= _kernels._EVAL_BLOCK
+
+
+def record_outputs(monkeypatch, owner, name):
+    """Every array that owner.name returns, in call order."""
+    outputs = []
+    original = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        outputs.append(original(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(owner, name, recording)
+    return outputs
 
 
 def _random_tuples(rng, n, q, count):

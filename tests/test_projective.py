@@ -310,8 +310,11 @@ class TestMovingHyperplane:
         sup = float(np.abs(polyval_grid(stack_coeffs(h.coeffs),
                                         region.grid_points())).max())
         assert abs(sup - 1.0) <= 1e-12
-        assert h.normalization is not None
-        assert abs(h.normalization["factor"] - 1.0 / 3.0) <= 1e-15
+        assert h.is_normalized
+        # Both entries scaled by the complex factor 1/3.
+        third = complex(1.0 / 3.0)
+        assert [p.coeffs.tolist() for p in h.coeffs] == [[3.0 * third],
+                                                        [0j, third]]
 
     def test_normalized_idempotent(self):
         region = Region(-1, 1, -1, 1, 11, 11)
@@ -325,19 +328,18 @@ def normalized_one(coeffs, region):
     """The normalization of one hyperplane by its definition: its values on
     the grid (its coefficients when fixed), their largest modulus, the
     snap to 1 within 1e-12, else the complex factor 1/sup, which is 0 when
-    not finite.  Returns the coefficient tuple and the normalization."""
+    not finite.  Returns the coefficient tuple and the factor."""
     rows = stack_coeffs(coeffs)
     if not all(p.is_constant for p in coeffs):
         rows = polyval_grid(rows, region.grid_points())
     sup = float(np.max(np.abs(rows)))
     if abs(sup - 1.0) <= 1e-12:
-        return tuple(coeffs), {"factor": 1.0, "sup_before": sup}
+        return tuple(coeffs), 1.0
     factor = 1.0 / sup if sup > 0.0 else math.inf
     if not math.isfinite(factor):
         factor = 0.0
     return (tuple(ComplexPoly.from_rows(stack_coeffs(coeffs)
-                                        * complex(factor))),
-            {"factor": factor, "sup_before": sup})
+                                        * complex(factor))), factor)
 
 
 # Coefficient values: small integers, signed zeros, generic doubles, and
@@ -362,9 +364,9 @@ def hyperplane_tuples(draw, n):
                                   for _ in range(size)]))
     assume(not all(p.is_zero for p in polys))
     if draw(st.booleans()):
-        _, norm = normalized_one(polys, NORM_REGION)
+        _, factor = normalized_one(polys, NORM_REGION)
         nudge = 1.0 + draw(st.floats(-9e-13, 9e-13))
-        polys = [ComplexPoly(p.coeffs * complex(nudge * norm["factor"]))
+        polys = [ComplexPoly(p.coeffs * complex(nudge * factor))
                  for p in polys]
     return polys
 
@@ -395,8 +397,8 @@ class TestNormalizedMany:
             got = normalized_many(tuples, NORM_REGION)
             want = [normalized_one(coeffs, NORM_REGION) for coeffs in tuples]
         assert len(got) == len(tuples)
-        for coeffs, h, (polys, norm) in zip(tuples, got, want):
-            assert repr(h.normalization) == repr(norm)
+        for coeffs, h, (polys, _) in zip(tuples, got, want):
+            assert h.is_normalized
             assert [(p.coeffs.shape, p.coeffs.tobytes()) for p in h.coeffs] \
                 == [(p.coeffs.shape, p.coeffs.tobytes()) for p in polys]
             assert [p is q for p, q in zip(h.coeffs, coeffs)] == \
@@ -407,7 +409,7 @@ class TestNormalizedMany:
             h = MovingHyperplane(coeffs)
             one = h.normalized(NORM_REGION)
             [many] = normalized_many([coeffs], NORM_REGION)
-            assert one.normalization == many.normalization
+            assert one.is_normalized and many.is_normalized
             assert one.coeffs == many.coeffs
 
     @pytest.mark.parametrize("coeffs, sup", [
@@ -421,8 +423,10 @@ class TestNormalizedMany:
         region = Region(-1, 1, -1, 1, 3, 3)
         with np.errstate(over="ignore", invalid="ignore"):
             [h] = normalized_many([coeffs], region)
-        assert repr(h.normalization) == repr({"factor": 0.0,
-                                              "sup_before": sup})
+            top = np.abs(polyval_grid(stack_coeffs(coeffs),
+                                      region.grid_points())).max()
+        assert repr(float(top)) == repr(sup)
+        assert h.is_normalized
         assert all(p.is_zero for p in h.coeffs)
         hypers = [{"n": 1, "coeffs": [p.to_json() for p in polys]}
                   for polys in ([ONE, ZERO_POLY], coeffs, [ONE, ONE])]

@@ -96,9 +96,12 @@ class TestMatchPointSets:
 
 def all_pairs_greedy(a, b, tau):
     """Greedy nearest-first matching over every candidate pair, sorted by
-    (distance, i, j) in Python: the oracle for ``_match_sets``."""
+    (distance, i, j) in Python: the oracle for ``_match_sets``.  The
+    distances are ``np.abs`` of complex128 differences, as there; Python's
+    ``abs`` of a complex can differ from it in the last bit, which turns a
+    near tie into an exact one."""
     cand = sorted(
-        (abs(pa - pb), i, j)
+        (float(np.abs(np.complex128(pa) - np.complex128(pb))), i, j)
         for i, pa in enumerate(a) for j, pb in enumerate(b))
     used_a: set[int] = set()
     used_b: set[int] = set()
@@ -127,6 +130,10 @@ class TestMatchOracle:
     @given(match_points, match_points,
            st.sampled_from([0.0, 1e-6, 0.25, 0.3, 0.5, 0.75, 2.0]))
     @settings(max_examples=300, deadline=None)
+    # abs() gives 0.12506102026236032 for both pairs (6, 6) and (6, 7),
+    # np.abs 0.12506102026236035 for (6, 6), so only np.abs breaks the tie.
+    @example([0j] * 6 + [0.00390625 + 0.125j],
+             [0j] * 6 + [-2.220446049250313e-16 + 0j, 0j], 0.25)
     def test_matches_all_pairs_greedy(self, a, b, tau):
         assert _match_sets([(a, b)], tau) == [all_pairs_greedy(a, b, tau)]
 
