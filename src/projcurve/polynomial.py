@@ -231,11 +231,12 @@ def _newton(P: np.ndarray, r: np.ndarray) -> np.ndarray:
     both = np.zeros((2 * K, L), dtype=np.complex128)
     both[:K] = P
     both[K:, :-1] = P[:, 1:] * np.arange(1, L)
-    vals = polyval_grid(both, np.concatenate([r, r]))
-    f, df = vals[:K], vals[K:]
-    cand = r - np.divide(f, df, out=np.zeros_like(f), where=df != 0)
-    # A refused step may overflow on its way to being refused.
+    # An overflow in the values, the divide or the residual ends in a step
+    # that the residual test refuses, so it goes unreported.
     with np.errstate(over="ignore", invalid="ignore"):
+        vals = polyval_grid(both, np.concatenate([r, r]))
+        f, df = vals[:K], vals[K:]
+        cand = r - np.divide(f, df, out=np.zeros_like(f), where=df != 0)
         better = np.abs(polyval_grid(P, cand)) < np.abs(f)
     return np.where(better, cand, r)
 
@@ -399,12 +400,24 @@ def _near_side(points: np.ndarray, holds: np.ndarray) -> np.ndarray:
     held[f, rank] = True
     dist = np.where(held[:, :, None] & held[:, None, :],
                     np.abs(pts[:, :, None] - pts[:, None, :]), np.inf)
-    # From the first root, the longest edge on the best path to each
-    # root, relaxed over paths of up to S - 1 edges; the largest is the
-    # cut edge.
-    reach = dist[:, 0]
-    for _ in range(S - 2):
-        reach = np.maximum(reach[:, :, None], dist).min(axis=1)
+    # Prim's tree grown from the first root: a root's minimax distance
+    # from it is the largest key taken up to the step where it joins, and
+    # the largest such distance is the cut edge.
+    at = np.arange(F)
+    key = dist[:, 0].copy()
+    joined = np.zeros((F, S), dtype=bool)
+    joined[:, 0] = True
+    reach = np.zeros((F, S))
+    top = np.zeros(F)
+    for _ in range(S - 1):
+        k = np.where(joined, np.inf, key).argmin(axis=1)
+        top = np.maximum(top, key[at, k])
+        reach[at, k] = top
+        joined[at, k] = True
+        key = np.minimum(key, dist[at, k])
+    # A group smaller than S runs out of roots and then takes the first
+    # root again (the argmin of a row of inf), which is 0 from itself.
+    reach[:, 0] = 0.0
     cut = np.where(held, reach, -np.inf).max(axis=1)
     near = np.zeros((F, D), dtype=bool)
     near[f, i] = (reach < cut[:, None])[f, rank]

@@ -23,7 +23,7 @@ matrices at the K nodes.  Their S subsets, taken from
 ``itertools.combinations`` as they are needed, go in blocks of s: per
 block one determinant call gives the (K, T, s) samples, one FFT the
 coefficients, and one ``polyval_grid`` call the moduli on the M grid
-points.  A block holds at most ``_EVAL_BLOCK`` determinants and grid
+points.  A block holds at most ``_EVAL_BLOCK`` matrix entries and grid
 values, so no array spans every subset, and a tuple's bits do not depend
 on the block it rides in.  ``position_sweep`` is the one-tuple case.
 
@@ -179,8 +179,8 @@ def position_sweeps(tuples: Sequence[Sequence[MovingHyperplane]],
     constant on the grid, are taken at the first grid point only.
 
     The tuples that share n, q and K are one stack, swept in blocks of T
-    tuples and s subsets, at most ``_EVAL_BLOCK`` determinants (K T s) and
-    ``_EVAL_BLOCK`` grid values (T s M), at least one subset: whole tuples,
+    tuples and s subsets, at most ``_EVAL_BLOCK`` matrix entries (K T s
+    (n+1)^2) and grid values (T s M), at least one subset: whole tuples,
     or one tuple too large for that alone, its subsets split.  Both
     products are one ``np.multiply.reduce`` over a block's subsets, the
     running product folded into its first subset, so no bit of a tuple's
@@ -208,9 +208,9 @@ def position_sweeps(tuples: Sequence[Sequence[MovingHyperplane]],
         M = pts.shape[0] if K > 1 else 1
         u = (pts[:M] - centre) / radius
         nodes = centre + radius * np.exp(2j * np.pi * np.arange(K) / K)
-        # At most _EVAL_BLOCK determinants (K T s) and grid values (T s M)
-        # per block: whole tuples, or one tuple in blocks of `step` subsets.
-        width = max(1, _kernels._EVAL_BLOCK // max(K, M))
+        # At most _EVAL_BLOCK matrix entries (K T s (n+1)^2) and grid values
+        # (T s M) per block: whole tuples, or one in blocks of `step` subsets.
+        width = max(1, _kernels._EVAL_BLOCK // max(K * (n + 1) ** 2, M))
         per, step = (width // S, S) if width >= S else (1, width)
         for a in range(0, len(stack), per):
             block = stack[a:a + per]

@@ -17,7 +17,7 @@ nearest-neighbor with mutual-nearest acceptance within
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .derived import derived_maps
 from .errors import IdenticallyZero, WrongCount, ValidationError
 from .normality import marty_sups
 from .polynomial import roots_many, stack_coeffs, trimmed_lengths
-from .position import Region, UniformDelta, position_sweeps
+from .position import Region, position_sweeps
 from .projective import (MovingHyperplane, ProjCurve, family_n,
                          induced_curve, pair_rows)
 
@@ -168,7 +168,8 @@ def _match_sets(sets: Sequence[tuple[Sequence[complex], Sequence[complex]]],
 def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
                        ) -> list[tuple[list[dict], dict]]:
     """Conditions 1 and 2 of every member of a nonempty family, whose
-    curves share one n (``family_n``).
+    curves share one n (``family_n``): per member, its report entry's
+    ``condition1`` list and ``condition2`` dict.
 
     Condition 1, per hyperplane: the curve's and the derived map's preimage
     zero SETS are equal.  Only set equality is tested; the curves are
@@ -181,7 +182,10 @@ def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
     contraction of the curves and the derived maps with their
     hyperplanes, one ``roots_many`` call over all 2(2n+1) pairings of
     every member, one ``_match_sets`` call over all of them, and one
-    ``polyval_grid`` call for condition 2.
+    ``polyval_grid`` call for condition 2.  Every pairing zero becomes its
+    ``[re, im]`` pair in one ``_pairs`` call, and the condition-1 lists and
+    the witnesses' ``z`` hold those pairs; condition 2 evaluates the
+    components at the complex zeros.
 
     Members meet their defects in member order: the first pairing that
     vanishes identically raises IdenticallyZero naming its member and
@@ -215,121 +219,52 @@ def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
         derived_maps(curves[head:])  # raises FirstComponentZero
     matches = _match_sets(list(zip(zeros[0::2], zeros[1::2])),
                           cfg.match_tolerance)
-    # Every curve-side zero of each member, with its hyperplane.
-    found = [[(z, j) for j in range(H) for z in zeros[2 * (i * H + j)]]
+    points = _pairs(zeros)
+    # Every curve-side zero of each member, with its pair and hyperplane.
+    found = [[(z, p, j) for j in range(H)
+              for z, p in zip(zeros[2 * (i * H + j)],
+                              points[2 * (i * H + j)])]
              for i in range(len(members))]
     # Condition 2 evaluates every member's components at its own zeros in
     # one polyval_grid call, point lists zero-padded.
     at = np.zeros((len(members), max(map(len, found))), dtype=np.complex128)
     for row, zs in zip(at, found):
-        row[:len(zs)] = [z for z, _ in zs]
+        row[:len(zs)] = [z for z, _, _ in zs]
     mods = np.abs(polyval_grid(
         stack_coeffs([p for f in curves for p in f.components]),
         np.repeat(at, P, axis=0))).reshape(len(members), P, at.shape[1])
-    return [_member_conditions(zeros[2 * H * i: 2 * H * (i + 1)],
+    return [_member_conditions(points[2 * H * i: 2 * H * (i + 1)],
                                matches[H * i: H * (i + 1)], zs,
                                mod[:, :len(zs)], cfg)
             for i, (zs, mod) in enumerate(zip(found, mods))]
 
 
-def _member_conditions(zeros: list[list[complex]],
+def _member_conditions(points: list[list[list[float]]],
                        matches: list[tuple[list[tuple[int, int]],
                                            list[int], list[int]]],
-                       found: list[tuple[complex, int]], mods: np.ndarray,
-                       cfg: CheckConfig) -> tuple[list[dict], dict]:
-    """Conditions 1 and 2 of one member from its pairing zeros, curve and
-    derived map alternating per hyperplane, the matching of each
-    hyperplane's two zero sets, and the moduli ``mods`` of its components
-    at its curve-side zeros ``found`` (each with its hyperplane)."""
+                       found: list[tuple[complex, list[float], int]],
+                       mods: np.ndarray, cfg: CheckConfig
+                       ) -> tuple[list[dict], dict]:
+    """Conditions 1 and 2 of one member from its pairing zeros as
+    ``[re, im]`` pairs, curve and derived map alternating per hyperplane,
+    the matching of each hyperplane's two zero sets, and the moduli
+    ``mods`` of its components at its curve-side zeros ``found`` (each
+    with its pair and hyperplane)."""
     cond1 = []
     for j, (_, free_f, free_d) in enumerate(matches):
-        zf, zd = zeros[2 * j], zeros[2 * j + 1]
+        pf, pd = points[2 * j], points[2 * j + 1]
         cond1.append({
             "hyperplane": j,
             "passed": not free_f and not free_d,
-            "curve_only": [zf[i] for i in free_f],
-            "derived_only": [zd[i] for i in free_d],
+            "curve_only": [pf[i] for i in free_f],
+            "derived_only": [pd[i] for i in free_d],
         })
     lhs = mods[0].tolist()
     rhs = (cfg.epsilon * mods.max(axis=0)).tolist()
-    witnesses = [{"z": z, "hyperplane": j, "lhs": lo, "rhs": hi}
-                 for (z, j), lo, hi in zip(found, lhs, rhs) if lo < hi]
+    witnesses = [{"z": p, "hyperplane": j, "lhs": lo, "rhs": hi}
+                 for (_, p, j), lo, hi in zip(found, lhs, rhs) if lo < hi]
     return cond1, {"passed": not witnesses, "witnesses": witnesses,
                    "zeros_checked": len(found)}
-
-
-@dataclass
-class MemberVerdict:
-    label: str
-    delta: UniformDelta
-    delta_ok: bool
-    condition1: list[dict] = field(default_factory=list)
-    condition1_ok: bool = True
-    condition2: dict = field(default_factory=dict)
-    condition2_ok: bool = True
-
-    def point_lists(self) -> list[list[complex]]:
-        """Every list of points the report writes, in the order
-        ``ConditionReport.to_json`` reads them: each condition-1 entry's
-        two lists, then the witnesses' points."""
-        return [*(zs for v in self.condition1
-                  for zs in (v["curve_only"], v["derived_only"])),
-                [w["z"] for w in self.condition2.get("witnesses", [])]]
-
-
-@dataclass
-class ConditionReport:
-    """Aggregated verdicts for a whole family."""
-
-    members: list[MemberVerdict]
-    delta_estimate: float | None  # None for an empty family
-    delta_ok: bool
-    condition1_ok: bool
-    condition2_ok: bool
-    induced_normality: list[dict]
-    normality_ok: bool
-    overall: bool
-    warnings: list[str]
-
-    def to_json(self) -> dict:
-        # Every list of points from one array, read back in the order
-        # point_lists() gives them.
-        pairs = iter(_pairs([zs for m in self.members
-                             for zs in m.point_lists()]))
-        return {
-            "members": [{
-                "label": m.label,
-                "delta": {"min": m.delta.value,
-                          "argmin": [m.delta.argmin.real,
-                                     m.delta.argmin.imag]},
-                "delta_ok": m.delta_ok,
-                "condition1": [{
-                    "hyperplane": v["hyperplane"],
-                    "passed": v["passed"],
-                    "curve_only": next(pairs),
-                    "derived_only": next(pairs),
-                } for v in m.condition1],
-                "condition1_ok": m.condition1_ok,
-                "condition2": {
-                    "passed": m.condition2.get("passed", True),
-                    "zeros_checked": m.condition2.get("zeros_checked", 0),
-                    "witnesses": [{
-                        "z": z, "hyperplane": w["hyperplane"],
-                        "lhs": w["lhs"], "rhs": w["rhs"],
-                    } for w, z in zip(m.condition2.get("witnesses", []),
-                                      next(pairs))],
-                },
-                "condition2_ok": m.condition2_ok,
-            } for m in self.members],
-            "delta_estimate": self.delta_estimate,
-            "delta_ok": self.delta_ok,
-            "condition1_ok": self.condition1_ok,
-            "condition2_ok": self.condition2_ok,
-            "induced_normality": self.induced_normality,
-            "normality_ok": self.normality_ok,
-            "overall": self.overall,
-            "warnings": self.warnings,
-        }
 
 
 def _pairs(lists: list[list[complex]]) -> list[list[list[float]]]:
@@ -342,9 +277,39 @@ def _pairs(lists: list[list[complex]]) -> list[list[list[float]]]:
     return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
+@dataclass
+class ConditionReport:
+    """Aggregated verdicts for a whole family.
+
+    ``members`` holds each member's report entry, the plain JSON dict
+    ``hypotheses_check`` builds once: ``label``, ``delta`` (``min`` and
+    ``argmin`` as ``[re, im]``), ``delta_ok``, ``condition1`` (per
+    hyperplane, its ``curve_only`` and ``derived_only`` zeros as
+    ``[re, im]`` pairs), ``condition1_ok``, ``condition2`` (``passed``,
+    ``zeros_checked`` and ``witnesses``, each with its ``z`` as
+    ``[re, im]``) and ``condition2_ok``.  ``to_json`` returns those
+    entries as they are, with the other fields."""
+
+    members: list[dict]
+    delta_estimate: float | None  # None for an empty family
+    delta_ok: bool
+    condition1_ok: bool
+    condition2_ok: bool
+    induced_normality: list[dict]
+    normality_ok: bool
+    overall: bool
+    warnings: list[str]
+
+    def to_json(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
                      deltas: dict | None = None) -> ConditionReport:
-    """Run every hypothesis check and aggregate the verdicts.
+    """Run every hypothesis check and aggregate the verdicts: the
+    report's ``members`` are the members' report entries, each built here
+    once as the JSON dict ``ConditionReport.to_json`` returns (see
+    ``ConditionReport``).
 
     ``deltas`` maps hyperplane tuples to ``position_sweep(...)[0]``
     already taken on ``cfg.region``; the tuples it lacks are swept here
@@ -366,23 +331,25 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
             normality_ok=True, overall=True,
             warnings=["empty family: all hypotheses hold vacuously"])
 
-    verdicts: list[MemberVerdict] = []
     # Members holding the same hyperplane objects share one sweep.
     deltas = dict(deltas or {})
     missing = list(dict.fromkeys(m.hyperplanes for m in members
                                  if m.hyperplanes not in deltas))
     deltas.update(zip(missing, (sweep[0] for sweep in position_sweeps(
         missing, cfg.region))))
+    entries: list[dict] = []
     for m, (c1, c2) in zip(members, _family_conditions(members, cfg)):
-        verdicts.append(MemberVerdict(
-            label=m.label,
-            delta=deltas[m.hyperplanes],
-            delta_ok=deltas[m.hyperplanes].value > cfg.delta,
-            condition1=c1,
-            condition1_ok=all(v["passed"] for v in c1),
-            condition2=c2,
-            condition2_ok=c2["passed"],
-        ))
+        d = deltas[m.hyperplanes]
+        entries.append({
+            "label": m.label,
+            "delta": {"min": d.value,
+                      "argmin": [d.argmin.real, d.argmin.imag]},
+            "delta_ok": d.value > cfg.delta,
+            "condition1": c1,
+            "condition1_ok": all(v["passed"] for v in c1),
+            "condition2": c2,
+            "condition2_ok": c2["passed"],
+        })
 
     # One induced curve per distinct hyperplane object, and the families of
     # every hyperplane index in one marty_sups sweep, so a hyperplane that
@@ -398,13 +365,13 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
             "induced-family normality is inconclusive below "
             f"{config.MARTY_WINDOW} members")
 
-    delta_ok = all(v.delta_ok for v in verdicts)
-    c1_ok = all(v.condition1_ok for v in verdicts)
-    c2_ok = all(v.condition2_ok for v in verdicts)
+    delta_ok = all(e["delta_ok"] for e in entries)
+    c1_ok = all(e["condition1_ok"] for e in entries)
+    c2_ok = all(e["condition2_ok"] for e in entries)
     normality_ok = all(e["verdict"] != "blow-up" for e in induced)
     return ConditionReport(
-        members=verdicts,
-        delta_estimate=min(v.delta.value for v in verdicts),
+        members=entries,
+        delta_estimate=min(e["delta"]["min"] for e in entries),
         delta_ok=delta_ok,
         condition1_ok=c1_ok,
         condition2_ok=c2_ok,

@@ -606,6 +606,68 @@ class TestMultipleRoots:
                     assert abs(r - a) < half_reach
 
 
+def near_side_relaxed(points, holds):
+    """``polynomial._near_side`` by its definition: each root's minimax
+    distance from the group's first root, relaxed over paths of up to
+    S - 1 edges, and the roots below the largest of them."""
+    F, D = holds.shape
+    f, i = np.nonzero(holds)
+    rank = holds.cumsum(axis=1)[f, i] - 1
+    S = rank.max() + 1
+    pts = np.zeros((F, S), dtype=np.complex128)
+    pts[f, rank] = points[f, i]
+    held = np.zeros((F, S), dtype=bool)
+    held[f, rank] = True
+    dist = np.where(held[:, :, None] & held[:, None, :],
+                    np.abs(pts[:, :, None] - pts[:, None, :]), np.inf)
+    reach = dist[:, 0]
+    for _ in range(S - 2):
+        reach = np.maximum(reach[:, :, None], dist).min(axis=1)
+    cut = np.where(held, reach, -np.inf).max(axis=1)
+    near = np.zeros((F, D), dtype=bool)
+    near[f, i] = (reach < cut[:, None])[f, rank]
+    return near
+
+
+class TestNearSide:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_relaxation(self, seed):
+        # Groups of 3 to D roots in rows of D, some columns unheld; a third
+        # of the rows on a quarter-integer lattice, where distances tie.
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            F, D = rng.integers(1, 8), rng.integers(3, 13)
+            holds = np.zeros((F, D), dtype=bool)
+            for row in holds:
+                size = rng.integers(3, D + 1)
+                row[rng.choice(D, size, replace=False)] = True
+            points = rng.standard_normal((F, D)) + 1j * rng.standard_normal(
+                (F, D))
+            lattice = rng.random(F) < 1 / 3
+            points[lattice] = (rng.integers(-3, 4, (lattice.sum(), D))
+                               + 1j * rng.integers(-3, 4, (lattice.sum(), D))
+                               ) / 4
+            got = polynomial._near_side(points, holds)
+            assert (got == near_side_relaxed(points, holds)).all()
+            assert not (got & ~holds).any()
+
+
+class TestNewton:
+    def test_overflowing_step_refused_silently(self):
+        # 1 + z^300 overflows at 20, in its value and its derivative; the
+        # step from there is refused without a RuntimeWarning, and the step
+        # from beside the root e^(i pi/300) is taken.
+        P = np.zeros((1, 301), dtype=np.complex128)
+        P[0, [0, 300]] = 1.0
+        root = cmath.exp(1j * cmath.pi / 300)
+        r = np.array([[20.0, root * (1 + 1e-4)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = polynomial._newton(P, r)
+        assert got[0, 0] == 20.0
+        assert abs(got[0, 1] - root) < abs(r[0, 1] - root)
+
+
 class TestTaylorIndex:
     """The binomial table of the Taylor shift, built by Pascal's rule."""
 

@@ -434,9 +434,10 @@ class TestBlockSize:
 
     def test_subset_determinants_in_blocks(self, monkeypatch):
         # blowup_linear at n = 8 holds one fixed tuple of 17 hyperplanes,
-        # C(17, 9) = 24,310 subsets: more determinants than one block, from
-        # generating the scene on.  Its product overflows (ROADMAP item 2),
-        # so the determinants are compared too.
+        # C(17, 9) = 24,310 subsets of 9 x 9 entries: more than one block,
+        # from generating the scene on, and one block at 1 << 21 entries.
+        # Its product overflows (ROADMAP item 2), so the determinants are
+        # compared too.
         with np.errstate(over="ignore"):
             scene = generate_scene("blowup_linear", {"n": 8, "N": 1,
                                                      "grid_nx": 3,
@@ -448,16 +449,25 @@ class TestBlockSize:
             assert taken.size == 24310
             assert len(dets) > 1
             dets.clear()
-            monkeypatch.setattr(_kernels, "_EVAL_BLOCK", 1 << 15)
+            monkeypatch.setattr(_kernels, "_EVAL_BLOCK", 1 << 21)
             assert sweep_key(position_sweep(hypers, scene.region)) == got
         assert len(dets) == 1
         assert dets[0].tobytes() == taken.tobytes()
 
     def test_no_call_spans_every_subset(self, monkeypatch):
         # Each determinant and FFT call of the n = 8 sweep, from generating
-        # the scene on, takes at most one block of its 24,310 subsets.
+        # the scene on, takes at most one block of its 24,310 subsets, and
+        # each determinant call's input at most one block of matrix entries.
         dets = record_outputs(monkeypatch, np.linalg, "det")
         ffts = record_outputs(monkeypatch, np.fft, "fft")
+        entries = []
+        det = np.linalg.det
+
+        def counted(a):
+            entries.append(a.size)
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counted)
         with np.errstate(over="ignore"):
             scene = generate_scene("blowup_linear", {"n": 8, "N": 1,
                                                      "grid_nx": 3,
@@ -466,6 +476,8 @@ class TestBlockSize:
         for calls in (dets, ffts):
             assert sum(a.size for a in calls) == 2 * 24310
             assert max(a.size for a in calls) <= _kernels._EVAL_BLOCK
+        assert len(entries) == len(dets)
+        assert max(entries) <= _kernels._EVAL_BLOCK
 
 
 def record_outputs(monkeypatch, owner, name):

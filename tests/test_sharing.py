@@ -35,8 +35,8 @@ def preimage_zeros(curve, hyper, region):
 def conditions_alone(member, cfg):
     """Conditions 1 and 2 of one member, from ``hypotheses_check`` of the
     member alone."""
-    [verdict] = hypotheses_check([member], cfg).members
-    return verdict.condition1, verdict.condition2
+    [entry] = hypotheses_check([member], cfg).members
+    return entry["condition1"], entry["condition2"]
 
 
 def make_config(**kw):
@@ -160,8 +160,8 @@ class TestConditions:
         rep, _ = conditions_alone(bad, cfg)
         failing = [e for e in rep if not e["passed"]]
         assert len(failing) == 1
-        witnesses = ([w for w in failing[0]["curve_only"]]
-                     + [w for w in failing[0]["derived_only"]])
+        witnesses = [complex(*w) for w in failing[0]["curve_only"]
+                     + failing[0]["derived_only"]]
         got = sorted((round(w.real, 6), round(w.imag, 6)) for w in witnesses)
         assert got == [(-0.0, -1.0), (-0.0, 0.0), (-0.0, 1.0)] or \
             got == [(0.0, -1.0), (0.0, 0.0), (0.0, 1.0)]
@@ -181,7 +181,7 @@ class TestConditions:
         assert cond1[0]["derived_only"] == []
         if m == 1:
             [z] = cond1[0]["curve_only"]
-            assert abs(z - a) < 1e-12
+            assert abs(complex(*z) - a) < 1e-12
         else:
             assert cond1[0]["curve_only"] == []
         assert cond2["zeros_checked"] == 1
@@ -222,7 +222,8 @@ class TestConditions:
             [fixed(20.0, -1.0), fixed(7.0, -1.0), fixed(-20.0, -1.0)])
         _, rep = conditions_alone(m, cfg)
         assert not rep["passed"]
-        assert any(abs(w["z"] - 0.2) <= 1e-6 for w in rep["witnesses"])
+        assert any(abs(complex(*w["z"]) - 0.2) <= 1e-6
+                   for w in rep["witnesses"])
 
     def test_condition2_witnesses_carry_the_members_own_values(self):
         # The whole family is evaluated in one stacked call; each witness
@@ -232,9 +233,9 @@ class TestConditions:
         report = hypotheses_check(scene.members, cfg)
         checked = 0
         for m, v in zip(scene.members, report.members):
-            for w in v.condition2["witnesses"]:
+            for w in v["condition2"]["witnesses"]:
                 mods = np.abs(polyval_grid(stack_coeffs(m.curve.components),
-                                           np.array([w["z"]])))[:, 0]
+                                           np.array([complex(*w["z"])])))[:, 0]
                 assert w["lhs"].hex() == float(mods[0]).hex()
                 assert w["rhs"].hex() == \
                     float(cfg.epsilon * mods.max()).hex()
@@ -260,6 +261,25 @@ class TestHypothesesCheck:
         data = rep.to_json()
         assert data["overall"] is True
         assert len(data["members"]) == 3
+
+    @pytest.mark.parametrize("mutate", ["epsilon", "cond1"])
+    def test_members_are_the_report_entries(self, mutate):
+        # Each member's entry is built once, as the report writes it, and
+        # every point in it is an [re, im] pair of floats.
+        scene = generate_scene("wandering_shared", {"mutate": mutate})
+        rep = hypotheses_check(scene.members, scene.config)
+        data = rep.to_json()
+        assert len(data["members"]) == len(rep.members) == len(scene.members)
+        for got, entry in zip(data["members"], rep.members):
+            assert got is entry
+        points = [p for e in rep.members for v in e["condition1"]
+                  for p in v["curve_only"] + v["derived_only"]]
+        witnesses = [w["z"] for e in rep.members
+                     for w in e["condition2"]["witnesses"]]
+        assert points if mutate == "cond1" else witnesses
+        for p in points + witnesses:
+            assert type(p) is list and len(p) == 2
+            assert all(type(x) is float for x in p)
 
     def test_one_root_solve_per_pairing(self, monkeypatch):
         # every member's curve and derived map against each of its 2n+1
