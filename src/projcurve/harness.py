@@ -398,8 +398,9 @@ def scene_text(scene: Scene) -> str:
     """``json_text(scene_to_json(scene))``, the text of a scene file, with
     one hyperplane list per distinct tuple of hyperplane objects.  The
     members that hold a tuple share its list, so each of its hyperplanes
-    is turned into JSON once, and ``json_text`` copies the list's text to
-    every member after the first."""
+    is turned into JSON once.  ``json_text`` lays the list out in place at
+    its first occurrence and again on its own at its second, and copies
+    that text to every member after the second."""
     lists = {hypers: _hyperplanes_json(hypers) for hypers in
              dict.fromkeys(m.hyperplanes for m in scene.members)}
     return json_text(_scene_document(scene, lists.__getitem__))
@@ -501,17 +502,35 @@ def _walk(obj, depth: int, pieces: list[str], flat: list,
         pieces.extend([comma] * (len(obj) - 1))
         pieces.append(pad + "]")
         return
-    lengths = set(map(len, obj)) if types <= _ROWS else ()
-    if (len(lengths) == 1 and 0 not in lengths and set(
-            map(type, itertools.chain.from_iterable(obj))) <= _SCALARS):
-        # Rows of one length, such as [[re, im], ...]: all their items at
-        # once, and the text between them repeats row after row.
-        width = lengths.pop()
-        pieces[-1] += "[" + inner + "[" + deep
-        flat.extend(itertools.chain.from_iterable(obj))
-        pieces.extend(([row_comma] * (width - 1) + [row_gap]) * len(obj))
-        pieces[-1] = inner + "]" + pad + "]"
-        return
+    if types <= _ROWS and all(obj):
+        entries = list(itertools.chain.from_iterable(obj))
+        entry_types = set(map(type, entries))
+        if entry_types <= _SCALARS and len(set(map(len, obj))) == 1:
+            # Rows of one length, such as [[re, im], ...]: all their items
+            # at once, and the text between them repeats row after row.
+            width = len(obj[0])
+            pieces[-1] += "[" + inner + "[" + deep
+            flat.extend(entries)
+            pieces.extend(([row_comma] * (width - 1) + [row_gap]) * len(obj))
+            pieces[-1] = inner + "]" + pad + "]"
+            return
+        if (entry_types <= _ROWS and all(entries)
+                and len(set(map(len, entries))) == 1
+                and set(map(type, itertools.chain.from_iterable(entries)))
+                <= _SCALARS):
+            # Lists of such rows, all of one width, such as a curve's
+            # components: every value at once, and each list's text is
+            # that of its rows one level down.
+            _, _, deeper, _, deep_comma, deep_gap = _layout(depth + 1)
+            row = [deep_comma] * (len(entries[0]) - 1) + [deep_gap]
+            next_list = deep + "]" + row_gap + "[" + deeper
+            pieces[-1] += "[" + inner + "[" + deep + "[" + deeper
+            flat.extend(itertools.chain.from_iterable(entries))
+            for value in obj:
+                pieces.extend(row * len(value))
+                pieces[-1] = next_list
+            pieces[-1] = deep + "]" + inner + "]" + pad + "]"
+            return
     if dict in types:
         texts = seen.get(id(obj))
         if texts is None:
@@ -544,9 +563,11 @@ def json_text(obj) -> str:
 
     Python walks the containers and lays out the text between scalars;
     one C-encoder call then encodes every key and scalar, and one join
-    interleaves the two.  Lists of scalars and lists of equal-length rows
-    of scalars, such as ``[[re, im], ...]``, go in whole, without a step
-    per item.  A list holding a dict that occurs again, such as the
+    interleaves the two.  Lists of scalars, lists of equal-length rows of
+    scalars, such as ``[[re, im], ...]``, and lists of nonempty lists of
+    such rows, all of one width, such as a curve's ``components`` or a
+    hyperplane's ``coeffs``, go in whole, without a step per item or per
+    row list.  A list holding a dict that occurs again, such as the
     hyperplane list that ``scene_text`` shares between members, is laid
     out and encoded once more per depth, and every repeat appends that
     text.  Other repeated containers are laid out again: tracking the

@@ -1353,6 +1353,24 @@ def nest(obj, depth: int):
     return obj
 
 
+class Row(list):
+    pass
+
+
+@st.composite
+def row_lists(draw):
+    """A list of lists of rows, such as a curve's components: mostly rows
+    of one width, sometimes a row of another width, an empty list or row,
+    a tuple or a list subclass, and numpy floats beside plain scalars."""
+    width = draw(st.integers(1, 3))
+    values = SCALARS | st.floats().map(np.float64)
+    row = st.lists(values, min_size=width, max_size=width)
+    rows = st.one_of(row, row, row.map(tuple), row.map(Row),
+                     st.lists(values, max_size=4))
+    items = st.lists(rows, max_size=4)
+    return draw(st.lists(items | items.map(tuple), max_size=4))
+
+
 class TestJsonText:
     """``json_text`` writes the stdlib's ``indent=2`` bytes."""
 
@@ -1403,6 +1421,33 @@ class TestJsonText:
         # Past the second, each occurrence of shared, at depth 2 under x
         # and at depth 3 under y, appends a text laid out before: one call.
         assert counts[1] - counts[0] == 2 * 38
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_lists(), st.integers(0, 3))
+    @example([[[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]], 0)
+    @example([[[1.0, 2.0]], [[3.0, 4.0, 5.0]]], 0)
+    @example([[[1.0, 2.0]], []], 1)
+    @example([[[1.0, 2.0], []]], 0)
+    @example([[[]], [[], ()]], 1)
+    @example([[(1.0, 2.0)], ((3.0, 4.0), [5.0, 6.0])], 2)
+    @example([[[-0.0, math.nan]], [[math.inf, -math.inf]]], 3)
+    @example([[[np.float64(0.5), 1.0]], [Row([2.0, 3.0])]], 1)
+    @example([Row([[1.0, 2.0]]), [[3.0, 4.0]]], 0)
+    def test_equals_stdlib_on_row_lists(self, obj, depth):
+        self.assert_same(nest(obj, depth))
+
+    def test_each_further_member_is_four_calls(self, monkeypatch):
+        calls = count_calls(monkeypatch, harness, "_walk")
+        counts = []
+        for k in (2, 40):
+            scene = generate_scene("blowup_linear", {"n": 3, "N": k})
+            calls.clear()
+            assert harness.scene_text(scene) == stdlib_text(
+                scene_to_json(scene))
+            counts.append(len(calls))
+        # Each member past the second: its dict, its curve's dict, its
+        # components in one step, and a copy of the shared hyperplane list.
+        assert counts[1] - counts[0] == 4 * 38
 
     def test_key_rules(self):
         self.assert_same({math.nan: 1, -0.0: 2, math.inf: 3})
