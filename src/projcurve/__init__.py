@@ -20,14 +20,13 @@ from .normality import MartyStats, ZalcmanTrace, marty_sup, zalcman_search
 from .polynomial import ComplexPoly
 from .position import Region, UniformDelta, position_sweep
 from .projective import MovingHyperplane, ProjCurve, induced_curve
-from .sharing import (CheckConfig, ConditionReport, FamilyMember,
-                      hypotheses_check)
+from .sharing import CheckConfig, FamilyMember, hypotheses_check
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllZero", "BadParams", "CheckConfig", "ComplexPoly",
-    "ConditionReport", "DimensionMismatch", "FamilyMember",
+    "DimensionMismatch", "FamilyMember",
     "FirstComponentZero", "IdenticallyZero", "MartyStats",
     "MovingHyperplane", "NotBlowingUp", "NumericOverflow", "ParseError",
     "ProjCurve", "ProjcurveError", "Region", "Scene", "UniformDelta",

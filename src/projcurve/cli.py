@@ -19,7 +19,7 @@ import json
 import math
 import sys
 
-from .errors import ProjcurveError, ValidationError
+from .errors import BadParams, ProjcurveError, ValidationError
 from .harness import (TEMPLATES, generate_scene, json_text, load_scene,
                       rebuild_scene, run_pipeline, scene_text)
 
@@ -88,13 +88,10 @@ def _cmd_gen(args) -> int:
     if args.params is not None:
         try:
             params = json.loads(args.params)
-        except json.JSONDecodeError as exc:
-            print(f"error: --params is not valid JSON: {exc}",
-                  file=sys.stderr)
-            return 3
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise BadParams(f"--params is not valid JSON: {exc}") from exc
         if not isinstance(params, dict):
-            print("error: --params must be a JSON object", file=sys.stderr)
-            return 3
+            raise BadParams("--params must be a JSON object")
     if args.seed is not None:
         params["seed"] = args.seed
     if args.grid is not None:

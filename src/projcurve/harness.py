@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -78,7 +79,7 @@ def _coefficients_from_json(polys: list[list], where) -> np.ndarray:
     and with a finite modulus ``hypot(re, im)``.  A scene of plain JSON
     lists, floats and integers whose moduli are below that bound passes on
     the sets of their types, one float64 cast and one modulus; any other
-    goes through ``_checked_values``, whose masks find the first bad
+    goes through ``_checked_values``, whose loop finds the first bad
     entry, in order, at ``where(k)[i]`` for entry i of ``polys[k]``.
     """
     sizes = np.fromiter(map(len, polys), np.intp, len(polys))
@@ -113,33 +114,22 @@ def _checked_values(items: list, sizes: np.ndarray, where) -> np.ndarray:
     polynomial k counted from ``sizes``), or the ValidationError of the
     first that is not a pair of numbers, not finite or of a modulus that
     is not finite."""
-    repeat, compress = itertools.repeat, itertools.compress
-    pair = np.fromiter(map(isinstance, items, repeat(list)), bool, len(items))
-    pair[pair] = np.fromiter(map(len, compress(items, pair)), np.intp) == 2
-    values = list(itertools.chain.from_iterable(compress(items, pair)))
-    number = np.fromiter(map(_is_number, values), bool, len(values))
-    finite = np.zeros(len(values), dtype=bool)
-    finite[number] = np.fromiter(map(sys.float_info.max.__ge__,
-                                     map(abs, compress(values, number))),
-                                 bool)
-    parts = np.zeros(len(values))
-    parts[finite] = list(compress(values, finite))
-    good = pair.copy()
-    good[pair] = number.reshape(-1, 2).all(axis=1)
-    ok = pair.copy()  # finite implies a number
-    ok[pair] = finite.reshape(-1, 2).all(axis=1)
-    fits = ok.copy()
-    with np.errstate(over="ignore"):
-        fits[pair] &= np.isfinite(np.abs(parts.view(np.complex128)))
-    if fits.all():
-        return parts
-    at = int(np.argmin(fits))
-    k = int(np.searchsorted(np.cumsum(sizes), at, side="right"))
-    path = f"{where(k)}[{at - int(sizes[:k].sum())}]"
-    raise ValidationError(
-        "coefficient must be a [re, im] pair" if not good[at] else
-        f"coefficient must be finite, got {items[at]}" if not ok[at] else
-        f"coefficient modulus must be finite, got {items[at]}", path=path)
+    parts: list[float] = []
+    for at, item in enumerate(items):
+        if not (isinstance(item, list) and len(item) == 2
+                and all(map(_is_number, item))):
+            message = "coefficient must be a [re, im] pair"
+        elif not all(abs(v) <= sys.float_info.max for v in item):
+            message = f"coefficient must be finite, got {item}"
+        elif not math.isfinite(math.hypot(*item)):
+            message = f"coefficient modulus must be finite, got {item}"
+        else:
+            parts.extend(map(float, item))
+            continue
+        k = int(np.searchsorted(np.cumsum(sizes), at, side="right"))
+        raise ValidationError(
+            message, path=f"{where(k)}[{at - int(sizes[:k].sum())}]")
+    return np.array(parts)
 
 
 # What a curve and a hyperplane object hold: the key of their n+1
@@ -357,9 +347,12 @@ def load_scene(path: str, grid: tuple[int, int] | None = None) -> Scene:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read scene file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"scene file {path} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"scene file {path} is not valid JSON: {exc}") from exc
     return scene_from_json(data, grid)
 
@@ -862,7 +855,7 @@ def _stage_check(scene: Scene, csv_dir: str | None,
     deltas = done.get("position")
     report = hypotheses_check(scene.members, scene.config,
                               deltas if isinstance(deltas, dict) else None)
-    return report.to_json(), 0 if report.overall else 2
+    return report, 0 if report["overall"] else 2
 
 
 def _stage_normality(scene: Scene, csv_dir: str | None,

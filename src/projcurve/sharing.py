@@ -17,7 +17,7 @@ nearest-neighbor with mutual-nearest acceptance within
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -185,7 +185,9 @@ def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
     ``polyval_grid`` call for condition 2.  Every pairing zero becomes its
     ``[re, im]`` pair in one ``_pairs`` call, and the condition-1 lists and
     the witnesses' ``z`` hold those pairs; condition 2 evaluates the
-    components at the complex zeros.
+    components at the complex zeros.  The condition-1 dicts of every
+    member come from one comprehension over the matches, and each
+    member's condition-2 dict from the loop over the members.
 
     Members meet their defects in member order: the first pairing that
     vanishes identically raises IdenticallyZero naming its member and
@@ -233,38 +235,24 @@ def _family_conditions(members: Sequence[FamilyMember], cfg: CheckConfig
     mods = np.abs(polyval_grid(
         stack_coeffs([p for f in curves for p in f.components]),
         np.repeat(at, P, axis=0))).reshape(len(members), P, at.shape[1])
-    return [_member_conditions(points[2 * H * i: 2 * H * (i + 1)],
-                               matches[H * i: H * (i + 1)], zs,
-                               mod[:, :len(zs)], cfg)
-            for i, (zs, mod) in enumerate(zip(found, mods))]
-
-
-def _member_conditions(points: list[list[list[float]]],
-                       matches: list[tuple[list[tuple[int, int]],
-                                           list[int], list[int]]],
-                       found: list[tuple[complex, list[float], int]],
-                       mods: np.ndarray, cfg: CheckConfig
-                       ) -> tuple[list[dict], dict]:
-    """Conditions 1 and 2 of one member from its pairing zeros as
-    ``[re, im]`` pairs, curve and derived map alternating per hyperplane,
-    the matching of each hyperplane's two zero sets, and the moduli
-    ``mods`` of its components at its curve-side zeros ``found`` (each
-    with its pair and hyperplane)."""
-    cond1 = []
-    for j, (_, free_f, free_d) in enumerate(matches):
-        pf, pd = points[2 * j], points[2 * j + 1]
-        cond1.append({
-            "hyperplane": j,
-            "passed": not free_f and not free_d,
-            "curve_only": [pf[i] for i in free_f],
-            "derived_only": [pd[i] for i in free_d],
-        })
-    lhs = mods[0].tolist()
-    rhs = (cfg.epsilon * mods.max(axis=0)).tolist()
-    witnesses = [{"z": p, "hyperplane": j, "lhs": lo, "rhs": hi}
-                 for (_, p, j), lo, hi in zip(found, lhs, rhs) if lo < hi]
-    return cond1, {"passed": not witnesses, "witnesses": witnesses,
-                   "zeros_checked": len(found)}
+    lhs = mods[:, 0].tolist()
+    rhs = (cfg.epsilon * mods.max(axis=1)).tolist()
+    # Condition 1 of every hyperplane of every member, in member order.
+    cond1 = [{"hyperplane": k % H,
+              "passed": not free_f and not free_d,
+              "curve_only": [points[2 * k][x] for x in free_f],
+              "derived_only": [points[2 * k + 1][y] for y in free_d]}
+             for k, (_, free_f, free_d) in enumerate(matches)]
+    conditions = []
+    for i, zs in enumerate(found):
+        # zip stops at the member's own zeros, before the padding.
+        witnesses = [{"z": p, "hyperplane": j, "lhs": lo, "rhs": hi}
+                     for (_, p, j), lo, hi in zip(zs, lhs[i], rhs[i])
+                     if lo < hi]
+        conditions.append((cond1[H * i: H * (i + 1)],
+                           {"passed": not witnesses, "witnesses": witnesses,
+                            "zeros_checked": len(zs)}))
+    return conditions
 
 
 def _pairs(lists: list[list[complex]]) -> list[list[list[float]]]:
@@ -277,39 +265,20 @@ def _pairs(lists: list[list[complex]]) -> list[list[list[float]]]:
     return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
-@dataclass
-class ConditionReport:
-    """Aggregated verdicts for a whole family.
-
-    ``members`` holds each member's report entry, the plain JSON dict
-    ``hypotheses_check`` builds once: ``label``, ``delta`` (``min`` and
-    ``argmin`` as ``[re, im]``), ``delta_ok``, ``condition1`` (per
-    hyperplane, its ``curve_only`` and ``derived_only`` zeros as
-    ``[re, im]`` pairs), ``condition1_ok``, ``condition2`` (``passed``,
-    ``zeros_checked`` and ``witnesses``, each with its ``z`` as
-    ``[re, im]``) and ``condition2_ok``.  ``to_json`` returns those
-    entries as they are, with the other fields."""
-
-    members: list[dict]
-    delta_estimate: float | None  # None for an empty family
-    delta_ok: bool
-    condition1_ok: bool
-    condition2_ok: bool
-    induced_normality: list[dict]
-    normality_ok: bool
-    overall: bool
-    warnings: list[str]
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
 def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
-                     deltas: dict | None = None) -> ConditionReport:
-    """Run every hypothesis check and aggregate the verdicts: the
-    report's ``members`` are the members' report entries, each built here
-    once as the JSON dict ``ConditionReport.to_json`` returns (see
-    ``ConditionReport``).
+                     deltas: dict | None = None) -> dict:
+    """Run every hypothesis check and aggregate the verdicts into the
+    ``check`` section of the report, the plain JSON dict it writes:
+    ``members``, ``delta_estimate`` (None for an empty family), the
+    ``bool`` flags ``delta_ok``, ``condition1_ok``, ``condition2_ok`` and
+    ``normality_ok``, ``induced_normality`` (per hyperplane index, its
+    ``verdict`` and ``sups``), ``overall`` and ``warnings``.  Each of the
+    ``members`` is that member's report entry, built here once:
+    ``label``, ``delta`` (``min`` and ``argmin`` as ``[re, im]``),
+    ``delta_ok``, ``condition1`` (per hyperplane, its ``curve_only`` and
+    ``derived_only`` zeros as ``[re, im]`` pairs), ``condition1_ok``,
+    ``condition2`` (``passed``, ``zeros_checked`` and ``witnesses``, each
+    with its ``z`` as ``[re, im]``) and ``condition2_ok``.
 
     ``deltas`` maps hyperplane tuples to ``position_sweep(...)[0]``
     already taken on ``cfg.region``; the tuples it lacks are swept here
@@ -325,11 +294,11 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
     n = family_n([m.curve for m in members])
     warnings: list[str] = []
     if n is None:
-        return ConditionReport(
-            members=[], delta_estimate=None, delta_ok=True,
-            condition1_ok=True, condition2_ok=True, induced_normality=[],
-            normality_ok=True, overall=True,
-            warnings=["empty family: all hypotheses hold vacuously"])
+        return {"members": [], "delta_estimate": None, "delta_ok": True,
+                "condition1_ok": True, "condition2_ok": True,
+                "induced_normality": [], "normality_ok": True,
+                "overall": True,
+                "warnings": ["empty family: all hypotheses hold vacuously"]}
 
     # Members holding the same hyperplane objects share one sweep.
     deltas = dict(deltas or {})
@@ -369,14 +338,10 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
     c1_ok = all(e["condition1_ok"] for e in entries)
     c2_ok = all(e["condition2_ok"] for e in entries)
     normality_ok = all(e["verdict"] != "blow-up" for e in induced)
-    return ConditionReport(
-        members=entries,
-        delta_estimate=min(e["delta"]["min"] for e in entries),
-        delta_ok=delta_ok,
-        condition1_ok=c1_ok,
-        condition2_ok=c2_ok,
-        induced_normality=induced,
-        normality_ok=normality_ok,
-        overall=delta_ok and c1_ok and c2_ok and normality_ok,
-        warnings=warnings,
-    )
+    return {"members": entries,
+            "delta_estimate": min(e["delta"]["min"] for e in entries),
+            "delta_ok": delta_ok, "condition1_ok": c1_ok,
+            "condition2_ok": c2_ok, "induced_normality": induced,
+            "normality_ok": normality_ok,
+            "overall": delta_ok and c1_ok and c2_ok and normality_ok,
+            "warnings": warnings}

@@ -905,6 +905,44 @@ class TestCli:
         assert self.run("gen", "blowup_linear", "--params", "{bad") == 3
         assert self.run("gen", "blowup_linear", "--params", '{"x": 1}') == 3
 
+    @staticmethod
+    def decode_error(data: bytes) -> str:
+        """What decoding ``data`` as UTF-8 JSON raises, as text."""
+        try:
+            json.loads(data.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            return str(exc)
+        raise AssertionError("decoded")
+
+    @pytest.mark.parametrize("params, message", [
+        ("{bad", "--params is not valid JSON: "),
+        ("[1]", "--params must be a JSON object"),
+        ("[" * 100000 + "]" * 100000, "--params is not valid JSON: "),
+    ], ids=["not-json", "not-object", "nested-too-deep"])
+    def test_params_defect_is_one_error_line(self, capsys, params,
+                                             message):
+        # A nesting past the decoder's recursion limit used to end in a
+        # RecursionError traceback (exit 1).
+        if message.endswith(": "):
+            message += self.decode_error(params.encode())
+        assert self.run("gen", "wandering_shared", "--params", params) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("data, kind", [
+        (b'\xff\xfe{"n": 1}', "UTF-8 text"),
+        (b"[" * 100000 + b"]" * 100000, "valid JSON"),
+    ], ids=["not-utf8", "nested-too-deep"])
+    def test_undecodable_scene_file_is_one_error_line(self, tmp_path, capsys,
+                                                      data, kind):
+        # Both used to end in a traceback (exit 1): a UnicodeDecodeError
+        # and a RecursionError.
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert self.run("check", str(path)) == 3
+        assert capsys.readouterr() == (
+            "", f"error: scene file {path} is not {kind}: "
+            f"{self.decode_error(data)}\n")
+
     def test_overflowing_blowup_coefficient_exit_3(self, tmp_path, capsys):
         # 8**400 is past the float range; this used to end in an
         # OverflowError traceback (exit 1).

@@ -10,7 +10,7 @@ from projcurve import cli, derived, harness, polynomial, sharing
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 PUBLIC = {
-    "AllZero", "BadParams", "CheckConfig", "ComplexPoly", "ConditionReport",
+    "AllZero", "BadParams", "CheckConfig", "ComplexPoly",
     "DimensionMismatch", "FamilyMember",
     "FirstComponentZero", "IdenticallyZero", "MartyStats",
     "MovingHyperplane", "NotBlowingUp", "NumericOverflow", "ParseError",
