@@ -16,7 +16,7 @@ from .errors import (AllZero, BadParams, DimensionMismatch,
                      ZeroPolynomial)
 from .harness import (Scene, generate_scene, load_scene, run_pipeline,
                       save_scene, scene_from_json, scene_to_json)
-from .normality import MartyStats, ZalcmanTrace, marty_sup, zalcman_search
+from .normality import marty_sup, zalcman_search
 from .polynomial import ComplexPoly
 from .position import Region, UniformDelta, position_sweep
 from .projective import MovingHyperplane, ProjCurve, induced_curve
@@ -27,10 +27,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AllZero", "BadParams", "CheckConfig", "ComplexPoly",
     "DimensionMismatch", "FamilyMember",
-    "FirstComponentZero", "IdenticallyZero", "MartyStats",
+    "FirstComponentZero", "IdenticallyZero",
     "MovingHyperplane", "NotBlowingUp", "NumericOverflow", "ParseError",
     "ProjCurve", "ProjcurveError", "Region", "Scene", "UniformDelta",
-    "UnknownTemplate", "ValidationError", "WrongCount", "ZalcmanTrace",
+    "UnknownTemplate", "ValidationError", "WrongCount",
     "ZeroPolynomial", "config", "derived_map",
     "generate_scene", "hypotheses_check", "induced_curve", "load_scene",
     "marty_sup", "position_sweep", "run_pipeline", "save_scene",

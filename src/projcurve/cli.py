@@ -30,7 +30,8 @@ def _add_run_parser(sub, name: str, help_text: str) -> None:
     p.add_argument("-o", "--output", default=None,
                    help="write the report here instead of stdout")
     p.add_argument("--csv", default=None, metavar="DIR",
-                   help="also write per-point CSV tables into DIR")
+                   help="also write per-point CSV tables into DIR "
+                        "(check writes none)")
     p.add_argument("--grid", nargs=2, type=int, metavar=("NX", "NY"),
                    help="override the region grid resolution")
     p.add_argument("--epsilon", type=float, default=None,
@@ -76,11 +77,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write ``text`` to stdout, or to the file ``output``; a file that
+    cannot be written raises ValidationError with path ``--output``."""
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {output}: {exc.strerror}",
+                              path="--output") from exc
 
 
 def _cmd_gen(args) -> int:

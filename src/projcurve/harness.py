@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -800,15 +800,20 @@ def generate_scene(template: str, params: dict | None = None) -> Scene:
 # ---------------------------------------------------------------------------
 
 def _write_csv(csv_dir: str, name: str, header: Sequence[str],
-               rows: Sequence[Sequence]) -> None:
-    os.makedirs(csv_dir, exist_ok=True)
-    with open(os.path.join(csv_dir, name), "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
+               rows: Iterable[Sequence]) -> None:
+    """Write ``name`` into ``csv_dir``, which ``run_pipeline`` made; an
+    OSError raises ValidationError with path ``--csv``."""
+    path = os.path.join(csv_dir, name)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(v) if isinstance(v, float) else v
+                                 for v in row])
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}",
+                              path="--csv") from exc
 
 
 # Each stage runner takes the scene, the CSV directory and `done`, which maps
@@ -864,10 +869,8 @@ def _stage_normality(scene: Scene, csv_dir: str | None,
     done["normality"] = stats
     if csv_dir is not None:
         _write_csv(csv_dir, "normality.csv", ("member_index", "sup"),
-                   [(i, s) for i, s in enumerate(stats.sups)])
-    result = stats.to_json()
-    result["empirical"] = True
-    return result, 0 if stats.verdict == "bounded" else 2
+                   enumerate(stats["sups"]))
+    return stats, 0 if stats["verdict"] == "bounded" else 2
 
 
 def _stage_zalcman(scene: Scene, csv_dir: str | None,
@@ -876,14 +879,11 @@ def _stage_zalcman(scene: Scene, csv_dir: str | None,
     stats = done["normality"]
     if isinstance(stats, ProjcurveError):
         raise stats
-    trace = zalcman_search([m.curve for m in scene.members], stats)
+    section, rows = zalcman_search([m.curve for m in scene.members], stats)
     if csv_dir is not None:
         _write_csv(csv_dir, "zalcman.csv",
-                   ("zeta_x", "zeta_y", "fs_distance_to_limit"),
-                   [(float(z.real), float(z.imag), float(d))
-                    for z, d in zip(trace.zeta_points,
-                                    trace.limit_distances)])
-    return trace.to_json(), 0
+                   ("zeta_x", "zeta_y", "fs_distance_to_limit"), rows)
+    return section, 0
 
 
 _STAGE_RUNNERS = {
@@ -899,6 +899,8 @@ def run_pipeline(scene: Scene, which: Sequence[str] = STAGES,
     """Run the requested stages and merge their results into one report.
 
     Stage errors are captured per stage so independent stages still run.
+    ``csv_dir`` is made, if missing, before any stage runs; a directory
+    that cannot be made raises ValidationError with path ``--csv``.
     Returns (report, exit_code): 0 when every stage's verdict holds, 2 when
     some check fails, 3 on degenerate scenes.
     """
@@ -906,6 +908,12 @@ def run_pipeline(scene: Scene, which: Sequence[str] = STAGES,
     unknown = requested - set(STAGES)
     if unknown:
         raise BadParams(f"unknown stages: {sorted(unknown)}")
+    if csv_dir is not None:
+        try:
+            os.makedirs(csv_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot make {csv_dir}: {exc.strerror}",
+                                  path="--csv") from exc
     to_run = set(requested)
     if "zalcman" in to_run:
         # The rescaling trace presupposes a blow-up verdict, so the report

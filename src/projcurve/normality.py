@@ -346,31 +346,6 @@ def _fs_sups(curves: Sequence[ProjCurve], region: Region
 # Marty-type estimator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MemberMarty:
-    sup: float
-    argmax: complex
-
-
-@dataclass(frozen=True)
-class MartyStats:
-    members: tuple[MemberMarty, ...]
-    sups: tuple[float, ...]
-    verdict: str
-
-    def to_json(self) -> dict:
-        return {
-            "sups": list(self.sups),
-            "argmax": [[m.argmax.real, m.argmax.imag] for m in self.members],
-            "verdict": self.verdict,
-            "thresholds": {
-                "cap": config.MARTY_CAP,
-                "growth_factor": config.MARTY_GROWTH_FACTOR,
-                "window": config.MARTY_WINDOW,
-            },
-        }
-
-
 def _classify(sups: Sequence[float]) -> str:
     """Empirical verdict over the per-member sup sequence.
 
@@ -394,15 +369,17 @@ def _classify(sups: Sequence[float]) -> str:
     return "inconclusive"
 
 
-def marty_sup(members: Sequence[ProjCurve], region: Region) -> MartyStats:
+def marty_sup(members: Sequence[ProjCurve], region: Region) -> dict:
     """``marty_sups`` of one family."""
     return marty_sups([members], region)[0]
 
 
 def marty_sups(families: Sequence[Sequence[ProjCurve]],
-               region: Region) -> list[MartyStats]:
-    """Grid sup of the Fubini-Study derivative per member of each family,
-    with the family's verdict.
+               region: Region) -> list[dict]:
+    """The ``normality`` report section of each family: the grid sup of
+    the Fubini-Study derivative per member (``sups``), its grid point as
+    ``[re, im]`` (``argmax``), the family's ``verdict`` under the
+    ``thresholds`` of ``config``, and ``empirical``, always true.
 
     Every distinct curve object of all the families is swept once, in one
     stacked pass (``_fs_sups``), which evaluates only the grid cells whose
@@ -415,22 +392,28 @@ def marty_sups(families: Sequence[Sequence[ProjCurve]],
     families = [list(members) for members in families]
     if not all(families):
         raise WrongCount("need at least one member curve")
-    pts = region.grid_points()
     distinct = list(dict.fromkeys(f for members in families for f in members))
     family_n(distinct)
-    swept = dict.fromkeys(distinct,
-                          MemberMarty(sup=0.0, argmax=complex(pts[0])))
     moving = [f for f in distinct if not f.is_constant]
+    # Row 0 stands for every constant curve.
+    row = {f: k for k, f in enumerate(moving, 1)}
+    sups, top = np.zeros(len(moving) + 1), np.zeros(len(moving) + 1, np.intp)
     if moving:
-        sups, top = _fs_sups(moving, region)
-        for f, k, sup in zip(moving, top.tolist(), sups.tolist()):
-            swept[f] = MemberMarty(sup=sup, argmax=complex(pts[k]))
+        sups[1:], top[1:] = _fs_sups(moving, region)
+    grid = region.grid_points().view(np.float64).reshape(-1, 2)
     out = []
     for members in families:
-        per = tuple(swept[f] for f in members)
-        sups = tuple(m.sup for m in per)
-        out.append(MartyStats(members=per, sups=sups,
-                              verdict=_classify(sups)))
+        k = [row.get(f, 0) for f in members]
+        family = sups[k].tolist()
+        out.append({
+            "sups": family,
+            "argmax": grid[top[k]].tolist(),
+            "verdict": _classify(family),
+            "thresholds": {"cap": config.MARTY_CAP,
+                           "growth_factor": config.MARTY_GROWTH_FACTOR,
+                           "window": config.MARTY_WINDOW},
+            "empirical": True,
+        })
     return out
 
 
@@ -438,67 +421,47 @@ def marty_sups(families: Sequence[Sequence[ProjCurve]],
 # Zalcman-style rescaling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZalcmanTrace:
-    centers: tuple[complex, ...]
-    rhos: tuple[float, ...]
-    rescaled: tuple[ProjCurve, ...]
-    zeta_points: np.ndarray
-    limit_candidate: np.ndarray
-    # Fubini-Study distance from the second-to-last rescaled member to the
-    # limit candidate at each zeta point; its max is the last residual.
-    limit_distances: np.ndarray
-    residuals: tuple[float, ...]
-    convergence_residual: float
-    rho_decreasing: bool
-
-    def to_json(self) -> dict:
-        return {
-            "centers": [[z.real, z.imag] for z in self.centers],
-            "rhos": list(self.rhos),
-            "rescaled": [g.to_json() for g in self.rescaled],
-            "limit_candidate": self.rescaled[-1].to_json(),
-            "residuals": list(self.residuals),
-            "convergence_residual": self.convergence_residual,
-            "rho_decreasing": self.rho_decreasing,
-            "zeta_radius": ZETA_RADIUS,
-            "num_zeta_points": int(self.zeta_points.size),
-            # One stacked kernel call at zeta = 0.
-            "unit_derivative_at_zero": _fs_values(
-                self.rescaled, np.zeros(1, dtype=np.complex128))[:, 0]
-            .tolist(),
-        }
-
-
 # The rescaled curves are compared on a disc of this radius, sampled on a
-# square grid with this many points per axis.
+# square grid with this many points per axis: ZETA_POINTS, row-major.
 ZETA_RADIUS = 1.0
 ZETA_PER_AXIS = 41
 
 
 def _zeta_disc(radius: float, per_axis: int) -> np.ndarray:
     xs = np.linspace(-radius, radius, per_axis)
-    X, Y = np.meshgrid(xs, xs)
-    zs = (X + 1j * Y).ravel()
-    return zs[np.abs(zs) <= radius]
+    zs = (xs + 1j * xs[:, None]).ravel()
+    zs = zs[np.abs(zs) <= radius]
+    zs.setflags(write=False)
+    return zs
 
 
-def zalcman_search(members: Sequence[ProjCurve],
-                   stats: MartyStats) -> ZalcmanTrace:
+ZETA_POINTS = _zeta_disc(ZETA_RADIUS, ZETA_PER_AXIS)
+
+
+def zalcman_search(members: Sequence[ProjCurve], stats: dict
+                   ) -> tuple[dict, list[tuple[float, float, float]]]:
     """Rescale a blowing-up family around its derivative maxima.
 
-    ``stats`` is ``marty_sup`` of the same members.  For each member:
-    center = grid argmax of the FS derivative, scale rho = 1 / sup,
-    rescaled curve g(zeta) = f(center + rho * zeta) built by exact
-    coefficient recomposition (Taylor shift plus power scaling), so the
-    unit derivative at zeta = 0 and all residuals are free of sampling
-    error.  Residuals are sups over the zeta disc of the Fubini-Study
-    distance between successive rescaled members; the limit candidate is
-    the last member's samples.  A blow-up verdict can still include a
-    member with sup 0, such as a constant curve before the growing tail; it
-    has no scale, so it raises NotBlowingUp naming its index.  A rescaled
-    coefficient that is not finite (a Taylor binomial past the float range,
-    from degree about 1030 on) raises NumericOverflow naming its member.
+    ``stats`` is ``marty_sup`` of the same members; its ``sups``,
+    ``argmax`` and ``verdict`` are read.  For each member: center = grid
+    argmax of the FS derivative, scale rho = 1 / sup, rescaled curve
+    g(zeta) = f(center + rho * zeta) built by exact coefficient
+    recomposition (Taylor shift plus power scaling), so the unit
+    derivative at zeta = 0 and all residuals are free of sampling error.
+    Residuals are sups over ``ZETA_POINTS`` of the Fubini-Study distance
+    between successive rescaled members; the limit candidate is the last
+    rescaled member.  A blow-up verdict can still include a member with
+    sup 0, such as a constant curve before the growing tail; it has no
+    scale, so it raises NotBlowingUp naming its index.  A rescaled
+    coefficient that is not finite (a Taylor binomial past the float
+    range, from degree about 1030 on) raises NumericOverflow naming its
+    member.
+
+    Returns the ``zalcman`` report section and the rows ``zalcman.csv``
+    writes: for each of the M ``ZETA_POINTS``, its real and imaginary
+    parts and the distance from the second-to-last rescaled member to the
+    limit candidate there (zeros for one member), whose max is the last
+    residual.
 
     The Taylor coefficients of every component are one ``polyval_grid``
     call, each ``_taylor`` row at its member's center.  The samples are one
@@ -507,22 +470,24 @@ def zalcman_search(members: Sequence[ProjCurve],
     samples are scaled in place by its own power of two and its norms taken
     once (``fs_scale``), then the distances of the block's successive pairs
     are one ``fs_distance`` call; the block's last member, scaled, and its
-    norms are carried into the next block.  The members share one n
+    norms are carried into the next block.  The unit derivatives at zeta =
+    0 are one ``fs_derivative_grid`` call.  The members share one n
     (``family_n``).
     """
     members = list(members)
-    if len(members) != len(stats.members):
+    sups = stats["sups"]
+    if len(members) != len(sups):
         raise WrongCount(
-            f"{len(members)} members but {len(stats.members)} Marty sups")
-    if stats.verdict != "blow-up":
+            f"{len(members)} members but {len(sups)} Marty sups")
+    if stats["verdict"] != "blow-up":
         raise NotBlowingUp(
-            f"family verdict is {stats.verdict!r}; rescaling needs blow-up")
-    for i, mm in enumerate(stats.members):
-        if mm.sup == 0.0:
-            raise NotBlowingUp(
-                f"member {i} has Marty sup 0; rescaling needs a positive sup")
-    centers = tuple(mm.argmax for mm in stats.members)
-    rhos = tuple(1.0 / mm.sup for mm in stats.members)
+            f"family verdict is {stats['verdict']!r}; rescaling needs blow-up")
+    if 0.0 in sups:
+        raise NotBlowingUp(f"member {sups.index(0.0)} has Marty sup 0; "
+                           "rescaling needs a positive sup")
+    argmax = np.array(stats["argmax"], dtype=np.float64)
+    centers = argmax.view(np.complex128)[:, 0]
+    rhos = [1.0 / sup for sup in sups]
     N, P = len(members), family_n(members) + 1
     comps = stack_coeffs([p for f in members for p in f.components])
     R, L = comps.shape
@@ -533,8 +498,7 @@ def zalcman_search(members: Sequence[ProjCurve],
         taylor = polyval_grid(
             _taylor(comps, np.repeat(np.arange(R), L),
                     np.tile(np.arange(L), R)),
-            np.repeat(np.array(centers, dtype=np.complex128)[owner],
-                      L)[:, None])
+            np.repeat(centers[owner], L)[:, None])
         powers = (np.array(rhos, dtype=np.complex128)[owner, None]
                   ** np.arange(L))
         rows = taylor.reshape(R, L) * powers
@@ -543,10 +507,9 @@ def zalcman_search(members: Sequence[ProjCurve],
         raise NumericOverflow(
             f"member {bad[0]}: a rescaled coefficient is not finite")
     polys = ComplexPoly.from_rows(rows)
-    rescaled = tuple(ProjCurve(polys[r: r + P], check_reduced=False)
-                     for r in range(0, R, P))
-    zeta = _zeta_disc(ZETA_RADIUS, ZETA_PER_AXIS)
-    M = zeta.size
+    rescaled = [ProjCurve(polys[r: r + P], check_reduced=False)
+                for r in range(0, R, P)]
+    M = ZETA_POINTS.size
     coeffs = stack_coeffs(polys).reshape(N, P, -1)
     step = min(N, max(1, _kernels._EVAL_BLOCK // (P * M)))
     # Slot 0 holds the last member of the previous block, scaled, and its
@@ -557,24 +520,27 @@ def zalcman_search(members: Sequence[ProjCurve],
     for a in range(0, N, step):
         b = min(step, N - a)
         block = vals[1:b + 1]
-        polyval_grid(coeffs[a:a + b].reshape(b * P, coeffs.shape[2]), zeta,
-                     out=block.reshape(b * P, M))
-        if a + b == N:
-            limit = vals[b].copy()
+        polyval_grid(coeffs[a:a + b].reshape(b * P, coeffs.shape[2]),
+                     ZETA_POINTS, out=block.reshape(b * P, M))
         norms[1:b + 1] = fs_scale(block)
         lo = 0 if a else 1
         dist = fs_distance(vals[lo:b], block[lo:], norms[lo:b],
                            norms[lo + 1:b + 1])
         residuals += dist.max(axis=1).tolist()
         vals[0], norms[0] = vals[b], norms[b]
-    return ZalcmanTrace(
-        centers=centers,
-        rhos=rhos,
-        rescaled=rescaled,
-        zeta_points=zeta,
-        limit_candidate=limit,
-        limit_distances=dist[-1] if residuals else np.zeros(M),
-        residuals=tuple(residuals),
-        convergence_residual=residuals[-1] if residuals else 0.0,
-        rho_decreasing=bool(np.all(np.diff(rhos) < 0)),
-    )
+    section = {
+        "centers": argmax.tolist(),
+        "rhos": rhos,
+        "rescaled": [g.to_json() for g in rescaled],
+        "limit_candidate": rescaled[-1].to_json(),
+        "residuals": residuals,
+        "convergence_residual": residuals[-1] if residuals else 0.0,
+        "rho_decreasing": bool(np.all(np.diff(rhos) < 0)),
+        "zeta_radius": ZETA_RADIUS,
+        "num_zeta_points": M,
+        "unit_derivative_at_zero": _fs_values(
+            rescaled, np.zeros(1, dtype=np.complex128))[:, 0].tolist(),
+    }
+    dists = dist[-1] if residuals else np.zeros(M)
+    return section, list(zip(ZETA_POINTS.real.tolist(),
+                             ZETA_POINTS.imag.tolist(), dists.tolist()))

@@ -324,8 +324,8 @@ def hypotheses_check(members: Sequence[FamilyMember], cfg: CheckConfig,
     # every hyperplane index in one marty_sups sweep, so a hyperplane that
     # several members hold is swept once.
     curves = {h: induced_curve(h) for m in members for h in m.hyperplanes}
-    induced = [{"hyperplane": j, "verdict": stats.verdict,
-                "sups": list(stats.sups)}
+    induced = [{"hyperplane": j, "verdict": stats["verdict"],
+                "sups": stats["sups"]}
                for j, stats in enumerate(marty_sups(
                    [[curves[m.hyperplanes[j]] for m in members]
                     for j in range(2 * n + 1)], cfg.region))]

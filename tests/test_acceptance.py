@@ -10,13 +10,15 @@ import dataclasses
 import time
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from projcurve import config
 from projcurve._kernels import polyval_grid
 from projcurve.derived import derived_map
 from projcurve.harness import generate_scene, run_pipeline
-from projcurve.normality import _fs_values, marty_sup, zalcman_search
+from projcurve.normality import (ZETA_POINTS, _fs_values, marty_sup,
+                                 zalcman_search)
 from projcurve.polynomial import ComplexPoly, roots_many, stack_coeffs
 from projcurve.position import Region, position_sweep
 from projcurve.projective import MovingHyperplane, ProjCurve, pair_rows
@@ -161,27 +163,31 @@ def test_acceptance_3_blowup_rescaling(announce):
     scene = generate_scene("blowup_linear", {"N": 8})
     curves = [m.curve for m in scene.members]
     stats = marty_sup(curves, scene.region)
-    sup_err = max(abs(s - nu) for s, nu in zip(stats.sups, range(1, 9)))
-    trace = zalcman_search(curves, stats)
+    sup_err = max(abs(s - nu) for s, nu in zip(stats["sups"], range(1, 9)))
+    section, _ = zalcman_search(curves, stats)
     rho_err = max(abs(r - 1.0 / nu)
-                  for r, nu in zip(trace.rhos, range(1, 9)))
-    # limit candidate vs [1 : zeta], with an inline metric
+                  for r, nu in zip(section["rhos"], range(1, 9)))
+    # limit candidate vs [1 : zeta], with an inline metric: its
+    # components, from their [re, im] coefficients, by numpy's polyval
+    limit = [npoly.polyval(ZETA_POINTS, [complex(*c) for c in comp])
+             for comp in section["limit_candidate"]["components"]]
     limit_err = 0.0
-    for k, zeta in enumerate(trace.zeta_points):
+    for k, zeta in enumerate(ZETA_POINTS):
         limit_err = max(limit_err,
-                        np_fs([1.0, zeta], trace.limit_candidate[:, k]))
+                        np_fs([1.0, zeta], [v[k] for v in limit]))
     elapsed = time.perf_counter() - start
-    ok = (sup_err <= 1e-6 and stats.verdict == "blow-up"
-          and rho_err <= 1e-10 and trace.convergence_residual <= 1e-10
+    residual = section["convergence_residual"]
+    ok = (sup_err <= 1e-6 and stats["verdict"] == "blow-up"
+          and rho_err <= 1e-10 and residual <= 1e-10
           and limit_err <= 1e-8 and elapsed <= 5.0)
     announce(3, ok, f"blow-up family, sup err {sup_err:.1e}, verdict "
-                    f"{stats.verdict}, rho err {rho_err:.1e}, residual "
-                    f"{trace.convergence_residual:.1e}, limit err "
+                    f"{stats['verdict']}, rho err {rho_err:.1e}, residual "
+                    f"{residual:.1e}, limit err "
                     f"{limit_err:.1e}, {elapsed:.2f}s")
     assert sup_err <= 1e-6
-    assert stats.verdict == "blow-up"
+    assert stats["verdict"] == "blow-up"
     assert rho_err <= 1e-10
-    assert trace.convergence_residual <= 1e-10
+    assert residual <= 1e-10
     assert limit_err <= 1e-8
     assert elapsed <= 5.0
 
@@ -195,15 +201,15 @@ def test_acceptance_4_montel_bounded(announce):
     fine = marty_sup(curves, dataclasses.replace(
         r, grid_nx=2 * r.grid_nx - 1, grid_ny=2 * r.grid_ny - 1))
     drift = max(abs(a - b) / max(1.0, abs(a), abs(b))
-                for a, b in zip(stats.sups, fine.sups))
+                for a, b in zip(stats["sups"], fine["sups"]))
     elapsed = time.perf_counter() - start
-    below_cap = max(stats.sups) <= config.MARTY_CAP
-    ok = (stats.verdict == "bounded" and below_cap and drift <= 1e-6
+    below_cap = max(stats["sups"]) <= config.MARTY_CAP
+    ok = (stats["verdict"] == "bounded" and below_cap and drift <= 1e-6
           and elapsed <= 5.0)
-    announce(4, ok, f"omitting family verdict {stats.verdict}, max sup "
-                    f"{max(stats.sups):.3e}, grid-doubling drift "
+    announce(4, ok, f"omitting family verdict {stats['verdict']}, max sup "
+                    f"{max(stats['sups']):.3e}, grid-doubling drift "
                     f"{drift:.1e}, {elapsed:.2f}s")
-    assert stats.verdict == "bounded"
+    assert stats["verdict"] == "bounded"
     assert below_cap
     assert drift <= 1e-6
     assert elapsed <= 5.0

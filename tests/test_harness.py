@@ -449,6 +449,13 @@ class TestPipeline:
         assert "normality" in report["stages"]
         assert report["stages"]["normality"]["verdict"] == "blow-up"
 
+    def test_normality_section_is_marty_sup(self):
+        # The report's section is the dict marty_sup returns, unchanged.
+        scene = generate_scene("blowup_linear")
+        report, _ = run_pipeline(scene, ("normality",))
+        assert report["stages"]["normality"] == normality.marty_sup(
+            [m.curve for m in scene.members], scene.region)
+
     def test_zalcman_reuses_normality_sups(self, monkeypatch):
         # The stacked sweep receives each member once, on the grid; zalcman
         # sweeps only the rescaled members, and only at zeta = 0.
@@ -1103,6 +1110,56 @@ class TestCli:
         lines = open(os.path.join(csv_dir, "position.csv")).read().splitlines()
         assert lines[0] == "label,x,y,D"
         assert len(lines) == 1 + 41 * 41
+
+    @pytest.mark.parametrize("command", ["check", "gen"])
+    def test_unwritable_output_exit_3(self, tmp_path, capsys, command):
+        scene_path = str(tmp_path / "scene.json")
+        self.run("gen", "wandering_shared", "-o", scene_path)
+        missing = str(tmp_path / "missing" / "r.json")
+        source = scene_path if command == "check" else "wandering_shared"
+        capsys.readouterr()
+        assert self.run(command, source, "-o", missing) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --output: cannot write {missing}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_csv_exit_3(self, tmp_path, capsys, monkeypatch):
+        # A file where the CSV directory belongs: one error line naming the
+        # flag, exit 3, before any stage runs, so no report is written.
+        scene_path = str(tmp_path / "scene.json")
+        self.run("gen", "degenerate_position", "-o", scene_path)
+        report_path = tmp_path / "r.json"
+        ran = []
+        monkeypatch.setitem(harness._STAGE_RUNNERS, "position",
+                            lambda *args: ran.append(args))
+        capsys.readouterr()
+        csv_dir = os.path.join(scene_path, "tables")
+        code = self.run("position", scene_path, "--csv", csv_dir,
+                        "-o", str(report_path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --csv: cannot make {csv_dir}: ")
+        assert err.count("\n") == 1
+        assert ran == []
+        assert not report_path.exists()
+
+    def test_unwritable_table_is_its_stage_error(self, tmp_path, capsys):
+        # The directory exists, but position.csv is a directory: the stage
+        # that writes it reports the --csv error, and the run exits 3.
+        scene_path = str(tmp_path / "scene.json")
+        self.run("gen", "degenerate_position", "-o", scene_path)
+        (tmp_path / "tables" / "position.csv").mkdir(parents=True)
+        report_path = tmp_path / "r.json"
+        capsys.readouterr()
+        code = self.run("position", scene_path, "--csv",
+                        str(tmp_path / "tables"), "-o", str(report_path))
+        assert code == 3
+        assert capsys.readouterr().err == ""
+        [error] = json.loads(report_path.read_text())["stages"][
+            "position"].values()
+        assert error["type"] == "ValidationError"
+        assert error["message"].startswith("--csv: cannot write ")
 
     def test_zalcman_csv(self, tmp_path, capsys):
         scene_path = str(tmp_path / "scene.json")

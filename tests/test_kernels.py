@@ -371,31 +371,30 @@ class TestReferenceBytes:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_zalcman_residuals(self, n, shapes, seed):
         rng = np.random.default_rng(seed)
-        curves, members = [], []
+        curves, sups, argmax = [], [], []
         for degree, e in shapes:
             comps = ragged(rng, (n + 1, degree + 1), [e] * (n + 1))
             comps[0, degree] = 10.0 ** e  # a member of this degree
             curves.append(ProjCurve([ComplexPoly(c) for c in comps],
                                     check_reduced=False))
-            members.append(normality.MemberMarty(
-                sup=float(rng.uniform(0.5, 4.0)),
-                argmax=complex(*rng.uniform(-1.0, 1.0, 2))))
-        stats = normality.MartyStats(members=tuple(members),
-                                     sups=tuple(m.sup for m in members),
-                                     verdict="blow-up")
-        M = normality._zeta_disc(normality.ZETA_RADIUS,
-                                 normality.ZETA_PER_AXIS).size
+            sups.append(float(rng.uniform(0.5, 4.0)))
+            argmax.append(rng.uniform(-1.0, 1.0, 2).tolist())
+        stats = {"sups": sups, "argmax": argmax, "verdict": "blow-up"}
+        M = normality.ZETA_POINTS.size
         with pytest.MonkeyPatch.context() as mp:
             # One member per block, and the default.
             for block in ((n + 1) * M, _kernels._EVAL_BLOCK):
                 mp.setattr(_kernels, "_EVAL_BLOCK", block)
-                t = normality.zalcman_search(curves, stats)
-                samples = [ref_polyval(stack_coeffs(g.components),
-                                       t.zeta_points) for g in t.rescaled]
+                section, rows = normality.zalcman_search(curves, stats)
+                # The rescaled curves from the report; [re, im] round-trips
+                # exactly.
+                samples = [ref_polyval(stack_coeffs(
+                    [ComplexPoly([complex(*c) for c in comp])
+                     for comp in g["components"]]),
+                    normality.ZETA_POINTS) for g in section["rescaled"]]
                 pairs = [ref_pairwise(a, b)
                          for a, b in zip(samples, samples[1:])]
-                assert [r.hex() for r in t.residuals] == \
+                assert [r.hex() for r in section["residuals"]] == \
                     [float(d.max()).hex() for d in pairs]
-                assert t.limit_distances.tobytes() == (
+                assert np.array([d for _, _, d in rows]).tobytes() == (
                     pairs[-1] if pairs else np.zeros(M)).tobytes()
-                assert t.limit_candidate.tobytes() == samples[-1].tobytes()

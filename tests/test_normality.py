@@ -37,7 +37,21 @@ def linear_family(N):
 
 
 def zalcman(curves):
-    return zalcman_search(curves, marty_sup(curves, REGION))
+    """The zalcman section of a family on REGION."""
+    return zalcman_search(curves, marty_sup(curves, REGION))[0]
+
+
+def curve_of(data):
+    """A curve rebuilt from its report form; ``[re, im]`` round-trips
+    exactly."""
+    return ProjCurve([ComplexPoly([complex(*c) for c in comp])
+                      for comp in data["components"]], check_reduced=False)
+
+
+def members_of(stats):
+    """(sup.hex(), argmax) of each member of a normality section."""
+    return [(s.hex(), complex(*z))
+            for s, z in zip(stats["sups"], stats["argmax"])]
 
 
 # Unit roundoff of complex128 arithmetic.
@@ -165,27 +179,27 @@ class TestFsDerivative:
 class TestMartySup:
     def test_linear_sups_exact(self):
         stats = marty_sup(linear_family(8), REGION)
-        assert stats.sups == tuple(float(nu) for nu in range(1, 9))
+        assert stats["sups"] == [float(nu) for nu in range(1, 9)]
         # the sup of nu / (1 + nu^2 |z|^2) sits at the origin
-        assert all(m.argmax == 0.0 for m in stats.members)
-        assert stats.verdict == "blow-up"
+        assert stats["argmax"] == [[0.0, 0.0]] * 8
+        assert stats["verdict"] == "blow-up"
 
     def test_translation_family_bounded(self):
         curves = [ProjCurve([ONE, ComplexPoly([-0.1 * k, 1.0])])
                   for k in range(6)]
         stats = marty_sup(curves, REGION)
-        assert stats.verdict == "bounded"
-        assert max(stats.sups) <= 1.0 + 1e-12
+        assert stats["verdict"] == "bounded"
+        assert max(stats["sups"]) <= 1.0 + 1e-12
 
     def test_too_few_members_inconclusive(self):
         stats = marty_sup(linear_family(2), REGION)
-        assert stats.verdict == "inconclusive"
+        assert stats["verdict"] == "inconclusive"
 
     def test_over_cap_without_growth_inconclusive(self):
         curves = [ProjCurve([ONE, ComplexPoly([0.0, 2000.0])])
                   for _ in range(4)]
         stats = marty_sup(curves, REGION)
-        assert stats.verdict == "inconclusive"
+        assert stats["verdict"] == "inconclusive"
 
     def test_empty_family_raises(self):
         with pytest.raises(WrongCount):
@@ -201,10 +215,10 @@ class TestMartySup:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stats = marty_sup(curves, REGION)
-        assert abs(stats.sups[0] - 0.0201) <= 1e-4
-        assert abs(stats.sups[1] - 520.0) <= 1e-9
-        assert math.isnan(stats.sups[2])
-        assert stats.verdict == "inconclusive"
+        assert abs(stats["sups"][0] - 0.0201) <= 1e-4
+        assert abs(stats["sups"][1] - 520.0) <= 1e-9
+        assert math.isnan(stats["sups"][2])
+        assert stats["verdict"] == "inconclusive"
 
     def test_classify_not_finite_inconclusive(self):
         # Bounded or blow-up sequences but for one sup that is not finite,
@@ -268,7 +282,7 @@ class TestMartySup:
         fine = marty_sup([f] * 3, dataclasses.replace(
             REGION, grid_nx=2 * REGION.grid_nx - 1,
             grid_ny=2 * REGION.grid_ny - 1))
-        assert fine.sups[0] >= coarse.sups[0]
+        assert fine["sups"][0] >= coarse["sups"][0]
 
 
 def _random_curve(rng, n, degree, scale):
@@ -355,7 +369,7 @@ class TestStackedMarty:
         family = curves + curves[:2]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            want = [marty_sup([f], region).members[0] for f in family]
+            want = [members_of(marty_sup([f], region))[0] for f in family]
             grids = [fs_at(f, region.grid_points()).tobytes()
                      for f in family]
             with pytest.MonkeyPatch.context() as mp:
@@ -363,9 +377,8 @@ class TestStackedMarty:
                 for block in (1, 4 * (n + 1) * pts.size, _kernels._EVAL_BLOCK,
                               1 << 30):
                     mp.setattr(_kernels, "_EVAL_BLOCK", block)
-                    got = marty_sup(family, region).members
-                    assert [(m.sup.hex(), m.argmax) for m in got] == \
-                        [(m.sup.hex(), m.argmax) for m in want]
+                    got = members_of(marty_sup(family, region))
+                    assert got == want
                     assert [row.tobytes() for row in normality._fs_values(
                         family, pts)] == grids
 
@@ -428,8 +441,8 @@ class TestPrunedMarty:
                 for block in (1, 4 * (n + 1) * M, _kernels._EVAL_BLOCK,
                               1 << 30, 2 * (n + 1) * M - 1):
                     mp.setattr(_kernels, "_EVAL_BLOCK", block)
-                    got = marty_sup(family, region).members
-                    assert [(m.sup.hex(), m.argmax) for m in got] == want
+                    got = members_of(marty_sup(family, region))
+                    assert got == want
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 6),
@@ -502,8 +515,8 @@ class TestPrunedMarty:
                 mp.setattr(_kernels, "_EVAL_BLOCK",
                            min(_kernels._EVAL_BLOCK, 2 * (n + 1) * M - 1))
                 counts.clear()
-                got = marty_sup([curve], region).members
-            assert [(m.sup.hex(), m.argmax) for m in got] == want
+                got = members_of(marty_sup([curve], region))
+            assert got == want
             assert counts == [1, 1]
 
     def test_nan_first_argmax(self, monkeypatch):
@@ -518,8 +531,8 @@ class TestPrunedMarty:
         assert [a for _, a in want] == [region.grid_points()[1]] * 2
         for block in (1, _kernels._EVAL_BLOCK):
             monkeypatch.setattr(_kernels, "_EVAL_BLOCK", block)
-            got = marty_sup(curves, region).members
-            assert [(m.sup.hex(), m.argmax) for m in got] == want
+            got = members_of(marty_sup(curves, region))
+            assert got == want
 
     def test_blowup_scene_skips_most_points(self, monkeypatch):
         # blowup_marty's scene: the sweep hands fs_derivative_grid 15% of
@@ -534,8 +547,8 @@ class TestPrunedMarty:
             return kernel(comp, dcomp, pts)
 
         monkeypatch.setattr(normality, "fs_derivative_grid", counting)
-        got = marty_sup(curves, region).members
-        assert [(m.sup.hex(), m.argmax) for m in got] == want
+        got = members_of(marty_sup(curves, region))
+        assert got == want
         assert sum(points) <= 0.35 * len(curves) * region.grid_points().size
 
     def test_whole_grid_in_blocks(self, monkeypatch):
@@ -555,8 +568,8 @@ class TestPrunedMarty:
             return kernel(comp, dcomp, pts)
 
         monkeypatch.setattr(normality, "fs_derivative_grid", counting)
-        got = marty_sup(curves, region).members
-        assert [(m.sup.hex(), m.argmax) for m in got] == want
+        got = members_of(marty_sup(curves, region))
+        assert got == want
         assert len(seen) == len(curves) * M == 131220
         assert set(seen.values()) == {1}
         assert max(sizes) <= _kernels._EVAL_BLOCK
@@ -580,38 +593,41 @@ class TestPrunedMarty:
 
 class TestZalcman:
     def test_linear_blowup_exact(self):
-        trace = zalcman(linear_family(8))
-        assert trace.rhos == tuple(1.0 / nu for nu in range(1, 9))
-        assert trace.centers == tuple([0.0] * 8)
-        assert trace.rho_decreasing
+        section = zalcman(linear_family(8))
+        assert section["rhos"] == [1.0 / nu for nu in range(1, 9)]
+        assert section["centers"] == [[0.0, 0.0]] * 8
+        assert section["rho_decreasing"]
         # every rescaled curve is exactly (1, zeta)
-        assert trace.convergence_residual == 0.0
-        for g in trace.rescaled:
-            assert abs(fs_at(g, [0.0])[0] - 1.0) <= 1e-12
+        assert section["convergence_residual"] == 0.0
+        for g in section["rescaled"]:
+            assert abs(fs_at(curve_of(g), [0.0])[0] - 1.0) <= 1e-12
         # the limit candidate is [1 : zeta]
         target = ProjCurve([ONE, Z])
         vals = polyval_grid(stack_coeffs(target.components),
-                            trace.zeta_points)
-        assert pairwise_fs_grid(trace.limit_candidate, vals).max() <= 1e-12
+                            normality.ZETA_POINTS)
+        limit = polyval_grid(stack_coeffs(
+            curve_of(section["limit_candidate"]).components),
+            normality.ZETA_POINTS)
+        assert pairwise_fs_grid(limit, vals).max() <= 1e-12
 
     def test_quadratic_blowup_facts(self):
         curves = [ProjCurve([ONE,
                              ComplexPoly([0.0, 0.0, float(nu) ** 2])])
                   for nu in range(1, 7)]
-        trace = zalcman(curves)
+        section = zalcman(curves)
         pts = REGION.grid_points()
         step = 2.0 / (REGION.grid_nx - 1)  # the grid step on both axes
         for k, nu in enumerate(range(1, 7)):
             # closed form of the spherical derivative on the grid
             r = np.abs(pts)
             sd = 2.0 * nu ** 2 * r / (1.0 + nu ** 4 * r ** 4)
-            assert abs(trace.rhos[k] - 1.0 / sd.max()) <= 1e-12
+            assert abs(section["rhos"][k] - 1.0 / sd.max()) <= 1e-12
             # center sits within a grid cell of the true maximizer radius
             r_star = 3.0 ** (-0.25) / nu
-            assert abs(abs(trace.centers[k]) - r_star) <= step
-        for g in trace.rescaled:
-            assert abs(fs_at(g, [0.0])[0] - 1.0) <= 1e-9
-        assert trace.rho_decreasing
+            assert abs(abs(complex(*section["centers"][k])) - r_star) <= step
+        for g in section["rescaled"]:
+            assert abs(fs_at(curve_of(g), [0.0])[0] - 1.0) <= 1e-9
+        assert section["rho_decreasing"]
 
     def test_bounded_family_refuses(self):
         curves = [ProjCurve([ONE, ComplexPoly([-0.1 * k, 1.0])])
@@ -624,11 +640,8 @@ class TestZalcman:
         # shift gives coefficients that are not finite.
         curves = [ProjCurve([ONE, ComplexPoly([0.0] * 1040 + [nu ** 1040])])
                   for nu in (0.9, 1.0, 1.1)]
-        members = tuple(normality.MemberMarty(sup=s, argmax=0.5 + 0.25j)
-                        for s in (1.0, 2.0, 4.0))
-        stats = normality.MartyStats(members=members,
-                                     sups=tuple(m.sup for m in members),
-                                     verdict="blow-up")
+        stats = {"sups": [1.0, 2.0, 4.0], "argmax": [[0.5, 0.25]] * 3,
+                 "verdict": "blow-up"}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericOverflow, match="member 0"):
@@ -640,18 +653,23 @@ class TestZalcman:
             zalcman_search(curves[:3], marty_sup(curves, REGION))
 
     def test_json_shape(self):
-        trace = zalcman(linear_family(4))
-        data = trace.to_json()
+        data = zalcman(linear_family(4))
+        assert sorted(data) == [
+            "centers", "convergence_residual", "limit_candidate",
+            "num_zeta_points", "rescaled", "residuals", "rho_decreasing",
+            "rhos", "unit_derivative_at_zero", "zeta_radius"]
+        assert data["num_zeta_points"] == normality.ZETA_POINTS.size
         assert data["rho_decreasing"] is True
         assert data["limit_candidate"] == data["rescaled"][-1]
         assert len(data["unit_derivative_at_zero"]) == 4
 
     def test_unit_derivatives_match_pointwise(self, monkeypatch):
-        # One stacked kernel call at zeta = 0 gives every rescaled
-        # member's unit derivative, with the bits of the member swept alone.
+        # One stacked kernel call at zeta = 0, inside the search, gives
+        # every rescaled member's unit derivative, with the bits of the
+        # member swept alone.
         curves = [ProjCurve([ONE, ComplexPoly([0.3, -1.0, 0.5 * nu])])
                   for nu in range(1, 9)]
-        trace = zalcman(curves)
+        stats = marty_sup(curves, REGION)
         calls = []
         kernel = normality.fs_derivative_grid
 
@@ -660,19 +678,19 @@ class TestZalcman:
             return kernel(comp, dcomp, pts)
 
         monkeypatch.setattr(normality, "fs_derivative_grid", counting)
-        got = trace.to_json()["unit_derivative_at_zero"]
+        section, _ = zalcman_search(curves, stats)
         assert calls == [(8, 1)]
         monkeypatch.undo()
-        assert [x.hex() for x in got] == \
-            [fs_at(g, [0.0])[0].hex() for g in trace.rescaled]
+        assert [x.hex() for x in section["unit_derivative_at_zero"]] == \
+            [fs_at(curve_of(g), [0.0])[0].hex() for g in section["rescaled"]]
 
 
 def _blowup_family(rng, n, exponents):
     """Curves into P^n, one per exponent, of component degrees 0 ... 8
     with leading moduli in [0.1, 2] times 10**exponent, and a blow-up
-    ``MartyStats`` for them with chosen centres (0.1 <= |c| <= 1.5) and
-    sups in [0.5, 4]."""
-    curves, members = [], []
+    normality section for them with chosen centres (0.1 <= |c| <= 1.5)
+    and sups in [0.5, 4]."""
+    curves, sups, argmax = [], [], []
     for e in exponents:
         comps = []
         for _ in range(n + 1):
@@ -682,13 +700,9 @@ def _blowup_family(rng, n, exponents):
             comps.append(ComplexPoly(10.0 ** e * c))
         curves.append(ProjCurve(comps, check_reduced=False))
         r, t = rng.uniform(0.1, 1.5), rng.uniform(0.0, 2.0 * np.pi)
-        members.append(normality.MemberMarty(
-            sup=float(rng.uniform(0.5, 4.0)),
-            argmax=complex(r * np.cos(t), r * np.sin(t))))
-    stats = normality.MartyStats(members=tuple(members),
-                                 sups=tuple(m.sup for m in members),
-                                 verdict="blow-up")
-    return curves, stats
+        sups.append(float(rng.uniform(0.5, 4.0)))
+        argmax.append([float(r * np.cos(t)), float(r * np.sin(t))])
+    return curves, {"sups": sups, "argmax": argmax, "verdict": "blow-up"}
 
 
 class TestZalcmanOracle:
@@ -707,14 +721,14 @@ class TestZalcmanOracle:
     def test_matches_exact_shift(self, n, N, seed):
         rng = np.random.default_rng(seed)
         curves, stats = _blowup_family(rng, n, [0] * N)
-        trace = zalcman_search(curves, stats)
-        assert trace.centers == tuple(m.argmax for m in stats.members)
-        assert trace.rhos == tuple(1.0 / m.sup for m in stats.members)
-        zeta = trace.zeta_points[::97]
+        section, _ = zalcman_search(curves, stats)
+        assert section["centers"] == stats["argmax"]
+        assert section["rhos"] == [1.0 / s for s in stats["sups"]]
+        zeta = normality.ZETA_POINTS[::97]
         with mpmath.workdps(40):
-            for f, g, c, rho in zip(curves, trace.rescaled, trace.centers,
-                                    trace.rhos):
-                c, rho = mpmath.mpc(c), mpmath.mpf(rho)
+            for f, g, c, rho in zip(curves, section["rescaled"],
+                                    section["centers"], section["rhos"]):
+                g, c, rho = curve_of(g), mpmath.mpc(*c), mpmath.mpf(rho)
                 for p, q in zip(f.components, g.components):
                     a = [mpmath.mpc(x) for x in p.coeffs.tolist()]
                     L = len(a)
@@ -735,8 +749,8 @@ class TestZalcmanOracle:
 
 
 class TestStackedZalcman:
-    """The rescaled members, residuals and limit samples have the same bits
-    at every block size, and each residual is the sup of one pair's
+    """The rescaled members, residuals and limit distances have the same
+    bits at every block size, and each residual is the sup of one pair's
     distances computed alone."""
 
     @settings(max_examples=25, deadline=None)
@@ -747,8 +761,7 @@ class TestStackedZalcman:
     def test_block_independent(self, n, exponents, seed):
         rng = np.random.default_rng(seed)
         curves, stats = _blowup_family(rng, n, exponents)
-        M = normality._zeta_disc(normality.ZETA_RADIUS,
-                                 normality.ZETA_PER_AXIS).size
+        M = normality.ZETA_POINTS.size
         runs = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -757,24 +770,26 @@ class TestStackedZalcman:
                 for block in ((n + 1) * M, 2 * (n + 1) * M,
                               _kernels._EVAL_BLOCK, 1 << 30):
                     mp.setattr(_kernels, "_EVAL_BLOCK", block)
-                    t = zalcman_search(curves, stats)
+                    section, rows = zalcman_search(curves, stats)
+                    rescaled = [curve_of(g) for g in section["rescaled"]]
                     runs.append((
-                        [p.coeffs.tobytes() for g in t.rescaled
+                        [p.coeffs.tobytes() for g in rescaled
                          for p in g.components],
-                        [r.hex() for r in t.residuals],
-                        t.limit_distances.tobytes(),
-                        t.limit_candidate.tobytes()))
+                        [r.hex() for r in section["residuals"]],
+                        rows))
         assert all(run == runs[0] for run in runs)
-        samples = [polyval_grid(stack_coeffs(g.components), t.zeta_points)
-                   for g in t.rescaled]
+        samples = [polyval_grid(stack_coeffs(g.components),
+                                normality.ZETA_POINTS) for g in rescaled]
         pairs = [pairwise_fs_grid(a, b)
                  for a, b in zip(samples, samples[1:])]
-        assert [r.hex() for r in t.residuals] == \
+        assert [r.hex() for r in section["residuals"]] == \
             [float(d.max()).hex() for d in pairs]
-        assert t.limit_candidate.tobytes() == samples[-1].tobytes()
-        assert t.limit_distances.tobytes() == (
+        assert [(x, y) for x, y, _ in rows] == [
+            (z.real, z.imag) for z in normality.ZETA_POINTS.tolist()]
+        assert np.array([d for _, _, d in rows]).tobytes() == (
             pairs[-1] if pairs else np.zeros(M)).tobytes()
-        assert t.convergence_residual == (t.residuals[-1] if pairs else 0.0)
+        assert section["convergence_residual"] == (
+            section["residuals"][-1] if pairs else 0.0)
 
     def test_mixed_n_raises(self):
         # One family maps into one P^n: members of n = 1 and n = 2 raise

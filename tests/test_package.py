@@ -12,11 +12,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PUBLIC = {
     "AllZero", "BadParams", "CheckConfig", "ComplexPoly",
     "DimensionMismatch", "FamilyMember",
-    "FirstComponentZero", "IdenticallyZero", "MartyStats",
+    "FirstComponentZero", "IdenticallyZero",
     "MovingHyperplane", "NotBlowingUp", "NumericOverflow", "ParseError",
     "ProjCurve",
     "ProjcurveError", "Region", "Scene", "UniformDelta", "UnknownTemplate",
-    "ValidationError", "WrongCount", "ZalcmanTrace", "ZeroPolynomial",
+    "ValidationError", "WrongCount", "ZeroPolynomial",
     "config", "derived_map", "generate_scene",
     "hypotheses_check", "induced_curve", "load_scene", "marty_sup",
     "position_sweep", "run_pipeline", "save_scene", "scene_from_json",

@@ -342,6 +342,22 @@ class TestRootsReference:
             else:
                 check_planted(case, roots)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 18: two simple roots 1e-6 apart come back as one "
+        "double root"))
+    @pytest.mark.parametrize("flat", [[0j, 1e-6j, 0.25j],
+                                      [1e-6j, 0.25j, 0j]])
+    def test_simple_roots_1e6_apart_stay_apart(self, flat):
+        # A draw of the tests above.  At the midpoint 5e-7i, |p| is about
+        # 6e-14, under TAU_MULTIPLE times the coefficient bound, so the
+        # group test accepts a double root there, though the eigenvalues
+        # resolve both simple roots to rounding.
+        case = Planted(flat, 1j)
+        assert well_posed(case)
+        [got] = roots_many([case.poly.coeffs])
+        assert [m for _, m in got] == [1, 1, 1]
+        check_planted(case, got)
+
     # Planted multiplicities 1-5 give rows with and without a linked pair.
     @given(st.lists(planted(degrees=st.sampled_from([1, 2, 3, 5])),
                     min_size=1, max_size=12))
@@ -448,7 +464,7 @@ class TestMultipleRoots:
         p = ComplexPoly.from_roots([0.5] * 4 + [-0.3j] * 4)
         assert [m for _, m in roots(p)] == [4, 4]
 
-    @pytest.mark.xfail(strict=True, reason=(
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "ROADMAP row I: adjacent 5-fold roots are grouped as 4, 4, 4, 2 "
         "(item 18)"))
     def test_row_i_two_fivefold_roots_beside_a_fourfold(self):
@@ -473,7 +489,7 @@ class TestMultipleRoots:
             warnings.simplefilter("error")
             assert roots_many([row]) == [[(0j, 1040)]]
 
-    @pytest.mark.xfail(strict=True, reason=(
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "CHANGES.md FOUND after PR 25: the group test passes the 1040-fold "
         "group of (0.7 z)^1040 on NaN values (item 18)"))
     def test_degree_1040_group_decided_on_finite_values(self, monkeypatch):

@@ -21,7 +21,7 @@ ONE = ComplexPoly.one()
 SQUARE = Region(-1.0, 1.0, -1.0, 1.0, 41, 41)
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP row B: position decides on the grid minimum, not its lower "
     "bound 0.0 (items 11, 2 and 22)"))
 def test_row_b_degenerate_position_is_not_a_pass():
@@ -33,7 +33,7 @@ def test_row_b_degenerate_position_is_not_a_pass():
     assert report["stages"]["position"]["verdict"] is not True
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP row C: the n = 5 Vandermonde product overflows to inf "
     "(item 2)"))
 def test_row_c_montel_n5_delta_is_finite():
@@ -43,7 +43,7 @@ def test_row_c_montel_n5_delta_is_finite():
     assert 0.0 < scene.config.delta < float("inf")
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP row D: the grid misses the peak nu at a, between grid points "
     "(item 4)"))
 def test_row_d_shrinking_peak_blows_up():
@@ -51,10 +51,10 @@ def test_row_d_shrinking_peak_blows_up():
     a = 0.0123 + 0.0071j
     members = [ProjCurve([ONE, ComplexPoly([-nu * a, nu])])
                for nu in (10, 30, 100, 300, 1000, 3000)]
-    assert marty_sup(members, SQUARE).verdict == "blow-up"
+    assert marty_sup(members, SQUARE)["verdict"] == "blow-up"
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP row E: the growing sups sit at the corner -1 - i, on the "
     "region's boundary (item 4)"))
 def test_row_e_decaying_powers_do_not_blow_up():
@@ -62,10 +62,10 @@ def test_row_e_decaying_powers_do_not_blow_up():
     # disc |z| < sqrt 2, which holds the open square.
     members = [ProjCurve([ONE, ComplexPoly([0.0] * k + [2.0 ** (-k / 2)])])
                for k in (2, 4, 8, 16, 32, 64)]
-    assert marty_sup(members, SQUARE).verdict != "blow-up"
+    assert marty_sup(members, SQUARE)["verdict"] != "blow-up"
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP row F: check reads an inconclusive induced verdict as a "
     "pass (item 11)"))
 def test_row_f_inconclusive_is_not_a_pass():
